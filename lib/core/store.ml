@@ -210,18 +210,6 @@ let set_refs t refs =
 
 (* --- commit planning --- *)
 
-let bytes_equal_at a apos b bpos len =
-  let ok = ref true in
-  (try
-     for i = 0 to len - 1 do
-       if Bytes.unsafe_get a (apos + i) <> Bytes.unsafe_get b (bpos + i) then begin
-         ok := false;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !ok
-
 type plan = {
   p_gen : int;
   p_new : (int * Bytes.t) list; (* absolute off, chunk record (reversed) *)
@@ -254,7 +242,7 @@ let plan_commit t ~id image =
         let h = Fnv.hash_bytes ~pos ~len:plen image in
         let dedup =
           match Hashtbl.find_opt pending h with
-          | Some (ppos, off) when bytes_equal_at image ppos image pos plen ->
+          | Some (ppos, off) when Fnv.equal_range image ppos image pos plen ->
               Some (off, plen)
           | _ -> (
               match Hashtbl.find_opt t.index h with
@@ -265,7 +253,7 @@ let plan_commit t ~id image =
                   let stored =
                     Blockdev.pread t.blk ~off:(c.c_off + chunk_header) ~len:plen
                   in
-                  if bytes_equal_at stored 0 image pos plen then
+                  if Fnv.equal_range stored 0 image pos plen then
                     Some (c.c_off, plen)
                   else None
               | _ -> None)

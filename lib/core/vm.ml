@@ -24,8 +24,8 @@ type t = {
   mutable nested : Nested.t option;
   bus : Bus.t;
   uart : Uart.t;
-  mutable blk : Blockdev.t;
-  mutable vblk : Virtio_blk.t;
+  blk : Blockdev.t;
+  vblk : Virtio_blk.t;
   mutable nic : Nic.t option;
   mutable vnet : Virtio_net.t option;
   monitor : Monitor.t;
@@ -245,18 +245,22 @@ let write_gpa_bytes t gpa b =
   in
   go gpa 0 len
 
+(* Device views of guest memory.  They take the VM lazily so that
+   {!create} can build the devices inside the record they belong to; a
+   device only touches memory once the guest drives it, long after the
+   record exists. *)
 let guest_mem t =
   {
-    Virtio_ring.read_u64 = (fun gpa -> read_gpa_u64 t gpa);
-    write_u64 = (fun gpa v -> write_gpa_u64 t gpa v);
-    read_bytes = (fun gpa len -> read_gpa_bytes t gpa len);
-    write_bytes = (fun gpa b -> write_gpa_bytes t gpa b);
+    Virtio_ring.read_u64 = (fun gpa -> read_gpa_u64 (Lazy.force t) gpa);
+    write_u64 = (fun gpa v -> write_gpa_u64 (Lazy.force t) gpa v);
+    read_bytes = (fun gpa len -> read_gpa_bytes (Lazy.force t) gpa len);
+    write_bytes = (fun gpa b -> write_gpa_bytes (Lazy.force t) gpa b);
   }
 
 let guest_dma t =
   {
-    Blockdev.dma_read = (fun gpa len -> read_gpa_bytes t gpa len);
-    dma_write = (fun gpa b -> write_gpa_bytes t gpa b);
+    Blockdev.dma_read = (fun gpa len -> read_gpa_bytes (Lazy.force t) gpa len);
+    dma_write = (fun gpa b -> write_gpa_bytes (Lazy.force t) gpa b);
   }
 
 (* ---- creation ---- *)
@@ -302,7 +306,8 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
   let dtlbs = Array.map (fun tlb -> Dtlb.create ~tlb) tlbs in
   let bus = Bus.create () in
   let uart = Uart.create () in
-  let t =
+  let rec vm =
+    lazy
     {
       id;
       name;
@@ -316,9 +321,12 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
       nested = None;
       bus;
       uart;
-      blk = Blockdev.create ~sectors:blk_sectors { Blockdev.dma_read = (fun _ _ -> None); dma_write = (fun _ _ -> false) };
-      vblk = Virtio_blk.create ~sectors:blk_sectors { Virtio_ring.read_u64 = (fun _ -> None); write_u64 = (fun _ _ -> false); read_bytes = (fun _ _ -> None); write_bytes = (fun _ _ -> false) };
-      nic = None;
+      blk = Blockdev.create ~sectors:blk_sectors (guest_dma vm);
+      vblk = Virtio_blk.create ~sectors:blk_sectors (guest_mem vm);
+      nic =
+        Option.map
+          (fun (link, endpoint) -> Nic.create ~link ~endpoint ~dma:(guest_dma vm) ())
+          nic;
       vnet = None;
       monitor = Monitor.create ();
       dirty = Bytes.make ((mem_frames + 7) / 8) '\000';
@@ -337,14 +345,7 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
       traces_seen = 0;
     }
   in
-  (* Rebuild the devices now that [t] exists, wiring DMA through the VM's
-     p2m, and attach them to the virtual bus. *)
-  t.blk <- Blockdev.create ~sectors:blk_sectors (guest_dma t);
-  t.vblk <- Virtio_blk.create ~sectors:blk_sectors (guest_mem t);
-  t.nic <-
-    Option.map
-      (fun (link, endpoint) -> Nic.create ~link ~endpoint ~dma:(guest_dma t) ())
-      nic;
+  let t = Lazy.force vm in
   Bus.attach t.bus (Uart.device t.uart);
   Bus.attach t.bus (Blockdev.device t.blk);
   Bus.attach t.bus (Virtio_blk.device t.vblk);
@@ -396,7 +397,7 @@ let destroy t =
    its fabric port back this way, with {!Virtio_net.configure} restoring
    the ring layout host-side. *)
 let attach_vnet t ~link ~endpoint =
-  let v = Virtio_net.create ~link ~endpoint ~mem:(guest_mem t) () in
+  let v = Virtio_net.create ~link ~endpoint ~mem:(guest_mem (Lazy.from_val t)) () in
   t.vnet <- Some v;
   Bus.attach t.bus (Virtio_net.device v);
   v

@@ -47,8 +47,8 @@ type t = {
   mutable nested : Nested.t option;
   bus : Bus.t;
   uart : Uart.t;
-  mutable blk : Blockdev.t;
-  mutable vblk : Virtio_blk.t;
+  blk : Blockdev.t;  (** disks are backed lazily: no memory until written *)
+  vblk : Virtio_blk.t;
   mutable nic : Nic.t option;
   mutable vnet : Virtio_net.t option;  (** paravirtual fabric port *)
   monitor : Monitor.t;
@@ -154,8 +154,11 @@ val write_gpa_u64 : t -> int64 -> int64 -> bool
 val read_gpa_bytes : t -> int64 -> int -> Bytes.t option
 val write_gpa_bytes : t -> int64 -> Bytes.t -> bool
 
-val guest_mem : t -> Virtio_ring.guest_mem
-val guest_dma : t -> Blockdev.dma
+val guest_mem : t Lazy.t -> Virtio_ring.guest_mem
+val guest_dma : t Lazy.t -> Blockdev.dma
+(** Device views of guest memory.  The VM is taken lazily so a device can
+    be built before the record that holds it; it is forced on each
+    access. *)
 
 (** {1 Guest-virtual access (instruction emulation)} *)
 

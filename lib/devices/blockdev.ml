@@ -25,7 +25,7 @@ type dma = {
 type pending = { finish_at : int64; ok : bool }
 
 type t = {
-  store : Bytes.t;
+  store : Backing.t; (* allocated on the first write *)
   nsectors : int;
   dma : dma;
   mutable sector : int64;
@@ -44,7 +44,7 @@ type t = {
 let create ?(sectors = 8192) dma =
   if sectors <= 0 then invalid_arg "Blockdev.create: sectors must be positive";
   {
-    store = Bytes.make (sectors * sector_bytes) '\000';
+    store = Backing.create ~bytes:(sectors * sector_bytes);
     nsectors = sectors;
     dma;
     sector = 0L;
@@ -66,34 +66,32 @@ let error_count t = t.errors
 
 let load t ~sector s =
   let off = sector * sector_bytes in
-  if sector < 0 || off + String.length s > Bytes.length t.store then
+  if sector < 0 || not (Backing.in_range t.store ~off ~len:(String.length s)) then
     invalid_arg "Blockdev.load: out of range";
-  Bytes.blit_string s 0 t.store off (String.length s)
+  Backing.blit_from_string t.store ~off s
 
 let read_back t ~sector ~count =
   let off = sector * sector_bytes in
   let len = count * sector_bytes in
-  if sector < 0 || count < 0 || off + len > Bytes.length t.store then
+  if sector < 0 || not (Backing.in_range t.store ~off ~len) then
     invalid_arg "Blockdev.read_back: out of range";
-  Bytes.sub_string t.store off len
+  Backing.sub_string t.store ~off ~len
 
 (* Byte-addressed host-side access: the durable snapshot store writes
    records that straddle sector boundaries, and its power-failure model
    cuts a write at an arbitrary *byte*, so sector granularity would hide
    exactly the torn states it must exercise. *)
 let pwrite t ~off b ~pos ~len =
-  if off < 0 || pos < 0 || len < 0
-     || pos + len > Bytes.length b
-     || off + len > Bytes.length t.store
+  if pos < 0 || pos + len > Bytes.length b || not (Backing.in_range t.store ~off ~len)
   then invalid_arg "Blockdev.pwrite: out of range";
-  Bytes.blit b pos t.store off len
+  Backing.blit_from t.store ~off b ~pos ~len
 
 let pread t ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length t.store then
+  if not (Backing.in_range t.store ~off ~len) then
     invalid_arg "Blockdev.pread: out of range";
-  Bytes.sub t.store off len
+  Backing.sub t.store ~off ~len
 
-let capacity_bytes t = Bytes.length t.store
+let capacity_bytes t = t.nsectors * sector_bytes
 
 let valid_range t =
   let s = Int64.to_int t.sector and c = Int64.to_int t.count in
@@ -132,11 +130,11 @@ let start_command t cmd =
     let ok =
       if injected then false
       else if cmd = cmd_read then
-        t.dma.dma_write t.dma_addr (Bytes.sub t.store off len)
+        t.dma.dma_write t.dma_addr (Backing.sub t.store ~off ~len)
       else begin
         match t.dma.dma_read t.dma_addr len with
         | Some b ->
-            Bytes.blit b 0 t.store off len;
+            Backing.blit_from t.store ~off b ~pos:0 ~len;
             true
         | None -> false
       end

@@ -3,7 +3,9 @@
     The device owns a byte-addressable backing store in 512-byte sectors
     and moves data to and from guest memory through DMA callbacks, so the
     same model serves a native machine (identity DMA into RAM) and a
-    virtual machine (DMA through the VMM's physical-to-machine map).
+    virtual machine (DMA through the VMM's physical-to-machine map).  The
+    store is a {!Backing.t}: allocated on the first write and zeros until
+    then, so an untouched disk costs no memory.
 
     Register layout (64-bit, offsets from base):
     - [0x00] CMD     — write 1 = read sectors, 2 = write sectors; starts
@@ -73,7 +75,8 @@ val pread : t -> off:int -> len:int -> Bytes.t
     @raise Invalid_argument if out of range. *)
 
 val capacity_bytes : t -> int
-(** Backing-store size in bytes ([sectors * sector_bytes]). *)
+(** Backing-store size in bytes ([sectors * sector_bytes]); asking does
+    not allocate the store. *)
 
 val device : ?base:int64 -> t -> Velum_machine.Bus.device
 

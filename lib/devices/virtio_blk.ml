@@ -20,7 +20,7 @@ type completion =
 type batch = { finish_at : int64; completions : completion list }
 
 type t = {
-  store : Bytes.t;
+  store : Backing.t; (* allocated on the first write *)
   nsectors : int;
   mem : Virtio_ring.guest_mem;
   mutable ring : Virtio_ring.t option;
@@ -39,7 +39,7 @@ type t = {
 let create ?(sectors = 8192) mem =
   if sectors <= 0 then invalid_arg "Virtio_blk.create: sectors must be positive";
   {
-    store = Bytes.make (sectors * sector_bytes) '\000';
+    store = Backing.create ~bytes:(sectors * sector_bytes);
     nsectors = sectors;
     mem;
     ring = None;
@@ -61,16 +61,16 @@ let error_count t = t.error_count
 
 let load t ~sector s =
   let off = sector * sector_bytes in
-  if sector < 0 || off + String.length s > Bytes.length t.store then
+  if sector < 0 || not (Backing.in_range t.store ~off ~len:(String.length s)) then
     invalid_arg "Virtio_blk.load: out of range";
-  Bytes.blit_string s 0 t.store off (String.length s)
+  Backing.blit_from_string t.store ~off s
 
 let read_back t ~sector ~count =
   let off = sector * sector_bytes in
   let len = count * sector_bytes in
-  if sector < 0 || count < 0 || off + len > Bytes.length t.store then
+  if sector < 0 || not (Backing.in_range t.store ~off ~len) then
     invalid_arg "Virtio_blk.read_back: out of range";
-  Bytes.sub_string t.store off len
+  Backing.sub_string t.store ~off ~len
 
 let setup_ring t =
   match t.ring with
@@ -102,20 +102,19 @@ let exec_desc t (d : Virtio_ring.desc) =
     else false
   in
   let sector = Int64.to_int d.arg in
-  let len = d.data_len in
+  let off = sector * sector_bytes and len = d.data_len in
   let ok =
     (not injected)
     && len > 0
     && len mod sector_bytes = 0
     && sector >= 0
-    && (sector * sector_bytes) + len <= Bytes.length t.store
+    && Backing.in_range t.store ~off ~len
     &&
-    if d.kind = kind_read then
-      t.mem.write_bytes d.data_gpa (Bytes.sub t.store (sector * sector_bytes) len)
+    if d.kind = kind_read then t.mem.write_bytes d.data_gpa (Backing.sub t.store ~off ~len)
     else if d.kind = kind_write then begin
       match t.mem.read_bytes d.data_gpa len with
       | Some b ->
-          Bytes.blit b 0 t.store (sector * sector_bytes) len;
+          Backing.blit_from t.store ~off b ~pos:0 ~len;
           true
       | None -> false
     end

@@ -15,7 +15,8 @@
 
     The latency model matches {!Blockdev} (one seek per {e batch} plus a
     per-byte cost) so emulated-vs-paravirtual comparisons isolate the
-    exit overhead rather than different storage speeds. *)
+    exit overhead rather than different storage speeds.  Like
+    {!Blockdev}, the backing store is allocated on the first write. *)
 
 val reg_kick : int64
 val reg_isr : int64

@@ -43,7 +43,15 @@ let csr_index = function
 let all_csrs =
   [ Satp; Stvec; Sepc; Scause; Stval; Sie; Sip; Sscratch; Stimecmp; Time; Vmid; Hartid ]
 
-let csr_of_index i = List.find_opt (fun c -> csr_index c = i) all_csrs
+(* Decode tables, built once from the list definitions so the list stays
+   the single source of truth; the interpreter looks a CSR up on every
+   csrr/csrw it decodes. *)
+let csr_by_index =
+  let a = Array.make (List.length all_csrs) None in
+  List.iter (fun c -> a.(csr_index c) <- Some c) all_csrs;
+  a
+
+let csr_of_index i = if i >= 0 && i < Array.length csr_by_index then csr_by_index.(i) else None
 
 let csr_name = function
   | Satp -> "satp"
@@ -118,7 +126,27 @@ let all_causes =
     External_interrupt;
   ]
 
-let cause_of_code code = List.find_opt (fun c -> cause_code c = code) all_causes
+(* Synchronous causes indexed by code, interrupts by code without the
+   interrupt flag. *)
+let sync_causes, irq_causes =
+  let sync = Array.make (List.length all_causes) None
+  and irq = Array.make (List.length all_causes) None in
+  List.iter
+    (fun c ->
+      let code = cause_code c in
+      if Int64.logand code interrupt_flag <> 0L then
+        irq.(Int64.to_int (Int64.logxor code interrupt_flag)) <- Some c
+      else sync.(Int64.to_int code) <- Some c)
+    all_causes;
+  (sync, irq)
+
+let cause_of_code code =
+  let table, i =
+    if Int64.logand code interrupt_flag <> 0L then
+      (irq_causes, Int64.logxor code interrupt_flag)
+    else (sync_causes, code)
+  in
+  if i >= 0L && i < Int64.of_int (Array.length table) then table.(Int64.to_int i) else None
 
 let cause_name = function
   | Syscall -> "syscall"

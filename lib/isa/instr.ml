@@ -87,11 +87,20 @@ let alu_code = function
   | Sltu -> 12
 
 let alu_ops = [ Add; Sub; Mul; Div; Rem; And; Or; Xor; Sll; Srl; Sra; Slt; Sltu ]
-let alu_of_code c = List.find_opt (fun op -> alu_code op = c) alu_ops
 
 let alui_valid = function
   | Add | And | Or | Xor | Sll | Srl | Sra | Slt | Sltu -> true
   | Sub | Mul | Div | Rem -> false
+
+(* Decode tables: one slot per value of the 8-bit aux field, filled from
+   the code functions above, so decoding a sub-op is one array load. *)
+let aux_table code ops =
+  let a = Array.make 256 None in
+  List.iter (fun op -> a.(code op) <- Some op) ops;
+  a
+
+let alu_by_aux = aux_table alu_code alu_ops
+let alui_by_aux = aux_table alu_code (List.filter alui_valid alu_ops)
 
 let branch_code = function
   | Beq -> 0
@@ -101,16 +110,9 @@ let branch_code = function
   | Bltu -> 4
   | Bgeu -> 5
 
-let branch_ops = [ Beq; Bne; Blt; Bge; Bltu; Bgeu ]
-let branch_of_code c = List.find_opt (fun op -> branch_code op = c) branch_ops
-
+let branch_by_aux = aux_table branch_code [ Beq; Bne; Blt; Bge; Bltu; Bgeu ]
 let width_code = function W8 -> 0 | W16 -> 1 | W32 -> 2 | W64 -> 3
-let width_of_code = function
-  | 0 -> Some W8
-  | 1 -> Some W16
-  | 2 -> Some W32
-  | 3 -> Some W64
-  | _ -> None
+let width_by_aux = aux_table width_code [ W8; W16; W32; W64 ]
 
 let check_reg r =
   if r < 0 || r >= Arch.num_regs then invalid_arg "Instr.encode: bad register"
@@ -163,62 +165,65 @@ let encode = function
   | Hcall -> pack ~opcode:op_hcall ()
   | Halt -> pack ~opcode:op_halt ()
 
+(* Fields come straight off the low word with fixed shifts and masks,
+   immediates off the high word, and opcodes are literal match cases (a
+   jump table); the [op_*] names above are the same numbers.  The
+   interpreter decodes every instruction it executes. *)
 let decode w =
-  let opcode = Int64.to_int (Bitops.extract w ~lo:0 ~width:8) in
-  let rd = Int64.to_int (Bitops.extract w ~lo:8 ~width:4) in
-  let rs1 = Int64.to_int (Bitops.extract w ~lo:12 ~width:4) in
-  let rs2 = Int64.to_int (Bitops.extract w ~lo:16 ~width:4) in
-  let aux = Int64.to_int (Bitops.extract w ~lo:20 ~width:8) in
-  let imm_u = Bitops.extract w ~lo:32 ~width:32 in
-  let imm_s = Bitops.sign_extend imm_u ~width:32 in
-  if Bitops.extract w ~lo:28 ~width:4 <> 0L then None
+  let lo = Int64.to_int w in
+  if (lo lsr 28) land 0xf <> 0 then None
   else
-    match opcode with
-    | o when o = op_nop -> Some Nop
-    | o when o = op_alu -> (
-        match alu_of_code aux with
+    let rd = (lo lsr 8) land 0xf
+    and rs1 = (lo lsr 12) land 0xf
+    and rs2 = (lo lsr 16) land 0xf
+    and aux = (lo lsr 20) land 0xff in
+    match lo land 0xff with
+    | 0x01 -> Some Nop
+    | 0x02 -> (
+        match alu_by_aux.(aux) with
         | Some op -> Some (Alu (op, rd, rs1, rs2))
         | None -> None)
-    | o when o = op_alui -> (
-        match alu_of_code aux with
-        | Some op when alui_valid op ->
+    | 0x03 -> (
+        match alui_by_aux.(aux) with
+        | Some op ->
             (* Bitwise/shift immediates were stored zero-extended, the
                rest sign-extended; the execution semantics re-extend, so
                surface the raw signed view uniformly here. *)
-            Some (Alui (op, rd, rs1, imm_s))
-        | Some _ | None -> None)
-    | o when o = op_lui -> Some (Lui (rd, imm_u))
-    | o when o = op_load -> (
-        match width_of_code aux with
-        | Some width -> Some (Load { rd; base = rs1; off = imm_s; width })
+            Some (Alui (op, rd, rs1, Int64.shift_right w 32))
         | None -> None)
-    | o when o = op_store -> (
-        match width_of_code aux with
-        | Some width -> Some (Store { src = rs2; base = rs1; off = imm_s; width })
+    | 0x04 -> Some (Lui (rd, Int64.shift_right_logical w 32))
+    | 0x05 -> (
+        match width_by_aux.(aux) with
+        | Some width -> Some (Load { rd; base = rs1; off = Int64.shift_right w 32; width })
         | None -> None)
-    | o when o = op_branch -> (
-        match branch_of_code aux with
-        | Some op -> Some (Branch (op, rs1, rs2, imm_s))
+    | 0x06 -> (
+        match width_by_aux.(aux) with
+        | Some width ->
+            Some (Store { src = rs2; base = rs1; off = Int64.shift_right w 32; width })
         | None -> None)
-    | o when o = op_jal -> Some (Jal (rd, imm_s))
-    | o when o = op_jalr -> Some (Jalr (rd, rs1, imm_s))
-    | o when o = op_ecall -> Some Ecall
-    | o when o = op_ebreak -> Some Ebreak
-    | o when o = op_csrr -> (
+    | 0x07 -> (
+        match branch_by_aux.(aux) with
+        | Some op -> Some (Branch (op, rs1, rs2, Int64.shift_right w 32))
+        | None -> None)
+    | 0x08 -> Some (Jal (rd, Int64.shift_right w 32))
+    | 0x09 -> Some (Jalr (rd, rs1, Int64.shift_right w 32))
+    | 0x0a -> Some Ecall
+    | 0x0b -> Some Ebreak
+    | 0x0c -> (
         match Arch.csr_of_index aux with
         | Some csr -> Some (Csrr (rd, csr))
         | None -> None)
-    | o when o = op_csrw -> (
+    | 0x0d -> (
         match Arch.csr_of_index aux with
         | Some csr -> Some (Csrw (csr, rs1))
         | None -> None)
-    | o when o = op_sret -> Some Sret
-    | o when o = op_sfence -> Some Sfence
-    | o when o = op_wfi -> Some Wfi
-    | o when o = op_in -> Some (In (rd, Int64.to_int imm_u))
-    | o when o = op_out -> Some (Out (Int64.to_int imm_u, rs1))
-    | o when o = op_hcall -> Some Hcall
-    | o when o = op_halt -> Some Halt
+    | 0x0e -> Some Sret
+    | 0x0f -> Some Sfence
+    | 0x10 -> Some Wfi
+    | 0x11 -> Some (In (rd, Int64.to_int (Int64.shift_right_logical w 32)))
+    | 0x12 -> Some (Out (Int64.to_int (Int64.shift_right_logical w 32), rs1))
+    | 0x13 -> Some Hcall
+    | 0x14 -> Some Halt
     | _ -> None
 
 let alu_name = function

@@ -119,9 +119,7 @@ let frame_is_zero t ~ppn =
   go 0
 
 let frame_equal t a b =
-  let oa = frame_off t a and ob = frame_off t b in
-  let rec go i = i >= page || (Bytes.get t.data (oa + i) = Bytes.get t.data (ob + i) && go (i + 1)) in
-  go 0
+  Velum_util.Fnv.equal_range t.data (frame_off t a) t.data (frame_off t b) page
 
 let blit_between ~src ~src_ppn ~dst ~dst_ppn =
   Bytes.blit src.data (frame_off src src_ppn) dst.data (frame_off dst dst_ppn) page;

@@ -9,13 +9,24 @@ type entry = {
   superpage : bool;
 }
 
+(* Vpns are small non-negative integers, so the key's own bits are a good
+   hash, and [Int64.equal] avoids the polymorphic compare and hash.  The
+   TLB never iterates its index, so bucket order cannot leak into
+   behaviour. *)
+module Index = Hashtbl.Make (struct
+  type t = int64
+
+  let equal = Int64.equal
+  let hash = Int64.to_int
+end)
+
 (* Two fully-associative banks with round-robin replacement: one for
    4 KiB translations keyed by vpn, one for 2 MiB translations keyed by
    vpn >> 9.  Real TLBs split similarly; determinism is what matters
    here. *)
 type bank = {
   slots : entry option array;
-  index : (int64, int) Hashtbl.t;
+  index : int Index.t;
   mutable victim : int;
 }
 
@@ -34,7 +45,7 @@ type t = {
 }
 
 let make_bank size =
-  { slots = Array.make size None; index = Hashtbl.create size; victim = 0 }
+  { slots = Array.make size None; index = Index.create size; victim = 0 }
 
 let create ~size =
   if size <= 0 then invalid_arg "Tlb.create: size must be positive";
@@ -54,7 +65,7 @@ let size t = Array.length t.small.slots
 let super_key vpn = Int64.shift_right_logical vpn (Arch.vpn_bits)
 
 let bank_lookup b key =
-  match Hashtbl.find_opt b.index key with Some slot -> b.slots.(slot) | None -> None
+  match Index.find_opt b.index key with Some slot -> b.slots.(slot) | None -> None
 
 let lookup t ~vpn =
   match bank_lookup t.small vpn with
@@ -67,7 +78,7 @@ let lookup t ~vpn =
 let evict_slot t b key_of slot =
   match b.slots.(slot) with
   | Some e ->
-      Hashtbl.remove b.index (key_of e.vpn);
+      Index.remove b.index (key_of e.vpn);
       b.slots.(slot) <- None;
       t.evictions <- t.evictions + 1;
       t.generation <- t.generation + 1
@@ -76,7 +87,7 @@ let evict_slot t b key_of slot =
 let bank_insert t b key_of e =
   let key = key_of e.vpn in
   let slot =
-    match Hashtbl.find_opt b.index key with
+    match Index.find_opt b.index key with
     | Some s -> s
     | None ->
         let s = b.victim in
@@ -86,7 +97,7 @@ let bank_insert t b key_of e =
   in
   evict_slot t b key_of slot;
   b.slots.(slot) <- Some e;
-  Hashtbl.replace b.index key slot
+  Index.replace b.index key slot
 
 let insert t e =
   if e.superpage then bank_insert t t.large super_key e
@@ -96,16 +107,16 @@ let flush t =
   List.iter
     (fun b ->
       Array.fill b.slots 0 (Array.length b.slots) None;
-      Hashtbl.reset b.index)
+      Index.reset b.index)
     [ t.small; t.large ];
   t.flushes <- t.flushes + 1;
   t.generation <- t.generation + 1
 
 let flush_vpn t vpn =
-  (match Hashtbl.find_opt t.small.index vpn with
+  (match Index.find_opt t.small.index vpn with
   | Some slot -> evict_slot t t.small (fun v -> v) slot
   | None -> ());
-  match Hashtbl.find_opt t.large.index (super_key vpn) with
+  match Index.find_opt t.large.index (super_key vpn) with
   | Some slot -> evict_slot t t.large super_key slot
   | None -> ()
 

@@ -2,10 +2,14 @@ let mask n =
   if n < 0 || n > 64 then invalid_arg "Bitops.mask: width out of range";
   if n = 64 then -1L else Int64.sub (Int64.shift_left 1L n) 1L
 
+(* The mask is built inline rather than through [mask]: [extract] sits on
+   page-walk and CSR paths, and its range check already guarantees
+   [width <= 64]. *)
 let extract v ~lo ~width =
   if lo < 0 || width < 0 || lo + width > 64 then
     invalid_arg "Bitops.extract: field out of range";
-  Int64.logand (Int64.shift_right_logical v lo) (mask width)
+  let v = Int64.shift_right_logical v lo in
+  if width = 64 then v else Int64.logand v (Int64.sub (Int64.shift_left 1L width) 1L)
 
 let insert v ~lo ~width field =
   if lo < 0 || width < 0 || lo + width > 64 then

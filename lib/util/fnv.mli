@@ -17,3 +17,10 @@ val hash_string : string -> int64
 
 val combine : int64 -> int64 -> int64
 (** [combine h v] folds the 8 bytes of [v] into running digest [h]. *)
+
+val equal_range : Bytes.t -> int -> Bytes.t -> int -> int -> bool
+(** [equal_range a apos b bpos len] is true iff the [len] bytes of [a]
+    from [apos] equal those of [b] from [bpos] — the exact comparison
+    that must follow a digest match before content is shared.
+
+    @raise Invalid_argument if either range is out of bounds. *)

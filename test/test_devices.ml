@@ -207,6 +207,40 @@ let test_blk_transient_fault_retry () =
     (d.Bus.read Blockdev.reg_status Instr.W64);
   checki "no new error" 1 (Blockdev.error_count blk)
 
+(* Disks allocate their backing store on the first write.  Until then
+   they cost no memory, read as zeros and report their full capacity. *)
+let test_blk_lazy_backing () =
+  let null_dma = { Blockdev.dma_read = (fun _ _ -> None); dma_write = (fun _ _ -> false) } in
+  let before = Gc.allocated_bytes () in
+  let blk = Blockdev.create ~sectors:2048 null_dma in
+  let capacity = 2048 * Blockdev.sector_bytes in
+  checki "capacity before first use" capacity (Blockdev.capacity_bytes blk);
+  checks "untouched sectors read as zeros" (String.make 1024 '\000')
+    (Blockdev.read_back blk ~sector:7 ~count:2);
+  checkb "untouched bytes read as zeros" true
+    (Bytes.equal (Blockdev.pread blk ~off:100 ~len:33) (Bytes.make 33 '\000'));
+  checkb "no backing allocated by reads" true
+    (Gc.allocated_bytes () -. before < float_of_int (capacity / 4));
+  Alcotest.check_raises "range still checked" (Invalid_argument "Blockdev.pread: out of range")
+    (fun () -> ignore (Blockdev.pread blk ~off:(capacity - 4) ~len:8));
+  Blockdev.load blk ~sector:3 "loaded";
+  checks "load/read_back" "loaded" (String.sub (Blockdev.read_back blk ~sector:3 ~count:1) 0 6);
+  Blockdev.pwrite blk ~off:1001 (Bytes.of_string "..xyz") ~pos:2 ~len:3;
+  checks "pwrite/pread" "\000xyz\000"
+    (Bytes.to_string (Blockdev.pread blk ~off:1000 ~len:5));
+  checks "rest still zeros" (String.make 512 '\000') (Blockdev.read_back blk ~sector:9 ~count:1);
+  checki "capacity unchanged" capacity (Blockdev.capacity_bytes blk)
+
+let test_backing_allocates_on_write () =
+  let b = Backing.create ~bytes:4096 in
+  checkb "empty until written" false (Backing.allocated b);
+  checks "zeros" "\000\000\000" (Backing.sub_string b ~off:4093 ~len:3);
+  checkb "reads do not allocate" false (Backing.allocated b);
+  Backing.blit_from_string b ~off:4093 "end";
+  checkb "allocated by the write" true (Backing.allocated b);
+  checks "written" "end" (Bytes.to_string (Backing.sub b ~off:4093 ~len:3));
+  checki "length" 4096 (Backing.length b)
+
 (* ---------------- Virtio ring ---------------- *)
 
 let make_guest_mem () =
@@ -305,6 +339,36 @@ let test_vblk_error_status () =
   d.Bus.tick 10_000_000L;
   check64 "status error" 1L
     (Int64.of_int (Char.code (Bytes.get (Option.get (gm.Virtio_ring.read_bytes 0x3000L 1)) 0)))
+
+(* An untouched virtio disk DMAs zeros into the guest; a guest write is
+   what allocates its store, and read_back sees it. *)
+let test_vblk_lazy_backing () =
+  let mem = Phys_mem.create ~frames:32 in
+  let gm = Platform.identity_guest_mem mem in
+  let vblk = Virtio_blk.create ~sectors:2048 gm in
+  checks "untouched reads as zeros" (String.make 512 '\000')
+    (Virtio_blk.read_back vblk ~sector:2047 ~count:1);
+  ignore (gm.Virtio_ring.write_bytes 0x4000L (Bytes.make 512 '\255'));
+  ignore (gm.Virtio_ring.write_bytes 0x5000L (Bytes.make 512 'w'));
+  let d = Virtio_blk.device vblk in
+  d.Bus.write Virtio_blk.reg_ring_base Instr.W64 0x1000L;
+  d.Bus.write Virtio_blk.reg_ring_size Instr.W64 4L;
+  let ring = Virtio_ring.create ~mem:gm ~base:0x1000L ~size:4 in
+  let push kind sector buf st =
+    ignore
+      (Virtio_ring.guest_push ring
+         { Virtio_ring.data_gpa = buf; data_len = 512; kind; arg = sector; status_gpa = st })
+  in
+  push Virtio_blk.kind_read 9L 0x4000L 0x3000L;
+  push Virtio_blk.kind_write 10L 0x5000L 0x3008L;
+  d.Bus.write Virtio_blk.reg_kick Instr.W64 0L;
+  d.Bus.tick 10_000_000L;
+  checki "both ok" 0 (Virtio_blk.error_count vblk);
+  checks "guest got zeros" (String.make 512 '\000')
+    (Bytes.to_string (Option.get (gm.Virtio_ring.read_bytes 0x4000L 512)));
+  checks "write landed" (String.make 512 'w') (Virtio_blk.read_back vblk ~sector:10 ~count:1);
+  checks "neighbour still zeros" (String.make 512 '\000')
+    (Virtio_blk.read_back vblk ~sector:11 ~count:1)
 
 (* ---------------- Link ---------------- *)
 
@@ -666,6 +730,8 @@ let () =
           Alcotest.test_case "unknown command" `Quick test_blk_unknown_cmd;
           Alcotest.test_case "zero count" `Quick test_blk_zero_count;
           Alcotest.test_case "transient fault retry" `Quick test_blk_transient_fault_retry;
+          Alcotest.test_case "lazy backing" `Quick test_blk_lazy_backing;
+          Alcotest.test_case "backing allocates on write" `Quick test_backing_allocates_on_write;
         ] );
       ( "virtio_ring",
         [
@@ -677,6 +743,7 @@ let () =
         [
           Alcotest.test_case "batch" `Quick test_vblk_batch;
           Alcotest.test_case "error status" `Quick test_vblk_error_status;
+          Alcotest.test_case "lazy backing" `Quick test_vblk_lazy_backing;
         ] );
       ( "link",
         [

@@ -30,6 +30,39 @@ let test_cause_codes () =
       | None -> Alcotest.fail "cause did not round-trip")
     [ Arch.Syscall; Arch.Illegal_instruction; Arch.Store_page_fault; Arch.Timer_interrupt ]
 
+(* The list definitions the decode tables are built from; the tables must
+   agree with a linear search over them on every input. *)
+let all_causes =
+  Arch.
+    [
+      Syscall; Breakpoint; Illegal_instruction; Misaligned_fetch; Misaligned_load;
+      Misaligned_store; Fetch_page_fault; Load_page_fault; Store_page_fault;
+      Fetch_access_fault; Load_access_fault; Store_access_fault; Timer_interrupt;
+      External_interrupt;
+    ]
+
+let test_tables_match_lists () =
+  for i = -4 to 300 do
+    checkb (Printf.sprintf "csr %d" i) true
+      (Arch.csr_of_index i = List.find_opt (fun c -> Arch.csr_index c = i) Arch.all_csrs)
+  done;
+  let rng = Random.State.make [| 12 |] in
+  let codes =
+    List.concat_map
+      (fun base -> List.init 20 (fun i -> Int64.add base (Int64.of_int (i - 2))))
+      [ 0L; Int64.min_int; Int64.max_int ]
+    @ List.init 1000 (fun _ -> Random.State.int64 rng Int64.max_int)
+  in
+  List.iter
+    (fun code ->
+      checkb (Printf.sprintf "cause %Lx" code) true
+        (Arch.cause_of_code code
+        = List.find_opt (fun c -> Arch.cause_code c = code) all_causes))
+    codes;
+  List.iter
+    (fun c -> checkb "every cause decodes" true (Arch.cause_of_code (Arch.cause_code c) = Some c))
+    all_causes
+
 let test_fault_cause_matrix () =
   checkb "store page" true (Arch.fault_cause Arch.Store `Page = Arch.Store_page_fault);
   checkb "load access" true (Arch.fault_cause Arch.Load `Access = Arch.Load_access_fault);
@@ -147,6 +180,154 @@ let arbitrary_instr : Instr.t QCheck2.Gen.t =
 let prop_encode_decode_roundtrip =
   QCheck2.Test.make ~count:2000 ~name:"encode/decode round-trips" arbitrary_instr
     (fun i -> Instr.decode (Instr.encode i) = Some i)
+
+(* The decoder as it was before the table-driven rewrite, kept verbatim
+   (bar module paths) as the reference model [Instr.decode] must match on
+   every word. *)
+module Reference = struct
+  open Instr
+  module Bitops = Velum_util.Bitops
+
+  let op_nop = 0x01
+  let op_alu = 0x02
+  let op_alui = 0x03
+  let op_lui = 0x04
+  let op_load = 0x05
+  let op_store = 0x06
+  let op_branch = 0x07
+  let op_jal = 0x08
+  let op_jalr = 0x09
+  let op_ecall = 0x0a
+  let op_ebreak = 0x0b
+  let op_csrr = 0x0c
+  let op_csrw = 0x0d
+  let op_sret = 0x0e
+  let op_sfence = 0x0f
+  let op_wfi = 0x10
+  let op_in = 0x11
+  let op_out = 0x12
+  let op_hcall = 0x13
+  let op_halt = 0x14
+
+  let alu_code = function
+    | Add -> 0
+    | Sub -> 1
+    | Mul -> 2
+    | Div -> 3
+    | Rem -> 4
+    | And -> 5
+    | Or -> 6
+    | Xor -> 7
+    | Sll -> 8
+    | Srl -> 9
+    | Sra -> 10
+    | Slt -> 11
+    | Sltu -> 12
+
+  let alu_ops = [ Add; Sub; Mul; Div; Rem; And; Or; Xor; Sll; Srl; Sra; Slt; Sltu ]
+  let alu_of_code c = List.find_opt (fun op -> alu_code op = c) alu_ops
+
+  let alui_valid = function
+    | Add | And | Or | Xor | Sll | Srl | Sra | Slt | Sltu -> true
+    | Sub | Mul | Div | Rem -> false
+
+  let branch_code = function
+    | Beq -> 0
+    | Bne -> 1
+    | Blt -> 2
+    | Bge -> 3
+    | Bltu -> 4
+    | Bgeu -> 5
+
+  let branch_ops = [ Beq; Bne; Blt; Bge; Bltu; Bgeu ]
+  let branch_of_code c = List.find_opt (fun op -> branch_code op = c) branch_ops
+
+  let width_of_code = function
+    | 0 -> Some W8
+    | 1 -> Some W16
+    | 2 -> Some W32
+    | 3 -> Some W64
+    | _ -> None
+
+  let csr_of_index i = List.find_opt (fun c -> Arch.csr_index c = i) Arch.all_csrs
+
+  let decode w =
+    let opcode = Int64.to_int (Bitops.extract w ~lo:0 ~width:8) in
+    let rd = Int64.to_int (Bitops.extract w ~lo:8 ~width:4) in
+    let rs1 = Int64.to_int (Bitops.extract w ~lo:12 ~width:4) in
+    let rs2 = Int64.to_int (Bitops.extract w ~lo:16 ~width:4) in
+    let aux = Int64.to_int (Bitops.extract w ~lo:20 ~width:8) in
+    let imm_u = Bitops.extract w ~lo:32 ~width:32 in
+    let imm_s = Bitops.sign_extend imm_u ~width:32 in
+    if Bitops.extract w ~lo:28 ~width:4 <> 0L then None
+    else
+      match opcode with
+      | o when o = op_nop -> Some Nop
+      | o when o = op_alu -> (
+          match alu_of_code aux with
+          | Some op -> Some (Alu (op, rd, rs1, rs2))
+          | None -> None)
+      | o when o = op_alui -> (
+          match alu_of_code aux with
+          | Some op when alui_valid op -> Some (Alui (op, rd, rs1, imm_s))
+          | Some _ | None -> None)
+      | o when o = op_lui -> Some (Lui (rd, imm_u))
+      | o when o = op_load -> (
+          match width_of_code aux with
+          | Some width -> Some (Load { rd; base = rs1; off = imm_s; width })
+          | None -> None)
+      | o when o = op_store -> (
+          match width_of_code aux with
+          | Some width -> Some (Store { src = rs2; base = rs1; off = imm_s; width })
+          | None -> None)
+      | o when o = op_branch -> (
+          match branch_of_code aux with
+          | Some op -> Some (Branch (op, rs1, rs2, imm_s))
+          | None -> None)
+      | o when o = op_jal -> Some (Jal (rd, imm_s))
+      | o when o = op_jalr -> Some (Jalr (rd, rs1, imm_s))
+      | o when o = op_ecall -> Some Ecall
+      | o when o = op_ebreak -> Some Ebreak
+      | o when o = op_csrr -> (
+          match csr_of_index aux with
+          | Some csr -> Some (Csrr (rd, csr))
+          | None -> None)
+      | o when o = op_csrw -> (
+          match csr_of_index aux with
+          | Some csr -> Some (Csrw (csr, rs1))
+          | None -> None)
+      | o when o = op_sret -> Some Sret
+      | o when o = op_sfence -> Some Sfence
+      | o when o = op_wfi -> Some Wfi
+      | o when o = op_in -> Some (In (rd, Int64.to_int imm_u))
+      | o when o = op_out -> Some (Out (Int64.to_int imm_u, rs1))
+      | o when o = op_hcall -> Some Hcall
+      | o when o = op_halt -> Some Halt
+      | _ -> None
+end
+
+(* Every (opcode, aux, reserved nibble) combination — 2^20 words — with
+   random register fields and immediate, then fully random words. *)
+let test_decode_matches_reference () =
+  let rng = Random.State.make [| 20 |] in
+  let check w =
+    if Instr.decode w <> Reference.decode w then
+      Alcotest.failf "decode 0x%016Lx disagrees with the reference decoder" w
+  in
+  for combo = 0 to (1 lsl 20) - 1 do
+    let opcode = combo land 0xff
+    and aux = (combo lsr 8) land 0xff
+    and reserved = combo lsr 16 in
+    let regs = Random.State.int rng (1 lsl 12) in
+    let low =
+      opcode lor ((regs land 0xfff) lsl 8) lor (aux lsl 20) lor (reserved lsl 28)
+    in
+    let imm = Int64.shift_left (Random.State.int64 rng Int64.max_int) 1 in
+    check (Int64.logor (Int64.of_int low) (Int64.logand imm 0xFFFF_FFFF_0000_0000L))
+  done;
+  for _ = 1 to 10_000 do
+    check (Random.State.bits64 rng)
+  done
 
 let test_decode_garbage () =
   Alcotest.(check (option string)) "opcode 0" None
@@ -302,6 +483,7 @@ let () =
         [
           Alcotest.test_case "csr indices" `Quick test_csr_index_roundtrip;
           Alcotest.test_case "cause codes" `Quick test_cause_codes;
+          Alcotest.test_case "decode tables match lists" `Quick test_tables_match_lists;
           Alcotest.test_case "fault causes" `Quick test_fault_cause_matrix;
           Alcotest.test_case "satp" `Quick test_satp;
           Alcotest.test_case "constants" `Quick test_constants;
@@ -317,6 +499,7 @@ let () =
       ( "instr",
         [
           Alcotest.test_case "decode garbage" `Quick test_decode_garbage;
+          Alcotest.test_case "decode matches reference" `Quick test_decode_matches_reference;
           Alcotest.test_case "encode validation" `Quick test_encode_validation;
           Alcotest.test_case "privileged set" `Quick test_privileged_set;
           Alcotest.test_case "pretty printing" `Quick test_pp_smoke;

@@ -362,6 +362,58 @@ let fnv_prop_string_bytes_agree =
   QCheck2.Test.make ~name:"hash_string = hash_bytes" QCheck2.Gen.string (fun s ->
       Fnv.hash_string s = Fnv.hash_bytes (Bytes.of_string s))
 
+(* The byte-at-a-time FNV-1a loop [Fnv.hash_bytes] replaced; the
+   word-wise version must give the same digest on every range. *)
+let fnv_reference b ~pos ~len =
+  let h = ref Fnv.offset_basis in
+  for i = pos to pos + len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i)))) 0x100000001B3L
+  done;
+  !h
+
+(* A buffer and a range in it: the start lands on every alignment and the
+   length covers 0-7-byte tails as well as whole words. *)
+let gen_buffer_range =
+  let open QCheck2.Gen in
+  let* n = int_range 0 96 in
+  let* s = string_size (return n) in
+  let* pos = int_range 0 n in
+  let+ len = int_range 0 (n - pos) in
+  (Bytes.of_string s, pos, len)
+
+let fnv_prop_wordwise_matches_reference =
+  QCheck2.Test.make ~count:2000 ~name:"word-wise hash_bytes = byte-wise reference"
+    gen_buffer_range (fun (b, pos, len) ->
+      Fnv.hash_bytes ~pos ~len b = fnv_reference b ~pos ~len)
+
+let fnv_prop_equal_range =
+  QCheck2.Test.make ~count:1000 ~name:"equal_range = Bytes.equal of the subs"
+    QCheck2.Gen.(pair gen_buffer_range (int_range 0 15))
+    (fun ((a, apos, len), shift) ->
+      (* b holds a's range at another alignment; flipping each byte in
+         turn must turn the comparison false, at every offset class *)
+      let bpos = shift in
+      let b = Bytes.make (bpos + len + 3) 'z' in
+      Bytes.blit a apos b bpos len;
+      let agree () =
+        Fnv.equal_range a apos b bpos len
+        = Bytes.equal (Bytes.sub a apos len) (Bytes.sub b bpos len)
+      in
+      let same = Fnv.equal_range a apos b bpos len && agree () in
+      let differs = ref true in
+      for i = 0 to len - 1 do
+        let c = Bytes.get b (bpos + i) in
+        Bytes.set b (bpos + i) (Char.chr (Char.code c lxor 0x40));
+        differs := !differs && (not (Fnv.equal_range a apos b bpos len)) && agree ();
+        Bytes.set b (bpos + i) c
+      done;
+      same && !differs)
+
+let test_fnv_equal_range_bounds () =
+  let b = Bytes.make 16 'a' in
+  Alcotest.check_raises "oob" (Invalid_argument "Fnv.equal_range: range out of bounds")
+    (fun () -> ignore (Fnv.equal_range b 10 b 0 8))
+
 (* ---------------- Tablefmt ---------------- *)
 
 let test_tablefmt_render () =
@@ -438,8 +490,14 @@ let () =
           Alcotest.test_case "known vectors" `Quick test_fnv_known;
           Alcotest.test_case "byte ranges" `Quick test_fnv_bytes_range;
           Alcotest.test_case "combine order" `Quick test_fnv_combine_order;
+          Alcotest.test_case "equal_range bounds" `Quick test_fnv_equal_range_bounds;
         ]
-        @ qsuite [ fnv_prop_string_bytes_agree ] );
+        @ qsuite
+            [
+              fnv_prop_string_bytes_agree;
+              fnv_prop_wordwise_matches_reference;
+              fnv_prop_equal_range;
+            ] );
       ( "tablefmt",
         [
           Alcotest.test_case "render" `Quick test_tablefmt_render;
