@@ -2255,168 +2255,30 @@ let e23 () =
   if section "E23" "Network fabric: LB fan-out, tail latency, faults, live migration"
   then begin
     let module P = Velum_cluster.Parallel in
+    let module Fabric = Velum_cluster.Fabric in
     let hosts = 4 in
     let backends = 2 and clients = 2 in
-    let n_ports = 1 + backends + clients in
     let requests = 24 and batch = 4 in
-    (* per-cell port map: 0 = LB, 1..backends = backends, rest = clients *)
-    let mac p = Int64.of_int (0x10 + p) in
-    let lb_setup =
-      Images.plan ~heap_pages:2 ~vnet:true
-        ~user:
-          (Workloads.vnet_lb ~my_mac:(mac 0)
-             ~backends:(List.init backends (fun b -> mac (1 + b))))
-        ()
-    in
-    let backend_setup b =
-      Images.plan ~heap_pages:2 ~vnet:true
-        ~user:(Workloads.vnet_backend ~my_mac:(mac (1 + b)) ~service:150)
-        ()
-    in
-    let client_setup c =
-      Images.plan ~heap_pages:2 ~vnet:true
-        ~user:
-          (Workloads.vnet_client ~my_mac:(mac (1 + backends + c)) ~lb_mac:(mac 0)
-             ~peers:(n_ports - 1) ~requests ~batch ~gap:500)
-        ()
-    in
-    let mk_vms _i =
-      [ P.spec ~name:"lb" lb_setup ]
-      @ List.init backends (fun b ->
-            P.spec ~name:(Printf.sprintf "backend%d" b) (backend_setup b))
-      @ List.init clients (fun c ->
-            P.spec ~name:(Printf.sprintf "client%d" c) (client_setup c))
-    in
-    (* fabric builder: switch + per-port links + reply-latency snoop.
-       Static MAC entries keep early traffic off the unknown-unicast
-       path (guests still broadcast a boot announce).  The snoop fires
-       inside the worker phase, so everything it touches is per-host. *)
-    let build_fabric ?faults ~hist ~cell () hyp =
-      let ports =
-        Array.init n_ports (fun _ ->
-            Link.create ~bytes_per_cycle:1.0 ~latency_cycles:200 ())
-      in
-      (match faults with
-      | Some base ->
-          Array.iteri
-            (fun p l ->
-              Link.set_faults l
-                (Fault.derive base
-                   ~seed:(Int64.of_int (7_001 + (cell * 97) + p))))
-            ports
-      | None -> ());
-      let sw = Switch.create ports in
-      Array.iteri (fun p _ -> Switch.learn sw ~mac:(mac p) ~port:p) ports;
-      Switch.set_snoop sw
-        (Some
-           (fun port now frame ->
-             (* a reply crossing toward a client port closes a request *)
-             if
-               port > backends
-               && String.length frame >= 48
-               && String.get_int64_le frame 16 = 2L
-             then
-               Histogram.add hist
-                 (Int64.to_int (Int64.sub now (String.get_int64_le frame 32)))));
-      Hypervisor.add_ticker hyp (Switch.tick sw);
-      Hypervisor.add_event_source hyp (fun () -> Switch.next_event sw);
-      List.iteri
-        (fun p vm -> ignore (Vm.attach_vnet vm ~link:ports.(p) ~endpoint:`A))
-        hyp.Hypervisor.vms;
-      (sw, ports)
-    in
-    let host_vnets hyp =
-      List.filter_map (fun vm -> vm.Vm.vnet) hyp.Hypervisor.vms
-    in
-    (* Frame conservation at host scope: what the adapters put on the
-       wire, plus wire duplicates and switch flood copies, equals what
-       the adapters got back plus every named drop, undelivered backlog
-       and in-flight frame.  Nothing is ever lost silently. *)
-    let assert_conservation ~tag hyp (sw, ports) =
-      if not (Switch.conserved sw) then
-        failwith (Printf.sprintf "E23 %s: switch conservation violated" tag);
-      let vnets = host_vnets hyp in
-      let sum f = List.fold_left (fun a v -> a + f v) 0 vnets in
-      let sent = sum Virtio_net.frames_sent
-      and received = sum Virtio_net.frames_received
-      and rx_lost =
-        sum Virtio_net.rx_dropped + sum Virtio_net.rx_overflow
-      and backlog = sum Virtio_net.backlog_length in
-      let asum f = Array.fold_left (fun a l -> a + f l) 0 ports in
-      let lhs = sent + asum Link.wire_duplicated + Switch.flood_extra sw in
-      let rhs =
-        received + rx_lost + Switch.drops sw + asum Link.wire_dropped
-        + asum Link.in_flight + backlog
-      in
-      if lhs <> rhs then
-        failwith
-          (Printf.sprintf "E23 %s: frame conservation violated (%d <> %d)" tag
-             lhs rhs)
-    in
-    let merge_into dst h =
-      List.iter
-        (fun (lo, n) ->
-          for _ = 1 to n do
-            Histogram.add dst lo
-          done)
-        (Histogram.buckets h)
-    in
-    (* one fleet scenario at a given domain count; returns the canonical
-       report plus a per-host counter/latency digest (both must be
-       byte-identical across domain counts) and the aggregate numbers *)
-    let scenario ?faults ~domains ~tag () =
-      let stash = Array.make hosts None in
-      let hists = Array.init hosts (fun _ -> Histogram.create ()) in
-      let wire i hyp =
-        stash.(i) <- Some (build_fabric ?faults ~hist:hists.(i) ~cell:i () hyp)
-      in
-      let cfg =
-        P.config ~quantum:400_000L ~rounds:16 ~seed:23L ~hosts ~wire ~mk_vms ()
-      in
-      let r = P.run ~domains cfg in
-      let digest = Buffer.create 512 in
-      let fleet_hist = Histogram.create () in
-      let totals = Array.make 6 0 (* sent recv drops wire_drop kicks replies *) in
-      Array.iteri
-        (fun i node ->
-          let fabric = Option.get stash.(i) in
-          let sw, ports = fabric in
-          assert_conservation ~tag:(Printf.sprintf "%s host%d" tag i)
-            node.P.hyp fabric;
-          let vnets = host_vnets node.P.hyp in
-          let sum f = List.fold_left (fun a v -> a + f v) 0 vnets in
-          let h = hists.(i) in
-          merge_into fleet_hist h;
-          totals.(0) <- totals.(0) + sum Virtio_net.frames_sent;
-          totals.(1) <- totals.(1) + sum Virtio_net.frames_received;
-          totals.(2) <- totals.(2) + Switch.drops sw;
-          totals.(3) <-
-            totals.(3) + Array.fold_left (fun a l -> a + Link.wire_dropped l) 0 ports;
-          totals.(4) <- totals.(4) + sum Virtio_net.kicks;
-          totals.(5) <- totals.(5) + Histogram.count h;
-          Printf.bprintf digest
-            "host%d replies=%d p50=%.1f p95=%.1f p99=%.1f max=%d sent=%d \
-             recv=%d sw_drops=%d wire_drop=%d kicks=%d\n"
-            i (Histogram.count h) (Histogram.percentile h 50.0)
-            (Histogram.percentile h 95.0) (Histogram.percentile h 99.0)
-            (Histogram.max_value h) (sum Virtio_net.frames_sent)
-            (sum Virtio_net.frames_received) (Switch.drops sw)
-            (Array.fold_left (fun a l -> a + Link.wire_dropped l) 0 ports)
-            (sum Virtio_net.kicks))
-        r.P.fleet.P.nodes;
-      (r.P.report, Buffer.contents digest, fleet_hist, totals)
+    let shape =
+      { Fabric.backends; clients; requests; batch; service = 150 }
     in
     (* every scenario runs at 1 and 4 domains; both artifacts must match *)
     let run_checked ?faults ~tag () =
-      let report1, digest1, hist, totals = scenario ?faults ~domains:1 ~tag () in
-      let report4, digest4, _, _ = scenario ?faults ~domains:4 ~tag () in
-      if not (String.equal report1 report4) then
+      let run domains =
+        try
+          Fabric.run ?faults ~domains shape ~hosts ~quantum:400_000L ~rounds:16
+            ~seed:23L
+        with Failure m -> failwith (Printf.sprintf "E23 %s %s" tag m)
+      in
+      let r1 = run 1 in
+      let r4 = run 4 in
+      if not (String.equal r1.Fabric.report r4.Fabric.report) then
         failwith (Printf.sprintf "E23 %s: fleet report diverged at 4 domains" tag);
-      if not (String.equal digest1 digest4) then
+      if not (String.equal r1.Fabric.digest r4.Fabric.digest) then
         failwith (Printf.sprintf "E23 %s: fabric digest diverged at 4 domains" tag);
-      (digest1, hist, totals)
+      (r1.Fabric.fleet_hist, r1.Fabric.fleet)
     in
-    let digest_clean, hist_clean, totals_clean = run_checked ~tag:"clean" () in
+    let hist_clean, totals_clean = run_checked ~tag:"clean" () in
     let faults =
       let f = Fault.create ~seed:23L () in
       Fault.set_prob f Fault.Drop 0.02;
@@ -2425,11 +2287,7 @@ let e23 () =
       Fault.set_prob f Fault.Duplicate 0.01;
       f
     in
-    let digest_faults, hist_faults, totals_faults =
-      run_checked ~faults ~tag:"faults" ()
-    in
-    ignore digest_clean;
-    ignore digest_faults;
+    let hist_faults, totals_faults = run_checked ~faults ~tag:"faults" () in
     (* sanity gates *)
     let expected_replies = hosts * clients * requests in
     if Histogram.count hist_clean <> expected_replies then
@@ -2441,13 +2299,11 @@ let e23 () =
     let p99_clean = Histogram.percentile hist_clean 99.0 in
     if p99_clean <= 0.0 || p99_clean < Histogram.percentile hist_clean 50.0 then
       failwith "E23: nonsensical clean p99";
-    if totals_clean.(4) * 2 > totals_clean.(0) then
+    if totals_clean.Fabric.kicks * 2 > totals_clean.Fabric.sent then
       failwith "E23: doorbell coalescing regressed (kicks > sent/2)";
     (* --- scenario 3: live-migrate a backend mid-benchmark --- *)
-    let hist_mig = Histogram.create () in
     let host_a = Host.create ~frames:8192 () in
     let src = Hypervisor.create ~host:host_a () in
-    let specs = mk_vms 0 in
     let vms =
       List.map
         (fun s ->
@@ -2457,11 +2313,10 @@ let e23 () =
           in
           Images.load_vm vm s.P.setup;
           vm)
-        specs
+        (Fabric.mk_vms shape 0)
     in
-    let ((sw_mig, ports_mig) as fabric_mig) =
-      build_fabric ~hist:hist_mig ~cell:0 () src
-    in
+    let cell_mig = Fabric.wire shape ~cell:0 src in
+    let sw_mig = cell_mig.Fabric.sw and hist_mig = cell_mig.Fabric.hist in
     let victim = List.nth vms 1 (* backend0 *) in
     let clients_vms =
       List.filteri (fun i _ -> i > backends) vms
@@ -2489,7 +2344,7 @@ let e23 () =
       Migrate.stop_and_copy ~src ~dst ~vm:victim ~link:mig_link ()
     in
     let backlog = Virtio_net.drain_backlog old_vnet in
-    let v = Vm.attach_vnet twin ~link:ports_mig.(1) ~endpoint:`A in
+    let v = Vm.attach_vnet twin ~link:cell_mig.Fabric.ports.(1) ~endpoint:`A in
     Virtio_net.configure v ~tx_base:Abi.vnet_tx_ring ~tx_size:Abi.vnet_ring_size
       ~rx_base:Abi.vnet_rx_ring ~rx_size:Abi.vnet_ring_size;
     Virtio_net.seed_backlog v backlog;
@@ -2511,25 +2366,11 @@ let e23 () =
     done;
     (* host-level conservation must hold across the handoff; the twin's
        adapter counters join the source-side ones *)
-    if not (Switch.conserved sw_mig) then
-      failwith "E23 migration: switch conservation violated";
-    let mig_vnets = host_vnets src @ host_vnets dst @ [ old_vnet ] in
-    let sum f = List.fold_left (fun a v -> a + f v) 0 mig_vnets in
-    let asum f = Array.fold_left (fun a l -> a + f l) 0 ports_mig in
-    let lhs =
-      sum Virtio_net.frames_sent + asum Link.wire_duplicated
-      + Switch.flood_extra sw_mig
+    let mig_vnets =
+      Fabric.host_vnets src @ Fabric.host_vnets dst @ [ old_vnet ]
     in
-    let rhs =
-      sum Virtio_net.frames_received + sum Virtio_net.rx_dropped
-      + sum Virtio_net.rx_overflow + sum Virtio_net.backlog_length
-      + Switch.drops sw_mig + asum Link.wire_dropped + asum Link.in_flight
-    in
-    if lhs <> rhs then
-      failwith
-        (Printf.sprintf "E23 migration: frame conservation violated (%d <> %d)"
-           lhs rhs);
-    ignore fabric_mig;
+    (try Fabric.check_conserved cell_mig mig_vnets
+     with Failure m -> failwith ("E23 migration: " ^ m));
     if Histogram.count hist_mig <> expected_replies / hosts * 1 then
       (* one cell's worth of clients: clients * requests replies *)
       failwith
@@ -2551,19 +2392,12 @@ let e23 () =
           Tablefmt.cell_f ~decimals:1 (Histogram.percentile hist 95.0);
           Tablefmt.cell_f ~decimals:1 (Histogram.percentile hist 99.0);
           Tablefmt.cell_i (Histogram.max_value hist);
-          Tablefmt.cell_i (totals.(2) + totals.(3));
-          (if totals.(4) = 0 then "-"
-           else Tablefmt.cell_f ~decimals:2 (float_of_int totals.(0) /. float_of_int totals.(4))) ]
+          Tablefmt.cell_i (totals.Fabric.sw_drops + totals.Fabric.wire_dropped);
+          Fabric.frames_per_kick totals ]
     in
     row "clean" hist_clean totals_clean;
     row "link faults" hist_faults totals_faults;
-    let mig_totals =
-      let sum f = List.fold_left (fun a v -> a + f v) 0 mig_vnets in
-      [| sum Virtio_net.frames_sent; sum Virtio_net.frames_received;
-         Switch.drops sw_mig;
-         Array.fold_left (fun a l -> a + Link.wire_dropped l) 0 ports_mig;
-         sum Virtio_net.kicks; Histogram.count hist_mig |]
-    in
+    let mig_totals = Fabric.totals [ (cell_mig, mig_vnets) ] in
     row "live migration" hist_mig mig_totals;
     Tablefmt.print t;
     let oc = open_out "BENCH_net.json" in
@@ -2575,8 +2409,8 @@ let e23 () =
          \"wire_dropped\": %d, \"kicks\": %d%s}%s\n"
         name (Histogram.count hist) (Histogram.percentile hist 50.0)
         (Histogram.percentile hist 95.0) (Histogram.percentile hist 99.0)
-        (Histogram.max_value hist) totals.(0) totals.(1) totals.(2) totals.(3)
-        totals.(4) extra
+        (Histogram.max_value hist) totals.Fabric.sent totals.Fabric.received
+        totals.Fabric.sw_drops totals.Fabric.wire_dropped totals.Fabric.kicks extra
         (if last then "" else ",")
     in
     Printf.fprintf oc

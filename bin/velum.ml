@@ -76,10 +76,10 @@ let print_faults f =
 
 (* ---------------- shared HA detector knobs ---------------- *)
 
-(* One set of dials drives every heartbeat protocol in the tree: the
-   fleet ring detector ('run --hosts N'), the single-host HA
-   supervisor's restart backoff ('run --ha'), and the cluster control
-   plane's hub-and-spoke failure detector ('velum cluster'). *)
+(* The ring detector ('run --hosts N') and the control plane's spoke
+   detector ('velum cluster') decide death by the one Suspicion rule and
+   reject the same bad values; --ha-backoff also spaces the HA
+   supervisor's restarts ('run --ha'). *)
 
 let ha_miss_limit_arg =
   Arg.(
@@ -944,11 +944,9 @@ let cluster_cmd =
 
 (* ---------------- net ---------------- *)
 
-(* A switched virtio-net fleet: per host, one load-balancer VM fanning
-   requests out over backend VMs, driven by open-loop clients, all
-   connected through the learning switch.  The printed fleet report and
-   per-host fabric digest are byte-identical at any --domains, so CI
-   diffs the output across domain counts (clean and under --faults). *)
+(* A fleet of Fabric cells.  The printed fleet report and per-host
+   digest are byte-identical at any --domains, so CI diffs the output
+   across domain counts (clean and under --faults). *)
 
 let net_cmd =
   let hosts =
@@ -989,115 +987,21 @@ let net_cmd =
   let seed = Arg.(value & opt int64 23L & info [ "seed" ] ~doc:"Fleet seed.") in
   let action hosts domains backends clients requests batch service quantum
       rounds seed faults =
-    let module P = Velum_cluster.Parallel in
-    let n_ports = 1 + backends + clients in
-    let mac p = Int64.of_int (0x10 + p) in
-    let lb_setup =
-      Images.plan ~heap_pages:2 ~vnet:true
-        ~user:
-          (Workloads.vnet_lb ~my_mac:(mac 0)
-             ~backends:(List.init backends (fun b -> mac (1 + b))))
-        ()
+    let module Fabric = Velum_cluster.Fabric in
+    let r =
+      Fabric.run ?faults ~domains
+        { Fabric.backends; clients; requests; batch; service }
+        ~hosts ~quantum ~rounds ~seed
     in
-    let backend_setup b =
-      Images.plan ~heap_pages:2 ~vnet:true
-        ~user:(Workloads.vnet_backend ~my_mac:(mac (1 + b)) ~service)
-        ()
-    in
-    let client_setup c =
-      Images.plan ~heap_pages:2 ~vnet:true
-        ~user:
-          (Workloads.vnet_client ~my_mac:(mac (1 + backends + c)) ~lb_mac:(mac 0)
-             ~peers:(n_ports - 1) ~requests ~batch ~gap:500)
-        ()
-    in
-    let mk_vms _i =
-      [ P.spec ~name:"lb" lb_setup ]
-      @ List.init backends (fun b ->
-            P.spec ~name:(Printf.sprintf "backend%d" b) (backend_setup b))
-      @ List.init clients (fun c ->
-            P.spec ~name:(Printf.sprintf "client%d" c) (client_setup c))
-    in
-    let stash = Array.make hosts None in
-    let hists = Array.init hosts (fun _ -> Histogram.create ()) in
-    let wire i hyp =
-      let ports =
-        Array.init n_ports (fun _ ->
-            Link.create ~bytes_per_cycle:1.0 ~latency_cycles:200 ())
-      in
-      (match faults with
-      | Some base ->
-          Array.iteri
-            (fun p l ->
-              Link.set_faults l
-                (Fault.derive base ~seed:(Int64.of_int (7_001 + (i * 97) + p))))
-            ports
-      | None -> ());
-      let sw = Switch.create ports in
-      Array.iteri (fun p _ -> Switch.learn sw ~mac:(mac p) ~port:p) ports;
-      Switch.set_snoop sw
-        (Some
-           (fun port now frame ->
-             if
-               port > backends
-               && String.length frame >= 48
-               && String.get_int64_le frame 16 = 2L
-             then
-               Histogram.add hists.(i)
-                 (Int64.to_int (Int64.sub now (String.get_int64_le frame 32)))));
-      Hypervisor.add_ticker hyp (Switch.tick sw);
-      Hypervisor.add_event_source hyp (fun () -> Switch.next_event sw);
-      List.iteri
-        (fun p vm -> ignore (Vm.attach_vnet vm ~link:ports.(p) ~endpoint:`A))
-        hyp.Hypervisor.vms;
-      stash.(i) <- Some (sw, ports)
-    in
-    let cfg = P.config ~quantum ~rounds ~seed ~hosts ~wire ~mk_vms () in
-    let r = P.run ~domains cfg in
-    print_string r.P.report;
-    let fleet_hist = Histogram.create () in
-    let replies = ref 0 and sent = ref 0 and kicks = ref 0 and drops = ref 0 in
-    Array.iteri
-      (fun i node ->
-        let sw, ports = Option.get stash.(i) in
-        let vnets =
-          List.filter_map (fun vm -> vm.Vm.vnet) node.P.hyp.Hypervisor.vms
-        in
-        let sum f = List.fold_left (fun a v -> a + f v) 0 vnets in
-        let wire_drop =
-          Array.fold_left (fun a l -> a + Link.wire_dropped l) 0 ports
-        in
-        if not (Switch.conserved sw) then
-          failwith (Printf.sprintf "net: host%d switch conservation violated" i);
-        let h = hists.(i) in
-        List.iter
-          (fun (lo, n) ->
-            for _ = 1 to n do
-              Histogram.add fleet_hist lo
-            done)
-          (Histogram.buckets h);
-        replies := !replies + Histogram.count h;
-        sent := !sent + sum Virtio_net.frames_sent;
-        kicks := !kicks + sum Virtio_net.kicks;
-        drops := !drops + Switch.drops sw + wire_drop;
-        Printf.printf
-          "host%d replies=%d p50=%.1f p95=%.1f p99=%.1f max=%d sent=%d \
-           recv=%d sw_drops=%d wire_drop=%d kicks=%d\n"
-          i (Histogram.count h) (Histogram.percentile h 50.0)
-          (Histogram.percentile h 95.0) (Histogram.percentile h 99.0)
-          (Histogram.max_value h) (sum Virtio_net.frames_sent)
-          (sum Virtio_net.frames_received) (Switch.drops sw) wire_drop
-          (sum Virtio_net.kicks))
-      r.P.fleet.P.nodes;
+    print_string r.Fabric.report;
+    print_string r.Fabric.digest;
+    let t = r.Fabric.fleet and h = r.Fabric.fleet_hist in
     Printf.printf
       "fabric: replies=%d p50=%.1f p95=%.1f p99=%.1f drops=%d frames/kick=%s\n"
-      !replies
-      (Histogram.percentile fleet_hist 50.0)
-      (Histogram.percentile fleet_hist 95.0)
-      (Histogram.percentile fleet_hist 99.0)
-      !drops
-      (if !kicks = 0 then "-"
-       else Printf.sprintf "%.2f" (float_of_int !sent /. float_of_int !kicks))
+      (Histogram.count h) (Histogram.percentile h 50.0) (Histogram.percentile h 95.0)
+      (Histogram.percentile h 99.0)
+      (t.Fabric.sw_drops + t.Fabric.wire_dropped)
+      (Fabric.frames_per_kick t)
     (* the base fault plan only seeds the per-link derived plans, so its
        own counters stay empty — nothing useful to print here *)
   in

@@ -136,19 +136,9 @@ type t = {
 
 (* Stream ids 0-3 belong to the fleet runner and 4-5 to the detector;
    the control plane's own draws start at 6. *)
-let mix_seed base ~stream ~i =
-  let gold = 0x9E3779B97F4A7C15L in
-  Int64.add base
-    (Int64.mul gold (Int64.of_int (((stream + 1) * 8191) + i + 1)))
-
 let evac_stream = 6
 let drain_stream = 7
 let store_stream = 8
-
-let derive_or_none faults ~seed ~stream ~i =
-  match faults with
-  | Some f -> Fault.derive f ~seed:(mix_seed seed ~stream ~i)
-  | None -> Fault.none ()
 
 let round_target cfg round = Int64.mul cfg.quantum (Int64.of_int (round + 1))
 
@@ -179,11 +169,8 @@ let create cfg =
                 4096 cfg.workload))
       ()
   in
-  (match cfg.faults with
-  | Some f ->
-      Store.set_faults store
-        (Fault.derive f ~seed:(mix_seed cfg.seed ~stream:store_stream ~i:0))
-  | None -> ());
+  Store.set_faults store
+    (Parallel.derive_plan cfg.faults ~seed:cfg.seed ~stream:store_stream ~i:0);
   let entries =
     Array.of_list
       (List.map
@@ -214,9 +201,10 @@ let create cfg =
     store;
     entries;
     monitor = Monitor.create ();
-    evac_faults = derive_or_none cfg.faults ~seed:cfg.seed ~stream:evac_stream ~i:0;
+    evac_faults =
+      Parallel.derive_plan cfg.faults ~seed:cfg.seed ~stream:evac_stream ~i:0;
     drain_faults =
-      derive_or_none cfg.faults ~seed:cfg.seed ~stream:drain_stream ~i:0;
+      Parallel.derive_plan cfg.faults ~seed:cfg.seed ~stream:drain_stream ~i:0;
     drain_ops = [];
     evac_queue = [];
     fenced_alive = 0;

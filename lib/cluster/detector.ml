@@ -2,23 +2,16 @@ open Velum_devices
 open Velum_vmm
 module Fault = Velum_util.Fault
 
-type host_health = Up | Suspect | Dead | Disarmed
-
 type host_lane = {
   spoke : Link.t;
   faults : Fault.t; (* this host's pre-wire Cluster_hb plan *)
-  mutable health : host_health;
-  mutable misses : int;
-  mutable last_seen : int; (* round a heartbeat/ack last arrived *)
-  mutable declared_at : int option;
+  watch : Suspicion.t; (* in rounds; last heard = round of the last HB/ACK *)
   mutable next_probe : int;
   mutable probes_unanswered : int;
 }
 
 type t = {
   quantum : int64;
-  knobs : Ha.Failover.hb_knobs;
-  timeout_rounds : int;
   backoff_rounds : int;
   lanes : host_lane array;
   mutable hb_sent : int;
@@ -28,34 +21,19 @@ type t = {
   mutable deaths : int;
 }
 
-(* Same golden-ratio stream mixing as the fleet runner: the detector's
-   per-host plans must be independent of the node/ring/migration streams
-   (streams 0-3), so its stream ids start at 4. *)
-let mix_seed base ~stream ~i =
-  let gold = 0x9E3779B97F4A7C15L in
-  Int64.add base
-    (Int64.mul gold (Int64.of_int (((stream + 1) * 8191) + i + 1)))
-
+(* The detector's per-host plans must be independent of the fleet
+   runner's node/ring/migration streams (0-3), so its stream ids start
+   at 4. *)
 let spoke_stream = 4
 let prewire_stream = 5
-
-let rounds_of_cycles ~quantum c =
-  if Int64.compare c 0L <= 0 then 0
-  else
-    Int64.to_int (Int64.div (Int64.add c (Int64.sub quantum 1L)) quantum)
 
 let create ?(knobs = Ha.Failover.default_hb_knobs) ?faults ~hosts ~quantum
     ~seed () =
   if hosts <= 0 then invalid_arg "Detector.create: hosts must be positive";
   if Int64.compare quantum 0L <= 0 then
     invalid_arg "Detector.create: quantum must be positive";
-  if knobs.Ha.Failover.miss_limit <= 0 then
-    invalid_arg "Detector.create: miss_limit must be positive";
-  let derive ~stream ~i =
-    match faults with
-    | Some f -> Fault.derive f ~seed:(mix_seed seed ~stream ~i)
-    | None -> Fault.none ()
-  in
+  let { Ha.Failover.miss_limit; timeout; takeover_backoff = backoff } = knobs in
+  let derive ~stream ~i = Parallel.derive_plan faults ~seed ~stream ~i in
   let lanes =
     Array.init hosts (fun i ->
         let spoke = Link.create () in
@@ -63,20 +41,16 @@ let create ?(knobs = Ha.Failover.default_hb_knobs) ?faults ~hosts ~quantum
         {
           spoke;
           faults = derive ~stream:prewire_stream ~i;
-          health = Up;
-          misses = 0;
-          last_seen = -1;
-          declared_at = None;
+          watch =
+            Suspicion.create ~quantum ~backoff ~miss_limit ~timeout
+              ~last_heard:(-1) ();
           next_probe = 0;
           probes_unanswered = 0;
         })
   in
   {
     quantum;
-    knobs;
-    timeout_rounds = rounds_of_cycles ~quantum knobs.Ha.Failover.timeout;
-    backoff_rounds =
-      rounds_of_cycles ~quantum knobs.Ha.Failover.takeover_backoff;
+    backoff_rounds = Suspicion.rounds_of_cycles ~quantum backoff;
     lanes;
     hb_sent = 0;
     hb_lost = 0;
@@ -85,27 +59,16 @@ let create ?(knobs = Ha.Failover.default_hb_knobs) ?faults ~hosts ~quantum
     deaths = 0;
   }
 
-let health t i = t.lanes.(i).health
-let declared_at t i = t.lanes.(i).declared_at
-let faults t i = t.lanes.(i).faults
+let declared_at t i = Suspicion.declared_at t.lanes.(i).watch
 let spoke_bytes t = Array.fold_left (fun a l -> a + Link.bytes_sent l.spoke) 0 t.lanes
 
-let disarm t i =
-  let l = t.lanes.(i) in
-  l.health <- Disarmed
+let disarm t i = Suspicion.disarm t.lanes.(i).watch
 
 let rearm t i ~round =
   let l = t.lanes.(i) in
-  l.health <- Up;
-  l.misses <- 0;
-  l.last_seen <- round;
-  l.declared_at <- None;
+  Suspicion.rearm l.watch ~now:round;
   l.next_probe <- round + 1;
   l.probes_unanswered <- 0
-
-let is_hb p = String.length p >= 2 && String.sub p 0 2 = "HB"
-let is_ack p = String.length p >= 3 && String.sub p 0 3 = "ACK"
-let is_probe p = String.length p >= 5 && String.sub p 0 5 = "PROBE"
 
 let observe_round t ~alive ~round =
   let target = Int64.mul t.quantum (Int64.of_int (round + 1)) in
@@ -113,61 +76,44 @@ let observe_round t ~alive ~round =
   let newly_dead = ref [] in
   Array.iteri
     (fun i l ->
-      if l.health <> Disarmed then begin
-        let host_up = alive i in
+      if Suspicion.state l.watch <> Suspicion.Disarmed then begin
         (* -- host side (simulated here so the whole protocol runs in
-              the coordinator phase): answer probes, emit heartbeat -- *)
+              the coordinator phase): answer probes, emit heartbeat;
+              the cluster.hb site may eat either before the wire -- *)
         let inbound = Link.poll_control l.spoke ~at:`A ~now:target in
-        if host_up then begin
-          List.iter
-            (fun p ->
-              if is_probe p then
-                if Fault.fire l.faults Fault.Cluster_hb ~now:target then begin
-                  t.hb_lost <- t.hb_lost + 1;
-                  Fault.observe l.faults Fault.Cluster_hb
-                end
-                else
-                  ignore
-                    (Link.send_control l.spoke ~from:`A ~now:target
-                       ~payload:(Printf.sprintf "ACK %d %d" i round)))
-            inbound;
-          if Fault.fire l.faults Fault.Cluster_hb ~now:target then begin
+        let send payload =
+          let eaten = Fault.fire l.faults Fault.Cluster_hb ~now:target in
+          if eaten then begin
             t.hb_lost <- t.hb_lost + 1;
             Fault.observe l.faults Fault.Cluster_hb
           end
-          else begin
-            t.hb_sent <- t.hb_sent + 1;
-            ignore
-              (Link.send_control l.spoke ~from:`A ~now:target
-                 ~payload:(Printf.sprintf "HB %d %d" i round))
-          end
+          else ignore (Link.send_control l.spoke ~from:`A ~now:target ~payload);
+          not eaten
+        in
+        if alive i then begin
+          List.iter
+            (fun p ->
+              if String.starts_with ~prefix:"PROBE" p then
+                ignore (send (Printf.sprintf "ACK %d %d" i round)))
+            inbound;
+          if send (Printf.sprintf "HB %d %d" i round) then
+            t.hb_sent <- t.hb_sent + 1
         end;
         (* -- hub side: poll this round's arrivals, update suspicion -- *)
         let arrived = Link.poll_control l.spoke ~at:`B ~now:horizon in
-        let saw = ref false in
-        List.iter
-          (fun p ->
-            if is_hb p then saw := true
-            else if is_ack p then begin
-              saw := true;
-              t.acks_seen <- t.acks_seen + 1
-            end)
-          arrived;
-        if l.health <> Dead then
-          if !saw then begin
-            l.misses <- 0;
-            l.last_seen <- round;
-            l.health <- Up;
-            l.probes_unanswered <- 0
-          end
-          else begin
-            l.misses <- l.misses + 1;
-            if
-              l.misses >= t.knobs.Ha.Failover.miss_limit
-              && round - l.last_seen >= t.timeout_rounds
-            then begin
-              l.health <- Dead;
-              l.declared_at <- Some round;
+        let acks = List.filter (String.starts_with ~prefix:"ACK") arrived in
+        t.acks_seen <- t.acks_seen + List.length acks;
+        let saw =
+          acks <> [] || List.exists (String.starts_with ~prefix:"HB") arrived
+        in
+        match Suspicion.state l.watch with
+        | Suspicion.Dead | Suspicion.Disarmed -> ()
+        | (Suspicion.Up | Suspicion.Suspect) as before ->
+            if saw then begin
+              Suspicion.heard l.watch ~now:round;
+              l.probes_unanswered <- 0
+            end
+            else if Suspicion.missed l.watch ~now:round then begin
               t.deaths <- t.deaths + 1;
               newly_dead := i :: !newly_dead
             end
@@ -175,10 +121,7 @@ let observe_round t ~alive ~round =
               (* still suspect: probe with exponential backoff so a
                  flaky-but-alive host is re-checked without flooding
                  the control lane *)
-              if l.health = Up then begin
-                l.health <- Suspect;
-                l.next_probe <- round
-              end;
+              if before = Suspicion.Up then l.next_probe <- round;
               if round >= l.next_probe then begin
                 t.probes_sent <- t.probes_sent + 1;
                 ignore
@@ -192,7 +135,6 @@ let observe_round t ~alive ~round =
                 l.next_probe <- round + step
               end
             end
-          end
       end)
     t.lanes;
   List.rev !newly_dead

@@ -5,28 +5,21 @@
     host (simulated coordinator-side, so the whole protocol runs in the
     strictly-sequential barrier phase) answers outstanding probes and
     emits one cycle-stamped heartbeat; the hub polls the spoke at the
-    round horizon, counts consecutive misses, and — once the miss limit
-    {e and} the timeout have both been exceeded — declares the host dead
-    exactly once.  While a host is merely suspect, the hub probes it
-    with exponential backoff; an answered probe (ACK) clears suspicion
-    like a heartbeat does.
+    round horizon and feeds each host's {!Velum_vmm.Suspicion} machine
+    (in rounds, last heard at round -1), which declares it dead once.
+    A suspect host is probed with exponential backoff; an answered probe
+    (ACK) counts as a heartbeat.
 
-    Tuning reuses {!Velum_vmm.Ha.Failover.hb_knobs} verbatim:
-    [miss_limit] is the consecutive-miss threshold, [timeout] (cycles,
-    converted to rounds) a floor on heartbeat-less time, and
-    [takeover_backoff] (cycles → rounds) the probe backoff base.
+    Tuning is {!Velum_vmm.Ha.Failover.hb_knobs}: [miss_limit] and
+    [timeout] go to the suspicion machine; [takeover_backoff] (cycles →
+    rounds, at least 1) is the probe spacing, doubled per unanswered
+    probe up to 2{^8} times.
 
     Fault exposure: each spoke derives an independent child plan from
     the base plan (streams 4/5, disjoint from the fleet runner's 0-3).
     The [cluster.hb] site eats heartbeats/ACKs {e before} the wire;
     link-level sites ([drop], [partition], [delay]...) apply on the
     spoke itself.  Everything is deterministic in the fleet seed. *)
-
-type host_health =
-  | Up
-  | Suspect  (** misses accumulating; probes in flight *)
-  | Dead  (** declared — never spontaneously revived; see {!rearm} *)
-  | Disarmed  (** maintenance reboot in progress; misses don't count *)
 
 type t
 
@@ -42,7 +35,7 @@ val create :
     quantum — heartbeats are stamped at round boundaries.
 
     @raise Invalid_argument on non-positive hosts, quantum or miss
-    limit. *)
+    limit, or a negative timeout or backoff. *)
 
 val observe_round : t -> alive:(int -> bool) -> round:int -> int list
 (** Drive one detection round.  [alive i] is ground truth: whether host
@@ -51,7 +44,6 @@ val observe_round : t -> alive:(int -> bool) -> round:int -> int list
     ascending id order.  Must be called from the coordinator phase,
     once per round, in round order. *)
 
-val health : t -> int -> host_health
 val declared_at : t -> int -> int option
 (** Round the host was declared dead, if it was. *)
 
@@ -62,10 +54,6 @@ val disarm : t -> int -> unit
 val rearm : t -> int -> round:int -> unit
 (** Resume watching a host after reboot/recovery: health [Up], misses
     cleared, last-seen set to [round]. *)
-
-val faults : t -> int -> Velum_util.Fault.t
-(** Host [i]'s derived pre-wire plan (the [cluster.hb] counters live
-    here). *)
 
 val spoke_bytes : t -> int
 (** Control-lane bytes across all spokes (heartbeats + probes + ACKs). *)

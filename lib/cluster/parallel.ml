@@ -34,6 +34,12 @@ type config = {
   wire : (int -> Hypervisor.t -> unit) option;
 }
 
+(* Each host watches its ring predecessor in rounds.  Heartbeats sent at
+   barrier r arrive in round r+1, so the watch is fed from round 1 on. *)
+let pred_watch ~quantum ~hb_miss_limit ~hb_timeout =
+  Suspicion.create ~quantum ~miss_limit:hb_miss_limit ~timeout:hb_timeout
+    ~last_heard:0 ()
+
 let config ?(quantum = 200_000L) ?(rounds = 8) ?(seed = 0L) ?faults
     ?(hb_miss_limit = 3) ?(hb_timeout = 0L) ?(migrate_every = 0) ?fail_host
     ?(trace = false) ?host_frames ?mailbox_capacity ?wire ~hosts ~mk_vms () =
@@ -41,8 +47,8 @@ let config ?(quantum = 200_000L) ?(rounds = 8) ?(seed = 0L) ?faults
   if Int64.compare quantum 0L <= 0 then
     invalid_arg "Parallel.config: quantum must be positive";
   if rounds <= 0 then invalid_arg "Parallel.config: rounds must be positive";
-  if Int64.compare hb_timeout 0L < 0 then
-    invalid_arg "Parallel.config: hb_timeout must be non-negative";
+  (* reject bad heartbeat knobs now, not when the fleet is built *)
+  ignore (pred_watch ~quantum ~hb_miss_limit ~hb_timeout);
   (match host_frames with
   | Some n when n <= 0 ->
       invalid_arg "Parallel.config: host_frames must be positive"
@@ -75,9 +81,7 @@ type node = {
   mutable halted : bool; (* every VM halted *)
   mutable hb_sent : int;
   mutable hb_recv : int;
-  mutable hb_miss_streak : int;
-  mutable last_hb_round : int; (* last round a heartbeat was absorbed *)
-  mutable pred_dead_at : int option; (* round the predecessor was declared dead *)
+  pred : Suspicion.t; (* ring predecessor's liveness, in rounds *)
   mutable junk_frames : int; (* corrupted payloads delivered by the wire *)
   mutable error : exn option; (* escaped from a worker; re-raised by the coordinator *)
 }
@@ -100,10 +104,10 @@ let mix_seed base ~stream ~i =
   Int64.add base
     (Int64.mul gold (Int64.of_int (((stream + 1) * 8191) + i + 1)))
 
-let derived_faults cfg ~stream ~i =
-  match cfg.faults with
-  | None -> None
-  | Some f -> Some (Fault.derive f ~seed:(mix_seed cfg.seed ~stream ~i))
+let derive_plan faults ~seed ~stream ~i =
+  match faults with
+  | Some f -> Fault.derive f ~seed:(mix_seed seed ~stream ~i)
+  | None -> Fault.none ()
 
 let init cfg =
   let nodes =
@@ -118,11 +122,7 @@ let init cfg =
           | None -> frames_needed + 1024
         in
         let host = Host.create ~frames () in
-        let node_faults =
-          match derived_faults cfg ~stream:0 ~i with
-          | Some f -> f
-          | None -> Fault.none ()
-        in
+        let node_faults = derive_plan cfg.faults ~seed:cfg.seed ~stream:0 ~i in
         let ctx =
           Host_ctx.create ~host ~seed:(mix_seed cfg.seed ~stream:1 ~i)
             ~faults:node_faults ()
@@ -155,9 +155,9 @@ let init cfg =
           halted = false;
           hb_sent = 0;
           hb_recv = 0;
-          hb_miss_streak = 0;
-          last_hb_round = 0;
-          pred_dead_at = None;
+          pred =
+            pred_watch ~quantum:cfg.quantum ~hb_miss_limit:cfg.hb_miss_limit
+              ~hb_timeout:cfg.hb_timeout;
           junk_frames = 0;
           error = None;
         })
@@ -165,16 +165,15 @@ let init cfg =
   let ring =
     Array.init cfg.hosts (fun i ->
         let l = Link.create () in
-        (match derived_faults cfg ~stream:2 ~i with
-        | Some f -> Link.set_faults l f
-        | None -> ());
+        Link.set_faults l (derive_plan cfg.faults ~seed:cfg.seed ~stream:2 ~i);
         l)
   in
   let mig_link = Link.create () in
-  (match derived_faults cfg ~stream:3 ~i:0 with
-  | Some f -> Link.set_faults mig_link f
-  | None -> ());
+  Link.set_faults mig_link
+    (derive_plan cfg.faults ~seed:cfg.seed ~stream:3 ~i:0);
   { cfg; nodes; ring; mig_link; migrations = 0; mig_aborts = 0; mig_pages = 0 }
+
+let pred_dead_at node = Suspicion.declared_at node.pred
 
 (* ---- worker phase (runs on a domain; touches only this node) ---- *)
 
@@ -197,33 +196,15 @@ let step_node fleet node ~round =
         end
         else node.junk_frames <- node.junk_frames + 1)
       frames;
-    (* 2. failure detection: heartbeats sent at barrier r arrive during
-       round r+1, so the detector only arms from round 1 on *)
-    if cfg.hosts > 1 && round >= 1 && node.pred_dead_at = None then begin
-      if !saw_hb then begin
-        node.hb_miss_streak <- 0;
-        node.last_hb_round <- round
-      end
-      else begin
-        node.hb_miss_streak <- node.hb_miss_streak + 1;
-        (* a timeout floor (in cycles, converted via the quantum) must
-           also be exceeded before the miss count declares the death;
-           the default 0 keeps the historical miss-count-only rule *)
-        let starved =
-          Int64.unsigned_compare
-            (Int64.mul (Int64.of_int (round - node.last_hb_round)) cfg.quantum)
-            cfg.hb_timeout
-          >= 0
-        in
-        if node.hb_miss_streak >= cfg.hb_miss_limit && starved then begin
-          node.pred_dead_at <- Some round;
-          (* surface the detection in the ordinary telemetry so the
-             fleet report and the monitor counters agree *)
-          match node.hyp.Hypervisor.vms with
-          | vm :: _ -> Monitor.bump vm.Vm.monitor Monitor.E_ha_failover
-          | [] -> ()
-        end
-      end
+    (* 2. failure detection, armed from round 1 (see [pred_watch]) *)
+    if cfg.hosts > 1 && round >= 1 then begin
+      if !saw_hb then Suspicion.heard node.pred ~now:round
+      else if Suspicion.missed node.pred ~now:round then
+        (* surface the detection in the ordinary telemetry so the
+           fleet report and the monitor counters agree *)
+        match node.hyp.Hypervisor.vms with
+        | vm :: _ -> Monitor.bump vm.Vm.monitor Monitor.E_ha_failover
+        | [] -> ()
     end;
     (* 3. run this host's quantum.  The budget targets the absolute
        round boundary: a host that overshot the previous boundary
@@ -438,7 +419,7 @@ let report fleet =
         (Hypervisor.vmm_cycles node.hyp)
         node.hyp.Hypervisor.idle_cycles node.hyp.Hypervisor.sched_decisions
         node.hb_sent node.hb_recv node.junk_frames
-        (match node.pred_dead_at with
+        (match pred_dead_at node with
         | Some r -> Printf.sprintf "round%d" r
         | None -> "no");
       List.iter

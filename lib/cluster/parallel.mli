@@ -60,7 +60,7 @@ type config = private {
   hb_timeout : int64;
       (** additional heartbeat-less cycles (converted to rounds via the
           quantum) required before the declaration; 0 = the miss count
-          alone decides.  Mirrors {!Velum_vmm.Ha.Failover.hb_knobs}. *)
+          alone decides.  Both feed {!Velum_vmm.Suspicion}. *)
   migrate_every : int;  (** every k rounds move one VM along the ring; 0 = off *)
   fail_host : (int * int) option;  (** [(round, host)]: kill host at that round *)
   trace : bool;  (** attach a trace sink to every host *)
@@ -102,7 +102,8 @@ val config :
     pools sized to demand, unbounded mailboxes.
 
     @raise Invalid_argument on a non-positive host count, quantum,
-    round count or [host_frames]. *)
+    round count, [hb_miss_limit] or [host_frames], or a negative
+    [hb_timeout]. *)
 
 type node = private {
   id : int;
@@ -113,9 +114,7 @@ type node = private {
   mutable halted : bool;
   mutable hb_sent : int;
   mutable hb_recv : int;
-  mutable hb_miss_streak : int;
-  mutable last_hb_round : int;
-  mutable pred_dead_at : int option;
+  pred : Velum_vmm.Suspicion.t;  (** ring predecessor watch, in rounds *)
   mutable junk_frames : int;
   mutable error : exn option;
 }
@@ -131,6 +130,14 @@ type fleet = private {
 }
 
 type result = { fleet : fleet; report : string }
+
+val derive_plan :
+  Velum_util.Fault.t option ->
+  seed:int64 -> stream:int -> i:int -> Velum_util.Fault.t
+(** Consumer [i]'s child of a base fault plan (an empty plan without
+    one), on RNG stream [stream] mixed from the fleet [seed] so no two
+    streams coincide ([i < 8191]).  The runner uses streams 0-3,
+    {!Detector} 4-5 and {!Control} from 6. *)
 
 val init : config -> fleet
 (** Build the fleet (hosts, VMs, links) without running it.  A control
@@ -158,6 +165,9 @@ val run :
     (domains joined), and the exception re-raised on the caller.
 
     @raise Invalid_argument if [domains <= 0]. *)
+
+val pred_dead_at : node -> int option
+(** Round the host declared its ring predecessor dead, if it did. *)
 
 val set_alive : node -> bool -> unit
 (** Coordinator-phase mutator: kill (cordon/reboot) or revive a host.

@@ -290,14 +290,6 @@ module Failover = struct
 
   let default_hb_knobs = { miss_limit = 3; timeout = 0L; takeover_backoff = 0L }
 
-  let check_hb_knobs k =
-    if k.miss_limit <= 0 then
-      invalid_arg "Ha.Failover: miss_limit must be positive";
-    if Int64.compare k.timeout 0L < 0 then
-      invalid_arg "Ha.Failover: timeout must be non-negative";
-    if Int64.compare k.takeover_backoff 0L < 0 then
-      invalid_arg "Ha.Failover: takeover_backoff must be non-negative"
-
   type t = {
     session : Replicate.session;
     primary : Hypervisor.t;
@@ -310,8 +302,7 @@ module Failover = struct
     mutable generation : int; (* backup's view *)
     mutable primary_gen : int; (* primary's view *)
     mutable now : int64; (* session cycles *)
-    mutable last_hb : int64;
-    mutable misses : int;
+    primary_watch : Suspicion.t; (* backup's view, clocked in session cycles *)
     mutable hb_sent : int;
     mutable hb_lost : int;
     mutable hb_seen : int;
@@ -351,7 +342,6 @@ module Failover = struct
 
   let create ?faults ~primary ~backup ~vm ~link ?(knobs = default_hb_knobs)
       ?primary_dies_at () =
-    check_hb_knobs knobs;
     let faults = match faults with Some f -> f | None -> Link.faults link in
     let session = Replicate.start ~faults ~primary ~backup ~vm ~link () in
     let now = Replicate.elapsed session in
@@ -367,8 +357,10 @@ module Failover = struct
       generation = 1;
       primary_gen = 1;
       now;
-      last_hb = now;
-      misses = 0;
+      primary_watch =
+        Suspicion.create ~backoff:knobs.takeover_backoff
+          ~miss_limit:knobs.miss_limit ~timeout:knobs.timeout
+          ~last_heard:(Int64.to_int now) ();
       hb_sent = 0;
       hb_lost = 0;
       hb_seen = 0;
@@ -449,32 +441,27 @@ module Failover = struct
         (fun msg -> parse_gen ~tag:hb_tag msg <> None)
         (Link.poll_control t.link ~at:`B ~now:t.now)
     in
+    let now = Int64.to_int t.now in
     if got_hb then begin
       t.hb_seen <- t.hb_seen + 1;
-      t.misses <- 0;
-      t.last_hb <- t.now
+      Suspicion.heard t.primary_watch ~now
     end
-    else begin
-      t.misses <- t.misses + 1;
-      if Fault.injected t.faults Fault.Hb_loss > Fault.observed t.faults Fault.Hb_loss
-      then Fault.observe t.faults Fault.Hb_loss
-    end;
-    if
-      t.misses >= t.knobs.miss_limit
-      && Int64.unsigned_compare (Int64.sub t.now t.last_hb) t.knobs.timeout >= 0
-      && Replicate.failed_over t.session = None
-    then begin
+    else if Fault.injected t.faults Fault.Hb_loss > Fault.observed t.faults Fault.Hb_loss
+    then Fault.observe t.faults Fault.Hb_loss;
+    if (not got_hb) && Suspicion.missed t.primary_watch ~now then begin
+      let silent =
+        Int64.sub t.now (Int64.of_int (Suspicion.last_heard t.primary_watch))
+      in
       t.generation <- t.generation + 1;
       (* the primary may in fact be alive across a partition — activate
          the twin without touching it and let the fence do its job *)
       ignore (Replicate.failover ~fence_primary:false t.session);
       t.failover_at <- Some t.now;
-      t.mttr <- Some (Int64.sub t.now t.last_hb);
-      trace_ha t.backup t.prot_vm Trace.Ha_failover
-        ~detail:(Int64.sub t.now t.last_hb);
+      t.mttr <- Some silent;
+      trace_ha t.backup t.prot_vm Trace.Ha_failover ~detail:silent;
       Log.warn (fun m ->
-          m "ha: %d heartbeats missed, failover at generation %d" t.misses
-            t.generation)
+          m "ha: %d heartbeats missed, failover at generation %d"
+            (Suspicion.misses t.primary_watch) t.generation)
     end;
     match Replicate.failed_over t.session with
     | None -> ()

@@ -98,10 +98,10 @@ val inject_stall : Vm.t -> unit
 module Failover : sig
   type t
 
-  (** Detector tuning, shared verbatim with the cluster control plane's
-      fleet-wide failure detector ({!Velum_cluster.Detector}): both
-      protocols count consecutive heartbeat misses against the same
-      three dials. *)
+  (** Detector tuning, the one knob record for every heartbeat detector:
+      this pair, the fleet ring and the control plane's
+      {!Velum_cluster.Detector}.  [miss_limit] and [timeout] feed a
+      {!Suspicion} machine, which validates all three dials. *)
   type hb_knobs = {
     miss_limit : int;
         (** consecutive heartbeat misses before takeover (default 3) *)
@@ -149,10 +149,10 @@ module Failover : sig
     around it.  Each {!epoch}: the primary (unless dead or fenced) first
     honours any TAKEOVER announcement, else replicates one epoch and
     sends one heartbeat (unless the [hb.loss] site eats it; link-level
-    drop/partition faults apply on the wire too).  The backup polls,
-    counts consecutive misses, and once [knobs.miss_limit] misses {e and}
-    [knobs.timeout] heartbeat-less cycles have accumulated it bumps its
-    generation, activates the twin with
+    drop/partition faults apply on the wire too).  The backup feeds a
+    {!Suspicion} machine in session cycles; once [knobs.miss_limit]
+    misses {e and} [knobs.timeout] heartbeat-less cycles have accumulated
+    it bumps its generation, activates the twin with
     [Replicate.failover ~fence_primary:false], and announces TAKEOVER —
     every epoch, or on [knobs.takeover_backoff] exponential spacing —
     until the primary fences.  [primary_dies_at] models host death: past

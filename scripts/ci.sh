@@ -151,6 +151,13 @@ diff "$tmp/e17a.txt" "$tmp/e17b.txt" || {
   echo "FAIL: E17 output diverged between identical-seed runs"; exit 1; }
 cp "$tmp/BENCH_ha.ref.json" BENCH_ha.json
 
+# The quick runs above only prove determinism.  The full E17 is all
+# simulated numbers (failover_at, mttr_cycles, pause tax...), so it must
+# regenerate the committed BENCH_ha.json byte for byte.
+dune exec bench/main.exe -- --only E17 >"$tmp/e17.txt"
+diff "$tmp/BENCH_ha.ref.json" BENCH_ha.json || {
+  echo "FAIL: BENCH_ha.json diverged from the committed copy"; exit 1; }
+
 # The committed BENCH_ha.json must carry the incremental-store columns
 # and show a checkpoint pause tax under 20% at the 100k-cycle cadence —
 # the delta commits are the point of the content-addressed store.

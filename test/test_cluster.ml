@@ -214,9 +214,9 @@ let test_failure_detection () =
   (* host 1 last heartbeats at the round-3 barrier (arriving in round 4),
      so its successor misses rounds 5,6,7 and declares death at round 7 *)
   Alcotest.(check (option int)) "successor detected the death at round 7"
-    (Some 7) n2.Parallel.pred_dead_at;
+    (Some 7) (Parallel.pred_dead_at n2);
   Alcotest.(check (option int)) "unaffected host suspects nobody" None
-    n0.Parallel.pred_dead_at;
+    (Parallel.pred_dead_at n0);
   checkb "detection is surfaced in the monitor" true
     (Monitor.count
        (List.hd n2.Parallel.hyp.Hypervisor.vms).Vm.monitor Monitor.E_ha_failover
@@ -486,6 +486,130 @@ let test_failover_knobs () =
       checkb "timeout floor postpones the takeover" true (Int64.compare s d > 0)
   | _ -> Alcotest.fail "both configurations must fail over"
 
+(* --- one suspicion machine behind every detector --- *)
+
+type hb_event = Heard of int | Missed of int | Disarm | Rearm of int
+
+(* Each row drives a fresh machine (last heard at tick 0) through its
+   events, then checks the final state, the declaration tick, the
+   last-heard tick and how many misses reported a declaration. *)
+let test_suspicion_table () =
+  let cases =
+    [
+      ( "miss limit alone", 3, 1L, 0L,
+        [ Missed 1; Missed 2; Missed 3 ],
+        (Suspicion.Dead, Some 3, 0, 1) );
+      ( "a heartbeat clears the miss count", 3, 1L, 0L,
+        [ Missed 1; Missed 2; Heard 3; Missed 4; Missed 5 ],
+        (Suspicion.Suspect, None, 3, 0) );
+      ( "the timeout floor delays the declaration", 2, 1L, 5L,
+        [ Missed 1; Missed 2; Missed 3; Missed 4; Missed 5; Missed 6 ],
+        (Suspicion.Dead, Some 5, 0, 1) );
+      ( "the timeout converts to ticks with the ceiling", 1, 10L, 25L,
+        [ Missed 1; Missed 2; Missed 3 ],
+        (Suspicion.Dead, Some 3, 0, 1) );
+      ( "a heartbeat after Dead does not revive", 1, 1L, 0L,
+        [ Missed 1; Heard 2; Missed 3 ],
+        (Suspicion.Dead, Some 1, 0, 1) );
+      ( "Disarmed ignores misses", 1, 1L, 0L,
+        [ Disarm; Missed 1; Missed 2; Heard 3 ],
+        (Suspicion.Disarmed, None, 0, 0) );
+      ( "rearm resets to Up with last heard = now", 1, 1L, 0L,
+        [ Missed 1; Rearm 7 ],
+        (Suspicion.Up, None, 7, 1) );
+      ( "a rearmed peer is watched afresh", 2, 1L, 0L,
+        [ Disarm; Missed 1; Rearm 4; Missed 5; Missed 6 ],
+        (Suspicion.Dead, Some 6, 4, 1) );
+    ]
+  in
+  let state_name = function
+    | Suspicion.Up -> "Up"
+    | Suspicion.Suspect -> "Suspect"
+    | Suspicion.Dead -> "Dead"
+    | Suspicion.Disarmed -> "Disarmed"
+  in
+  List.iter
+    (fun (name, miss_limit, quantum, timeout, events, (state, declared, last, n)) ->
+      let s = Suspicion.create ~quantum ~miss_limit ~timeout ~last_heard:0 () in
+      let declarations = ref 0 in
+      List.iter
+        (function
+          | Heard now -> Suspicion.heard s ~now
+          | Missed now -> if Suspicion.missed s ~now then incr declarations
+          | Disarm -> Suspicion.disarm s
+          | Rearm now -> Suspicion.rearm s ~now)
+        events;
+      checks (name ^ ": state") (state_name state) (state_name (Suspicion.state s));
+      Alcotest.(check (option int)) (name ^ ": declared at") declared
+        (Suspicion.declared_at s);
+      checki (name ^ ": last heard") last (Suspicion.last_heard s);
+      checki (name ^ ": declarations") n !declarations)
+    cases
+
+(* The round-clocked machine with the ceiling timeout conversion declares
+   death in exactly the round the fleet runner's former inline rule did:
+   a miss streak of [miss_limit] and [(round - last) * quantum >= timeout]
+   in cycles.  The timeout is never a multiple of the quantum, so the
+   conversion's rounding is always exercised. *)
+let suspicion_cycle_rule_prop =
+  QCheck2.Test.make ~count:500
+    ~name:"round-clock suspicion declares in the cycle rule's round"
+    QCheck2.Gen.(
+      tup5 (list_size (int_range 1 40) bool) (int_range 1 5) (int_range 2 100_000)
+        (int_range 0 8) (int_range 1 99_999))
+    (fun (heard, miss_limit, q, k, r) ->
+      let quantum = Int64.of_int q in
+      let timeout = Int64.of_int ((k * q) + 1 + (r mod (q - 1))) in
+      let reference =
+        let streak = ref 0 and last = ref 0 and dead = ref None in
+        List.iteri
+          (fun i got ->
+            let round = i + 1 in
+            if !dead = None then
+              if got then begin
+                streak := 0;
+                last := round
+              end
+              else begin
+                incr streak;
+                let starved =
+                  Int64.unsigned_compare
+                    (Int64.mul (Int64.of_int (round - !last)) quantum)
+                    timeout
+                  >= 0
+                in
+                if !streak >= miss_limit && starved then dead := Some round
+              end)
+          heard;
+        !dead
+      in
+      let s = Suspicion.create ~quantum ~miss_limit ~timeout ~last_heard:0 () in
+      let reported = ref None in
+      List.iteri
+        (fun i got ->
+          let now = i + 1 in
+          if got then Suspicion.heard s ~now
+          else if Suspicion.missed s ~now then reported := Some now)
+        heard;
+      reference = Suspicion.declared_at s && reference = !reported)
+
+let expect_invalid_arg name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  | exception Invalid_argument _ -> ()
+
+let test_ring_rejects_zero_miss_limit () =
+  expect_invalid_arg "Parallel.config ~hb_miss_limit:0" (fun () ->
+      Parallel.config ~hb_miss_limit:0 ~hosts:2 ~mk_vms:(fun _ -> []) ());
+  (* the control plane silences the ring with an unreachable limit *)
+  ignore (Parallel.config ~hb_miss_limit:max_int ~hosts:2 ~mk_vms:(fun _ -> []) ())
+
+let test_detector_rejects_negative_timeout () =
+  expect_invalid_arg "Detector.create with timeout = -1" (fun () ->
+      Detector.create
+        ~knobs:{ Ha.Failover.default_hb_knobs with Ha.Failover.timeout = -1L }
+        ~hosts:2 ~quantum:50_000L ~seed:0L ())
+
 (* The whole control plane — detection, evacuation, maintenance, shed,
    fault injection on its own sites — is byte-deterministic at 1/2/4
    domains. *)
@@ -575,4 +699,14 @@ let () =
             `Quick test_failover_knobs;
         ]
         @ qsuite [ control_invariance_prop ] );
+      ( "suspicion",
+        [
+          Alcotest.test_case "heard/missed/disarm/rearm table" `Quick
+            test_suspicion_table;
+          Alcotest.test_case "ring rejects a zero miss limit" `Quick
+            test_ring_rejects_zero_miss_limit;
+          Alcotest.test_case "detector rejects a negative timeout" `Quick
+            test_detector_rejects_negative_timeout;
+        ]
+        @ qsuite [ suspicion_cycle_rule_prop ] );
     ]
