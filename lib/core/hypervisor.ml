@@ -201,7 +201,7 @@ let exec_vcpu t vm ~vcpu_idx ~base ~slice =
   let h = host t in
   let ctx =
     {
-      Cpu.translate = (fun ~access ~user va -> Vm.translate vm ~vcpu_idx ~access ~user va);
+      Cpu.translate = Vm.translate vm ~vcpu_idx;
       read_ram = (fun pa w -> Phys_mem.read h.Host.mem pa w);
       write_ram = (fun pa w v -> Phys_mem.write h.Host.mem pa w v);
       flush_tlb = (fun () -> Vm.flush_vcpu_tlb vm ~vcpu_idx);

@@ -469,10 +469,9 @@ let read_guest_va t ~vcpu_idx va =
 
 (* Shadow mode with guest paging disabled: guest-virtual = guest-physical
    through the hypervisor's direct map (still a 1-D walk on a miss). *)
-let translate_bare_shadow t ~vcpu_idx ~access ~user:_ va =
+let translate_bare_shadow t ~tlb ~access va =
   if Bus.is_mmio va then Ok { Cpu.pa = va; mmio = true; xlate_cycles = 0 }
   else begin
-    let tlb = t.tlbs.(vcpu_idx) in
     let vpn = gfn_of va in
     let hit =
       match Tlb.lookup tlb ~vpn with
@@ -519,19 +518,26 @@ let translate_bare_shadow t ~vcpu_idx ~access ~user:_ va =
           | P2m.Ballooned | P2m.Absent -> Error `Access)
   end
 
-let translate t ~vcpu_idx ~access ~user va =
-  let vcpu = t.vcpus.(vcpu_idx) in
-  let satp = Cpu.get_csr vcpu.Vcpu.state Arch.Satp in
+(* Applying [translate t ~vcpu_idx] resolves everything that is fixed
+   for the vCPU — paging mode, pager, TLB, satp's CSR slot — and returns
+   the per-access function; only the guest's satp is read per call,
+   since the guest may rewrite it at any instruction. *)
+let translate t ~vcpu_idx =
+  let csrs = t.vcpus.(vcpu_idx).Vcpu.state.Cpu.csrs in
+  let satp_slot = Arch.csr_index Arch.Satp in
+  let tlb = t.tlbs.(vcpu_idx) in
   match t.paging with
   | Nested_paging ->
       let nested = Option.get t.nested in
-      Nested.translate nested ~guest_satp:satp ~tlb:t.tlbs.(vcpu_idx) ~access ~user va
+      fun ~access ~user va ->
+        Nested.translate nested ~guest_satp:csrs.(satp_slot) ~tlb ~access ~user va
   | Shadow_paging ->
-      if Arch.satp_enabled satp then
-        let shadow = Option.get t.shadow in
-        Shadow.translate shadow ~root_gfn:(Arch.satp_root_ppn satp) ~tlb:t.tlbs.(vcpu_idx)
-          ~access ~user va
-      else translate_bare_shadow t ~vcpu_idx ~access ~user va
+      let shadow = Option.get t.shadow in
+      fun ~access ~user va ->
+        let satp = csrs.(satp_slot) in
+        if Arch.satp_enabled satp then
+          Shadow.translate shadow ~root_gfn:(Arch.satp_root_ppn satp) ~tlb ~access ~user va
+        else translate_bare_shadow t ~tlb ~access va
 
 (* ---- ballooning ---- *)
 

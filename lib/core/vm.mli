@@ -176,7 +176,13 @@ val translate :
   int64 ->
   (Cpu.xlate, Cpu.xlate_fault) result
 (** The translate function installed in the deprivileged hart's context;
-    dispatches on paging mode and the vCPU's virtual [satp]. *)
+    dispatches on paging mode and the vCPU's virtual [satp].  Applying it
+    to [t] and [~vcpu_idx] alone binds the paging mode, the pager, the
+    vCPU's TLB and [satp]'s CSR slot once and returns the per-access
+    function, which still reads [satp] on every call — so
+    [Vm.translate vm ~vcpu_idx] is what {!Hypervisor} installs as
+    [Cpu.translate].  The VM's pager must exist (it does once {!create}
+    returns). *)
 
 val flush_vcpu_tlb : t -> vcpu_idx:int -> unit
 val flush_all_tlbs : t -> unit

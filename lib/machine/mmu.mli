@@ -15,6 +15,12 @@ val create :
 (** [create ~mem ~tlb ~cost ~get_satp] — [get_satp] reads the hart's
     current satp so the translator always follows the live root. *)
 
+val classify_pa : Phys_mem.t -> int64 -> bytes:int -> [ `Ram | `Mmio | `Bad ]
+(** [classify_pa mem pa ~bytes] — where a physical access of [bytes]
+    bytes at [pa] lands: the device window, RAM (entirely inside it), or
+    nowhere.  Any address RAM cannot hold whole is [`Bad], including
+    those where [pa + bytes] would overflow. *)
+
 val translate :
   t -> access:Arch.access -> user:bool -> int64 -> (Cpu.xlate, Cpu.xlate_fault) result
 (** Architectural translation:

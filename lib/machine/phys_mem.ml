@@ -3,6 +3,7 @@ open Velum_isa
 type t = {
   data : Bytes.t;
   frames : int;
+  last_word : int64;  (* highest address any access of up to 8 bytes fits at *)
   mutable listeners : (int * (ppn:int64 -> lo:int -> hi:int -> unit)) list;
   mutable next_listener : int;
 }
@@ -11,7 +12,13 @@ let page = Arch.page_size
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: frames must be positive";
-  { data = Bytes.make (frames * page) '\000'; frames; listeners = []; next_listener = 0 }
+  {
+    data = Bytes.make (frames * page) '\000';
+    frames;
+    last_word = Int64.of_int ((frames * page) - 8);
+    listeners = [];
+    next_listener = 0;
+  }
 
 let add_write_listener t f =
   let id = t.next_listener in
@@ -52,16 +59,22 @@ let notify_range t pa bytes =
 let frames t = t.frames
 let size_bytes t = t.frames * page
 
+(* Compared as [pa <= size - bytes]: [pa + bytes] would wrap for [pa]
+   near [Int64.max_int]. *)
 let in_range t ~pa ~bytes =
-  pa >= 0L && Int64.add pa (Int64.of_int bytes) <= Int64.of_int (size_bytes t)
+  pa >= 0L && pa <= Int64.of_int (size_bytes t - bytes)
 
 let check t pa bytes =
   if not (in_range t ~pa ~bytes) then
     invalid_arg (Printf.sprintf "Phys_mem: access 0x%Lx+%d out of range" pa bytes)
 
+(* The CPU's loads and stores are at most 8 bytes, so one compare against
+   [last_word] clears almost all of them; only an access in the last 7
+   bytes of RAM, or out of range, takes the exact check. *)
+let check_word t pa bytes = if not (pa >= 0L && pa <= t.last_word) then check t pa bytes
+
 let read t pa w =
-  let bytes = Instr.width_bytes w in
-  check t pa bytes;
+  check_word t pa (Instr.width_bytes w);
   let off = Int64.to_int pa in
   match w with
   | Instr.W8 -> Int64.of_int (Char.code (Bytes.get t.data off))
@@ -71,7 +84,7 @@ let read t pa w =
 
 let write t pa w v =
   let bytes = Instr.width_bytes w in
-  check t pa bytes;
+  check_word t pa bytes;
   let off = Int64.to_int pa in
   (match w with
   | Instr.W8 -> Bytes.set t.data off (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))

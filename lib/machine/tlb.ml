@@ -9,24 +9,27 @@ type entry = {
   superpage : bool;
 }
 
-(* Vpns are small non-negative integers, so the key's own bits are a good
-   hash, and [Int64.equal] avoids the polymorphic compare and hash.  The
-   TLB never iterates its index, so bucket order cannot leak into
-   behaviour. *)
-module Index = Hashtbl.Make (struct
-  type t = int64
-
-  let equal = Int64.equal
-  let hash = Int64.to_int
-end)
-
 (* Two fully-associative banks with round-robin replacement: one for
    4 KiB translations keyed by vpn, one for 2 MiB translations keyed by
    vpn >> 9.  Real TLBs split similarly; determinism is what matters
-   here. *)
+   here.
+
+   Each bank's index is a fixed-size open-addressed table of slot
+   numbers ([-1] = empty) with linear probing, at least four times the
+   bank's size so probe runs stay short.  Keys are vpns (below 2^52, so
+   exact as [int]).  A key's home cell is the top bits of a Fibonacci
+   multiply: a guest's working set is runs of consecutive vpns, which a
+   low-bits hash would pack into one long probe run that every deletion
+   and every miss walks.  Deletion shifts later members of the run back
+   into the hole, so there are no tombstones and a lookup allocates
+   nothing.  The index is never iterated, so its layout cannot leak into
+   behaviour. *)
 type bank = {
   slots : entry option array;
-  index : int Index.t;
+  keys : int array;  (* key of the entry in each live slot *)
+  index : int array;
+  mask : int;  (* index length - 1 *)
+  shift : int;  (* int bits - log2 (index length) *)
   mutable victim : int;
 }
 
@@ -45,7 +48,16 @@ type t = {
 }
 
 let make_bank size =
-  { slots = Array.make size None; index = Index.create size; victim = 0 }
+  let rec index_bits b = if 1 lsl b >= 4 * size then b else index_bits (b + 1) in
+  let bits = index_bits 0 in
+  {
+    slots = Array.make size None;
+    keys = Array.make size 0;
+    index = Array.make (1 lsl bits) (-1);
+    mask = (1 lsl bits) - 1;
+    shift = Sys.int_size - bits;
+    victim = 0;
+  }
 
 let create ~size =
   if size <= 0 then invalid_arg "Tlb.create: size must be positive";
@@ -62,63 +74,96 @@ let create ~size =
 
 let size t = Array.length t.small.slots
 
-let super_key vpn = Int64.shift_right_logical vpn (Arch.vpn_bits)
+(* Index position holding [key], or [-1].  The index always has empty
+   cells, so the probe terminates. *)
+let rec find_pos b key i =
+  let s = b.index.(i) in
+  if s < 0 then -1 else if b.keys.(s) = key then i else find_pos b key ((i + 1) land b.mask)
+
+let home b key = (key * 0x4F1B_BCDC_BFA5_3E0B) lsr b.shift
+let find b key = find_pos b key (home b key)
+
+let rec add b slot i =
+  if b.index.(i) < 0 then b.index.(i) <- slot else add b slot ((i + 1) land b.mask)
+
+(* [hole] was just emptied: walk the rest of its probe run and move back
+   every member whose home cell does not lie cyclically in (hole, j], so
+   each stays reachable from its home. *)
+let rec close_hole b hole j =
+  let s = b.index.(j) in
+  if s >= 0 then begin
+    if (j - home b b.keys.(s)) land b.mask >= (j - hole) land b.mask then begin
+      b.index.(hole) <- s;
+      b.index.(j) <- -1;
+      close_hole b j ((j + 1) land b.mask)
+    end
+    else close_hole b hole ((j + 1) land b.mask)
+  end
+
+let remove_pos b pos =
+  b.index.(pos) <- -1;
+  close_hole b pos ((pos + 1) land b.mask)
 
 let bank_lookup b key =
-  match Index.find_opt b.index key with Some slot -> b.slots.(slot) | None -> None
+  let pos = find b key in
+  if pos < 0 then None else b.slots.(b.index.(pos))
 
 let lookup t ~vpn =
-  match bank_lookup t.small vpn with
+  let key = Int64.to_int vpn in
+  match bank_lookup t.small key with
   | Some _ as hit -> hit
-  | None -> bank_lookup t.large (super_key vpn)
+  | None -> bank_lookup t.large (key lsr Arch.vpn_bits)
 
 (* Any removal of a live entry invalidates what consumers may have
    cached about the TLB's contents, so it both counts as an eviction and
    bumps the generation. *)
-let evict_slot t b key_of slot =
+let evict_slot t b slot =
   match b.slots.(slot) with
-  | Some e ->
-      Index.remove b.index (key_of e.vpn);
+  | Some _ ->
+      remove_pos b (find b b.keys.(slot));
       b.slots.(slot) <- None;
       t.evictions <- t.evictions + 1;
       t.generation <- t.generation + 1
   | None -> ()
 
-let bank_insert t b key_of e =
-  let key = key_of e.vpn in
+let bank_insert t b key e =
+  let pos = find b key in
   let slot =
-    match Index.find_opt b.index key with
-    | Some s -> s
-    | None ->
-        let s = b.victim in
-        b.victim <- (b.victim + 1) mod Array.length b.slots;
-        evict_slot t b key_of s;
-        s
+    if pos >= 0 then b.index.(pos)
+    else begin
+      let s = b.victim in
+      b.victim <- (b.victim + 1) mod Array.length b.slots;
+      evict_slot t b s;
+      s
+    end
   in
-  evict_slot t b key_of slot;
+  evict_slot t b slot;
   b.slots.(slot) <- Some e;
-  Index.replace b.index key slot
+  b.keys.(slot) <- key;
+  add b slot (home b key)
 
 let insert t e =
-  if e.superpage then bank_insert t t.large super_key e
-  else bank_insert t t.small (fun v -> v) e
+  let key = Int64.to_int e.vpn in
+  if e.superpage then bank_insert t t.large (key lsr Arch.vpn_bits) e
+  else bank_insert t t.small key e
 
 let flush t =
   List.iter
     (fun b ->
       Array.fill b.slots 0 (Array.length b.slots) None;
-      Index.reset b.index)
+      Array.fill b.index 0 (Array.length b.index) (-1))
     [ t.small; t.large ];
   t.flushes <- t.flushes + 1;
   t.generation <- t.generation + 1
 
+let flush_key t b key =
+  let pos = find b key in
+  if pos >= 0 then evict_slot t b b.index.(pos)
+
 let flush_vpn t vpn =
-  (match Index.find_opt t.small.index vpn with
-  | Some slot -> evict_slot t t.small (fun v -> v) slot
-  | None -> ());
-  match Index.find_opt t.large.index (super_key vpn) with
-  | Some slot -> evict_slot t t.large super_key slot
-  | None -> ()
+  let key = Int64.to_int vpn in
+  flush_key t t.small key;
+  flush_key t t.large (key lsr Arch.vpn_bits)
 
 let hits t = t.hits
 let misses t = t.misses

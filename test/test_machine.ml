@@ -31,6 +31,40 @@ let test_mem_bounds () =
     (Invalid_argument "Phys_mem: access 0x1000+8 out of range") (fun () ->
       ignore (Phys_mem.read mem 0x1000L Instr.W64))
 
+(* [pa + bytes] must not wrap: near [Int64.max_int] an access is out of
+   range, classifies as [`Bad] and raises the Phys_mem error rather than
+   reaching Bytes' own bounds check. *)
+let test_mem_bounds_overflow () =
+  let mem = Phys_mem.create ~frames:4 in
+  let size = Int64.of_int (Phys_mem.size_bytes mem) in
+  List.iter
+    (fun (pa, bytes, inside) ->
+      let what = Printf.sprintf "0x%Lx+%d" pa bytes in
+      checkb ("in_range " ^ what) inside (Phys_mem.in_range mem ~pa ~bytes);
+      checkb ("classify_pa " ^ what) true
+        (Mmu.classify_pa mem pa ~bytes = if inside then `Ram else `Bad))
+    [
+      (Int64.max_int, 1, false);
+      (Int64.sub Int64.max_int 2L, 8, false);
+      (Int64.shift_left 1L 62, 8, false);
+      (-8L, 8, false);
+      (Int64.min_int, 8, false);
+      (Int64.sub size 8L, 8, true);
+      (Int64.sub size 7L, 8, false);
+    ];
+  Alcotest.check_raises "max_int read"
+    (Invalid_argument "Phys_mem: access 0x7fffffffffffffff+1 out of range") (fun () ->
+      ignore (Phys_mem.read mem Int64.max_int Instr.W8));
+  Alcotest.check_raises "2^62 write"
+    (Invalid_argument "Phys_mem: access 0x4000000000000000+8 out of range") (fun () ->
+      Phys_mem.write mem (Int64.shift_left 1L 62) Instr.W64 0L);
+  (* the last bytes of RAM are still reachable by narrow accesses *)
+  Phys_mem.write mem (Int64.sub size 1L) Instr.W8 0x5AL;
+  check64 "last byte" 0x5AL (Phys_mem.read mem (Int64.sub size 1L) Instr.W8);
+  Alcotest.check_raises "spill past the end"
+    (Invalid_argument "Phys_mem: access 0x3ffe+4 out of range") (fun () ->
+      ignore (Phys_mem.read mem (Int64.sub size 2L) Instr.W32))
+
 let test_mem_frames () =
   let mem = Phys_mem.create ~frames:4 in
   Phys_mem.frame_fill mem ~ppn:1L 'x';
@@ -251,6 +285,193 @@ let test_tlb_stats () =
   checki "misses" 1 (Tlb.misses tlb);
   Tlb.reset_stats tlb;
   checki "reset" 0 (Tlb.hits tlb)
+
+(* The Hashtbl-indexed TLB the open-addressed index replaced, kept
+   verbatim (bar the hit/miss statistics, which it does not index) as the
+   model the current one must match op for op. *)
+module Reference = struct
+  type entry = Tlb.entry = {
+    vpn : int64;
+    ppn : int64;
+    perms : Pte.perms;
+    dirty_ok : bool;
+    mmio : bool;
+    superpage : bool;
+  }
+
+  (* Vpns are small non-negative integers, so the key's own bits are a good
+     hash, and [Int64.equal] avoids the polymorphic compare and hash.  The
+     TLB never iterates its index, so bucket order cannot leak into
+     behaviour. *)
+  module Index = Hashtbl.Make (struct
+    type t = int64
+
+    let equal = Int64.equal
+    let hash = Int64.to_int
+  end)
+
+  (* Two fully-associative banks with round-robin replacement: one for
+     4 KiB translations keyed by vpn, one for 2 MiB translations keyed by
+     vpn >> 9.  Real TLBs split similarly; determinism is what matters
+     here. *)
+  type bank = {
+    slots : entry option array;
+    index : int Index.t;
+    mutable victim : int;
+  }
+
+  type t = {
+    small : bank;
+    large : bank;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+    mutable flushes : int;
+    mutable generation : int;
+        (* bumped whenever an entry leaves or changes (flush, capacity
+           eviction, same-vpn replacement) — never on a fill into an empty
+           slot.  A consumer that cached "the TLB holds entry E" may keep
+           trusting it exactly while the generation is unchanged. *)
+  }
+
+  let make_bank size =
+    { slots = Array.make size None; index = Index.create size; victim = 0 }
+
+  let create ~size =
+    if size <= 0 then invalid_arg "Tlb.create: size must be positive";
+    (* the superpage bank is a quarter of the 4K bank, at least 4 entries *)
+    {
+      small = make_bank size;
+      large = make_bank (max 4 (size / 4));
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+      flushes = 0;
+      generation = 0;
+    }
+
+  let super_key vpn = Int64.shift_right_logical vpn (Arch.vpn_bits)
+
+  let bank_lookup b key =
+    match Index.find_opt b.index key with Some slot -> b.slots.(slot) | None -> None
+
+  let lookup t ~vpn =
+    match bank_lookup t.small vpn with
+    | Some _ as hit -> hit
+    | None -> bank_lookup t.large (super_key vpn)
+
+  (* Any removal of a live entry invalidates what consumers may have
+     cached about the TLB's contents, so it both counts as an eviction and
+     bumps the generation. *)
+  let evict_slot t b key_of slot =
+    match b.slots.(slot) with
+    | Some e ->
+        Index.remove b.index (key_of e.vpn);
+        b.slots.(slot) <- None;
+        t.evictions <- t.evictions + 1;
+        t.generation <- t.generation + 1
+    | None -> ()
+
+  let bank_insert t b key_of e =
+    let key = key_of e.vpn in
+    let slot =
+      match Index.find_opt b.index key with
+      | Some s -> s
+      | None ->
+          let s = b.victim in
+          b.victim <- (b.victim + 1) mod Array.length b.slots;
+          evict_slot t b key_of s;
+          s
+    in
+    evict_slot t b key_of slot;
+    b.slots.(slot) <- Some e;
+    Index.replace b.index key slot
+
+  let insert t e =
+    if e.superpage then bank_insert t t.large super_key e
+    else bank_insert t t.small (fun v -> v) e
+
+  let flush t =
+    List.iter
+      (fun b ->
+        Array.fill b.slots 0 (Array.length b.slots) None;
+        Index.reset b.index)
+      [ t.small; t.large ];
+    t.flushes <- t.flushes + 1;
+    t.generation <- t.generation + 1
+
+  let flush_vpn t vpn =
+    (match Index.find_opt t.small.index vpn with
+    | Some slot -> evict_slot t t.small (fun v -> v) slot
+    | None -> ());
+    match Index.find_opt t.large.index (super_key vpn) with
+    | Some slot -> evict_slot t t.large super_key slot
+    | None -> ()
+
+  let evictions t = t.evictions
+  let flushes t = t.flushes
+  let generation t = t.generation
+end
+
+type tlb_op = Insert of Tlb.entry | Probe | Flush_vpn of int64 | Flush
+
+(* vpn = a·8192 + b·512 + c·16 + d: 128 vpns, congruent in groups modulo
+   every index size, over 32 superpage keys.  Both banks' indexes have
+   16–32 cells, so home cells collide and deletions land mid-run. *)
+let gen_vpn =
+  QCheck2.Gen.(
+    map
+      (fun (a, b, c, d) -> Int64.of_int ((a * 8192) + (b * 512) + (c * 16) + d))
+      (quad (int_range 0 3) (int_range 0 3) (int_range 0 3) (int_range 0 1)))
+
+let tlb_probe_vpns =
+  List.concat_map
+    (fun a ->
+      List.concat_map
+        (fun b ->
+          List.concat_map
+            (fun c -> List.map (fun d -> Int64.of_int ((a * 8192) + (b * 512) + (c * 16) + d)) [ 0; 1 ])
+            [ 0; 1; 2; 3 ])
+        [ 0; 1; 2; 3 ])
+    [ 0; 1; 2; 3 ]
+
+let gen_tlb_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 6,
+          map3
+            (fun vpn ppn superpage ->
+              Insert { Tlb.vpn; ppn = Int64.of_int ppn; perms = rwxu; dirty_ok = true; mmio = false; superpage })
+            gen_vpn (int_range 0 1000) (frequency [ (3, return false); (1, return true) ]) );
+        (1, return Probe);
+        (3, map (fun v -> Flush_vpn v) gen_vpn);
+        (1, return Flush);
+      ])
+
+let prop_tlb_matches_reference =
+  QCheck2.Test.make ~count:300 ~name:"open-addressed index matches the Hashtbl reference"
+    QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 1 80) gen_tlb_op))
+    (fun (size, ops) ->
+      let t = Tlb.create ~size and r = Reference.create ~size in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Insert e ->
+              Tlb.insert t e;
+              Reference.insert r e
+          | Probe -> ()
+          | Flush_vpn v ->
+              Tlb.flush_vpn t v;
+              Reference.flush_vpn r v
+          | Flush ->
+              Tlb.flush t;
+              Reference.flush r);
+          List.for_all (fun vpn -> Tlb.lookup t ~vpn = Reference.lookup r ~vpn) tlb_probe_vpns
+          && Tlb.evictions t = Reference.evictions r
+          && Tlb.flushes t = Reference.flushes r
+          && Tlb.generation t = Reference.generation r)
+        ops)
 
 (* ---------------- CPU harness ---------------- *)
 
@@ -788,6 +1009,7 @@ let () =
         [
           Alcotest.test_case "widths" `Quick test_mem_widths;
           Alcotest.test_case "bounds" `Quick test_mem_bounds;
+          Alcotest.test_case "bounds near max_int" `Quick test_mem_bounds_overflow;
           Alcotest.test_case "frames" `Quick test_mem_frames;
           Alcotest.test_case "blit between" `Quick test_mem_blit_between;
         ]
@@ -809,7 +1031,8 @@ let () =
           Alcotest.test_case "flush" `Quick test_tlb_flush;
           Alcotest.test_case "stats" `Quick test_tlb_stats;
           Alcotest.test_case "superpage entries" `Quick test_tlb_superpage_entry;
-        ] );
+        ]
+        @ qsuite [ prop_tlb_matches_reference ] );
       ( "cpu",
         [
           Alcotest.test_case "alu" `Quick test_cpu_alu;

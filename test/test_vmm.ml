@@ -527,6 +527,91 @@ let test_nested_write_protection () =
   | Error `Page -> ()
   | _ -> Alcotest.fail "store should host-fault under logging"
 
+(* ---------------- Bound translator ---------------- *)
+
+(* A guest with two page-table roots mapping the same VAs to different
+   frames with different permissions, so a translator that kept the satp
+   it saw when bound would answer from the wrong tables. *)
+let make_two_root_vm paging =
+  let _, vm = make_vm ~paging ~mem_frames:64 () in
+  let acc =
+    {
+      Page_table.read_pte = (fun gpa -> Option.value (Vm.read_gpa_u64 vm gpa) ~default:0L);
+      write_pte = (fun gpa v -> ignore (Vm.write_gpa_u64 vm gpa v));
+    }
+  in
+  let next = ref 40L in
+  let alloc () =
+    let g = !next in
+    next := Int64.add g 1L;
+    g
+  in
+  let user_rwx = { Pte.r = true; w = true; x = true; u = true } in
+  let kernel_rx = { Pte.r = true; w = false; x = true; u = false } in
+  for i = 0 to 3 do
+    let va = Int64.of_int (0x4000 + (i * 0x1000)) in
+    Page_table.map acc ~alloc ~root_ppn:8L ~va (Pte.leaf ~ppn:(Int64.of_int (16 + i)) user_rwx);
+    Page_table.map acc ~alloc ~root_ppn:9L ~va (Pte.leaf ~ppn:(Int64.of_int (24 + i)) kernel_rx)
+  done;
+  vm
+
+(* paging off, root A, root B *)
+let two_root_satps = [| 0L; Arch.satp_make ~root_ppn:8L; Arch.satp_make ~root_ppn:9L |]
+
+let two_root_vas =
+  [| 0x4000L; 0x4008L; 0x5010L; 0x7FF8L; 0x9000L; 0x1_0000L; 0x100_0000L; 0x4000_0000L |]
+
+(* What the hypervisor does on a shadow [`Page] exit, so later accesses
+   can hit; nested VMs here never need host-level repair. *)
+let service_fault vm ~access ~user ~va =
+  match vm.Vm.shadow with
+  | Some shadow ->
+      let satp = Cpu.get_csr vm.Vm.vcpus.(0).Vcpu.state Arch.Satp in
+      if Arch.satp_enabled satp then begin
+        ignore (Shadow.handle_fault shadow ~root_gfn:(Arch.satp_root_ppn satp) ~access ~user ~va);
+        if Shadow.take_tlb_flush shadow then Vm.flush_all_tlbs vm
+      end
+  | None -> ()
+
+let tlb_counters vm =
+  let tlb = vm.Vm.tlbs.(0) in
+  (Tlb.hits tlb, Tlb.misses tlb, Tlb.evictions tlb, Tlb.flushes tlb)
+
+(* [Vm.translate vm ~vcpu_idx] bound once must keep following the guest's
+   satp: driven through satp switches (each followed by a flush, as a
+   guest's satp write is), it agrees with a fresh full application on a
+   twin VM in every result and every TLB counter. *)
+let prop_bound_translate_follows_satp paging label =
+  QCheck2.Test.make ~count:40
+    ~name:(Printf.sprintf "follows satp (%s)" label)
+    QCheck2.Gen.(
+      list_size (int_range 1 10)
+        (pair (int_range 0 2)
+           (list_size (int_range 1 16)
+              (triple (int_range 0 2) bool (int_range 0 (Array.length two_root_vas - 1))))))
+    (fun phases ->
+      let bound_vm = make_two_root_vm paging and fresh_vm = make_two_root_vm paging in
+      let bound = Vm.translate bound_vm ~vcpu_idx:0 in
+      let both f =
+        f bound_vm;
+        f fresh_vm
+      in
+      List.for_all
+        (fun (mode, accesses) ->
+          both (fun vm ->
+              Cpu.set_csr vm.Vm.vcpus.(0).Vcpu.state Arch.Satp two_root_satps.(mode);
+              Vm.flush_vcpu_tlb vm ~vcpu_idx:0);
+          List.for_all
+            (fun (a, user, v) ->
+              let access = [| Arch.Load; Arch.Store; Arch.Fetch |].(a) in
+              let va = two_root_vas.(v) in
+              let got = bound ~access ~user va in
+              let want = Vm.translate fresh_vm ~vcpu_idx:0 ~access ~user va in
+              if got = Error `Page then both (fun vm -> service_fault vm ~access ~user ~va);
+              got = want && tlb_counters bound_vm = tlb_counters fresh_vm)
+            accesses)
+        phases)
+
 (* ---------------- Schedulers ---------------- *)
 
 let drive_scheduler sched vcpus ~rounds =
@@ -972,6 +1057,15 @@ let () =
           Alcotest.test_case "translate and a/d" `Quick test_nested_translate_and_ad;
           Alcotest.test_case "classify" `Quick test_nested_classify;
           Alcotest.test_case "write protection" `Quick test_nested_write_protection;
+        ] );
+      (* Alcotest sizes its name column by the longest group name; a longer
+         one truncates the long case names above in the output. *)
+      ( "translator",
+        [
+          QCheck_alcotest.to_alcotest
+            (prop_bound_translate_follows_satp Vm.Nested_paging "nested");
+          QCheck_alcotest.to_alcotest
+            (prop_bound_translate_follows_satp Vm.Shadow_paging "shadow");
         ] );
       ( "schedulers",
         [
