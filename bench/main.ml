@@ -1955,17 +1955,6 @@ let e20 () =
     let hosts = 16 in
     let rounds = 24 in
     let quantum = 50_000L in
-    let setup =
-      Images.plan ~heap_pages:16 ~user:(Workloads.dirty_loop ~pages:8 ~delay:1500) ()
-    in
-    let prio i = match i mod 3 with 0 -> C.High | 1 -> C.Normal | _ -> C.Low in
-    let mk ~arrives tag i =
-      let group = if arrives <= 0 && i < 4 then Some 0 else None in
-      C.desc ~prio:(prio i) ?group ~arrives ~name:(Printf.sprintf "%s%02d" tag i) setup
-    in
-    let workload =
-      List.init (2 * hosts) (mk ~arrives:0 "vm") @ List.init 6 (mk ~arrives:6 "burst")
-    in
     let faults =
       match
         Fault.parse "seed=7,cluster.hb=0.05,cluster.evac=0.1,cluster.drain=0.1,drop=0.02"
@@ -1974,12 +1963,10 @@ let e20 () =
       | Error e -> failwith e
     in
     let cfg =
-      C.config ~quantum ~rounds ~seed:11L ~faults
-        ~cap_units:(3 * setup.Images.frames)
-        ~headroom:setup.Images.frames ~checkpoint_every:4
+      C.chaos ~quantum ~rounds ~seed:11L ~faults ~checkpoint_every:4
         ~kills:[ (5, 1); (8, 9) ]
         ~drains:[ (12, 3) ]
-        ~hosts ~workload ()
+        ~burst:6 ~hosts ()
     in
     let domain_counts = [ 1; 2; 4 ] in
     let results = List.map (fun d -> (d, C.run ~domains:d cfg)) domain_counts in
@@ -2036,7 +2023,7 @@ let e20 () =
       \    {\"name\": \"cluster/split_brain\", \"value\": %d}\n\
       \  ]\n\
        }\n"
-      hosts (List.length workload) rounds quantum m.C.availability m.C.slo_violations
+      hosts (List.length cfg.C.workload) rounds quantum m.C.availability m.C.slo_violations
       m.C.migration_bytes m.C.evac_mttr_rounds m.C.consolidation m.C.placed m.C.shed
       m.C.degraded m.C.evacuated m.C.cold_moves m.C.fenced_alive m.C.split_brain;
     close_out oc;

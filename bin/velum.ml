@@ -893,25 +893,6 @@ let cluster_cmd =
   let action hosts vms burst burst_round quantum rounds seed domains
       checkpoint_every kills drains faults ha_miss_limit ha_timeout ha_backoff =
     let module C = Velum_cluster.Control in
-    let setup =
-      Images.plan ~heap_pages:16
-        ~user:(Workloads.dirty_loop ~pages:8 ~delay:1500)
-        ()
-    in
-    let prio i = match i mod 3 with 0 -> C.High | 1 -> C.Normal | _ -> C.Low in
-    let nvms = if vms > 0 then vms else 2 * hosts in
-    (* the first four VMs form an anti-affinity group: the placer must
-       spread them over four distinct hosts *)
-    let mk ~arrives tag i =
-      let group = if arrives <= 0 && i < 4 then Some 0 else None in
-      C.desc ~prio:(prio i) ?group ~arrives
-        ~name:(Printf.sprintf "%s%02d" tag i)
-        setup
-    in
-    let workload =
-      List.init nvms (mk ~arrives:0 "vm")
-      @ List.init burst (mk ~arrives:burst_round "burst")
-    in
     let knobs =
       {
         Ha.Failover.miss_limit = ha_miss_limit;
@@ -920,10 +901,8 @@ let cluster_cmd =
       }
     in
     let cfg =
-      C.config ~quantum ~rounds ~seed ?faults ~knobs
-        ~cap_units:(3 * setup.Images.frames)
-        ~headroom:setup.Images.frames ~checkpoint_every ~kills ~drains ~hosts
-        ~workload ()
+      C.chaos ~quantum ~rounds ~seed ?faults ~knobs ~checkpoint_every ~kills ~drains
+        ~vms ~burst ~burst_round ~hosts ()
     in
     let res = C.run ~domains cfg in
     print_string res.C.report;

@@ -93,6 +93,28 @@ let config ?(quantum = 50_000L) ?(rounds = 24) ?(seed = 0L) ?faults
     trace;
   }
 
+let chaos ?quantum ?rounds ?seed ?faults ?knobs ?checkpoint_every ?drains ?kills
+    ?(vms = 0) ?(burst = 0) ?(burst_round = 6) ~hosts () =
+  let setup =
+    Images.plan ~heap_pages:16
+      ~user:(Velum_guests.Workloads.dirty_loop ~pages:8 ~delay:1500)
+      ()
+  in
+  let prio i = match i mod 3 with 0 -> High | 1 -> Normal | _ -> Low in
+  (* the first four VMs form an anti-affinity group: the placer must
+     spread them over four distinct hosts *)
+  let mk ~arrives tag i =
+    let group = if arrives <= 0 && i < 4 then Some 0 else None in
+    desc ~prio:(prio i) ?group ~arrives ~name:(Printf.sprintf "%s%02d" tag i) setup
+  in
+  let workload =
+    List.init (if vms > 0 then vms else 2 * hosts) (mk ~arrives:0 "vm")
+    @ List.init burst (mk ~arrives:burst_round "burst")
+  in
+  config ?quantum ?rounds ?seed ?faults ?knobs ?checkpoint_every ?drains ?kills
+    ~cap_units:(3 * setup.Images.frames) ~headroom:setup.Images.frames ~hosts ~workload
+    ()
+
 (* ---- per-VM supervision state ---- *)
 
 type vm_state = Pending | Placed of int | Evacuating of int | Shed | Degraded

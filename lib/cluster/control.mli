@@ -106,6 +106,29 @@ val config :
     @raise Invalid_argument on inconsistent sizes, duplicate VM names,
     or a VM that exceeds the admittable per-host capacity. *)
 
+val chaos :
+  ?quantum:int64 ->
+  ?rounds:int ->
+  ?seed:int64 ->
+  ?faults:Velum_util.Fault.t ->
+  ?knobs:Velum_vmm.Ha.Failover.hb_knobs ->
+  ?checkpoint_every:int ->
+  ?drains:(int * int) list ->
+  ?kills:(int * int) list ->
+  ?vms:int ->
+  ?burst:int ->
+  ?burst_round:int ->
+  hosts:int ->
+  unit ->
+  config
+(** The chaos scenario [velum cluster] and E20 run: [vms] dirty-loop
+    guests (0, the default, means two per host) with priorities cycling
+    High, Normal, Low and the first four in one anti-affinity group,
+    plus [burst] more arriving together at [burst_round] (default 0 at
+    round 6).  Each host admits three guests' worth of frames and keeps
+    one guest's worth of headroom.  The other arguments are
+    {!config}'s. *)
+
 type vm_state = Pending | Placed of int | Evacuating of int | Shed | Degraded
 
 type t

@@ -36,45 +36,200 @@ let wire_bytes ~compress (vm : Vm.t) gfns =
         | _ -> acc + page_wire_bytes)
       0 gfns
 
-let copy_vcpu_state ~(src : Vcpu.t) ~(dst : Vcpu.t) =
-  let s = src.Vcpu.state and d = dst.Vcpu.state in
-  Array.blit s.Cpu.regs 0 d.Cpu.regs 0 (Array.length s.Cpu.regs);
-  Array.blit s.Cpu.csrs 0 d.Cpu.csrs 0 (Array.length s.Cpu.csrs);
-  d.Cpu.pc <- s.Cpu.pc;
-  d.Cpu.mode <- s.Cpu.mode;
-  d.Cpu.halted <- s.Cpu.halted;
-  d.Cpu.waiting <- s.Cpu.waiting;
-  d.Cpu.instret <- s.Cpu.instret;
-  dst.Vcpu.runstate <- src.Vcpu.runstate
+exception Abort_migration of string
 
-(* Create the destination twin (same shape, unpopulated p2m). *)
-let make_twin ~(dst : Hypervisor.t) ~(vm : Vm.t) =
-  Hypervisor.create_vm dst ~name:vm.Vm.name ~mem_frames:(Vm.mem_frames vm)
+(* ---- the wire ----
+
+   Every batch of pages (and, at the end of a migration or checkpoint,
+   the vCPU record) travels over one transport, which picks its cost
+   model once, at creation:
+
+   - Ideal, when the fault plan is inactive: a batch costs one
+     [Link.transfer_cycles] over its wire footprint, zero pages elided
+     to a marker when [compress] is set.
+   - Reliable, when a plan is active: each page travels as one frame,
+     [seq:8][body][fnv1a-checksum:8], the checksum covering everything
+     before it.  The receiver NACKs frames whose checksum fails and
+     dedups by sequence number (retransmits reuse the page's seq, so a
+     delayed original and its retransmit cannot both apply).  The sender
+     retries on timeout/NACK with exponential backoff, bounded by
+     [max_attempts]; exhaustion raises [Abort_migration].  Compression is
+     skipped: every frame carries its full body so checksums protect
+     real content.
+
+   Both advance one clock and one byte counter. *)
+
+module Wire = struct
+  type reliable = {
+    seen : (int, unit) Hashtbl.t; (* receiver-side dedup by seq *)
+    mutable next_seq : int;
+  }
+
+  type mode = Ideal | Reliable of reliable
+
+  type t = {
+    link : Link.t;
+    faults : Fault.t;
+    compress : bool;
+    mode : mode;
+    mutable clock : int64;
+    mutable bytes : int;
+    mutable pages : int;
+    mutable retx : int;
+  }
+
+  let max_attempts = 8
+
+  let create ?(now = 0L) ~link ~faults ~compress () =
+    let mode =
+      if Fault.active faults then Reliable { seen = Hashtbl.create 1024; next_seq = 0 }
+      else Ideal
+    in
+    { link; faults; compress; mode; clock = now; bytes = 0; pages = 0; retx = 0 }
+
+  let frame_of ~seq body =
+    let n = Bytes.length body in
+    let b = Bytes.create (n + 16) in
+    Bytes.set_int64_le b 0 (Int64.of_int seq);
+    Bytes.blit body 0 b 8 n;
+    Bytes.set_int64_le b (n + 8) (Fnv.hash_bytes ~pos:0 ~len:(n + 8) b);
+    Bytes.to_string b
+
+  (* [None] = corrupted (checksum mismatch); [Some seq] otherwise. *)
+  let decode_frame s =
+    let b = Bytes.of_string s in
+    let n = Bytes.length b in
+    if n < 16 then None
+    else if Bytes.get_int64_le b (n - 8) <> Fnv.hash_bytes ~pos:0 ~len:(n - 8) b then
+      None
+    else Some (Int64.to_int (Bytes.get_int64_le b 0))
+
+  let backoff_cycles w n =
+    let base = max 64 (Link.latency_cycles w.link / 2) in
+    min (base * (1 lsl min (n - 1) 8)) (base * 256)
+
+  (* Push one body through the link until the receiver has it, advancing
+     the clock by the real wire time, ack latencies, and any backoff
+     waits.  @raise Abort_migration when attempts exhaust. *)
+  let send w r ~body =
+    let seq = r.next_seq in
+    r.next_seq <- seq + 1;
+    let frame = frame_of ~seq body in
+    let len = String.length frame in
+    let ack_lat = Int64.of_int (Link.latency_cycles w.link) in
+    let rec attempt n =
+      if n > max_attempts then
+        raise (Abort_migration (Printf.sprintf "page seq %d: retries exhausted" seq));
+      if n > 1 then w.retx <- w.retx + 1;
+      w.bytes <- w.bytes + len;
+      let t0 = w.clock in
+      ignore (Link.send w.link ~from:`A ~now:t0 ~payload:frame);
+      let expected =
+        Int64.add t0 (Int64.of_int (Link.transfer_cycles w.link ~bytes:len))
+      in
+      List.iter
+        (fun s ->
+          match decode_frame s with
+          | None -> Fault.observe w.faults Fault.Corrupt
+          | Some seq' ->
+              if Hashtbl.mem r.seen seq' then Fault.observe w.faults Fault.Duplicate
+              else Hashtbl.add r.seen seq' ())
+        (Link.poll w.link ~at:`B ~now:expected);
+      if Hashtbl.mem r.seen seq then w.clock <- Int64.add expected ack_lat
+      else begin
+        (* Timeout (drop/partition/late frame) or NACK (corruption): wait
+           out the ack window plus a growing backoff, then retransmit. *)
+        w.clock <-
+          Int64.add (Int64.add expected ack_lat) (Int64.of_int (backoff_cycles w n));
+        attempt (n + 1)
+      end
+    in
+    attempt 1
+
+  let ship w ~(vm : Vm.t) ~vcpus gfns =
+    match w.mode with
+    | Ideal ->
+        let bytes =
+          wire_bytes ~compress:w.compress vm gfns + if vcpus then vcpu_state_bytes else 0
+        in
+        w.clock <- Int64.add w.clock (Int64.of_int (Link.transfer_cycles w.link ~bytes));
+        w.bytes <- w.bytes + bytes;
+        w.pages <- w.pages + List.length gfns
+    | Reliable r ->
+        List.iter
+          (fun gfn ->
+            (match Vm.resolve_read vm gfn with
+            | Some ppn -> send w r ~body:(Phys_mem.frame_read vm.Vm.host.Host.mem ~ppn)
+            | None -> ());
+            w.pages <- w.pages + 1)
+          gfns;
+        if vcpus then send w r ~body:(Bytes.make (vcpu_state_bytes - 16) 'V')
+
+  let clock w = w.clock
+  let bytes_sent w = w.bytes
+  let pages_sent w = w.pages
+  let retransmits w = w.retx
+end
+
+(* ---- the destination twin ---- *)
+
+(* Same shape as [vm], unpopulated p2m. *)
+let make_twin ~(dst : Hypervisor.t) ~(vm : Vm.t) ~name =
+  Hypervisor.create_vm dst ~name ~mem_frames:(Vm.mem_frames vm)
     ~vcpu_count:(Array.length vm.Vm.vcpus) ~paging:vm.Vm.paging ~pv:vm.Vm.pv
     ~exec_mode:vm.Vm.exec_mode ~engine:(Vm.engine_kind vm) ~populate:false ~entry:0L ()
 
-(* Copy one page's current contents source→destination memory. *)
+(* Copy one page's current contents source→destination memory; {!apply}
+   has already checked the destination has a frame for it. *)
 let copy_page ~(vm : Vm.t) ~(twin : Vm.t) gfn =
   match Vm.resolve_read vm gfn with
-  | None -> false
-  | Some src_ppn -> (
+  | None -> ()
+  | Some src_ppn ->
       let dst_ppn =
         match P2m.get twin.Vm.p2m gfn with
-        | P2m.Present { hpa_ppn; _ } -> Some hpa_ppn
-        | _ -> (
-            match Frame_alloc.alloc twin.Vm.host.Host.alloc with
-            | Some ppn ->
-                P2m.set twin.Vm.p2m gfn
-                  (P2m.Present { hpa_ppn = ppn; writable = true; cow = false });
-                Some ppn
-            | None -> None)
+        | P2m.Present { hpa_ppn; _ } -> hpa_ppn
+        | _ ->
+            let ppn = Frame_alloc.alloc_exn twin.Vm.host.Host.alloc in
+            P2m.set twin.Vm.p2m gfn
+              (P2m.Present { hpa_ppn = ppn; writable = true; cow = false });
+            ppn
       in
-      match dst_ppn with
-      | None -> false
-      | Some dst_ppn ->
-          Phys_mem.blit_between ~src:vm.Vm.host.Host.mem ~src_ppn
-            ~dst:twin.Vm.host.Host.mem ~dst_ppn;
-          true)
+      Phys_mem.blit_between ~src:vm.Vm.host.Host.mem ~src_ppn
+        ~dst:twin.Vm.host.Host.mem ~dst_ppn
+
+let apply ~(vm : Vm.t) ~(twin : Vm.t) gfns =
+  let missing =
+    List.fold_left
+      (fun n gfn ->
+        match P2m.get twin.Vm.p2m gfn with P2m.Present _ -> n | _ -> n + 1)
+      0 gfns
+  in
+  let free = Frame_alloc.free_count twin.Vm.host.Host.alloc in
+  if missing > free then
+    raise
+      (Abort_migration
+         (Printf.sprintf "destination out of frames: %d needed, %d free" missing free));
+  List.iter (copy_page ~vm ~twin) gfns
+
+let copy_vcpus ~(vm : Vm.t) ~(twin : Vm.t) =
+  Array.iteri
+    (fun i (vcpu : Vcpu.t) ->
+      let s = vcpu.Vcpu.state and d = twin.Vm.vcpus.(i).Vcpu.state in
+      Array.blit s.Cpu.regs 0 d.Cpu.regs 0 (Array.length s.Cpu.regs);
+      Array.blit s.Cpu.csrs 0 d.Cpu.csrs 0 (Array.length s.Cpu.csrs);
+      d.Cpu.pc <- s.Cpu.pc;
+      d.Cpu.mode <- s.Cpu.mode;
+      d.Cpu.halted <- s.Cpu.halted;
+      d.Cpu.waiting <- s.Cpu.waiting;
+      d.Cpu.instret <- s.Cpu.instret)
+    vm.Vm.vcpus
+
+(* A migrating guest's vCPUs also take their run states along. *)
+let move_vcpus ~(vm : Vm.t) ~(twin : Vm.t) =
+  copy_vcpus ~vm ~twin;
+  Array.iteri
+    (fun i (vcpu : Vcpu.t) -> twin.Vm.vcpus.(i).Vcpu.runstate <- vcpu.Vcpu.runstate)
+    vm.Vm.vcpus
 
 let present_gfns (vm : Vm.t) =
   P2m.fold_present vm.Vm.p2m ~init:[] ~f:(fun acc ~gfn ~hpa_ppn:_ -> gfn :: acc)
@@ -89,113 +244,6 @@ let finish ~src ~vm ~(twin : Vm.t) =
     (fun vcpu -> if Vcpu.is_runnable vcpu then vcpu.Vcpu.runstate <- Vcpu.Runnable)
     twin.Vm.vcpus
 
-let transfer_pages_cycles link n =
-  Link.transfer_cycles link ~bytes:(n * page_wire_bytes)
-
-(* ---- reliable transfer (used when a fault plan is active) ----
-
-   Each page travels as one frame: [seq:8][body][fnv1a-checksum:8], the
-   checksum covering everything before it.  The receiver NACKs frames
-   whose checksum fails and dedups by sequence number (retransmits reuse
-   the page's seq, so a delayed original and its retransmit cannot both
-   apply).  The sender retries on timeout/NACK with exponential backoff,
-   bounded by [max_attempts]; exhaustion aborts the migration. *)
-
-exception Abort_migration of string
-
-type xfer = {
-  x_link : Link.t;
-  x_faults : Fault.t;
-  mutable x_clock : int64; (* cumulative wire time of this migration *)
-  mutable x_retx : int;
-  mutable x_bytes : int;
-  x_seen : (int, unit) Hashtbl.t; (* receiver-side dedup by seq *)
-  mutable x_next_seq : int;
-  x_max_attempts : int;
-}
-
-let make_xfer ~link ~faults =
-  {
-    x_link = link;
-    x_faults = faults;
-    x_clock = 0L;
-    x_retx = 0;
-    x_bytes = 0;
-    x_seen = Hashtbl.create 1024;
-    x_next_seq = 0;
-    x_max_attempts = 8;
-  }
-
-let frame_of ~seq body =
-  let n = Bytes.length body in
-  let b = Bytes.create (n + 16) in
-  Bytes.set_int64_le b 0 (Int64.of_int seq);
-  Bytes.blit body 0 b 8 n;
-  Bytes.set_int64_le b (n + 8) (Fnv.hash_bytes ~pos:0 ~len:(n + 8) b);
-  Bytes.to_string b
-
-(* [None] = corrupted (checksum mismatch); [Some seq] otherwise. *)
-let decode_frame s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  if n < 16 then None
-  else if Bytes.get_int64_le b (n - 8) <> Fnv.hash_bytes ~pos:0 ~len:(n - 8) b then
-    None
-  else Some (Int64.to_int (Bytes.get_int64_le b 0))
-
-let backoff_cycles x n =
-  let base = max 64 (Link.latency_cycles x.x_link / 2) in
-  min (base * (1 lsl min (n - 1) 8)) (base * 256)
-
-(* Push one body through the link until the receiver has it, advancing
-   the migration clock by the real wire time, ack latencies, and any
-   backoff waits.  @raise Abort_migration when attempts exhaust. *)
-let send_reliable x ~body =
-  let seq = x.x_next_seq in
-  x.x_next_seq <- seq + 1;
-  let frame = frame_of ~seq body in
-  let len = String.length frame in
-  let ack_lat = Int64.of_int (Link.latency_cycles x.x_link) in
-  let rec attempt n =
-    if n > x.x_max_attempts then
-      raise (Abort_migration (Printf.sprintf "page seq %d: retries exhausted" seq));
-    if n > 1 then x.x_retx <- x.x_retx + 1;
-    x.x_bytes <- x.x_bytes + len;
-    let t0 = x.x_clock in
-    ignore (Link.send x.x_link ~from:`A ~now:t0 ~payload:frame);
-    let expected =
-      Int64.add t0 (Int64.of_int (Link.transfer_cycles x.x_link ~bytes:len))
-    in
-    List.iter
-      (fun s ->
-        match decode_frame s with
-        | None -> Fault.observe x.x_faults Fault.Corrupt
-        | Some seq' ->
-            if Hashtbl.mem x.x_seen seq' then Fault.observe x.x_faults Fault.Duplicate
-            else Hashtbl.add x.x_seen seq' ())
-      (Link.poll x.x_link ~at:`B ~now:expected);
-    if Hashtbl.mem x.x_seen seq then x.x_clock <- Int64.add expected ack_lat
-    else begin
-      (* Timeout (drop/partition/late frame) or NACK (corruption): wait
-         out the ack window plus a growing backoff, then retransmit. *)
-      x.x_clock <-
-        Int64.add (Int64.add expected ack_lat)
-          (Int64.of_int (backoff_cycles x n));
-      attempt (n + 1)
-    end
-  in
-  attempt 1
-
-let send_page_reliable x ~vm ~twin gfn =
-  match Vm.resolve_read vm gfn with
-  | None -> ()
-  | Some ppn ->
-      send_reliable x ~body:(Phys_mem.frame_read vm.Vm.host.Host.mem ~ppn);
-      ignore (copy_page ~vm ~twin gfn)
-
-let send_vcpus_reliable x =
-  send_reliable x ~body:(Bytes.make (vcpu_state_bytes - 16) 'V')
-
 let rollback ~dst ~twin reason =
   Log.warn (fun m ->
       m "migration aborted (%s): rolling back, source resumes" reason);
@@ -208,106 +256,65 @@ let trace_round ~src (vm : Vm.t) ~round ~pages =
         (Trace.Migration_round { round; pages })
   | None -> ()
 
+let result w ~rounds ~downtime ~aborted =
+  {
+    total_cycles = Wire.clock w;
+    downtime_cycles = downtime;
+    pages_sent = Wire.pages_sent w;
+    bytes_sent = Wire.bytes_sent w;
+    rounds;
+    remote_faults = 0;
+    retransmits = Wire.retransmits w;
+    aborted;
+  }
+
 let stop_and_copy ?(compress = false) ?faults ~src ~dst ~vm ~link () =
   let faults = match faults with Some f -> f | None -> Link.faults link in
-  let twin = make_twin ~dst ~vm in
+  let twin = make_twin ~dst ~vm ~name:vm.Vm.name in
+  let w = Wire.create ~link ~faults ~compress () in
   let gfns = present_gfns vm in
-  if not (Fault.active faults) then begin
-    let bytes = wire_bytes ~compress vm gfns + vcpu_state_bytes in
-    List.iter (fun gfn -> ignore (copy_page ~vm ~twin gfn)) gfns;
-    Array.iteri
-      (fun i vcpu -> copy_vcpu_state ~src:vcpu ~dst:twin.Vm.vcpus.(i))
-      vm.Vm.vcpus;
-    let pages = List.length gfns in
-    let cycles = Int64.of_int (Link.transfer_cycles link ~bytes) in
-    trace_round ~src vm ~round:1 ~pages;
+  try
+    Wire.ship w ~vm ~vcpus:true gfns;
+    apply ~vm ~twin gfns;
+    move_vcpus ~vm ~twin;
+    trace_round ~src vm ~round:1 ~pages:(List.length gfns);
     finish ~src ~vm ~twin;
-    ( twin,
-      {
-        total_cycles = cycles;
-        downtime_cycles = cycles;
-        pages_sent = pages;
-        bytes_sent = bytes;
-        rounds = 1;
-        remote_faults = 0;
-        retransmits = 0;
-        aborted = false;
-      } )
-  end
-  else begin
-    let x = make_xfer ~link ~faults in
-    let pages = ref 0 in
-    try
-      List.iter
-        (fun gfn ->
-          send_page_reliable x ~vm ~twin gfn;
-          incr pages)
-        gfns;
-      send_vcpus_reliable x;
-      Array.iteri
-        (fun i vcpu -> copy_vcpu_state ~src:vcpu ~dst:twin.Vm.vcpus.(i))
-        vm.Vm.vcpus;
-      trace_round ~src vm ~round:1 ~pages:!pages;
-      finish ~src ~vm ~twin;
-      ( twin,
-        {
-          total_cycles = x.x_clock;
-          downtime_cycles = x.x_clock;
-          pages_sent = !pages;
-          bytes_sent = x.x_bytes;
-          rounds = 1;
-          remote_faults = 0;
-          retransmits = x.x_retx;
-          aborted = false;
-        } )
-    with Abort_migration reason ->
-      rollback ~dst ~twin reason;
-      ( vm,
-        {
-          total_cycles = x.x_clock;
-          downtime_cycles = 0L;
-          pages_sent = !pages;
-          bytes_sent = x.x_bytes;
-          rounds = 1;
-          remote_faults = 0;
-          retransmits = x.x_retx;
-          aborted = true;
-        } )
-  end
+    (twin, result w ~rounds:1 ~downtime:(Wire.clock w) ~aborted:false)
+  with Abort_migration reason ->
+    rollback ~dst ~twin reason;
+    (vm, result w ~rounds:1 ~downtime:0L ~aborted:true)
 
 let precopy ?(compress = false) ?faults ?watchdog_cycles ~src ~dst ~vm ~link
     ?(max_rounds = 8) ?(stop_threshold = 64) () =
   let faults = match faults with Some f -> f | None -> Link.faults link in
-  let twin = make_twin ~dst ~vm in
-  if not (Fault.active faults) then begin
-    Vm.start_dirty_logging vm;
-    let total = ref 0L in
-    let pages = ref 0 in
-    let bytes_total = ref 0 in
-    let rounds = ref 0 in
+  let twin = make_twin ~dst ~vm ~name:vm.Vm.name in
+  let w = Wire.create ~link ~faults ~compress () in
+  Vm.start_dirty_logging vm;
+  let rounds = ref 0 in
+  try
     let rec round to_send prev_count =
       incr rounds;
       Log.debug (fun m ->
           m "precopy %s: round %d, %d pages" vm.Vm.name !rounds (List.length to_send));
-      let round_bytes = wire_bytes ~compress vm to_send in
-      bytes_total := !bytes_total + round_bytes;
-      List.iter (fun gfn -> ignore (copy_page ~vm ~twin gfn)) to_send;
-      let n = List.length to_send in
-      pages := !pages + n;
-      trace_round ~src vm ~round:!rounds ~pages:n;
-      let cycles = Link.transfer_cycles link ~bytes:round_bytes in
-      ignore (transfer_pages_cycles link n);
-      total := Int64.add !total (Int64.of_int cycles);
+      let t0 = Wire.clock w in
+      Wire.ship w ~vm ~vcpus:false to_send;
+      apply ~vm ~twin to_send;
+      trace_round ~src vm ~round:!rounds ~pages:(List.length to_send);
       (* The guest executes on the source while this round is on the
-         wire, dirtying pages that the next round must re-send. *)
-      Hypervisor.run_vm src vm ~cycles:(Int64.of_int cycles);
+         wire — retransmits and backoff included — dirtying pages that
+         the next round must re-send, so loss directly degrades
+         convergence. *)
+      Hypervisor.run_vm src vm ~cycles:(Int64.sub (Wire.clock w) t0);
       let dirty = Vm.collect_dirty vm ~clear:false in
       (* Re-arm write protection for the next epoch (clears the bitmap). *)
       Vm.start_dirty_logging vm;
       let count = List.length dirty in
+      (* Convergence watchdog: when the budget is spent, stop iterating
+         and freeze now rather than chase a dirty set that slow rounds
+         may never shrink. *)
       let over_budget =
         match watchdog_cycles with
-        | Some w -> Int64.unsigned_compare !total w > 0
+        | Some wd -> Int64.unsigned_compare (Wire.clock w) wd > 0
         | None -> false
       in
       if count = 0 then []
@@ -319,121 +326,30 @@ let precopy ?(compress = false) ?faults ?watchdog_cycles ~src ~dst ~vm ~link
     in
     let residue = round (present_gfns vm) max_int in
     (* Stop phase: guest frozen, send the residual dirty set + vCPU state. *)
-    let residue_bytes = wire_bytes ~compress vm residue + vcpu_state_bytes in
-    bytes_total := !bytes_total + residue_bytes;
-    List.iter (fun gfn -> ignore (copy_page ~vm ~twin gfn)) residue;
-    let n = List.length residue in
-    pages := !pages + n;
-    let downtime = Int64.of_int (Link.transfer_cycles link ~bytes:residue_bytes) in
-    total := Int64.add !total downtime;
+    let t0 = Wire.clock w in
+    Wire.ship w ~vm ~vcpus:true residue;
+    let downtime = Int64.sub (Wire.clock w) t0 in
+    apply ~vm ~twin residue;
     Vm.stop_dirty_logging vm;
-    Array.iteri
-      (fun i vcpu -> copy_vcpu_state ~src:vcpu ~dst:twin.Vm.vcpus.(i))
-      vm.Vm.vcpus;
+    move_vcpus ~vm ~twin;
     finish ~src ~vm ~twin;
-    ( twin,
-      {
-        total_cycles = !total;
-        downtime_cycles = downtime;
-        pages_sent = !pages;
-        bytes_sent = !bytes_total;
-        rounds = !rounds;
-        remote_faults = 0;
-        retransmits = 0;
-        aborted = false;
-      } )
-  end
-  else begin
-    (* Lossy link: page transfer goes through the reliable layer.  Round
-       wire time — retransmits and backoff included — is exactly the time
-       the guest keeps executing (and dirtying) on the source, so loss
-       directly degrades convergence.  Zero-page compression is skipped:
-       every frame carries its full body so checksums protect real
-       content. *)
-    let x = make_xfer ~link ~faults in
-    Vm.start_dirty_logging vm;
-    let pages = ref 0 in
-    let rounds = ref 0 in
-    try
-      let rec round to_send prev_count =
-        incr rounds;
-        Log.debug (fun m ->
-            m "precopy %s (lossy): round %d, %d pages" vm.Vm.name !rounds
-              (List.length to_send));
-        let t_before = x.x_clock in
-        List.iter (fun gfn -> send_page_reliable x ~vm ~twin gfn) to_send;
-        pages := !pages + List.length to_send;
-        trace_round ~src vm ~round:!rounds ~pages:(List.length to_send);
-        Hypervisor.run_vm src vm ~cycles:(Int64.sub x.x_clock t_before);
-        let dirty = Vm.collect_dirty vm ~clear:false in
-        Vm.start_dirty_logging vm;
-        let count = List.length dirty in
-        (* Convergence watchdog: when the budget is spent, stop iterating
-           and freeze now rather than chase a dirty set that loss-induced
-           slow rounds may never shrink. *)
-        let over_budget =
-          match watchdog_cycles with
-          | Some w -> Int64.unsigned_compare x.x_clock w > 0
-          | None -> false
-        in
-        if count = 0 then []
-        else if
-          !rounds >= max_rounds || count <= stop_threshold || count >= prev_count
-          || over_budget
-        then dirty
-        else round dirty count
-      in
-      let residue = round (present_gfns vm) max_int in
-      let t_before = x.x_clock in
-      List.iter (fun gfn -> send_page_reliable x ~vm ~twin gfn) residue;
-      pages := !pages + List.length residue;
-      send_vcpus_reliable x;
-      let downtime = Int64.sub x.x_clock t_before in
-      Vm.stop_dirty_logging vm;
-      Array.iteri
-        (fun i vcpu -> copy_vcpu_state ~src:vcpu ~dst:twin.Vm.vcpus.(i))
-        vm.Vm.vcpus;
-      finish ~src ~vm ~twin;
-      ( twin,
-        {
-          total_cycles = x.x_clock;
-          downtime_cycles = downtime;
-          pages_sent = !pages;
-          bytes_sent = x.x_bytes;
-          rounds = !rounds;
-          remote_faults = 0;
-          retransmits = x.x_retx;
-          aborted = false;
-        } )
-    with Abort_migration reason ->
-      (* Rollback: the source keeps running with dirty logging off; the
-         destination twin — and every frame it allocated — is discarded. *)
-      Vm.stop_dirty_logging vm;
-      rollback ~dst ~twin reason;
-      ( vm,
-        {
-          total_cycles = x.x_clock;
-          downtime_cycles = 0L;
-          pages_sent = !pages;
-          bytes_sent = x.x_bytes;
-          rounds = !rounds;
-          remote_faults = 0;
-          retransmits = x.x_retx;
-          aborted = true;
-        } )
-  end
+    (twin, result w ~rounds:!rounds ~downtime ~aborted:false)
+  with Abort_migration reason ->
+    (* Rollback: the source keeps running with dirty logging off; the
+       destination twin — and every frame it allocated — is discarded. *)
+    Vm.stop_dirty_logging vm;
+    rollback ~dst ~twin reason;
+    (vm, result w ~rounds:!rounds ~downtime:0L ~aborted:true)
 
 let postcopy ~src ~dst ~vm ~link ?(push_batch = 32) () =
-  let twin = make_twin ~dst ~vm in
+  let twin = make_twin ~dst ~vm ~name:vm.Vm.name in
   (* Freeze: ship only the vCPU state; every present page becomes Remote
      on the destination. *)
   let downtime = Int64.of_int (Link.transfer_cycles link ~bytes:vcpu_state_bytes) in
   let gfns = present_gfns vm in
   trace_round ~src vm ~round:1 ~pages:(List.length gfns);
   List.iter (fun gfn -> P2m.set twin.Vm.p2m gfn P2m.Remote) gfns;
-  Array.iteri
-    (fun i vcpu -> copy_vcpu_state ~src:vcpu ~dst:twin.Vm.vcpus.(i))
-    vm.Vm.vcpus;
+  move_vcpus ~vm ~twin;
   let pulled = ref 0 in
   twin.Vm.remote_fetch <-
     Some
@@ -460,7 +376,9 @@ let postcopy ~src ~dst ~vm ~link ?(push_batch = 32) () =
              if List.length !batch >= push_batch then raise Exit;
              match entry with P2m.Remote -> batch := gfn :: !batch | _ -> ())
        with Exit -> ());
-      let cycles = transfer_pages_cycles link (List.length !batch) in
+      let cycles =
+        Link.transfer_cycles link ~bytes:(List.length !batch * page_wire_bytes)
+      in
       total := Int64.add !total (Int64.of_int cycles);
       Hypervisor.run_vm dst twin ~cycles:(Int64.of_int cycles);
       (* Whatever is still remote from this batch arrives now. *)
@@ -489,18 +407,3 @@ let postcopy ~src ~dst ~vm ~link ?(push_batch = 32) () =
       retransmits = 0;
       aborted = false;
     } )
-
-(* Reused by {!Replicate} for checkpoint shipping. *)
-module Reliable = struct
-  type t = xfer
-
-  let create ?(now = 0L) ~link ~faults () =
-    let x = make_xfer ~link ~faults in
-    x.x_clock <- now;
-    x
-
-  let send = send_reliable
-  let clock x = x.x_clock
-  let retransmits x = x.x_retx
-  let bytes_sent x = x.x_bytes
-end

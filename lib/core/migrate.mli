@@ -16,10 +16,14 @@
       arrives.
 
     Storage is modelled as shared (network-attached); only memory and
-    vCPU state move.  Transfer times are charged through the
-    {!Velum_devices.Link} bandwidth/latency model, and the source VM
-    executes on its hypervisor for the duration of each transfer round,
-    so dirtying happens at the guest's natural rate. *)
+    vCPU state move.  Stop-and-copy and pre-copy ship every batch on one
+    {!Wire}, which charges it through the {!Velum_devices.Link}
+    bandwidth/latency model — ideally, or frame by frame with
+    retransmits when a fault plan is active — and then {!apply} it to
+    the destination twin.  The source VM executes on its hypervisor for
+    the duration of each transfer round, so dirtying happens at the
+    guest's natural rate.  {!Replicate} ships its checkpoints the same
+    way.  Post-copy keeps the ideal cost model. *)
 
 open Velum_devices
 
@@ -38,32 +42,69 @@ type result = {
 val page_wire_bytes : int
 (** Bytes on the wire per page (page + header). *)
 
-exception Abort_migration of string
-(** Raised internally when reliable-transfer retries exhaust; escapes
-    only from {!Reliable.send}. *)
+val vcpu_state_bytes : int
+(** Bytes on the wire for the vCPU record. *)
 
-(** The reliable-delivery channel the lossy paths use: frames carry a
-    sequence number and an FNV-1a checksum; the receiver NACKs corrupted
-    frames and dedups retransmits; the sender retries with exponential
-    backoff.  Exposed so {!Replicate} ships checkpoints over the same
-    protocol. *)
-module Reliable : sig
+exception Abort_migration of string
+(** A batch could not be delivered or applied: the reliable wire's
+    retries exhausted, or the destination host is short of frames.
+    Raised by {!Wire.ship} and {!apply}; the strategies catch it and roll
+    back. *)
+
+(** The one transport every migration strategy and every replication
+    checkpoint ships over.  It picks its cost model once, at {!create},
+    from {!Velum_util.Fault.active}:
+
+    - {e ideal} (no active plan): a batch costs one
+      {!Velum_devices.Link.transfer_cycles} over its wire footprint —
+      zero pages elided to a 24-byte marker under [compress] — plus
+      {!vcpu_state_bytes} when it carries the vCPU record;
+    - {e reliable} (an active plan): each page and the vCPU record travel
+      as one frame carrying a sequence number and an FNV-1a checksum; the
+      receiver NACKs corrupted frames and dedups retransmits; the sender
+      retries with exponential backoff.  No compression.
+
+    Both advance one clock and one byte counter. *)
+module Wire : sig
   type t
 
-  val create : ?now:int64 -> link:Link.t -> faults:Velum_util.Fault.t -> unit -> t
-  (** [now] seeds the channel clock (so cycle-windowed faults line up
-      with session time); default [0L]. *)
+  val create :
+    ?now:int64 -> link:Link.t -> faults:Velum_util.Fault.t -> compress:bool -> unit -> t
+  (** [now] seeds the clock (so cycle-windowed faults line up with
+      session time); default [0L]. *)
 
-  val send : t -> body:Bytes.t -> unit
-  (** Deliver one body, advancing the channel clock by wire time, ack
-      latencies, and backoff waits.
+  val ship : t -> vm:Vm.t -> vcpus:bool -> int64 list -> unit
+  (** Ship the current contents of these gfns of [vm], then the vCPU
+      record when [vcpus].  Nothing reaches a twin; see {!apply}.
 
-      @raise Abort_migration when attempts exhaust. *)
+      @raise Abort_migration when reliable retries exhaust. *)
 
   val clock : t -> int64
-  val retransmits : t -> int
+
   val bytes_sent : t -> int
+  (** Everything that went on the wire, retransmitted frames included. *)
+
+  val pages_sent : t -> int
+  val retransmits : t -> int
 end
+
+val make_twin : dst:Hypervisor.t -> vm:Vm.t -> name:string -> Vm.t
+(** A VM on [dst] shaped like [vm] (frames, vCPUs, paging, PV, engine)
+    with an unpopulated p2m. *)
+
+val present_gfns : Vm.t -> int64 list
+(** Every present gfn, ascending. *)
+
+val apply : vm:Vm.t -> twin:Vm.t -> int64 list -> unit
+(** Copy a shipped batch of pages from [vm] into [twin], all or nothing:
+    the twin's host must have a free frame for every gfn the twin does
+    not hold yet, checked before anything is copied.
+
+    @raise Abort_migration when it does not. *)
+
+val copy_vcpus : vm:Vm.t -> twin:Vm.t -> unit
+(** Copy every vCPU's architectural state.  Run states stay as they are:
+    a replication backup stays blocked until failover. *)
 
 val stop_and_copy :
   ?compress:bool ->
@@ -77,13 +118,11 @@ val stop_and_copy :
 (** [compress] elides all-zero pages to a 24-byte wire marker (default
     false).
 
-    [faults] defaults to the plan attached to [link].  When it is active,
-    pages travel through a reliable layer: each frame carries a sequence
-    number and an FNV-1a checksum, corrupted frames are NACKed, lost
-    frames retransmitted with exponential backoff, duplicates deduped.
-    Retry exhaustion aborts: the returned VM is then the {e source}
-    (resumed, untouched) and the destination twin is destroyed, its
-    frames reclaimed — check [aborted]. *)
+    [faults] defaults to the plan attached to [link]; it picks the
+    {!Wire}'s cost model.  Retry exhaustion, or a destination short of
+    frames, aborts: the returned VM is then the {e source} (resumed,
+    untouched) and the destination twin is destroyed, its frames
+    reclaimed — check [aborted]. *)
 
 val precopy :
   ?compress:bool ->

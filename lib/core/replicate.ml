@@ -12,8 +12,9 @@ type session = {
   faults : Fault.t;
   mutable epochs_completed : int;
   mutable pages_sent : int;
-  mutable initial_pages : int;
-  mutable initial_sync_cycles : int64;
+  initial_pages : int;
+  initial_sync_cycles : int64;
+  mutable bytes_sent : int;
   mutable paused_cycles : int64;
   mutable run_cycles : int64;
   mutable retransmits : int;
@@ -36,90 +37,39 @@ type stats = {
 
 type epoch_outcome = Committed | Link_failed
 
-let vcpu_state_bytes = 1024
-
-let copy_page (s : session) gfn =
-  match Vm.resolve_read s.vm gfn with
-  | None -> ()
-  | Some src_ppn -> (
-      let dst_ppn =
-        match P2m.get s.twin.Vm.p2m gfn with
-        | P2m.Present { hpa_ppn; _ } -> Some hpa_ppn
-        | _ -> (
-            match Frame_alloc.alloc s.twin.Vm.host.Host.alloc with
-            | Some ppn ->
-                P2m.set s.twin.Vm.p2m gfn
-                  (P2m.Present { hpa_ppn = ppn; writable = true; cow = false });
-                Some ppn
-            | None -> None)
-      in
-      match dst_ppn with
-      | None -> ()
-      | Some dst_ppn ->
-          Phys_mem.blit_between ~src:s.vm.Vm.host.Host.mem ~src_ppn
-            ~dst:s.twin.Vm.host.Host.mem ~dst_ppn;
-          s.pages_sent <- s.pages_sent + 1)
-
-let copy_vcpus (s : session) =
-  Array.iteri
-    (fun i (vcpu : Vcpu.t) ->
-      let src = vcpu.Vcpu.state and dst = s.twin.Vm.vcpus.(i).Vcpu.state in
-      Array.blit src.Cpu.regs 0 dst.Cpu.regs 0 (Array.length src.Cpu.regs);
-      Array.blit src.Cpu.csrs 0 dst.Cpu.csrs 0 (Array.length src.Cpu.csrs);
-      dst.Cpu.pc <- src.Cpu.pc;
-      dst.Cpu.mode <- src.Cpu.mode;
-      dst.Cpu.halted <- src.Cpu.halted;
-      dst.Cpu.waiting <- src.Cpu.waiting;
-      dst.Cpu.instret <- src.Cpu.instret)
-    s.vm.Vm.vcpus
-
-let transfer_cycles (s : session) ~pages =
-  Int64.of_int
-    (Link.transfer_cycles s.link
-       ~bytes:((pages * Migrate.page_wire_bytes) + vcpu_state_bytes))
-
 let start ?faults ~primary ~backup ~vm ~link () =
   let faults = match faults with Some f -> f | None -> Link.faults link in
-  let twin =
-    Hypervisor.create_vm backup ~name:(vm.Vm.name ^ "-backup")
-      ~mem_frames:(Vm.mem_frames vm)
-      ~vcpu_count:(Array.length vm.Vm.vcpus)
-      ~paging:vm.Vm.paging ~pv:vm.Vm.pv ~exec_mode:vm.Vm.exec_mode
-      ~engine:(Vm.engine_kind vm) ~populate:false ~entry:0L ()
-  in
+  let twin = Migrate.make_twin ~dst:backup ~vm ~name:(vm.Vm.name ^ "-backup") in
   (* the backup must not run until failover *)
   Array.iter (fun v -> Vcpu.block v) twin.Vm.vcpus;
-  let s =
-    {
-      primary;
-      backup;
-      vm;
-      twin;
-      link;
-      faults;
-      epochs_completed = 0;
-      pages_sent = 0;
-      initial_pages = 0;
-      initial_sync_cycles = 0L;
-      paused_cycles = 0L;
-      run_cycles = 0L;
-      retransmits = 0;
-      link_failed = false;
-      finished = false;
-      failed_over = None;
-    }
-  in
-  (* initial full synchronization with the guest paused *)
-  let gfns =
-    P2m.fold_present vm.Vm.p2m ~init:[] ~f:(fun acc ~gfn ~hpa_ppn:_ -> gfn :: acc)
-  in
-  List.iter (copy_page s) gfns;
-  copy_vcpus s;
-  s.initial_pages <- List.length gfns;
-  s.pages_sent <- 0 (* epoch accounting starts after the full sync *);
-  s.initial_sync_cycles <- transfer_cycles s ~pages:s.initial_pages;
+  (* Initial full synchronization with the guest paused.  It is assumed
+     reliable, so it ships on an ideal wire whatever the fault plan, in
+     descending gfn order. *)
+  let gfns = List.rev (Migrate.present_gfns vm) in
+  let w = Migrate.Wire.create ~link ~faults:(Fault.none ()) ~compress:false () in
+  Migrate.Wire.ship w ~vm ~vcpus:true gfns;
+  Migrate.apply ~vm ~twin gfns;
+  Migrate.copy_vcpus ~vm ~twin;
   Vm.start_dirty_logging vm;
-  s
+  {
+    primary;
+    backup;
+    vm;
+    twin;
+    link;
+    faults;
+    epochs_completed = 0;
+    pages_sent = 0;
+    initial_pages = List.length gfns;
+    initial_sync_cycles = Migrate.Wire.clock w;
+    bytes_sent = Migrate.Wire.bytes_sent w;
+    paused_cycles = 0L;
+    run_cycles = 0L;
+    retransmits = 0;
+    link_failed = false;
+    finished = false;
+    failed_over = None;
+  }
 
 (* Session time drives cycle-windowed faults (a "link dies at cycle C"
    plan), so a checkpoint started after C reliably fails. *)
@@ -134,47 +84,31 @@ let epoch (s : session) ~run_cycles =
     s.run_cycles <- Int64.add s.run_cycles run_cycles;
     let dirty = Vm.collect_dirty s.vm ~clear:false in
     Vm.start_dirty_logging s.vm (* re-arm write protection, clear bitmap *);
-    if not (Fault.active s.faults) then begin
-      List.iter (copy_page s) dirty;
-      copy_vcpus s;
-      s.paused_cycles <-
-        Int64.add s.paused_cycles (transfer_cycles s ~pages:(List.length dirty));
-      s.epochs_completed <- s.epochs_completed + 1;
-      Committed
-    end
-    else begin
-      (* Checkpoint commit must be atomic: ship every page plus the vCPU
-         record through the reliable channel first (dropped acks are
-         retransmitted; the backup dedups by sequence number and re-acks)
-         and only then apply to the twin.  If retries exhaust, nothing is
-         applied — the backup stays at the last completed checkpoint. *)
-      let now = elapsed s in
-      let ch = Migrate.Reliable.create ~now ~link:s.link ~faults:s.faults () in
-      let outcome =
-        try
-          List.iter
-            (fun gfn ->
-              match Vm.resolve_read s.vm gfn with
-              | None -> ()
-              | Some ppn ->
-                  Migrate.Reliable.send ch
-                    ~body:(Phys_mem.frame_read s.vm.Vm.host.Host.mem ~ppn))
-            dirty;
-          Migrate.Reliable.send ch ~body:(Bytes.make (vcpu_state_bytes - 16) 'V');
-          Committed
-        with Migrate.Abort_migration _ -> Link_failed
-      in
-      s.retransmits <- s.retransmits + Migrate.Reliable.retransmits ch;
-      s.paused_cycles <-
-        Int64.add s.paused_cycles (Int64.sub (Migrate.Reliable.clock ch) now);
-      (match outcome with
-      | Committed ->
-          List.iter (copy_page s) dirty;
-          copy_vcpus s;
-          s.epochs_completed <- s.epochs_completed + 1
-      | Link_failed -> s.link_failed <- true);
-      outcome
-    end
+    (* Checkpoint commit must be atomic: ship every page plus the vCPU
+       record first (on a lossy link dropped acks are retransmitted; the
+       backup dedups by sequence number and re-acks) and only then apply
+       to the twin.  If retries exhaust, or the backup host is short of
+       frames, nothing is applied — the backup stays at the last
+       completed checkpoint. *)
+    let now = elapsed s in
+    let w = Migrate.Wire.create ~now ~link:s.link ~faults:s.faults ~compress:false () in
+    let outcome =
+      try
+        Migrate.Wire.ship w ~vm:s.vm ~vcpus:true dirty;
+        Migrate.apply ~vm:s.vm ~twin:s.twin dirty;
+        Migrate.copy_vcpus ~vm:s.vm ~twin:s.twin;
+        Committed
+      with Migrate.Abort_migration _ -> Link_failed
+    in
+    s.retransmits <- s.retransmits + Migrate.Wire.retransmits w;
+    s.bytes_sent <- s.bytes_sent + Migrate.Wire.bytes_sent w;
+    s.paused_cycles <- Int64.add s.paused_cycles (Int64.sub (Migrate.Wire.clock w) now);
+    (match outcome with
+    | Committed ->
+        s.pages_sent <- s.pages_sent + List.length dirty;
+        s.epochs_completed <- s.epochs_completed + 1
+    | Link_failed -> s.link_failed <- true);
+    outcome
   end
 
 let stats (s : session) =
@@ -183,9 +117,7 @@ let stats (s : session) =
     pages_sent = s.pages_sent;
     initial_pages = s.initial_pages;
     initial_sync_cycles = s.initial_sync_cycles;
-    bytes_sent =
-      ((s.pages_sent + s.initial_pages) * Migrate.page_wire_bytes)
-      + ((s.epochs_completed + 1) * vcpu_state_bytes);
+    bytes_sent = s.bytes_sent;
     paused_cycles = s.paused_cycles;
     run_cycles = s.run_cycles;
     retransmits = s.retransmits;

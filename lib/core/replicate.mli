@@ -10,7 +10,13 @@
     The trade-off this module lets the benchmarks quantify: shorter
     epochs bound the failover loss window but pause the guest more often
     (checkpoint overhead grows), exactly the knob the Remus paper
-    (NSDI'08) evaluates. *)
+    (NSDI'08) evaluates.
+
+    Checkpoints travel the way migrations do: each epoch ships its batch
+    on a fresh {!Migrate.Wire} and then {!Migrate.apply}s it to a twin
+    made by {!Migrate.make_twin}.  The one difference is that the twin's
+    vCPU run states never travel: the backup stays blocked until
+    {!failover}.  This module is the layer {!Ha.Failover} builds on. *)
 
 open Velum_devices
 
@@ -21,7 +27,9 @@ type stats = {
   pages_sent : int;  (** epoch checkpoints only *)
   initial_pages : int;  (** the one-time full synchronization *)
   initial_sync_cycles : int64;
-  bytes_sent : int;  (** everything, including the full sync *)
+  bytes_sent : int;
+      (** everything on the wire, including the full sync and
+          retransmitted frames *)
   paused_cycles : int64;  (** guest stopped while epoch checkpoints
                               shipped (full sync excluded) *)
   run_cycles : int64;  (** guest execution between checkpoints *)
@@ -44,17 +52,21 @@ val start :
 (** Full initial synchronization (guest paused), then dirty logging is
     armed and the VM keeps running on the primary.  The backup twin is
     created blocked — it must not execute while the primary lives.
-    [faults] defaults to the plan attached to [link]; when active,
-    checkpoints ship over {!Migrate.Reliable} with session-cycle
-    timestamps, so cycle-windowed link death lands at a predictable
-    epoch. *)
+    [faults] defaults to the plan attached to [link]; it picks each
+    checkpoint wire's cost model.  Wires start at session time, so
+    cycle-windowed link death lands at a predictable epoch.  The full
+    sync itself is assumed reliable and ships on an ideal wire.
+
+    @raise Migrate.Abort_migration if the backup host has too few free
+    frames to hold the VM. *)
 
 val epoch : session -> run_cycles:int64 -> epoch_outcome
 (** Run the guest for [run_cycles] on the primary, then pause it for the
     time the epoch's dirty pages + vCPU state occupy the wire, applying
-    them to the backup.  Application is atomic: on [Link_failed] the
-    backup still holds the previous completed checkpoint, and every
-    later call returns [Link_failed] without running the guest. *)
+    them to the backup.  Application is atomic: on [Link_failed] —
+    retries exhausted, or the backup host short of frames — the backup
+    still holds the previous completed checkpoint, and every later call
+    returns [Link_failed] without running the guest. *)
 
 val stats : session -> stats
 

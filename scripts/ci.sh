@@ -104,6 +104,13 @@ diff "$tmp/e16a.txt" "$tmp/e16b.txt" || {
   echo "FAIL: E16 output diverged between identical-seed runs"; exit 1; }
 cp "$tmp/BENCH_fault.ref.json" BENCH_fault.json
 
+# The quick runs above only prove determinism.  The full E16 is all
+# simulated numbers (retransmits, rollback, failover epochs), so it must
+# regenerate the committed BENCH_fault.json byte for byte.
+dune exec bench/main.exe -- --only E16 >"$tmp/e16.txt"
+diff "$tmp/BENCH_fault.ref.json" BENCH_fault.json || {
+  echo "FAIL: BENCH_fault.json diverged from the committed copy"; exit 1; }
+
 echo "== crash-recovery matrix (EVERY power-failure offset) =="
 # Cut the write stream at EVERY byte offset — of a delta commit and of
 # a GC compaction — and verify each cut recovers the newest complete

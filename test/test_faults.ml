@@ -1,8 +1,10 @@
 (* Fault injection and recovery: the link fault plan is exact and
    deterministic (qcheck over random seeds and probabilities), lossy
    migration converges to a state bit-identical to the fault-free run,
-   a dead link aborts with a clean rollback, and replication fails over
-   to the last *completed* checkpoint whatever cycle the link dies at. *)
+   a dead link or a destination short of frames aborts with a clean
+   rollback, both transports' results are pinned, and replication fails
+   over to the last *completed* checkpoint whatever cycle the link dies
+   at. *)
 
 open Velum_machine
 open Velum_devices
@@ -110,20 +112,27 @@ let mig_setup () =
   Images.plan ~heap_pages:64
     ~user:(Workloads.memwalk ~pages:32 ~iters:5000 ~write:true) ()
 
-(* Boot the guest partway, then migrate under [faults] and run whichever
-   copy survives to completion.  Returns the final (output, instret)
-   plus the migration result. *)
-let migrate_under faults =
+(* Boot the guest partway on a fresh source host. *)
+let boot_source () =
   let setup = mig_setup () in
-  let host_b = Host.create ~frames:(setup.Images.frames + 512) () in
   let src = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) () in
-  let dst = Hypervisor.create ~host:host_b () in
   let vm =
     Hypervisor.create_vm src ~name:"m" ~mem_frames:setup.Images.frames
       ~entry:Images.entry ()
   in
   Images.load_vm vm setup;
   ignore (Hypervisor.run src ~budget:1_000_000L);
+  (src, vm)
+
+let roomy_host () = Host.create ~frames:((mig_setup ()).Images.frames + 512) ()
+
+(* Boot the guest partway, then migrate under [faults] and run whichever
+   copy survives to completion.  Returns the final (output, instret)
+   plus the migration result. *)
+let migrate_under faults =
+  let src, vm = boot_source () in
+  let host_b = roomy_host () in
+  let dst = Hypervisor.create ~host:host_b () in
   let link = Link.create () in
   Link.set_faults link faults;
   let used_before = Frame_alloc.used_count host_b.Host.alloc in
@@ -189,7 +198,148 @@ let migration_deterministic_prop =
       in
       run () = run ())
 
+let precopy ~src ~dst ~vm ~link =
+  Migrate.precopy ~src ~dst ~vm ~link ~max_rounds:12 ~stop_threshold:8 ()
+
+let stop_and_copy ~src ~dst ~vm ~link = Migrate.stop_and_copy ~src ~dst ~vm ~link ()
+
+(* A destination with free frames for only half the guest's pages must
+   abort before copying anything: the source resumes and finishes
+   identically, and the destination gets every frame back. *)
+let test_short_destination_aborts () =
+  let base_out, base_instret = plain_run () in
+  List.iter
+    (fun (name, migrate) ->
+      let src, vm = boot_source () in
+      let present = List.length (Migrate.present_gfns vm) in
+      (* 16 frames are the allocator's reserve *)
+      let host_b = Host.create ~frames:(16 + (present / 2)) () in
+      let dst = Hypervisor.create ~host:host_b () in
+      checkb (name ^ ": destination is short") true
+        (Frame_alloc.free_count host_b.Host.alloc < present);
+      let used_before = Frame_alloc.used_count host_b.Host.alloc in
+      let survivor, r = migrate ~src ~dst ~vm ~link:(Link.create ()) in
+      checkb (name ^ ": aborted") true r.Migrate.aborted;
+      checkb (name ^ ": source survives") true (survivor == vm);
+      checki (name ^ ": destination frames reclaimed") used_before
+        (Frame_alloc.used_count host_b.Host.alloc);
+      (match Hypervisor.run src with
+      | Hypervisor.All_halted -> ()
+      | _ -> Alcotest.fail "source did not halt after the rollback");
+      checks (name ^ ": source output") base_out (Vm.console_output vm);
+      check64 (name ^ ": source instret") base_instret (vm_instret vm))
+    [ ("stop-and-copy", stop_and_copy); ("pre-copy", precopy) ]
+
+(* Seed 42 with a frame drop probability. *)
+let lossy drop =
+  let f = Fault.create ~seed:42L () in
+  Fault.set_prob f Fault.Drop drop;
+  f
+
+let show_result (r : Migrate.result) =
+  Printf.sprintf
+    "total=%Ld down=%Ld pages=%d bytes=%d rounds=%d remote=%d retx=%d aborted=%b"
+    r.Migrate.total_cycles r.Migrate.downtime_cycles r.Migrate.pages_sent
+    r.Migrate.bytes_sent r.Migrate.rounds r.Migrate.remote_faults
+    r.Migrate.retransmits r.Migrate.aborted
+
+let show_stats (st : Replicate.stats) =
+  Printf.sprintf
+    "epochs=%d pages=%d initial=%d sync=%Ld bytes=%d paused=%Ld run=%Ld retx=%d \
+     failed=%b"
+    st.Replicate.epochs_completed st.Replicate.pages_sent st.Replicate.initial_pages
+    st.Replicate.initial_sync_cycles st.Replicate.bytes_sent
+    st.Replicate.paused_cycles st.Replicate.run_cycles st.Replicate.retransmits
+    st.Replicate.link_failed
+
+let migrate_once migrate faults =
+  let src, vm = boot_source () in
+  let dst = Hypervisor.create ~host:(roomy_host ()) () in
+  let link = Link.create () in
+  Link.set_faults link faults;
+  show_result (snd (migrate ~src ~dst ~vm ~link))
+
 (* --- replication: failover lands on the last completed checkpoint --- *)
+
+let rep_setup () =
+  Images.plan ~heap_pages:32 ~user:(Workloads.dirty_loop ~pages:16 ~delay:50) ()
+
+(* A primary booted partway and its backup, on two roomy hosts. *)
+let boot_primary () =
+  let setup = rep_setup () in
+  let host () = Host.create ~frames:(setup.Images.frames + 512) () in
+  let primary = Hypervisor.create ~host:(host ()) () in
+  let backup = Hypervisor.create ~host:(host ()) () in
+  let vm =
+    Hypervisor.create_vm primary ~name:"ha" ~mem_frames:setup.Images.frames
+      ~entry:Images.entry ()
+  in
+  Images.load_vm vm setup;
+  ignore (Hypervisor.run primary ~budget:1_000_000L);
+  (primary, backup, vm)
+
+let protect_under faults =
+  let primary, backup, vm = boot_primary () in
+  let link = Link.create () in
+  Link.set_faults link faults;
+  snd
+    (Replicate.protect ~primary ~backup ~vm ~link ~epoch_cycles:150_000L ~epochs:6 ())
+
+(* [bytes_sent] is read off the wire, so retransmitted frames count. *)
+let test_replication_bytes_on_the_wire () =
+  let st = protect_under (lossy 0.05) in
+  checkb "loss forced retransmits" true (st.Replicate.retransmits > 0);
+  let clean_bytes =
+    ((st.Replicate.pages_sent + st.Replicate.initial_pages) * Migrate.page_wire_bytes)
+    + ((st.Replicate.epochs_completed + 1) * Migrate.vcpu_state_bytes)
+  in
+  checkb "retransmitted frames counted" true (st.Replicate.bytes_sent > clean_bytes)
+
+(* Both transports' results, pinned: any change to either cost model
+   shows here.  The lossy replication's [bytes] includes its one
+   retransmitted page frame. *)
+let test_pinned_results () =
+  let clean () = Fault.none () and drop5 () = lossy 0.05 in
+  let stop_z ~src ~dst ~vm ~link =
+    Migrate.stop_and_copy ~compress:true ~src ~dst ~vm ~link ()
+  in
+  List.iter
+    (fun (name, got, want) -> checks name want (got ()))
+    [
+      ( "stop-and-copy, clean",
+        (fun () -> migrate_once stop_and_copy (clean ())),
+        "total=1923946 down=1923946 pages=584 bytes=2402432 rounds=1 remote=0 \
+         retx=0 aborted=false" );
+      ( "stop-and-copy compressed, clean",
+        (fun () -> migrate_once stop_z (clean ())),
+        "total=148119 down=148119 pages=584 bytes=182648 rounds=1 remote=0 retx=0 \
+         aborted=false" );
+      ( "pre-copy, clean",
+        (fun () -> migrate_once precopy (clean ())),
+        "total=2039794 down=2820 pages=618 bytes=2542240 rounds=2 remote=0 retx=0 \
+         aborted=false" );
+      ( "stop-and-copy, 5% drop",
+        (fun () -> migrate_once stop_and_copy (drop5 ())),
+        "total=4553330 down=4553330 pages=584 bytes=2546352 rounds=1 remote=0 \
+         retx=35 aborted=false" );
+      ( "stop-and-copy compressed, 5% drop",
+        (fun () -> migrate_once stop_z (drop5 ())),
+        "total=4553330 down=4553330 pages=584 bytes=2546352 rounds=1 remote=0 \
+         retx=35 aborted=false" );
+      ( "pre-copy, 5% drop",
+        (fun () -> migrate_once precopy (drop5 ())),
+        "total=4852460 down=10640 pages=618 bytes=2707744 rounds=2 remote=0 \
+         retx=41 aborted=false" );
+      ( "replication, clean",
+        (fun () -> show_stats (protect_under (clean ()))),
+        "epochs=6 pages=96 initial=552 sync=1818679 bytes=2671744 paused=332718 \
+         run=900000 retx=0 failed=false" );
+      ( "replication, 2% drop",
+        (fun () -> show_stats (protect_under (lossy 0.02))),
+        "epochs=6 pages=96 initial=552 sync=1818679 bytes=2675856 paused=737050 \
+         run=900000 retx=1 failed=false" );
+    ]
+
 
 let snap vm =
   Array.map
@@ -203,21 +353,7 @@ let replication_failover_prop =
   QCheck2.Test.make ~count:6 ~name:"failover resumes at last completed checkpoint"
     QCheck2.Gen.(int_range 0 3_000_000)
     (fun death_cycle ->
-      let setup =
-        Images.plan ~heap_pages:32 ~user:(Workloads.dirty_loop ~pages:16 ~delay:50) ()
-      in
-      let primary =
-        Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) ()
-      in
-      let backup =
-        Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) ()
-      in
-      let vm =
-        Hypervisor.create_vm primary ~name:"ha" ~mem_frames:setup.Images.frames
-          ~entry:Images.entry ()
-      in
-      Images.load_vm vm setup;
-      ignore (Hypervisor.run primary ~budget:1_000_000L);
+      let primary, backup, vm = boot_primary () in
       let link = Link.create () in
       let f = Fault.create ~seed:42L () in
       Fault.set_prob f Fault.Drop 0.02;
@@ -248,6 +384,12 @@ let () =
           test_lossy_migration_lockstep
         :: Alcotest.test_case "dead link aborts and rolls back" `Quick
              test_dead_link_rollback
+        :: Alcotest.test_case "short destination aborts" `Quick
+             test_short_destination_aborts
+        :: Alcotest.test_case "both transports pinned" `Quick test_pinned_results
         :: qsuite [ migration_deterministic_prop ] );
-      ("replication", qsuite [ replication_failover_prop ]);
+      ( "replication",
+        Alcotest.test_case "bytes_sent counts retransmits" `Quick
+          test_replication_bytes_on_the_wire
+        :: qsuite [ replication_failover_prop ] );
     ]
