@@ -553,7 +553,7 @@ let e9 () =
     in
     let spec = Placement.default_host in
     let plan = Placement.first_fit_decreasing spec fleet in
-    let report = Placement.cost_savings spec fleet plan () in
+    let report = Placement.cost_savings spec fleet plan in
     let t =
       Tablefmt.create [ ("metric", Tablefmt.Left); ("value", Tablefmt.Right) ]
     in
@@ -1184,12 +1184,6 @@ let a5 () =
 let e16 () =
   if section "E16" "Fault injection: migration and replication on a lossy link" then begin
     let scale l q = if !quick then q else l in
-    let vm_instret vm =
-      Array.fold_left
-        (fun acc (v : Vcpu.t) ->
-          Int64.add acc v.Vcpu.state.Velum_machine.Cpu.instret)
-        0L vm.Vm.vcpus
-    in
     (* --- pre-copy migration vs frame loss rate ----------------------- *)
     let mig_case spec =
       let setup =
@@ -1231,7 +1225,7 @@ let e16 () =
         if r.Migrate.aborted then Vm.console_output survivor
         else Vm.console_output vm ^ Vm.console_output survivor
       in
-      (r, output, vm_instret survivor, reclaimed)
+      (r, output, Vm.instret survivor, reclaimed)
     in
     let rates = scale [ 0.0; 0.01; 0.05; 0.10 ] [ 0.0; 0.05 ] in
     let t =
@@ -1313,9 +1307,9 @@ let e16 () =
           ~epochs:6 ()
       in
       (* the backup must be runnable at the last completed checkpoint *)
-      let before = vm_instret twin in
+      let before = Vm.instret twin in
       ignore (Hypervisor.run backup ~budget:100_000L);
-      if vm_instret twin <= before then
+      if Vm.instret twin <= before then
         failwith "E16: failed-over backup did not execute";
       st
     in
@@ -1394,12 +1388,6 @@ let e17 () =
   if section "E17" "High availability: crash recovery, restart MTTR, failover" then begin
     let scale l q = if !quick then q else l in
     let module Asm = Velum_isa.Asm in
-    let vm_instret vm =
-      Array.fold_left
-        (fun acc (v : Vcpu.t) ->
-          Int64.add acc v.Vcpu.state.Velum_machine.Cpu.instret)
-        0L vm.Vm.vcpus
-    in
     let unikernel hyp name prog =
       let vm = Hypervisor.create_vm hyp ~name ~mem_frames:16 ~entry:0L () in
       Vm.load_image vm (Asm.assemble ~origin:0L prog);
@@ -1428,7 +1416,7 @@ let e17 () =
       (match Hypervisor.run hyp ~budget:20_000_000_000L with
       | Hypervisor.All_halted -> ()
       | _ -> failwith "E17: restored reference did not halt");
-      vm_instret vm
+      Vm.instret vm
     in
     let expect_finish = reference_finish img1 in
     let sectors = Store.sectors_for ~image_bytes:(Bytes.length img2) in
@@ -1509,7 +1497,7 @@ let e17 () =
       (match Hypervisor.run hyp with
       | Hypervisor.All_halted -> ()
       | _ -> failwith "E17: reference run did not halt");
-      vm_instret vm
+      Vm.instret vm
     in
     let supervise cadence =
       let hyp = Hypervisor.create ~host:(Host.create ~frames:2048 ()) () in
@@ -1529,7 +1517,7 @@ let e17 () =
       (match Ha.run sup ~budget:200_000_000L with
       | Hypervisor.All_halted -> ()
       | _ -> failwith "E17: supervised guest did not finish");
-      if vm_instret (Ha.vm sup) <> reference then
+      if Vm.instret (Ha.vm sup) <> reference then
         failwith "E17: supervised run diverged from the fault-free reference";
       let s = Ha.stats sup in
       let elapsed = Hypervisor.now hyp in
@@ -2231,7 +2219,8 @@ let e22 () =
 (* E23: the virtio-net fabric — a load-balancer VM fanning requests out
    to backend VMs over a software switch, under heavy open-loop client
    traffic.  Reply latency (client gettime stamp to switch egress) is
-   histogrammed by a switch snoop; the fleet runs as 4 independent
+   recorded by a switch snoop, and tails are nearest-rank percentiles
+   of those samples; the fleet runs as 4 independent
    host-cells under Parallel, so the run is asserted byte-identical at
    1 and 4 domains, clean and under link faults.  A third scenario
    live-migrates a backend between two hosts mid-benchmark.  Every
@@ -2263,9 +2252,9 @@ let e23 () =
         failwith (Printf.sprintf "E23 %s: fleet report diverged at 4 domains" tag);
       if not (String.equal r1.Fabric.digest r4.Fabric.digest) then
         failwith (Printf.sprintf "E23 %s: fabric digest diverged at 4 domains" tag);
-      (r1.Fabric.fleet_hist, r1.Fabric.fleet)
+      (Fabric.tail r1.Fabric.latencies, r1.Fabric.fleet)
     in
-    let hist_clean, totals_clean = run_checked ~tag:"clean" () in
+    let tail_clean, totals_clean = run_checked ~tag:"clean" () in
     let faults =
       let f = Fault.create ~seed:23L () in
       Fault.set_prob f Fault.Drop 0.02;
@@ -2274,17 +2263,16 @@ let e23 () =
       Fault.set_prob f Fault.Duplicate 0.01;
       f
     in
-    let hist_faults, totals_faults = run_checked ~faults ~tag:"faults" () in
+    let tail_faults, totals_faults = run_checked ~faults ~tag:"faults" () in
     (* sanity gates *)
     let expected_replies = hosts * clients * requests in
-    if Histogram.count hist_clean <> expected_replies then
+    if tail_clean.Fabric.replies <> expected_replies then
       failwith
-        (Printf.sprintf "E23 clean: %d replies, expected %d"
-           (Histogram.count hist_clean) expected_replies);
-    if Histogram.count hist_faults = 0 then
+        (Printf.sprintf "E23 clean: %d replies, expected %d" tail_clean.Fabric.replies
+           expected_replies);
+    if tail_faults.Fabric.replies = 0 then
       failwith "E23 faults: no replies survived the fault plan";
-    let p99_clean = Histogram.percentile hist_clean 99.0 in
-    if p99_clean <= 0.0 || p99_clean < Histogram.percentile hist_clean 50.0 then
+    if tail_clean.Fabric.p99 <= 0 || tail_clean.Fabric.p99 < tail_clean.Fabric.p50 then
       failwith "E23: nonsensical clean p99";
     if totals_clean.Fabric.kicks * 2 > totals_clean.Fabric.sent then
       failwith "E23: doorbell coalescing regressed (kicks > sent/2)";
@@ -2303,7 +2291,7 @@ let e23 () =
         (Fabric.mk_vms shape 0)
     in
     let cell_mig = Fabric.wire shape ~cell:0 src in
-    let sw_mig = cell_mig.Fabric.sw and hist_mig = cell_mig.Fabric.hist in
+    let sw_mig = cell_mig.Fabric.sw in
     let victim = List.nth vms 1 (* backend0 *) in
     let clients_vms =
       List.filteri (fun i _ -> i > backends) vms
@@ -2358,11 +2346,11 @@ let e23 () =
     in
     (try Fabric.check_conserved cell_mig mig_vnets
      with Failure m -> failwith ("E23 migration: " ^ m));
-    if Histogram.count hist_mig <> expected_replies / hosts * 1 then
+    let tail_mig = Fabric.tail cell_mig.Fabric.latencies in
+    if tail_mig.Fabric.replies <> expected_replies / hosts * 1 then
       (* one cell's worth of clients: clients * requests replies *)
       failwith
-        (Printf.sprintf "E23 migration: %d replies, expected %d"
-           (Histogram.count hist_mig)
+        (Printf.sprintf "E23 migration: %d replies, expected %d" tail_mig.Fabric.replies
            (clients * requests));
     (* --- table + BENCH_net.json --- *)
     let t =
@@ -2372,31 +2360,26 @@ let e23 () =
           ("p99", Tablefmt.Right); ("max", Tablefmt.Right);
           ("drops", Tablefmt.Right); ("frames/kick", Tablefmt.Right) ]
     in
-    let row name hist totals =
+    let row name (l : Fabric.tail) totals =
       Tablefmt.add_row t
-        [ name; Tablefmt.cell_i (Histogram.count hist);
-          Tablefmt.cell_f ~decimals:1 (Histogram.percentile hist 50.0);
-          Tablefmt.cell_f ~decimals:1 (Histogram.percentile hist 95.0);
-          Tablefmt.cell_f ~decimals:1 (Histogram.percentile hist 99.0);
-          Tablefmt.cell_i (Histogram.max_value hist);
+        [ name; Tablefmt.cell_i l.replies; Tablefmt.cell_i l.p50; Tablefmt.cell_i l.p95;
+          Tablefmt.cell_i l.p99; Tablefmt.cell_i l.max;
           Tablefmt.cell_i (totals.Fabric.sw_drops + totals.Fabric.wire_dropped);
           Fabric.frames_per_kick totals ]
     in
-    row "clean" hist_clean totals_clean;
-    row "link faults" hist_faults totals_faults;
+    row "clean" tail_clean totals_clean;
+    row "link faults" tail_faults totals_faults;
     let mig_totals = Fabric.totals [ (cell_mig, mig_vnets) ] in
-    row "live migration" hist_mig mig_totals;
+    row "live migration" tail_mig mig_totals;
     Tablefmt.print t;
     let oc = open_out "BENCH_net.json" in
-    let emit name hist totals last extra =
+    let emit name (l : Fabric.tail) totals last extra =
       Printf.fprintf oc
-        "    {\"name\": \"net/%s\", \"replies\": %d, \"p50\": %.1f, \"p95\": \
-         %.1f, \"p99\": %.1f, \"max\": %d,\n\
+        "    {\"name\": \"net/%s\", \"replies\": %d, \"p50\": %d, \"p95\": \
+         %d, \"p99\": %d, \"max\": %d,\n\
         \     \"sent\": %d, \"received\": %d, \"switch_drops\": %d, \
          \"wire_dropped\": %d, \"kicks\": %d%s}%s\n"
-        name (Histogram.count hist) (Histogram.percentile hist 50.0)
-        (Histogram.percentile hist 95.0) (Histogram.percentile hist 99.0)
-        (Histogram.max_value hist) totals.Fabric.sent totals.Fabric.received
+        name l.replies l.p50 l.p95 l.p99 l.max totals.Fabric.sent totals.Fabric.received
         totals.Fabric.sw_drops totals.Fabric.wire_dropped totals.Fabric.kicks extra
         (if last then "" else ",")
     in
@@ -2406,9 +2389,9 @@ let e23 () =
       \  \"domains_checked\": [1, 4], \"byte_identical\": true,\n\
       \  \"scenarios\": [\n"
       hosts clients backends requests;
-    emit "clean" hist_clean totals_clean false "";
-    emit "faults" hist_faults totals_faults false "";
-    emit "migration" hist_mig mig_totals true
+    emit "clean" tail_clean totals_clean false "";
+    emit "faults" tail_faults totals_faults false "";
+    emit "migration" tail_mig mig_totals true
       (Printf.sprintf ", \"downtime_cycles\": %Ld, \"pages_sent\": %d"
          mig_result.Migrate.downtime_cycles mig_result.Migrate.pages_sent);
     output_string oc "  ]\n}\n";

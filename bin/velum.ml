@@ -309,37 +309,10 @@ let run_cmd =
         | Platform.Deadlock -> "deadlock")
         (Platform.cycles platform)
         (Platform.instructions_retired platform);
-      let open Velum_machine in
-      Printf.printf "tlb.hits: %d\ntlb.misses: %d\ntlb.evictions: %d\ntlb.flushes: %d\n"
-        (Tlb.hits platform.Platform.tlb)
-        (Tlb.misses platform.Platform.tlb)
-        (Tlb.evictions platform.Platform.tlb)
-        (Tlb.flushes platform.Platform.tlb);
-      Printf.printf "dtlb.hits: %d\ndtlb.misses: %d\ndtlb.fills: %d\n"
-        (Dtlb.hits platform.Platform.dtlb)
-        (Dtlb.misses platform.Platform.dtlb)
-        (Dtlb.fills platform.Platform.dtlb);
-      (match platform.Platform.engine.Engine.cache with
-      | None -> ()
-      | Some c ->
-          Printf.printf
-            "engine.cache.entries: %d\nengine.cache.hits: %d\nengine.cache.misses: \
-             %d\nengine.cache.invalidations: %d\nengine.cache.evictions: %d\n"
-            (Trans_cache.entries c) (Trans_cache.hits c) (Trans_cache.misses c)
-            (Trans_cache.invalidations c) (Trans_cache.evictions c);
-          Printf.printf
-            "engine.chain.patched: %d\nengine.chain.follows: %d\nengine.chain.severed: \
-             %d\n"
-            (Trans_cache.chains_patched c)
-            (Trans_cache.chain_follows c)
-            (Trans_cache.chains_severed c);
-          Printf.printf
-            "engine.trace.built: %d\nengine.trace.follows: %d\nengine.trace.severed: \
-             %d\nengine.trace.side_exits: %d\n"
-            (Trans_cache.traces_built c)
-            (Trans_cache.trace_follows c)
-            (Trans_cache.traces_severed c)
-            (Trans_cache.trace_side_exits c));
+      List.iter
+        (fun (name, v) -> Printf.printf "%s: %d\n" name v)
+        (Velum_machine.Engine.counters ~tlbs:[| platform.Platform.tlb |]
+           ~dtlbs:[| platform.Platform.dtlb |] platform.Platform.engine);
       match (trace_to, tr) with
       | Some file, Some tr -> export_trace tr file
       | _ -> ()
@@ -798,7 +771,7 @@ let consolidate_cmd =
         ]
     in
     let plan = Placement.first_fit_decreasing spec fleet in
-    let report = Placement.cost_savings spec fleet plan () in
+    let report = Placement.cost_savings spec fleet plan in
     let t = Tablefmt.create [ ("host", Tablefmt.Right); ("VMs", Tablefmt.Left) ] in
     for h = 0 to plan.Placement.hosts_used - 1 do
       let vms =
@@ -974,11 +947,9 @@ let net_cmd =
     in
     print_string r.Fabric.report;
     print_string r.Fabric.digest;
-    let t = r.Fabric.fleet and h = r.Fabric.fleet_hist in
-    Printf.printf
-      "fabric: replies=%d p50=%.1f p95=%.1f p99=%.1f drops=%d frames/kick=%s\n"
-      (Histogram.count h) (Histogram.percentile h 50.0) (Histogram.percentile h 95.0)
-      (Histogram.percentile h 99.0)
+    let t = r.Fabric.fleet and l = Fabric.tail r.Fabric.latencies in
+    Printf.printf "fabric: replies=%d p50=%d p95=%d p99=%d drops=%d frames/kick=%s\n"
+      l.Fabric.replies l.Fabric.p50 l.Fabric.p95 l.Fabric.p99
       (t.Fabric.sw_drops + t.Fabric.wire_dropped)
       (Fabric.frames_per_kick t)
     (* the base fault plan only seeds the per-link derived plans, so its

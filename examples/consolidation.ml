@@ -74,7 +74,7 @@ let () =
   in
   let spec = Placement.default_host in
   let plan = Placement.first_fit_decreasing spec fleet in
-  let report = Placement.cost_savings spec fleet plan () in
+  let report = Placement.cost_savings spec fleet plan in
   Printf.printf "%d VMs -> %d hosts (%.1f VMs/host, cpu %.0f%%, mem %.0f%% utilized)\n"
     (List.length fleet) plan.Placement.hosts_used
     (Placement.consolidation_ratio plan)

@@ -34,22 +34,22 @@ type config = {
   cap_units : int;
   headroom : int;
   checkpoint_every : int;
-  evac_per_round : int;
-  crash_loop_budget : int;
-  drain_concurrent : int;
-  reboot_rounds : int;
   drains : (int * int) list;
   kills : (int * int) list;
   workload : vm_desc list;
-  mailbox_capacity : int option;
   trace : bool;
 }
 
+(* Checkpoint restores started per round (restart-storm rate limit). *)
+let evac_per_round = 2
+
+(* Failed evacuation attempts per VM before it is degraded to halted. *)
+let crash_loop_budget = 3
+
 let config ?(quantum = 50_000L) ?(rounds = 24) ?(seed = 0L) ?faults
     ?(knobs = Ha.Failover.default_hb_knobs) ?(headroom = 0)
-    ?(checkpoint_every = 4) ?(evac_per_round = 2) ?(crash_loop_budget = 3)
-    ?(drain_concurrent = 2) ?(reboot_rounds = 2) ?(drains = []) ?(kills = [])
-    ?mailbox_capacity ?(trace = false) ~hosts ~cap_units ~workload () =
+    ?(checkpoint_every = 4) ?(drains = []) ?(kills = []) ?(trace = false) ~hosts
+    ~cap_units ~workload () =
   if hosts <= 0 then invalid_arg "Control.config: hosts must be positive";
   if cap_units <= 0 then
     invalid_arg "Control.config: cap_units must be positive";
@@ -57,8 +57,6 @@ let config ?(quantum = 50_000L) ?(rounds = 24) ?(seed = 0L) ?faults
     invalid_arg "Control.config: headroom must be in [0, cap_units)";
   if checkpoint_every <= 0 then
     invalid_arg "Control.config: checkpoint_every must be positive";
-  if evac_per_round <= 0 then
-    invalid_arg "Control.config: evac_per_round must be positive";
   let seen = Hashtbl.create 16 in
   List.iter
     (fun d ->
@@ -82,14 +80,9 @@ let config ?(quantum = 50_000L) ?(rounds = 24) ?(seed = 0L) ?faults
     cap_units;
     headroom;
     checkpoint_every;
-    evac_per_round;
-    crash_loop_budget;
-    drain_concurrent;
-    reboot_rounds;
     drains;
     kills;
     workload;
-    mailbox_capacity;
     trace;
   }
 
@@ -170,8 +163,7 @@ let create cfg =
       ?faults:cfg.faults
       ~hb_miss_limit:max_int (* the spoke detector is the only oracle *)
       ~trace:cfg.trace
-      ~host_frames:(cfg.cap_units + 1024)
-      ?mailbox_capacity:cfg.mailbox_capacity ~hosts:cfg.hosts
+      ~host_frames:(cfg.cap_units + 1024) ~hosts:cfg.hosts
       ~mk_vms:(fun _ -> [])
       ()
   in
@@ -381,7 +373,7 @@ let evacuate_one t idx ~round =
       let now = round_target t.cfg round in
       let fail () =
         e.failed_attempts <- e.failed_attempts + 1;
-        if e.failed_attempts > t.cfg.crash_loop_budget then begin
+        if e.failed_attempts > crash_loop_budget then begin
           degrade t e;
           false (* leaves the queue *)
         end
@@ -498,7 +490,7 @@ let drain_migrate_one t d ~round () =
                     e.drain_retries <- e.drain_retries + 1;
                     `Failed)
           in
-          if e.drain_retries > Drain.retry_limit d then cold_move ()
+          if e.drain_retries > Drain.retry_limit then cold_move ()
           else if Fault.fire t.drain_faults Fault.Cluster_drain ~now then begin
             Fault.observe t.drain_faults Fault.Cluster_drain;
             e.drain_retries <- e.drain_retries + 1;
@@ -567,10 +559,7 @@ let step t ~round =
                   t.drain_ops)
       then begin
         Pool.cordon t.pool h;
-        t.drain_ops <-
-          Drain.start ~max_concurrent:cfg.drain_concurrent
-            ~reboot_rounds:cfg.reboot_rounds ~host:h ~round ()
-          :: t.drain_ops
+        t.drain_ops <- Drain.start ~host:h ~round :: t.drain_ops
       end)
     cfg.drains;
   (* 4. advance active drains *)
@@ -584,7 +573,7 @@ let step t ~round =
         else evac (budget - 1) rest
     | rest -> rest
   in
-  t.evac_queue <- evac cfg.evac_per_round t.evac_queue;
+  t.evac_queue <- evac evac_per_round t.evac_queue;
   (* 6. admission of newly arrived (and still-pending) requests, FFD *)
   let pending =
     Array.to_list t.entries
@@ -707,8 +696,7 @@ let report t =
      knobs=%d/%Ld/%Ld ckpt_every=%d evac_per_round=%d\n"
     cfg.hosts cfg.quantum cfg.rounds cfg.seed cfg.cap_units cfg.headroom
     cfg.knobs.Ha.Failover.miss_limit cfg.knobs.Ha.Failover.timeout
-    cfg.knobs.Ha.Failover.takeover_backoff cfg.checkpoint_every
-    cfg.evac_per_round;
+    cfg.knobs.Ha.Failover.takeover_backoff cfg.checkpoint_every evac_per_round;
   Array.iter
     (fun e ->
       Printf.bprintf buf
@@ -809,12 +797,5 @@ let entry_state t ~name =
 
 let entry_host t ~name =
   match entry_state t ~name with Some (Placed h) -> Some h | _ -> None
-
-let entry_evacuations t ~name =
-  let found = ref 0 in
-  Array.iter
-    (fun e -> if e.desc.name = name then found := e.evacuations)
-    t.entries;
-  !found
 
 let detector t = t.det

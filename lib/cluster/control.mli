@@ -18,12 +18,12 @@
       last durable checkpoint (one shared content-addressed
       {!Velum_vmm.Store} holding a named stream per VM, so sibling VMs
       dedup into the same chunks)
-      onto survivors — restart storms rate-limited to [evac_per_round],
-      repeatedly-failing VMs degraded to halted once the crash-loop
-      budget is spent ([E_cluster_degraded]).
+      onto survivors — restart storms rate-limited to 2 restores per
+      round, a VM whose evacuation has failed more than 3 times degraded
+      to halted ([E_cluster_degraded]).
     - {b Rolling maintenance}: {!Drain} per host — cordon → bounded
-      concurrent live migration ({!Velum_vmm.Migrate}, retries
-      accounted, checkpoint cold-move once retries exhaust) → reboot
+      concurrent live migration (2 per round, {!Velum_vmm.Migrate},
+      retries accounted, checkpoint cold-move once retries exhaust) → reboot
       outage (detector disarmed) → refill.
     - {b Graceful overload degradation}: under admission pressure the
       lowest class is rejected ([E_cluster_shed]), the middle classes
@@ -65,15 +65,9 @@ type config = private {
   cap_units : int;  (** placement capacity per host, in guest frames *)
   headroom : int;  (** frames reserved per host for evacuations *)
   checkpoint_every : int;  (** rounds between durable checkpoints *)
-  evac_per_round : int;  (** restart-storm rate limit *)
-  crash_loop_budget : int;
-      (** failed evacuation attempts per VM before degrade-to-halted *)
-  drain_concurrent : int;  (** max live migrations per drain round *)
-  reboot_rounds : int;  (** maintenance outage length *)
   drains : (int * int) list;  (** [(round, host)] maintenance schedule *)
   kills : (int * int) list;  (** [(round, host)] chaos host kills *)
   workload : vm_desc list;
-  mailbox_capacity : int option;
   trace : bool;
 }
 
@@ -85,13 +79,8 @@ val config :
   ?knobs:Velum_vmm.Ha.Failover.hb_knobs ->
   ?headroom:int ->
   ?checkpoint_every:int ->
-  ?evac_per_round:int ->
-  ?crash_loop_budget:int ->
-  ?drain_concurrent:int ->
-  ?reboot_rounds:int ->
   ?drains:(int * int) list ->
   ?kills:(int * int) list ->
-  ?mailbox_capacity:int ->
   ?trace:bool ->
   hosts:int ->
   cap_units:int ->
@@ -99,9 +88,12 @@ val config :
   unit ->
   config
 (** Defaults: quantum 50k cycles, 24 rounds, seed 0, default HA knobs,
-    no headroom, checkpoint every 4 rounds, 2 evacuations per round,
-    crash-loop budget 3, 2 concurrent drain migrations, 2 reboot
-    rounds, no schedules, unbounded mailboxes, no tracing.
+    no headroom, checkpoint every 4 rounds, no schedules, no tracing.
+
+    Fixed policy: at most 2 checkpoint restores start per round, and a
+    VM whose evacuation fails more than 3 times is degraded to halted.
+    Drains follow {!Drain}'s policy (2 migrations per round, 3 retries,
+    a 2-round reboot).  Fleet mailboxes are unbounded.
 
     @raise Invalid_argument on inconsistent sizes, duplicate VM names,
     or a VM that exceeds the admittable per-host capacity. *)
@@ -165,4 +157,3 @@ val cluster_monitor : t -> Velum_vmm.Monitor.t
 
 val entry_state : t -> name:string -> vm_state option
 val entry_host : t -> name:string -> int option
-val entry_evacuations : t -> name:string -> int

@@ -1,11 +1,17 @@
 type phase = Cordoned | Draining | Rebooting | Done
 
+(* Live migrations per drain round. *)
+let max_concurrent = 2
+
+(* Failed live-migration attempts per VM before a cold move. *)
+let retry_limit = 3
+
+(* Rounds a drained host stays down for maintenance. *)
+let reboot_rounds = 2
+
 type t = {
   host : int;
   started_at : int;
-  max_concurrent : int;
-  retry_limit : int;
-  reboot_rounds : int;
   mutable phase : phase;
   mutable reboot_left : int;
   mutable migrations : int;
@@ -14,20 +20,10 @@ type t = {
   mutable completed_at : int option;
 }
 
-let start ?(max_concurrent = 2) ?(retry_limit = 3) ?(reboot_rounds = 2) ~host
-    ~round () =
-  if max_concurrent <= 0 then
-    invalid_arg "Drain.start: max_concurrent must be positive";
-  if retry_limit < 0 then
-    invalid_arg "Drain.start: retry_limit must be non-negative";
-  if reboot_rounds <= 0 then
-    invalid_arg "Drain.start: reboot_rounds must be positive";
+let start ~host ~round =
   {
     host;
     started_at = round;
-    max_concurrent;
-    retry_limit;
-    reboot_rounds;
     phase = Cordoned;
     reboot_left = reboot_rounds;
     migrations = 0;
@@ -38,7 +34,6 @@ let start ?(max_concurrent = 2) ?(retry_limit = 3) ?(reboot_rounds = 2) ~host
 
 let host t = t.host
 let phase t = t.phase
-let retry_limit t = t.retry_limit
 let active t = t.phase <> Done
 
 let step t ~round ~resident ~migrate_one ~on_reboot ~on_refill =
@@ -56,7 +51,7 @@ let step t ~round ~resident ~migrate_one ~on_reboot ~on_refill =
       (* bounded concurrent migrations per round; a target shortage
          stalls the round, not the drain *)
       let left = ref resident in
-      let budget = ref t.max_concurrent in
+      let budget = ref max_concurrent in
       let stalled = ref false in
       while !left > 0 && !budget > 0 && not !stalled do
         decr budget;

@@ -15,20 +15,10 @@ type phase =
 
 type t
 
-val start :
-  ?max_concurrent:int ->
-  ?retry_limit:int ->
-  ?reboot_rounds:int ->
-  host:int ->
-  round:int ->
-  unit ->
-  t
-(** Defaults: at most 2 migrations per round, 3 retries per VM before
-    the control plane falls back to a cold move, 2 rounds of reboot
-    outage.
-
-    @raise Invalid_argument on non-positive concurrency/reboot or
-    negative retry limit. *)
+val start : host:int -> round:int -> t
+(** Policy is fixed: at most 2 migrations per round, {!retry_limit}
+    (3) retries per VM before the control plane falls back to a cold
+    move, and a 2-round reboot outage. *)
 
 val step :
   t ->
@@ -39,18 +29,20 @@ val step :
   on_refill:(unit -> unit) ->
   unit
 (** One round of progress.  While draining, [migrate_one] is invoked up
-    to [max_concurrent] times (or until [resident] VMs are accounted
-    for): [`Moved] = live migration succeeded, [`Cold_moved] = the
-    control plane gave up on live migration and restored the VM from
-    its checkpoint elsewhere, [`Failed] = one attempt failed (retry
-    next call/round), [`No_target] = no host can take the next VM —
-    stalls this round.  When the host empties, [on_reboot] fires once
-    (kill + disarm detector), then after [reboot_rounds] rounds
-    [on_refill] fires once (revive + rearm + uncordon). *)
+    to 2 times (or until [resident] VMs are accounted for): [`Moved] =
+    live migration succeeded, [`Cold_moved] = the control plane gave up
+    on live migration and restored the VM from its checkpoint elsewhere,
+    [`Failed] = one attempt failed (retry next call/round), [`No_target]
+    = no host can take the next VM — stalls this round.  When the host
+    empties, [on_reboot] fires once (kill + disarm detector), then after
+    2 rounds [on_refill] fires once (revive + rearm + uncordon). *)
 
 val host : t -> int
 val phase : t -> phase
-val retry_limit : t -> int
+val retry_limit : int
+(** Failed live-migration attempts per VM (3) before the control plane
+    falls back to a cold move. *)
+
 val active : t -> bool
 (** [false] once [Done]. *)
 

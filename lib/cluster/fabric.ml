@@ -36,7 +36,7 @@ let mk_vms s =
     @ List.init s.clients (fun c ->
           Parallel.spec ~name:(Printf.sprintf "client%d" c) (client c))
 
-type cell = { sw : Switch.t; ports : Link.t array; hist : Histogram.t }
+type cell = { sw : Switch.t; ports : Link.t array; mutable latencies : int list }
 
 (* Static MAC entries keep early traffic off the unknown-unicast path
    (guests still broadcast a boot announce).  The snoop fires inside the
@@ -56,7 +56,7 @@ let wire ?faults s ~cell hyp =
     faults;
   let sw = Switch.create ports in
   Array.iteri (fun p _ -> Switch.learn sw ~mac:(mac p) ~port:p) ports;
-  let hist = Histogram.create () in
+  let c = { sw; ports; latencies = [] } in
   Switch.set_snoop sw
     (Some
        (fun port now frame ->
@@ -66,14 +66,15 @@ let wire ?faults s ~cell hyp =
            && String.length frame >= 48
            && String.get_int64_le frame 16 = 2L
          then
-           Histogram.add hist
-             (Int64.to_int (Int64.sub now (String.get_int64_le frame 32)))));
+           c.latencies <-
+             Int64.to_int (Int64.sub now (String.get_int64_le frame 32))
+             :: c.latencies));
   Hypervisor.add_ticker hyp (Switch.tick sw);
   Hypervisor.add_event_source hyp (fun () -> Switch.next_event sw);
   List.iteri
     (fun p vm -> ignore (Vm.attach_vnet vm ~link:ports.(p) ~endpoint:`A))
     hyp.Hypervisor.vms;
-  { sw; ports; hist }
+  c
 
 let host_vnets hyp = List.filter_map (fun vm -> vm.Vm.vnet) hyp.Hypervisor.vms
 let sum_vnets vnets f = List.fold_left (fun a v -> a + f v) 0 vnets
@@ -117,21 +118,30 @@ let frames_per_kick t =
   if t.kicks = 0 then "-"
   else Printf.sprintf "%.2f" (float_of_int t.sent /. float_of_int t.kicks)
 
-let digest_line ~host c vnets =
-  let t = totals [ (c, vnets) ] and h = c.hist in
-  Printf.sprintf
-    "host%d replies=%d p50=%.1f p95=%.1f p99=%.1f max=%d sent=%d recv=%d \
-     sw_drops=%d wire_drop=%d kicks=%d\n"
-    host (Histogram.count h) (Histogram.percentile h 50.0)
-    (Histogram.percentile h 95.0) (Histogram.percentile h 99.0)
-    (Histogram.max_value h) t.sent t.received t.sw_drops t.wire_dropped t.kicks
+type tail = { replies : int; p50 : int; p95 : int; p99 : int; max : int }
 
-type run = {
-  report : string;
-  digest : string;
-  fleet_hist : Histogram.t;
-  fleet : totals;
-}
+let tail latencies =
+  match Array.of_list latencies with
+  | [||] -> { replies = 0; p50 = 0; p95 = 0; p99 = 0; max = 0 }
+  | a ->
+      let at = Stats.nearest_rank a in
+      {
+        replies = Array.length a;
+        p50 = at 50.0;
+        p95 = at 95.0;
+        p99 = at 99.0;
+        max = at 100.0;
+      }
+
+let digest_line ~host c vnets =
+  let t = totals [ (c, vnets) ] and l = tail c.latencies in
+  Printf.sprintf
+    "host%d replies=%d p50=%d p95=%d p99=%d max=%d sent=%d recv=%d \
+     sw_drops=%d wire_drop=%d kicks=%d\n"
+    host l.replies l.p50 l.p95 l.p99 l.max t.sent t.received t.sw_drops t.wire_dropped
+    t.kicks
+
+type run = { report : string; digest : string; latencies : int list; fleet : totals }
 
 let run ?faults ?domains s ~hosts ~quantum ~rounds ~seed =
   let cells = Array.make hosts None in
@@ -145,25 +155,17 @@ let run ?faults ?domains s ~hosts ~quantum ~rounds ~seed =
         let node = r.Parallel.fleet.Parallel.nodes.(i) in
         (Option.get cells.(i), host_vnets node.Parallel.hyp))
   in
-  let fleet_hist = Histogram.create () in
   let digest =
     List.mapi
       (fun i (c, vnets) ->
         (try check_conserved c vnets
          with Failure m -> failwith (Printf.sprintf "host%d: %s" i m));
-        (* the fleet histogram replays each bucket at its lower bound *)
-        List.iter
-          (fun (lo, n) ->
-            for _ = 1 to n do
-              Histogram.add fleet_hist lo
-            done)
-          (Histogram.buckets c.hist);
         digest_line ~host:i c vnets)
       parts
   in
   {
     report = r.Parallel.report;
     digest = String.concat "" digest;
-    fleet_hist;
+    latencies = List.concat_map (fun ((c : cell), _) -> c.latencies) parts;
     fleet = totals parts;
   }

@@ -18,7 +18,9 @@ val mk_vms : shape -> int -> Parallel.vm_spec list
 type cell = {
   sw : Velum_devices.Switch.t;
   ports : Velum_devices.Link.t array;
-  hist : Velum_util.Histogram.t;  (** reply latency, client stamp to egress *)
+  mutable latencies : int list;
+      (** every reply's latency, client stamp to switch egress, newest
+          first *)
 }
 
 val wire :
@@ -54,10 +56,17 @@ val totals : (cell * Velum_devices.Virtio_net.t list) list -> totals
 val frames_per_kick : totals -> string
 (** [sent / kicks] to two decimals; ["-"] before the first kick. *)
 
+type tail = { replies : int; p50 : int; p95 : int; p99 : int; max : int }
+
+val tail : int list -> tail
+(** Reply count and nearest-rank percentiles
+    ({!Velum_util.Stats.nearest_rank}) of the given latencies, so every
+    percentile is a measured sample; all zero when there are none. *)
+
 type run = {
   report : string;  (** {!Parallel.report} *)
   digest : string;  (** a ["hostN replies=… kicks=…"] line per host *)
-  fleet_hist : Velum_util.Histogram.t;  (** cells' samples at bucket floors *)
+  latencies : int list;  (** every cell's {!cell.latencies}, merged *)
   fleet : totals;
 }
 

@@ -1,4 +1,3 @@
-open Velum_machine
 open Velum_devices
 open Velum_vmm
 module Fault = Velum_util.Fault
@@ -30,7 +29,6 @@ type config = {
   fail_host : (int * int) option;
   trace : bool;
   host_frames : int option;
-  mailbox_capacity : int option;
   wire : (int -> Hypervisor.t -> unit) option;
 }
 
@@ -42,7 +40,7 @@ let pred_watch ~quantum ~hb_miss_limit ~hb_timeout =
 
 let config ?(quantum = 200_000L) ?(rounds = 8) ?(seed = 0L) ?faults
     ?(hb_miss_limit = 3) ?(hb_timeout = 0L) ?(migrate_every = 0) ?fail_host
-    ?(trace = false) ?host_frames ?mailbox_capacity ?wire ~hosts ~mk_vms () =
+    ?(trace = false) ?host_frames ?wire ~hosts ~mk_vms () =
   if hosts <= 0 then invalid_arg "Parallel.config: hosts must be positive";
   if Int64.compare quantum 0L <= 0 then
     invalid_arg "Parallel.config: quantum must be positive";
@@ -66,7 +64,6 @@ let config ?(quantum = 200_000L) ?(rounds = 8) ?(seed = 0L) ?faults
     fail_host;
     trace;
     host_frames;
-    mailbox_capacity;
     wire;
   }
 
@@ -149,8 +146,8 @@ let init cfg =
         {
           id = i;
           hyp;
-          inbox = Mailbox.create ?capacity:cfg.mailbox_capacity ();
-          outbox = Mailbox.create ?capacity:cfg.mailbox_capacity ();
+          inbox = Mailbox.create ();
+          outbox = Mailbox.create ();
           alive = true;
           halted = false;
           hb_sent = 0;
@@ -387,11 +384,6 @@ let run_parallel ?(on_round = no_hook) fleet ~domains =
 
 (* ---- canonical report ---- *)
 
-let vm_instret vm =
-  Array.fold_left
-    (fun acc vcpu -> Int64.add acc vcpu.Vcpu.state.Cpu.instret)
-    0L vm.Vm.vcpus
-
 (* The determinism artifact: everything simulated, nothing about how the
    simulation was executed.  Domain count, worker-to-domain assignment
    and wall-clock time must never appear here — the whole point is that
@@ -426,7 +418,7 @@ let report fleet =
         (fun vm ->
           Vm.publish_stats vm;
           Printf.bprintf buf "  vm %d %s: halted=%b instret=%Ld console=%S %s\n"
-            vm.Vm.id vm.Vm.name (Vm.halted vm) (vm_instret vm)
+            vm.Vm.id vm.Vm.name (Vm.halted vm) (Vm.instret vm)
             (Vm.console_output vm)
             (Monitor.to_json vm.Vm.monitor))
         node.hyp.Hypervisor.vms;

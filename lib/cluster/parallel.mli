@@ -68,9 +68,6 @@ type config = private {
       (** fixed per-host frame pool; default sizes each host to its own
           VMs' needs + 1024.  The cluster control plane sets this so
           every host can absorb evacuated/migrated VMs. *)
-  mailbox_capacity : int option;
-      (** bound every inbox/outbox (see {!Mailbox.create}); [None] =
-          unbounded *)
   wire : (int -> Velum_vmm.Hypervisor.t -> unit) option;
       (** per-host fabric builder, called once per host at {!init} after
           its VMs are created and loaded.  Use it to build an intra-host
@@ -91,7 +88,6 @@ val config :
   ?fail_host:int * int ->
   ?trace:bool ->
   ?host_frames:int ->
-  ?mailbox_capacity:int ->
   ?wire:(int -> Velum_vmm.Hypervisor.t -> unit) ->
   hosts:int ->
   mk_vms:(int -> vm_spec list) ->
@@ -99,7 +95,7 @@ val config :
   config
 (** Defaults: quantum 200k cycles, 8 rounds, seed 0, no faults, heartbeat
     miss limit 3, no migrations, no failure, no tracing, per-host frame
-    pools sized to demand, unbounded mailboxes.
+    pools sized to demand.  Mailboxes are always unbounded.
 
     @raise Invalid_argument on a non-positive host count, quantum,
     round count, [hb_miss_limit] or [host_frames], or a negative

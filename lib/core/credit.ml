@@ -1,6 +1,8 @@
+(* Accounting period, in cycles. *)
+let period = 3_000_000
+
 type state = {
   slice : int;
-  period : int;
   mutable registered : Vcpu.t list; (* all vCPUs that receive refills *)
   mutable queue : Vcpu.t list; (* runnable, FIFO within priority class *)
   mutable next_refill : int64;
@@ -11,8 +13,8 @@ let priority v =
 
 (* A capped vCPU may not exceed cap% of one pCPU per accounting period;
    once it has, it is parked until the next refill. *)
-let over_cap st v =
-  v.Vcpu.cap > 0 && v.Vcpu.window_used >= st.period * v.Vcpu.cap / 100
+let over_cap v =
+  v.Vcpu.cap > 0 && v.Vcpu.window_used >= period * v.Vcpu.cap / 100
 
 let refill st =
   let total_weight =
@@ -21,13 +23,13 @@ let refill st =
   if total_weight > 0 then
     List.iter
       (fun v ->
-        let grant = st.period * max 1 v.Vcpu.weight / total_weight in
-        v.Vcpu.credits <- min (v.Vcpu.credits + grant) (2 * st.period);
+        let grant = period * max 1 v.Vcpu.weight / total_weight in
+        v.Vcpu.credits <- min (v.Vcpu.credits + grant) (2 * period);
         v.Vcpu.window_used <- 0)
       st.registered
 
-let create ?(slice = Scheduler.default_slice) ?(period = 3_000_000) () =
-  let st = { slice; period; registered = []; queue = []; next_refill = 0L } in
+let create ?(slice = Scheduler.default_slice) () =
+  let st = { slice; registered = []; queue = []; next_refill = 0L } in
   let register v =
     if not (List.memq v st.registered) then begin
       st.registered <- v :: st.registered;
@@ -42,7 +44,7 @@ let create ?(slice = Scheduler.default_slice) ?(period = 3_000_000) () =
         let total_weight =
           List.fold_left (fun acc x -> acc + max 1 x.Vcpu.weight) 0 st.registered
         in
-        v.Vcpu.credits <- st.period * max 1 v.Vcpu.weight / total_weight;
+        v.Vcpu.credits <- period * max 1 v.Vcpu.weight / total_weight;
         v.Vcpu.window_used <- 0
       end
     end
@@ -58,7 +60,7 @@ let create ?(slice = Scheduler.default_slice) ?(period = 3_000_000) () =
     if Int64.unsigned_compare now st.next_refill >= 0 then begin
       refill st;
       Scheduler.tell t.Scheduler.notify None Scheduler.N_refill;
-      st.next_refill <- Int64.add now (Int64.of_int st.period)
+      st.next_refill <- Int64.add now (Int64.of_int period)
     end
   and t =
     {
@@ -78,7 +80,7 @@ let create ?(slice = Scheduler.default_slice) ?(period = 3_000_000) () =
         (fun ~now ->
           maybe_refill now;
           let eligible =
-            List.filter (fun v -> Vcpu.is_runnable v && not (over_cap st v)) st.queue
+            List.filter (fun v -> Vcpu.is_runnable v && not (over_cap v)) st.queue
           in
           match eligible with
           | [] ->
@@ -102,7 +104,7 @@ let create ?(slice = Scheduler.default_slice) ?(period = 3_000_000) () =
               (* never hand out a slice crossing the cap boundary *)
               let slice =
                 if v.Vcpu.cap = 0 then st.slice
-                else min st.slice (max 1 ((st.period * v.Vcpu.cap / 100) - v.Vcpu.window_used))
+                else min st.slice (max 1 ((period * v.Vcpu.cap / 100) - v.Vcpu.window_used))
               in
               Some (v, slice));
       charge =
@@ -114,7 +116,7 @@ let create ?(slice = Scheduler.default_slice) ?(period = 3_000_000) () =
         (fun ~now ->
           (* only relevant when someone runnable is parked by a cap *)
           let parked =
-            List.exists (fun v -> Vcpu.is_runnable v && over_cap st v) st.queue
+            List.exists (fun v -> Vcpu.is_runnable v && over_cap v) st.queue
           in
           if parked && Int64.unsigned_compare st.next_refill now > 0 then
             Some st.next_refill

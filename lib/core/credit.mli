@@ -17,5 +17,6 @@
       once a vCPU has consumed cap% of a period it is parked until the
       next refill, even if the host is otherwise idle. *)
 
-val create : ?slice:int -> ?period:int -> unit -> Scheduler.t
-(** Defaults: 100k-cycle slice, 3M-cycle accounting period. *)
+val create : ?slice:int -> unit -> Scheduler.t
+(** Default 100k-cycle slice; the accounting period is fixed at 3M
+    cycles. *)

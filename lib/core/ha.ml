@@ -1,4 +1,3 @@
-open Velum_machine
 open Velum_devices
 
 module Fault = Velum_util.Fault
@@ -9,13 +8,16 @@ module Log = (val Logs.src_log log_src)
 
 (* ---- per-VM supervisor ---- *)
 
+(* Crash-loop window, in cycles: [max_restarts] restarts inside it
+   degrade the VM. *)
+let restart_window = 50_000_000L
+
 type t = {
   hyp : Hypervisor.t;
   store : Store.t;
   churn : Churn.t; (* dirty-frame tracker on the host's physical memory *)
   checkpoint_every : int64;
   max_restarts : int;
-  restart_window : int64;
   backoff_base : int64;
   mutable vm : Vm.t;
   mutable pending : int64 option; (* restore due at this host cycle *)
@@ -46,11 +48,6 @@ type stats = {
   ckpt_logical_bytes : int;
   frames_churned : int;
 }
-
-let vm_instret (vm : Vm.t) =
-  Array.fold_left
-    (fun acc (v : Vcpu.t) -> Int64.add acc v.Vcpu.state.Cpu.instret)
-    0L vm.Vm.vcpus
 
 let trace_ha (hyp : Hypervisor.t) (vm : Vm.t) what ~detail =
   match Hypervisor.trace hyp with
@@ -91,7 +88,7 @@ let degrade (t : t) =
 let handle_stall (t : t) =
   if (not t.degraded) && t.pending = None then begin
     let now = Hypervisor.now t.hyp in
-    if Int64.unsigned_compare (Int64.sub now t.window_start) t.restart_window > 0
+    if Int64.unsigned_compare (Int64.sub now t.window_start) restart_window > 0
     then begin
       t.window_start <- now;
       t.window_restarts <- 0
@@ -123,7 +120,7 @@ let maybe_restore (t : t) =
           match Snapshot.restore t.hyp image with
           | vm ->
               t.vm <- vm;
-              t.last_ckpt_instret <- vm_instret vm;
+              t.last_ckpt_instret <- Vm.instret vm;
               t.restarts <- t.restarts + 1;
               t.mttr_events <- t.mttr_events + 1;
               let mttr = Int64.sub (Hypervisor.now t.hyp) t.stalled_at in
@@ -140,7 +137,7 @@ let checkpoint (t : t) =
     && (not (Vm.halted t.vm))
     && checkpointable t.vm
   then begin
-    let instret = vm_instret t.vm in
+    let instret = Vm.instret t.vm in
     (* A cadence tick with no retired instructions AND no dirtied frames
        has nothing new to persist; device DMA dirties memory without
        retiring guest instructions, which the churn tracker catches. *)
@@ -173,7 +170,7 @@ let checkpoint (t : t) =
   end
 
 let create ~hyp ~store ~vm ?(checkpoint_every = 300_000L) ?(wd_budget = 150_000L)
-    ?(max_restarts = 3) ?(restart_window = 50_000_000L) ?(backoff_base = 100_000L) () =
+    ?(max_restarts = 3) ?(backoff_base = 100_000L) () =
   if Int64.compare checkpoint_every 0L <= 0 then
     invalid_arg "Ha.create: checkpoint_every must be positive";
   let t =
@@ -183,7 +180,6 @@ let create ~hyp ~store ~vm ?(checkpoint_every = 300_000L) ?(wd_budget = 150_000L
       churn = Churn.attach (Hypervisor.host hyp).Host.mem;
       checkpoint_every;
       max_restarts;
-      restart_window;
       backoff_base;
       vm;
       pending = None;

@@ -50,7 +50,6 @@ val create :
   ?checkpoint_every:int64 ->
   ?wd_budget:int64 ->
   ?max_restarts:int ->
-  ?restart_window:int64 ->
   ?backoff_base:int64 ->
   unit ->
   t
@@ -60,8 +59,8 @@ val create :
     every [checkpoint_every] cycles (default 300k) of {!run}.  A restart
     is delayed [backoff_base * 2^(n-1)] cycles for the [n]th restart in
     the current window (default base 100k); more than [max_restarts]
-    (default 3) inside [restart_window] cycles (default 50M) degrades
-    the VM.
+    (default 3) inside a fixed 50M-cycle restart window degrades the
+    VM.
 
     Only runnable, progressing states are committed: an all-blocked
     image {e is} the wedge, so cadence points that catch the VM blocked

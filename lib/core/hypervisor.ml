@@ -83,7 +83,6 @@ let add_ticker t f = t.tickers <- t.tickers @ [ f ]
 let add_event_source t f = t.event_sources <- t.event_sources @ [ f ]
 
 let now t = t.clock
-let pcpu_count t = Array.length t.pcpus
 
 let refresh_makespan t =
   Array.iter
@@ -278,7 +277,7 @@ let exec_vcpu t vm ~vcpu_idx ~base ~slice =
 
 (* ---- wake and idle machinery ---- *)
 
-let wake_sleepers_at t ~now =
+let wake_sleepers t ~now =
   List.iter (fun f -> f now) t.tickers;
   List.iter
     (fun vm ->
@@ -292,8 +291,6 @@ let wake_sleepers_at t ~now =
           end)
         vm.Vm.vcpus)
     t.vms
-
-let wake_sleepers t = wake_sleepers_at t ~now:t.clock
 
 let next_event t =
   let earliest = ref None in
@@ -323,11 +320,6 @@ let all_halted t = t.vms <> [] && List.for_all Vm.halted t.vms
 
 (* ---- progress watchdog ---- *)
 
-let vm_instret vm =
-  Array.fold_left
-    (fun acc vcpu -> Int64.add acc vcpu.Vcpu.state.Cpu.instret)
-    0L vm.Vm.vcpus
-
 (* Fire when a VM retires no instructions for a whole cycle budget.
    [Wd_notify] counts the event and restarts the window; [Wd_kill] halts
    the VM's vCPUs (the VM stays registered so its state can be examined);
@@ -341,7 +333,7 @@ let check_watchdog t =
       List.iter
         (fun vm ->
           if not (Vm.halted vm) then begin
-            let instret = vm_instret vm in
+            let instret = Vm.instret vm in
             match Hashtbl.find_opt wd.wd_marks vm.Vm.id with
             | None ->
                 Hashtbl.replace wd.wd_marks vm.Vm.id
@@ -451,7 +443,7 @@ let run ?(budget = 2_000_000_000L) ?until t =
     else begin
       check_watchdog t;
       let p = min_pcpu t in
-      wake_sleepers_at t ~now:p.pclock;
+      wake_sleepers t ~now:p.pclock;
       match (sched t).Scheduler.pick ~now:p.pclock with
       | Some (vcpu, slice) ->
           stalls := 0;
@@ -500,7 +492,7 @@ let run_vm t vm ~cycles =
   let rec loop () =
     if Int64.unsigned_compare p.pclock deadline >= 0 then ()
     else begin
-      wake_sleepers_at t ~now:p.pclock;
+      wake_sleepers t ~now:p.pclock;
       let n = Array.length vm.Vm.vcpus in
       let runnable =
         List.filter

@@ -75,8 +75,6 @@ val set_trace : t -> Trace.t -> unit
 
 val trace : t -> Trace.t option
 
-val pcpu_count : t -> int
-
 val create_vm :
   t ->
   name:string ->
@@ -161,7 +159,3 @@ val vcpu_index : Vm.t -> Vcpu.t -> int
 (** Position of a vCPU within its VM.
 
     @raise Not_found if it belongs to another VM. *)
-
-val wake_sleepers : t -> unit
-(** Re-evaluate wake conditions for all blocked vCPUs now (the run loop
-    does this automatically; exposed for tests and migration). *)

@@ -284,7 +284,7 @@ let stop_and_copy ?(compress = false) ?faults ~src ~dst ~vm ~link () =
     rollback ~dst ~twin reason;
     (vm, result w ~rounds:1 ~downtime:0L ~aborted:true)
 
-let precopy ?(compress = false) ?faults ?watchdog_cycles ~src ~dst ~vm ~link
+let precopy ?(compress = false) ?faults ~src ~dst ~vm ~link
     ?(max_rounds = 8) ?(stop_threshold = 64) () =
   let faults = match faults with Some f -> f | None -> Link.faults link in
   let twin = make_twin ~dst ~vm ~name:vm.Vm.name in
@@ -309,18 +309,8 @@ let precopy ?(compress = false) ?faults ?watchdog_cycles ~src ~dst ~vm ~link
       (* Re-arm write protection for the next epoch (clears the bitmap). *)
       Vm.start_dirty_logging vm;
       let count = List.length dirty in
-      (* Convergence watchdog: when the budget is spent, stop iterating
-         and freeze now rather than chase a dirty set that slow rounds
-         may never shrink. *)
-      let over_budget =
-        match watchdog_cycles with
-        | Some wd -> Int64.unsigned_compare (Wire.clock w) wd > 0
-        | None -> false
-      in
       if count = 0 then []
-      else if
-        !rounds >= max_rounds || count <= stop_threshold || count >= prev_count
-        || over_budget
+      else if !rounds >= max_rounds || count <= stop_threshold || count >= prev_count
       then dirty (* freeze and send the residue *)
       else round dirty count
     in
@@ -341,7 +331,10 @@ let precopy ?(compress = false) ?faults ?watchdog_cycles ~src ~dst ~vm ~link
     rollback ~dst ~twin reason;
     (vm, result w ~rounds:!rounds ~downtime:0L ~aborted:true)
 
-let postcopy ~src ~dst ~vm ~link ?(push_batch = 32) () =
+(* Pages per background push between post-copy execution bursts. *)
+let push_batch = 32
+
+let postcopy ~src ~dst ~vm ~link () =
   let twin = make_twin ~dst ~vm ~name:vm.Vm.name in
   (* Freeze: ship only the vCPU state; every present page becomes Remote
      on the destination. *)

@@ -127,7 +127,6 @@ val stop_and_copy :
 val precopy :
   ?compress:bool ->
   ?faults:Velum_util.Fault.t ->
-  ?watchdog_cycles:int64 ->
   src:Hypervisor.t ->
   dst:Hypervisor.t ->
   vm:Vm.t ->
@@ -142,19 +141,14 @@ val precopy :
 
     [faults] as in {!stop_and_copy}; under loss the guest keeps running
     (and dirtying) for the {e whole} round wire time, retransmits and
-    backoff included.  [watchdog_cycles] is a convergence watchdog: once
-    total transfer time exceeds it the iteration freezes and sends the
-    residue rather than keep chasing the dirty set.  On abort the source
-    VM resumes with dirty logging stopped and the twin's frames are
-    freed. *)
+    backoff included.  On abort the source VM resumes with dirty logging
+    stopped and the twin's frames are freed. *)
 
 val postcopy :
   src:Hypervisor.t ->
   dst:Hypervisor.t ->
   vm:Vm.t ->
   link:Link.t ->
-  ?push_batch:int ->
   unit ->
   Vm.t * result
-(** [push_batch] pages are pushed in the background between execution
-    bursts (default 32). *)
+(** 32 pages are pushed in the background between execution bursts. *)

@@ -174,19 +174,6 @@ module Pool = struct
     if used = 0 then 0.0 else float_of_int vms /. float_of_int used
 end
 
-let sort_decreasing reqs =
-  (* FFD ordering for incremental admission: largest first, name as the
-     deterministic tiebreak so equal-size requests keep a fixed order. *)
-  List.sort
-    (fun a b ->
-      match compare b.cpu_units a.cpu_units with
-      | 0 -> (
-          match compare b.mem_mb a.mem_mb with
-          | 0 -> compare a.vm_name b.vm_name
-          | c -> c)
-      | c -> c)
-    reqs
-
 type cost_report = {
   unconsolidated_hosts : int;
   consolidated_hosts : int;
@@ -203,7 +190,13 @@ let busy_watts spec reqs =
   let units = List.fold_left (fun acc r -> acc + r.cpu_units) 0 reqs in
   spec.watts_per_core *. (float_of_int units /. 100.0)
 
-let cost_savings spec reqs plan ?(euro_per_kwh = 0.12) ?(cooling_overhead = 0.6) () =
+(* Electricity price, in euros per kWh. *)
+let euro_per_kwh = 0.12
+
+(* Cooling power as a fraction of IT power. *)
+let cooling_overhead = 0.6
+
+let cost_savings spec reqs plan =
   let n_vms = List.length reqs in
   let dynamic = busy_watts spec reqs in
   let before = (float_of_int n_vms *. spec.watts_idle) +. dynamic in

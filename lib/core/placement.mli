@@ -91,10 +91,6 @@ module Pool : sig
       analogue of {!consolidation_ratio}, E9's headline number). *)
 end
 
-val sort_decreasing : vm_req list -> vm_req list
-(** FFD admission order: by cpu then memory, largest first, VM name as
-    the deterministic tiebreak. *)
-
 type cost_report = {
   unconsolidated_hosts : int;  (** one VM per host *)
   consolidated_hosts : int;
@@ -105,10 +101,8 @@ type cost_report = {
   euro_saved_per_displaced_server : float;
 }
 
-val cost_savings :
-  host_spec -> vm_req list -> plan -> ?euro_per_kwh:float -> ?cooling_overhead:float ->
-  unit -> cost_report
+val cost_savings : host_spec -> vm_req list -> plan -> cost_report
 (** Power model: each powered-on host draws [watts_idle] plus
     [watts_per_core × busy-cores]; consolidation removes idle draw of
-    displaced hosts.  [cooling_overhead] multiplies IT power (default
-    0.6 — cooling adds 60%).  Default electricity price 0.12 €/kWh. *)
+    displaced hosts.  Cooling adds 60% to IT power; electricity costs
+    0.12 €/kWh. *)

@@ -265,9 +265,12 @@ let guest_dma t =
 
 (* ---- creation ---- *)
 
+(* Capacity of the guest's block devices, in sectors. *)
+let blk_sectors = 2048
+
 let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_paging)
-    ?(pv = no_pv) ?(blk_sectors = 2048) ?(populate = true) ?nic ?(tlb_size = 64)
-    ?(exec_mode = Trap_emulate) ?engine ~entry () =
+    ?(pv = no_pv) ?(populate = true) ?nic ?(tlb_size = 64) ?(exec_mode = Trap_emulate)
+    ?engine ~entry () =
   let engine =
     Engine.of_kind
       (match engine with Some k -> k | None -> host.Host.default_engine)
@@ -415,6 +418,9 @@ let guest_cycles t =
 
 let vmm_cycles t =
   Array.fold_left (fun acc v -> Int64.add acc v.Vcpu.vmm_cycles) 0L t.vcpus
+
+let instret t =
+  Array.fold_left (fun acc v -> Int64.add acc v.Vcpu.state.Cpu.instret) 0L t.vcpus
 
 (* ---- dirty logging epochs ---- *)
 
@@ -584,14 +590,9 @@ let pp ppf t =
 let publish_stats t =
   let m = t.monitor in
   let g = Monitor.set_gauge m in
-  let sum f = Array.fold_left (fun acc x -> acc + f x) 0 in
-  g "tlb.hits" (sum Tlb.hits t.tlbs);
-  g "tlb.misses" (sum Tlb.misses t.tlbs);
-  g "tlb.evictions" (sum Tlb.evictions t.tlbs);
-  g "tlb.flushes" (sum Tlb.flushes t.tlbs);
-  g "dtlb.hits" (sum Dtlb.hits t.dtlbs);
-  g "dtlb.misses" (sum Dtlb.misses t.dtlbs);
-  g "dtlb.fills" (sum Dtlb.fills t.dtlbs);
+  List.iter
+    (fun (name, v) -> g name v)
+    (Engine.counters ~tlbs:t.tlbs ~dtlbs:t.dtlbs t.engine);
   (* Net gauges appear only when an adapter is attached, so outputs of
      network-less runs are unchanged.  Emulated NIC and virtio-net
      counters share one namespace: a VM has at most one of each, and the
@@ -614,19 +615,4 @@ let publish_stats t =
       g "net.rx_overflow" (Virtio_net.rx_overflow v);
       g "net.rx_queued" (Virtio_net.backlog_length v);
       g "net.kicks" (Virtio_net.kicks v))
-    t.vnet;
-  match t.engine.Engine.cache with
-  | None -> ()
-  | Some c ->
-      g "engine.cache.entries" (Trans_cache.entries c);
-      g "engine.cache.hits" (Trans_cache.hits c);
-      g "engine.cache.misses" (Trans_cache.misses c);
-      g "engine.cache.invalidations" (Trans_cache.invalidations c);
-      g "engine.cache.evictions" (Trans_cache.evictions c);
-      g "engine.chain.patched" (Trans_cache.chains_patched c);
-      g "engine.chain.follows" (Trans_cache.chain_follows c);
-      g "engine.chain.severed" (Trans_cache.chains_severed c);
-      g "engine.trace.built" (Trans_cache.traces_built c);
-      g "engine.trace.follows" (Trans_cache.trace_follows c);
-      g "engine.trace.severed" (Trans_cache.traces_severed c);
-      g "engine.trace.side_exits" (Trans_cache.trace_side_exits c)
+    t.vnet

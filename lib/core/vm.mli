@@ -92,7 +92,6 @@ val create :
   ?vcpu_count:int ->
   ?paging:paging_mode ->
   ?pv:pv ->
-  ?blk_sectors:int ->
   ?populate:bool ->
   ?nic:Nic.link_binding ->
   ?tlb_size:int ->
@@ -103,7 +102,8 @@ val create :
   t
 (** Allocates all guest frames eagerly (Present, writable) unless
     [populate = false], in which case every entry starts [Absent]
-    (post-copy migration fills them as [Remote]).
+    (post-copy migration fills them as [Remote]).  Both block devices
+    hold 2048 sectors.
 
     @raise Failure when the host is out of frames (everything allocated
     so far is returned first). *)
@@ -128,6 +128,9 @@ val halted : t -> bool
 
 val guest_cycles : t -> int64
 val vmm_cycles : t -> int64
+
+val instret : t -> int64
+(** Instructions retired, summed over the VM's vCPUs. *)
 
 (** {1 Dirty-page tracking (live migration)} *)
 

@@ -7,7 +7,6 @@ type t = {
   uart : Uart.t;
   blk : Blockdev.t;
   vblk : Virtio_blk.t;
-  nic : Nic.t option;
   cpu : Cpu.state;
   tlb : Tlb.t;
   dtlb : Dtlb.t;
@@ -65,8 +64,11 @@ let identity_guest_mem mem =
     write_bytes = dma.Blockdev.dma_write;
   }
 
-let create ?(frames = 4096) ?(cost = Cost_model.default) ?(blk_sectors = 8192)
-    ?(tlb_size = 64) ?nic ?(engine = Engine.Interp) () =
+(* Capacity of both block devices, in sectors. *)
+let blk_sectors = 8192
+
+let create ?(frames = 4096) ?(cost = Cost_model.default) ?(tlb_size = 64)
+    ?(engine = Engine.Interp) () =
   let mem = Phys_mem.create ~frames in
   let bus = Bus.create () in
   let uart = Uart.create () in
@@ -75,14 +77,6 @@ let create ?(frames = 4096) ?(cost = Cost_model.default) ?(blk_sectors = 8192)
   Bus.attach bus (Uart.device uart);
   Bus.attach bus (Blockdev.device blk);
   Bus.attach bus (Virtio_blk.device vblk);
-  let nic =
-    Option.map
-      (fun (link, endpoint) ->
-        let n = Nic.create ~link ~endpoint ~dma:(identity_dma mem) () in
-        Bus.attach bus (Nic.device n);
-        n)
-      nic
-  in
   let cpu = Cpu.create_state () in
   let tlb = Tlb.create ~size:tlb_size in
   let dtlb = Dtlb.create ~tlb in
@@ -103,7 +97,6 @@ let create ?(frames = 4096) ?(cost = Cost_model.default) ?(blk_sectors = 8192)
     uart;
     blk;
     vblk;
-    nic;
     cpu;
     tlb;
     dtlb;
@@ -186,7 +179,6 @@ let next_event t =
          if cmp <> 0L && Int64.unsigned_compare cmp t.clock > 0 then Some cmp else None);
         Blockdev.next_completion t.blk;
         Virtio_blk.next_completion t.vblk;
-        Option.bind t.nic Nic.next_arrival;
       ]
   in
   match candidates with

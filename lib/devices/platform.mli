@@ -1,6 +1,6 @@
 (** A complete bare-metal VR64 machine: one hart, RAM, MMU, and a device
     complement (UART console, emulated block device, paravirtual block
-    device, NIC) on the MMIO bus.
+    device) on the MMIO bus.
 
     This is the {e native} baseline every virtualization experiment
     compares against — the same guest images boot here and under the
@@ -15,7 +15,6 @@ type t = {
   uart : Uart.t;
   blk : Blockdev.t;
   vblk : Virtio_blk.t;
-  nic : Nic.t option;
   cpu : Cpu.state;
   tlb : Tlb.t;
   dtlb : Dtlb.t;  (** data micro-TLB backed by [tlb] (see {!Dtlb}) *)
@@ -37,17 +36,15 @@ val identity_guest_mem : Phys_mem.t -> Virtio_ring.guest_mem
 val create :
   ?frames:int ->
   ?cost:Cost_model.t ->
-  ?blk_sectors:int ->
   ?tlb_size:int ->
-  ?nic:Link.t * Link.endpoint ->
   ?engine:Engine.kind ->
   unit ->
   t
 (** [create ()] builds a machine with 4096 frames (16 MiB) by default.
-    Passing [~nic:(link, endpoint)] attaches a NIC bound to that link.
-    [engine] picks the execution engine (default interpreter); the block
-    engine's cache is kept coherent with RAM via write listeners, so DMA
-    and self-modifying code behave identically on both. *)
+    Both block devices hold 8192 sectors.  [engine] picks the execution
+    engine (default interpreter); the block engine's cache is kept
+    coherent with RAM via write listeners, so DMA and self-modifying
+    code behave identically on both. *)
 
 val load_image : t -> Asm.image -> unit
 (** Copy an assembled image into RAM at its origin. *)

@@ -50,7 +50,6 @@ let accessed t = Bitops.test_bit t bit_a
 let dirty t = Bitops.test_bit t bit_d
 let set_accessed t = Bitops.set_bit t bit_a true
 let set_dirty t = Bitops.set_bit t bit_d true
-let clear_accessed t = Bitops.set_bit t bit_a false
 let clear_dirty t = Bitops.set_bit t bit_d false
 
 let with_perms t { r; w; x; u } =

@@ -33,7 +33,6 @@ val accessed : t -> bool
 val dirty : t -> bool
 val set_accessed : t -> t
 val set_dirty : t -> t
-val clear_accessed : t -> t
 val clear_dirty : t -> t
 
 val with_perms : t -> perms -> t

@@ -46,7 +46,6 @@ let spie_bit = 62
 let spp_bit = 61
 
 let gie s = Bitops.test_bit (get_csr s Arch.Sie) gie_bit
-let set_gie s b = set_csr s Arch.Sie (Bitops.set_bit (get_csr s Arch.Sie) gie_bit b)
 
 let deliver_trap s ~cause ~tval =
   set_csr s Arch.Sepc s.pc;

@@ -59,7 +59,6 @@ val set_csr : state -> Arch.csr -> int64 -> unit
 (** {1 Status-register bit helpers} *)
 
 val gie : state -> bool
-val set_gie : state -> bool -> unit
 
 val deliver_trap : state -> cause:Arch.cause -> tval:int64 -> unit
 (** [deliver_trap s ~cause ~tval] performs architectural trap entry on

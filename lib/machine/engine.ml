@@ -2,11 +2,6 @@ open Velum_isa
 
 type kind = Interp | Block
 
-let kind_of_string = function
-  | "interp" -> Some Interp
-  | "block" -> Some Block
-  | _ -> None
-
 let kind_name = function Interp -> "interp" | Block -> "block"
 
 type t = {
@@ -513,11 +508,42 @@ let block_step cache states s ctx ~fuel =
     (!consumed, stop)
   end
 
-let block ?(cache_capacity = 1024) () =
+(* Translation-cache capacity of a block engine, in blocks. *)
+let cache_capacity = 1024
+
+let block () =
   let cache = Trans_cache.create ~capacity:cache_capacity () in
   let states = ref [] in
   { kind = Block; step_n = block_step cache states; cache = Some cache }
 
-let of_kind ?cache_capacity = function
-  | Interp -> interp
-  | Block -> block ?cache_capacity ()
+let of_kind = function Interp -> interp | Block -> block ()
+
+let counters ~tlbs ~dtlbs t =
+  let sum f = Array.fold_left (fun acc x -> acc + f x) 0 in
+  [
+    ("tlb.hits", sum Tlb.hits tlbs);
+    ("tlb.misses", sum Tlb.misses tlbs);
+    ("tlb.evictions", sum Tlb.evictions tlbs);
+    ("tlb.flushes", sum Tlb.flushes tlbs);
+    ("dtlb.hits", sum Dtlb.hits dtlbs);
+    ("dtlb.misses", sum Dtlb.misses dtlbs);
+    ("dtlb.fills", sum Dtlb.fills dtlbs);
+  ]
+  @
+  match t.cache with
+  | None -> []
+  | Some c ->
+      [
+        ("engine.cache.entries", Trans_cache.entries c);
+        ("engine.cache.hits", Trans_cache.hits c);
+        ("engine.cache.misses", Trans_cache.misses c);
+        ("engine.cache.invalidations", Trans_cache.invalidations c);
+        ("engine.cache.evictions", Trans_cache.evictions c);
+        ("engine.chain.patched", Trans_cache.chains_patched c);
+        ("engine.chain.follows", Trans_cache.chain_follows c);
+        ("engine.chain.severed", Trans_cache.chains_severed c);
+        ("engine.trace.built", Trans_cache.traces_built c);
+        ("engine.trace.follows", Trans_cache.trace_follows c);
+        ("engine.trace.severed", Trans_cache.traces_severed c);
+        ("engine.trace.side_exits", Trans_cache.trace_side_exits c);
+      ]

@@ -29,9 +29,6 @@
 
 type kind = Interp | Block
 
-val kind_of_string : string -> kind option
-(** ["interp"] or ["block"]. *)
-
 val kind_name : kind -> string
 
 type t = {
@@ -48,11 +45,18 @@ type t = {
 val interp : t
 (** Stateless; a single shared instance. *)
 
-val block : ?cache_capacity:int -> unit -> t
-(** A fresh block engine with a private cache.  The embedder must
-    register a {!Phys_mem.add_write_listener} on the machine memory the
-    hart executes from, forwarding frame writes to
+val block : unit -> t
+(** A fresh block engine with a private cache of 1024 blocks.  The
+    embedder must register a {!Phys_mem.add_write_listener} on the
+    machine memory the hart executes from, forwarding frame writes to
     {!Trans_cache.invalidate_frame} — without it, self-modifying code
     would execute stale blocks. *)
 
-val of_kind : ?cache_capacity:int -> kind -> t
+val of_kind : kind -> t
+
+val counters : tlbs:Tlb.t array -> dtlbs:Dtlb.t array -> t -> (string * int) list
+(** The statistics counters of a machine's harts, in a fixed order:
+    [tlb.*] and [dtlb.*] summed over [tlbs] and [dtlbs], then the block
+    engine's [engine.*] cache counters (none for the interpreter).  The
+    native CLI prints this list and [Vm.publish_stats] pushes it as
+    gauges. *)

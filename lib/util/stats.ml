@@ -29,6 +29,16 @@ let percentile xs p =
 
 let median xs = percentile xs 50.0
 
+let nearest_rank xs p =
+  let n = Array.length xs in
+  if n = 0 then invalid_arg "Stats.nearest_rank: empty";
+  if Float.is_nan p || p < 0.0 || p > 100.0 then
+    invalid_arg "Stats.nearest_rank: p out of range";
+  let sorted = Array.copy xs in
+  Array.sort Int.compare sorted;
+  let rank = int_of_float (Float.ceil (p *. float_of_int n /. 100.0)) in
+  sorted.(max 0 (rank - 1))
+
 let jain_fairness xs =
   let n = Array.length xs in
   if n = 0 then 1.0

@@ -19,6 +19,15 @@ val percentile : float array -> float -> float
 val median : float array -> float
 (** [median xs] is [percentile xs 50.0]. *)
 
+val nearest_rank : int array -> float -> int
+(** [nearest_rank xs p] is the [p]-th percentile (0..100) by nearest
+    rank: element [ceil (p * n / 100)] (1-based, [p = 0] giving the
+    minimum) of the samples sorted ascending.  The result is always one
+    of the samples, never an interpolation.
+
+    @raise Invalid_argument on an empty array or a NaN [p] or one
+    outside [0,100]. *)
+
 val jain_fairness : float array -> float
 (** [jain_fairness xs] is Jain's fairness index
     [(sum xs)^2 / (n * sum (x^2))]: 1.0 means perfectly even allocation,

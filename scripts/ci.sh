@@ -24,6 +24,15 @@ echo "== fault-matrix smoke (determinism under injected faults) =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
+# pin EXPERIMENT FILE: FILE holds only simulated numbers, so a full run
+# of EXPERIMENT must regenerate the committed copy byte for byte.
+pin() {
+  cp "$2" "$tmp/$2.ref"
+  dune exec bench/main.exe -- --only "$1" >"$tmp/$1.txt"
+  diff "$tmp/$2.ref" "$2" || {
+    echo "FAIL: $2 diverged from the committed copy"; exit 1; }
+}
+
 dune exec bin/velum.exe -- migrate --faults "seed=42,drop=0.05" >"$tmp/mig1.txt"
 dune exec bin/velum.exe -- migrate --faults "seed=42,drop=0.05" >"$tmp/mig2.txt"
 diff "$tmp/mig1.txt" "$tmp/mig2.txt" || {
@@ -107,9 +116,7 @@ cp "$tmp/BENCH_fault.ref.json" BENCH_fault.json
 # The quick runs above only prove determinism.  The full E16 is all
 # simulated numbers (retransmits, rollback, failover epochs), so it must
 # regenerate the committed BENCH_fault.json byte for byte.
-dune exec bench/main.exe -- --only E16 >"$tmp/e16.txt"
-diff "$tmp/BENCH_fault.ref.json" BENCH_fault.json || {
-  echo "FAIL: BENCH_fault.json diverged from the committed copy"; exit 1; }
+pin E16 BENCH_fault.json
 
 echo "== crash-recovery matrix (EVERY power-failure offset) =="
 # Cut the write stream at EVERY byte offset — of a delta commit and of
@@ -161,9 +168,7 @@ cp "$tmp/BENCH_ha.ref.json" BENCH_ha.json
 # The quick runs above only prove determinism.  The full E17 is all
 # simulated numbers (failover_at, mttr_cycles, pause tax...), so it must
 # regenerate the committed BENCH_ha.json byte for byte.
-dune exec bench/main.exe -- --only E17 >"$tmp/e17.txt"
-diff "$tmp/BENCH_ha.ref.json" BENCH_ha.json || {
-  echo "FAIL: BENCH_ha.json diverged from the committed copy"; exit 1; }
+pin E17 BENCH_ha.json
 
 # The committed BENCH_ha.json must carry the incremental-store columns
 # and show a checkpoint pause tax under 20% at the 100k-cycle cadence —
@@ -184,10 +189,7 @@ echo "cadence_100000 checkpoint overhead: $overhead"
 
 # E22's BENCH_store.json is all deterministic byte counts (no wall
 # clock), so the regenerated file must match the committed one exactly.
-cp BENCH_store.json "$tmp/BENCH_store.ref.json"
-dune exec bench/main.exe -- --only E22 >"$tmp/e22.txt"
-diff "$tmp/BENCH_store.ref.json" BENCH_store.json || {
-  echo "FAIL: BENCH_store.json diverged from the committed copy"; exit 1; }
+pin E22 BENCH_store.json
 
 echo "== trace determinism and zero-overhead gate =="
 # Tracing is host-side observation only: two identical seeded runs must
@@ -269,10 +271,7 @@ grep -q "state=shed" "$tmp/cluster1.txt" || {
 
 # E20's BENCH_cluster.json is all simulated metrics (no wall clock), so
 # the regenerated file must be byte-identical to the committed one.
-cp BENCH_cluster.json "$tmp/BENCH_cluster.ref.json"
-dune exec bench/main.exe -- --only E20 >"$tmp/e20.txt"
-diff "$tmp/BENCH_cluster.ref.json" BENCH_cluster.json || {
-  echo "FAIL: BENCH_cluster.json diverged from the committed copy"; exit 1; }
+pin E20 BENCH_cluster.json
 
 echo "== network fabric: domain invariance, tail latency, conservation =="
 # A switched virtio-net fleet (LB fan-out over backends, open-loop
@@ -300,9 +299,6 @@ grep -q "net.kicks" "$tmp/net1.txt" || {
 # byte for byte; E23 itself asserts 1-vs-4-domain byte identity, frame
 # conservation, and reply completeness across a mid-benchmark live
 # migration of a backend.
-cp BENCH_net.json "$tmp/BENCH_net.ref.json"
-dune exec bench/main.exe -- --only E23 >"$tmp/e23.txt"
-diff "$tmp/BENCH_net.ref.json" BENCH_net.json || {
-  echo "FAIL: BENCH_net.json diverged from the committed copy"; exit 1; }
+pin E23 BENCH_net.json
 
 echo "CI gate passed."

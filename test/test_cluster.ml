@@ -9,6 +9,7 @@
 open Velum_vmm
 open Velum_guests
 module Parallel = Velum_cluster.Parallel
+module Fabric = Velum_cluster.Fabric
 module Barrier = Velum_cluster.Barrier
 module Mailbox = Velum_cluster.Mailbox
 module Fault = Velum_util.Fault
@@ -658,6 +659,24 @@ let control_invariance_prop =
       String.equal r1.Control.report r2.Control.report
       && String.equal r1.Control.report r4.Control.report)
 
+(* --- fabric: fleet tails are measured samples --- *)
+
+(* Every fleet percentile must be one of the merged reply latencies: a
+   merge that replays per-cell log2 buckets at their lower bounds
+   reports a bucket floor (4194304) as the fleet p95/p99/max instead. *)
+let test_fabric_tails_are_samples () =
+  let shape = { Fabric.backends = 2; clients = 2; requests = 8; batch = 4; service = 150 } in
+  let r = Fabric.run shape ~hosts:2 ~quantum:400_000L ~rounds:16 ~seed:23L in
+  let samples = r.Fabric.latencies in
+  let t = Fabric.tail samples in
+  checki "every reply sampled" (2 * 2 * 8) t.Fabric.replies;
+  checki "sample count" t.Fabric.replies (List.length samples);
+  List.iter
+    (fun (what, v) -> checkb (what ^ " is a sample") true (List.mem v samples))
+    [ ("p50", t.Fabric.p50); ("p95", t.Fabric.p95); ("p99", t.Fabric.p99); ("max", t.Fabric.max) ];
+  checki "max is the largest sample" (List.fold_left max min_int samples) t.Fabric.max;
+  checkb "ordered" true (t.Fabric.p50 <= t.Fabric.p95 && t.Fabric.p95 <= t.Fabric.p99)
+
 let () =
   Alcotest.run "cluster"
     [
@@ -667,6 +686,11 @@ let () =
             test_barrier_lockstep;
           Alcotest.test_case "mailbox FIFO and concurrent posting" `Quick
             test_mailbox;
+        ] );
+      ( "fabric",
+        [
+          Alcotest.test_case "fleet tails are measured samples" `Quick
+            test_fabric_tails_are_samples;
         ] );
       ( "share-nothing",
         [

@@ -139,6 +139,31 @@ let test_stats_percentile_nan () =
   (* Float.compare-based sort: negative values order correctly *)
   checkf "negative samples sort" (-3.0) (Stats.percentile [| -1.0; -3.0; -2.0 |] 0.0)
 
+let test_stats_nearest_rank () =
+  checki "n = 1, p0" 7 (Stats.nearest_rank [| 7 |] 0.0);
+  checki "n = 1, p100" 7 (Stats.nearest_rank [| 7 |] 100.0);
+  let xs = [| 40; 10; 30; 20 |] in
+  checki "p0 = min" 10 (Stats.nearest_rank xs 0.0);
+  checki "p25 = rank 1" 10 (Stats.nearest_rank xs 25.0);
+  checki "p26 = rank 2" 20 (Stats.nearest_rank xs 26.0);
+  checki "p50 = rank 2, no interpolation" 20 (Stats.nearest_rank xs 50.0);
+  checki "p100 = max" 40 (Stats.nearest_rank xs 100.0);
+  Alcotest.(check (array int)) "input left unsorted" [| 40; 10; 30; 20 |] xs;
+  let ties = [| 5; 1; 5; 9; 5 |] in
+  checki "p20 below the tie" 1 (Stats.nearest_rank ties 20.0);
+  checki "p21 enters the tie" 5 (Stats.nearest_rank ties 21.0);
+  checki "p80 still in the tie" 5 (Stats.nearest_rank ties 80.0);
+  checki "p81 past the tie" 9 (Stats.nearest_rank ties 81.0);
+  let raises what p =
+    Alcotest.check_raises what (Invalid_argument "Stats.nearest_rank: p out of range")
+      (fun () -> ignore (Stats.nearest_rank xs p))
+  in
+  raises "p > 100" 100.5;
+  raises "p < 0" (-1.0);
+  raises "NaN p" Float.nan;
+  Alcotest.check_raises "empty" (Invalid_argument "Stats.nearest_rank: empty") (fun () ->
+      ignore (Stats.nearest_rank [||] 50.0))
+
 let stats_prop_percentile_monotone =
   QCheck2.Test.make ~name:"percentile is monotone in p"
     QCheck2.Gen.(list_size (int_range 1 30) (float_bound_inclusive 1000.0))
@@ -464,6 +489,7 @@ let () =
           Alcotest.test_case "running" `Quick test_stats_running;
           Alcotest.test_case "population stddev" `Quick test_stats_population_stddev;
           Alcotest.test_case "percentile NaN" `Quick test_stats_percentile_nan;
+          Alcotest.test_case "nearest rank" `Quick test_stats_nearest_rank;
         ]
         @ qsuite [ stats_prop_percentile_monotone ] );
       ( "bitops",

@@ -867,7 +867,7 @@ let test_cost_savings_positive () =
         { Placement.vm_name = Printf.sprintf "s%d" i; cpu_units = 100; mem_mb = 2048 })
   in
   let plan = Placement.first_fit_decreasing spec reqs in
-  let r = Placement.cost_savings spec reqs plan () in
+  let r = Placement.cost_savings spec reqs plan in
   checkb "hosts reduced" true (r.Placement.consolidated_hosts < r.Placement.unconsolidated_hosts);
   checkb "power reduced" true (r.Placement.watts_after < r.Placement.watts_before);
   checkb "euros saved" true (r.Placement.annual_euro_saved > 0.0);
