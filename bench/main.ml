@@ -1703,7 +1703,7 @@ let e17 () =
        shorter checkpoint cadence buys a smaller restart MTTR at a higher\n\
        pause tax.\n\
        Heartbeat loss below the miss limit never fails over; total loss fails\n\
-       over in ~hb_miss_limit epochs and generation-fences the stale primary;\n\
+       over in ~miss_limit epochs and generation-fences the stale primary;\n\
        host death recovers without fencing (nobody is left to fence).  Written\n\
        to BENCH_ha.json (byte-identical across same-seed runs).\n"
   end
@@ -1839,7 +1839,7 @@ let e18 () =
 
 (* E19: parallel hosts on OCaml domains.  The round-barrier runner must
    produce a byte-identical fleet report (cycles, exits, monitor
-   counters, heartbeats, link state) and byte-identical per-host trace
+   counters, migration accounting) and byte-identical per-host trace
    exports at every domain count — asserted here at 1, 2 and 4 domains.
    Wall-clock speedup is measured and reported with a soft scaling
    target: it can only materialise when the machine actually has

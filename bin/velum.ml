@@ -76,19 +76,17 @@ let print_faults f =
 
 (* ---------------- shared HA detector knobs ---------------- *)
 
-(* The ring detector ('run --hosts N') and the control plane's spoke
-   detector ('velum cluster') decide death by the one Suspicion rule and
-   reject the same bad values; --ha-backoff also spaces the HA
-   supervisor's restarts ('run --ha'). *)
+(* One knobs record for the fleet detector ('run --hosts N' and 'velum
+   cluster'); --ha-backoff also spaces the HA supervisor's restarts
+   ('run --ha'). *)
 
 let ha_miss_limit_arg =
   Arg.(
     value & opt int 3
     & info [ "ha-miss-limit" ]
         ~doc:
-          "Consecutive heartbeat misses before a peer is declared dead \
-           (ring detector in fleet mode; failover detector in 'velum \
-           cluster').")
+          "Consecutive heartbeat misses before the fleet detector \
+           declares a host dead ('run --hosts' and 'velum cluster').")
 
 let ha_timeout_arg =
   Arg.(
@@ -106,7 +104,13 @@ let ha_backoff_arg =
         ~doc:
           "Base backoff in cycles, doubled per attempt: restart spacing \
            for the HA supervisor under --ha, probe spacing for the \
-           cluster detector.  0 = the built-in default.")
+           fleet detector.  0 = the built-in default.")
+
+let ha_knobs =
+  let make miss_limit timeout takeover_backoff =
+    { Ha.Failover.miss_limit; timeout; takeover_backoff }
+  in
+  Term.(const make $ ha_miss_limit_arg $ ha_timeout_arg $ ha_backoff_arg)
 
 (* ---------------- run ---------------- *)
 
@@ -203,9 +207,9 @@ let run_cmd =
       & info [ "hosts" ]
           ~doc:
             "Simulate a fleet of $(docv) share-nothing hosts (each runs one \
-             copy of the workload) connected in a heartbeat ring, executed \
-             under the deterministic round barrier.  Values > 1 switch to \
-             the cluster runner; see also --domains.")
+             copy of the workload) watched by the fleet heartbeat \
+             detector, executed under the deterministic round barrier. \
+             Values > 1 switch to the cluster runner; see also --domains.")
   in
   let domains =
     Arg.(
@@ -232,8 +236,8 @@ let run_cmd =
       value & opt int 0
       & info [ "migrate-every" ]
           ~doc:
-            "Every $(docv) rounds, live-migrate one VM a step along the ring \
-             at the barrier (0 = never).")
+            "Every $(docv) rounds, live-migrate one VM from the next host in \
+             turn to its successor at the barrier (0 = never).")
   in
   let fail_host =
     Arg.(
@@ -241,7 +245,7 @@ let run_cmd =
       & opt (some (pair int int)) None
       & info [ "fail-host" ] ~docv:"ROUND,HOST"
           ~doc:
-            "Kill host HOST at round ROUND; its ring successor detects the \
+            "Kill host HOST at round ROUND; the fleet detector notices the \
              missing heartbeats and declares it dead.")
   in
   let seed =
@@ -253,20 +257,30 @@ let run_cmd =
   in
   let action workload size native paging pv exec_mode engine budget faults watchdog
       watchdog_policy ha checkpoint_every trace_to hosts domains quantum rounds
-      migrate_every fail_host seed ha_miss_limit ha_timeout ha_backoff =
+      migrate_every fail_host seed knobs =
     if hosts > 1 || domains > 1 then begin
       let module P = Velum_cluster.Parallel in
+      let module D = Velum_cluster.Detector in
       let setup = build_setup workload ~size ~pv in
       let mk_vms i =
         [ P.spec ~paging ~pv ~engine ~name:(Printf.sprintf "vm%d" i) setup ]
       in
       let cfg =
         P.config ~quantum ~rounds ~seed ?faults ~migrate_every ?fail_host
-          ~hb_miss_limit:ha_miss_limit ~hb_timeout:ha_timeout
           ~trace:(trace_to <> None) ~hosts ~mk_vms ()
       in
-      let res = P.run ~domains cfg in
-      print_string res.P.report;
+      let fleet = P.init cfg in
+      let det = D.create ~knobs ?faults ~hosts ~quantum ~seed () in
+      P.run_fleet ~domains fleet ~on_round:(fun fl ~round ->
+          ignore
+            (D.observe_round det ~alive:(fun i -> fl.P.nodes.(i).P.alive) ~round));
+      print_string (P.report fleet);
+      print_string (D.summary det);
+      for i = 0 to hosts - 1 do
+        Option.iter
+          (Printf.printf "detector: host %d dead at round %d\n" i)
+          (D.declared_at det i)
+      done;
       match trace_to with
       | Some file ->
           List.iter
@@ -274,7 +288,7 @@ let run_cmd =
               let oc = open_out (Printf.sprintf "%s.%d" file i) in
               output_string oc s;
               close_out oc)
-            (P.traces res.P.fleet)
+            (P.traces fleet)
       | None -> ()
     end
     else begin
@@ -340,8 +354,9 @@ let run_cmd =
               ~sectors:(Store.sectors_for ~image_bytes:(Snapshot.size_bytes probe))
               ?faults ()
           in
+          let backoff = knobs.Ha.Failover.takeover_backoff in
           let backoff_base =
-            if Int64.compare ha_backoff 0L > 0 then Some ha_backoff else None
+            if Int64.compare backoff 0L > 0 then Some backoff else None
           in
           let sup =
             Ha.create ~hyp ~store ~vm ?wd_budget:watchdog ~checkpoint_every
@@ -394,7 +409,7 @@ let run_cmd =
       const action $ workload $ size $ native $ paging $ pv $ exec_mode $ engine $ budget
       $ faults_arg $ watchdog $ watchdog_policy $ ha $ checkpoint_every $ trace_to
       $ hosts $ domains $ quantum $ rounds $ migrate_every $ fail_host $ seed
-      $ ha_miss_limit_arg $ ha_timeout_arg $ ha_backoff_arg)
+      $ ha_knobs)
 
 (* ---------------- trace report ---------------- *)
 
@@ -864,15 +879,8 @@ let cluster_cmd =
              refill.")
   in
   let action hosts vms burst burst_round quantum rounds seed domains
-      checkpoint_every kills drains faults ha_miss_limit ha_timeout ha_backoff =
+      checkpoint_every kills drains faults knobs =
     let module C = Velum_cluster.Control in
-    let knobs =
-      {
-        Ha.Failover.miss_limit = ha_miss_limit;
-        timeout = ha_timeout;
-        takeover_backoff = ha_backoff;
-      }
-    in
     let cfg =
       C.chaos ~quantum ~rounds ~seed ?faults ~knobs ~checkpoint_every ~kills ~drains
         ~vms ~burst ~burst_round ~hosts ()
@@ -891,8 +899,7 @@ let cluster_cmd =
           byte-deterministic at any --domains.")
     Term.(
       const action $ hosts $ vms $ burst $ burst_round $ quantum $ rounds $ seed
-      $ domains $ checkpoint_every $ kills $ drains $ faults_arg
-      $ ha_miss_limit_arg $ ha_timeout_arg $ ha_backoff_arg)
+      $ domains $ checkpoint_every $ kills $ drains $ faults_arg $ ha_knobs)
 
 (* ---------------- net ---------------- *)
 

@@ -57,6 +57,16 @@ let config ?(quantum = 50_000L) ?(rounds = 24) ?(seed = 0L) ?faults
     invalid_arg "Control.config: headroom must be in [0, cap_units)";
   if checkpoint_every <= 0 then
     invalid_arg "Control.config: checkpoint_every must be positive";
+  let check_target what (r, h) =
+    if r < 0 || h < 0 || h >= hosts then
+      invalid_arg
+        (Printf.sprintf
+           "Control.config: %s (%d, %d) needs a round >= 0 and a host in \
+            [0, hosts)"
+           what r h)
+  in
+  List.iter (check_target "kill") kills;
+  List.iter (check_target "drain") drains;
   let seen = Hashtbl.create 16 in
   List.iter
     (fun d ->
@@ -149,8 +159,8 @@ type t = {
   mutable mig_bytes : int; (* wire bytes of drain live migrations *)
 }
 
-(* Stream ids 0-3 belong to the fleet runner and 4-5 to the detector;
-   the control plane's own draws start at 6. *)
+(* Stream ids 0-3 belong to the fleet runner (2 retired) and 4-5 to the
+   detector; the control plane's own draws start at 6. *)
 let evac_stream = 6
 let drain_stream = 7
 let store_stream = 8
@@ -160,9 +170,7 @@ let round_target cfg round = Int64.mul cfg.quantum (Int64.of_int (round + 1))
 let create cfg =
   let pcfg =
     Parallel.config ~quantum:cfg.quantum ~rounds:cfg.rounds ~seed:cfg.seed
-      ?faults:cfg.faults
-      ~hb_miss_limit:max_int (* the spoke detector is the only oracle *)
-      ~trace:cfg.trace
+      ?faults:cfg.faults ~trace:cfg.trace
       ~host_frames:(cfg.cap_units + 1024) ~hosts:cfg.hosts
       ~mk_vms:(fun _ -> [])
       ()
@@ -539,8 +547,7 @@ let step t ~round =
   (* 1. scheduled host kills (ground truth; the detector finds out) *)
   List.iter
     (fun (r, h) ->
-      if r = round && h >= 0 && h < cfg.hosts then
-        Parallel.set_alive t.fleet.Parallel.nodes.(h) false)
+      if r = round then Parallel.set_alive t.fleet.Parallel.nodes.(h) false)
     cfg.kills;
   (* 2. failure detection over the spoke control lanes *)
   let newly_dead =
@@ -553,8 +560,7 @@ let step t ~round =
   List.iter
     (fun (r, h) ->
       if
-        r = round && h >= 0 && h < cfg.hosts
-        && t.fleet.Parallel.nodes.(h).Parallel.alive
+        r = round && t.fleet.Parallel.nodes.(h).Parallel.alive
         && not (List.exists (fun d -> Drain.host d = h && Drain.active d)
                   t.drain_ops)
       then begin
@@ -714,12 +720,7 @@ let report t =
     Printf.bprintf buf "pool host %d: open=%b used=%d placed=%d\n" h
       hs.Pool.open_ hs.Pool.used_units hs.Pool.placed
   done;
-  let ds = Detector.stats t.det in
-  Printf.bprintf buf
-    "detector: hb_sent=%d hb_lost=%d probes=%d acks=%d deaths=%d bytes=%d\n"
-    ds.Detector.hb_sent ds.Detector.hb_lost ds.Detector.probes_sent
-    ds.Detector.acks_seen ds.Detector.deaths
-    (Detector.spoke_bytes t.det);
+  Buffer.add_string buf (Detector.summary t.det);
   List.iter
     (fun d ->
       let s = Drain.stats d in
@@ -733,15 +734,7 @@ let report t =
         | Some r -> string_of_int r
         | None -> "-"))
     (List.rev t.drain_ops);
-  let dropped =
-    Array.fold_left
-      (fun acc n ->
-        acc + Mailbox.dropped n.Parallel.inbox
-        + Mailbox.dropped n.Parallel.outbox)
-      0 t.fleet.Parallel.nodes
-  in
   Printf.bprintf buf "events %s\n" (Monitor.to_json t.monitor);
-  Printf.bprintf buf "mailbox_dropped=%d\n" dropped;
   Printf.bprintf buf
     "store commits=%d torn=%d gc=%d bytes_written=%d logical=%d \
      chunks_live=%d\n"

@@ -93,10 +93,11 @@ val config :
     Fixed policy: at most 2 checkpoint restores start per round, and a
     VM whose evacuation fails more than 3 times is degraded to halted.
     Drains follow {!Drain}'s policy (2 migrations per round, 3 retries,
-    a 2-round reboot).  Fleet mailboxes are unbounded.
+    a 2-round reboot).
 
     @raise Invalid_argument on inconsistent sizes, duplicate VM names,
-    or a VM that exceeds the admittable per-host capacity. *)
+    a VM that exceeds the admittable per-host capacity, or a kill or
+    drain with a negative round or a host outside [[0, hosts)]. *)
 
 val chaos :
   ?quantum:int64 ->

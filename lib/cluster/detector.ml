@@ -22,8 +22,7 @@ type t = {
 }
 
 (* The detector's per-host plans must be independent of the fleet
-   runner's node/ring/migration streams (0-3), so its stream ids start
-   at 4. *)
+   runner's streams (0-3, 2 retired), so its stream ids start at 4. *)
 let spoke_stream = 4
 let prewire_stream = 5
 
@@ -155,3 +154,8 @@ let stats (t : t) =
     acks_seen = t.acks_seen;
     deaths = t.deaths;
   }
+
+let summary (t : t) =
+  Printf.sprintf
+    "detector: hb_sent=%d hb_lost=%d probes=%d acks=%d deaths=%d bytes=%d\n"
+    t.hb_sent t.hb_lost t.probes_sent t.acks_seen t.deaths (spoke_bytes t)

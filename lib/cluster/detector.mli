@@ -1,8 +1,8 @@
-(** Fleet-wide heartbeat failure detector for the cluster control plane.
+(** The fleet's one heartbeat failure detector.
 
     Hub-and-spoke over the ordinary {!Velum_devices.Link} control lanes:
-    every host owns a spoke link to the control plane.  Each round the
-    host (simulated coordinator-side, so the whole protocol runs in the
+    every host owns a spoke link to a hub.  Each round the host
+    (simulated coordinator-side, so the whole protocol runs in the
     strictly-sequential barrier phase) answers outstanding probes and
     emits one cycle-stamped heartbeat; the hub polls the spoke at the
     round horizon and feeds each host's {!Velum_vmm.Suspicion} machine
@@ -10,13 +10,18 @@
     A suspect host is probed with exponential backoff; an answered probe
     (ACK) counts as a heartbeat.
 
+    It watches any {!Parallel} fleet from the [on_round] hook, with each
+    node's [alive] flag as ground truth: {!Control} acts on its
+    declarations (fence, evacuate), and [velum run --hosts] reports
+    them.
+
     Tuning is {!Velum_vmm.Ha.Failover.hb_knobs}: [miss_limit] and
     [timeout] go to the suspicion machine; [takeover_backoff] (cycles →
     rounds, at least 1) is the probe spacing, doubled per unanswered
     probe up to 2{^8} times.
 
     Fault exposure: each spoke derives an independent child plan from
-    the base plan (streams 4/5, disjoint from the fleet runner's 0-3).
+    the base plan (streams 4/5, disjoint from the fleet runner's).
     The [cluster.hb] site eats heartbeats/ACKs {e before} the wire;
     link-level sites ([drop], [partition], [delay]...) apply on the
     spoke itself.  Everything is deterministic in the fleet seed. *)
@@ -55,9 +60,6 @@ val rearm : t -> int -> round:int -> unit
 (** Resume watching a host after reboot/recovery: health [Up], misses
     cleared, last-seen set to [round]. *)
 
-val spoke_bytes : t -> int
-(** Control-lane bytes across all spokes (heartbeats + probes + ACKs). *)
-
 type stats = {
   hb_sent : int;
   hb_lost : int;  (** eaten pre-wire by [cluster.hb] (HBs and ACKs) *)
@@ -67,3 +69,8 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val summary : t -> string
+(** The one-line report both the control plane and [velum run --hosts]
+    print: the {!stats} counters plus the control-lane bytes across all
+    spokes (heartbeats, probes and ACKs), newline-terminated. *)

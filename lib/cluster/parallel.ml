@@ -23,8 +23,6 @@ type config = {
   mk_vms : int -> vm_spec list;
   seed : int64;
   faults : Fault.t option;
-  hb_miss_limit : int;
-  hb_timeout : int64;
   migrate_every : int;
   fail_host : (int * int) option;
   trace : bool;
@@ -32,21 +30,23 @@ type config = {
   wire : (int -> Hypervisor.t -> unit) option;
 }
 
-(* Each host watches its ring predecessor in rounds.  Heartbeats sent at
-   barrier r arrive in round r+1, so the watch is fed from round 1 on. *)
-let pred_watch ~quantum ~hb_miss_limit ~hb_timeout =
-  Suspicion.create ~quantum ~miss_limit:hb_miss_limit ~timeout:hb_timeout
-    ~last_heard:0 ()
-
 let config ?(quantum = 200_000L) ?(rounds = 8) ?(seed = 0L) ?faults
-    ?(hb_miss_limit = 3) ?(hb_timeout = 0L) ?(migrate_every = 0) ?fail_host
-    ?(trace = false) ?host_frames ?wire ~hosts ~mk_vms () =
+    ?(migrate_every = 0) ?fail_host ?(trace = false) ?host_frames ?wire ~hosts
+    ~mk_vms () =
   if hosts <= 0 then invalid_arg "Parallel.config: hosts must be positive";
   if Int64.compare quantum 0L <= 0 then
     invalid_arg "Parallel.config: quantum must be positive";
   if rounds <= 0 then invalid_arg "Parallel.config: rounds must be positive";
-  (* reject bad heartbeat knobs now, not when the fleet is built *)
-  ignore (pred_watch ~quantum ~hb_miss_limit ~hb_timeout);
+  if migrate_every < 0 then
+    invalid_arg "Parallel.config: migrate_every must be non-negative";
+  (match fail_host with
+  | Some (r, h) when r < 0 || h < 0 || h >= hosts ->
+      invalid_arg
+        (Printf.sprintf
+           "Parallel.config: fail_host (%d, %d) needs a round >= 0 and a \
+            host in [0, hosts)"
+           r h)
+  | _ -> ());
   (match host_frames with
   | Some n when n <= 0 ->
       invalid_arg "Parallel.config: host_frames must be positive"
@@ -58,8 +58,6 @@ let config ?(quantum = 200_000L) ?(rounds = 8) ?(seed = 0L) ?faults
     mk_vms;
     seed;
     faults;
-    hb_miss_limit;
-    hb_timeout;
     migrate_every;
     fail_host;
     trace;
@@ -72,21 +70,14 @@ let config ?(quantum = 200_000L) ?(rounds = 8) ?(seed = 0L) ?faults
 type node = {
   id : int;
   hyp : Hypervisor.t;
-  inbox : Mailbox.t;
-  outbox : Mailbox.t;
   mutable alive : bool; (* injected host failure flips this *)
   mutable halted : bool; (* every VM halted *)
-  mutable hb_sent : int;
-  mutable hb_recv : int;
-  pred : Suspicion.t; (* ring predecessor's liveness, in rounds *)
-  mutable junk_frames : int; (* corrupted payloads delivered by the wire *)
   mutable error : exn option; (* escaped from a worker; re-raised by the coordinator *)
 }
 
 type fleet = {
   cfg : config;
   nodes : node array;
-  ring : Link.t array; (* ring.(i): node i -> node (i+1) mod hosts *)
   mig_link : Link.t; (* dedicated migration channel, coordinator-owned *)
   mutable migrations : int;
   mutable mig_aborts : int;
@@ -143,146 +134,51 @@ let init cfg =
         (* intra-host fabric (switch, vnet adapters, tickers): runs
            before the first round, in host order, on the coordinator *)
         Option.iter (fun w -> w i hyp) cfg.wire;
-        {
-          id = i;
-          hyp;
-          inbox = Mailbox.create ();
-          outbox = Mailbox.create ();
-          alive = true;
-          halted = false;
-          hb_sent = 0;
-          hb_recv = 0;
-          pred =
-            pred_watch ~quantum:cfg.quantum ~hb_miss_limit:cfg.hb_miss_limit
-              ~hb_timeout:cfg.hb_timeout;
-          junk_frames = 0;
-          error = None;
-        })
+        { id = i; hyp; alive = true; halted = false; error = None })
   in
-  let ring =
-    Array.init cfg.hosts (fun i ->
-        let l = Link.create () in
-        Link.set_faults l (derive_plan cfg.faults ~seed:cfg.seed ~stream:2 ~i);
-        l)
-  in
+  (* stream 2 stays unused: renumbering would shift the fault draws of
+     every later stream *)
   let mig_link = Link.create () in
   Link.set_faults mig_link
     (derive_plan cfg.faults ~seed:cfg.seed ~stream:3 ~i:0);
-  { cfg; nodes; ring; mig_link; migrations = 0; mig_aborts = 0; mig_pages = 0 }
-
-let pred_dead_at node = Suspicion.declared_at node.pred
+  { cfg; nodes; mig_link; migrations = 0; mig_aborts = 0; mig_pages = 0 }
 
 (* ---- worker phase (runs on a domain; touches only this node) ---- *)
 
 let round_target cfg round = Int64.mul cfg.quantum (Int64.of_int (round + 1))
 
-let is_hb payload = String.length payload >= 3 && String.sub payload 0 3 = "HB "
-
 let step_node fleet node ~round =
-  let cfg = fleet.cfg in
   if node.alive then begin
-    (* 1. absorb the frames the coordinator routed in at the last
-       barrier (heartbeats from the ring predecessor) *)
-    let frames = Mailbox.drain node.inbox in
-    let saw_hb = ref false in
-    List.iter
-      (fun f ->
-        if is_hb f.Mailbox.payload then begin
-          saw_hb := true;
-          node.hb_recv <- node.hb_recv + 1
-        end
-        else node.junk_frames <- node.junk_frames + 1)
-      frames;
-    (* 2. failure detection, armed from round 1 (see [pred_watch]) *)
-    if cfg.hosts > 1 && round >= 1 then begin
-      if !saw_hb then Suspicion.heard node.pred ~now:round
-      else if Suspicion.missed node.pred ~now:round then
-        (* surface the detection in the ordinary telemetry so the
-           fleet report and the monitor counters agree *)
-        match node.hyp.Hypervisor.vms with
-        | vm :: _ -> Monitor.bump vm.Vm.monitor Monitor.E_ha_failover
-        | [] -> ()
-    end;
-    (* 3. run this host's quantum.  The budget targets the absolute
-       round boundary: a host that overshot the previous boundary
-       (idle fast-forward can do that) simply runs less now. *)
-    let target = round_target cfg round in
+    (* The budget targets the absolute round boundary: a host that
+       overshot the previous boundary (idle fast-forward can do that)
+       simply runs less now. *)
+    let target = round_target fleet.cfg round in
     let now = Hypervisor.now node.hyp in
     let budget =
       if Int64.unsigned_compare target now > 0 then Int64.sub target now else 0L
     in
-    (match Hypervisor.run node.hyp ~budget with
+    match Hypervisor.run node.hyp ~budget with
     | Hypervisor.All_halted -> node.halted <- true
     | Hypervisor.Out_of_budget | Hypervisor.Idle_deadlock
     | Hypervisor.Until_satisfied ->
-        ());
-    (* 4. emit this round's heartbeat toward the ring successor; the
-       coordinator puts it on the wire at the barrier *)
-    if cfg.hosts > 1 then begin
-      node.hb_sent <- node.hb_sent + 1;
-      (* a [false] return means a bounded outbox shed the frame; the
-         mailbox's dropped counter keeps the evidence *)
-      ignore
-        (Mailbox.post node.outbox
-           {
-             Mailbox.src = node.id;
-             dst = (node.id + 1) mod cfg.hosts;
-             sent_at = target;
-             payload = Printf.sprintf "HB %d %d" node.id round;
-           })
-    end
+        ()
   end
 
 (* ---- barrier phase (coordinator only; workers are parked) ---- *)
 
-(* Everything below runs strictly sequentially, in fixed node order, so
-   Link state (arrival heaps, fault RNG draws, line occupancy) evolves
-   identically whatever the domain count was during the worker phase. *)
-let exchange fleet ~round =
+(* Runs strictly sequentially, so the migration link's state (arrival
+   heaps, fault RNG draws, line occupancy) evolves identically whatever
+   the domain count was during the worker phase.  Every [migrate_every]
+   rounds the storm moves one runnable VM from host [tick mod hosts] to
+   the next host; a tick whose pair is not both alive, or whose source
+   has nothing runnable, is skipped, and the next tick tries the next
+   pair. *)
+let migrate_storm fleet ~round =
   let cfg = fleet.cfg in
-  let target = round_target cfg round in
-  if cfg.hosts > 1 then begin
-    (* put outbound frames on the wire, node order then posting order;
-       heartbeats can additionally be lost before reaching the wire
-       (the [hb.loss] site, as in {!Ha.Failover}) *)
-    Array.iter
-      (fun node ->
-        List.iter
-          (fun f ->
-            let link = fleet.ring.(f.Mailbox.src) in
-            let lost =
-              is_hb f.Mailbox.payload
-              && Fault.fire (Link.faults link) Fault.Hb_loss
-                   ~now:f.Mailbox.sent_at
-            in
-            if not lost then
-              ignore
-                (Link.send_control link ~from:`A ~now:f.Mailbox.sent_at
-                   ~payload:f.Mailbox.payload))
-          (Mailbox.drain node.outbox))
-      fleet.nodes;
-    (* deliver whatever arrives within the next quantum into the
-       successor's inbox, to be absorbed at the start of round+1 *)
-    let horizon = Int64.add target cfg.quantum in
-    Array.iteri
-      (fun i link ->
-        let dst = (i + 1) mod cfg.hosts in
-        List.iter
-          (fun payload ->
-            ignore
-              (Mailbox.post fleet.nodes.(dst).inbox
-                 { Mailbox.src = i; dst; sent_at = target; payload }))
-          (Link.poll_control link ~at:`B ~now:horizon))
-      fleet.ring
-  end;
-  (* scheduled migration storm: move one VM one step around the ring *)
-  if
-    cfg.migrate_every > 0 && cfg.hosts > 1
-    && (round + 1) mod cfg.migrate_every = 0
-  then begin
-    let si = fleet.migrations mod cfg.hosts in
-    let di = (si + 1) mod cfg.hosts in
-    let src = fleet.nodes.(si) and dst = fleet.nodes.(di) in
+  let k = cfg.migrate_every in
+  if k > 0 && cfg.hosts > 1 && (round + 1) mod k = 0 then begin
+    let si = (((round + 1) / k) - 1) mod cfg.hosts in
+    let src = fleet.nodes.(si) and dst = fleet.nodes.((si + 1) mod cfg.hosts) in
     if src.alive && dst.alive then
       match
         List.find_opt (fun vm -> not (Vm.halted vm)) src.hyp.Hypervisor.vms
@@ -300,8 +196,7 @@ let exchange fleet ~round =
 
 let apply_failure fleet ~round =
   match fleet.cfg.fail_host with
-  | Some (r, h) when r = round && h >= 0 && h < fleet.cfg.hosts ->
-      fleet.nodes.(h).alive <- false
+  | Some (r, h) when r = round -> fleet.nodes.(h).alive <- false
   | _ -> ()
 
 let all_done fleet =
@@ -323,7 +218,7 @@ let run_sequential ?(on_round = no_hook) fleet =
   while !continue && !round < cfg.rounds do
     apply_failure fleet ~round:!round;
     Array.iter (fun n -> step_node fleet n ~round:!round) fleet.nodes;
-    exchange fleet ~round:!round;
+    migrate_storm fleet ~round:!round;
     on_round fleet ~round:!round;
     if all_done fleet then continue := false;
     incr round
@@ -371,7 +266,7 @@ let run_parallel ?(on_round = no_hook) fleet ~domains =
        Barrier.await start_b;
        Barrier.await done_b;
        check_worker_errors fleet;
-       exchange fleet ~round:!round;
+       migrate_storm fleet ~round:!round;
        on_round fleet ~round:!round;
        if all_done fleet then continue := false;
        round := !round + 1
@@ -404,16 +299,12 @@ let report fleet =
     (fun node ->
       Printf.bprintf buf
         "host %d: alive=%b halted=%b cycles=%Ld guest=%Ld vmm=%Ld idle=%Ld \
-         sched=%d hb_sent=%d hb_recv=%d junk=%d pred_dead=%s\n"
+         sched=%d\n"
         node.id node.alive node.halted
         (Hypervisor.now node.hyp)
         (Hypervisor.guest_cycles node.hyp)
         (Hypervisor.vmm_cycles node.hyp)
-        node.hyp.Hypervisor.idle_cycles node.hyp.Hypervisor.sched_decisions
-        node.hb_sent node.hb_recv node.junk_frames
-        (match pred_dead_at node with
-        | Some r -> Printf.sprintf "round%d" r
-        | None -> "no");
+        node.hyp.Hypervisor.idle_cycles node.hyp.Hypervisor.sched_decisions;
       List.iter
         (fun vm ->
           Vm.publish_stats vm;
@@ -438,15 +329,6 @@ let report fleet =
            else None)
          Fault.all_sites)
   in
-  Array.iteri
-    (fun i link ->
-      Printf.bprintf buf "link %d->%d: bytes=%d in_flight=%d%s\n" i
-        ((i + 1) mod cfg.hosts)
-        (Link.bytes_sent link) (Link.in_flight link)
-        (if Option.is_some cfg.faults then
-           " faults:" ^ fault_summary (Link.faults link)
-         else ""))
-    fleet.ring;
   Printf.bprintf buf "migrations=%d aborts=%d pages=%d mig_bytes=%d\n"
     fleet.migrations fleet.mig_aborts fleet.mig_pages
     (Link.bytes_sent fleet.mig_link);

@@ -3,30 +3,28 @@
 
     A fleet is N simulated hosts, each a full {!Velum_vmm.Hypervisor}
     built around its own {!Velum_vmm.Host_ctx} — so no host shares any
-    mutable state with another except {!Velum_devices.Link} endpoints,
-    and those are only touched by the coordinator while every worker is
-    parked at a barrier.
+    mutable state with another.  The one shared object, the migration
+    {!Velum_devices.Link}, is touched only by the coordinator while every
+    worker is parked at a barrier.
 
     Execution alternates two phases per round:
 
     - {b worker phase}: every live host runs independently up to the
-      absolute cycle boundary [(round+1) * quantum] and posts outbound
-      frames (ring heartbeats) to its outbox.  With [domains > 1] the
-      hosts are statically partitioned over domains; with [domains = 1]
-      they run in host order on the calling thread.
-    - {b barrier phase}: the coordinator alone drains all outboxes in
-      host order, pushes the frames through the ring links (faults,
-      latency and serialization apply as usual), delivers arrivals into
-      inboxes, and performs scheduled migrations and host-failure
-      injections.
+      absolute cycle boundary [(round+1) * quantum].  With
+      [domains > 1] the hosts are statically partitioned over domains;
+      with [domains = 1] they run in host order on the calling thread.
+    - {b barrier phase}: the coordinator alone performs the scheduled
+      migration and then calls the [on_round] hook.  A scheduled host
+      failure takes effect before the worker phase of its round.
 
-    Because a host's quantum is a pure function of its own state plus
-    its inbox, and the barrier phase is sequential in a fixed order, the
-    simulated outcome — cycles, exits, monitor counters, trace exports,
-    fault draws — is byte-identical for every domain count.  {!report}
-    is the canonical artifact the determinism gates diff literally; it
+    Because a host's quantum is a pure function of its own state, and
+    the barrier phase is sequential in a fixed order, the simulated
+    outcome — cycles, exits, monitor counters, trace exports, fault
+    draws — is byte-identical for every domain count.  {!report} is the
+    canonical artifact the determinism gates diff literally; it
     deliberately contains nothing about how the run was executed (no
-    domain count, no wall-clock). *)
+    domain count, no wall-clock).  Failure detection is not the
+    runner's job: {!Detector} watches a fleet from [on_round]. *)
 
 type vm_spec = {
   vname : string;
@@ -54,14 +52,8 @@ type config = private {
   faults : Velum_util.Fault.t option;
       (** base plan; every host and link gets a {!Velum_util.Fault.derive}d
           copy with its own stream *)
-  hb_miss_limit : int;
-      (** consecutive heartbeat-less rounds before a host declares its
-          ring predecessor dead *)
-  hb_timeout : int64;
-      (** additional heartbeat-less cycles (converted to rounds via the
-          quantum) required before the declaration; 0 = the miss count
-          alone decides.  Both feed {!Velum_vmm.Suspicion}. *)
-  migrate_every : int;  (** every k rounds move one VM along the ring; 0 = off *)
+  migrate_every : int;
+      (** every k rounds move one VM to the next host; 0 = off *)
   fail_host : (int * int) option;  (** [(round, host)]: kill host at that round *)
   trace : bool;  (** attach a trace sink to every host *)
   host_frames : int option;
@@ -82,8 +74,6 @@ val config :
   ?rounds:int ->
   ?seed:int64 ->
   ?faults:Velum_util.Fault.t ->
-  ?hb_miss_limit:int ->
-  ?hb_timeout:int64 ->
   ?migrate_every:int ->
   ?fail_host:int * int ->
   ?trace:bool ->
@@ -93,32 +83,25 @@ val config :
   mk_vms:(int -> vm_spec list) ->
   unit ->
   config
-(** Defaults: quantum 200k cycles, 8 rounds, seed 0, no faults, heartbeat
-    miss limit 3, no migrations, no failure, no tracing, per-host frame
-    pools sized to demand.  Mailboxes are always unbounded.
+(** Defaults: quantum 200k cycles, 8 rounds, seed 0, no faults, no
+    migrations, no failure, no tracing, per-host frame pools sized to
+    demand.
 
     @raise Invalid_argument on a non-positive host count, quantum,
-    round count, [hb_miss_limit] or [host_frames], or a negative
-    [hb_timeout]. *)
+    round count or [host_frames], a negative [migrate_every], or a
+    [fail_host] with a negative round or a host outside [[0, hosts)]. *)
 
 type node = private {
   id : int;
   hyp : Velum_vmm.Hypervisor.t;
-  inbox : Mailbox.t;
-  outbox : Mailbox.t;
   mutable alive : bool;
   mutable halted : bool;
-  mutable hb_sent : int;
-  mutable hb_recv : int;
-  pred : Velum_vmm.Suspicion.t;  (** ring predecessor watch, in rounds *)
-  mutable junk_frames : int;
   mutable error : exn option;
 }
 
 type fleet = private {
   cfg : config;
   nodes : node array;
-  ring : Velum_devices.Link.t array;
   mig_link : Velum_devices.Link.t;
   mutable migrations : int;
   mutable mig_aborts : int;
@@ -132,18 +115,18 @@ val derive_plan :
   seed:int64 -> stream:int -> i:int -> Velum_util.Fault.t
 (** Consumer [i]'s child of a base fault plan (an empty plan without
     one), on RNG stream [stream] mixed from the fleet [seed] so no two
-    streams coincide ([i < 8191]).  The runner uses streams 0-3,
-    {!Detector} 4-5 and {!Control} from 6. *)
+    streams coincide ([i < 8191]).  The runner uses streams 0, 1 and 3
+    (2 is retired), {!Detector} 4-5 and {!Control} from 6. *)
 
 val init : config -> fleet
-(** Build the fleet (hosts, VMs, links) without running it.  A control
+(** Build the fleet (hosts, VMs, migration link) without running it.  A control
     plane uses this to admit and place VMs before the first round. *)
 
 val run_fleet :
   ?domains:int -> ?on_round:(fleet -> round:int -> unit) -> fleet -> unit
 (** Execute an already-initialised fleet.  [on_round] is invoked by the
     coordinator — strictly sequentially, with every worker parked —
-    after the barrier exchange of each round; it may mutate fleet state
+    after each round's scheduled migration; it may mutate fleet state
     through the mutators below and the hypervisors directly.  Because it
     runs only in the coordinator phase, anything it does is
     byte-deterministic whatever [domains] is.
@@ -161,9 +144,6 @@ val run :
     (domains joined), and the exception re-raised on the caller.
 
     @raise Invalid_argument if [domains <= 0]. *)
-
-val pred_dead_at : node -> int option
-(** Round the host declared its ring predecessor dead, if it did. *)
 
 val set_alive : node -> bool -> unit
 (** Coordinator-phase mutator: kill (cordon/reboot) or revive a host.

@@ -98,8 +98,7 @@ module Failover : sig
   type t
 
   (** Detector tuning, the one knob record for every heartbeat detector:
-      this pair, the fleet ring and the control plane's
-      {!Velum_cluster.Detector}.  [miss_limit] and [timeout] feed a
+      this pair and the fleet's {!Velum_cluster.Detector}.  [miss_limit] and [timeout] feed a
       {!Suspicion} machine, which validates all three dials. *)
   type hb_knobs = {
     miss_limit : int;

@@ -1,8 +1,7 @@
 (** Heartbeat suspicion: the one rule that decides a silent peer is dead.
 
-    {!Ha.Failover}, the fleet ring detector and the control plane's
-    spoke detector feed this machine one verdict per tick of their own
-    clock.  It declares death when [misses >= miss_limit] and
+    {!Ha.Failover} and the fleet's spoke detector ([cluster.Detector])
+    feed this machine one verdict per tick of their own clock.  It declares death when [misses >= miss_limit] and
     [now - last_heard >= timeout]; death is sticky until {!rearm}.
 
     One tick is [quantum] cycles.  The cycle timeout becomes ticks once,

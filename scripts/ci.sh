@@ -33,6 +33,21 @@ pin() {
     echo "FAIL: $2 diverged from the committed copy"; exit 1; }
 }
 
+# twice EXPERIMENT FILE: two quick runs of EXPERIMENT with identical
+# seeds must write byte-identical FILEs and print identical output.
+# The committed FILE is restored afterwards.
+twice() {
+  cp "$2" "$tmp/$2.committed"
+  dune exec bench/main.exe -- --quick "$1" >"$tmp/$1.a.txt"
+  cp "$2" "$tmp/$2.a"
+  dune exec bench/main.exe -- --quick "$1" >"$tmp/$1.b.txt"
+  diff "$tmp/$2.a" "$2" || {
+    echo "FAIL: $2 diverged between identical-seed runs"; exit 1; }
+  diff "$tmp/$1.a.txt" "$tmp/$1.b.txt" || {
+    echo "FAIL: $1 output diverged between identical-seed runs ($2)"; exit 1; }
+  cp "$tmp/$2.committed" "$2"
+}
+
 dune exec bin/velum.exe -- migrate --faults "seed=42,drop=0.05" >"$tmp/mig1.txt"
 dune exec bin/velum.exe -- migrate --faults "seed=42,drop=0.05" >"$tmp/mig2.txt"
 diff "$tmp/mig1.txt" "$tmp/mig2.txt" || {
@@ -103,15 +118,7 @@ awk -v m="$imips" -v r="$imips_ref" 'BEGIN { exit !(m + 0 >= 0.7 * r) }' || {
 echo "cpu-spin: block ${mips} MIPS (${traces} trace dispatches), interp ${imips} MIPS" \
   "(committed ${imips_ref}); block/interp ${spin}x"
 
-cp BENCH_fault.json "$tmp/BENCH_fault.ref.json"
-dune exec bench/main.exe -- --quick E16 >"$tmp/e16a.txt"
-cp BENCH_fault.json "$tmp/BENCH_fault.a.json"
-dune exec bench/main.exe -- --quick E16 >"$tmp/e16b.txt"
-diff "$tmp/BENCH_fault.a.json" BENCH_fault.json || {
-  echo "FAIL: BENCH_fault.json diverged between identical-seed runs"; exit 1; }
-diff "$tmp/e16a.txt" "$tmp/e16b.txt" || {
-  echo "FAIL: E16 output diverged between identical-seed runs"; exit 1; }
-cp "$tmp/BENCH_fault.ref.json" BENCH_fault.json
+twice E16 BENCH_fault.json
 
 # The quick runs above only prove determinism.  The full E16 is all
 # simulated numbers (retransmits, rollback, failover epochs), so it must
@@ -155,15 +162,7 @@ dune exec bin/velum.exe -- run -w spin --ha --faults "seed=7,store.torn=0.5" \
 diff "$tmp/ha1.txt" "$tmp/ha2.txt" || {
   echo "FAIL: supervised run diverged between identical-seed runs"; exit 1; }
 
-cp BENCH_ha.json "$tmp/BENCH_ha.ref.json"
-dune exec bench/main.exe -- --quick E17 >"$tmp/e17a.txt"
-cp BENCH_ha.json "$tmp/BENCH_ha.a.json"
-dune exec bench/main.exe -- --quick E17 >"$tmp/e17b.txt"
-diff "$tmp/BENCH_ha.a.json" BENCH_ha.json || {
-  echo "FAIL: BENCH_ha.json diverged between identical-seed runs"; exit 1; }
-diff "$tmp/e17a.txt" "$tmp/e17b.txt" || {
-  echo "FAIL: E17 output diverged between identical-seed runs"; exit 1; }
-cp "$tmp/BENCH_ha.ref.json" BENCH_ha.json
+twice E17 BENCH_ha.json
 
 # The quick runs above only prove determinism.  The full E17 is all
 # simulated numbers (failover_at, mttr_cycles, pause tax...), so it must
@@ -214,8 +213,9 @@ grep -q "p99" "$tmp/report.txt" || {
 echo "== parallel hosts: domain-count invariance (round barrier) =="
 # The acceptance gate for the cluster runner: a 4-host fleet executed on
 # 4 domains must print a byte-identical report (simulated cycles, exits,
-# monitor counters, heartbeats, link state) to the same fleet on 1
-# domain, and per-host trace exports must match byte for byte.
+# monitor counters, migration accounting, the fleet detector's verdicts)
+# to the same fleet on 1 domain, and per-host trace exports must match
+# byte for byte.
 dune exec bin/velum.exe -- run -w syscalls -n 200 --hosts 4 --domains 1 \
   --rounds 6 --trace "$tmp/par1.jsonl" >"$tmp/par1.txt"
 dune exec bin/velum.exe -- run -w syscalls -n 200 --hosts 4 --domains 4 \
@@ -226,19 +226,20 @@ for i in 0 1 2 3; do
   diff "$tmp/par1.jsonl.$i" "$tmp/par4.jsonl.$i" || {
     echo "FAIL: host $i trace export diverged between 1 and 4 domains"; exit 1; }
 done
-grep -q "hb_sent" "$tmp/par1.txt" || {
-  echo "FAIL: fleet report carries no heartbeat accounting"; exit 1; }
+grep -q "^detector: hb_sent=" "$tmp/par1.txt" || {
+  echo "FAIL: fleet report carries no detector line"; exit 1; }
 
-# And under chaos: faults on every link, a mid-run host failure and
-# periodic live migrations at the barrier must stay domain-invariant.
+# And under chaos: faults on the migration link and the detector's
+# spokes, heartbeat loss, a mid-run host failure and periodic live
+# migrations at the barrier must stay domain-invariant.
 chaos="--hosts 4 --rounds 8 --migrate-every 3 --fail-host 4,2 \
-  --faults seed=9,drop=0.1,corrupt=0.05,hb.loss=0.2 --seed 31"
+  --faults seed=9,drop=0.1,corrupt=0.05,cluster.hb=0.2 --seed 31"
 dune exec bin/velum.exe -- run -w dirty -n 16 $chaos --domains 1 >"$tmp/chaos1.txt"
 dune exec bin/velum.exe -- run -w dirty -n 16 $chaos --domains 4 >"$tmp/chaos4.txt"
 diff "$tmp/chaos1.txt" "$tmp/chaos4.txt" || {
   echo "FAIL: chaotic fleet diverged between 1 and 4 domains"; exit 1; }
-grep -q "pred_dead=round" "$tmp/chaos1.txt" || {
-  echo "FAIL: injected host failure was never detected"; exit 1; }
+grep -q "^detector: host 2 dead at round" "$tmp/chaos1.txt" || {
+  echo "FAIL: injected failure of host 2 was never detected"; exit 1; }
 grep -q "migrations=" "$tmp/chaos1.txt" || {
   echo "FAIL: fleet report carries no migration accounting"; exit 1; }
 

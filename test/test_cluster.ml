@@ -1,17 +1,21 @@
 (* Parallel cluster runner: a random fleet — seeds, fault plans, quantum
-   sizes, migrations, injected host failures — produces byte-identical
-   reports and trace exports whatever the domain count (qcheck), the
-   round barrier and mailboxes behave under real domains, and the
-   share-nothing regressions hold: two traced hypervisors in one process
-   never cross-talk scheduler events, Monitor exports are insertion-order
-   independent, and derived fault plans draw from independent streams. *)
+   sizes, migrations, injected host failures, and the fleet detector
+   watching it — produces byte-identical reports, detector verdicts and
+   trace exports whatever the domain count (qcheck), the round barrier
+   behaves under real domains, and the share-nothing regressions hold:
+   two traced hypervisors in one process never cross-talk scheduler
+   events, Monitor exports are insertion-order independent, and derived
+   fault plans draw from independent streams. *)
 
 open Velum_vmm
 open Velum_guests
 module Parallel = Velum_cluster.Parallel
 module Fabric = Velum_cluster.Fabric
 module Barrier = Velum_cluster.Barrier
-module Mailbox = Velum_cluster.Mailbox
+module Control = Velum_cluster.Control
+module Detector = Velum_cluster.Detector
+module Placement = Velum_vmm.Placement
+module Ha = Velum_vmm.Ha
 module Fault = Velum_util.Fault
 
 let checkb = Alcotest.(check bool)
@@ -19,6 +23,11 @@ let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
+
+let expect_invalid_arg name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  | exception Invalid_argument _ -> ()
 
 let has_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -55,26 +64,6 @@ let test_barrier_lockstep () =
   Barrier.await start_b;
   Array.iter Domain.join doms;
   checkb "every worker advanced exactly once per round" true !ok
-
-(* --- mailbox: FIFO, and no frame lost under concurrent posting --- *)
-
-let test_mailbox () =
-  let mb = Mailbox.create () in
-  let mk i =
-    { Mailbox.src = 0; dst = 1; sent_at = Int64.of_int i; payload = string_of_int i }
-  in
-  for i = 1 to 5 do
-    checkb "unbounded post accepted" true (Mailbox.post mb (mk i))
-  done;
-  checks "FIFO order" "1 2 3 4 5"
-    (String.concat " " (List.map (fun f -> f.Mailbox.payload) (Mailbox.drain mb)));
-  checki "drained" 0 (Mailbox.length mb);
-  let n = 1000 in
-  let poster () = for i = 1 to n do ignore (Mailbox.post mb (mk i)) done in
-  let d1 = Domain.spawn poster and d2 = Domain.spawn poster in
-  Domain.join d1;
-  Domain.join d2;
-  checki "no frame lost across domains" (2 * n) (List.length (Mailbox.drain mb))
 
 (* --- regression: two traced hypervisors must not cross-talk --- *)
 
@@ -159,6 +148,22 @@ let mk_setup kind =
       (* never halts: every round runs a full quantum *)
       Images.plan ~heap_pages:16 ~user:(Workloads.dirty_loop ~pages:8 ~delay:1500) ()
 
+(* The adapter [velum run --hosts] runs: the fleet detector, tuned by
+   [knobs], fed every node's [alive] flag from the coordinator's
+   [on_round] hook. *)
+let run_watched ~knobs ~domains cfg =
+  let fleet = Parallel.init cfg in
+  let det =
+    Detector.create ~knobs ?faults:cfg.Parallel.faults ~hosts:cfg.Parallel.hosts
+      ~quantum:cfg.Parallel.quantum ~seed:cfg.Parallel.seed ()
+  in
+  Parallel.run_fleet ~domains fleet ~on_round:(fun fl ~round ->
+      ignore
+        (Detector.observe_round det
+           ~alive:(fun i -> fl.Parallel.nodes.(i).Parallel.alive)
+           ~round));
+  (fleet, det)
+
 let fleet_invariance_prop =
   QCheck2.Test.make ~count:8
     ~name:"fleet report and traces are byte-identical for domains 1/2/4"
@@ -177,7 +182,7 @@ let fleet_invariance_prop =
         if with_faults then
           match
             Fault.parse
-              (Printf.sprintf "seed=%d,drop=0.1,corrupt=0.05,hb.loss=0.15" seed)
+              (Printf.sprintf "seed=%d,drop=0.1,corrupt=0.05,cluster.hb=0.15" seed)
           with
           | Ok f -> Some f
           | Error e -> failwith e
@@ -185,71 +190,104 @@ let fleet_invariance_prop =
       in
       let cfg =
         Parallel.config ~quantum ~rounds ~seed:(Int64.of_int seed) ?faults
-          ~hb_miss_limit:2
           ~migrate_every:(if with_chaos && wkind = 2 then 3 else 0)
           ?fail_host:(if with_chaos then Some (2, hosts - 1) else None)
           ~trace:true ~hosts ~mk_vms ()
       in
-      let r1 = Parallel.run ~domains:1 cfg in
-      let r2 = Parallel.run ~domains:2 cfg in
-      let r4 = Parallel.run ~domains:4 cfg in
-      r1.Parallel.report = r2.Parallel.report
-      && r1.Parallel.report = r4.Parallel.report
-      && Parallel.traces r1.Parallel.fleet = Parallel.traces r2.Parallel.fleet
-      && Parallel.traces r1.Parallel.fleet = Parallel.traces r4.Parallel.fleet)
+      let knobs = { Ha.Failover.default_hb_knobs with Ha.Failover.miss_limit = 2 } in
+      let outcome domains =
+        let fleet, det = run_watched ~knobs ~domains cfg in
+        ( Parallel.report fleet,
+          Parallel.traces fleet,
+          Detector.summary det,
+          List.init hosts (Detector.declared_at det) )
+      in
+      let r1 = outcome 1 in
+      r1 = outcome 2 && r1 = outcome 4)
 
-(* --- failure detection is exact under a clean ring --- *)
+(* --- the fleet detector on a clean fleet is exact --- *)
 
-let test_failure_detection () =
+let test_fleet_detection () =
   let setup = mk_setup 2 in
   let cfg =
-    Parallel.config ~quantum:80_000L ~rounds:10 ~hb_miss_limit:3
-      ~fail_host:(4, 1) ~hosts:3
+    Parallel.config ~quantum:80_000L ~rounds:10 ~fail_host:(4, 1) ~hosts:3
       ~mk_vms:(fun i -> [ Parallel.spec ~name:(Printf.sprintf "vm%d" i) setup ])
       ()
   in
-  let r = Parallel.run ~domains:2 cfg in
-  let n2 = r.Parallel.fleet.Parallel.nodes.(2) in
-  let n0 = r.Parallel.fleet.Parallel.nodes.(0) in
-  checkb "host 1 is down" true (not r.Parallel.fleet.Parallel.nodes.(1).Parallel.alive);
-  (* host 1 last heartbeats at the round-3 barrier (arriving in round 4),
-     so its successor misses rounds 5,6,7 and declares death at round 7 *)
-  Alcotest.(check (option int)) "successor detected the death at round 7"
-    (Some 7) (Parallel.pred_dead_at n2);
-  Alcotest.(check (option int)) "unaffected host suspects nobody" None
-    (Parallel.pred_dead_at n0);
-  checkb "detection is surfaced in the monitor" true
-    (Monitor.count
-       (List.hd n2.Parallel.hyp.Hypervisor.vms).Vm.monitor Monitor.E_ha_failover
-    = 1)
+  let knobs = { Ha.Failover.default_hb_knobs with Ha.Failover.miss_limit = 3 } in
+  List.iter
+    (fun domains ->
+      let fleet, det = run_watched ~knobs ~domains cfg in
+      checkb "host 1 is down" true (not fleet.Parallel.nodes.(1).Parallel.alive);
+      (* host 1 is down from round 4's worker phase on, so its last
+         heartbeat is round 3's; rounds 4, 5 and 6 miss, and the third
+         miss reaches the limit: declared at round 6 *)
+      Alcotest.(check (option int)) "host 1 declared dead at round 6" (Some 6)
+        (Detector.declared_at det 1);
+      List.iter
+        (fun h ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "live host %d is never declared" h)
+            None (Detector.declared_at det h))
+        [ 0; 2 ];
+      checki "one death" 1 (Detector.stats det).Detector.deaths)
+    [ 1; 2 ]
+
+(* --- the migration storm outlives a dead host --- *)
+
+(* One tick per round from host [round mod 3] to its successor.  Round 0
+   moves vm0 from host 0 to host 1, which dies at round 1; round 1's
+   pair (1 -> 2) is skipped, and round 2 moves vm2 from host 2 to host
+   0.  A cursor that only advanced on a move would retry the dead pair
+   forever. *)
+let test_storm_skips_dead_pairs () =
+  let setup = mk_setup 2 in
+  let cfg =
+    Parallel.config ~quantum:60_000L ~rounds:6 ~migrate_every:1 ~fail_host:(1, 1)
+      ~hosts:3
+      ~mk_vms:(fun i -> [ Parallel.spec ~name:(Printf.sprintf "vm%d" i) setup ])
+      ()
+  in
+  let after_round1 = ref (-1) in
+  let r =
+    Parallel.run cfg ~on_round:(fun fl ~round ->
+        if round = 1 then after_round1 := fl.Parallel.migrations)
+  in
+  let fleet = r.Parallel.fleet in
+  checki "one move before the death" 1 !after_round1;
+  checki "the storm moved again between live hosts" 2 fleet.Parallel.migrations;
+  checki "no aborted move" 0 fleet.Parallel.mig_aborts;
+  checkb "vm2 now runs on host 0" true
+    (List.exists
+       (fun vm -> vm.Vm.name = "vm2")
+       fleet.Parallel.nodes.(0).Parallel.hyp.Hypervisor.vms)
+
+(* --- chaos targets outside the fleet are rejected, not ignored --- *)
+
+let test_rejects_bad_chaos_targets () =
+  let mk_vms _ = [] in
+  expect_invalid_arg "Parallel.config ~fail_host:(4, 4) on 4 hosts" (fun () ->
+      Parallel.config ~fail_host:(4, 4) ~hosts:4 ~mk_vms ());
+  expect_invalid_arg "Parallel.config ~fail_host:(-1, 0)" (fun () ->
+      Parallel.config ~fail_host:(-1, 0) ~hosts:4 ~mk_vms ());
+  expect_invalid_arg "Parallel.config ~migrate_every:(-1)" (fun () ->
+      Parallel.config ~migrate_every:(-1) ~hosts:4 ~mk_vms ());
+  let ctl ?kills ?drains () =
+    Control.config ?kills ?drains ~hosts:16 ~cap_units:64 ~workload:[] ()
+  in
+  expect_invalid_arg "Control.config ~kills:[(5, 99)]" (fun () ->
+      ctl ~kills:[ (5, 1); (5, 99) ] ());
+  expect_invalid_arg "Control.config ~kills:[(-1, 0)]" (fun () ->
+      ctl ~kills:[ (-1, 0) ] ());
+  expect_invalid_arg "Control.config ~drains:[(12, 99)]" (fun () ->
+      ctl ~drains:[ (12, 3); (12, 99) ] ());
+  ignore (ctl ~kills:[ (0, 0); (5, 15) ] ~drains:[ (12, 3) ] ())
 
 (* --- self-healing control plane --- *)
-
-module Control = Velum_cluster.Control
-module Detector = Velum_cluster.Detector
-module Placement = Velum_vmm.Placement
-module Ha = Velum_vmm.Ha
 
 let ctl_setup () =
   (* never halts: long-running service VMs for chaos scenarios *)
   Images.plan ~heap_pages:16 ~user:(Workloads.dirty_loop ~pages:8 ~delay:1500) ()
-
-(* Bounded mailboxes: a full box refuses the frame, counts the drop, and
-   the sender sees the backpressure in the return value. *)
-let test_mailbox_bounded () =
-  let mb = Mailbox.create ~capacity:2 () in
-  let mk i = { Mailbox.src = 0; dst = 1; sent_at = 0L; payload = string_of_int i } in
-  checkb "first accepted" true (Mailbox.post mb (mk 0));
-  checkb "second accepted" true (Mailbox.post mb (mk 1));
-  checkb "third refused" false (Mailbox.post mb (mk 2));
-  checki "one drop counted" 1 (Mailbox.dropped mb);
-  checki "capacity frames retained" 2 (List.length (Mailbox.drain mb));
-  checkb "drained box accepts again" true (Mailbox.post mb (mk 3));
-  checki "drop counter survives drain" 1 (Mailbox.dropped mb);
-  (try
-     ignore (Mailbox.create ~capacity:0 ());
-     Alcotest.fail "capacity 0 must be rejected"
-   with Invalid_argument _ -> ())
 
 (* Placement.Pool: anti-affinity and headroom are enforced exactly. *)
 let test_pool_placement () =
@@ -594,21 +632,14 @@ let suspicion_cycle_rule_prop =
         heard;
       reference = Suspicion.declared_at s && reference = !reported)
 
-let expect_invalid_arg name f =
-  match f () with
-  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
-  | exception Invalid_argument _ -> ()
-
-let test_ring_rejects_zero_miss_limit () =
-  expect_invalid_arg "Parallel.config ~hb_miss_limit:0" (fun () ->
-      Parallel.config ~hb_miss_limit:0 ~hosts:2 ~mk_vms:(fun _ -> []) ());
-  (* the control plane silences the ring with an unreachable limit *)
-  ignore (Parallel.config ~hb_miss_limit:max_int ~hosts:2 ~mk_vms:(fun _ -> []) ())
-
 let test_detector_rejects_negative_timeout () =
   expect_invalid_arg "Detector.create with timeout = -1" (fun () ->
       Detector.create
         ~knobs:{ Ha.Failover.default_hb_knobs with Ha.Failover.timeout = -1L }
+        ~hosts:2 ~quantum:50_000L ~seed:0L ());
+  expect_invalid_arg "Detector.create with miss_limit = 0" (fun () ->
+      Detector.create
+        ~knobs:{ Ha.Failover.default_hb_knobs with Ha.Failover.miss_limit = 0 }
         ~hosts:2 ~quantum:50_000L ~seed:0L ())
 
 (* The whole control plane — detection, evacuation, maintenance, shed,
@@ -684,8 +715,6 @@ let () =
         [
           Alcotest.test_case "barrier lockstep across domains" `Quick
             test_barrier_lockstep;
-          Alcotest.test_case "mailbox FIFO and concurrent posting" `Quick
-            test_mailbox;
         ] );
       ( "fabric",
         [
@@ -702,13 +731,17 @@ let () =
             test_fault_derive;
         ] );
       ( "round-barrier",
-        Alcotest.test_case "ring failure detection is exact" `Quick
-          test_failure_detection
-        :: qsuite [ fleet_invariance_prop ] );
+        [
+          Alcotest.test_case "fleet failure detection is exact" `Quick
+            test_fleet_detection;
+          Alcotest.test_case "migration storm skips dead pairs" `Quick
+            test_storm_skips_dead_pairs;
+          Alcotest.test_case "chaos targets outside the fleet fail" `Quick
+            test_rejects_bad_chaos_targets;
+        ]
+        @ qsuite [ fleet_invariance_prop ] );
       ( "control-plane",
         [
-          Alcotest.test_case "bounded mailboxes backpressure and count drops"
-            `Quick test_mailbox_bounded;
           Alcotest.test_case "pool placement: anti-affinity and headroom"
             `Quick test_pool_placement;
           Alcotest.test_case "kill → exact detection → evacuation, no split-brain"
@@ -727,8 +760,6 @@ let () =
         [
           Alcotest.test_case "heard/missed/disarm/rearm table" `Quick
             test_suspicion_table;
-          Alcotest.test_case "ring rejects a zero miss limit" `Quick
-            test_ring_rejects_zero_miss_limit;
           Alcotest.test_case "detector rejects a negative timeout" `Quick
             test_detector_rejects_negative_timeout;
         ]
