@@ -1423,15 +1423,15 @@ let e17 () =
     (* delta-commit sweep: baseline prepared once, byte-cloned per offset *)
     let sweep () =
       let base = Store.create ~sectors () in
-      (match Store.commit base img1 with
+      (match Store.commit base (Store.of_bytes img1) with
       | Store.Committed { gen = 1; _ } -> ()
       | _ -> failwith "E17: baseline commit failed");
-      let total = Store.commit_bytes base img2 in
+      let total = Store.commit_bytes base (Store.of_bytes img2) in
       let offsets = ref 0 and prev = ref 0 and bad = ref 0 in
       let off = ref 0 in
       while !off < total do
         let probe = Store.clone base in
-        (match Store.commit ~crash_at:!off probe img2 with
+        (match Store.commit ~crash_at:!off probe (Store.of_bytes img2) with
         | Store.Torn _ -> ()
         | Store.Committed _ -> incr bad);
         (match Store.recover (Store.mount (Store.device probe)) with
@@ -1448,10 +1448,10 @@ let e17 () =
        the newest one must survive every offset *)
     let gc_sweep () =
       let base = Store.create ~sectors () in
-      (match Store.commit base img1 with
+      (match Store.commit base (Store.of_bytes img1) with
       | Store.Committed { gen = 1; _ } -> ()
       | _ -> failwith "E17: gc baseline commit failed");
-      (match Store.commit base img2 with
+      (match Store.commit base (Store.of_bytes img2) with
       | Store.Committed { gen = 2; _ } -> ()
       | _ -> failwith "E17: gc second commit failed");
       let total = Store.gc_bytes base in
@@ -1502,10 +1502,9 @@ let e17 () =
     let supervise cadence =
       let hyp = Hypervisor.create ~host:(Host.create ~frames:2048 ()) () in
       let vm = unikernel hyp "work" (spin_n_then_halt work) in
-      let probe = Snapshot.capture vm in
       let store =
         Store.create
-          ~sectors:(Store.sectors_for ~image_bytes:(Snapshot.size_bytes probe))
+          ~sectors:(Store.sectors_for ~image_bytes:(Snapshot.image_bytes vm))
           ()
       in
       let sup =
@@ -2072,7 +2071,7 @@ let e22 () =
             Store.create ~sectors:(Store.sectors_for ~image_bytes) ()
           in
           let img = base () in
-          (match Store.commit store img with
+          (match Store.commit store (Store.of_bytes img) with
           | Store.Committed _ -> ()
           | Store.Torn _ -> failwith "E22: baseline commit torn");
           let delta_bytes = ref 0 in
@@ -2080,7 +2079,7 @@ let e22 () =
             for c = 0 to k - 1 do
               fill_page img (((c * 97) + (n * 13)) mod pages) n
             done;
-            match Store.commit store img with
+            match Store.commit store (Store.of_bytes img) with
             | Store.Committed { bytes; _ } -> delta_bytes := !delta_bytes + bytes
             | Store.Torn _ -> failwith "E22: churn commit torn"
           done;
@@ -2126,7 +2125,7 @@ let e22 () =
           for c = 0 to 3 do
             fill_page img (((s * 17) + (c * 53)) mod pages) (100 + s)
           done;
-          match Store.commit ~id:(Printf.sprintf "vm%d" s) shared img with
+          match Store.commit ~id:(Printf.sprintf "vm%d" s) shared (Store.of_bytes img) with
           | Store.Committed { bytes; chunks_new; chunks_shared; _ } ->
               Tablefmt.add_row t2
                 [ Printf.sprintf "vm%d" s; Tablefmt.cell_i bytes;
@@ -2148,13 +2147,13 @@ let e22 () =
     (* --- (3) GC compaction: two live generations, compact, measure --- *)
     let store = Store.create ~sectors:(Store.sectors_for ~image_bytes) () in
     let img = base () in
-    (match Store.commit store img with
+    (match Store.commit store (Store.of_bytes img) with
     | Store.Committed _ -> ()
     | Store.Torn _ -> failwith "E22: gc baseline torn");
     for c = 0 to (pages / 2) - 1 do
       fill_page img (c * 2) 7
     done;
-    (match Store.commit store img with
+    (match Store.commit store (Store.of_bytes img) with
     | Store.Committed _ -> ()
     | Store.Torn _ -> failwith "E22: gc second commit torn");
     let before = Store.gc_bytes store in

@@ -348,10 +348,9 @@ let run_cmd =
       | None -> ());
       let outcome, vm =
         if ha then begin
-          let probe = Snapshot.capture vm in
           let store =
             Store.create
-              ~sectors:(Store.sectors_for ~image_bytes:(Snapshot.size_bytes probe))
+              ~sectors:(Store.sectors_for ~image_bytes:(Snapshot.image_bytes vm))
               ?faults ()
           in
           let backoff = knobs.Ha.Failover.takeover_backoff in
@@ -620,7 +619,8 @@ let recover_cmd =
   let action sweep gc stride size pages crash_at =
     if stride <= 0 then failwith "recover: stride must be positive";
     if size <= 0 then failwith "recover: size must be positive";
-    let img1, img2 =
+    (* [base] holds generation 1 intact; [src2] is generation 2 *)
+    let img1, img2, base, src2 =
       match pages with
       | Some n ->
           if n <= 0 then failwith "recover: pages must be positive";
@@ -644,9 +644,18 @@ let recover_cmd =
             done;
             Buffer.to_bytes b
           in
-          (mk 0 (fun _ -> false), mk 17 (fun i -> i mod 4 = 1 || n = 1))
+          let img1 = mk 0 (fun _ -> false) in
+          let img2 = mk 17 (fun i -> i mod 4 = 1 || n = 1) in
+          let image_bytes = max (Bytes.length img1) (Bytes.length img2) in
+          let base = Store.create ~sectors:(Store.sectors_for ~image_bytes) () in
+          (match Store.commit base (Store.of_bytes img1) with
+          | Store.Committed _ -> ()
+          | Store.Torn _ -> failwith "recover: baseline commit torn");
+          (img1, img2, base, Store.of_bytes img2)
       | None ->
-          (* two generations of a real VM image, some execution apart *)
+          (* two generations of a real VM, some execution apart, both
+             committed from the live VM as the HA supervisor does: the
+             second through the dirty-set hint the first left *)
           let setup = build_setup W_dirty ~size ~pv:false in
           let host = Host.create ~frames:(setup.Images.frames + 1024) () in
           let hyp = Hypervisor.create ~host () in
@@ -655,33 +664,45 @@ let recover_cmd =
               ~mem_frames:setup.Images.frames ~entry:Images.entry ()
           in
           Images.load_vm vm setup;
+          let source ?since () =
+            match Snapshot.source ?since vm with
+            | Ok src -> src
+            | Error gfn -> failwith (Printf.sprintf "recover: page %Ld unavailable" gfn)
+          in
           ignore (Hypervisor.run hyp ~budget:2_000_000L);
+          let src1 = source () in
+          let base =
+            Store.create
+              ~sectors:(Store.sectors_for ~image_bytes:(Snapshot.image_bytes vm))
+              ()
+          in
+          let hint =
+            match Store.commit base (Snapshot.chunks src1) with
+            | Store.Committed { gen; _ } -> Snapshot.committed src1 ~gen
+            | Store.Torn _ -> failwith "recover: baseline commit torn"
+          in
           let img1 = Snapshot.capture vm in
           ignore (Hypervisor.run hyp ~budget:2_000_000L);
-          (img1, Snapshot.capture vm)
+          let src2 = source ~since:hint () in
+          (img1, Snapshot.capture vm, base, Snapshot.chunks src2)
     in
-    let image_bytes = max (Bytes.length img1) (Bytes.length img2) in
-    let sectors = Store.sectors_for ~image_bytes in
-    (* prepared baseline, cloned per offset instead of replayed *)
-    let base = Store.create ~sectors () in
-    (match Store.commit base img1 with
-    | Store.Committed _ -> ()
-    | Store.Torn _ -> failwith "recover: baseline commit torn");
     if gc then
       (* the compaction needs a second live generation so dead chunks
          from gen 1 actually exist to reclaim *)
-      match Store.commit base img2 with
+      match Store.commit base src2 with
       | Store.Committed _ -> ()
       | Store.Torn _ -> failwith "recover: second baseline commit torn"
     else ();
     let stream_bytes =
-      if gc then Store.gc_bytes base else Store.commit_bytes base img2
+      if gc then Store.gc_bytes base else Store.commit_bytes base src2
     in
+    let hint_misses = ref (Store.hint_misses base) in
     let base_gen = Store.generation base in
     let check offset =
       let store = Store.clone base in
       if gc then ignore (Store.gc ~crash_at:offset store)
-      else ignore (Store.commit ~crash_at:offset store img2);
+      else ignore (Store.commit ~crash_at:offset store src2);
+      hint_misses := !hint_misses + Store.hint_misses store;
       (* power cycle: remount the raw device, discarding memory state *)
       let store = Store.mount (Store.device store) in
       match Store.recover store with
@@ -715,8 +736,8 @@ let recover_cmd =
       done;
       Printf.printf
         "crash sweep: %d offsets over %d %s bytes -> %d recover previous, %d \
-         recover new, %d failures\n"
-        !offsets stream_bytes what !old_n !new_n !failures;
+         recover new, %d failures, hint_misses=%d\n"
+        !offsets stream_bytes what !old_n !new_n !failures !hint_misses;
       if !failures > 0 then exit 1
     end
     else begin

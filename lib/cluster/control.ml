@@ -127,6 +127,7 @@ type entry = {
   units : int;
   mutable state : vm_state;
   mutable vm : Vm.t option;
+  mutable hint : Snapshot.hint option; (* left by the last committed checkpoint *)
   mutable checkpoints : int;
   mutable failed_attempts : int; (* evacuation attempts that failed *)
   mutable drain_retries : int; (* failed drain-migration attempts *)
@@ -202,6 +203,7 @@ let create cfg =
              units = d.setup.Images.frames;
              state = Pending;
              vm = None;
+             hint = None;
              checkpoints = 0;
              failed_attempts = 0;
              drain_retries = 0;
@@ -249,15 +251,22 @@ let create cfg =
 
 let commit_checkpoint t e ~host =
   match e.vm with
-  | Some vm when not (Vm.halted vm) ->
-      let img = Snapshot.capture vm in
-      (match Store.commit ~id:e.desc.name t.store img with
-      | Store.Committed _ -> e.checkpoints <- e.checkpoints + 1
-      | Store.Torn _ -> () (* previous generation still rules; retried *));
-      let hyp = t.fleet.Parallel.nodes.(host).Parallel.hyp in
-      Hypervisor.advance_idle hyp
-        ~to_:
-          (Int64.add (Hypervisor.now hyp) (Store.commit_cycles ~bytes:0))
+  | Some vm when not (Vm.halted vm) -> (
+      match Snapshot.source ?since:e.hint vm with
+      | Error _ ->
+          (* a page could not be brought in: skipped, not torn — nothing
+             streamed and the previous generation still rules *)
+          ()
+      | Ok src ->
+          (match Store.commit ~id:e.desc.name t.store (Snapshot.chunks src) with
+          | Store.Committed { gen; _ } ->
+              e.checkpoints <- e.checkpoints + 1;
+              e.hint <- Some (Snapshot.committed src ~gen)
+          | Store.Torn _ -> () (* previous generation still rules; retried *));
+          let hyp = t.fleet.Parallel.nodes.(host).Parallel.hyp in
+          Hypervisor.advance_idle hyp
+            ~to_:
+              (Int64.add (Hypervisor.now hyp) (Store.commit_cycles ~bytes:0)))
   | _ -> ()
 
 (* ---- placement ---- *)
@@ -487,8 +496,7 @@ let drain_migrate_one t d ~round () =
             match e.vm with
             | None -> `Failed
             | Some vm -> (
-                let img = Snapshot.capture vm in
-                match Snapshot.restore dst.Parallel.hyp img with
+                match Snapshot.restore dst.Parallel.hyp (Snapshot.capture vm) with
                 | vm' ->
                     Hypervisor.remove_vm src.Parallel.hyp vm;
                     t.cold_moves <- t.cold_moves + 1;

@@ -1,36 +1,53 @@
 module Phys_mem = Velum_machine.Phys_mem
 
+(* [stamp.(ppn)] is the write epoch of the frame's newest write (0: not
+   written since attach).  [epoch] is what a write stamps now; it is
+   greater than every mark and cursor base handed out, so a frame
+   already stamped [epoch] is dirty for every view and the listener's
+   fast path is one compare. *)
 type t = {
-  mem : Phys_mem.t;
-  mutable listener : int;
-  dirty : Bytes.t; (* one byte per frame; O(1) clear on drain *)
-  mutable dirty_count : int;
-  mutable total : int;
+  stamp : int array;
+  mutable epoch : int;
+  mutable cursors : cursor list;
 }
+
+(* Frames stamped after [base] are dirty for this cursor; [count] of
+   them so far. *)
+and cursor = { owner : t; mutable base : int; mutable count : int }
 
 let attach mem =
   let n = Phys_mem.frames mem in
-  let t =
-    { mem; listener = -1; dirty = Bytes.make n '\000'; dirty_count = 0; total = 0 }
-  in
-  t.listener <-
-    Phys_mem.add_write_listener mem (fun ~ppn ~lo:_ ~hi:_ ->
-        let i = Int64.to_int ppn in
-        if i >= 0 && i < n && Bytes.get t.dirty i = '\000' then begin
-          Bytes.set t.dirty i '\001';
-          t.dirty_count <- t.dirty_count + 1;
-          t.total <- t.total + 1
-        end);
+  let t = { stamp = Array.make n 0; epoch = 1; cursors = [] } in
+  ignore
+    (Phys_mem.add_write_listener mem (fun ~ppn ~lo:_ ~hi:_ ->
+         let i = Int64.to_int ppn in
+         if i >= 0 && i < n then begin
+           let s = Array.unsafe_get t.stamp i in
+           if s <> t.epoch then begin
+             Array.unsafe_set t.stamp i t.epoch;
+             List.iter (fun c -> if s <= c.base then c.count <- c.count + 1) t.cursors
+           end
+         end));
   t
 
-let detach t = Phys_mem.remove_write_listener t.mem t.listener
-let churned t = t.dirty_count
-let total t = t.total
+let mark t =
+  let m = t.epoch in
+  t.epoch <- m + 1;
+  m
 
-let drain t =
-  let n = t.dirty_count in
-  if n > 0 then begin
-    Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-    t.dirty_count <- 0
-  end;
+let written_since t ~mark ppn =
+  let i = Int64.to_int ppn in
+  i < 0 || i >= Array.length t.stamp || t.stamp.(i) > mark
+
+let cursor t =
+  let c = { owner = t; base = mark t; count = 0 } in
+  t.cursors <- c :: t.cursors;
+  c
+
+let churned c = c.count
+
+let drain c =
+  let n = c.count in
+  c.base <- mark c.owner;
+  c.count <- 0;
   n

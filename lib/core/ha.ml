@@ -15,11 +15,12 @@ let restart_window = 50_000_000L
 type t = {
   hyp : Hypervisor.t;
   store : Store.t;
-  churn : Churn.t; (* dirty-frame tracker on the host's physical memory *)
+  churn : Churn.cursor; (* this supervisor's view of the host's dirty frames *)
   checkpoint_every : int64;
   max_restarts : int;
   backoff_base : int64;
   mutable vm : Vm.t;
+  mutable hint : Snapshot.hint option; (* left by the last committed checkpoint *)
   mutable pending : int64 option; (* restore due at this host cycle *)
   mutable stalled_at : int64;
   mutable window_start : int64;
@@ -143,29 +144,39 @@ let checkpoint (t : t) =
        retiring guest instructions, which the churn tracker catches. *)
     if Int64.compare instret t.last_ckpt_instret <> 0 || Churn.churned t.churn > 0
     then begin
-      t.last_ckpt_instret <- instret;
-      let image = Snapshot.capture t.vm in
-      (* The pause is charged on the bytes the commit actually streamed —
-         the churned delta (or the torn prefix), not the full image. *)
-      let outcome = Store.commit t.store image in
-      let bytes =
-        match outcome with
-        | Store.Committed { bytes; _ } ->
-            t.checkpoints <- t.checkpoints + 1;
-            t.ckpt_bytes <- t.ckpt_bytes + bytes;
-            t.frames_churned <- t.frames_churned + Churn.drain t.churn;
-            bytes
-        | Store.Torn cut ->
-            t.torn_checkpoints <- t.torn_checkpoints + 1;
-            cut
-      in
-      let cost = Store.commit_cycles ~bytes in
-      (match outcome with
-      | Store.Committed _ -> trace_ha t.hyp t.vm Trace.Ha_checkpoint ~detail:cost
-      | Store.Torn _ -> ());
-      t.checkpoint_cycles <- Int64.add t.checkpoint_cycles cost;
-      (* the guest is paused while the commit streams out *)
-      Hypervisor.advance_idle t.hyp ~to_:(Int64.add (Hypervisor.now t.hyp) cost)
+      match Snapshot.source ?since:t.hint t.vm with
+      | Error gfn ->
+          (* A page could not be brought in: nothing consistent to
+             commit.  Skipped, not torn — nothing streamed, no pause
+             charged, and the previous generation still rules. *)
+          Log.warn (fun m ->
+              m "ha: checkpoint of %s skipped, page %Ld cannot be brought in"
+                t.vm.Vm.name gfn)
+      | Ok src ->
+          t.last_ckpt_instret <- instret;
+          (* The pause is charged on the bytes the commit actually
+             streamed — the churned delta (or the torn prefix), not the
+             full image. *)
+          let outcome = Store.commit t.store (Snapshot.chunks src) in
+          let bytes =
+            match outcome with
+            | Store.Committed { gen; bytes; _ } ->
+                t.checkpoints <- t.checkpoints + 1;
+                t.ckpt_bytes <- t.ckpt_bytes + bytes;
+                t.frames_churned <- t.frames_churned + Churn.drain t.churn;
+                t.hint <- Some (Snapshot.committed src ~gen);
+                bytes
+            | Store.Torn cut ->
+                t.torn_checkpoints <- t.torn_checkpoints + 1;
+                cut
+          in
+          let cost = Store.commit_cycles ~bytes in
+          (match outcome with
+          | Store.Committed _ -> trace_ha t.hyp t.vm Trace.Ha_checkpoint ~detail:cost
+          | Store.Torn _ -> ());
+          t.checkpoint_cycles <- Int64.add t.checkpoint_cycles cost;
+          (* the guest is paused while the commit streams out *)
+          Hypervisor.advance_idle t.hyp ~to_:(Int64.add (Hypervisor.now t.hyp) cost)
     end
   end
 
@@ -177,11 +188,12 @@ let create ~hyp ~store ~vm ?(checkpoint_every = 300_000L) ?(wd_budget = 150_000L
     {
       hyp;
       store;
-      churn = Churn.attach (Hypervisor.host hyp).Host.mem;
+      churn = Churn.cursor (Host.churn (Hypervisor.host hyp));
       checkpoint_every;
       max_restarts;
       backoff_base;
       vm;
+      hint = None;
       pending = None;
       stalled_at = 0L;
       window_start = Hypervisor.now hyp;

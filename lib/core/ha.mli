@@ -65,7 +65,15 @@ val create :
     Only runnable, progressing states are committed: an all-blocked
     image {e is} the wedge, so cadence points that catch the VM blocked
     (or with unchanged retired-instruction count) are skipped — "last
-    good checkpoint" means the newest state that could still run.
+    good checkpoint" means the newest state that could still run.  A
+    point whose image has a page that cannot be brought back in (the
+    host is out of frames) is skipped too, not committed with a hole:
+    no pause is charged and the previous generation still rules.
+
+    Commits go through {!Snapshot.source} with the dirty-set hint the
+    previous committed checkpoint left, and the cadence gate reads a
+    cursor on the host's one {!Churn} tracker, which every supervisor on
+    the host shares.
 
     Note: [create] owns the hypervisor's watchdog configuration; arm at
     most one supervisor per VM.

@@ -9,6 +9,7 @@ type t = {
   mutable swap_free : int list;
   mutable swap_ins : int;
   mutable swap_outs : int;
+  mutable churn : Churn.t option;
 }
 
 let swap_cost_cycles = 2_000_000
@@ -25,7 +26,16 @@ let create ?(frames = 16384) ?(cost = Cost_model.default) ?(swap_slots = 4096)
     swap_free = List.init swap_slots Fun.id;
     swap_ins = 0;
     swap_outs = 0;
+    churn = None;
   }
+
+let churn t =
+  match t.churn with
+  | Some c -> c
+  | None ->
+      let c = Churn.attach t.mem in
+      t.churn <- Some c;
+      c
 
 let swap_out t ~ppn =
   match t.swap_free with

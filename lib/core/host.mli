@@ -23,12 +23,20 @@ type t = {
           overcommit hot path *)
   mutable swap_ins : int;
   mutable swap_outs : int;
+  mutable churn : Churn.t option;
+      (** the host's one dirty-frame tracker, once something asked for
+          it through {!churn} *)
 }
 
 val create :
   ?frames:int -> ?cost:Cost_model.t -> ?swap_slots:int -> ?engine:Engine.kind -> unit -> t
 (** Default: 16384 frames (64 MiB), 4096 swap slots, interpreter
     engine. *)
+
+val churn : t -> Churn.t
+(** The host's dirty-frame tracker, attached on first use: every
+    checkpointing consumer on the host shares it, and a host that never
+    checkpoints carries no listener. *)
 
 val swap_cost_cycles : int
 (** Cycles charged per swap transfer (~a disk access). *)

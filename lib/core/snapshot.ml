@@ -48,8 +48,39 @@ let runstate_of_code = function
   | 2 -> Vcpu.Halted
   | _ -> failwith "Snapshot: bad runstate"
 
-let capture (vm : Vm.t) =
-  let buf = Buffer.create (Vm.mem_frames vm * Arch.page_size / 2) in
+(* --- the image layout, defined once ---
+
+   header   magic, name, mem_frames, vCPU count, paging, PV flags, then
+            each vCPU's registers, pc, mode, CSRs, halted, waiting,
+            instret and run state; then the page count
+   pages    one record per gfn, in gfn order: gfn, kind (0 = data,
+            1 = ballooned, 2 = absent), and for data the 4096 page bytes
+   console  length-prefixed console output
+
+   A [layout] is that image over the live VM: the header and console
+   are serialized (they are small), page bytes stay in their frames
+   until someone blits them out. *)
+
+let kind_data = 0
+let kind_ballooned = 1
+let kind_absent = 2
+let record_header = 16
+
+type layout = {
+  vm : Vm.t;
+  head : Bytes.t; (* header and page count *)
+  frames : int array;
+      (* per gfn: the backing ppn of a data page, or -kind for the others *)
+  starts : int array;
+      (* per gfn: image offset of its record; [starts.(n)] is the console's *)
+  tail : Bytes.t; (* length-prefixed console *)
+  length : int;
+}
+
+let kind_of_frame f = if f >= 0 then kind_data else -f
+
+let header (vm : Vm.t) =
+  let buf = Buffer.create 1024 in
   add_i64 buf magic;
   add_str buf vm.Vm.name;
   add_int buf (Vm.mem_frames vm);
@@ -69,31 +100,177 @@ let capture (vm : Vm.t) =
       add_i64 buf s.Cpu.instret;
       add_int buf (runstate_code vcpu.Vcpu.runstate))
     vm.Vm.vcpus;
-  (* Page states: B = ballooned, A = absent, P = present (with data).
-     Swapped pages are pulled back in by resolve_read. *)
-  let pages = ref [] in
-  P2m.iter vm.Vm.p2m ~f:(fun ~gfn entry ->
-      match entry with
-      | P2m.Ballooned -> pages := (gfn, `Ballooned) :: !pages
-      | P2m.Absent -> pages := (gfn, `Absent) :: !pages
-      | P2m.Present _ | P2m.Swapped _ | P2m.Remote -> pages := (gfn, `Data) :: !pages);
-  let pages = List.rev !pages in
-  add_int buf (List.length pages);
-  List.iter
-    (fun (gfn, kind) ->
-      add_i64 buf gfn;
-      match kind with
-      | `Ballooned -> add_int buf 1
-      | `Absent -> add_int buf 2
-      | `Data -> (
-          add_int buf 0;
-          match Vm.resolve_read vm gfn with
-          | Some ppn ->
-              Buffer.add_bytes buf (Phys_mem.frame_read vm.Vm.host.Host.mem ~ppn)
-          | None -> Buffer.add_bytes buf (Bytes.make Arch.page_size '\000')))
-    pages;
+  add_int buf (P2m.gframes vm.Vm.p2m);
+  Buffer.to_bytes buf
+
+let console (vm : Vm.t) =
+  let buf = Buffer.create 64 in
   add_str buf (Vm.console_output vm);
   Buffer.to_bytes buf
+
+(* Page kinds, read without bringing anything in: swapped and remote
+   pages are data. *)
+let page_kinds (vm : Vm.t) =
+  let kinds = Array.make (P2m.gframes vm.Vm.p2m) kind_data in
+  P2m.iter vm.Vm.p2m ~f:(fun ~gfn entry ->
+      match entry with
+      | P2m.Ballooned -> kinds.(Int64.to_int gfn) <- kind_ballooned
+      | P2m.Absent -> kinds.(Int64.to_int gfn) <- kind_absent
+      | P2m.Present _ | P2m.Swapped _ | P2m.Remote -> ());
+  kinds
+
+let record_bytes kind = record_header + if kind = kind_data then Arch.page_size else 0
+
+let image_bytes (vm : Vm.t) =
+  Array.fold_left
+    (fun acc k -> acc + record_bytes k)
+    (Bytes.length (header vm) + Bytes.length (console vm))
+    (page_kinds vm)
+
+(* Lay the VM out, bringing every swapped or remote data page back in
+   first, in gfn order.  [Error gfn] names the first data page that
+   could not be brought in (the host is out of frames): an image with
+   a hole is not a checkpoint. *)
+let lay_out (vm : Vm.t) =
+  let head = header vm in
+  let kinds = page_kinds vm in
+  let n = Array.length kinds in
+  let frames = Array.make n 0 in
+  let unresolved = ref None in
+  Array.iteri
+    (fun i kind ->
+      if kind <> kind_data then frames.(i) <- -kind
+      else
+        match Vm.resolve_read vm (Int64.of_int i) with
+        | Some ppn -> frames.(i) <- Int64.to_int ppn
+        | None -> if !unresolved = None then unresolved := Some (Int64.of_int i))
+    kinds;
+  match !unresolved with
+  | Some gfn -> Error gfn
+  | None ->
+      let starts = Array.make (n + 1) (Bytes.length head) in
+      for i = 0 to n - 1 do
+        starts.(i + 1) <- starts.(i) + record_bytes kinds.(i)
+      done;
+      let tail = console vm in
+      Ok { vm; head; frames; starts; tail; length = starts.(n) + Bytes.length tail }
+
+(* The record holding image offset [pos] (a page-region offset). *)
+let record_at l pos =
+  let lo = ref 0 and hi = ref (Array.length l.frames - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if l.starts.(mid) <= pos then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* Copy image bytes [pos, pos+len) into [dst] at [off]. *)
+let blit l ~pos dst ~off ~len =
+  let mem = l.vm.Vm.host.Host.mem in
+  let stop = pos + len in
+  let p = ref pos and o = ref off in
+  let copy_from src spos k =
+    Bytes.blit src spos dst !o k;
+    p := !p + k;
+    o := !o + k
+  in
+  let hlen = Bytes.length l.head in
+  if !p < hlen then copy_from l.head !p (min stop hlen - !p);
+  let n = Array.length l.frames in
+  let cstart = l.starts.(n) in
+  if !p < stop && !p < cstart then begin
+    let rh = Bytes.create record_header in
+    let k = ref (record_at l !p) in
+    while !p < stop && !p < cstart do
+      let rs = l.starts.(!k) in
+      let rel = !p - rs in
+      let f = l.frames.(!k) in
+      if rel < record_header then begin
+        Bytes.set_int64_le rh 0 (Int64.of_int !k);
+        Bytes.set_int64_le rh 8 (Int64.of_int (kind_of_frame f));
+        copy_from rh rel (min (record_header - rel) (stop - !p))
+      end
+      else begin
+        let drel = rel - record_header in
+        let cnt = min (Arch.page_size - drel) (stop - !p) in
+        Phys_mem.blit_out mem ~ppn:(Int64.of_int f) ~off:drel dst ~pos:!o ~len:cnt;
+        p := !p + cnt;
+        o := !o + cnt
+      end;
+      if !p >= l.starts.(!k + 1) then incr k
+    done
+  end;
+  if !p < stop then copy_from l.tail (!p - cstart) (stop - !p)
+
+let capture vm =
+  match lay_out vm with
+  | Ok l ->
+      let b = Bytes.create l.length in
+      blit l ~pos:0 b ~off:0 ~len:l.length;
+      b
+  | Error gfn ->
+      failwith
+        (Printf.sprintf "Snapshot.capture: guest page %Ld cannot be brought in" gfn)
+
+(* --- checkpoint sources: the layout as a store chunk source --- *)
+
+type hint = {
+  h_vm : Vm.t;
+  h_gen : int; (* the stream generation this layout committed as *)
+  h_mark : int; (* the host tracker's mark taken when it was laid out *)
+  h_frames : int array;
+}
+
+type source = { layout : layout; mark : int; chunks : Store.source }
+
+(* Chunk [i] is byte-identical to chunk [i] of the hint's image when it
+   lies wholly in the page records, no record up to its end changed
+   kind (a change shifts every later offset), and each data page in it
+   kept its frame, unwritten since the hint's mark.  The header (vCPU
+   state) and the console are always re-hashed. *)
+let clean_since l churn h =
+  let n = Array.length l.frames in
+  let first_change =
+    let k = ref 0 in
+    while !k < n && kind_of_frame l.frames.(!k) = kind_of_frame h.h_frames.(!k) do
+      incr k
+    done;
+    !k
+  in
+  let record_clean k =
+    k < first_change
+    &&
+    let f = l.frames.(k) in
+    f < 0
+    || (f = h.h_frames.(k) && not (Churn.written_since churn ~mark:h.h_mark (Int64.of_int f)))
+  in
+  fun i ->
+    let lo = i * Store.chunk_bytes in
+    let hi = min l.length (lo + Store.chunk_bytes) in
+    lo >= l.starts.(0)
+    && hi <= l.starts.(n)
+    &&
+    let last = record_at l (hi - 1) in
+    let rec all k = k > last || (record_clean k && all (k + 1)) in
+    all (record_at l lo)
+
+let source ?since vm =
+  match lay_out vm with
+  | Error gfn -> Error gfn
+  | Ok l ->
+      let churn = Host.churn vm.Vm.host in
+      let mark = Churn.mark churn in
+      let clean =
+        match since with
+        | Some h when h.h_vm == vm -> Some (h.h_gen, clean_since l churn h)
+        | _ -> None
+      in
+      Ok { layout = l; mark; chunks = { Store.length = l.length; blit = blit l; clean } }
+
+let chunks s = s.chunks
+
+let committed s ~gen =
+  { h_vm = s.layout.vm; h_gen = gen; h_mark = s.mark; h_frames = s.layout.frames }
 
 let size_bytes = Bytes.length
 

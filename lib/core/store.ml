@@ -15,9 +15,8 @@ let data_start_sector = 2
 let data_start = data_start_sector * Blockdev.sector_bytes
 
 (* A chunk the in-memory index knows about: where the newest clean copy
-   of this content lives in the active space, and how many references
-   the live manifests hold on it. *)
-type chunk = { c_off : int; c_len : int; mutable refs : int }
+   of this content lives in the active space. *)
+type chunk = { c_off : int; c_len : int }
 
 (* One committed generation of one stream: an ordered list of chunk
    references that reassembles the full snapshot image. *)
@@ -26,7 +25,7 @@ type manifest = {
   m_gen : int;
   m_entries : (int64 * int * int) array; (* content hash, absolute off, len *)
   m_image_len : int;
-  m_image_csum : int64;
+  m_root : int64; (* FNV fold of the entries' payload hashes, in order *)
   m_off : int; (* absolute device offset of this manifest record *)
   m_len : int;
 }
@@ -41,6 +40,9 @@ type t = {
   index : (int64, chunk) Hashtbl.t;
   streams : (string, manifest) Hashtbl.t; (* newest manifest per stream *)
   mutable catalogs : manifest list list; (* newest-first, at most 2 *)
+  mutable refs : (int64 * int) array;
+      (* the refcount table: references the distinct manifests of
+         [catalogs] hold on each content hash, in hash order *)
   mutable commits : int;
   mutable torn : int;
   mutable bytes_written : int;
@@ -48,6 +50,7 @@ type t = {
   mutable gc_runs : int;
   mutable torn_gc : int;
   mutable ref_rebuilds : int;
+  mutable hint_misses : int;
 }
 
 let device t = t.blk
@@ -60,9 +63,26 @@ let logical_bytes t = t.logical_bytes
 let gc_runs t = t.gc_runs
 let torn_gc t = t.torn_gc
 let ref_rebuilds t = t.ref_rebuilds
+let hint_misses t = t.hint_misses
+let chunk_bytes = chunk_payload
 
-let chunks_live t =
-  Hashtbl.fold (fun _ c n -> if c.refs > 0 then n + 1 else n) t.index 0
+type source = {
+  length : int;
+  blit : pos:int -> Bytes.t -> off:int -> len:int -> unit;
+  clean : (int * (int -> bool)) option;
+}
+
+let of_bytes b =
+  {
+    length = Bytes.length b;
+    blit = (fun ~pos dst ~off ~len -> Bytes.blit b pos dst off len);
+    clean = None;
+  }
+
+let merkle_root entries =
+  Array.fold_left (fun acc (h, _, _) -> Fnv.combine acc h) Fnv.offset_basis entries
+
+let chunks_live t = Array.length t.refs
 
 let stream_generation ?(id = "") t =
   match Hashtbl.find_opt t.streams id with Some m -> m.m_gen | None -> 0
@@ -124,7 +144,7 @@ let manifest_bytes m =
   put_i64 b 8 (Int64.of_int nlen);
   put_i64 b 16 (Int64.of_int n);
   put_i64 b 24 (Int64.of_int m.m_image_len);
-  put_i64 b 32 m.m_image_csum;
+  put_i64 b 32 m.m_root;
   put_i64 b 40 (Int64.of_int m.m_gen);
   Bytes.blit_string m.m_stream 0 b 48 nlen;
   Array.iteri
@@ -165,23 +185,54 @@ let catalog_bytes ms =
   put_i64 b (total - 8) (Fnv.hash_bytes ~pos:0 ~len:(total - 8) b);
   b
 
-let reftable_bytes refs =
-  let entries =
-    Hashtbl.fold (fun h n acc -> if n > 0 then (h, n) :: acc else acc) refs []
-    |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
-  in
-  let n = List.length entries in
+let reftable_bytes entries =
+  let n = Array.length entries in
   let total = 16 + (16 * n) + 8 in
   let b = Bytes.create total in
   put_i64 b 0 reftable_magic;
   put_i64 b 8 (Int64.of_int n);
-  List.iteri
+  Array.iteri
     (fun i (h, r) ->
       put_i64 b (16 + (16 * i)) h;
       put_i64 b (24 + (16 * i)) (Int64.of_int r))
     entries;
   put_i64 b (total - 8) (Fnv.hash_bytes ~pos:0 ~len:(total - 8) b);
   b
+
+let by_hash (a, _) (b, _) = Int64.compare a b
+
+(* The refcount table's rows: every hash with a positive count, in hash
+   order. *)
+let rows_of refs =
+  let a =
+    Array.of_list (Hashtbl.fold (fun h n acc -> if n > 0 then (h, n) :: acc else acc) refs [])
+  in
+  Array.sort by_hash a;
+  a
+
+(* [rows] with each [(h, d)] of the hash-ordered [changes] added. *)
+let merge_rows rows changes =
+  let out = ref [] in
+  let emit h n = if n > 0 then out := (h, n) :: !out in
+  let i = ref 0 and j = ref 0 in
+  let nr = Array.length rows and nc = Array.length changes in
+  while !i < nr || !j < nc do
+    let c = if !i >= nr then 1 else if !j >= nc then -1 else by_hash rows.(!i) changes.(!j) in
+    if c < 0 then (
+      let h, n = rows.(!i) in
+      emit h n;
+      incr i)
+    else if c > 0 then (
+      let h, d = changes.(!j) in
+      emit h d;
+      incr j)
+    else (
+      let h, n = rows.(!i) in
+      emit h (n + snd changes.(!j));
+      incr i;
+      incr j)
+  done;
+  Array.of_list (List.rev !out)
 
 (* References held on each content hash by the distinct manifests of the
    (at most two) recoverable catalogs.  Identity is the manifest's device
@@ -202,22 +253,17 @@ let refs_of_catalogs catalogs =
     catalogs;
   refs
 
-let set_refs t refs =
-  Hashtbl.iter
-    (fun h c ->
-      c.refs <- Option.value ~default:0 (Hashtbl.find_opt refs h))
-    t.index
-
 (* --- commit planning --- *)
 
 type plan = {
   p_gen : int;
-  p_new : (int * Bytes.t) list; (* absolute off, chunk record (reversed) *)
+  p_new : (int * Bytes.t) list; (* absolute off, chunk record *)
   p_new_meta : (int64 * int * int) list; (* hash, absolute off, payload len *)
   p_shared : int;
+  p_misses : int; (* hinted chunks the verify refused *)
   p_manifest : manifest;
   p_catalog : manifest list;
-  p_refs : (int64, int) Hashtbl.t;
+  p_refs : (int64 * int) array; (* the refcount table once committed *)
   p_cat_off : int;
   p_cat_b : Bytes.t;
   p_ref_off : int;
@@ -227,48 +273,101 @@ type plan = {
   p_total : int; (* p_data_len + sb_bytes *)
 }
 
-let plan_commit t ~id image =
-  let len = Bytes.length image in
+(* The previous manifest's hash for chunk [i] of [src], when the source
+   proves that chunk unchanged since the stream's current generation. *)
+let hint_for t ~id src =
+  match (src.clean, Hashtbl.find_opt t.streams id) with
+  | Some (gen, clean), Some m when m.m_gen = gen ->
+      fun i plen ->
+        if i < Array.length m.m_entries && clean i then
+          let h, _, len = m.m_entries.(i) in
+          if len = plen then Some h else None
+        else None
+  | _ -> fun _ _ -> None
+
+(* Refcount change of a commit whose catalog adds manifest [m], as
+   hash-ordered nonzero [(hash, delta)] rows: the window of recoverable
+   catalogs becomes the newest one plus [m], so [m]'s entries gain a
+   reference and the manifests only the older catalog held lose theirs. *)
+let refs_delta t m =
+  let delta = Hashtbl.create 64 in
+  let bump d (h, _, _) =
+    Hashtbl.replace delta h (d + Option.value ~default:0 (Hashtbl.find_opt delta h))
+  in
+  Array.iter (bump 1) m.m_entries;
+  (match t.catalogs with
+  | [ newest; older ] ->
+      let kept = Hashtbl.create 16 in
+      List.iter (fun m -> Hashtbl.replace kept m.m_off ()) newest;
+      List.iter
+        (fun m -> if not (Hashtbl.mem kept m.m_off) then Array.iter (bump (-1)) m.m_entries)
+        older
+  | _ -> ());
+  let changes =
+    Array.of_list (Hashtbl.fold (fun h d acc -> if d = 0 then acc else (h, d) :: acc) delta [])
+  in
+  Array.sort by_hash changes;
+  changes
+
+let plan_commit t ~id src =
+  let len = src.length in
   let nchunks = (len + chunk_payload - 1) / chunk_payload in
   let base = space_off t t.space in
   let cursor = ref t.head in
   let pending = Hashtbl.create 16 in
-  (* hash -> image pos of the first new chunk with that content *)
-  let news = ref [] and news_meta = ref [] and shared = ref 0 in
+  (* hash -> record and absolute off of the first new chunk with that content *)
+  let news = ref [] and news_meta = ref [] and shared = ref 0 and misses = ref 0 in
+  let hinted = hint_for t ~id src in
+  let buf = Bytes.create chunk_payload in
+  (* Share a copy of [buf]'s first [plen] bytes already in this commit or
+     the store — after a byte-compare verify: content-hash equality is
+     not content equality, and a rotted stored copy must not be
+     re-referenced. *)
+  let lookup h plen =
+    match Hashtbl.find_opt pending h with
+    | Some (rec_b, off)
+      when Bytes.length rec_b >= chunk_header + plen
+           && Fnv.equal_range rec_b chunk_header buf 0 plen ->
+        Some off
+    | _ -> (
+        match Hashtbl.find_opt t.index h with
+        | Some c
+          when c.c_len = plen
+               && Blockdev.pequal t.blk ~off:(c.c_off + chunk_header) buf ~pos:0 ~len:plen
+          ->
+            Some c.c_off
+        | _ -> None)
+  in
   let entries =
     Array.init (max 0 nchunks) (fun i ->
         let pos = i * chunk_payload in
         let plen = min chunk_payload (len - pos) in
-        let h = Fnv.hash_bytes ~pos ~len:plen image in
-        let dedup =
-          match Hashtbl.find_opt pending h with
-          | Some (ppos, off) when Fnv.equal_range image ppos image pos plen ->
-              Some (off, plen)
-          | _ -> (
-              match Hashtbl.find_opt t.index h with
-              | Some c when c.c_len = plen ->
-                  (* Verify before sharing: content-hash equality is not
-                     content equality, and a rotted stored copy must not
-                     be re-referenced. *)
-                  let stored =
-                    Blockdev.pread t.blk ~off:(c.c_off + chunk_header) ~len:plen
-                  in
-                  if Fnv.equal_range stored 0 image pos plen then
-                    Some (c.c_off, plen)
-                  else None
-              | _ -> None)
+        src.blit ~pos buf ~off:0 ~len:plen;
+        let h, dedup =
+          match hinted i plen with
+          | Some h -> (
+              (* A clean chunk skips only the hash: the lookup and its
+                 verify run as for any other chunk. *)
+              match lookup h plen with
+              | Some off -> (h, Some off)
+              | None ->
+                  incr misses;
+                  let h' = Fnv.hash_bytes ~pos:0 ~len:plen buf in
+                  (h', if Int64.equal h' h then None else lookup h' plen))
+          | None ->
+              let h = Fnv.hash_bytes ~pos:0 ~len:plen buf in
+              (h, lookup h plen)
         in
         match dedup with
-        | Some (off, plen) ->
+        | Some off ->
             incr shared;
             (h, off, plen)
         | None ->
             let off = base + !cursor in
-            let rec_b = chunk_record ~hash:h image ~pos ~len:plen in
+            let rec_b = chunk_record ~hash:h buf ~pos:0 ~len:plen in
             news := (off, rec_b) :: !news;
             news_meta := (h, off, plen) :: !news_meta;
-            if not (Hashtbl.mem pending h) then
-              Hashtbl.replace pending h (pos, off);
+            if not (Hashtbl.mem pending h) then Hashtbl.replace pending h (rec_b, off);
             cursor := !cursor + Bytes.length rec_b;
             (h, off, plen))
   in
@@ -280,7 +379,7 @@ let plan_commit t ~id image =
       m_gen = p_gen;
       m_entries = entries;
       m_image_len = len;
-      m_image_csum = Fnv.hash_bytes image;
+      m_root = merkle_root entries;
       m_off;
       m_len = 0;
     }
@@ -296,8 +395,7 @@ let plan_commit t ~id image =
   let p_cat_off = base + !cursor in
   let p_cat_b = catalog_bytes catalog in
   cursor := !cursor + Bytes.length p_cat_b;
-  let prev = match t.catalogs with c :: _ -> [ c ] | [] -> [] in
-  let p_refs = refs_of_catalogs (catalog :: prev) in
+  let p_refs = merge_rows t.refs (refs_delta t m) in
   let p_ref_off = base + !cursor in
   let p_ref_b = reftable_bytes p_refs in
   cursor := !cursor + Bytes.length p_ref_b;
@@ -307,6 +405,7 @@ let plan_commit t ~id image =
     p_new = List.rev !news;
     p_new_meta = List.rev !news_meta;
     p_shared = !shared;
+    p_misses = !misses;
     p_manifest = m;
     p_catalog = catalog;
     p_refs;
@@ -319,7 +418,7 @@ let plan_commit t ~id image =
     p_total = p_data_len + sb_bytes;
   }
 
-let commit_bytes ?(id = "") t image = (plan_commit t ~id image).p_total
+let commit_bytes ?(id = "") t src = (plan_commit t ~id src).p_total
 
 (* --- the write stream, cut at an arbitrary byte offset on a crash --- *)
 
@@ -361,7 +460,7 @@ type gc_outcome =
 type gc_plan = {
   g_writes : (int * Bytes.t) list;
   g_manifests : (string * manifest) list;
-  g_refs : (int64, int) Hashtbl.t;
+  g_refs : (int64 * int) array;
   g_head : int;
   g_live : int;
   g_total : int;
@@ -412,7 +511,7 @@ let plan_gc t =
   let cat_off = base + !cursor in
   writes := (cat_off, cat_b) :: !writes;
   cursor := !cursor + Bytes.length cat_b;
-  let refs = refs_of_catalogs [ List.map snd manifests ] in
+  let refs = rows_of (refs_of_catalogs [ List.map snd manifests ]) in
   let ref_b = reftable_bytes refs in
   let ref_off = base + !cursor in
   writes := (ref_off, ref_b) :: !writes;
@@ -462,10 +561,10 @@ let gc ?crash_at t =
         (fun (_, m) ->
           Array.iter
             (fun (h, off, len) ->
-              Hashtbl.replace t.index h { c_off = off; c_len = len; refs = 0 })
+              Hashtbl.replace t.index h { c_off = off; c_len = len })
             m.m_entries)
         p.g_manifests;
-      set_refs t p.g_refs;
+      t.refs <- p.g_refs;
       Hashtbl.reset t.streams;
       List.iter (fun (name, m) -> Hashtbl.replace t.streams name m) p.g_manifests;
       t.catalogs <- [ List.map snd p.g_manifests ];
@@ -475,7 +574,7 @@ let gc ?crash_at t =
 
 (* --- commit --- *)
 
-let do_commit ?crash_at t ~id ~plan:p image =
+let do_commit ?crash_at t ~id ~plan:p =
   let seq = t.seq + 1 in
   let sb =
     superblock ~seq ~space:t.space ~head:(t.head + p.p_data_len)
@@ -502,6 +601,7 @@ let do_commit ?crash_at t ~id ~plan:p image =
         else None
   in
   stream_writes t writes ~cut;
+  t.hint_misses <- t.hint_misses + p.p_misses;
   match cut with
   | Some cut ->
       (* The in-memory generation is deliberately not advanced — a real
@@ -512,7 +612,7 @@ let do_commit ?crash_at t ~id ~plan:p image =
       Torn cut
   | None ->
       t.bytes_written <- t.bytes_written + p.p_total;
-      t.logical_bytes <- t.logical_bytes + Bytes.length image;
+      t.logical_bytes <- t.logical_bytes + p.p_manifest.m_image_len;
       let start = space_off t t.space + t.head in
       (if Fault.fire t.faults Fault.Store_csum ~now:(Int64.of_int t.commits)
        then
@@ -531,13 +631,9 @@ let do_commit ?crash_at t ~id ~plan:p image =
       t.seq <- seq;
       t.head <- t.head + p.p_data_len;
       List.iter
-        (fun (h, off, len) ->
-          let refs =
-            match Hashtbl.find_opt t.index h with Some c -> c.refs | None -> 0
-          in
-          Hashtbl.replace t.index h { c_off = off; c_len = len; refs })
+        (fun (h, off, len) -> Hashtbl.replace t.index h { c_off = off; c_len = len })
         p.p_new_meta;
-      set_refs t p.p_refs;
+      t.refs <- p.p_refs;
       Hashtbl.replace t.streams id p.p_manifest;
       let prev = match t.catalogs with c :: _ -> [ c ] | [] -> [] in
       t.catalogs <- p.p_catalog :: prev;
@@ -550,10 +646,10 @@ let do_commit ?crash_at t ~id ~plan:p image =
           chunks_shared = p.p_shared;
         }
 
-let commit ?crash_at ?(id = "") t image =
-  let p = plan_commit t ~id image in
+let commit ?crash_at ?(id = "") t src =
+  let p = plan_commit t ~id src in
   if t.head + p.p_data_len <= t.space_bytes then
-    do_commit ?crash_at t ~id ~plan:p image
+    do_commit ?crash_at t ~id ~plan:p
   else
     (* The active space is full: compact live chunks into the other
        space first.  A power cut during that compaction loses nothing —
@@ -563,10 +659,10 @@ let commit ?crash_at ?(id = "") t image =
         t.torn <- t.torn + 1;
         Torn cut
     | Gc_committed _ ->
-        let p = plan_commit t ~id image in
+        let p = plan_commit t ~id src in
         if t.head + p.p_data_len > t.space_bytes then
           invalid_arg "Store.commit: image does not fit a space even after GC";
-        do_commit ?crash_at t ~id ~plan:p image
+        do_commit ?crash_at t ~id ~plan:p
 
 (* --- recovery scan --- *)
 
@@ -619,7 +715,7 @@ let parse_manifest t ~stream ~gen ~off ~len =
     m_gen = gen;
     m_entries = entries;
     m_image_len = image_len;
-    m_image_csum = get_i64 b 32;
+    m_root = get_i64 b 32;
     m_off = off;
     m_len = len;
   }
@@ -685,10 +781,11 @@ let candidates t =
   |> List.sort (fun a b -> compare b.k_seq a.k_seq)
 
 (* Reassemble one stream's image from its manifest, re-validating every
-   chunk record and the whole-image checksum. *)
+   chunk record, and the Merkle root over the payload bytes read. *)
 let reconstruct t m =
   let image = Bytes.create m.m_image_len in
   let pos = ref 0 in
+  let root = ref Fnv.offset_basis in
   let torn = ref false in
   let ok = ref true in
   (try
@@ -708,12 +805,14 @@ let reconstruct t m =
            raise Exit
          end;
          let payload = Blockdev.pread t.blk ~off:(off + chunk_header) ~len in
-         if Fnv.hash_bytes payload <> h then raise Exit;
+         let ph = Fnv.hash_bytes payload in
+         if ph <> h then raise Exit;
+         root := Fnv.combine !root ph;
          Bytes.blit payload 0 image !pos len;
          pos := !pos + len)
        m.m_entries
    with Exit | Invalid_argument _ -> ok := false);
-  if !ok && !pos = m.m_image_len && Fnv.hash_bytes image = m.m_image_csum then
+  if !ok && !pos = m.m_image_len && Int64.equal !root m.m_root then
     Some image
   else begin
     Fault.observe t.faults
@@ -751,6 +850,7 @@ let of_blk ?(faults = Fault.none ()) blk =
     index = Hashtbl.create 64;
     streams = Hashtbl.create 4;
     catalogs = [];
+    refs = [||];
     commits = 0;
     torn = 0;
     bytes_written = 0;
@@ -758,6 +858,7 @@ let of_blk ?(faults = Fault.none ()) blk =
     gc_runs = 0;
     torn_gc = 0;
     ref_rebuilds = 0;
+    hint_misses = 0;
   }
 
 let host_dma =
@@ -819,11 +920,11 @@ let mount ?faults blk =
              Array.iter
                (fun (h, off, len) ->
                  if not (Hashtbl.mem t.index h) then
-                   Hashtbl.replace t.index h { c_off = off; c_len = len; refs = 0 })
+                   Hashtbl.replace t.index h { c_off = off; c_len = len })
                m.m_entries))
         cats;
       let refs = refs_of_catalogs cats in
-      set_refs t refs;
+      t.refs <- rows_of refs;
       if not (reftable_covers t ~off:newest.k_ref_off ~len:newest.k_ref_len refs)
       then begin
         Fault.observe t.faults Fault.Store_ref;

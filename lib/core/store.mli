@@ -1,11 +1,15 @@
 (** Crash-consistent, content-addressed incremental checkpoint store,
     layered on {!Velum_devices.Blockdev}.
 
-    Snapshot images ({!Snapshot.full} bytes) are split into 4 KiB chunks
-    keyed by their FNV-1a content hash.  A chunk is written once and
-    shared by every later generation — and every other VM stream on the
-    same store — that contains the same bytes, so a cadenced checkpoint
-    costs its churn, not its footprint.  On-device layout:
+    An image arrives as a chunk {!source} — a {!Snapshot.source} reading
+    a live VM's pages in place, or any [Bytes.t] through {!of_bytes} —
+    and is split into 4 KiB chunks keyed by their FNV-1a content hash.
+    A chunk is written once and shared by every later generation — and
+    every other VM stream on the same store — that contains the same
+    bytes, so a cadenced checkpoint writes its churn, not its footprint.
+    A source may also prove chunks unchanged since the stream's current
+    generation; those skip the hash (the previous manifest's is reused)
+    but not the byte-compare verify before sharing.  On-device layout:
 
     {v
     sector 0   superblock slot 0   (72 bytes used)
@@ -16,8 +20,9 @@
 
     One space is {e active}: commits append to it — new chunk records
     (magic, content hash, length, payload), then a {e manifest} (the
-    ordered chunk list that reassembles one stream's image, with a
-    whole-image checksum), then a {e catalog} (the stream directory),
+    ordered chunk list that reassembles one stream's image, with its
+    Merkle root: the FNV fold of the chunk payload hashes in manifest
+    order), then a {e catalog} (the stream directory),
     then a {e refcount table}, and finally — the sole commit point — a
     superblock (sequence, active space, log head, catalog/reftable
     locations, self-checksum) into slot [seq mod 2].  Until the
@@ -30,8 +35,10 @@
     superblock — the pre-GC space is never written, so a power cut at
     any byte offset of the compaction stream leaves the old state
     ruling.  Refcounts (references from the manifests of the two
-    recoverable catalogs) decide what is live; {!mount} rebuilds them
-    from the manifests and cross-checks the stored table, so a lost or
+    recoverable catalogs) decide what is live; a commit updates them by
+    delta (its manifest in, the manifest leaving the two-catalog window
+    out), and {!mount} rebuilds them from the manifests and cross-checks
+    the stored table, so a lost or
     rotted refcount update (site [store.ref]) is detected and repaired
     rather than trusted.
 
@@ -40,7 +47,8 @@
     [store.torn] / [store.gc], offset drawn from the plan's RNG) or at a
     caller-chosen offset ([?crash_at], used by the CI crash matrix).
     {!recover} validates superblock, catalog, manifest, every chunk
-    record, and the whole-image checksum before returning the newest
+    record, and the Merkle root recomputed from the payload bytes it
+    read before returning the newest
     {e complete} generation: a crash at any offset yields either the
     previous or the new snapshot, never a torn hybrid and never a
     manifest pointing at reclaimed bytes.  Latent rot (site
@@ -92,11 +100,36 @@ type outcome =
       (** power failed after this many bytes of the write stream; the
           device holds a prefix, the previous generation still rules *)
 
-val commit : ?crash_at:int -> ?id:string -> t -> Bytes.t -> outcome
-(** [commit t image] durably stores [image] as stream [id]'s (default
-    [""]) next generation.  Chunks already in the store — from any
-    stream or generation — are shared after a byte-compare verify, so
-    the write stream contains only changed chunks plus metadata.
+val chunk_bytes : int
+(** Chunk payload size (4096): chunk [i] of an image covers its bytes
+    [\[i * chunk_bytes, (i + 1) * chunk_bytes)]. *)
+
+type source = {
+  length : int;  (** image bytes *)
+  blit : pos:int -> Bytes.t -> off:int -> len:int -> unit;
+      (** [blit ~pos dst ~off ~len] copies image bytes
+          [\[pos, pos + len)] into [dst] at [off] *)
+  clean : (int * (int -> bool)) option;
+      (** [Some (gen, f)]: chunk [i] with [f i] is byte-identical to
+          chunk [i] of the image this stream committed as generation
+          [gen].  Ignored unless [gen] is the stream's current
+          generation in the store. *)
+}
+(** An image to commit, read a chunk at a time. *)
+
+val of_bytes : Bytes.t -> source
+(** A serialized image: no chunk is known clean. *)
+
+val commit : ?crash_at:int -> ?id:string -> t -> source -> outcome
+(** [commit t src] durably stores [src]'s image as stream [id]'s
+    (default [""]) next generation.  Chunks already in the store — from
+    any stream or generation — are shared after a byte-compare verify,
+    so the write stream contains only changed chunks plus metadata.  A
+    chunk the source proves clean takes the previous manifest's hash
+    instead of hashing; when its verify fails (the stored copy rotted)
+    it is hashed and takes the ordinary path, counted in
+    {!hint_misses}.  The outcome and the device bytes are those of the
+    same image committed through {!of_bytes}.
     [crash_at] deterministically cuts the stream after that many bytes
     (clamped to the stream length; the commit is then reported [Torn]
     without consulting the fault plan) — the CI sweep drives every
@@ -110,7 +143,7 @@ val commit : ?crash_at:int -> ?id:string -> t -> Bytes.t -> outcome
     @raise Invalid_argument if the image cannot fit a space even after
     GC. *)
 
-val commit_bytes : ?id:string -> t -> Bytes.t -> int
+val commit_bytes : ?id:string -> t -> source -> int
 (** Total bytes [commit] would write for this image right now (new chunk
     records, manifest, catalog, reftable, superblock) — the exclusive
     upper bound for interesting [crash_at] offsets. *)
@@ -145,8 +178,8 @@ val gc_bytes : t -> int
 val recover : ?id:string -> t -> (Bytes.t * int) option
 (** Scan the device and return stream [id]'s newest complete image with
     its generation; [None] if no generation of that stream ever
-    committed intact.  Re-validates everything from superblock to
-    whole-image checksum.  Structural breakage counts as observed
+    committed intact.  Re-validates everything from superblock to the
+    Merkle root, recomputed from every payload byte read.  Structural breakage counts as observed
     [store.torn]; checksum mismatches under a valid structure count as
     observed [store.csum]. *)
 
@@ -181,6 +214,11 @@ val gc_runs : t -> int
 
 val torn_gc : t -> int
 (** GC compactions cut by a power failure through this handle. *)
+
+val hint_misses : t -> int
+(** Chunks a source called clean whose verify against the stored copy
+    failed, so they were hashed after all (executed commits only, torn
+    ones included).  0 unless stored chunks rot. *)
 
 val ref_rebuilds : t -> int
 (** Times {!mount} found the stored refcount table missing, rotted, or

@@ -18,5 +18,11 @@ let sub t ~off ~len =
 let sub_string t ~off ~len =
   if allocated t then Bytes.sub_string t.data off len else String.make len '\000'
 
+let equal_range t ~off b ~pos ~len =
+  if allocated t then Velum_util.Fnv.equal_range t.data off b pos len
+  else
+    let rec zeros i = i >= len || (Bytes.get b (pos + i) = '\000' && zeros (i + 1)) in
+    zeros 0
+
 let blit_from t ~off src ~pos ~len = Bytes.blit src pos (writable t) off len
 let blit_from_string t ~off s = Bytes.blit_string s 0 (writable t) off (String.length s)

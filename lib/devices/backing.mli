@@ -24,6 +24,10 @@ val sub : t -> off:int -> len:int -> Bytes.t
 
 val sub_string : t -> off:int -> len:int -> string
 
+val equal_range : t -> off:int -> Bytes.t -> pos:int -> len:int -> bool
+(** [equal_range t ~off b ~pos ~len] — the [len] stored bytes from [off]
+    equal [b]'s from [pos]; compared in place, without a copy. *)
+
 val blit_from : t -> off:int -> Bytes.t -> pos:int -> len:int -> unit
 (** [blit_from t ~off src ~pos ~len] copies [len] bytes of [src] from
     [pos] into the store at [off]. *)

@@ -86,6 +86,11 @@ let pwrite t ~off b ~pos ~len =
   then invalid_arg "Blockdev.pwrite: out of range";
   Backing.blit_from t.store ~off b ~pos ~len
 
+let pequal t ~off b ~pos ~len =
+  if pos < 0 || pos + len > Bytes.length b || not (Backing.in_range t.store ~off ~len)
+  then invalid_arg "Blockdev.pequal: out of range";
+  Backing.equal_range t.store ~off b ~pos ~len
+
 let pread t ~off ~len =
   if not (Backing.in_range t.store ~off ~len) then
     invalid_arg "Blockdev.pread: out of range";

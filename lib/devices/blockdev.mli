@@ -74,6 +74,13 @@ val pread : t -> off:int -> len:int -> Bytes.t
 
     @raise Invalid_argument if out of range. *)
 
+val pequal : t -> off:int -> Bytes.t -> pos:int -> len:int -> bool
+(** [pequal t ~off b ~pos ~len] — the [len] stored bytes at byte offset
+    [off] equal [b]'s from [pos].  Host side, compared in place (no copy
+    of the stored bytes).
+
+    @raise Invalid_argument if out of range. *)
+
 val capacity_bytes : t -> int
 (** Backing-store size in bytes ([sectors * sector_bytes]); asking does
     not allocate the store. *)

@@ -29,6 +29,8 @@ let add_write_listener t f =
 let remove_write_listener t id =
   t.listeners <- List.filter (fun (i, _) -> i <> id) t.listeners
 
+let listener_count t = List.length t.listeners
+
 (* Notify every listener of each frame the byte range [pa, pa+bytes)
    touches, with the per-frame byte subrange [lo, hi) that was written
    (so listeners caching derived views of code can invalidate
@@ -118,6 +120,11 @@ let frame_fill t ~ppn c =
   notify_frame t ppn
 
 let frame_read t ~ppn = Bytes.sub t.data (frame_off t ppn) page
+
+let blit_out t ~ppn ~off dst ~pos ~len =
+  if off < 0 || len < 0 || off + len > page then
+    invalid_arg "Phys_mem.blit_out: range outside the frame";
+  Bytes.blit t.data (frame_off t ppn + off) dst pos len
 
 let frame_write t ~ppn b =
   if Bytes.length b <> page then invalid_arg "Phys_mem.frame_write: bad length";

@@ -39,6 +39,13 @@ val frame_fill : t -> ppn:int64 -> char -> unit
 val frame_read : t -> ppn:int64 -> Bytes.t
 (** [frame_read t ~ppn] is a fresh copy of the frame's 4096 bytes. *)
 
+val blit_out : t -> ppn:int64 -> off:int -> Bytes.t -> pos:int -> len:int -> unit
+(** [blit_out t ~ppn ~off dst ~pos ~len] copies [len] bytes of frame
+    [ppn], starting [off] bytes in, into [dst] at [pos] — a read without
+    the fresh buffer {!frame_read} allocates.
+
+    @raise Invalid_argument if the range leaves the frame or [dst]. *)
+
 val frame_write : t -> ppn:int64 -> Bytes.t -> unit
 (** [frame_write t ~ppn b] overwrites the frame with [b] (must be exactly
     4096 bytes). *)
@@ -81,3 +88,6 @@ val add_write_listener : t -> (ppn:int64 -> lo:int -> hi:int -> unit) -> int
     memory itself. *)
 
 val remove_write_listener : t -> int -> unit
+
+val listener_count : t -> int
+(** Listeners currently registered. *)

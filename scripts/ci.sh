@@ -144,7 +144,9 @@ grep -q "0 failures" "$tmp/sweep_gc.txt" || {
 
 # A coarser lattice over a real VM snapshot delta keeps the end-to-end
 # path (capture -> chunk -> commit -> recover) honest, and two
-# identical-seed sweeps must report byte-identical results.
+# identical-seed sweeps must report byte-identical results.  The delta
+# generation is committed from the live VM through the dirty-set hint,
+# as the HA supervisor does, so no hinted chunk may fail its verify.
 dune exec bin/velum.exe -- recover --sweep --stride 4099 >"$tmp/sweep1.txt" || {
   echo "FAIL: crash sweep recovered a torn image"; exit 1; }
 dune exec bin/velum.exe -- recover --sweep --stride 4099 >"$tmp/sweep2.txt" || {
@@ -153,6 +155,8 @@ diff "$tmp/sweep1.txt" "$tmp/sweep2.txt" || {
   echo "FAIL: crash sweep diverged between identical runs"; exit 1; }
 grep -q "0 failures" "$tmp/sweep1.txt" || {
   echo "FAIL: crash sweep reported failures"; exit 1; }
+grep -q "hint_misses=0" "$tmp/sweep1.txt" || {
+  echo "FAIL: hinted delta commit refused a clean chunk"; exit 1; }
 
 # Faulted supervised runs must also be deterministic end to end.
 dune exec bin/velum.exe -- run -w spin --ha --faults "seed=7,store.torn=0.5" \

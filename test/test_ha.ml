@@ -54,12 +54,12 @@ let store_crash_sweep_prop =
       let img1 = Bytes.of_string s1 and img2 = Bytes.of_string s2 in
       let image_bytes = max (Bytes.length img1) (Bytes.length img2) in
       let store = store_for ~image_bytes () in
-      (match Store.commit store img1 with
+      (match Store.commit store (Store.of_bytes img1) with
       | Store.Committed { gen = 1; _ } -> ()
       | _ -> failwith "baseline commit failed");
-      let total = Store.commit_bytes store img2 in
+      let total = Store.commit_bytes store (Store.of_bytes img2) in
       let off = off_seed mod total in
-      (match Store.commit ~crash_at:off store img2 with
+      (match Store.commit ~crash_at:off store (Store.of_bytes img2) with
       | Store.Torn cut -> if cut <> off then failwith "cut at wrong offset"
       | Store.Committed _ -> failwith "crash_at must tear the commit");
       (* power cycle: all in-memory state is lost *)
@@ -74,7 +74,7 @@ let test_store_generations () =
   let imgs = List.init 5 (fun i -> Bytes.make (3_000 + (i * 811)) (Char.chr (65 + i))) in
   List.iteri
     (fun i img ->
-      match Store.commit store img with
+      match Store.commit store (Store.of_bytes img) with
       | Store.Committed { gen; _ } -> checki "generation increments" (i + 1) gen
       | Store.Torn _ -> Alcotest.fail "unexpected torn commit")
     imgs;
@@ -90,10 +90,10 @@ let test_store_torn_site () =
   Fault.add_window f Fault.Store_torn ~lo:1L ~hi:1L;
   let store = store_for ~faults:f ~image_bytes:8_000 () in
   let img1 = Bytes.make 8_000 'x' and img2 = Bytes.make 8_000 'y' in
-  (match Store.commit store img1 with
+  (match Store.commit store (Store.of_bytes img1) with
   | Store.Committed { gen = 1; _ } -> ()
   | _ -> Alcotest.fail "first commit must land");
-  (match Store.commit store img2 with
+  (match Store.commit store (Store.of_bytes img2) with
   | Store.Torn _ -> ()
   | Store.Committed _ -> Alcotest.fail "the window must cut the second commit");
   checki "torn commit counted" 1 (Store.torn_commits store);
@@ -108,10 +108,10 @@ let test_store_csum_rot () =
   Fault.add_window f Fault.Store_csum ~lo:1L ~hi:1L;
   let store = store_for ~faults:f ~image_bytes:8_000 () in
   let img1 = Bytes.make 8_000 'x' and img2 = Bytes.make 8_000 'y' in
-  (match Store.commit store img1 with
+  (match Store.commit store (Store.of_bytes img1) with
   | Store.Committed { gen = 1; _ } -> ()
   | _ -> Alcotest.fail "first commit must land");
-  (match Store.commit store img2 with
+  (match Store.commit store (Store.of_bytes img2) with
   | Store.Committed { gen = 2; _ } -> ()
   | _ -> Alcotest.fail "rot happens after the commit lands");
   (match Store.recover store with
@@ -179,7 +179,7 @@ let store_gc_live_prop =
       for g = 1 to gens do
         for s = 0 to streams - 1 do
           let img = image s g in
-          (match Store.commit ~id:(string_of_int s) store img with
+          (match Store.commit ~id:(string_of_int s) store (Store.of_bytes img) with
           | Store.Committed _ -> ()
           | Store.Torn _ -> failwith "commit torn without a fault plan");
           last.(s) <- img
@@ -224,7 +224,7 @@ let store_delta_oracle_prop =
       let image_bytes = String.length base + 4096 in
       let store = store_for ~image_bytes () in
       let img = ref (Bytes.of_string base) in
-      (match Store.commit store !img with
+      (match Store.commit store (Store.of_bytes !img) with
       | Store.Committed { gen = 1; _ } -> ()
       | _ -> failwith "baseline commit failed");
       let store = ref store in
@@ -244,7 +244,7 @@ let store_delta_oracle_prop =
                 (pos mod Bytes.length next)
                 (Char.chr v))
             muts;
-          (match Store.commit !store next with
+          (match Store.commit !store (Store.of_bytes next) with
           | Store.Committed _ -> ()
           | Store.Torn _ -> failwith "chain commit torn without a fault plan");
           if remount && i mod 2 = 0 then
@@ -253,7 +253,7 @@ let store_delta_oracle_prop =
         steps;
       let final = !img in
       let oracle = store_for ~image_bytes:(Bytes.length final) () in
-      (match Store.commit oracle final with
+      (match Store.commit oracle (Store.of_bytes final) with
       | Store.Committed { gen = 1; _ } -> ()
       | _ -> failwith "oracle commit failed");
       match
@@ -269,10 +269,10 @@ let test_store_gc_site () =
   Fault.add_window f Fault.Store_gc ~lo:2L ~hi:2L;
   let store = store_for ~faults:f ~image_bytes:16_000 () in
   let img1 = Bytes.make 16_000 'x' and img2 = Bytes.make 16_000 'y' in
-  (match Store.commit store img1 with
+  (match Store.commit store (Store.of_bytes img1) with
   | Store.Committed { gen = 1; _ } -> ()
   | _ -> Alcotest.fail "first commit must land");
-  (match Store.commit store img2 with
+  (match Store.commit store (Store.of_bytes img2) with
   | Store.Committed { gen = 2; _ } -> ()
   | _ -> Alcotest.fail "second commit must land");
   (match Store.gc store with
@@ -292,10 +292,10 @@ let test_store_ref_site () =
   Fault.add_window f Fault.Store_ref ~lo:1L ~hi:1L;
   let store = store_for ~faults:f ~image_bytes:16_000 () in
   let img1 = Bytes.make 16_000 'x' and img2 = Bytes.make 16_000 'y' in
-  (match Store.commit store img1 with
+  (match Store.commit store (Store.of_bytes img1) with
   | Store.Committed { gen = 1; _ } -> ()
   | _ -> Alcotest.fail "first commit must land");
-  (match Store.commit store img2 with
+  (match Store.commit store (Store.of_bytes img2) with
   | Store.Committed { gen = 2; _ } -> ()
   | _ -> Alcotest.fail "rot happens after the commit lands");
   checki "rot injected" 1 (Fault.injected f Fault.Store_ref);
@@ -308,7 +308,171 @@ let test_store_ref_site () =
   | Some (img, 2) -> checkb "newest image intact" true (Bytes.equal img img2)
   | _ -> Alcotest.fail "recovery must be unaffected by refcount rot")
 
+(* ---------------- store: dirty-set hints change no byte ---------------- *)
+
+(* A guest that keeps storing a counter across its pages 4..11. *)
+let scribbler =
+  [ li r2 0L; label "loop"; addi r2 r2 1L; slli r4 r2 9L; andi r4 r4 0x7FF8L;
+    addi r4 r4 0x4000L; sd r2 r4 0L; jmp "loop" ]
+
+type hint_event =
+  | Run of int  (** the guest executes stores for this many kcycles *)
+  | Poke of int * int * int  (** VMM store: gfn, word, value *)
+  | Dma of int * int * int  (** virtio-blk DMA into guest memory: gfn, offset, length *)
+  | Balloon of int  (** out and straight back in: a zeroed frame, often the same one *)
+  | Balloon_out of int  (** a kind change shifts every later record *)
+  | Evict of int  (** hypervisor swap-out; the next capture swaps back in *)
+  | Restore  (** the VM is rebuilt from its image: a new object, unhinted *)
+  | Commit
+  | Torn of int  (** a commit cut at this offset seed *)
+
+let hint_event_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun n -> Run n) (int_range 1 40));
+        (3, map3 (fun g w v -> Poke (g, w, v)) (int_range 0 15) (int_range 0 511) nat);
+        ( 2,
+          map3 (fun g o l -> Dma (g, o, l)) (int_range 0 15) (int_range 0 4095)
+            (int_range 1 6000) );
+        (1, map (fun g -> Balloon g) (int_range 1 15));
+        (1, map (fun g -> Balloon_out g) (int_range 1 15));
+        (1, map (fun n -> Evict n) (int_range 1 4));
+        (1, pure Restore);
+        (4, pure Commit);
+        (1, map (fun n -> Torn n) nat);
+      ])
+
+let show_hint_event = function
+  | Run n -> Printf.sprintf "run %dk" n
+  | Poke (g, w, v) -> Printf.sprintf "poke %d/%d=%d" g w v
+  | Dma (g, o, l) -> Printf.sprintf "dma %d+%d:%d" g o l
+  | Balloon g -> Printf.sprintf "balloon %d" g
+  | Balloon_out g -> Printf.sprintf "balloon-out %d" g
+  | Evict n -> Printf.sprintf "evict %d" n
+  | Restore -> "restore"
+  | Commit -> "commit"
+  | Torn n -> Printf.sprintf "torn %d" n
+
+(* Twin stores, one fed through {!Snapshot.source} with the dirty-set
+   hint its stream's last commit left, the other the serialized image of
+   the same instant: every outcome, every device byte and every recovery
+   must agree, and without faults no hinted chunk may fail its verify. *)
+let hinted_commit_prop =
+  QCheck2.Test.make ~count:150 ~name:"a hinted commit equals an unhinted commit"
+    ~print:(fun (rot, evs) ->
+      Printf.sprintf "rot=%b [%s]" rot (String.concat "; " (List.map show_hint_event evs)))
+    QCheck2.Gen.(pair bool (list_size (int_range 1 30) hint_event_gen))
+    (fun (rot, events) ->
+      let hyp = make_hyp ~frames:256 () in
+      let vm = ref (unikernel hyp "twin" scribbler) in
+      let plan () =
+        let f = Fault.create ~seed:5L () in
+        if rot then Fault.set_prob f Fault.Store_csum 0.3;
+        f
+      in
+      let image_bytes = Snapshot.image_bytes !vm + 8192 in
+      let a = store_for ~faults:(plan ()) ~image_bytes () in
+      let b = store_for ~faults:(plan ()) ~image_bytes () in
+      let hint = ref None in
+      let ok = ref true in
+      let expect what c = if not c then (Printf.printf "diverged: %s\n" what; ok := false) in
+      let device s =
+        let blk = Store.device s in
+        Blockdev.read_back blk ~sector:0 ~count:(Blockdev.sectors blk)
+      in
+      let commit torn =
+        match Snapshot.source ?since:!hint !vm with
+        | Error _ -> expect "every page resolves" false
+        | Ok src ->
+            (* after the source: nothing is left to swap in *)
+            let img = Snapshot.capture !vm in
+            let crash_at =
+              Option.map (fun n -> n mod Store.commit_bytes b (Store.of_bytes img)) torn
+            in
+            let oa = Store.commit ?crash_at a (Snapshot.chunks src) in
+            let ob = Store.commit ?crash_at b (Store.of_bytes img) in
+            expect "outcome" (oa = ob);
+            expect "device bytes" (String.equal (device a) (device b));
+            expect "recover" (Store.recover a = Store.recover b);
+            match oa with
+            | Store.Committed { gen; _ } -> hint := Some (Snapshot.committed src ~gen)
+            | Store.Torn _ -> ()
+      in
+      List.iter
+        (function
+          | Run n -> ignore (Hypervisor.run hyp ~budget:(Int64.of_int (n * 1000)))
+          | Poke (g, w, v) ->
+              ignore (Vm.write_gpa_u64 !vm (Int64.of_int ((g * 4096) + (w * 8))) (Int64.of_int v))
+          | Dma (g, o, l) ->
+              let data = Bytes.init l (fun i -> Char.chr (((i * 31) + g) land 0xff)) in
+              let dma = Vm.guest_mem (lazy !vm) in
+              ignore (dma.Virtio_ring.write_bytes (Int64.of_int ((g * 4096) + o)) data)
+          | Balloon g ->
+              ignore (Vm.balloon_out !vm (Int64.of_int g));
+              ignore (Vm.balloon_in !vm (Int64.of_int g))
+          | Balloon_out g -> ignore (Vm.balloon_out !vm (Int64.of_int g))
+          | Evict n -> ignore (Mem_mgr.evict !vm ~n)
+          | Restore ->
+              let vm' = Snapshot.restore hyp (Snapshot.capture !vm) in
+              Hypervisor.remove_vm hyp !vm;
+              vm := vm'
+          | Commit -> commit None
+          | Torn n -> commit (Some n))
+        (events @ [ Commit ]);
+      if not rot then expect "no hint misses" (Store.hint_misses a = 0);
+      !ok)
+
+(* The hint is not vacuous: an untouched VM's next source calls its page
+   chunks clean, and a store dirties the chunks over it. *)
+let test_hint_marks_clean_chunks () =
+  let hyp = make_hyp ~frames:256 () in
+  let vm = unikernel hyp "quiet" [ label "idle"; jmp "idle" ] in
+  let store = store_for ~image_bytes:(Snapshot.image_bytes vm) () in
+  let source ?since () =
+    match Snapshot.source ?since vm with Ok s -> s | Error _ -> Alcotest.fail "source"
+  in
+  let src1 = source () in
+  checkb "a first source is unhinted" true ((Snapshot.chunks src1).Store.clean = None);
+  let hint =
+    match Store.commit store (Snapshot.chunks src1) with
+    | Store.Committed { gen; _ } -> Snapshot.committed src1 ~gen
+    | Store.Torn _ -> Alcotest.fail "commit torn"
+  in
+  let clean_chunks () =
+    let src = Snapshot.chunks (source ~since:hint ()) in
+    match src.Store.clean with
+    | None -> Alcotest.fail "the hint must apply to the same VM"
+    | Some (gen, f) ->
+        checki "hint names the committed generation" 1 gen;
+        let n = (src.Store.length + Store.chunk_bytes - 1) / Store.chunk_bytes in
+        List.filter f (List.init n Fun.id)
+  in
+  let before = clean_chunks () in
+  checkb "page chunks are clean" true (List.length before >= 14);
+  ignore (Vm.write_gpa_u64 vm 0x9000L 42L);
+  let after = clean_chunks () in
+  checkb "the written page's chunks are dirty" true
+    (List.length after < List.length before
+    && List.for_all (fun i -> List.mem i before) after)
+
+(* A source that lies about clean chunks cannot corrupt a commit: the
+   verify refuses the stale hash, the chunk is hashed after all, and the
+   result is that of the plain image. *)
+let test_lying_hint_is_verified () =
+  let img1 = Bytes.make 40_000 'a' in
+  let img2 = Bytes.copy img1 in
+  Bytes.fill img2 5_000 9_000 'b';
+  let a = store_for ~image_bytes:40_000 () and b = store_for ~image_bytes:40_000 () in
+  List.iter (fun s -> ignore (Store.commit s (Store.of_bytes img1))) [ a; b ];
+  let liar = { (Store.of_bytes img2) with Store.clean = Some (1, fun _ -> true) } in
+  let oa = Store.commit a liar and ob = Store.commit b (Store.of_bytes img2) in
+  checkb "same outcome" true (oa = ob);
+  checki "the stale chunks were refused" 3 (Store.hint_misses a);
+  checkb "same recovery" true (Store.recover a = Store.recover b)
+
 (* ---------------- snapshot: rejected restores leave no trace ---------------- *)
+
 
 let snap_base_image =
   lazy
@@ -458,10 +622,7 @@ let supervised ?faults ?(checkpoint_every = 100_000L) ?(wd_budget = 30_000L)
     ?(backoff_base = 50_000L) ?max_restarts prog =
   let hyp = make_hyp () in
   let vm = unikernel hyp "work" prog in
-  let probe = Snapshot.capture vm in
-  let store =
-    store_for ?faults ~image_bytes:(Snapshot.size_bytes probe) ()
-  in
+  let store = store_for ?faults ~image_bytes:(Snapshot.image_bytes vm) () in
   let sup =
     Ha.create ~hyp ~store ~vm ~checkpoint_every ~wd_budget ~backoff_base
       ?max_restarts ()
@@ -536,6 +697,56 @@ let test_ha_adversarial_end_to_end () =
   checkb "the plan actually bit" true
     (s.Ha.torn_checkpoints >= 1 || Fault.injected f Fault.Store_csum >= 1);
   check64 "lockstep with the fault-free run" base (vm_instret (Ha.vm sup))
+
+(* A data page that cannot be brought back in (swapped out, host out of
+   frames) makes the checkpoint a skip, not a commit of zeros: the
+   store's generation stays where it was and the guest runs on. *)
+let test_ha_unresolvable_page_skips () =
+  let hyp = make_hyp ~frames:256 () in
+  let host = Hypervisor.host hyp in
+  let vm = unikernel hyp "full" (spin_n_then_halt 1_000_000) in
+  let store = store_for ~image_bytes:(Snapshot.image_bytes vm) () in
+  let sup = Ha.create ~hyp ~store ~vm ~checkpoint_every:50_000L () in
+  checki "baseline committed" 1 (Store.stream_generation store);
+  let gfn = 8L in
+  (match P2m.get vm.Vm.p2m gfn with
+  | P2m.Present { hpa_ppn; _ } ->
+      let slot = Host.swap_out host ~ppn:hpa_ppn in
+      ignore (Frame_alloc.decr_ref host.Host.alloc hpa_ppn);
+      P2m.set vm.Vm.p2m gfn (P2m.Swapped { slot });
+      Vm.flush_all_tlbs vm
+  | _ -> Alcotest.fail "page 8 must be present");
+  while Frame_alloc.alloc host.Host.alloc <> None do () done;
+  checkb "the source names the missing page" true
+    (match Snapshot.source vm with Error g -> g = gfn | Ok _ -> false);
+  (match Ha.run sup ~budget:300_000L with
+  | Hypervisor.Out_of_budget -> ()
+  | _ -> Alcotest.fail "the guest keeps running");
+  let s = Ha.stats sup in
+  checki "store generation unchanged" 1 (Store.stream_generation store);
+  checki "nothing committed" 1 (Store.commits store);
+  checki "skips are not torn" 0 s.Ha.torn_checkpoints;
+  checki "only the baseline counts" 1 s.Ha.checkpoints;
+  checkb "capture refuses too" true
+    (match Snapshot.capture vm with _ -> false | exception Failure _ -> true)
+
+(* Every supervisor on a host reads the host's one dirty tracker: a
+   second supervisor adds no write listener. *)
+let test_one_tracker_per_host () =
+  let hyp = make_hyp () in
+  let mem = (Hypervisor.host hyp).Host.mem in
+  let vm1 = unikernel hyp "a" (spin_n_then_halt 1_000_000) in
+  let vm2 = unikernel hyp "b" (spin_n_then_halt 1_000_000) in
+  let store () = store_for ~image_bytes:(Snapshot.image_bytes vm1) () in
+  let before = Phys_mem.listener_count mem in
+  let s1 = Ha.create ~hyp ~store:(store ()) ~vm:vm1 () in
+  checki "the first supervisor attaches the tracker" (before + 1)
+    (Phys_mem.listener_count mem);
+  let s2 = Ha.create ~hyp ~store:(store ()) ~vm:vm2 () in
+  checki "the second shares it" (before + 1) (Phys_mem.listener_count mem);
+  ignore (Ha.run s2 ~budget:600_000L);
+  checkb "both supervisors checkpointed" true
+    ((Ha.stats s1).Ha.checkpoints >= 1 && (Ha.stats s2).Ha.checkpoints >= 2)
 
 (* ---------------- heartbeat failover ---------------- *)
 
@@ -637,10 +848,14 @@ let () =
              test_store_gc_site
         :: Alcotest.test_case "store.ref rot is detected and rebuilt" `Quick
              test_store_ref_site
+        :: Alcotest.test_case "the hint marks untouched chunks clean" `Quick
+             test_hint_marks_clean_chunks
+        :: Alcotest.test_case "a lying hint is caught by the verify" `Quick
+             test_lying_hint_is_verified
         :: qsuite
              [
                store_crash_sweep_prop; store_gc_live_prop;
-               store_delta_oracle_prop;
+               store_delta_oracle_prop; hinted_commit_prop;
              ] );
       ( "snapshot",
         Alcotest.test_case "truncated image rejected without trace" `Quick
@@ -664,6 +879,10 @@ let () =
             test_ha_crash_loop_degrades;
           Alcotest.test_case "adversarial plan, zero manual recovery" `Quick
             test_ha_adversarial_end_to_end;
+          Alcotest.test_case "an unresolvable page skips the checkpoint" `Quick
+            test_ha_unresolvable_page_skips;
+          Alcotest.test_case "one dirty tracker per host" `Quick
+            test_one_tracker_per_host;
         ] );
       ( "failover",
         Alcotest.test_case "healthy run never fails over" `Quick
