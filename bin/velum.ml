@@ -908,7 +908,11 @@ let cluster_cmd =
     in
     let res = C.run ~domains cfg in
     print_string res.C.report;
-    Option.iter print_faults faults
+    Option.iter print_faults faults;
+    (* stderr: stdout is the report, which must not change with host memory use *)
+    let blk = Store.device (C.store res.C.control) in
+    Printf.eprintf "host: store resident_bytes=%d capacity_bytes=%d\n"
+      (Blockdev.resident_bytes blk) (Blockdev.capacity_bytes blk)
   in
   Cmd.v
     (Cmd.info "cluster"

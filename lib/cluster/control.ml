@@ -800,3 +800,4 @@ let entry_host t ~name =
   match entry_state t ~name with Some (Placed h) -> Some h | _ -> None
 
 let detector t = t.det
+let store t = t.store

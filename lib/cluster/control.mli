@@ -153,6 +153,10 @@ val report : t -> string
 val metrics : t -> metrics
 val fleet : t -> Parallel.fleet
 val detector : t -> Detector.t
+
+val store : t -> Velum_vmm.Store.t
+(** The fleet checkpoint store (every VM's stream). *)
+
 val cluster_monitor : t -> Velum_vmm.Monitor.t
 (** Carries the [E_cluster_shed] / [E_cluster_degraded] events. *)
 

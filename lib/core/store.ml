@@ -932,8 +932,4 @@ let mount ?faults blk =
       end);
   t
 
-let clone t =
-  let n = Blockdev.sectors t.blk in
-  let blk = Blockdev.create ~sectors:n host_dma in
-  Blockdev.load blk ~sector:0 (Blockdev.read_back t.blk ~sector:0 ~count:n);
-  mount blk
+let clone t = mount (Blockdev.copy t.blk)

@@ -70,9 +70,9 @@ val mount : ?faults:Velum_util.Fault.t -> Velum_devices.Blockdev.t -> t
     discarded, exactly as a power cycle would. *)
 
 val clone : t -> t
-(** A fresh handle mounted on a byte copy of the device — the crash
-    sweeps use this to restart from a prepared state without replaying
-    its commits. *)
+(** A fresh handle mounted on a copy of the device ({!Velum_devices.Blockdev.copy}:
+    written extents only) — the crash sweeps use this to restart from a
+    prepared state without replaying its commits. *)
 
 val device : t -> Velum_devices.Blockdev.t
 (** The backing device (so a store can be remounted or copied). *)

@@ -25,7 +25,7 @@ type dma = {
 type pending = { finish_at : int64; ok : bool }
 
 type t = {
-  store : Backing.t; (* allocated on the first write *)
+  store : Backing.t; (* extents allocated on their first write *)
   nsectors : int;
   dma : dma;
   mutable sector : int64;
@@ -64,30 +64,33 @@ let sectors t = t.nsectors
 let set_faults t f = t.faults <- f
 let error_count t = t.errors
 
+let resident_bytes t = Backing.resident_bytes t.store
+
+(* Sectors [s .. s+c-1] lie on the disk; [s + c] and [s * sector_bytes]
+   are never formed before this holds, so neither can overflow. *)
+let sectors_ok t ~sector:s ~count:c = c >= 0 && c <= t.nsectors && s >= 0 && s <= t.nsectors - c
+
 let load t ~sector s =
-  let off = sector * sector_bytes in
-  if sector < 0 || not (Backing.in_range t.store ~off ~len:(String.length s)) then
+  let len = String.length s in
+  if not (sectors_ok t ~sector ~count:((len + sector_bytes - 1) / sector_bytes)) then
     invalid_arg "Blockdev.load: out of range";
-  Backing.blit_from_string t.store ~off s
+  Backing.blit_from_string t.store ~off:(sector * sector_bytes) s
 
 let read_back t ~sector ~count =
-  let off = sector * sector_bytes in
-  let len = count * sector_bytes in
-  if sector < 0 || not (Backing.in_range t.store ~off ~len) then
-    invalid_arg "Blockdev.read_back: out of range";
-  Backing.sub_string t.store ~off ~len
+  if not (sectors_ok t ~sector ~count) then invalid_arg "Blockdev.read_back: out of range";
+  Backing.sub_string t.store ~off:(sector * sector_bytes) ~len:(count * sector_bytes)
 
 (* Byte-addressed host-side access: the durable snapshot store writes
    records that straddle sector boundaries, and its power-failure model
    cuts a write at an arbitrary *byte*, so sector granularity would hide
    exactly the torn states it must exercise. *)
 let pwrite t ~off b ~pos ~len =
-  if pos < 0 || pos + len > Bytes.length b || not (Backing.in_range t.store ~off ~len)
+  if pos < 0 || pos > Bytes.length b - len || not (Backing.in_range t.store ~off ~len)
   then invalid_arg "Blockdev.pwrite: out of range";
   Backing.blit_from t.store ~off b ~pos ~len
 
 let pequal t ~off b ~pos ~len =
-  if pos < 0 || pos + len > Bytes.length b || not (Backing.in_range t.store ~off ~len)
+  if pos < 0 || pos > Bytes.length b - len || not (Backing.in_range t.store ~off ~len)
   then invalid_arg "Blockdev.pequal: out of range";
   Backing.equal_range t.store ~off b ~pos ~len
 
@@ -98,9 +101,14 @@ let pread t ~off ~len =
 
 let capacity_bytes t = t.nsectors * sector_bytes
 
+let copy t =
+  { (create ~sectors:t.nsectors t.dma) with store = Backing.copy t.store }
+
+(* Checked on the 64-bit register values: [Int64.to_int] drops the top
+   bit, so converting first would alias a huge sector onto a small one. *)
 let valid_range t =
-  let s = Int64.to_int t.sector and c = Int64.to_int t.count in
-  s >= 0 && c > 0 && s + c <= t.nsectors
+  let n = Int64.of_int t.nsectors in
+  t.count > 0L && t.count <= n && t.sector >= 0L && t.sector <= Int64.sub n t.count
 
 let fail_now t =
   t.status <- status_error;

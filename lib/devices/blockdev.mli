@@ -4,8 +4,9 @@
     and moves data to and from guest memory through DMA callbacks, so the
     same model serves a native machine (identity DMA into RAM) and a
     virtual machine (DMA through the VMM's physical-to-machine map).  The
-    store is a {!Backing.t}: allocated on the first write and zeros until
-    then, so an untouched disk costs no memory.
+    store is a {!Backing.t}: a table of extents, each allocated on its
+    first write and zeros until then, so an untouched disk costs only the
+    table and a written one only the extents its writes touched.
 
     Register layout (64-bit, offsets from base):
     - [0x00] CMD     — write 1 = read sectors, 2 = write sectors; starts
@@ -84,6 +85,15 @@ val pequal : t -> off:int -> Bytes.t -> pos:int -> len:int -> bool
 val capacity_bytes : t -> int
 (** Backing-store size in bytes ([sectors * sector_bytes]); asking does
     not allocate the store. *)
+
+val resident_bytes : t -> int
+(** Backing-store bytes held in memory: the extents written so far
+    ({!Backing.resident_bytes}). *)
+
+val copy : t -> t
+(** A fresh, idle device on the same DMA callbacks whose store holds the
+    same bytes — copying only the written extents.  Neither the fault
+    plan nor any in-flight command carries over. *)
 
 val device : ?base:int64 -> t -> Velum_machine.Bus.device
 

@@ -20,7 +20,7 @@ type completion =
 type batch = { finish_at : int64; completions : completion list }
 
 type t = {
-  store : Backing.t; (* allocated on the first write *)
+  store : Backing.t; (* extents allocated on their first write *)
   nsectors : int;
   mem : Virtio_ring.guest_mem;
   mutable ring : Virtio_ring.t option;
@@ -59,18 +59,21 @@ let sectors t = t.nsectors
 let set_faults t f = t.faults <- f
 let error_count t = t.error_count
 
+let resident_bytes t = Backing.resident_bytes t.store
+
+(* Sectors [s .. s+c-1] lie on the disk; [s + c] and [s * sector_bytes]
+   are never formed before this holds, so neither can overflow. *)
+let sectors_ok t ~sector:s ~count:c = c >= 0 && c <= t.nsectors && s >= 0 && s <= t.nsectors - c
+
 let load t ~sector s =
-  let off = sector * sector_bytes in
-  if sector < 0 || not (Backing.in_range t.store ~off ~len:(String.length s)) then
+  let len = String.length s in
+  if not (sectors_ok t ~sector ~count:((len + sector_bytes - 1) / sector_bytes)) then
     invalid_arg "Virtio_blk.load: out of range";
-  Backing.blit_from_string t.store ~off s
+  Backing.blit_from_string t.store ~off:(sector * sector_bytes) s
 
 let read_back t ~sector ~count =
-  let off = sector * sector_bytes in
-  let len = count * sector_bytes in
-  if sector < 0 || not (Backing.in_range t.store ~off ~len) then
-    invalid_arg "Virtio_blk.read_back: out of range";
-  Backing.sub_string t.store ~off ~len
+  if not (sectors_ok t ~sector ~count) then invalid_arg "Virtio_blk.read_back: out of range";
+  Backing.sub_string t.store ~off:(sector * sector_bytes) ~len:(count * sector_bytes)
 
 let setup_ring t =
   match t.ring with
@@ -101,14 +104,20 @@ let exec_desc t (d : Virtio_ring.desc) =
     end
     else false
   in
-  let sector = Int64.to_int d.arg in
-  let off = sector * sector_bytes and len = d.data_len in
+  let len = d.data_len and count = d.data_len / sector_bytes in
+  (* Checked on the 64-bit sector before [Int64.to_int], which drops the
+     top bit and would alias a huge sector onto a small one. *)
+  let in_disk =
+    len > 0
+    && len mod sector_bytes = 0
+    && count <= t.nsectors
+    && d.arg >= 0L
+    && d.arg <= Int64.of_int (t.nsectors - count)
+  in
+  let off = if in_disk then Int64.to_int d.arg * sector_bytes else 0 in
   let ok =
     (not injected)
-    && len > 0
-    && len mod sector_bytes = 0
-    && sector >= 0
-    && Backing.in_range t.store ~off ~len
+    && in_disk
     &&
     if d.kind = kind_read then t.mem.write_bytes d.data_gpa (Backing.sub t.store ~off ~len)
     else if d.kind = kind_write then begin

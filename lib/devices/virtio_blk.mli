@@ -16,7 +16,8 @@
     The latency model matches {!Blockdev} (one seek per {e batch} plus a
     per-byte cost) so emulated-vs-paravirtual comparisons isolate the
     exit overhead rather than different storage speeds.  Like
-    {!Blockdev}, the backing store is allocated on the first write. *)
+    {!Blockdev}, the backing store is a {!Backing.t} whose extents are
+    allocated on their first write. *)
 
 val reg_kick : int64
 val reg_isr : int64
@@ -36,6 +37,9 @@ val create : ?sectors:int -> Virtio_ring.guest_mem -> t
 val sectors : t -> int
 val load : t -> sector:int -> string -> unit
 val read_back : t -> sector:int -> count:int -> string
+
+val resident_bytes : t -> int
+(** Backing-store bytes held in memory ({!Backing.resident_bytes}). *)
 
 val set_faults : t -> Velum_util.Fault.t -> unit
 (** Attach a fault plan.  [Blk_transient] fails individual descriptors

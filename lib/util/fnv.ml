@@ -46,8 +46,8 @@ let combine h v =
 
 let equal_range a apos b bpos len =
   if apos < 0 || bpos < 0 || len < 0
-     || apos + len > Bytes.length a
-     || bpos + len > Bytes.length b
+     || apos > Bytes.length a - len
+     || bpos > Bytes.length b - len
   then invalid_arg "Fnv.equal_range: range out of bounds";
   let rec words i =
     if i + 8 > len then bytes i

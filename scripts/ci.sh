@@ -260,7 +260,8 @@ echo "== cluster control plane: chaos determinism and availability gate =="
 # fleet availability >= 0.95, and record zero split-brain epochs.
 cchaos="--hosts 16 --kill 5,1 --kill 8,9 --burst 6 --drain 12,3 --rounds 24 \
   --seed 11 --faults seed=7,cluster.hb=0.05,cluster.evac=0.1,cluster.drain=0.1,drop=0.02"
-dune exec bin/velum.exe -- cluster $cchaos --domains 1 >"$tmp/cluster1.txt"
+dune exec bin/velum.exe -- cluster $cchaos --domains 1 >"$tmp/cluster1.txt" 2>"$tmp/cluster1.err" || {
+  cat "$tmp/cluster1.err"; exit 1; }
 dune exec bin/velum.exe -- cluster $cchaos --domains 4 >"$tmp/cluster4.txt"
 diff "$tmp/cluster1.txt" "$tmp/cluster4.txt" || {
   echo "FAIL: cluster report diverged between 1 and 4 domains"; exit 1; }
@@ -273,6 +274,18 @@ grep -q "split_brain=0" "$tmp/cluster1.txt" || {
   echo "FAIL: split-brain epoch observed"; exit 1; }
 grep -q "state=shed" "$tmp/cluster1.txt" || {
   echo "FAIL: overload burst shed nothing"; exit 1; }
+# The fleet checkpoint store keeps only the extents its commits wrote in
+# memory.  'velum cluster' reports them on stderr (stdout is diffed
+# above); they depend only on the simulated writes, and must stay under
+# an eighth of the device, so a change that makes the store dense again
+# (a whole-device read_back or load on a hot path) fails here.
+resident=$(sed -n 's/^host: store resident_bytes=\([0-9]*\) capacity_bytes=.*/\1/p' "$tmp/cluster1.err")
+capacity=$(sed -n 's/^host: store resident_bytes=[0-9]* capacity_bytes=\([0-9]*\)$/\1/p' "$tmp/cluster1.err")
+[ -n "$resident" ] && [ -n "$capacity" ] || {
+  echo "FAIL: velum cluster reported no store resident_bytes line"; exit 1; }
+[ $((8 * resident)) -le "$capacity" ] || {
+  echo "FAIL: fleet store holds $resident of $capacity bytes in memory (more than 1/8)"; exit 1; }
+echo "fleet store resident: $resident of $capacity bytes"
 
 # E20's BENCH_cluster.json is all simulated metrics (no wall clock), so
 # the regenerated file must be byte-identical to the committed one.

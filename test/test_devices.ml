@@ -207,7 +207,43 @@ let test_blk_transient_fault_retry () =
     (d.Bus.read Blockdev.reg_status Instr.W64);
   checki "no new error" 1 (Blockdev.error_count blk)
 
-(* Disks allocate their backing store on the first write.  Until then
+(* Guest SECTOR/COUNT values whose sum or byte offset overflows, or
+   whose top bit [Int64.to_int] would drop, fail the command like any
+   other bad range: nothing raises out of the MMIO write, nothing is
+   allocated, and no other sector is read or written in their place. *)
+let blk_overflow ~written cmd sector count () =
+  let blk, mem = make_blk () in
+  Bytes.fill mem 0x100 512 'g';
+  if written then Blockdev.load blk ~sector:5 (String.make 512 's');
+  let sector5 = Blockdev.read_back blk ~sector:5 ~count:1 in
+  let resident = Blockdev.resident_bytes blk in
+  let d = Blockdev.device blk in
+  d.Bus.write Blockdev.reg_sector Instr.W64 sector;
+  d.Bus.write Blockdev.reg_count Instr.W64 count;
+  d.Bus.write Blockdev.reg_dma Instr.W64 0x100L;
+  d.Bus.write Blockdev.reg_cmd Instr.W64 cmd;
+  d.Bus.tick 10_000_000L;
+  check64 "error" Blockdev.status_error (d.Bus.read Blockdev.reg_status Instr.W64);
+  checki "error counted" 1 (Blockdev.error_count blk);
+  checki "nothing allocated" resident (Blockdev.resident_bytes blk);
+  checks "sector 5 unchanged" sector5 (Blockdev.read_back blk ~sector:5 ~count:1);
+  checkb "guest buffer untouched" true (Bytes.sub_string mem 0x100 512 = String.make 512 'g')
+
+let blk_overflow_cases =
+  let max = Int64.of_int max_int and r = Blockdev.cmd_read and w = Blockdev.cmd_write in
+  [ ("read sector=max_int, unwritten disk", false, r, max, 1L);
+    ("read sector=max_int", true, r, max, 1L);
+    ("read count=max_int", true, r, 0L, max);
+    ("read sector=Int64.max_int", true, r, Int64.max_int, 1L);
+    ("write sector=max_int", true, w, max, 1L);
+    ("write count=max_int", true, w, 1L, max);
+    ("write sector=2^63+5", true, w, 0x8000_0000_0000_0005L, 1L);
+    ("read sector=2^63+5", true, r, 0x8000_0000_0000_0005L, 1L) ]
+  |> List.map (fun (name, written, cmd, sector, count) ->
+         Alcotest.test_case ("overflow: " ^ name) `Quick
+           (blk_overflow ~written cmd sector count))
+
+(* Disks allocate each backing extent on its first write.  Until then
    they cost no memory, read as zeros and report their full capacity. *)
 let test_blk_lazy_backing () =
   let null_dma = { Blockdev.dma_read = (fun _ _ -> None); dma_write = (fun _ _ -> false) } in
@@ -221,6 +257,7 @@ let test_blk_lazy_backing () =
     (Bytes.equal (Blockdev.pread blk ~off:100 ~len:33) (Bytes.make 33 '\000'));
   checkb "no backing allocated by reads" true
     (Gc.allocated_bytes () -. before < float_of_int (capacity / 4));
+  checki "no extent resident" 0 (Blockdev.resident_bytes blk);
   Alcotest.check_raises "range still checked" (Invalid_argument "Blockdev.pread: out of range")
     (fun () -> ignore (Blockdev.pread blk ~off:(capacity - 4) ~len:8));
   Blockdev.load blk ~sector:3 "loaded";
@@ -229,17 +266,151 @@ let test_blk_lazy_backing () =
   checks "pwrite/pread" "\000xyz\000"
     (Bytes.to_string (Blockdev.pread blk ~off:1000 ~len:5));
   checks "rest still zeros" (String.make 512 '\000') (Blockdev.read_back blk ~sector:9 ~count:1);
+  checki "one extent resident" Backing.extent_bytes (Blockdev.resident_bytes blk);
   checki "capacity unchanged" capacity (Blockdev.capacity_bytes blk)
 
 let test_backing_allocates_on_write () =
-  let b = Backing.create ~bytes:4096 in
-  checkb "empty until written" false (Backing.allocated b);
-  checks "zeros" "\000\000\000" (Backing.sub_string b ~off:4093 ~len:3);
-  checkb "reads do not allocate" false (Backing.allocated b);
-  Backing.blit_from_string b ~off:4093 "end";
-  checkb "allocated by the write" true (Backing.allocated b);
-  checks "written" "end" (Bytes.to_string (Backing.sub b ~off:4093 ~len:3));
-  checki "length" 4096 (Backing.length b)
+  let e = Backing.extent_bytes in
+  let b = Backing.create ~bytes:((3 * e) + 4096) in
+  checki "empty until written" 0 (Backing.resident_bytes b);
+  checks "zeros" "\000\000\000" (Backing.sub_string b ~off:(e - 1) ~len:3);
+  checkb "unwritten compares equal to zeros" true
+    (Backing.equal_range b ~off:(e - 8) (Bytes.make 16 '\000') ~pos:0 ~len:16);
+  checki "reads do not allocate" 0 (Backing.resident_bytes b);
+  Backing.blit_from_string b ~off:(e - 1) "end";
+  checki "a straddling write allocates both extents" (2 * e) (Backing.resident_bytes b);
+  checks "written" "end" (Bytes.to_string (Backing.sub b ~off:(e - 1) ~len:3));
+  Backing.blit_from_string b ~off:((3 * e) + 4093) "end";
+  checki "the short last extent costs its own size" ((2 * e) + 4096) (Backing.resident_bytes b);
+  let c = Backing.copy b in
+  Backing.blit_from_string b ~off:0 "src";
+  checki "the copy keeps written extents only" ((2 * e) + 4096) (Backing.resident_bytes c);
+  checks "the copy is independent" "\000\000en"
+    (Backing.sub_string c ~off:(e - 3) ~len:4);
+  checki "length" ((3 * e) + 4096) (Backing.length b);
+  checkb "no overflow in the range check" false (Backing.in_range b ~off:1 ~len:max_int);
+  Alcotest.check_raises "overflowing sub raises" (Invalid_argument "Backing.sub: out of range")
+    (fun () -> ignore (Backing.sub b ~off:max_int ~len:1))
+
+(* A dense [Bytes.t] is the reference model of a store: random
+   operation sequences, biased toward extent boundaries, zero lengths,
+   the end of the store and out-of-range inputs, must give the model's
+   results — [Invalid_argument] exactly where the model raises it — and
+   [resident_bytes] must equal the total size of the extents that
+   successful writes touched. *)
+type backing_op =
+  | B_blit of int * int * int (* off, pos, len *)
+  | B_blit_string of int * int (* off, len *)
+  | B_sub of int * int
+  | B_sub_string of int * int
+  | B_equal of int * int * int * int (* off, pos, len, flipped byte in 1/1000s of len, or -1 *)
+  | B_in_range of int * int
+
+let prop_backing_model =
+  let e = Backing.extent_bytes in
+  let open QCheck2.Gen in
+  let size =
+    oneof
+      [ int_range 0 (3 * e); map (fun k -> k * e) (int_range 1 3);
+        map (fun k -> (k * e) + 512) (int_range 0 2) ]
+  in
+  let point size =
+    frequency
+      [ (4, map2 (fun k d -> (k * e) + d) (int_range 0 3) (int_range (-3) 3));
+        (2, map (fun d -> size - d) (int_range (-2) 3));
+        (3, int_range 0 (max 0 size));
+        (1, oneofl [ -1; max_int; min_int; max_int - 7 ]) ]
+  in
+  let length =
+    frequency
+      [ (3, int_range 0 8); (3, map (fun k -> (k * e) + 1) (int_range 0 2));
+        (3, int_range 0 (2 * e + 9)); (1, oneofl [ -1; max_int ]) ]
+  in
+  let op size =
+    let pt = point size and small = int_range 0 4 in
+    oneof
+      [ map3 (fun off pos len -> B_blit (off, pos, len)) pt small length;
+        map2 (fun off len -> B_blit_string (off, min len (2 * e))) pt
+          (map abs length);
+        map2 (fun off len -> B_sub (off, len)) pt length;
+        map2 (fun off len -> B_sub_string (off, len)) pt length;
+        map3 (fun (off, pos) len flip -> B_equal (off, pos, len, flip))
+          (pair pt small) length (int_range (-1) 999);
+        map2 (fun off len -> B_in_range (off, len)) pt length ]
+  in
+  let print_op = function
+    | B_blit (o, p, l) -> Printf.sprintf "blit(%d,%d,%d)" o p l
+    | B_blit_string (o, l) -> Printf.sprintf "blit_string(%d,%d)" o l
+    | B_sub (o, l) -> Printf.sprintf "sub(%d,%d)" o l
+    | B_sub_string (o, l) -> Printf.sprintf "sub_string(%d,%d)" o l
+    | B_equal (o, p, l, f) -> Printf.sprintf "equal(%d,%d,%d,%d)" o p l f
+    | B_in_range (o, l) -> Printf.sprintf "in_range(%d,%d)" o l
+  in
+  QCheck2.Test.make ~count:150 ~name:"backing matches a dense model"
+    ~print:(fun (size, ops) ->
+      Printf.sprintf "size %d: %s" size (String.concat " " (List.map print_op ops)))
+    (size >>= fun size -> pair (return size) (list_size (int_range 1 25) (op size)))
+    (fun (size, ops) ->
+      let t = Backing.create ~bytes:size and model = Bytes.make size '\000' in
+      let touched = Array.make ((size + e - 1) / e) false in
+      let touch off len =
+        if len > 0 then
+          for i = off / e to (off + len - 1) / e do
+            touched.(i) <- true
+          done
+      in
+      (* a buffer of [n] (clamped) distinct, partly zero bytes *)
+      let buf seed n =
+        Bytes.init (max 0 (min n ((2 * e) + 16))) (fun i -> Char.chr ((seed + (i * 31)) land 255))
+      in
+      let outcome f = try Ok (f ()) with Invalid_argument _ -> Error () in
+      let agree name a b =
+        if a <> b then QCheck2.Test.fail_reportf "%s disagrees with the model" name
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | B_blit (off, pos, len) ->
+              let src = buf step (pos + len) in
+              let m = outcome (fun () -> Bytes.blit src pos model off len) in
+              agree "blit_from" m (outcome (fun () -> Backing.blit_from t ~off src ~pos ~len));
+              if m = Ok () then touch off len
+          | B_blit_string (off, len) ->
+              let s = Bytes.to_string (buf step len) in
+              let m = outcome (fun () -> Bytes.blit_string s 0 model off len) in
+              agree "blit_from_string" m (outcome (fun () -> Backing.blit_from_string t ~off s));
+              if m = Ok () then touch off len
+          | B_sub (off, len) ->
+              agree "sub"
+                (outcome (fun () -> Bytes.sub model off len))
+                (outcome (fun () -> Backing.sub t ~off ~len))
+          | B_sub_string (off, len) ->
+              agree "sub_string"
+                (outcome (fun () -> Bytes.sub_string model off len))
+                (outcome (fun () -> Backing.sub_string t ~off ~len))
+          | B_equal (off, pos, len, flip) ->
+              let b = buf step (pos + len) in
+              (try Bytes.blit model off b pos len with Invalid_argument _ -> ());
+              let flip =
+                if flip < 0 || len <= 0 || len > Bytes.length b then -1
+                else pos + (flip * len / 1000)
+              in
+              if flip >= 0 && flip < Bytes.length b then
+                Bytes.set b flip (Char.chr (Char.code (Bytes.get b flip) lxor 1));
+              agree "equal_range"
+                (outcome (fun () -> Velum_util.Fnv.equal_range model off b pos len))
+                (outcome (fun () -> Backing.equal_range t ~off b ~pos ~len))
+          | B_in_range (off, len) ->
+              agree "in_range"
+                (Ok (Result.is_ok (outcome (fun () -> Bytes.sub model off len))))
+                (Ok (Backing.in_range t ~off ~len)));
+          let expect = ref 0 in
+          Array.iteri (fun i hit -> if hit then expect := !expect + min e (size - (i * e))) touched;
+          if Backing.resident_bytes t <> !expect then
+            QCheck2.Test.fail_reportf "resident_bytes %d, touched extents hold %d"
+              (Backing.resident_bytes t) !expect)
+        ops;
+      Bytes.equal model (Backing.sub t ~off:0 ~len:size))
 
 (* ---------------- Virtio ring ---------------- *)
 
@@ -339,6 +510,46 @@ let test_vblk_error_status () =
   d.Bus.tick 10_000_000L;
   check64 "status error" 1L
     (Int64.of_int (Char.code (Bytes.get (Option.get (gm.Virtio_ring.read_bytes 0x3000L 1)) 0)))
+
+(* The virtio counterpart of [blk_overflow]: a descriptor whose sector
+   is huge — 2^54+5 once wrapped to byte offset 2560, i.e. sector 5 —
+   or whose length overflows the range check completes with status 1. *)
+let vblk_overflow kind sector len () =
+  let mem = Phys_mem.create ~frames:32 in
+  let gm = Platform.identity_guest_mem mem in
+  let vblk = Virtio_blk.create ~sectors:64 gm in
+  Virtio_blk.load vblk ~sector:5 (String.make 512 's');
+  ignore (gm.Virtio_ring.write_bytes 0x4000L (Bytes.make 512 'g'));
+  let resident = Virtio_blk.resident_bytes vblk in
+  let d = Virtio_blk.device vblk in
+  d.Bus.write Virtio_blk.reg_ring_base Instr.W64 0x1000L;
+  d.Bus.write Virtio_blk.reg_ring_size Instr.W64 4L;
+  let ring = Virtio_ring.create ~mem:gm ~base:0x1000L ~size:4 in
+  ignore
+    (Virtio_ring.guest_push ring
+       { Virtio_ring.data_gpa = 0x4000L; data_len = len; kind; arg = sector;
+         status_gpa = 0x3000L });
+  d.Bus.write Virtio_blk.reg_kick Instr.W64 0L;
+  d.Bus.tick 10_000_000L;
+  check64 "status error" 1L
+    (Int64.of_int (Char.code (Bytes.get (Option.get (gm.Virtio_ring.read_bytes 0x3000L 1)) 0)));
+  checki "error counted" 1 (Virtio_blk.error_count vblk);
+  checki "nothing allocated" resident (Virtio_blk.resident_bytes vblk);
+  checks "sector 5 unchanged" (String.make 512 's') (Virtio_blk.read_back vblk ~sector:5 ~count:1);
+  checks "guest buffer untouched" (String.make 512 'g')
+    (Bytes.to_string (Option.get (gm.Virtio_ring.read_bytes 0x4000L 512)))
+
+let vblk_overflow_cases =
+  let wrap5 = Int64.add (Int64.shift_left 1L 54) 5L and huge = max_int / 512 * 512 in
+  let r = Virtio_blk.kind_read and w = Virtio_blk.kind_write in
+  [ ("read sector=2^54+5", r, wrap5, 512);
+    ("write sector=2^54+5", w, wrap5, 512);
+    ("read sector=Int64.max_int", r, Int64.max_int, 512);
+    ("write sector=2^63+5", w, 0x8000_0000_0000_0005L, 512);
+    ("read length near max_int", r, 1L, huge);
+    ("write length near max_int", w, 1L, huge) ]
+  |> List.map (fun (name, kind, sector, len) ->
+         Alcotest.test_case ("overflow: " ^ name) `Quick (vblk_overflow kind sector len))
 
 (* An untouched virtio disk DMAs zeros into the guest; a guest write is
    what allocates its store, and read_back sees it. *)
@@ -732,7 +943,9 @@ let () =
           Alcotest.test_case "transient fault retry" `Quick test_blk_transient_fault_retry;
           Alcotest.test_case "lazy backing" `Quick test_blk_lazy_backing;
           Alcotest.test_case "backing allocates on write" `Quick test_backing_allocates_on_write;
-        ] );
+          QCheck_alcotest.to_alcotest prop_backing_model;
+        ]
+        @ blk_overflow_cases );
       ( "virtio_ring",
         [
           Alcotest.test_case "push/pending/complete" `Quick test_ring_push_pending;
@@ -744,7 +957,8 @@ let () =
           Alcotest.test_case "batch" `Quick test_vblk_batch;
           Alcotest.test_case "error status" `Quick test_vblk_error_status;
           Alcotest.test_case "lazy backing" `Quick test_vblk_lazy_backing;
-        ] );
+        ]
+        @ vblk_overflow_cases );
       ( "link",
         [
           Alcotest.test_case "transfer model" `Quick test_link_transfer_model;

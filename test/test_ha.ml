@@ -471,6 +471,39 @@ let test_lying_hint_is_verified () =
   checki "the stale chunks were refused" 3 (Store.hint_misses a);
   checkb "same recovery" true (Store.recover a = Store.recover b)
 
+(* A clone copies only the written extents, yet reads, recovers and
+   resumes exactly as the original; writes to it stay its own. *)
+let test_clone_copies_written_extents () =
+  let store =
+    Store.create ~sectors:(Store.fleet_sectors_for ~streams:3 ~image_bytes:50_000) ()
+  in
+  List.iteri
+    (fun i id ->
+      for g = 1 to 2 do
+        let img = Bytes.make 50_000 (Char.chr (97 + i)) in
+        Bytes.fill img (g * 1_000) 3_000 'z';
+        ignore (Store.commit ~id store (Store.of_bytes img))
+      done)
+    [ "a"; "b"; "c" ];
+  let c = Store.clone store in
+  let dev s = Store.device s in
+  let resident = Blockdev.resident_bytes (dev store) in
+  let cap = Blockdev.capacity_bytes (dev store) in
+  checkb "the store is sparse" true (4 * resident < cap);
+  checki "same resident bytes" resident (Blockdev.resident_bytes (dev c));
+  checkb "same device bytes" true
+    (Bytes.equal (Blockdev.pread (dev store) ~off:0 ~len:cap)
+       (Blockdev.pread (dev c) ~off:0 ~len:cap));
+  List.iter
+    (fun id ->
+      checkb ("same recovery of " ^ id) true
+        (Store.recover ~id store = Store.recover ~id c))
+    [ "a"; "b"; "c"; "none" ];
+  ignore (Store.commit ~id:"a" c (Store.of_bytes (Bytes.make 50_000 'q')));
+  checki "the clone moves on" 3 (Store.stream_generation ~id:"a" c);
+  checki "the original does not" 2
+    (Store.stream_generation ~id:"a" (Store.mount (dev store)))
+
 (* ---------------- snapshot: rejected restores leave no trace ---------------- *)
 
 
@@ -852,6 +885,8 @@ let () =
              test_hint_marks_clean_chunks
         :: Alcotest.test_case "a lying hint is caught by the verify" `Quick
              test_lying_hint_is_verified
+        :: Alcotest.test_case "a clone copies written extents only" `Quick
+             test_clone_copies_written_extents
         :: qsuite
              [
                store_crash_sweep_prop; store_gc_live_prop;
