@@ -912,7 +912,15 @@ let cluster_cmd =
     (* stderr: stdout is the report, which must not change with host memory use *)
     let blk = Store.device (C.store res.C.control) in
     Printf.eprintf "host: store resident_bytes=%d capacity_bytes=%d\n"
-      (Blockdev.resident_bytes blk) (Blockdev.capacity_bytes blk)
+      (Blockdev.resident_bytes blk) (Blockdev.capacity_bytes blk);
+    let mems =
+      Array.map
+        (fun n -> (Hypervisor.host n.Velum_cluster.Parallel.hyp).Host.mem)
+        (C.fleet res.C.control).Velum_cluster.Parallel.nodes
+    in
+    let sum f = Array.fold_left (fun acc m -> acc + f m) 0 mems in
+    Printf.eprintf "host: ram resident_bytes=%d capacity_bytes=%d\n"
+      (sum Velum_machine.Phys_mem.resident_bytes) (sum Velum_machine.Phys_mem.size_bytes)
   in
   Cmd.v
     (Cmd.info "cluster"

@@ -1,7 +1,10 @@
 open Velum_isa
 
+(* Frame [i] is [pages.(i)]: the shared [zero] page until the frame's
+   first mutating operation gives it a page of its own.  A frame never
+   gives its page back, so zero-filling a backed frame fills in place. *)
 type t = {
-  data : Bytes.t;
+  pages : Bytes.t array;
   frames : int;
   last_word : int64;  (* highest address any access of up to 8 bytes fits at *)
   mutable listeners : (int * (ppn:int64 -> lo:int -> hi:int -> unit)) list;
@@ -9,16 +12,33 @@ type t = {
 }
 
 let page = Arch.page_size
+let mask = page - 1
+
+(* Read by every memory of every domain; only [owned] hands out a page
+   to write, and it never hands out this one. *)
+let zero = Bytes.make page '\000'
+let zero_hash = Velum_util.Fnv.hash_bytes zero
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: frames must be positive";
+  if frames > max_int / page then invalid_arg "Phys_mem.create: too many frames";
   {
-    data = Bytes.make (frames * page) '\000';
+    pages = Array.make frames zero;
     frames;
     last_word = Int64.of_int ((frames * page) - 8);
     listeners = [];
     next_listener = 0;
   }
+
+(* The page of frame [i], given its own on first use. *)
+let owned t i =
+  let p = t.pages.(i) in
+  if p != zero then p
+  else begin
+    let p = Bytes.make page '\000' in
+    t.pages.(i) <- p;
+    p
+  end
 
 let add_write_listener t f =
   let id = t.next_listener in
@@ -61,6 +81,9 @@ let notify_range t pa bytes =
 let frames t = t.frames
 let size_bytes t = t.frames * page
 
+let resident_bytes t =
+  Array.fold_left (fun n p -> if p != zero then n + page else n) 0 t.pages
+
 (* Compared as [pa <= size - bytes]: [pa + bytes] would wrap for [pa]
    near [Int64.max_int]. *)
 let in_range t ~pa ~bytes =
@@ -75,72 +98,121 @@ let check t pa bytes =
    bytes of RAM, or out of range, takes the exact check. *)
 let check_word t pa bytes = if not (pa >= 0L && pa <= t.last_word) then check t pa bytes
 
+(* An access that straddles two frames, one byte at a time (little-endian).
+   The CPU traps misaligned accesses, so only VMM-side accesses get here. *)
+let read_straddle t off bytes =
+  let v = ref 0L in
+  for k = bytes - 1 downto 0 do
+    let a = off + k in
+    let b = Bytes.get t.pages.(a lsr Arch.page_shift) (a land mask) in
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code b))
+  done;
+  !v
+
+let write_straddle t off bytes v =
+  for k = 0 to bytes - 1 do
+    let a = off + k in
+    let b = Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xFF in
+    Bytes.set (owned t (a lsr Arch.page_shift)) (a land mask) (Char.chr b)
+  done
+
 let read t pa w =
-  check_word t pa (Instr.width_bytes w);
+  let bytes = Instr.width_bytes w in
+  check_word t pa bytes;
   let off = Int64.to_int pa in
-  match w with
-  | Instr.W8 -> Int64.of_int (Char.code (Bytes.get t.data off))
-  | Instr.W16 -> Int64.of_int (Bytes.get_uint16_le t.data off)
-  | Instr.W32 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le t.data off)) 0xFFFF_FFFFL
-  | Instr.W64 -> Bytes.get_int64_le t.data off
+  let p = t.pages.(off lsr Arch.page_shift) and o = off land mask in
+  if o > page - bytes then read_straddle t off bytes
+  else
+    match w with
+    | Instr.W8 -> Int64.of_int (Char.code (Bytes.get p o))
+    | Instr.W16 -> Int64.of_int (Bytes.get_uint16_le p o)
+    | Instr.W32 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le p o)) 0xFFFF_FFFFL
+    | Instr.W64 -> Bytes.get_int64_le p o
 
 let write t pa w v =
   let bytes = Instr.width_bytes w in
   check_word t pa bytes;
   let off = Int64.to_int pa in
-  (match w with
-  | Instr.W8 -> Bytes.set t.data off (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
-  | Instr.W16 -> Bytes.set_uint16_le t.data off (Int64.to_int (Int64.logand v 0xFFFFL))
-  | Instr.W32 -> Bytes.set_int32_le t.data off (Int64.to_int32 v)
-  | Instr.W64 -> Bytes.set_int64_le t.data off v);
+  let o = off land mask in
+  (if o > page - bytes then write_straddle t off bytes v
+   else
+     let p = owned t (off lsr Arch.page_shift) in
+     match w with
+     | Instr.W8 -> Bytes.set p o (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
+     | Instr.W16 -> Bytes.set_uint16_le p o (Int64.to_int (Int64.logand v 0xFFFFL))
+     | Instr.W32 -> Bytes.set_int32_le p o (Int64.to_int32 v)
+     | Instr.W64 -> Bytes.set_int64_le p o v);
   notify_range t pa bytes
 
 let load_bytes t ~pa b =
-  check t pa (Bytes.length b);
-  Bytes.blit b 0 t.data (Int64.to_int pa) (Bytes.length b);
-  if Bytes.length b > 0 then notify_range t pa (Bytes.length b)
+  let len = Bytes.length b in
+  check t pa len;
+  let off = Int64.to_int pa in
+  let pos = ref 0 in
+  while !pos < len do
+    let a = off + !pos in
+    let n = min (len - !pos) (page - (a land mask)) in
+    Bytes.blit b !pos (owned t (a lsr Arch.page_shift)) (a land mask) n;
+    pos := !pos + n
+  done;
+  if len > 0 then notify_range t pa len
 
-let frame_off t ppn =
+let frame_index t ppn =
   let i = Int64.to_int ppn in
   if i < 0 || i >= t.frames then
     invalid_arg (Printf.sprintf "Phys_mem: frame %Ld out of range" ppn);
-  i * page
+  i
 
 let notify_frame t ppn =
   match t.listeners with
   | [] -> ()
   | listeners -> List.iter (fun (_, f) -> f ~ppn ~lo:0 ~hi:page) listeners
 
+(* Copy [src] into frame [i]: a zero source leaves an unbacked frame
+   unbacked and zero-fills a backed one in place. *)
+let set_frame t i src =
+  if src == zero then begin
+    let p = t.pages.(i) in
+    if p != zero then Bytes.fill p 0 page '\000'
+  end
+  else Bytes.blit src 0 (owned t i) 0 page
+
 let frame_copy t ~src_ppn ~dst_ppn =
-  Bytes.blit t.data (frame_off t src_ppn) t.data (frame_off t dst_ppn) page;
+  set_frame t (frame_index t dst_ppn) t.pages.(frame_index t src_ppn);
   notify_frame t dst_ppn
 
 let frame_fill t ~ppn c =
-  Bytes.fill t.data (frame_off t ppn) page c;
+  let i = frame_index t ppn in
+  if c = '\000' then set_frame t i zero else Bytes.fill (owned t i) 0 page c;
   notify_frame t ppn
 
-let frame_read t ~ppn = Bytes.sub t.data (frame_off t ppn) page
+let frame_read t ~ppn = Bytes.copy t.pages.(frame_index t ppn)
 
 let blit_out t ~ppn ~off dst ~pos ~len =
-  if off < 0 || len < 0 || off + len > page then
+  if off < 0 || len < 0 || off > page - len then
     invalid_arg "Phys_mem.blit_out: range outside the frame";
-  Bytes.blit t.data (frame_off t ppn + off) dst pos len
+  Bytes.blit t.pages.(frame_index t ppn) off dst pos len
 
 let frame_write t ~ppn b =
   if Bytes.length b <> page then invalid_arg "Phys_mem.frame_write: bad length";
-  Bytes.blit b 0 t.data (frame_off t ppn) page;
+  Bytes.blit b 0 (owned t (frame_index t ppn)) 0 page;
   notify_frame t ppn
 
-let frame_hash t ~ppn = Velum_util.Fnv.hash_bytes ~pos:(frame_off t ppn) ~len:page t.data
+let frame_hash t ~ppn =
+  let p = t.pages.(frame_index t ppn) in
+  if p == zero then zero_hash else Velum_util.Fnv.hash_bytes p
+
+let rec zero_from p i =
+  i >= page || (Int64.equal (Bytes.get_int64_le p i) 0L && zero_from p (i + 8))
 
 let frame_is_zero t ~ppn =
-  let off = frame_off t ppn in
-  let rec go i = i >= page || (Bytes.get t.data (off + i) = '\000' && go (i + 1)) in
-  go 0
+  let p = t.pages.(frame_index t ppn) in
+  p == zero || zero_from p 0
 
 let frame_equal t a b =
-  Velum_util.Fnv.equal_range t.data (frame_off t a) t.data (frame_off t b) page
+  let pa = t.pages.(frame_index t a) and pb = t.pages.(frame_index t b) in
+  pa == pb || Velum_util.Fnv.equal_range pa 0 pb 0 page
 
 let blit_between ~src ~src_ppn ~dst ~dst_ppn =
-  Bytes.blit src.data (frame_off src src_ppn) dst.data (frame_off dst dst_ppn) page;
+  set_frame dst (frame_index dst dst_ppn) src.pages.(frame_index src src_ppn);
   notify_frame dst dst_ppn

@@ -1,19 +1,31 @@
 (** Simulated physical (machine) memory.
 
-    A flat byte array divided into 4 KiB frames.  On a hypervisor host
-    this is the machine memory that the VMM's frame allocator hands out to
-    guests; on a native machine it is simply RAM.  Addresses are byte
-    physical addresses starting at zero. *)
+    A fixed table of 4 KiB frames.  On a hypervisor host this is the
+    machine memory that the VMM's frame allocator hands out to guests; on
+    a native machine it is simply RAM.  Addresses are byte physical
+    addresses starting at zero.
+
+    Memory is backed lazily, per frame: every frame reads as zeros from
+    one shared page until its first mutating operation gives it a page of
+    its own, which it then keeps.  Zero-filling a frame, or copying an
+    unwritten frame over it, never backs it and never gives a page back
+    (a backed frame is cleared in place).  Only {!resident_bytes} can
+    tell the difference. *)
 
 type t
 
 val create : frames:int -> t
-(** [create ~frames] allocates [frames] zeroed 4 KiB frames.
+(** [create ~frames] is [frames] zeroed 4 KiB frames, none backed yet.
 
-    @raise Invalid_argument if [frames <= 0]. *)
+    @raise Invalid_argument if [frames <= 0] or
+    [frames > max_int / page_size] (the byte size would overflow). *)
 
 val frames : t -> int
 val size_bytes : t -> int
+
+val resident_bytes : t -> int
+(** [resident_bytes t] is 4096 × the frames that have their own page:
+    the host memory this RAM really holds. *)
 
 val in_range : t -> pa:int64 -> bytes:int -> bool
 (** [in_range t ~pa ~bytes] — the access lies entirely inside RAM. *)
@@ -31,10 +43,12 @@ val load_bytes : t -> pa:int64 -> Bytes.t -> unit
     boot images). *)
 
 val frame_copy : t -> src_ppn:int64 -> dst_ppn:int64 -> unit
-(** [frame_copy t ~src_ppn ~dst_ppn] copies one whole frame. *)
+(** [frame_copy t ~src_ppn ~dst_ppn] copies one whole frame (an
+    unbacked source leaves an unbacked destination unbacked). *)
 
 val frame_fill : t -> ppn:int64 -> char -> unit
-(** [frame_fill t ~ppn c] fills a frame with byte [c]. *)
+(** [frame_fill t ~ppn c] fills a frame with byte [c]; filling with
+    ['\000'] backs nothing. *)
 
 val frame_read : t -> ppn:int64 -> Bytes.t
 (** [frame_read t ~ppn] is a fresh copy of the frame's 4096 bytes. *)
@@ -52,11 +66,11 @@ val frame_write : t -> ppn:int64 -> Bytes.t -> unit
 
 val frame_hash : t -> ppn:int64 -> int64
 (** [frame_hash t ~ppn] is the FNV-1a digest of the frame contents; used
-    by content-based page sharing. *)
+    by content-based page sharing.  O(1) on an unbacked frame. *)
 
 val frame_is_zero : t -> ppn:int64 -> bool
 (** [frame_is_zero t ~ppn] — every byte of the frame is zero (zero-page
-    detection for migration compression). *)
+    detection for migration compression).  O(1) on an unbacked frame. *)
 
 val frame_equal : t -> int64 -> int64 -> bool
 (** [frame_equal t a b] compares two frames byte for byte. *)

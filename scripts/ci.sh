@@ -286,6 +286,16 @@ capacity=$(sed -n 's/^host: store resident_bytes=[0-9]* capacity_bytes=\([0-9]*\
 [ $((8 * resident)) -le "$capacity" ] || {
   echo "FAIL: fleet store holds $resident of $capacity bytes in memory (more than 1/8)"; exit 1; }
 echo "fleet store resident: $resident of $capacity bytes"
+# Host RAM is backed per frame on first write: the fleet's hosts must
+# hold at most a quarter of their frames, so a change that touches every
+# frame (a dense RAM, or a zero fill that writes unbacked frames) fails.
+ram_resident=$(sed -n 's/^host: ram resident_bytes=\([0-9]*\) capacity_bytes=.*/\1/p' "$tmp/cluster1.err")
+ram_capacity=$(sed -n 's/^host: ram resident_bytes=[0-9]* capacity_bytes=\([0-9]*\)$/\1/p' "$tmp/cluster1.err")
+[ -n "$ram_resident" ] && [ -n "$ram_capacity" ] || {
+  echo "FAIL: velum cluster reported no host ram resident_bytes line"; exit 1; }
+[ $((4 * ram_resident)) -le "$ram_capacity" ] || {
+  echo "FAIL: fleet hosts back $ram_resident of $ram_capacity bytes of RAM (more than 1/4)"; exit 1; }
+echo "fleet host ram resident: $ram_resident of $ram_capacity bytes"
 
 # E20's BENCH_cluster.json is all simulated metrics (no wall clock), so
 # the regenerated file must be byte-identical to the committed one.

@@ -348,6 +348,52 @@ let test_remove_vm_frees_and_continues () =
     (free0 - Vm.mem_frames survivor)
     (Frame_alloc.free_count (Hypervisor.host hyp).Host.alloc)
 
+(* Host RAM is backed per frame on first write.  A booted kernel backs a
+   small share of a 64 MiB host, and a stop-and-copy migration backs no
+   more destination frames than the source held.  Destroying the VM and
+   creating it again zero-fills the freed frames in place: nothing is
+   backed or given back.  The allocator hands freed frames out
+   last-freed first, so the re-created VM maps its gfns to them in
+   reverse and its boot backs new frames; the boot after that maps them
+   as the first did and backs nothing new. *)
+let test_host_ram_backed_on_write () =
+  let open Velum_guests in
+  let setup = Images.plan ~heap_pages:32 ~user:(Workloads.dirty_loop ~pages:8 ~delay:50) () in
+  let resident hyp = Velum_machine.Phys_mem.resident_bytes (Hypervisor.host hyp).Host.mem in
+  let create hyp =
+    Hypervisor.create_vm hyp ~name:"k" ~mem_frames:setup.Images.frames ~entry:Images.entry ()
+  in
+  let run hyp vm =
+    Images.load_vm vm setup;
+    ignore (Hypervisor.run hyp ~budget:2_000_000L);
+    vm
+  in
+  let boot hyp = run hyp (create hyp) in
+  let src = make_hyp ~frames:16384 () in
+  let vm = boot src in
+  let backed = resident src in
+  checkb (Printf.sprintf "%d bytes backed of 64 MiB" backed) true
+    (backed > 0 && backed * 16 <= 16384 * Arch.page_size);
+  let dst = make_hyp ~frames:16384 () in
+  let twin, r = Migrate.stop_and_copy ~src ~dst ~vm ~link:(Velum_devices.Link.create ()) () in
+  checkb "migrated" false r.Migrate.aborted;
+  checkb (Printf.sprintf "destination %d <= source %d bytes" (resident dst) backed) true
+    (resident dst > 0 && resident dst <= backed);
+  let before = Vm.guest_cycles twin in
+  ignore (Hypervisor.run dst ~budget:500_000L);
+  checkb "twin runs" true (Vm.guest_cycles twin > before);
+  let hyp = make_hyp ~frames:16384 () in
+  let vm = boot hyp in
+  let backed = resident hyp in
+  Hypervisor.remove_vm hyp vm;
+  checki "destroying gives nothing back" backed (resident hyp);
+  let vm = create hyp in
+  checki "re-creating zero-fills in place" backed (resident hyp);
+  Hypervisor.remove_vm hyp (run hyp vm);
+  let steady = resident hyp in
+  Hypervisor.remove_vm hyp (boot hyp);
+  checki "a third boot backs nothing new" steady (resident hyp)
+
 let test_run_vm_isolates () =
   let hyp = make_hyp () in
   let target = unikernel hyp "target" spin_forever in
@@ -487,6 +533,7 @@ let () =
       ( "lifecycle",
         [
           Alcotest.test_case "remove vm" `Quick test_remove_vm_frees_and_continues;
+          Alcotest.test_case "host ram backed on write" `Quick test_host_ram_backed_on_write;
           Alcotest.test_case "run_vm isolates" `Quick test_run_vm_isolates;
           Alcotest.test_case "run_vm on halted vm" `Quick test_run_vm_halted_guest_advances_clock;
           Alcotest.test_case "vcpu index" `Quick test_vcpu_index;

@@ -93,6 +93,280 @@ let prop_mem_roundtrip =
       Phys_mem.write mem pa Instr.W64 v;
       Phys_mem.read mem pa Instr.W64 = v)
 
+(* [frames * page_size] and the last-word address would wrap past
+   [max_int]; the count is rejected before anything is allocated. *)
+let test_mem_create_overflow () =
+  List.iter
+    (fun frames ->
+      Alcotest.check_raises (Printf.sprintf "frames=%d" frames)
+        (Invalid_argument "Phys_mem.create: too many frames") (fun () ->
+          ignore (Phys_mem.create ~frames)))
+    [ (max_int / Arch.page_size) + 1; max_int ]
+
+(* [off + len] must not be formed: with [off = max_int] it wraps
+   negative and would slip past a [> page] test. *)
+let test_mem_blit_out_overflow () =
+  let mem = Phys_mem.create ~frames:1 in
+  let dst = Bytes.create 16 in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises (Printf.sprintf "off=%d len=%d" off len)
+        (Invalid_argument "Phys_mem.blit_out: range outside the frame") (fun () ->
+          Phys_mem.blit_out mem ~ppn:0L ~off dst ~pos:0 ~len))
+    [ (max_int, 2); (max_int, max_int); (1, max_int); (4090, 7); (-1, 1); (0, -1) ];
+  Phys_mem.blit_out mem ~ppn:0L ~off:4080 dst ~pos:0 ~len:16;
+  checkb "last 16 bytes" true (Bytes.equal dst (Bytes.make 16 '\000'))
+
+(* A frame is backed by its first mutating operation, not before; a zero
+   fill or a copy of an unwritten frame backs nothing, and a backed frame
+   is cleared in place. *)
+let test_mem_lazy_backing () =
+  let mem = Phys_mem.create ~frames:8 in
+  let resident () = Phys_mem.resident_bytes mem / Arch.page_size in
+  checki "fresh" 0 (resident ());
+  ignore (Phys_mem.read mem 0x3000L Instr.W64);
+  Phys_mem.frame_fill mem ~ppn:1L '\000';
+  Phys_mem.frame_copy mem ~src_ppn:2L ~dst_ppn:3L;
+  checkb "unbacked zero" true (Phys_mem.frame_is_zero mem ~ppn:3L);
+  checki "reads and zero fills" 0 (resident ());
+  Phys_mem.write mem 0x4000L Instr.W8 0L;
+  checki "a store of zero backs" 1 (resident ());
+  Phys_mem.write mem 0x5FFCL Instr.W64 (-1L);
+  checki "a straddling store backs both frames" 3 (resident ());
+  check64 "straddle read" (-1L) (Phys_mem.read mem 0x5FFCL Instr.W64);
+  check64 "straddle tail" 0xFFFF_FFFFL (Phys_mem.read mem 0x6000L Instr.W32);
+  Phys_mem.frame_fill mem ~ppn:5L '\000';
+  Phys_mem.frame_copy mem ~src_ppn:7L ~dst_ppn:6L;
+  checki "cleared in place" 3 (resident ());
+  checkb "cleared" true (Phys_mem.frame_is_zero mem ~ppn:6L && Phys_mem.frame_is_zero mem ~ppn:5L);
+  checkb "backed zero equals unbacked" true (Phys_mem.frame_equal mem 5L 7L);
+  checkb "zero hash" true
+    (Phys_mem.frame_hash mem ~ppn:5L = Phys_mem.frame_hash mem ~ppn:7L
+    && Phys_mem.frame_hash mem ~ppn:7L
+       = Velum_util.Fnv.hash_bytes (Bytes.make Arch.page_size '\000'))
+
+(* The sparse table against a dense [Bytes] model: every operation at
+   random, biased to frame edges, straddles and the end of RAM, on two
+   memories so [blit_between] crosses them. *)
+type mem_op =
+  | Op_read of int * int64 * Instr.width
+  | Op_write of int * int64 * Instr.width * int64
+  | Op_load of int * int64 * string
+  | Op_fill of int * int64 * char
+  | Op_copy of int * int64 * int64
+  | Op_frame_write of int * int64 * int * int  (* pattern step, length *)
+  | Op_frame_read of int * int64
+  | Op_blit_out of int * int64 * int * int * int  (* off, pos, len *)
+  | Op_between of int * int64 * int * int64
+  | Op_hash of int * int64
+  | Op_is_zero of int * int64
+  | Op_equal of int * int64 * int64
+
+type mem_outcome = Raised | Done | Word of int64 | Flag of bool | Data of string
+
+let page = Arch.page_size
+
+let gen_mem_op (frames : int array) =
+  let open QCheck2.Gen in
+  let mem = int_range 0 (Array.length frames - 1) in
+  let pa m =
+    let size = frames.(m) * page in
+    frequency
+      [
+        ( 4,
+          map2
+            (fun f d -> Int64.of_int ((f * page) + d))
+            (int_range 0 frames.(m)) (int_range (-8) 8) );
+        (2, map (fun k -> Int64.of_int (size - k)) (int_range 1 8));
+        (3, map Int64.of_int (int_range 0 (size - 1)));
+        ( 1,
+          oneofl [ -1L; Int64.of_int size; Int64.max_int; Int64.min_int; Int64.shift_left 1L 62 ] );
+      ]
+  in
+  let ppn m =
+    frequency
+      [
+        (8, map Int64.of_int (int_range 0 (frames.(m) - 1)));
+        (1, oneofl [ -1L; Int64.of_int frames.(m); 1_000_000L ]);
+      ]
+  in
+  let width = oneofl [ Instr.W8; Instr.W16; Instr.W32; Instr.W64 ] in
+  let byte = frequency [ (1, return '\000'); (3, char) ] in
+  let small = frequency [ (6, int_range 0 32); (1, oneofl [ -1; max_int ]) ] in
+  let off =
+    frequency [ (3, int_range 0 page); (2, int_range (page - 32) page); (1, oneofl [ -1; max_int ]) ]
+  in
+  let with_mem g = mem >>= g in
+  let frame = with_mem (fun m -> map (fun p -> (m, p)) (ppn m)) in
+  frequency
+    [
+      (6, with_mem (fun m -> map2 (fun a w -> Op_read (m, a, w)) (pa m) width));
+      ( 8,
+        with_mem (fun m ->
+            map3 (fun a w v -> Op_write (m, a, w, v)) (pa m) width (oneof [ ui64; return 0L ])) );
+      ( 2,
+        with_mem (fun m ->
+            map2 (fun a s -> Op_load (m, a, s)) (pa m)
+              (string_size ~gen:byte
+                 (frequency [ (4, int_range 0 16); (1, int_range 0 (page + 100)) ]))) );
+      (2, with_mem (fun m -> map2 (fun p c -> Op_fill (m, p, c)) (ppn m) byte));
+      (2, with_mem (fun m -> map2 (fun a b -> Op_copy (m, a, b)) (ppn m) (ppn m)));
+      ( 1,
+        with_mem (fun m ->
+            map3 (fun p k l -> Op_frame_write (m, p, k, l)) (ppn m) (int_range 0 3)
+              (frequency [ (6, return page); (1, return (page - 1)) ])) );
+      (1, with_mem (fun m -> map (fun p -> Op_frame_read (m, p)) (ppn m)));
+      ( 2,
+        with_mem (fun m ->
+            map3 (fun p (o, q) l -> Op_blit_out (m, p, o, q, l)) (ppn m) (pair off small) small) );
+      (2, map2 (fun (a, p) (b, q) -> Op_between (a, p, b, q)) frame frame);
+      (1, with_mem (fun m -> map (fun p -> Op_hash (m, p)) (ppn m)));
+      (1, with_mem (fun m -> map (fun p -> Op_is_zero (m, p)) (ppn m)));
+      (1, with_mem (fun m -> map2 (fun a b -> Op_equal (m, a, b)) (ppn m) (ppn m)));
+    ]
+
+let prop_mem_sparse_matches_dense =
+  QCheck2.Test.make ~count:300 ~name:"phys_mem sparse matches a dense model"
+    QCheck2.Gen.(
+      pair (int_range 1 3) (int_range 1 3) >>= fun (fa, fb) ->
+      let frames = [| fa; fb |] in
+      map (fun ops -> (frames, ops)) (list_size (int_range 1 60) (gen_mem_op frames)))
+    (fun (frames, ops) ->
+      let mems = Array.map (fun frames -> Phys_mem.create ~frames) frames in
+      let dense = Array.map (fun frames -> Bytes.make (frames * page) '\000') frames in
+      let backed = Array.map (fun frames -> Array.make frames false) frames in
+      let seen = ref [] and expect = ref [] in
+      Array.iteri
+        (fun m mem ->
+          ignore
+            (Phys_mem.add_write_listener mem (fun ~ppn ~lo ~hi ->
+                 seen := (m, ppn, lo, hi) :: !seen)))
+        mems;
+      let ppn_ok m p = p >= 0L && p < Int64.of_int frames.(m) in
+      let pa_ok m pa n = pa >= 0L && pa <= Int64.of_int ((frames.(m) * page) - n) in
+      let touched m pa n =
+        let pa = Int64.to_int pa in
+        for f = pa / page to (pa + n - 1) / page do
+          backed.(m).(f) <- true;
+          let lo = max 0 (pa - (f * page)) and hi = min page (pa + n - (f * page)) in
+          expect := (m, Int64.of_int f, lo, hi) :: !expect
+        done
+      in
+      let whole m p = expect := (m, p, 0, page) :: !expect in
+      let frame m p = Bytes.sub_string dense.(m) (Int64.to_int p * page) page in
+      let run f = try f () with Invalid_argument _ -> Raised in
+      let pattern k l = Bytes.init l (fun i -> Char.chr ((i * k) land 0xFF)) in
+      let impl = function
+        | Op_read (m, a, w) -> Word (Phys_mem.read mems.(m) a w)
+        | Op_write (m, a, w, v) -> Phys_mem.write mems.(m) a w v; Done
+        | Op_load (m, a, s) -> Phys_mem.load_bytes mems.(m) ~pa:a (Bytes.of_string s); Done
+        | Op_fill (m, p, c) -> Phys_mem.frame_fill mems.(m) ~ppn:p c; Done
+        | Op_copy (m, a, b) -> Phys_mem.frame_copy mems.(m) ~src_ppn:a ~dst_ppn:b; Done
+        | Op_frame_write (m, p, k, l) -> Phys_mem.frame_write mems.(m) ~ppn:p (pattern k l); Done
+        | Op_frame_read (m, p) -> Data (Bytes.to_string (Phys_mem.frame_read mems.(m) ~ppn:p))
+        | Op_blit_out (m, p, off, pos, len) ->
+            let dst = Bytes.make 32 '\xAA' in
+            Phys_mem.blit_out mems.(m) ~ppn:p ~off dst ~pos ~len;
+            Data (Bytes.to_string dst)
+        | Op_between (a, p, b, q) ->
+            Phys_mem.blit_between ~src:mems.(a) ~src_ppn:p ~dst:mems.(b) ~dst_ppn:q; Done
+        | Op_hash (m, p) -> Word (Phys_mem.frame_hash mems.(m) ~ppn:p)
+        | Op_is_zero (m, p) -> Flag (Phys_mem.frame_is_zero mems.(m) ~ppn:p)
+        | Op_equal (m, a, b) -> Flag (Phys_mem.frame_equal mems.(m) a b)
+      in
+      let rec model = function
+        | Op_read (m, a, w) ->
+            let n = Instr.width_bytes w in
+            if not (pa_ok m a n) then Raised
+            else
+              let v = ref 0L in
+              for k = n - 1 downto 0 do
+                v := Int64.logor (Int64.shift_left !v 8)
+                       (Int64.of_int (Bytes.get_uint8 dense.(m) (Int64.to_int a + k)))
+              done;
+              Word !v
+        | Op_write (m, a, w, v) ->
+            let n = Instr.width_bytes w in
+            if not (pa_ok m a n) then Raised
+            else begin
+              for k = 0 to n - 1 do
+                Bytes.set_uint8 dense.(m) (Int64.to_int a + k)
+                  (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xFF)
+              done;
+              touched m a n;
+              Done
+            end
+        | Op_load (m, a, s) ->
+            let n = String.length s in
+            if not (pa_ok m a n) then Raised
+            else begin
+              Bytes.blit_string s 0 dense.(m) (Int64.to_int a) n;
+              if n > 0 then touched m a n;
+              Done
+            end
+        | Op_fill (m, p, c) ->
+            if not (ppn_ok m p) then Raised
+            else begin
+              Bytes.fill dense.(m) (Int64.to_int p * page) page c;
+              if c <> '\000' then backed.(m).(Int64.to_int p) <- true;
+              whole m p;
+              Done
+            end
+        | Op_copy (m, a, b) -> model (Op_between (m, a, m, b))
+        | Op_frame_write (m, p, k, l) ->
+            if not (ppn_ok m p) || l <> page then Raised
+            else begin
+              Bytes.blit (pattern k l) 0 dense.(m) (Int64.to_int p * page) page;
+              backed.(m).(Int64.to_int p) <- true;
+              whole m p;
+              Done
+            end
+        | Op_frame_read (m, p) -> if ppn_ok m p then Data (frame m p) else Raised
+        | Op_blit_out (m, p, off, pos, len) ->
+            if not (ppn_ok m p) || off < 0 || len < 0 || off > page || len > page - off
+               || pos < 0 || pos > 32 || len > 32 - pos
+            then Raised
+            else begin
+              let dst = Bytes.make 32 '\xAA' in
+              Bytes.blit_string (frame m p) off dst pos len;
+              Data (Bytes.to_string dst)
+            end
+        | Op_between (a, p, b, q) ->
+            if not (ppn_ok a p && ppn_ok b q) then Raised
+            else begin
+              Bytes.blit_string (frame a p) 0 dense.(b) (Int64.to_int q * page) page;
+              if backed.(a).(Int64.to_int p) then backed.(b).(Int64.to_int q) <- true;
+              whole b q;
+              Done
+            end
+        | Op_hash (m, p) ->
+            if ppn_ok m p then Word (Velum_util.Fnv.hash_string (frame m p)) else Raised
+        | Op_is_zero (m, p) ->
+            if ppn_ok m p then Flag (frame m p = String.make page '\000') else Raised
+        | Op_equal (m, a, b) ->
+            if ppn_ok m a && ppn_ok m b then Flag (frame m a = frame m b) else Raised
+      in
+      let resident m = Array.fold_left (fun n b -> if b then n + page else n) 0 backed.(m) in
+      List.for_all
+        (fun op ->
+          let got = run (fun () -> impl op) in
+          got = model op
+          && !seen = !expect
+          && Array.for_all Fun.id
+               (Array.mapi (fun m mem -> Phys_mem.resident_bytes mem = resident m) mems))
+        ops
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun m mem ->
+                List.for_all
+                  (fun p -> Bytes.to_string (Phys_mem.frame_read mem ~ppn:p) = frame m p)
+                  (List.init frames.(m) Int64.of_int))
+              mems)
+      &&
+      let fresh = Phys_mem.create ~frames:2 in
+      Bytes.for_all (( = ) '\000') (Phys_mem.frame_read fresh ~ppn:1L)
+      && Phys_mem.read fresh 0x1FF8L Instr.W64 = 0L)
+
 (* ---------------- Page_table ---------------- *)
 
 let make_pt_world () =
@@ -1012,8 +1286,11 @@ let () =
           Alcotest.test_case "bounds near max_int" `Quick test_mem_bounds_overflow;
           Alcotest.test_case "frames" `Quick test_mem_frames;
           Alcotest.test_case "blit between" `Quick test_mem_blit_between;
+          Alcotest.test_case "create overflow" `Quick test_mem_create_overflow;
+          Alcotest.test_case "blit_out overflow" `Quick test_mem_blit_out_overflow;
+          Alcotest.test_case "lazy backing" `Quick test_mem_lazy_backing;
         ]
-        @ qsuite [ prop_mem_roundtrip ] );
+        @ qsuite [ prop_mem_roundtrip; prop_mem_sparse_matches_dense ] );
       ( "page_table",
         [
           Alcotest.test_case "map/walk" `Quick test_pt_map_walk;
