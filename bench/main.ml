@@ -531,26 +531,7 @@ let e8 () =
 
 let e9 () =
   if section "E9" "Table 3: consolidating 50 servers (the slide deck's deployment)" then begin
-    (* A 50-VM fleet shaped like the deck's inventory: domain
-       controllers, terminal servers, ERP app servers, SQL boxes, a mail
-       suite, web servers, developer test machines. *)
-    let mk name n cpu mem = List.init n (fun i ->
-        { Placement.vm_name = Printf.sprintf "%s-%d" name i; cpu_units = cpu; mem_mb = mem })
-    in
-    let fleet =
-      List.concat
-        [
-          mk "ad-dc" 4 50 2048;
-          mk "terminal" 8 200 4096;
-          mk "erp-app" 6 150 4096;
-          mk "mssql" 6 250 8192;
-          mk "mail" 2 200 8192;
-          mk "web" 8 100 2048;
-          mk "antivirus" 2 100 2048;
-          mk "devtest" 10 100 2048;
-          mk "legacy-dos" 4 25 512;
-        ]
-    in
+    let fleet = Placement.deck_fleet in
     let spec = Placement.default_host in
     let plan = Placement.first_fit_decreasing spec fleet in
     let report = Placement.cost_savings spec fleet plan in

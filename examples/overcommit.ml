@@ -3,7 +3,10 @@
    not using), then with hypervisor swapping (the host picks victims
    blindly).  Same pages reclaimed — very different guest performance.
 
-     dune exec examples/overcommit.exe *)
+     dune exec examples/overcommit.exe
+
+   It exits non-zero unless ballooning slows the guest less than
+   swapping does. *)
 
 open Velum_vmm
 open Velum_guests
@@ -58,6 +61,7 @@ let () =
   in
   Printf.printf "\nslowdown vs baseline: balloon %.2fx, hypervisor swap %.2fx\n"
     (balloon /. base) (swap /. base);
+  if not (balloon < swap) then failwith "balloon is not cheaper than hypervisor swap";
   Printf.printf
     "The balloon is nearly free because only the guest knows which pages are\n\
      cold; the hypervisor's blind eviction drags hot pages through swap.\n"

@@ -2,7 +2,9 @@
    with shadow paging, and with nested paging — and compare what the
    hypervisor had to do.
 
-     dune exec examples/quickstart.exe *)
+     dune exec examples/quickstart.exe
+
+   It exits non-zero unless the three console outputs are equal. *)
 
 open Velum_devices
 open Velum_vmm
@@ -19,7 +21,8 @@ let () =
   (match Platform.run platform with
   | Platform.Halted -> ()
   | _ -> failwith "native boot failed");
-  Printf.printf "--- native ---\n%s" (Platform.console_output platform);
+  let native = Platform.console_output platform in
+  Printf.printf "--- native ---\n%s" native;
   Printf.printf "cycles: %Ld, instructions: %Ld\n\n" (Platform.cycles platform)
     (Platform.instructions_retired platform);
 
@@ -40,10 +43,13 @@ let () =
       (Vm.guest_cycles vm) (Vm.vmm_cycles vm)
       (Monitor.total_exits vm.Vm.monitor);
     Format.printf "%a@." Monitor.pp vm.Vm.monitor;
-    print_newline ()
+    print_newline ();
+    Vm.console_output vm
   in
-  boot Vm.Shadow_paging "virtualized, shadow paging";
-  boot Vm.Nested_paging "virtualized, nested paging";
+  let shadow = boot Vm.Shadow_paging "virtualized, shadow paging" in
+  let nested = boot Vm.Nested_paging "virtualized, nested paging" in
+  if not (shadow = native && nested = native) then
+    failwith "console output differs between runs";
 
   Printf.printf
     "The console output is identical in all three runs; only the cost of\n\

@@ -17,7 +17,7 @@ let charge ?(detail = 0L) (vm : Vm.t) (vcpu : Vcpu.t) ~now kind cycles =
   trace_event vm ~now (Trace.Exit { kind; cost = cycles; detail })
 
 let ext_irq_pending (vm : Vm.t) =
-  Bus.pending_irq vm.Vm.bus || vm.Vm.event_pending
+  Bus.pending_irq vm.Vm.bus
 
 (* The cost of getting from the guest's sensitive instruction into VMM
    code and back.  Under trap-and-emulate this is a full world switch.

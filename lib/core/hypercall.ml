@@ -10,8 +10,6 @@ let hc_balloon_want = 5L
 let hc_pt_update = 6L
 let hc_pt_update_batch = 7L
 let hc_vm_id = 8L
-let hc_evt_send = 9L
-let hc_evt_ack = 10L
 
 type action = Continue | Yield_cpu
 
@@ -71,11 +69,6 @@ let dispatch (vm : Vm.t) ~vcpu_idx ~now:_ =
      ret (if apply 0 then ok else err)
    end
    else if num = hc_vm_id then ret (Int64.of_int vm.Vm.id)
-   else if num = hc_evt_send then ret (if Event.send ~vm ~port:(arg 2) then ok else err)
-   else if num = hc_evt_ack then begin
-     Event.ack vm;
-     ret ok
-   end
    else ret err);
   Cpu.advance_pc s;
   !action

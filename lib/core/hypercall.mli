@@ -18,9 +18,8 @@
       pairs, r3 = pair count — the Xen-style amortization of page-table
       maintenance
     - [hc_vm_id]: returns the VM id in r1
-    - [hc_evt_send]: r2 = local event-channel port — raise the peer's
-      external line
-    - [hc_evt_ack]: acknowledge (clear) this VM's pending event *)
+
+    Any other number returns -1. *)
 
 val hc_console_putc : int64
 
@@ -32,8 +31,6 @@ val hc_balloon_want : int64
 val hc_pt_update : int64
 val hc_pt_update_batch : int64
 val hc_vm_id : int64
-val hc_evt_send : int64
-val hc_evt_ack : int64
 
 type action =
   | Continue  (** keep running the vCPU *)

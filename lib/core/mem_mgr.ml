@@ -23,12 +23,11 @@ let share_pass vms =
       let host = vm.Vm.host in
       P2m.iter vm.Vm.p2m ~f:(fun ~gfn entry ->
           match entry with
-          | P2m.Present { hpa_ppn; cow = false; writable = _ }
-            when Frame_alloc.refcount host.Host.alloc hpa_ppn > 1 ->
-              (* intentionally shared (grant-mapped): merging it under
-                 COW would silently unshare the channel on first write *)
-              ()
           | P2m.Present { hpa_ppn; cow; writable = _ } -> (
+              (* every frame with a second reference is COW: sharing,
+                 live capture and live restore install it that way, and
+                 a COW break hands out a fresh frame *)
+              assert (cow || Frame_alloc.refcount host.Host.alloc hpa_ppn = 1);
               incr scanned;
               let digest = Phys_mem.frame_hash host.Host.mem ~ppn:hpa_ppn in
               match Hashtbl.find_opt table digest with

@@ -9,6 +9,24 @@ type host_spec = {
 
 let default_host = { cores = 8; ram_mb = 16384; watts_idle = 120.0; watts_per_core = 20.0 }
 
+let deck_fleet =
+  let mk name n cpu mem =
+    List.init n (fun i ->
+        { vm_name = Printf.sprintf "%s-%d" name i; cpu_units = cpu; mem_mb = mem })
+  in
+  List.concat
+    [
+      mk "ad-dc" 4 50 2048;
+      mk "terminal" 8 200 4096;
+      mk "erp-app" 6 150 4096;
+      mk "mssql" 6 250 8192;
+      mk "mail" 2 200 8192;
+      mk "web" 8 100 2048;
+      mk "antivirus" 2 100 2048;
+      mk "devtest" 10 100 2048;
+      mk "legacy-dos" 4 25 512;
+    ]
+
 type assignment = { host_index : int; req : vm_req }
 
 type plan = {

@@ -19,6 +19,12 @@ type host_spec = {
 val default_host : host_spec
 (** 8 cores, 16 GiB, 120 W idle + 20 W/core — a modest 2010-era server. *)
 
+val deck_fleet : vm_req list
+(** The slide deck's 50-VM deployment (E9): domain controllers, terminal
+    servers, ERP app servers, SQL boxes, a mail suite, web servers,
+    antivirus, developer test machines and legacy DOS guests, named
+    [role-i]. *)
+
 type assignment = { host_index : int; req : vm_req }
 
 type plan = {

@@ -41,8 +41,6 @@ type t = {
   engine : Engine.t;
   mem_listener : int option;
       (* write-listener handle on host memory (block engine only) *)
-  event_channels : (int64, t) Hashtbl.t;  (* local port -> peer VM *)
-  mutable event_pending : bool;
   mutable trace : Trace.t option;
   mutable traces_seen : int;
       (* superblock traces already reported to the trace ring; the
@@ -203,7 +201,9 @@ let write_gpa_u64 t gpa v =
     | None -> false
 
 let read_gpa_bytes t gpa len =
-  if len < 0 then None
+  (* bound [len] by guest RAM before allocating: it comes from a guest
+     register *)
+  if len < 0 || len > P2m.gframes t.p2m * page then None
   else begin
     let out = Bytes.create len in
     let rec go gpa off remaining =
@@ -342,8 +342,6 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
       bt_cache = Hashtbl.create 64;
       engine;
       mem_listener;
-      event_channels = Hashtbl.create 4;
-      event_pending = false;
       trace = None;
       traces_seen = 0;
     }

@@ -70,10 +70,6 @@ type t = {
   mem_listener : int option;
       (** host-memory write-listener handle keeping the engine's
           translation cache coherent (block engine only) *)
-  event_channels : (int64, t) Hashtbl.t;
-      (** event-channel ports → peer VM (managed by {!Event}) *)
-  mutable event_pending : bool;
-      (** an unacknowledged event raises the external-interrupt line *)
   mutable trace : Trace.t option;
       (** tracing sink shared with the hypervisor ([None] = tracing off;
           set by {!Hypervisor.set_trace}, inherited at

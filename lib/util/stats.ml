@@ -59,31 +59,3 @@ let geometric_mean xs =
       xs;
     exp (!acc /. float_of_int n)
   end
-
-type running = {
-  mutable count : int;
-  mutable mean_acc : float;
-  mutable m2 : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
-
-let running_create () =
-  { count = 0; mean_acc = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity }
-
-let running_add r x =
-  r.count <- r.count + 1;
-  let delta = x -. r.mean_acc in
-  r.mean_acc <- r.mean_acc +. (delta /. float_of_int r.count);
-  r.m2 <- r.m2 +. (delta *. (x -. r.mean_acc));
-  if x < r.min_v then r.min_v <- x;
-  if x > r.max_v then r.max_v <- x
-
-let running_count r = r.count
-let running_mean r = if r.count = 0 then 0.0 else r.mean_acc
-
-let running_stddev r =
-  if r.count < 2 then 0.0 else sqrt (r.m2 /. float_of_int r.count)
-
-let running_min r = if r.count = 0 then 0.0 else r.min_v
-let running_max r = if r.count = 0 then 0.0 else r.max_v

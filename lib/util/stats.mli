@@ -6,8 +6,7 @@ val mean : float array -> float
 val stddev : float array -> float
 (** [stddev xs] is the {e population} standard deviation (divides the sum
     of squares by [n], not [n-1]); 0 for fewer than two samples.  Bench
-    tables across the repo assume this convention, and
-    {!running_stddev} matches it exactly. *)
+    tables across the repo assume this convention. *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] is the [p]-th percentile (0..100) by linear
@@ -37,17 +36,3 @@ val geometric_mean : float array -> float
 (** [geometric_mean xs] for strictly positive samples; 0 on empty input.
 
     @raise Invalid_argument if any sample is non-positive. *)
-
-type running
-(** Online accumulator (Welford) for mean/variance without storing
-    samples. *)
-
-val running_create : unit -> running
-val running_add : running -> float -> unit
-val running_count : running -> int
-val running_mean : running -> float
-val running_stddev : running -> float
-(** Population ([/ n]) standard deviation, matching {!stddev}. *)
-
-val running_min : running -> float
-val running_max : running -> float

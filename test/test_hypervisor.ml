@@ -134,13 +134,12 @@ let test_multi_vcpu_vm () =
     (fun vcpu -> checkb "vcpu ran" true (vcpu.Vcpu.guest_cycles > 0L))
     vm.Vm.vcpus
 
-(* ---------------- event channels ---------------- *)
+(* ---------------- external interrupts ---------------- *)
 
-let test_event_channel_send_wake () =
+let test_uart_input_wakes_wfi () =
   let hyp = make_hyp () in
-  (* receiver: enable external interrupts, wfi; the handler acks the
-     event and halts *)
-  let receiver_prog =
+  (* enable external interrupts and wait; the handler halts *)
+  let prog =
     [
       la r2 "handler";
       csrw Arch.Stvec r2;
@@ -152,39 +151,16 @@ let test_event_channel_send_wake () =
       wfi;
       jmp "wait";
       label "handler";
-      li r1 Hypercall.hc_evt_ack;
-      hcall;
       halt;
     ]
   in
-  (* sender: signal port 1, then halt *)
-  let sender_prog =
-    [ li r1 Hypercall.hc_evt_send; li r2 1L; hcall; mv r4 r1; halt ]
-  in
-  let receiver = unikernel hyp "receiver" receiver_prog in
-  let sender = unikernel hyp "sender" sender_prog in
-  (match Event.connect ~a:sender ~b:receiver ~port_a:1L ~port_b:1L with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
-  checkb "both halt" true (Hypervisor.run hyp = Hypervisor.All_halted);
-  Alcotest.(check int64) "send succeeded" 0L
-    (Velum_machine.Cpu.get_reg sender.Vm.vcpus.(0).Vcpu.state 4);
-  checkb "event acked" false (Event.pending receiver)
-
-let test_event_channel_errors () =
-  let hyp = make_hyp () in
-  let a = unikernel hyp "a" halt_now in
-  let b = unikernel hyp "b" halt_now in
-  checkb "self connect" true (Event.connect ~a ~b:a ~port_a:1L ~port_b:2L <> Ok ());
-  (match Event.connect ~a ~b ~port_a:1L ~port_b:1L with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
-  checkb "port busy" true (Event.connect ~a ~b ~port_a:1L ~port_b:2L <> Ok ());
-  checkb "unknown port send fails" false (Event.send ~vm:a ~port:9L);
-  Alcotest.(check (list int64)) "ports" [ 1L ] (Event.ports a);
-  checkb "disconnect" true (Event.disconnect ~vm:a ~port:1L);
-  Alcotest.(check (list int64)) "peer end dropped" [] (Event.ports b);
-  checkb "send after disconnect fails" false (Event.send ~vm:a ~port:1L)
+  let vm = unikernel hyp "reader" prog in
+  checkb "no input: nothing wakes it" true (Hypervisor.run hyp = Hypervisor.Idle_deadlock);
+  checkb "blocked in wfi" true (vm.Vm.vcpus.(0).Vcpu.runstate = Vcpu.Blocked);
+  Velum_devices.Uart.feed_input vm.Vm.uart "x";
+  checkb "input wakes it and the handler halts" true
+    (Hypervisor.run hyp = Hypervisor.All_halted);
+  checkb "irq injected" true (Monitor.irq_injections vm.Vm.monitor >= 1)
 
 (* ---------------- CPU caps ---------------- *)
 
@@ -274,6 +250,20 @@ let test_guest_driven_balloon () =
   Alcotest.(check int) "4 pages surrendered" 4 vm.Vm.balloon_pages;
   Alcotest.(check int) "frames back to the host" (free0 + 4)
     (Frame_alloc.free_count (Hypervisor.host hyp).Host.alloc)
+
+let test_console_write_huge_length () =
+  let hyp = make_hyp () in
+  (* lengths far beyond guest RAM must fail the call, not the VMM *)
+  let write_len len dst =
+    [ li r1 Hypercall.hc_console_write; li r2 0L; li r3 len; hcall; mv dst r1 ]
+  in
+  let prog = write_len 0x3FFF_FFFF_FFFF_FFFFL r4 @ write_len 0x100_0000_0000L r5 @ [ halt ] in
+  let vm = unikernel hyp "writer" prog in
+  checkb "halts" true (Hypervisor.run hyp = Hypervisor.All_halted);
+  let reg n = Velum_machine.Cpu.get_reg vm.Vm.vcpus.(0).Vcpu.state n in
+  Alcotest.(check int64) "2^62-1 bytes rejected" (-1L) (reg 4);
+  Alcotest.(check int64) "1 TiB rejected" (-1L) (reg 5);
+  Alcotest.(check string) "nothing written" "" (Vm.console_output vm)
 
 (* ---------------- multiprocessor hosts ---------------- *)
 
@@ -500,11 +490,8 @@ let () =
           Alcotest.test_case "weights between vms" `Quick test_weights_respected_between_vms;
           Alcotest.test_case "multi-vcpu vm" `Quick test_multi_vcpu_vm;
         ] );
-      ( "events",
-        [
-          Alcotest.test_case "send wakes receiver" `Quick test_event_channel_send_wake;
-          Alcotest.test_case "error paths" `Quick test_event_channel_errors;
-        ] );
+      ( "external irq",
+        [ Alcotest.test_case "uart input wakes wfi" `Quick test_uart_input_wakes_wfi ] );
       ( "caps",
         [
           Alcotest.test_case "cap limits a solo vm" `Quick test_cap_limits_solo_vm;
@@ -520,6 +507,8 @@ let () =
           Alcotest.test_case "hypercall from user rejected" `Quick
             test_hypercall_from_user_rejected;
           Alcotest.test_case "guest-driven balloon" `Quick test_guest_driven_balloon;
+          Alcotest.test_case "console write rejects huge length" `Quick
+            test_console_write_huge_length;
         ] );
       ( "smp",
         [

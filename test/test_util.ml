@@ -115,23 +115,9 @@ let test_stats_geomean () =
     (Invalid_argument "Stats.geometric_mean: non-positive sample") (fun () ->
       ignore (Stats.geometric_mean [| 1.0; 0.0 |]))
 
-let test_stats_running () =
-  let r = Stats.running_create () in
-  List.iter (Stats.running_add r) [ 1.0; 2.0; 3.0; 4.0 ];
-  checki "count" 4 (Stats.running_count r);
-  checkf "mean" 2.5 (Stats.running_mean r);
-  checkf "min" 1.0 (Stats.running_min r);
-  checkf "max" 4.0 (Stats.running_max r);
-  checkb "stddev matches batch" true
-    (abs_float (Stats.running_stddev r -. Stats.stddev [| 1.0; 2.0; 3.0; 4.0 |]) < 1e-9)
-
 let test_stats_population_stddev () =
   (* documented convention: population (/ n), not sample (/ n-1) *)
-  checkf "two-point population" 1.0 (Stats.stddev [| 1.0; 3.0 |]);
-  let r = Stats.running_create () in
-  Stats.running_add r 1.0;
-  Stats.running_add r 3.0;
-  checkf "running matches" 1.0 (Stats.running_stddev r)
+  checkf "two-point population" 1.0 (Stats.stddev [| 1.0; 3.0 |])
 
 let test_stats_percentile_nan () =
   Alcotest.check_raises "NaN sample" (Invalid_argument "Stats.percentile: NaN sample")
@@ -486,7 +472,6 @@ let () =
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "jain" `Quick test_stats_jain;
           Alcotest.test_case "geomean" `Quick test_stats_geomean;
-          Alcotest.test_case "running" `Quick test_stats_running;
           Alcotest.test_case "population stddev" `Quick test_stats_population_stddev;
           Alcotest.test_case "percentile NaN" `Quick test_stats_percentile_nan;
           Alcotest.test_case "nearest rank" `Quick test_stats_nearest_rank;

@@ -737,6 +737,37 @@ let test_saved_frames_accounting () =
   checki "saved" 11 (Mem_mgr.saved_frames vms);
   checki "shared entries" 12 (Mem_mgr.shared_frames vms)
 
+(* Destroying one owner of a COW-merged frame leaves the survivor its
+   data and frees exactly the frames nobody else references. *)
+let test_destroy_one_sharer () =
+  let host = Host.create ~frames:512 () in
+  let a = Vm.create ~host ~id:0 ~name:"a" ~mem_frames:16 ~entry:0L () in
+  let b = Vm.create ~host ~id:1 ~name:"b" ~mem_frames:16 ~entry:0L () in
+  ignore (Vm.write_gpa_u64 a 0x3000L 0x1234L);
+  ignore (Vm.write_gpa_u64 b 0x8000L 0x1234L);
+  ignore (Vm.write_gpa_u64 a 0x4000L 0x5555L) (* a's only private frame *);
+  ignore (Mem_mgr.share_pass [ a; b ]);
+  let hpa =
+    match (P2m.get a.Vm.p2m 3L, P2m.get b.Vm.p2m 8L) with
+    | P2m.Present { hpa_ppn = x; cow = true; _ }, P2m.Present { hpa_ppn = y; cow = true; _ }
+      when x = y ->
+        x
+    | _ -> Alcotest.fail "equal frames were not merged"
+  in
+  let alloc = host.Host.alloc in
+  checki "two owners" 2 (Frame_alloc.refcount alloc hpa);
+  let free0 = Frame_alloc.free_count alloc in
+  Vm.destroy a;
+  checki "only a's private frame freed" (free0 + 1) (Frame_alloc.free_count alloc);
+  checki "survivor is the sole owner" 1 (Frame_alloc.refcount alloc hpa);
+  Alcotest.(check (option int64)) "survivor reads its data" (Some 0x1234L)
+    (Vm.read_gpa_u64 b 0x8000L);
+  (* the survivor's write still breaks COW: one frame in, one out *)
+  ignore (Vm.write_gpa_u64 b 0x8008L 0x9L);
+  checki "cow break frees the old copy" (free0 + 1) (Frame_alloc.free_count alloc);
+  Alcotest.(check (option int64)) "data kept across the break" (Some 0x1234L)
+    (Vm.read_gpa_u64 b 0x8000L)
+
 let test_evict_and_fault_back () =
   let host = Host.create ~frames:512 () in
   let vm = Vm.create ~host ~id:0 ~name:"e" ~mem_frames:8 ~entry:0L () in
@@ -748,95 +779,6 @@ let test_evict_and_fault_back () =
   (* reads transparently swap back in *)
   Alcotest.(check (option int64)) "content preserved" (Some 0x77L)
     (Vm.read_gpa_u64 vm 0x2000L)
-
-(* ---------------- Grant tables ---------------- *)
-
-let make_grant_world () =
-  let host = Host.create ~frames:512 () in
-  let a = Vm.create ~host ~id:0 ~name:"grantor" ~mem_frames:16 ~entry:0L () in
-  let b = Vm.create ~host ~id:1 ~name:"grantee" ~mem_frames:16 ~entry:0L () in
-  (* carve a free slot in b *)
-  ignore (Vm.balloon_out b 8L);
-  (host, a, b, Grant.create ())
-
-let ok_or_fail = function Ok v -> v | Error m -> Alcotest.fail m
-
-let test_grant_share_and_write () =
-  let host, a, b, g = make_grant_world () in
-  ignore (Vm.write_gpa_u64 a 0x3000L 0xFEEDL);
-  let r = ok_or_fail (Grant.offer g ~from_vm:a ~gfn:3L ~writable:true) in
-  ok_or_fail (Grant.map g ~grant:r ~into_vm:b ~at_gfn:8L);
-  (* the grantee reads the grantor's data through its own gfn *)
-  Alcotest.(check (option int64)) "b sees a's data" (Some 0xFEEDL)
-    (Vm.read_gpa_u64 b 0x8000L);
-  (* writes are visible both ways (read-write grant) *)
-  ignore (Vm.write_gpa_u64 b 0x8008L 0xBEEFL);
-  Alcotest.(check (option int64)) "a sees b's write" (Some 0xBEEFL)
-    (Vm.read_gpa_u64 a 0x3008L);
-  (* refcount protects the frame *)
-  (match P2m.get a.Vm.p2m 3L with
-  | P2m.Present { hpa_ppn; _ } ->
-      checki "rc 2 while mapped" 2 (Frame_alloc.refcount host.Host.alloc hpa_ppn)
-  | _ -> Alcotest.fail "grantor lost the frame");
-  ok_or_fail (Grant.unmap g ~grant:r);
-  ok_or_fail (Grant.revoke g ~grant:r);
-  checki "table drained" 0 (Grant.active_grants g)
-
-let test_grant_readonly_blocks_stores () =
-  let _, a, b, g = make_grant_world () in
-  let r = ok_or_fail (Grant.offer g ~from_vm:a ~gfn:3L ~writable:false) in
-  ok_or_fail (Grant.map g ~grant:r ~into_vm:b ~at_gfn:8L);
-  (* host-side writes resolve_write: on a read-only grant the p2m entry
-     is non-writable, non-cow — resolve_write would upgrade it, so check
-     the p2m state the hardware enforces against guest stores instead *)
-  (match P2m.get b.Vm.p2m 8L with
-  | P2m.Present { writable = false; cow = false; _ } -> ()
-  | _ -> Alcotest.fail "expected a write-protected mapping");
-  ok_or_fail (Grant.unmap g ~grant:r)
-
-let test_grant_error_paths () =
-  let _, a, b, g = make_grant_world () in
-  let r = ok_or_fail (Grant.offer g ~from_vm:a ~gfn:3L ~writable:true) in
-  checkb "double offer rejected" true
-    (Grant.offer g ~from_vm:a ~gfn:3L ~writable:false = Error "gfn already offered");
-  checkb "self map rejected" true
-    (Grant.map g ~grant:r ~into_vm:a ~at_gfn:8L
-    = Error "cannot map a grant into its owner");
-  checkb "occupied slot rejected" true
-    (Grant.map g ~grant:r ~into_vm:b ~at_gfn:2L = Error "slot not free");
-  ok_or_fail (Grant.map g ~grant:r ~into_vm:b ~at_gfn:8L);
-  checkb "revoke while mapped rejected" true
-    (Grant.revoke g ~grant:r = Error "grant still mapped");
-  checkb "mapped" true (Grant.is_mapped g ~grant:r);
-  ok_or_fail (Grant.unmap g ~grant:r);
-  ok_or_fail (Grant.revoke g ~grant:r)
-
-let test_grant_survives_grantor_destroy () =
-  let host, a, b, g = make_grant_world () in
-  ignore (Vm.write_gpa_u64 a 0x3000L 0x1234L);
-  let r = ok_or_fail (Grant.offer g ~from_vm:a ~gfn:3L ~writable:true) in
-  ok_or_fail (Grant.map g ~grant:r ~into_vm:b ~at_gfn:8L);
-  Vm.destroy a;
-  (* the grantee's mapping still works: the refcount kept the frame *)
-  Alcotest.(check (option int64)) "data survives" (Some 0x1234L)
-    (Vm.read_gpa_u64 b 0x8000L);
-  ignore host
-
-let test_grant_excluded_from_sharing () =
-  let _, a, b, g = make_grant_world () in
-  ignore (Vm.write_gpa_u64 a 0x3000L 0x77L);
-  ignore (Vm.write_gpa_u64 b 0x2000L 0x77L) (* same content elsewhere *);
-  let r = ok_or_fail (Grant.offer g ~from_vm:a ~gfn:3L ~writable:true) in
-  ok_or_fail (Grant.map g ~grant:r ~into_vm:b ~at_gfn:8L);
-  ignore (Mem_mgr.share_pass [ a; b ]);
-  (* the granted frame stayed plain (not COW) in both p2ms *)
-  (match (P2m.get a.Vm.p2m 3L, P2m.get b.Vm.p2m 8L) with
-  | P2m.Present { cow = false; _ }, P2m.Present { cow = false; _ } -> ()
-  | _ -> Alcotest.fail "granted frame was merged");
-  (* writes still propagate *)
-  ignore (Vm.write_gpa_u64 a 0x3010L 0x99L);
-  Alcotest.(check (option int64)) "still shared" (Some 0x99L)
-    (Vm.read_gpa_u64 b 0x8010L)
 
 (* ---------------- Placement ---------------- *)
 
@@ -874,6 +816,16 @@ let test_cost_savings_positive () =
   checkb "per-server band" true
     (r.Placement.euro_saved_per_displaced_server > 100.0
     && r.Placement.euro_saved_per_displaced_server < 500.0)
+
+(* E9's numbers (EXPERIMENTS.md) for the deck's fleet on the default host *)
+let test_deck_fleet () =
+  let spec = Placement.default_host and fleet = Placement.deck_fleet in
+  checki "VMs" 50 (List.length fleet);
+  let plan = Placement.first_fit_decreasing spec fleet in
+  checki "hosts" 11 plan.Placement.hosts_used;
+  let r = Placement.cost_savings spec fleet plan in
+  checki "EUR per displaced server per year" 202
+    (Float.to_int (Float.round r.Placement.euro_saved_per_displaced_server))
 
 (* ---------------- Snapshot error paths ---------------- *)
 
@@ -1082,22 +1034,14 @@ let () =
           Alcotest.test_case "share idempotent" `Quick test_share_pass_idempotent;
           Alcotest.test_case "saved accounting" `Quick test_saved_frames_accounting;
           Alcotest.test_case "evict and fault back" `Quick test_evict_and_fault_back;
-        ] );
-      ( "grant",
-        [
-          Alcotest.test_case "share and write" `Quick test_grant_share_and_write;
-          Alcotest.test_case "readonly" `Quick test_grant_readonly_blocks_stores;
-          Alcotest.test_case "error paths" `Quick test_grant_error_paths;
-          Alcotest.test_case "survives grantor destroy" `Quick
-            test_grant_survives_grantor_destroy;
-          Alcotest.test_case "excluded from sharing" `Quick
-            test_grant_excluded_from_sharing;
+          Alcotest.test_case "destroy one sharer" `Quick test_destroy_one_sharer;
         ] );
       ( "placement",
         [
           Alcotest.test_case "ffd packs" `Quick test_ffd_packs;
           Alcotest.test_case "rejects oversized" `Quick test_ffd_rejects_oversized;
           Alcotest.test_case "cost savings" `Quick test_cost_savings_positive;
+          Alcotest.test_case "deck fleet" `Quick test_deck_fleet;
         ] );
       ( "snapshot",
         [
