@@ -2548,8 +2548,7 @@ let bechamel_suite () =
                    {
                      Cpu.translate =
                        (fun ~access ~user va -> Mmu.translate platform.Platform.mmu ~access ~user va);
-                     read_ram = (fun pa w -> Phys_mem.read platform.Platform.mem pa w);
-                     write_ram = (fun pa w v -> Phys_mem.write platform.Platform.mem pa w v);
+                     mem = platform.Platform.mem;
                      flush_tlb = (fun () -> Mmu.flush platform.Platform.mmu);
                      now = (fun () -> 0L);
                      ext_irq = (fun () -> false);

@@ -30,7 +30,7 @@ let world_switch_cost (vm : Vm.t) (vcpu : Vcpu.t) ~now =
   match vm.Vm.exec_mode with
   | Vm.Trap_emulate -> cost.Cost_model.vmexit
   | Vm.Binary_translation ->
-      let pc = vcpu.Vcpu.state.Cpu.pc in
+      let pc = Cpu.pc vcpu.Vcpu.state in
       if Hashtbl.mem vm.Vm.bt_cache pc then cost.Cost_model.bt_exec
       else begin
         Hashtbl.replace vm.Vm.bt_cache pc ();
@@ -171,7 +171,7 @@ let emulate_mmio_insn (vm : Vm.t) ~vcpu_idx ~now ~gpa =
   let s = vcpu.Vcpu.state in
   let cost = vm.Vm.host.Host.cost in
   Bus.tick vm.Vm.bus now;
-  match Option.bind (Vm.read_guest_va vm ~vcpu_idx s.Cpu.pc) Instr.decode with
+  match Option.bind (Vm.read_guest_va vm ~vcpu_idx (Cpu.pc s)) Instr.decode with
   | Some (Instr.Load { rd; width; _ }) ->
       let v = Option.value (Bus.read vm.Vm.bus gpa width) ~default:0L in
       Cpu.set_reg s rd v;
@@ -286,7 +286,7 @@ let handle_page_fault (vm : Vm.t) ~vcpu_idx ~now ~access ~va =
         | Shadow.Target_mmio { gpa } -> emulate_mmio_insn vm ~vcpu_idx ~now ~gpa
         | Shadow.Pt_write { gpa } -> (
             (* Decode the trapped store and apply it to both trees. *)
-            match Option.bind (Vm.read_guest_va vm ~vcpu_idx s.Cpu.pc) Instr.decode with
+            match Option.bind (Vm.read_guest_va vm ~vcpu_idx (Cpu.pc s)) Instr.decode with
             | Some (Instr.Store { src; width = Instr.W64; _ }) ->
                 (* adaptive BT retranslates hot PT-write sites so later
                    updates skip the hardware fault *)

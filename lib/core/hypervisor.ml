@@ -201,8 +201,7 @@ let exec_vcpu t vm ~vcpu_idx ~base ~slice =
   let ctx =
     {
       Cpu.translate = Vm.translate vm ~vcpu_idx;
-      read_ram = (fun pa w -> Phys_mem.read h.Host.mem pa w);
-      write_ram = (fun pa w v -> Phys_mem.write h.Host.mem pa w v);
+      mem = h.Host.mem;
       flush_tlb = (fun () -> Vm.flush_vcpu_tlb vm ~vcpu_idx);
       now = now_fn;
       ext_irq = (fun () -> false);

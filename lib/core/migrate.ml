@@ -215,9 +215,8 @@ let copy_vcpus ~(vm : Vm.t) ~(twin : Vm.t) =
   Array.iteri
     (fun i (vcpu : Vcpu.t) ->
       let s = vcpu.Vcpu.state and d = twin.Vm.vcpus.(i).Vcpu.state in
-      Array.blit s.Cpu.regs 0 d.Cpu.regs 0 (Array.length s.Cpu.regs);
+      Bytes.blit s.Cpu.regs 0 d.Cpu.regs 0 (Bytes.length s.Cpu.regs);
       Array.blit s.Cpu.csrs 0 d.Cpu.csrs 0 (Array.length s.Cpu.csrs);
-      d.Cpu.pc <- s.Cpu.pc;
       d.Cpu.mode <- s.Cpu.mode;
       d.Cpu.halted <- s.Cpu.halted;
       d.Cpu.waiting <- s.Cpu.waiting;

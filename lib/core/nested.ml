@@ -165,12 +165,9 @@ let translate t ~guest_satp ~tlb ~access ~user va =
     | _ -> None
   in
   match hit with
-  | Some e when e.mmio ->
-      Tlb.note_hit tlb;
-      Ok { Cpu.pa = Int64.logor (frame_base e.ppn) (page_off va); mmio = true; xlate_cycles = 0 }
   | Some e ->
       Tlb.note_hit tlb;
-      Ok { Cpu.pa = Int64.logor (frame_base e.ppn) (page_off va); mmio = false; xlate_cycles = 0 }
+      Cpu.xl_frame ~ppn:e.ppn ~va ~mmio:e.mmio ~cycles:0
   | None -> (
       Tlb.note_miss tlb;
       let outcome =
@@ -182,12 +179,8 @@ let translate t ~guest_satp ~tlb ~access ~user va =
       | W_ram { hpa_ppn; perms; dirty_ok; refs } ->
           Tlb.insert tlb
             { Tlb.vpn; ppn = hpa_ppn; perms; dirty_ok; mmio = false; superpage = false };
-          Ok
-            {
-              Cpu.pa = Int64.logor (frame_base hpa_ppn) (page_off va);
-              mmio = false;
-              xlate_cycles = (refs * cost.Cost_model.pt_ref) + cost.Cost_model.tlb_fill;
-            }
+          Cpu.xl_frame ~ppn:hpa_ppn ~va ~mmio:false
+            ~cycles:((refs * cost.Cost_model.pt_ref) + cost.Cost_model.tlb_fill)
       | W_mmio { gpa } ->
           (* Cache the guest-physical page so repeated device touches
              skip the walk; the exit itself still happens. *)
@@ -200,9 +193,9 @@ let translate t ~guest_satp ~tlb ~access ~user va =
               mmio = true;
               superpage = false;
             };
-          Ok { Cpu.pa = gpa; mmio = true; xlate_cycles = 0 }
-      | W_guest_fault | W_host_fault _ -> Error `Page
-      | W_bad -> Error `Access)
+          Cpu.xl_make ~pa:(Int64.to_int gpa) ~mmio:true ~cycles:0
+      | W_guest_fault | W_host_fault _ -> Cpu.xl_page
+      | W_bad -> Cpu.xl_access)
 
 type classify =
   | Guest_level

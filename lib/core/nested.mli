@@ -9,7 +9,7 @@
     of [n].
 
     Host-level conditions (not-present, COW, write-protection for dirty
-    logging, swapped, ballooned, post-copy remote) surface as [`Page]
+    logging, swapped, ballooned, post-copy remote) surface as {!Cpu.xl_page}
     faults that the hypervisor services without the guest noticing. *)
 
 open Velum_isa
@@ -37,18 +37,18 @@ val translate :
   access:Arch.access ->
   user:bool ->
   int64 ->
-  (Cpu.xlate, Cpu.xlate_fault) result
+  int
 (** Full two-dimensional translation.  With guest paging disabled the
     guest-virtual address {e is} the guest-physical address and only the
     host dimension is walked.  Permission outcomes:
 
-    - guest-level denial (invalid/permission PTE) → [`Page] (the
+    - guest-level denial (invalid/permission PTE) → {!Cpu.xl_page} (the
       hypervisor reflects a fault into the guest);
-    - host-level denial (p2m not Present-writable as needed) → [`Page]
+    - host-level denial (p2m not Present-writable as needed) → {!Cpu.xl_page}
       (the hypervisor repairs and resumes);
-    - guest-physical address in the device window → [Ok] with
-      [mmio = true];
-    - guest-physical address beyond the VM's memory → [`Access]. *)
+    - guest-physical address in the device window → a translation with
+      the MMIO flag set;
+    - guest-physical address beyond the VM's memory → {!Cpu.xl_access}. *)
 
 type classify =
   | Guest_level  (** the guest's own tables deny the access — reflect *)
@@ -59,4 +59,4 @@ type classify =
 val classify_fault :
   t -> guest_satp:int64 -> access:Arch.access -> user:bool -> va:int64 -> classify
 (** Software re-walk used by the hypervisor's fault handler to decide
-    what a [`Page] exit from {!translate} means. *)
+    what a {!Cpu.xl_page} result from {!translate} means. *)

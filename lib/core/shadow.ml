@@ -239,7 +239,7 @@ let flush_all t =
 
 let translate t ~root_gfn ~tlb ~access ~user va =
   match Hashtbl.find_opt t.pairs root_gfn with
-  | None -> Error `Page
+  | None -> Cpu.xl_page
   | Some root_pair -> (
       let vpn = Int64.shift_right_logical va Arch.page_shift in
       let perms_allow (p : Pte.perms) =
@@ -259,12 +259,7 @@ let translate t ~root_gfn ~tlb ~access ~user va =
       match hit with
       | Some e ->
           Tlb.note_hit tlb;
-          Ok
-            {
-              Cpu.pa = Int64.logor (frame_base e.ppn) (page_off va);
-              mmio = false;
-              xlate_cycles = 0;
-            }
+          Cpu.xl_frame ~ppn:e.ppn ~va ~mmio:false ~cycles:0
       | None -> (
           Tlb.note_miss tlb;
           let acc =
@@ -274,9 +269,9 @@ let translate t ~root_gfn ~tlb ~access ~user va =
             }
           in
           match Page_table.walk acc ~root_ppn:root_pair.shadow_ppn va with
-          | Error _ -> Error `Page
+          | Error _ -> Cpu.xl_page
           | Ok { pte; refs; _ } ->
-              if not (Pte.allows pte access ~user) then Error `Page
+              if not (Pte.allows pte access ~user) then Cpu.xl_page
               else begin
                 let perms = Pte.perms pte in
                 Tlb.insert tlb
@@ -289,13 +284,8 @@ let translate t ~root_gfn ~tlb ~access ~user va =
                     superpage = false;
                   };
                 let cost = t.env.cost in
-                Ok
-                  {
-                    Cpu.pa = Int64.logor (frame_base (Pte.ppn pte)) (page_off va);
-                    mmio = false;
-                    xlate_cycles =
-                      (refs * cost.Cost_model.pt_ref) + cost.Cost_model.tlb_fill;
-                  }
+                Cpu.xl_frame ~ppn:(Pte.ppn pte) ~va ~mmio:false
+                  ~cycles:((refs * cost.Cost_model.pt_ref) + cost.Cost_model.tlb_fill)
               end))
 
 let take_tlb_flush t =

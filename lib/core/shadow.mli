@@ -105,8 +105,8 @@ val translate :
   access:Arch.access ->
   user:bool ->
   int64 ->
-  (Cpu.xlate, Cpu.xlate_fault) result
+  int
 (** The translate function the deprivileged hart runs with while the
     guest has paging enabled: TLB, then a one-dimensional walk of the
     shadow tree.  Every miss that the shadow tree cannot satisfy is a
-    [`Page] fault, which the hypervisor routes to {!handle_fault}. *)
+    {!Cpu.xl_page} fault, which the hypervisor routes to {!handle_fault}. *)

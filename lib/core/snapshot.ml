@@ -28,6 +28,13 @@ let get_i64 r =
 
 let get_int r = Int64.to_int (get_i64 r)
 
+(* Fill [dst] from the next [Bytes.length dst] bytes. *)
+let get_bytes r dst =
+  let n = Bytes.length dst in
+  if r.pos + n > Bytes.length r.data then failwith "Snapshot: truncated image";
+  Bytes.blit r.data r.pos dst 0 n;
+  r.pos <- r.pos + n
+
 let get_str r =
   let n = get_int r in
   if n < 0 || r.pos + n > Bytes.length r.data then failwith "Snapshot: truncated image";
@@ -91,8 +98,8 @@ let header (vm : Vm.t) =
   Array.iter
     (fun (vcpu : Vcpu.t) ->
       let s = vcpu.Vcpu.state in
-      Array.iter (add_i64 buf) s.Cpu.regs;
-      add_i64 buf s.Cpu.pc;
+      (* 16 registers then the PC: the register file's own layout *)
+      Buffer.add_bytes buf s.Cpu.regs;
       add_int buf (match s.Cpu.mode with Arch.User -> 0 | Arch.Supervisor -> 1);
       Array.iter (add_i64 buf) s.Cpu.csrs;
       add_int buf (if s.Cpu.halted then 1 else 0);
@@ -300,10 +307,7 @@ let restore hyp image =
     Array.iter
       (fun (vcpu : Vcpu.t) ->
         let s = vcpu.Vcpu.state in
-        for i = 0 to Array.length s.Cpu.regs - 1 do
-          s.Cpu.regs.(i) <- get_i64 r
-        done;
-        s.Cpu.pc <- get_i64 r;
+        get_bytes r s.Cpu.regs;
         s.Cpu.mode <- (if get_int r = 0 then Arch.User else Arch.Supervisor);
         for i = 0 to Array.length s.Cpu.csrs - 1 do
           s.Cpu.csrs.(i) <- get_i64 r
@@ -403,9 +407,8 @@ let restore_live hyp (l : live) =
     (fun i (state, runstate) ->
       let vcpu = vm.Vm.vcpus.(i) in
       let s = vcpu.Vcpu.state in
-      Array.blit state.Cpu.regs 0 s.Cpu.regs 0 (Array.length s.Cpu.regs);
+      Bytes.blit state.Cpu.regs 0 s.Cpu.regs 0 (Bytes.length s.Cpu.regs);
       Array.blit state.Cpu.csrs 0 s.Cpu.csrs 0 (Array.length s.Cpu.csrs);
-      s.Cpu.pc <- state.Cpu.pc;
       s.Cpu.mode <- state.Cpu.mode;
       s.Cpu.halted <- state.Cpu.halted;
       s.Cpu.waiting <- state.Cpu.waiting;

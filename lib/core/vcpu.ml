@@ -57,4 +57,4 @@ let runstate_name = function
 
 let pp ppf t =
   Format.fprintf ppf "vcpu%d(vm%d, %s, pc=0x%Lx)" t.id t.vm_id (runstate_name t.runstate)
-    t.state.Cpu.pc
+    (Cpu.pc t.state)

@@ -234,13 +234,9 @@ let write_gpa_bytes t gpa b =
       | None -> false
       | Some ppn ->
           let in_page = min remaining (page - Int64.to_int (page_off gpa)) in
-          let base = Int64.to_int (Int64.logor (frame_base ppn) (page_off gpa)) in
-          for i = 0 to in_page - 1 do
-            Phys_mem.write t.host.Host.mem
-              (Int64.of_int (base + i))
-              Instr.W8
-              (Int64.of_int (Char.code (Bytes.get b (off + i))))
-          done;
+          Phys_mem.load_bytes t.host.Host.mem
+            ~pa:(Int64.logor (frame_base ppn) (page_off gpa))
+            ~pos:off ~len:in_page b;
           go (Int64.add gpa (Int64.of_int in_page)) (off + in_page) (remaining - in_page)
   in
   go gpa 0 len
@@ -282,7 +278,8 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
     Option.map
       (fun cache ->
         Phys_mem.add_write_listener host.Host.mem (fun ~ppn ~lo ~hi ->
-            Trans_cache.invalidate_range cache ~ppn ~lo ~hi))
+            Trans_cache.invalidate_range cache ~ppn ~lo ~hi;
+            Trans_cache.has_frame cache ~ppn))
       engine.Engine.cache
   in
   let p2m = P2m.create ~gframes:mem_frames in
@@ -474,7 +471,7 @@ let read_guest_va t ~vcpu_idx va =
 (* Shadow mode with guest paging disabled: guest-virtual = guest-physical
    through the hypervisor's direct map (still a 1-D walk on a miss). *)
 let translate_bare_shadow t ~tlb ~access va =
-  if Bus.is_mmio va then Ok { Cpu.pa = va; mmio = true; xlate_cycles = 0 }
+  if Bus.is_mmio va then Cpu.xl_make ~pa:(Int64.to_int va) ~mmio:true ~cycles:0
   else begin
     let vpn = gfn_of va in
     let hit =
@@ -486,20 +483,15 @@ let translate_bare_shadow t ~tlb ~access va =
     match hit with
     | Some e ->
         Tlb.note_hit tlb;
-        Ok
-          {
-            Cpu.pa = Int64.logor (frame_base e.Tlb.ppn) (page_off va);
-            mmio = false;
-            xlate_cycles = 0;
-          }
+        Cpu.xl_frame ~ppn:e.Tlb.ppn ~va ~mmio:false ~cycles:0
     | None -> (
         Tlb.note_miss tlb;
-        if not (P2m.in_range t.p2m vpn) then Error `Access
+        if not (P2m.in_range t.p2m vpn) then Cpu.xl_access
         else
           match P2m.get t.p2m vpn with
           | P2m.Present { hpa_ppn; writable; cow } ->
               let w = writable && not cow in
-              if access = Arch.Store && not w then Error `Page
+              if access = Arch.Store && not w then Cpu.xl_page
               else begin
                 Tlb.insert tlb
                   {
@@ -511,15 +503,11 @@ let translate_bare_shadow t ~tlb ~access va =
                     superpage = false;
                   };
                 let cost = t.host.Host.cost in
-                Ok
-                  {
-                    Cpu.pa = Int64.logor (frame_base hpa_ppn) (page_off va);
-                    mmio = false;
-                    xlate_cycles = Cost_model.walk_cycles_1d cost + cost.Cost_model.tlb_fill;
-                  }
+                Cpu.xl_frame ~ppn:hpa_ppn ~va ~mmio:false
+                  ~cycles:(Cost_model.walk_cycles_1d cost + cost.Cost_model.tlb_fill)
               end
-          | P2m.Swapped _ | P2m.Remote -> Error `Page
-          | P2m.Ballooned | P2m.Absent -> Error `Access)
+          | P2m.Swapped _ | P2m.Remote -> Cpu.xl_page
+          | P2m.Ballooned | P2m.Absent -> Cpu.xl_access)
   end
 
 (* Applying [translate t ~vcpu_idx] resolves everything that is fixed

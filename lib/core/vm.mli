@@ -173,7 +173,7 @@ val translate :
   access:Arch.access ->
   user:bool ->
   int64 ->
-  (Cpu.xlate, Cpu.xlate_fault) result
+  int
 (** The translate function installed in the deprivileged hart's context;
     dispatches on paging mode and the vCPU's virtual [satp].  Applying it
     to [t] and [~vcpu_idx] alone binds the paging mode, the pager, the

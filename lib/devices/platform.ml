@@ -89,7 +89,8 @@ let create ?(frames = 4096) ?(cost = Cost_model.default) ?(tlb_size = 64)
     (fun cache ->
       ignore
         (Phys_mem.add_write_listener mem (fun ~ppn ~lo ~hi ->
-             Trans_cache.invalidate_range cache ~ppn ~lo ~hi)))
+             Trans_cache.invalidate_range cache ~ppn ~lo ~hi;
+             Trans_cache.has_frame cache ~ppn)))
     engine.Engine.cache;
   {
     mem;
@@ -117,9 +118,9 @@ let notify_io t ~write ~addr =
 let load_image t (img : Asm.image) = Phys_mem.load_bytes t.mem ~pa:img.origin img.code
 
 let boot t ~entry =
-  Array.fill t.cpu.Cpu.regs 0 Arch.num_regs 0L;
+  Bytes.fill t.cpu.Cpu.regs 0 (Bytes.length t.cpu.Cpu.regs) '\000';
   Array.fill t.cpu.Cpu.csrs 0 (Array.length t.cpu.Cpu.csrs) 0L;
-  t.cpu.Cpu.pc <- entry;
+  Cpu.set_pc t.cpu entry;
   t.cpu.Cpu.mode <- Arch.Supervisor;
   t.cpu.Cpu.halted <- false;
   t.cpu.Cpu.waiting <- false
@@ -129,8 +130,7 @@ type outcome = Halted | Out_of_budget | Deadlock
 let make_ctx t =
   {
     Cpu.translate = (fun ~access ~user va -> Mmu.translate t.mmu ~access ~user va);
-    read_ram = (fun pa w -> Phys_mem.read t.mem pa w);
-    write_ram = (fun pa w v -> Phys_mem.write t.mem pa w v);
+    mem = t.mem;
     flush_tlb =
       (fun () ->
         Mmu.flush t.mmu;

@@ -2,8 +2,7 @@ open Velum_isa
 open Velum_util
 
 type state = {
-  regs : int64 array;
-  mutable pc : int64;
+  regs : Bytes.t;
   mutable mode : Arch.mode;
   csrs : int64 array;
   mutable halted : bool;
@@ -11,12 +10,23 @@ type state = {
   mutable instret : int64;
 }
 
+external slot_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external slot_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* The slots are native-endian; the snapshot image stores them
+   little-endian with one blit, which is only the same bytes on a
+   little-endian host. *)
+let () = if Sys.big_endian then failwith "Velum needs a little-endian host"
+
+let pc_slot = 8 * Arch.num_regs
+let regs_bytes = pc_slot + 8
 let num_csrs = List.length Arch.all_csrs
 
 let create_state ?(pc = 0L) ?(mode = Arch.Supervisor) () =
+  let regs = Bytes.make regs_bytes '\000' in
+  slot_set regs pc_slot pc;
   {
-    regs = Array.make Arch.num_regs 0L;
-    pc;
+    regs;
     mode;
     csrs = Array.make num_csrs 0L;
     halted = false;
@@ -26,8 +36,7 @@ let create_state ?(pc = 0L) ?(mode = Arch.Supervisor) () =
 
 let copy_state s =
   {
-    regs = Array.copy s.regs;
-    pc = s.pc;
+    regs = Bytes.copy s.regs;
     mode = s.mode;
     csrs = Array.copy s.csrs;
     halted = s.halted;
@@ -35,8 +44,16 @@ let copy_state s =
     instret = s.instret;
   }
 
-let get_reg s r = s.regs.(r)
-let set_reg s r v = if r <> 0 then s.regs.(r) <- v
+let reg_slot r =
+  if r < 0 || r >= Arch.num_regs then invalid_arg "Cpu: register index out of range";
+  r lsl 3
+
+let get_reg s r = slot_get s.regs (reg_slot r)
+let set_reg s r v =
+  let o = reg_slot r in
+  if o <> 0 then slot_set s.regs o v
+let pc s = slot_get s.regs pc_slot
+let set_pc s v = slot_set s.regs pc_slot v
 let get_csr s c = s.csrs.(Arch.csr_index c)
 let set_csr s c v = s.csrs.(Arch.csr_index c) <- v
 
@@ -48,7 +65,7 @@ let spp_bit = 61
 let gie s = Bitops.test_bit (get_csr s Arch.Sie) gie_bit
 
 let deliver_trap s ~cause ~tval =
-  set_csr s Arch.Sepc s.pc;
+  set_csr s Arch.Sepc (pc s);
   set_csr s Arch.Scause (Arch.cause_code cause);
   set_csr s Arch.Stval tval;
   let sie = get_csr s Arch.Sie in
@@ -58,13 +75,13 @@ let deliver_trap s ~cause ~tval =
   set_csr s Arch.Sie sie;
   s.mode <- Arch.Supervisor;
   s.waiting <- false;
-  s.pc <- get_csr s Arch.Stvec
+  set_pc s (get_csr s Arch.Stvec)
 
 let apply_sret s =
   let sie = get_csr s Arch.Sie in
   s.mode <- (if Bitops.test_bit sie spp_bit then Arch.Supervisor else Arch.User);
   set_csr s Arch.Sie (Bitops.set_bit sie gie_bit (Bitops.test_bit sie spie_bit));
-  s.pc <- get_csr s Arch.Sepc
+  set_pc s (get_csr s Arch.Sepc)
 
 let timer_pending s ~now =
   let cmp = get_csr s Arch.Stimecmp in
@@ -88,8 +105,31 @@ let csr_read_native s ~now ~ext_irq = function
   | Arch.Sip -> synth_sip s ~now ~ext_irq
   | c -> get_csr s c
 
-type xlate = { pa : int64; mmio : bool; xlate_cycles : int }
-type xlate_fault = [ `Page | `Access ]
+(* A translation result is one immediate int: bits 0-47 the physical
+   address, bit 48 the MMIO flag, bits 49-61 the walk cycles; a negative
+   value is a fault code.  A zero-cycle RAM translation is its address. *)
+let pa_bits = 48
+let pa_mask = (1 lsl pa_bits) - 1
+let mmio_flag = 1 lsl pa_bits
+let cycles_shift = pa_bits + 1
+let max_xlate_cycles = (1 lsl (Sys.int_size - 1 - cycles_shift)) - 1
+let xl_page = -1
+let xl_access = -2
+
+let xl_make ~pa ~mmio ~cycles =
+  if pa < 0 || pa > pa_mask then invalid_arg "Cpu.xl_make: address outside [0, 2^48)";
+  if cycles < 0 || cycles > max_xlate_cycles then
+    invalid_arg "Cpu.xl_make: walk cycles do not fit";
+  pa lor (if mmio then mmio_flag else 0) lor (cycles lsl cycles_shift)
+
+let xl_frame ~ppn ~va ~mmio ~cycles =
+  xl_make
+    ~pa:((Int64.to_int ppn lsl Arch.page_shift) lor (Int64.to_int va land (Arch.page_size - 1)))
+    ~mmio ~cycles
+
+let xl_pa x = x land pa_mask
+let xl_mmio x = x land mmio_flag <> 0
+let xl_cycles x = x lsr cycles_shift
 
 type env =
   | Native of {
@@ -101,9 +141,8 @@ type env =
   | Deprivileged
 
 type ctx = {
-  translate : access:Arch.access -> user:bool -> int64 -> (xlate, xlate_fault) result;
-  read_ram : int64 -> Instr.width -> int64;
-  write_ram : int64 -> Instr.width -> int64 -> unit;
+  translate : access:Arch.access -> user:bool -> int64 -> int;
+  mem : Phys_mem.t;
   flush_tlb : unit -> unit;
   now : unit -> int64;
   ext_irq : unit -> bool;
@@ -133,7 +172,8 @@ let pp_vmexit ppf = function
       Format.fprintf ppf "mmio-store(0x%Lx, %d, 0x%Lx)" pa (Instr.width_bytes width) value
   | X_hypercall -> Format.pp_print_string ppf "hypercall"
 
-let advance_pc s = s.pc <- Int64.add s.pc (Int64.of_int Arch.instr_bytes)
+let instr_bytes64 = Int64.of_int Arch.instr_bytes
+let advance_pc s = set_pc s (Int64.add (pc s) instr_bytes64)
 
 type stop = Budget | Halted | Waiting | Exit of vmexit
 
@@ -194,53 +234,69 @@ let trap_or_exit s ctx cause tval cycles =
     Retired (cycles + ctx.cost.Cost_model.trap_enter)
   end
 
-(* Data access: translate, then dispatch to RAM, a device, or an exit.
-   [mmio_rd] is the destination register when this is a load (used in
-   the MMIO-load exit payload); [store_value] distinguishes stores. *)
-let data_access s ctx access va width ~mmio_rd ~store_value
-    ~(k_load : int64 -> int -> step) =
-  let cost = ctx.cost in
-  let bytes = Instr.width_bytes width in
-  if Int64.rem va (Int64.of_int bytes) <> 0L then
-    trap_or_exit s ctx (Arch.fault_cause access `Misaligned) va cost.base_instr
+(* A misaligned access, on top of the translator's fault codes. *)
+let misaligned = -3
+
+let translate_data s ctx access va width =
+  if Int64.logand va (Int64.of_int (Instr.width_bytes width - 1)) <> 0L then misaligned
+  else ctx.translate ~access ~user:(s.mode = Arch.User) va
+
+(* The outcome of a data access whose translation failed with [code]. *)
+let data_fault s ctx access va code =
+  let base = ctx.cost.Cost_model.base_instr in
+  if code = misaligned then trap_or_exit s ctx (Arch.fault_cause access `Misaligned) va base
+  else if code = xl_page && is_deprivileged ctx then
+    Stop_exec (Exit (X_page_fault { access; va }), base)
   else
-    let user = s.mode = Arch.User in
-    match ctx.translate ~access ~user va with
-    | Error `Page ->
-        if is_deprivileged ctx then
-          Stop_exec (Exit (X_page_fault { access; va }), cost.base_instr)
-        else trap_or_exit s ctx (Arch.fault_cause access `Page) va cost.base_instr
-    | Error `Access -> trap_or_exit s ctx (Arch.fault_cause access `Access) va cost.base_instr
-    | Ok { pa; mmio; xlate_cycles } -> (
-        let cyc = cost.base_instr + cost.mem_access + xlate_cycles in
-        if mmio then
-          match ctx.env with
-          | Deprivileged -> (
-              match store_value with
-              | None ->
-                  Stop_exec
-                    (Exit (X_mmio_load { rd = mmio_rd; pa; width }), cost.base_instr)
-              | Some value ->
-                  Stop_exec (Exit (X_mmio_store { pa; width; value }), cost.base_instr))
-          | Native { mmio_read; mmio_write; _ } -> (
-              match store_value with
-              | None -> (
-                  match mmio_read pa width with
-                  | Some v -> k_load v (cyc + cost.mmio_device)
-                  | None -> trap_or_exit s ctx (Arch.fault_cause access `Access) va cost.base_instr)
-              | Some v ->
-                  if mmio_write pa width v then begin
-                    advance_pc s;
-                    Retired (cyc + cost.mmio_device)
-                  end
-                  else trap_or_exit s ctx (Arch.fault_cause access `Access) va cost.base_instr)
-        else
-          match store_value with
-          | None -> k_load (ctx.read_ram pa width) cyc
+    trap_or_exit s ctx
+      (Arch.fault_cause access (if code = xl_page then `Page else `Access))
+      va base
+
+(* Loads and stores: translate, then go to RAM, a device, or an exit. *)
+let exec_load s ctx rd va width =
+  let x = translate_data s ctx Arch.Load va width in
+  if x < 0 then data_fault s ctx Arch.Load va x
+  else
+    let cost = ctx.cost in
+    let cyc = cost.base_instr + cost.mem_access + xl_cycles x in
+    if not (xl_mmio x) then begin
+      set_reg s rd (Phys_mem.read_at ctx.mem (xl_pa x) width);
+      advance_pc s;
+      Retired cyc
+    end
+    else
+      let pa = Int64.of_int (xl_pa x) in
+      match ctx.env with
+      | Deprivileged -> Stop_exec (Exit (X_mmio_load { rd; pa; width }), cost.base_instr)
+      | Native { mmio_read; _ } -> (
+          match mmio_read pa width with
           | Some v ->
-              ctx.write_ram pa width v;
+              set_reg s rd v;
               advance_pc s;
-              Retired cyc)
+              Retired (cyc + cost.mmio_device)
+          | None -> trap_or_exit s ctx Arch.Load_access_fault va cost.base_instr)
+
+let exec_store s ctx va width v =
+  let x = translate_data s ctx Arch.Store va width in
+  if x < 0 then data_fault s ctx Arch.Store va x
+  else
+    let cost = ctx.cost in
+    let cyc = cost.base_instr + cost.mem_access + xl_cycles x in
+    if not (xl_mmio x) then begin
+      Phys_mem.write_at ctx.mem (xl_pa x) width v;
+      advance_pc s;
+      Retired cyc
+    end
+    else
+      let pa = Int64.of_int (xl_pa x) in
+      match ctx.env with
+      | Deprivileged -> Stop_exec (Exit (X_mmio_store { pa; width; value = v }), cost.base_instr)
+      | Native { mmio_write; _ } ->
+          if mmio_write pa width v then begin
+            advance_pc s;
+            Retired (cyc + cost.mmio_device)
+          end
+          else trap_or_exit s ctx Arch.Store_access_fault va cost.base_instr
 
 (* Reached only on a native hart in supervisor mode. *)
 let exec_privileged s ctx insn =
@@ -310,30 +366,22 @@ let exec_insn s ctx insn =
       advance_pc s;
       Retired cost.base_instr
   | Instr.Load { rd; base; off; width } ->
-      let va = Int64.add (get_reg s base) off in
-      data_access s ctx Arch.Load va width ~mmio_rd:rd ~store_value:None
-        ~k_load:(fun v cyc ->
-          set_reg s rd v;
-          advance_pc s;
-          Retired cyc)
+      exec_load s ctx rd (Int64.add (get_reg s base) off) width
   | Instr.Store { src; base; off; width } ->
-      let va = Int64.add (get_reg s base) off in
-      data_access s ctx Arch.Store va width ~mmio_rd:0
-        ~store_value:(Some (get_reg s src))
-        ~k_load:(fun _ _ -> assert false)
+      exec_store s ctx (Int64.add (get_reg s base) off) width (get_reg s src)
   | Instr.Branch (op, rs1, rs2, off) ->
-      if eval_branch op (get_reg s rs1) (get_reg s rs2) then
-        s.pc <- Int64.add s.pc off
+      if eval_branch op (get_reg s rs1) (get_reg s rs2) then set_pc s (Int64.add (pc s) off)
       else advance_pc s;
       Retired cost.base_instr
   | Instr.Jal (rd, off) ->
-      set_reg s rd (Int64.add s.pc (Int64.of_int Arch.instr_bytes));
-      s.pc <- Int64.add s.pc off;
+      let here = pc s in
+      set_reg s rd (Int64.add here instr_bytes64);
+      set_pc s (Int64.add here off);
       Retired cost.base_instr
   | Instr.Jalr (rd, rs1, imm) ->
       let target = Int64.add (get_reg s rs1) imm in
-      set_reg s rd (Int64.add s.pc (Int64.of_int Arch.instr_bytes));
-      s.pc <- target;
+      set_reg s rd (Int64.add (pc s) instr_bytes64);
+      set_pc s target;
       Retired cost.base_instr
   | Instr.Ecall ->
       if deprivileged then
@@ -351,64 +399,59 @@ let exec_insn s ctx insn =
       else exec_privileged s ctx insn
 
 let fetch_prelude s ctx =
-  let cost = ctx.cost in
-  let pc = s.pc in
-  if Int64.rem pc (Int64.of_int Arch.instr_bytes) <> 0L then
-    Error (trap_or_exit s ctx Arch.Misaligned_fetch pc cost.base_instr)
+  let pc = pc s in
+  if Int64.logand pc (Int64.pred instr_bytes64) <> 0L then misaligned
   else
-    let user = s.mode = Arch.User in
-    match ctx.translate ~access:Arch.Fetch ~user pc with
-    | Error `Page ->
-        if is_deprivileged ctx then
-          Error
-            (Stop_exec (Exit (X_page_fault { access = Arch.Fetch; va = pc }), cost.base_instr))
-        else Error (trap_or_exit s ctx Arch.Fetch_page_fault pc cost.base_instr)
-    | Error `Access -> Error (trap_or_exit s ctx Arch.Fetch_access_fault pc cost.base_instr)
-    | Ok x ->
-        if x.mmio then Error (trap_or_exit s ctx Arch.Fetch_access_fault pc cost.base_instr)
-        else Ok x
+    let x = ctx.translate ~access:Arch.Fetch ~user:(s.mode = Arch.User) pc in
+    if x >= 0 && xl_mmio x then xl_access else x
 
-let step_one s ctx =
-  let cost = ctx.cost in
-  match fetch_prelude s ctx with
-  | Error step -> step
-  | Ok { pa; mmio = _; xlate_cycles } -> (
-      let word = ctx.read_ram pa Instr.W64 in
-      match Instr.decode word with
-      | None -> trap_or_exit s ctx Arch.Illegal_instruction word cost.base_instr
-      | Some insn -> (
-          match exec_insn s ctx insn with
-          | Retired c ->
-              s.instret <- Int64.add s.instret 1L;
-              Retired (c + xlate_cycles)
-          | Stop_exec (reason, c) -> Stop_exec (reason, c + xlate_cycles)))
+let fetch_fault s ctx code =
+  let pc = pc s and base = ctx.cost.Cost_model.base_instr in
+  if code = misaligned then trap_or_exit s ctx Arch.Misaligned_fetch pc base
+  else if code = xl_page && is_deprivileged ctx then
+    Stop_exec (Exit (X_page_fault { access = Arch.Fetch; va = pc }), base)
+  else if code = xl_page then trap_or_exit s ctx Arch.Fetch_page_fault pc base
+  else trap_or_exit s ctx Arch.Fetch_access_fault pc base
 
 let run s ctx ~budget =
-  let cost = ctx.cost in
+  let trap_enter = ctx.cost.Cost_model.trap_enter in
+  let base_instr = ctx.cost.Cost_model.base_instr in
   let deprivileged = is_deprivileged ctx in
-  if s.halted then (0, Halted)
-  else begin
-    let consumed = ref 0 in
-    let result = ref None in
-    while !result = None do
-      if !consumed >= budget then result := Some Budget
-      else if s.halted then result := Some Halted
-      else begin
-        (if not deprivileged then
-           match interrupt_pending s ~now:(ctx.now ()) ~ext_irq:(ctx.ext_irq ()) with
-           | Some cause ->
-               deliver_trap s ~cause ~tval:0L;
-               consumed := !consumed + cost.trap_enter
-           | None -> ());
-        if s.waiting then result := Some Waiting
+  (* [retired] is flushed into [instret] once, when the loop stops; a
+     fetch fault or an undecodable word retires nothing, even when the
+     trap it raises is delivered natively *)
+  let rec loop consumed retired =
+    if consumed >= budget then finish consumed retired Budget
+    else if s.halted then finish consumed retired Halted
+    else
+      let consumed =
+        if deprivileged then consumed
         else
-          match step_one s ctx with
-          | Retired c -> consumed := !consumed + c
-          | Stop_exec (reason, c) ->
-              consumed := !consumed + c;
-              result := Some reason
-      end
-    done;
-    let stop = match !result with Some r -> r | None -> assert false in
-    (!consumed, stop)
-  end
+          match interrupt_pending s ~now:(ctx.now ()) ~ext_irq:(ctx.ext_irq ()) with
+          | Some cause ->
+              deliver_trap s ~cause ~tval:0L;
+              consumed + trap_enter
+          | None -> consumed
+      in
+      if s.waiting then finish consumed retired Waiting
+      else
+        let x = fetch_prelude s ctx in
+        if x < 0 then unretired consumed retired (fetch_fault s ctx x)
+        else
+          let word = Phys_mem.read_at ctx.mem (xl_pa x) Instr.W64 in
+          match Instr.decode word with
+          | None ->
+              unretired consumed retired
+                (trap_or_exit s ctx Arch.Illegal_instruction word base_instr)
+          | Some insn -> (
+              match exec_insn s ctx insn with
+              | Retired c -> loop (consumed + c + xl_cycles x) (retired + 1)
+              | Stop_exec (reason, c) -> finish (consumed + c + xl_cycles x) retired reason)
+  and unretired consumed retired = function
+    | Retired c -> loop (consumed + c) retired
+    | Stop_exec (reason, c) -> finish (consumed + c) retired reason
+  and finish consumed retired stop =
+    s.instret <- Int64.add s.instret (Int64.of_int retired);
+    (consumed, stop)
+  in
+  if s.halted then (0, Halted) else loop 0 0

@@ -25,13 +25,17 @@ open Velum_isa
 (** {1 Architectural state} *)
 
 type state = {
-  regs : int64 array;  (** 16 registers; keep index 0 zero via {!set_reg} *)
-  mutable pc : int64;
+  regs : Bytes.t;
+      (** the register file: 17 little-endian 64-bit slots, r0-r15 then
+          the PC; go through {!get_reg}/{!set_reg}/{!pc}/{!set_pc}, or
+          {!slot_get}/{!slot_set} on hot paths *)
   mutable mode : Arch.mode;
   csrs : int64 array;  (** indexed by {!Arch.csr_index} *)
   mutable halted : bool;
   mutable waiting : bool;  (** parked in [wfi] *)
-  mutable instret : int64;  (** retired instruction count *)
+  mutable instret : int64;
+      (** retired instruction count; engines add to it once per
+          [step_n] call, so it is exact whenever the hart is stopped *)
 }
 
 val create_state : ?pc:int64 -> ?mode:Arch.mode -> unit -> state
@@ -49,7 +53,25 @@ val copy_state : state -> state
 
 val get_reg : state -> Arch.reg -> int64
 val set_reg : state -> Arch.reg -> int64 -> unit
-(** [set_reg s 0 v] is a no-op (r0 is hardwired to zero). *)
+(** [set_reg s 0 v] is a no-op (r0 is hardwired to zero).
+
+    @raise Invalid_argument if the register index is outside 0-15. *)
+
+val pc : state -> int64
+val set_pc : state -> int64 -> unit
+
+(** Unchecked slot access for hot paths in other modules.  These are
+    compiler primitives, so they are inlined at every call site and
+    move the value unboxed; an ordinary function returning [int64]
+    across a module boundary would box it.  [off] is a byte offset:
+    [8 * r] for register [r] (the caller keeps r0 zero), {!pc_slot}
+    for the PC. *)
+
+external slot_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external slot_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+val pc_slot : int
+(** Byte offset of the PC in [regs] (after the 16 registers). *)
 
 val get_csr : state -> Arch.csr -> int64
 val set_csr : state -> Arch.csr -> int64 -> unit
@@ -85,13 +107,33 @@ val csr_read_native : state -> now:int64 -> ext_irq:bool -> Arch.csr -> int64
 
 (** {1 Execution environment} *)
 
-type xlate = {
-  pa : int64;  (** machine physical address *)
-  mmio : bool;  (** address belongs to the device window *)
-  xlate_cycles : int;  (** cycles charged for translation (walks) *)
-}
+(** {2 Translation results}
 
-type xlate_fault = [ `Page | `Access ]
+    A translator returns one immediate [int], so a translation allocates
+    nothing.  A non-negative result packs the machine physical address
+    (bits 0-47), the MMIO flag (bit 48) and the cycles charged for the
+    walk (bits 49 up); a negative one is a fault code.  A zero-cycle RAM
+    translation is the address itself. *)
+
+val xl_page : int
+(** Fault code: the page is not mapped or the access is not permitted
+    (a guest page fault, or a hypervisor-level miss). *)
+
+val xl_access : int
+(** Fault code: the address lies outside RAM and the device window. *)
+
+val xl_make : pa:int -> mmio:bool -> cycles:int -> int
+(** Pack a successful translation.
+
+    @raise Invalid_argument if [pa] is negative or at or above 2^48, or
+    [cycles] is negative or does not fit the field (2^13 - 1). *)
+
+val xl_frame : ppn:int64 -> va:int64 -> mmio:bool -> cycles:int -> int
+(** {!xl_make} of the address at [va]'s page offset in frame [ppn]. *)
+
+val xl_pa : int -> int
+val xl_mmio : int -> bool
+val xl_cycles : int -> int
 
 type env =
   | Native of {
@@ -103,9 +145,9 @@ type env =
   | Deprivileged  (** all sensitive events exit to the hypervisor *)
 
 type ctx = {
-  translate : access:Arch.access -> user:bool -> int64 -> (xlate, xlate_fault) result;
-  read_ram : int64 -> Instr.width -> int64;
-  write_ram : int64 -> Instr.width -> int64 -> unit;
+  translate : access:Arch.access -> user:bool -> int64 -> int;
+      (** a packed translation or a fault code (see above) *)
+  mem : Phys_mem.t;  (** the RAM every translated address points into *)
   flush_tlb : unit -> unit;
       (** invoked on native [sfence] and [satp] writes *)
   now : unit -> int64;  (** global cycle clock (drives [Time] and the
@@ -200,14 +242,14 @@ val exec_insn : state -> ctx -> Instr.t -> step
     {e not} bump [instret] (the driver loop owns that) and charges no
     fetch-translation cycles. *)
 
-val fetch_prelude : state -> ctx -> (xlate, step) result
+val fetch_prelude : state -> ctx -> int
 (** The fetch-side checks preceding decode: PC alignment, instruction
-    translation, and the MMIO-fetch rejection.  [Error step] is the
-    already-delivered trap/exit outcome; [Ok x] charges nothing — the
-    caller adds [x.xlate_cycles] to the executed instruction's cost
-    exactly as the interpreter does. *)
+    translation, and the MMIO-fetch rejection.  A non-negative result
+    is the packed fetch translation (never MMIO); it charges nothing —
+    the caller adds its {!xl_cycles} to the executed instruction's cost
+    exactly as the interpreter does.  A negative result is a fault code
+    for {!fetch_fault}. *)
 
-val step_one : state -> ctx -> step
-(** One full fetch/decode/execute step (including the [instret] bump on
-    retirement) — the body of [run]'s loop, and the single-instruction
-    fallback for block engines. *)
+val fetch_fault : state -> ctx -> int -> step
+(** [fetch_fault s ctx code] delivers the trap or exit for a negative
+    {!fetch_prelude} result. *)

@@ -9,7 +9,7 @@ open Velum_isa
    dirty bit independently of read permission. *)
 type entry = {
   vpn : int64;
-  ppn : int64;  (* 4 KiB frame of the translated pa *)
+  ppn : int;  (* 4 KiB frame of the translated pa *)
   user : bool;
   mutable load_ok : bool;
   mutable store_ok : bool;
@@ -33,7 +33,7 @@ let create ~tlb =
 let backing t = t.tlb
 let generation t = Tlb.generation t.tlb
 
-let page_off va = Int64.logand va (Int64.of_int (Arch.page_size - 1))
+let page_mask = Arch.page_size - 1
 let slot_of vpn = Int64.to_int (Int64.logand vpn slot_mask)
 
 let lookup t ~access ~user va =
@@ -49,10 +49,10 @@ let lookup t ~access ~user va =
       t.hits <- t.hits + 1;
       (* replicate the side effect the real TLB hit would have had *)
       Tlb.note_hit t.tlb;
-      Some (Int64.logor (Int64.shift_left e.ppn Arch.page_shift) (page_off va))
+      (e.ppn lsl Arch.page_shift) lor (Int64.to_int va land page_mask)
   | _ ->
       t.misses <- t.misses + 1;
-      None
+      -1
 
 (* Cache a successful RAM translation, but only after verifying that the
    backing TLB now holds an entry that would satisfy this access on its
@@ -72,7 +72,7 @@ let fill t ~access ~user ~va ~pa =
             | Arch.Load -> e.perms.Pte.r
             | Arch.Store -> e.perms.Pte.w && e.dirty_ok
             | Arch.Fetch -> false) ->
-      let ppn = Int64.shift_right_logical pa Arch.page_shift in
+      let ppn = pa lsr Arch.page_shift in
       let gen = Tlb.generation t.tlb in
       let slot = slot_of vpn in
       (match t.slots.(slot) with

@@ -22,15 +22,14 @@ val backing : t -> Tlb.t
 val generation : t -> int
 (** Current generation of the backing TLB (see {!Tlb.generation}). *)
 
-val lookup :
-  t -> access:Velum_isa.Arch.access -> user:bool -> int64 -> int64 option
+val lookup : t -> access:Velum_isa.Arch.access -> user:bool -> int64 -> int
 (** [lookup t ~access ~user va] returns the physical address when the
     cached translation for [va]'s page is still certified by the backing
-    TLB's generation; replicates the [note_hit] the real hit would have
-    recorded.  Fetch accesses never hit. *)
+    TLB's generation, and [-1] otherwise; a hit replicates the
+    [note_hit] the real hit would have recorded.  Fetch accesses never
+    hit. *)
 
-val fill :
-  t -> access:Velum_isa.Arch.access -> user:bool -> va:int64 -> pa:int64 -> unit
+val fill : t -> access:Velum_isa.Arch.access -> user:bool -> va:int64 -> pa:int -> unit
 (** [fill t ~access ~user ~va ~pa] caches a successful RAM translation,
     provided the backing TLB verifiably holds a matching entry.  MMIO
     and TLB-bypassing translations are never cached. *)

@@ -14,6 +14,7 @@ let interp =
   { kind = Interp; step_n = (fun s ctx ~fuel -> Cpu.run s ctx ~budget:fuel); cache = None }
 
 let page_mask = Int64.of_int (Arch.page_size - 1)
+let pc_slot = Cpu.pc_slot
 let align_mask = Int64.of_int (Arch.instr_bytes - 1)
 let instr_bytes64 = Int64.of_int Arch.instr_bytes
 
@@ -160,7 +161,15 @@ let block_step cache states s ctx ~fuel =
         w.pending <- None;
         clear_victims w);
     let consumed = ref 0 in
-    let result = ref None in
+    (* instructions retired by the inner loop, added to [instret] once
+       on the way out (a trace adds its own) *)
+    let retired = ref 0 in
+    let result = ref Cpu.Budget in
+    let stopped = ref false in
+    let stop r =
+      result := r;
+      stopped := true
+    in
     let collapse_window () =
       w.fresh <- false;
       w.cur_block <- None;
@@ -174,16 +183,15 @@ let block_step cache states s ctx ~fuel =
           let translate ~access ~user va =
             match access with
             | Arch.Fetch -> ctx.Cpu.translate ~access ~user va
-            | Arch.Load | Arch.Store -> (
-                match Dtlb.lookup d ~access ~user va with
-                | Some pa -> Ok { Cpu.pa; mmio = false; xlate_cycles = 0 }
-                | None ->
-                    let r = ctx.Cpu.translate ~access ~user va in
-                    (match r with
-                    | Ok x when not x.Cpu.mmio ->
-                        Dtlb.fill d ~access ~user ~va ~pa:x.Cpu.pa
-                    | _ -> ());
-                    r)
+            | Arch.Load | Arch.Store ->
+                let pa = Dtlb.lookup d ~access ~user va in
+                if pa >= 0 then Cpu.xl_make ~pa ~mmio:false ~cycles:0
+                else begin
+                  let x = ctx.Cpu.translate ~access ~user va in
+                  if x >= 0 && not (Cpu.xl_mmio x) then
+                    Dtlb.fill d ~access ~user ~va ~pa:(Cpu.xl_pa x);
+                  x
+                end
           in
           { ctx with Cpu.translate }
     in
@@ -192,11 +200,11 @@ let block_step cache states s ctx ~fuel =
       | Cpu.Retired c -> consumed := !consumed + c
       | Cpu.Stop_exec (r, c) ->
           consumed := !consumed + c;
-          result := Some r
+          stop r
     in
-    while !result = None do
-      if !consumed >= fuel then result := Some Cpu.Budget
-      else if s.Cpu.halted then result := Some Cpu.Halted
+    while not !stopped do
+      if !consumed >= fuel then stop Cpu.Budget
+      else if s.Cpu.halted then stop Cpu.Halted
       else begin
         (if not deprivileged then
            match
@@ -209,9 +217,9 @@ let block_step cache states s ctx ~fuel =
                   window itself is re-validated below) *)
                w.pending <- None
            | None -> ());
-        if s.Cpu.waiting then result := Some Cpu.Waiting
+        if s.Cpu.waiting then stop Cpu.Waiting
         else begin
-          let pc = s.Cpu.pc in
+          let pc = Cpu.slot_get s.Cpu.regs pc_slot in
           let user = s.Cpu.mode = Arch.User in
           (* 1. A fetch translation for [pc]: free inside the reuse
              window, a real (interpreter-identical) prelude outside. *)
@@ -278,15 +286,17 @@ let block_step cache states s ctx ~fuel =
                 Some 0
               end
               else
-                match Cpu.fetch_prelude s ctx with
-                | Error step ->
-                    finish step;
-                    collapse_window ();
-                    None
-                | Ok { Cpu.pa; xlate_cycles; _ } ->
-                    adopt_window ~vpn
-                      ~frame:(Int64.shift_right_logical pa Arch.page_shift);
-                    Some xlate_cycles
+                let x = Cpu.fetch_prelude s ctx in
+                if x < 0 then begin
+                  finish (Cpu.fetch_fault s ctx x);
+                  collapse_window ();
+                  None
+                end
+                else begin
+                  adopt_window ~vpn
+                    ~frame:(Int64.of_int (Cpu.xl_pa x lsr Arch.page_shift));
+                  Some (Cpu.xl_cycles x)
+                end
             end
           in
           match xl with
@@ -328,13 +338,11 @@ let block_step cache states s ctx ~fuel =
                           | Some b -> Some b
                           | None -> (
                               let base =
-                                Int64.logor
-                                  (Int64.shift_left w.cur_frame Arch.page_shift)
-                                  (Int64.of_int off)
+                                (Int64.to_int w.cur_frame lsl Arch.page_shift) lor off
                               in
                               let read_word i =
-                                ctx.Cpu.read_ram
-                                  (Int64.add base (Int64.of_int (i * Arch.instr_bytes)))
+                                Phys_mem.read_at ctx.Cpu.mem
+                                  (base + (i * Arch.instr_bytes))
                                   Instr.W64
                               in
                               let max_instrs = (Arch.page_size - off) / Arch.instr_bytes in
@@ -351,10 +359,16 @@ let block_step cache states s ctx ~fuel =
                                   collapse_window ();
                                   None
                               | _ ->
-                                  Some
-                                    (Trans_cache.insert cache ~key ~ppn:w.cur_frame
-                                       ~insns:d.Block.insns ~classes:d.Block.classes
-                                       ~start_off:off))
+                                  let b =
+                                    Trans_cache.insert cache ~key ~ppn:w.cur_frame
+                                      ~insns:d.Block.insns ~classes:d.Block.classes
+                                      ~start_off:off
+                                  in
+                                  (* the cache holds code from this frame
+                                     now: its writes must reach the
+                                     listener again *)
+                                  Phys_mem.watch ctx.Cpu.mem ~ppn:w.cur_frame;
+                                  Some b)
                         in
                         (match (resolved, w.pending) with
                         | Some b, Some (p, taken) ->
@@ -395,8 +409,7 @@ let block_step cache states s ctx ~fuel =
                            in
                            match
                              Trace_ir.exec tr.Trans_cache.t_prog ~start ~s ~dtlb:d
-                               ~read_ram:ctx.Cpu.read_ram
-                               ~write_ram:ctx.Cpu.write_ram ~user ~page_base
+                               ~mem:ctx.Cpu.mem ~user ~page_base
                                ~fuel_left:(fuel - !consumed) ~xl
                            with
                            | Trace_ir.Bail ->
@@ -407,10 +420,10 @@ let block_step cache states s ctx ~fuel =
                                Trans_cache.note_trace_follow cache;
                                if early then Trans_cache.note_trace_side_exit cache;
                                true
-                           | Trace_ir.Stop { cycles; stop } ->
+                           | Trace_ir.Stop { cycles; stop = r } ->
                                consumed := !consumed + cycles;
                                Trans_cache.note_trace_follow cache;
-                               result := Some stop;
+                               stop r;
                                true)
                        | _ ->
                            (* hotness accounting: promotion triggers on
@@ -439,10 +452,10 @@ let block_step cache states s ctx ~fuel =
                   let inner = ref true in
                   while !inner do
                     let insn = insns.(!idx) in
-                    let pc_before = s.Cpu.pc in
+                    let pc_before = Cpu.slot_get s.Cpu.regs pc_slot in
                     match Cpu.exec_insn s ctx insn with
                     | Cpu.Retired c ->
-                        s.Cpu.instret <- Int64.add s.Cpu.instret 1L;
+                        incr retired;
                         consumed := !consumed + c + !xl;
                         xl := 0;
                         (match dtlb with
@@ -452,7 +465,10 @@ let block_step cache states s ctx ~fuel =
                             then w.fresh <- false);
                         if !idx = len - 1 then begin
                           w.pending <-
-                            Some (b, Int64.sub s.Cpu.pc pc_before <> instr_bytes64);
+                            Some
+                              ( b,
+                                Int64.sub (Cpu.slot_get s.Cpu.regs pc_slot) pc_before
+                                <> instr_bytes64 );
                           inner := false
                         end
                         else begin
@@ -498,14 +514,14 @@ let block_step cache states s ctx ~fuel =
                     | Cpu.Stop_exec (r, c) ->
                         consumed := !consumed + c + !xl;
                         xl := 0;
-                        result := Some r;
+                        stop r;
                         inner := false
                   done)
         end
       end
     done;
-    let stop = match !result with Some r -> r | None -> assert false in
-    (!consumed, stop)
+    s.Cpu.instret <- Int64.add s.Cpu.instret (Int64.of_int !retired);
+    (!consumed, !result)
   end
 
 (* Translation-cache capacity of a block engine, in blocks. *)

@@ -32,9 +32,9 @@ let translate t ~access ~user va =
   let satp = t.get_satp () in
   if not (Arch.satp_enabled satp) then
     match classify_pa t.mem va ~bytes:1 with
-    | `Ram -> Ok { Cpu.pa = va; mmio = false; xlate_cycles = 0 }
-    | `Mmio -> Ok { Cpu.pa = va; mmio = true; xlate_cycles = 0 }
-    | `Bad -> Error `Access
+    | `Ram -> Cpu.xl_make ~pa:(Int64.to_int va) ~mmio:false ~cycles:0
+    | `Mmio -> Cpu.xl_make ~pa:(Int64.to_int va) ~mmio:true ~cycles:0
+    | `Bad -> Cpu.xl_access
   else
     let vpn = Int64.shift_right_logical va Arch.page_shift in
     let perms_allow (p : Pte.perms) =
@@ -66,16 +66,16 @@ let translate t ~access ~user va =
         (* bounds are checked per access: a superpage entry may cover
            addresses beyond the end of RAM *)
         match classify_pa t.mem pa ~bytes:1 with
-        | `Bad -> Error `Access
-        | `Ram | `Mmio -> Ok { Cpu.pa; mmio = e.mmio; xlate_cycles = 0 })
+        | `Bad -> Cpu.xl_access
+        | `Ram | `Mmio -> Cpu.xl_make ~pa:(Int64.to_int pa) ~mmio:e.mmio ~cycles:0)
     | None -> (
         Tlb.note_miss t.tlb;
         t.walks <- t.walks + 1;
         let acc = accessor t.mem in
         match Page_table.walk acc ~root_ppn:(Arch.satp_root_ppn satp) va with
-        | Error _ -> Error `Page
+        | Error _ -> Cpu.xl_page
         | Ok { pte; pte_addr; level; refs; _ } ->
-            if not (Pte.allows pte access ~user) then Error `Page
+            if not (Pte.allows pte access ~user) then Cpu.xl_page
             else begin
               let pte' = Pte.set_accessed pte in
               let pte' = if access = Arch.Store then Pte.set_dirty pte' else pte' in
@@ -86,7 +86,7 @@ let translate t ~access ~user va =
                  (possibly partially-backed) superpage region *)
               let target = classify_pa t.mem pa ~bytes:1 in
               match target with
-              | `Bad -> Error `Access
+              | `Bad -> Cpu.xl_access
               | (`Ram | `Mmio) as k ->
                   let mmio = k = `Mmio in
                   Tlb.insert t.tlb
@@ -99,7 +99,7 @@ let translate t ~access ~user va =
                       superpage = level = 1;
                     };
                   let cycles = (refs * t.cost.Cost_model.pt_ref) + t.cost.Cost_model.tlb_fill in
-                  Ok { Cpu.pa; mmio; xlate_cycles = cycles }
+                  Cpu.xl_make ~pa:(Int64.to_int pa) ~mmio ~cycles
             end)
 
 let flush t = Tlb.flush t.tlb

@@ -21,18 +21,18 @@ val classify_pa : Phys_mem.t -> int64 -> bytes:int -> [ `Ram | `Mmio | `Bad ]
     nowhere.  Any address RAM cannot hold whole is [`Bad], including
     those where [pa + bytes] would overflow. *)
 
-val translate :
-  t -> access:Arch.access -> user:bool -> int64 -> (Cpu.xlate, Cpu.xlate_fault) result
-(** Architectural translation:
+val translate : t -> access:Arch.access -> user:bool -> int64 -> int
+(** Architectural translation, as a packed {!Cpu.xl_make} result or a
+    fault code:
 
     - satp disabled: identity mapping; addresses in the device window are
-      MMIO, addresses beyond RAM fault with [`Access].
+      MMIO, addresses beyond RAM fault with {!Cpu.xl_access}.
     - satp enabled: TLB hit (with permissions and, for stores, the dirty
       bit) is free; a miss walks the tables ([pt_ref] cycles per
       reference plus [tlb_fill]), sets the accessed bit (and dirty on
       stores) and installs the entry.  Permission failures and
-      not-present entries fault with [`Page]; leaves pointing outside RAM
-      and the device window fault with [`Access]. *)
+      not-present entries fault with {!Cpu.xl_page}; leaves pointing
+      outside RAM and the device window fault with {!Cpu.xl_access}. *)
 
 val flush : t -> unit
 (** Flush the TLB (satp write / sfence). *)

@@ -6,8 +6,11 @@ open Velum_isa
 type t = {
   pages : Bytes.t array;
   frames : int;
-  last_word : int64;  (* highest address any access of up to 8 bytes fits at *)
-  mutable listeners : (int * (ppn:int64 -> lo:int -> hi:int -> unit)) list;
+  last_word : int;  (* highest address any access of up to 8 bytes fits at *)
+  watched : Bytes.t;
+      (* one byte per frame: nonzero while some listener still wants the
+         frame's writes *)
+  mutable listeners : (int * (ppn:int64 -> lo:int -> hi:int -> bool)) list;
   mutable next_listener : int;
 }
 
@@ -19,13 +22,18 @@ let mask = page - 1
 let zero = Bytes.make page '\000'
 let zero_hash = Velum_util.Fnv.hash_bytes zero
 
+(* Translations pack a physical address into 48 bits (see [Cpu.xl_make]),
+   so RAM stays below 2^48 bytes. *)
+let frame_limit = (1 lsl 48) / page
+
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: frames must be positive";
-  if frames > max_int / page then invalid_arg "Phys_mem.create: too many frames";
+  if frames >= frame_limit then invalid_arg "Phys_mem.create: too many frames";
   {
     pages = Array.make frames zero;
     frames;
-    last_word = Int64.of_int ((frames * page) - 8);
+    last_word = (frames * page) - 8;
+    watched = Bytes.make frames '\001';
     listeners = [];
     next_listener = 0;
   }
@@ -40,10 +48,21 @@ let owned t i =
     p
   end
 
+let watch t ~ppn =
+  let i = Int64.to_int ppn in
+  if i >= 0 && i < t.frames then Bytes.unsafe_set t.watched i '\001'
+
+let watch_all t = Bytes.fill t.watched 0 t.frames '\001'
+
+let watched t ~ppn =
+  let i = Int64.to_int ppn in
+  i >= 0 && i < t.frames && Bytes.get t.watched i <> '\000'
+
 let add_write_listener t f =
   let id = t.next_listener in
   t.next_listener <- id + 1;
   t.listeners <- (id, f) :: t.listeners;
+  watch_all t;
   id
 
 let remove_write_listener t id =
@@ -51,31 +70,30 @@ let remove_write_listener t id =
 
 let listener_count t = List.length t.listeners
 
-(* Notify every listener of each frame the byte range [pa, pa+bytes)
-   touches, with the per-frame byte subrange [lo, hi) that was written
-   (so listeners caching derived views of code can invalidate
-   precisely).  The empty-listener case must stay free: this sits on the
-   store fast path. *)
+(* Report the written subrange [lo, hi) of frame [i] to every listener
+   when the frame is watched; when none of them still wants the frame,
+   stop watching it.  Every listener runs: no short cut on [true]. *)
+let notify_frame_range t i ~lo ~hi =
+  if Bytes.unsafe_get t.watched i <> '\000' then begin
+    let ppn = Int64.of_int i in
+    let keep = List.fold_left (fun keep (_, f) -> f ~ppn ~lo ~hi || keep) false t.listeners in
+    if not keep then Bytes.unsafe_set t.watched i '\000'
+  end
+
+(* Notify each frame the byte range [pa, pa+bytes) touches, with the
+   per-frame byte subrange that was written (so listeners caching
+   derived views of code can invalidate precisely).  This sits on the
+   store fast path: with no listeners it is one match, and a write to an
+   unwatched frame costs one byte load. *)
 let notify_range t pa bytes =
   match t.listeners with
   | [] -> ()
-  | listeners ->
-      let first = Int64.shift_right_logical pa Arch.page_shift in
-      let last =
-        Int64.shift_right_logical (Int64.add pa (Int64.of_int (bytes - 1))) Arch.page_shift
-      in
-      let start_off = Int64.to_int (Int64.logand pa (Int64.of_int (page - 1))) in
-      let ppn = ref first in
-      while Int64.compare !ppn last <= 0 do
-        let frame = !ppn in
-        let lo = if Int64.equal frame first then start_off else 0 in
-        let hi =
-          if Int64.equal frame last then
-            start_off + bytes - (Int64.to_int (Int64.sub frame first) * page)
-          else page
-        in
-        List.iter (fun (_, f) -> f ~ppn:frame ~lo ~hi) listeners;
-        ppn := Int64.add !ppn 1L
+  | _ ->
+      let first = pa lsr Arch.page_shift and last = (pa + bytes - 1) lsr Arch.page_shift in
+      for i = first to last do
+        let lo = if i = first then pa land mask else 0 in
+        let hi = if i = last then ((pa + bytes - 1) land mask) + 1 else page in
+        notify_frame_range t i ~lo ~hi
       done
 
 let frames t = t.frames
@@ -89,14 +107,16 @@ let resident_bytes t =
 let in_range t ~pa ~bytes =
   pa >= 0L && pa <= Int64.of_int (size_bytes t - bytes)
 
-let check t pa bytes =
-  if not (in_range t ~pa ~bytes) then
-    invalid_arg (Printf.sprintf "Phys_mem: access 0x%Lx+%d out of range" pa bytes)
+let out_of_range pa bytes =
+  invalid_arg (Printf.sprintf "Phys_mem: access 0x%Lx+%d out of range" pa bytes)
+
+let check t pa bytes = if not (in_range t ~pa ~bytes) then out_of_range pa bytes
 
 (* The CPU's loads and stores are at most 8 bytes, so one compare against
    [last_word] clears almost all of them; only an access in the last 7
    bytes of RAM, or out of range, takes the exact check. *)
-let check_word t pa bytes = if not (pa >= 0L && pa <= t.last_word) then check t pa bytes
+let check_word t pa bytes =
+  if not (pa >= 0 && pa <= t.last_word) then check t (Int64.of_int pa) bytes
 
 (* An access that straddles two frames, one byte at a time (little-endian).
    The CPU traps misaligned accesses, so only VMM-side accesses get here. *)
@@ -116,12 +136,11 @@ let write_straddle t off bytes v =
     Bytes.set (owned t (a lsr Arch.page_shift)) (a land mask) (Char.chr b)
   done
 
-let read t pa w =
+let[@inline] read_at t pa w =
   let bytes = Instr.width_bytes w in
   check_word t pa bytes;
-  let off = Int64.to_int pa in
-  let p = t.pages.(off lsr Arch.page_shift) and o = off land mask in
-  if o > page - bytes then read_straddle t off bytes
+  let p = t.pages.(pa lsr Arch.page_shift) and o = pa land mask in
+  if o > page - bytes then read_straddle t pa bytes
   else
     match w with
     | Instr.W8 -> Int64.of_int (Char.code (Bytes.get p o))
@@ -129,14 +148,13 @@ let read t pa w =
     | Instr.W32 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le p o)) 0xFFFF_FFFFL
     | Instr.W64 -> Bytes.get_int64_le p o
 
-let write t pa w v =
+let[@inline] write_at t pa w v =
   let bytes = Instr.width_bytes w in
   check_word t pa bytes;
-  let off = Int64.to_int pa in
-  let o = off land mask in
-  (if o > page - bytes then write_straddle t off bytes v
+  let o = pa land mask in
+  (if o > page - bytes then write_straddle t pa bytes v
    else
-     let p = owned t (off lsr Arch.page_shift) in
+     let p = owned t (pa lsr Arch.page_shift) in
      match w with
      | Instr.W8 -> Bytes.set p o (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
      | Instr.W16 -> Bytes.set_uint16_le p o (Int64.to_int (Int64.logand v 0xFFFFL))
@@ -144,18 +162,31 @@ let write t pa w v =
      | Instr.W64 -> Bytes.set_int64_le p o v);
   notify_range t pa bytes
 
-let load_bytes t ~pa b =
-  let len = Bytes.length b in
+(* An [int64] address that is not an [int] (at or above 2^62, as an
+   unsigned value) is out of range; checking it here keeps [to_int] from
+   wrapping it onto a valid one. *)
+let[@inline] int_pa t pa w =
+  let i = Int64.to_int pa in
+  if Int64.of_int i <> pa then check t pa (Instr.width_bytes w);
+  i
+
+let read t pa w = read_at t (int_pa t pa w) w
+let write t pa w v = write_at t (int_pa t pa w) w v
+
+let load_bytes t ~pa ?(pos = 0) ?len b =
+  let len = match len with Some l -> l | None -> Bytes.length b - pos in
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Phys_mem.load_bytes: range outside the source";
   check t pa len;
   let off = Int64.to_int pa in
-  let pos = ref 0 in
-  while !pos < len do
-    let a = off + !pos in
-    let n = min (len - !pos) (page - (a land mask)) in
-    Bytes.blit b !pos (owned t (a lsr Arch.page_shift)) (a land mask) n;
-    pos := !pos + n
+  let done_ = ref 0 in
+  while !done_ < len do
+    let a = off + !done_ in
+    let n = min (len - !done_) (page - (a land mask)) in
+    Bytes.blit b (pos + !done_) (owned t (a lsr Arch.page_shift)) (a land mask) n;
+    done_ := !done_ + n
   done;
-  if len > 0 then notify_range t pa len
+  if len > 0 then notify_range t off len
 
 let frame_index t ppn =
   let i = Int64.to_int ppn in
@@ -166,7 +197,7 @@ let frame_index t ppn =
 let notify_frame t ppn =
   match t.listeners with
   | [] -> ()
-  | listeners -> List.iter (fun (_, f) -> f ~ppn ~lo:0 ~hi:page) listeners
+  | _ -> notify_frame_range t (Int64.to_int ppn) ~lo:0 ~hi:page
 
 (* Copy [src] into frame [i]: a zero source leaves an unbacked frame
    unbacked and zero-fills a backed one in place. *)

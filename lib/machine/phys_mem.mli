@@ -17,8 +17,9 @@ type t
 val create : frames:int -> t
 (** [create ~frames] is [frames] zeroed 4 KiB frames, none backed yet.
 
-    @raise Invalid_argument if [frames <= 0] or
-    [frames > max_int / page_size] (the byte size would overflow). *)
+    @raise Invalid_argument if [frames <= 0] or the RAM would reach
+    2^48 bytes (a translation packs physical addresses into 48 bits,
+    see {!Cpu.xl_make}). *)
 
 val frames : t -> int
 val size_bytes : t -> int
@@ -38,9 +39,19 @@ val read : t -> int64 -> Velum_isa.Instr.width -> int64
 val write : t -> int64 -> Velum_isa.Instr.width -> int64 -> unit
 (** [write t pa w v] writes the low bytes of [v] little-endian. *)
 
-val load_bytes : t -> pa:int64 -> Bytes.t -> unit
-(** [load_bytes t ~pa b] copies [b] into memory at [pa] (used to load
-    boot images). *)
+val read_at : t -> int -> Velum_isa.Instr.width -> int64
+val write_at : t -> int -> Velum_isa.Instr.width -> int64 -> unit
+(** {!read} and {!write} at an [int] address, as a translation result
+    carries it: same bytes, same notifications, and the same
+    [Invalid_argument] when out of range. *)
+
+val load_bytes : t -> pa:int64 -> ?pos:int -> ?len:int -> Bytes.t -> unit
+(** [load_bytes t ~pa ~pos ~len b] copies [len] bytes of [b] from [pos]
+    (default: all of [b]) into memory at [pa], with one notification for
+    the whole range — boot images, and guest-memory writes from the VMM
+    and devices.
+
+    @raise Invalid_argument if the range leaves [b] or RAM. *)
 
 val frame_copy : t -> src_ppn:int64 -> dst_ppn:int64 -> unit
 (** [frame_copy t ~src_ppn ~dst_ppn] copies one whole frame (an
@@ -87,21 +98,45 @@ val blit_between : src:t -> src_ppn:int64 -> dst:t -> dst_ppn:int64 -> unit
     coherence backbone of the decoded-block translation cache: a
     listener invalidates cached blocks overlapping any byte range whose
     contents changed, which uniformly covers self-modifying code, DMA,
-    COW copies, hypervisor swap-in and restore paths.  With no listeners
-    registered the notification costs one list match on the store fast
-    path. *)
+    COW copies, hypervisor swap-in and restore paths.
 
-val add_write_listener : t -> (ppn:int64 -> lo:int -> hi:int -> unit) -> int
-(** Returns a handle for {!remove_write_listener}.  The listener runs
-    synchronously on every write, once per touched frame, with the
-    written byte subrange [\[lo, hi)] of that frame (whole-frame
-    operations report [0, page_size)].  The range lets callers that
-    cache derived views of code skip invalidation when a write lands in
-    a disjoint part of the frame — e.g. a stack or data area sharing a
-    page with code.  The listener must be cheap and must not write
-    memory itself. *)
+    {b The write watch.}  Most guest stores hit pure data frames no
+    listener cares about, so each frame carries one watch byte, and a
+    write reaches the listeners only while its frame is watched.  Each
+    listener answers [true] when it is still interested in the frame;
+    when every listener answers [false] the frame stops being watched,
+    and its writes cost one byte load until something calls {!watch} (or
+    {!watch_all}) again.  A listener that returns [false] for a frame
+    must therefore call {!watch} itself before it next needs that
+    frame's writes — the translation cache's engine does so whenever it
+    inserts a block decoded from the frame, and the dirty tracker calls
+    {!watch_all} whenever it opens a new write epoch.  Every frame starts
+    watched, and registering a listener watches them all again.  With
+    no listeners the notification costs one list match. *)
+
+val add_write_listener : t -> (ppn:int64 -> lo:int -> hi:int -> bool) -> int
+(** Returns a handle for {!remove_write_listener}, and watches every
+    frame, so the new listener sees the first write to each of them.
+    The listener runs synchronously on each write to a watched frame,
+    once per touched frame, with the written byte subrange [\[lo, hi)] of
+    that frame (whole-frame operations report [0, page_size)).  The
+    range lets callers that cache derived views of code skip
+    invalidation when a write lands in a disjoint part of the frame —
+    e.g. a stack or data area sharing a page with code.  It returns
+    whether it still wants this frame's writes (see above).  The
+    listener must be cheap and must not write memory itself. *)
 
 val remove_write_listener : t -> int -> unit
 
 val listener_count : t -> int
 (** Listeners currently registered. *)
+
+val watch : t -> ppn:int64 -> unit
+(** [watch t ~ppn] makes the next write to frame [ppn] reach the
+    listeners again (a frame outside the memory is ignored). *)
+
+val watch_all : t -> unit
+(** {!watch} every frame. *)
+
+val watched : t -> ppn:int64 -> bool
+(** Frame [ppn]'s next write will reach the listeners. *)

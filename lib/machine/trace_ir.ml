@@ -212,7 +212,50 @@ type outcome =
   | Stop of { cycles : int; stop : Cpu.stop }
   | Bail
 
-let exec p ~start ~s ~dtlb ~read_ram ~write_ram ~user ~page_base ~fuel_left ~xl =
+(* The register file and PC through the compiler primitives [Cpu]
+   exports: inlined here, unboxed, no bounds check (register indices are
+   4-bit decoder fields). *)
+let pc_slot = Cpu.pc_slot
+let[@inline] reg regs r = Cpu.slot_get regs (r lsl 3)
+let[@inline] set_reg regs r v = if r <> 0 then Cpu.slot_set regs (r lsl 3) v
+let[@inline] set_pc regs v = Cpu.slot_set regs pc_slot v
+
+(* The ALU and branch semantics of [Cpu.eval_alu]/[Cpu.eval_branch],
+   written here with nothing but [Int64] primitives.  Trace ops call
+   them only from positions where the compiler inlines them, so no arm
+   boxes its result; a single arm that called out of the module would
+   make every arm allocate. *)
+let[@inline] ult (a : int64) (b : int64) = Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
+
+let[@inline] alu op (a : int64) (b : int64) =
+  match op with
+  | Instr.Add -> Int64.add a b
+  | Instr.Sub -> Int64.sub a b
+  | Instr.Mul -> Int64.mul a b
+  | Instr.Div ->
+      if b = 0L then -1L
+      else if b = -1L then Int64.neg a (* min_int / -1 wraps to min_int *)
+      else Int64.div a b
+  | Instr.Rem -> if b = 0L then a else if b = -1L then 0L else Int64.rem a b
+  | Instr.And -> Int64.logand a b
+  | Instr.Or -> Int64.logor a b
+  | Instr.Xor -> Int64.logxor a b
+  | Instr.Sll -> Int64.shift_left a (Int64.to_int b land 63)
+  | Instr.Srl -> Int64.shift_right_logical a (Int64.to_int b land 63)
+  | Instr.Sra -> Int64.shift_right a (Int64.to_int b land 63)
+  | Instr.Slt -> if a < b then 1L else 0L
+  | Instr.Sltu -> if ult a b then 1L else 0L
+
+let[@inline] branch op (a : int64) (b : int64) =
+  match op with
+  | Instr.Beq -> a = b
+  | Instr.Bne -> a <> b
+  | Instr.Blt -> a < b
+  | Instr.Bge -> a >= b
+  | Instr.Bltu -> ult a b
+  | Instr.Bgeu -> not (ult a b)
+
+let exec p ~start ~s ~dtlb ~mem ~user ~page_base ~fuel_left ~xl =
   if fuel_left <= 0 then Bail
   else begin
     let regs = s.Cpu.regs in
@@ -220,17 +263,18 @@ let exec p ~start ~s ~dtlb ~read_ram ~write_ram ~user ~page_base ~fuel_left ~xl 
     (* [cyc] mirrors the engine's [consumed] delta (including [xl] once
        the first op executes); [ret] is the batched instret delta; [xlp]
        is the still-uncharged fetch-translation cost. *)
+    let retire ret = s.Cpu.instret <- Int64.add s.Cpu.instret (Int64.of_int ret) in
     let leave i cyc ret early =
       if ret = 0 then Bail
       else begin
-        s.Cpu.pc <- Int64.logor page_base (Int64.of_int offs.(i));
-        s.Cpu.instret <- Int64.add s.Cpu.instret (Int64.of_int ret);
+        set_pc regs (Int64.logor page_base (Int64.of_int offs.(i)));
+        retire ret;
         Fall { cycles = cyc; early }
       end
     in
     let out delta cyc ret =
-      s.Cpu.pc <- Int64.add page_base (Int64.of_int delta);
-      s.Cpu.instret <- Int64.add s.Cpu.instret (Int64.of_int ret);
+      set_pc regs (Int64.add page_base (Int64.of_int delta));
+      retire ret;
       Fall { cycles = cyc; early = false }
     in
     let rec go i cyc ret xlp =
@@ -241,57 +285,57 @@ let exec p ~start ~s ~dtlb ~read_ram ~write_ram ~user ~page_base ~fuel_left ~xl 
         match ops.(i) with
         | U_nop c -> go (i + 1) (cyc + c + xlp) (ret + 1) 0
         | U_alu { op; rd; rs1; rs2; cyc = c } ->
-            if rd <> 0 then regs.(rd) <- Cpu.eval_alu op regs.(rs1) regs.(rs2);
+            set_reg regs rd (alu op (reg regs rs1) (reg regs rs2));
             go (i + 1) (cyc + c + xlp) (ret + 1) 0
         | U_alui { op; rd; rs1; imm; cyc = c } ->
-            if rd <> 0 then regs.(rd) <- Cpu.eval_alu op regs.(rs1) imm;
+            set_reg regs rd (alu op (reg regs rs1) imm);
             go (i + 1) (cyc + c + xlp) (ret + 1) 0
         | U_lui { rd; v; cyc = c } ->
-            if rd <> 0 then regs.(rd) <- v;
+            set_reg regs rd v;
             go (i + 1) (cyc + c + xlp) (ret + 1) 0
-        | U_load { rd; base; off; width; amask; cyc = c } -> (
-            let va = Int64.add regs.(base) off in
+        | U_load { rd; base; off; width; amask; cyc = c } ->
+            let va = Int64.add (reg regs base) off in
             if Int64.logand va amask <> 0L then leave i cyc ret true
             else
-              match Dtlb.lookup dtlb ~access:Arch.Load ~user va with
-              | Some pa ->
-                  let v = read_ram pa width in
-                  if rd <> 0 then regs.(rd) <- v;
-                  go (i + 1) (cyc + c + xlp) (ret + 1) 0
-              | None -> leave i cyc ret true)
-        | U_store { src; base; off; width; amask; cyc = c } -> (
-            let va = Int64.add regs.(base) off in
+              let pa = Dtlb.lookup dtlb ~access:Arch.Load ~user va in
+              if pa < 0 then leave i cyc ret true
+              else begin
+                set_reg regs rd (Phys_mem.read_at mem pa width);
+                go (i + 1) (cyc + c + xlp) (ret + 1) 0
+              end
+        | U_store { src; base; off; width; amask; cyc = c } ->
+            let va = Int64.add (reg regs base) off in
             if Int64.logand va amask <> 0L then leave i cyc ret true
             else
-              match Dtlb.lookup dtlb ~access:Arch.Store ~user va with
-              | Some pa ->
-                  write_ram pa width regs.(src);
-                  (* the write may have severed this very trace (a store
-                     into a constituent block's bytes); the op retired,
-                     so side-exit at the next op, like the engine's
-                     [b.valid] continuation check *)
-                  if !live then go (i + 1) (cyc + c + xlp) (ret + 1) 0
-                  else leave (i + 1) (cyc + c + xlp) (ret + 1) true
-              | None -> leave i cyc ret true)
+              let pa = Dtlb.lookup dtlb ~access:Arch.Store ~user va in
+              if pa < 0 then leave i cyc ret true
+              else begin
+                Phys_mem.write_at mem pa width (reg regs src);
+                (* the write may have severed this very trace (a store
+                   into a constituent block's bytes); the op retired,
+                   so side-exit at the next op, like the engine's
+                   [b.valid] continuation check *)
+                if !live then go (i + 1) (cyc + c + xlp) (ret + 1) 0
+                else leave (i + 1) (cyc + c + xlp) (ret + 1) true
+              end
         | U_branch { op; rs1; rs2; t_tgt; f_tgt; cyc = c } -> (
-            let tgt = if Cpu.eval_branch op regs.(rs1) regs.(rs2) then t_tgt else f_tgt in
-            match tgt with
+            match if branch op (reg regs rs1) (reg regs rs2) then t_tgt else f_tgt with
             | Op j -> go j (cyc + c + xlp) (ret + 1) 0
             | Out delta -> out delta (cyc + c + xlp) (ret + 1))
         | U_jal { rd; link; tgt; cyc = c } -> (
-            if rd <> 0 then regs.(rd) <- Int64.add page_base (Int64.of_int link);
+            set_reg regs rd (Int64.add page_base (Int64.of_int link));
             match tgt with
             | Op j -> go j (cyc + c + xlp) (ret + 1) 0
             | Out delta -> out delta (cyc + c + xlp) (ret + 1))
         | U_jalr { rd; link; rs1; imm; cyc = c } ->
-            let target = Int64.add regs.(rs1) imm in
-            if rd <> 0 then regs.(rd) <- Int64.add page_base (Int64.of_int link);
-            s.Cpu.pc <- target;
-            s.Cpu.instret <- Int64.add s.Cpu.instret (Int64.of_int (ret + 1));
+            let target = Int64.add (reg regs rs1) imm in
+            set_reg regs rd (Int64.add page_base (Int64.of_int link));
+            set_pc regs target;
+            retire (ret + 1);
             Fall { cycles = cyc + c + xlp; early = false }
         | U_exit { stop; cyc = c } ->
-            s.Cpu.pc <- Int64.logor page_base (Int64.of_int offs.(i));
-            if ret > 0 then s.Cpu.instret <- Int64.add s.Cpu.instret (Int64.of_int ret);
+            set_pc regs (Int64.logor page_base (Int64.of_int offs.(i)));
+            if ret > 0 then retire ret;
             Stop { cycles = cyc + c + xlp; stop }
     in
     go start 0 0 xl

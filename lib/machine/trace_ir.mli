@@ -22,6 +22,13 @@
       directly; any miss (or misalignment, or MMIO) side-exits {e
       before} executing the op, so the interpreter-equivalent slow path
       in the engine handles it with identical observable behaviour.
+    - {b No boxing.}  Registers and the PC are read and written through
+      the {!Cpu.slot_get}/{!Cpu.slot_set} primitives, and every ALU op
+      and branch is evaluated by this module's own [Int64] primitives
+      ({!Cpu.eval_alu}'s semantics, which a property test pins), so an
+      ALU or branch op allocates nothing.  Calling [Cpu.eval_alu] would
+      box every result: with [-opaque] builds no function is inlined
+      across modules.
     - {b Static PCs.}  Every op's PC is a build-time page offset; the
       architectural [pc] is written only at (side) exits, never per op.
       Branch/jump targets inside the trace are resolved to op indices
@@ -121,8 +128,7 @@ val exec :
   start:int ->
   s:Cpu.state ->
   dtlb:Dtlb.t ->
-  read_ram:(int64 -> Instr.width -> int64) ->
-  write_ram:(int64 -> Instr.width -> int64 -> unit) ->
+  mem:Phys_mem.t ->
   user:bool ->
   page_base:int64 ->
   fuel_left:int ->

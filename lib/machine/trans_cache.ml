@@ -308,6 +308,8 @@ let invalidate_range t ~ppn ~lo ~hi =
           keys
       end
 
+let has_frame t ~ppn = Hashtbl.mem t.by_frame (Int64.to_int ppn)
+
 let invalidate_frame t ~ppn = invalidate_range t ~ppn ~lo:0 ~hi:Arch.page_size
 
 let note_flush t = t.tlb_flushes <- t.tlb_flushes + 1

@@ -105,6 +105,11 @@ val invalidate_range : t -> ppn:int64 -> lo:int -> hi:int -> unit
     data/stack writes into a page that also holds code do not throw the
     code's blocks away. *)
 
+val has_frame : t -> ppn:int64 -> bool
+(** Some cached block was decoded from frame [ppn] — what a write
+    listener answers to keep watching the frame (see
+    {!Phys_mem.add_write_listener}). *)
+
 val invalidate_frame : t -> ppn:int64 -> unit
 (** [invalidate_range] over the whole frame — for events where the
     changed range is unknown (frame replaced, revoked, or restored). *)

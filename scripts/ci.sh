@@ -86,6 +86,21 @@ for w in hello spin syscalls memwalk pt-churn blk vblk; do
   done
 done
 
+# Under --ha the HA supervisor's dirty tracker and the block engine's
+# cache listener share the host memory's per-frame write watch: the
+# tracker stops wanting a frame once it has stamped it, the cache wants
+# every frame it holds code from.  These legs run both on one frame
+# byte.  dirty loops forever, so --budget bounds it.
+for w in memwalk dirty; do
+  for eng in interp block; do
+    dune exec bin/velum.exe -- run -w "$w" -n 24 --ha --budget 50000000 --engine "$eng" \
+      >"$tmp/ha.$w.$eng.raw.txt"
+    grep -v -E '^(engine|tlb|dtlb)\.' <"$tmp/ha.$w.$eng.raw.txt" >"$tmp/ha.$w.$eng.txt"
+  done
+  diff "$tmp/ha.$w.interp.txt" "$tmp/ha.$w.block.txt" || {
+    echo "FAIL: interp/block divergence on $w (--ha)"; exit 1; }
+done
+
 echo "== engine throughput gate (cpu-spin: block >= 60 MIPS, interp >= 70% of committed) =="
 # Re-measure the engine suite (it also re-asserts cycle/instret
 # lockstep internally) and gate each engine on its own throughput: the
@@ -116,7 +131,7 @@ awk -v m="$imips" -v r="$imips_ref" 'BEGIN { exit !(m + 0 >= 0.7 * r) }' || {
 [ "${traces:-0}" -gt 0 ] || {
   echo "FAIL: cpu-spin bench ran without trace-tier dispatches"; exit 1; }
 echo "cpu-spin: block ${mips} MIPS (${traces} trace dispatches), interp ${imips} MIPS" \
-  "(committed ${imips_ref}); block/interp ${spin}x"
+  "(committed ${imips_ref}); block/interp ${spin}x; $(nproc) cores"
 
 twice E16 BENCH_fault.json
 

@@ -180,10 +180,12 @@ let observe_vm (vm : Vm.t) outcome =
       let s = v.Vcpu.state in
       Buffer.add_string b
         (Printf.sprintf "vcpu%d pc=%Lx mode=%s instret=%Ld halted=%b waiting=%b\n" i
-           s.Cpu.pc
+           (Cpu.pc s)
            (match s.Cpu.mode with Arch.User -> "U" | Arch.Supervisor -> "S")
            s.Cpu.instret s.Cpu.halted s.Cpu.waiting);
-      Array.iteri (fun j r -> Buffer.add_string b (Printf.sprintf " r%d=%Lx" j r)) s.Cpu.regs;
+      for j = 0 to Arch.num_regs - 1 do
+        Buffer.add_string b (Printf.sprintf " r%d=%Lx" j (Cpu.get_reg s j))
+      done;
       Buffer.add_char b '\n';
       Array.iteri (fun j c -> Buffer.add_string b (Printf.sprintf " c%d=%Lx" j c)) s.Cpu.csrs;
       Buffer.add_char b '\n')
@@ -309,8 +311,7 @@ let record_exits ~engine setup =
   let ctx =
     {
       Cpu.translate = (fun ~access ~user va -> Vm.translate vm ~vcpu_idx:0 ~access ~user va);
-      read_ram = (fun pa w -> Phys_mem.read host.Host.mem pa w);
-      write_ram = (fun pa w v -> Phys_mem.write host.Host.mem pa w v);
+      mem = host.Host.mem;
       flush_tlb = (fun () -> Vm.flush_vcpu_tlb vm ~vcpu_idx:0);
       now = now_fn;
       ext_irq = (fun () -> false);
@@ -551,6 +552,119 @@ let vm_trace_smc () =
           Alcotest.(check bool) (pname ^ " trace severed by interior SMC") true
             (Trans_cache.traces_severed c > 0))
     [ ("nested", Vm.Nested_paging); ("shadow", Vm.Shadow_paging) ]
+
+(* The write watch under SMC: the routine's frame is first written as
+   plain data (no cached block wants it, so its watch byte clears), then
+   called (decoded and cached), then patched and called again.  The
+   patch must reach the cache: the engine watches a frame again when it
+   caches a block decoded from it. *)
+let native_smc_watch () =
+  let routine_pa = 0x1000L in
+  let encode insn = Instr.encode insn in
+  let prog =
+    Asm.assemble ~origin:0L
+      [
+        (* phase 1: write the routine "addi r2 r2 100; jalr r0 r14 0" *)
+        li r13 routine_pa;
+        li r1 (encode (Instr.Alui (Instr.Add, 2, 2, 100L)));
+        sd r1 r13 0L;
+        li r1 (encode (Instr.Jalr (0, 14, 0L)));
+        sd r1 r13 8L;
+        halt;
+        (* phase 2: call it, patch it to add 1, call it again *)
+        label "phase2";
+        li r13 routine_pa;
+        li r2 0L;
+        jalr r14 r13 0L;
+        li r1 (encode (Instr.Alui (Instr.Add, 2, 2, 1L)));
+        sd r1 r13 0L;
+        jalr r14 r13 0L;
+        (* r2 = 100 + 1 = 'e' *)
+        outp Uart.data_port r2;
+        halt;
+      ]
+  in
+  let run engine =
+    let p = Platform.create ~frames:64 ~engine () in
+    Platform.load_image p prog;
+    let phase entry =
+      Platform.boot p ~entry;
+      match Platform.run p with
+      | Platform.Halted -> ()
+      | _ -> Alcotest.fail "SMC watch program did not halt"
+    in
+    phase 0L;
+    Alcotest.(check bool)
+      (Engine.kind_name engine ^ ": data-only frame unwatched")
+      (engine = Engine.Interp)
+      (Phys_mem.watched p.Platform.mem ~ppn:1L);
+    phase (Asm.symbol prog "phase2");
+    (Platform.console_output p, Platform.cycles p, Platform.instructions_retired p, p)
+  in
+  let out_i, cyc_i, ret_i, _ = run Engine.Interp in
+  let out_b, cyc_b, ret_b, pb = run Engine.Block in
+  Alcotest.(check string) "patched output" "e" out_i;
+  Alcotest.(check string) "console" out_i out_b;
+  Alcotest.(check int64) "cycles" cyc_i cyc_b;
+  Alcotest.(check int64) "instret" ret_i ret_b;
+  match pb.Platform.engine.Engine.cache with
+  | None -> Alcotest.fail "block engine has no cache"
+  | Some c ->
+      Alcotest.(check bool) "patch invalidated the routine" true
+        (Trans_cache.invalidations c > 0)
+
+(* Host allocation per retired guest instruction, over one [step_n] call
+   on a nested-paging VM spinning in cpu-spin's loop, after a warm-up
+   that boots it into user mode and lets the trace tier form.  The count
+   is deterministic, so it pins the allocation-free hot path. *)
+let minor_words_per_insn engine =
+  let setup = Images.plan ~user:(Workloads.cpu_spin ~iters:1_000_000_000L) () in
+  let host = Host.create ~frames:(setup.Images.frames + 1024) () in
+  let hyp = Hypervisor.create ~host () in
+  let vm =
+    Hypervisor.create_vm hyp ~name:"alloc" ~mem_frames:setup.Images.frames ~engine
+      ~paging:Vm.Nested_paging ~entry:Images.entry ()
+  in
+  Images.load_vm vm setup;
+  let state = vm.Vm.vcpus.(0).Vcpu.state in
+  let ctx =
+    {
+      Cpu.translate = Vm.translate vm ~vcpu_idx:0;
+      mem = host.Host.mem;
+      flush_tlb = (fun () -> Vm.flush_vcpu_tlb vm ~vcpu_idx:0);
+      now = (fun () -> 0L);
+      ext_irq = (fun () -> false);
+      cost = host.Host.cost;
+      dtlb = Some vm.Vm.dtlbs.(0);
+      env = Cpu.Deprivileged;
+    }
+  in
+  let step fuel =
+    match vm.Vm.engine.Engine.step_n state ctx ~fuel with
+    | _, Cpu.Budget -> true
+    | _, Cpu.Exit e -> (
+        match Emulate.handle_exit vm ~vcpu_idx:0 ~now:0L e with
+        | Emulate.Resume | Emulate.Yielded -> false
+        | _ -> Alcotest.fail "cpu-spin stopped during warm-up")
+    | _ -> Alcotest.fail "cpu-spin stopped during warm-up"
+  in
+  (* warm up until a whole call runs without an exit *)
+  let rec warm n = if n = 0 then Alcotest.fail "cpu-spin never settled" else if not (step 200_000) then warm (n - 1) in
+  warm 1000;
+  ignore (step 200_000);
+  let i0 = state.Cpu.instret and w0 = Gc.minor_words () in
+  if not (step 2_000_000) then Alcotest.fail "cpu-spin exited while measured";
+  let words = Gc.minor_words () -. w0 in
+  words /. Int64.to_float (Int64.sub state.Cpu.instret i0)
+
+let alloc_budget () =
+  let block = minor_words_per_insn Engine.Block
+  and interp = minor_words_per_insn Engine.Interp in
+  Printf.printf "minor words per instruction: block %.4f, interp %.2f\n" block interp;
+  Alcotest.(check bool) (Printf.sprintf "trace tier allocates %.4f <= 0.05" block) true
+    (block <= 0.05);
+  Alcotest.(check bool) (Printf.sprintf "interpreter allocates %.2f <= 40" interp) true
+    (interp <= 40.0)
 
 (* Random programs that also store encoded instructions over a patch
    slab inside their own (RWX-mapped) code page, then fall through and
@@ -799,6 +913,8 @@ let () =
             engine_trace_workloads;
           Alcotest.test_case "exit sequences identical" `Quick exit_sequences;
           Alcotest.test_case "native self-modifying code" `Quick native_smc;
+          Alcotest.test_case "SMC re-watches a data-only frame" `Quick native_smc_watch;
+          Alcotest.test_case "allocation per instruction" `Quick alloc_budget;
           Alcotest.test_case "native cache hit path" `Quick native_cache_hits;
           Alcotest.test_case "chain severed by SMC" `Quick native_chain_smc;
           Alcotest.test_case "trace severed by interior SMC" `Quick vm_trace_smc;

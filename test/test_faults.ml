@@ -343,7 +343,7 @@ let test_pinned_results () =
 
 let snap vm =
   Array.map
-    (fun (v : Vcpu.t) -> (v.Vcpu.state.Cpu.pc, v.Vcpu.state.Cpu.instret))
+    (fun (v : Vcpu.t) -> (Cpu.pc v.Vcpu.state, v.Vcpu.state.Cpu.instret))
     vm.Vm.vcpus
 
 (* Kill the link at a random session cycle (plus background frame loss).

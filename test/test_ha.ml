@@ -866,6 +866,69 @@ let failover_deterministic_prop =
       in
       run () = run ())
 
+(* ---------------- dirty-frame tracking ---------------- *)
+
+(* [Churn] lets the memory stop watching a frame once it has stamped it,
+   so it must watch every frame again whenever it opens a new epoch.
+   Against a model: after each [mark], [drain] and cursor creation, the
+   first write to every frame is counted — including frames whose watch
+   byte was cleared earlier — and [written_since] answers for every mark
+   taken.  A second listener, like a translation cache holding code in
+   some frames, shares the watch bytes. *)
+type churn_op = C_write of int | C_fill of int | C_mark | C_drain | C_code of int * bool
+
+let churn_prop =
+  let frames = 6 in
+  QCheck2.Test.make ~count:300 ~name:"churn counts every first write after each mark"
+    QCheck2.Gen.(
+      let frame = int_range 0 (frames - 1) in
+      list_size (int_range 1 80)
+        (frequency
+           [
+             (6, map (fun f -> C_write f) frame);
+             (1, map (fun f -> C_fill f) frame);
+             (2, return C_mark);
+             (2, return C_drain);
+             (1, map2 (fun f b -> C_code (f, b)) frame bool);
+           ]))
+    (fun ops ->
+      let mem = Phys_mem.create ~frames in
+      let code = Array.make frames false in
+      ignore
+        (Phys_mem.add_write_listener mem (fun ~ppn ~lo:_ ~hi:_ -> code.(Int64.to_int ppn)));
+      let t = Churn.attach mem in
+      let c = Churn.cursor t in
+      (* model: frames written since the cursor's base, and per mark *)
+      let dirty = ref [] and marks = ref [] in
+      let written f =
+        if not (List.mem f !dirty) then dirty := f :: !dirty;
+        marks := List.map (fun (m, fs) -> (m, if List.mem f fs then fs else f :: fs)) !marks
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | C_write f ->
+              Phys_mem.write mem (Int64.of_int (f * Arch.page_size)) Instr.W64 7L;
+              written f
+          | C_fill f ->
+              Phys_mem.frame_fill mem ~ppn:(Int64.of_int f) 'z';
+              written f
+          | C_mark -> marks := (Churn.mark t, []) :: !marks
+          | C_drain ->
+              ignore (Churn.drain c);
+              dirty := []
+          | C_code (f, b) ->
+              code.(f) <- b;
+              if b then Phys_mem.watch mem ~ppn:(Int64.of_int f));
+          Churn.churned c = List.length !dirty
+          && List.for_all
+               (fun (m, fs) ->
+                 List.for_all
+                   (fun f -> Churn.written_since t ~mark:m (Int64.of_int f) = List.mem f fs)
+                   (List.init frames Fun.id))
+               !marks)
+        ops)
+
 let () =
   Alcotest.run "ha"
     [
@@ -892,6 +955,7 @@ let () =
                store_crash_sweep_prop; store_gc_live_prop;
                store_delta_oracle_prop; hinted_commit_prop;
              ] );
+      ("churn", qsuite [ churn_prop ]);
       ( "snapshot",
         Alcotest.test_case "truncated image rejected without trace" `Quick
           test_truncated_restore_rejected
