@@ -144,12 +144,13 @@ let run_cmd =
                ("interp", Velum_machine.Engine.Interp);
                ("block", Velum_machine.Engine.Block);
              ])
-          Velum_machine.Engine.Interp
+          Velum_machine.Engine.default
       & info [ "engine" ]
           ~doc:
-            "Execution engine: interp (reference interpreter) or block \
-             (decoded-block translation cache; same simulated cycles, faster \
-             wall clock).")
+            "Execution engine: block (the default: decoded-block translation \
+             cache with superblock traces) or interp (the reference \
+             interpreter every lockstep check compares against; same \
+             simulated cycles, slower wall clock).")
   in
   let budget =
     Arg.(value & opt int64 2_000_000_000L & info [ "budget" ] ~doc:"Cycle budget.")

@@ -13,7 +13,7 @@ type vm_spec = {
 }
 
 let spec ?(paging = Vm.Nested_paging) ?(pv = false)
-    ?(engine = Velum_machine.Engine.Interp) ~name setup =
+    ?(engine = Velum_machine.Engine.default) ~name setup =
   { vname = name; setup; paging; pv; engine }
 
 type config = {

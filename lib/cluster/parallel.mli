@@ -41,7 +41,7 @@ val spec :
   name:string ->
   Velum_guests.Images.setup ->
   vm_spec
-(** Defaults: nested paging, no PV, interpreter engine. *)
+(** Defaults: nested paging, no PV, {!Velum_machine.Engine.default}. *)
 
 type config = private {
   hosts : int;

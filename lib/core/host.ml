@@ -15,7 +15,7 @@ type t = {
 let swap_cost_cycles = 2_000_000
 
 let create ?(frames = 16384) ?(cost = Cost_model.default) ?(swap_slots = 4096)
-    ?(engine = Engine.Interp) () =
+    ?(engine = Engine.default) () =
   let mem = Phys_mem.create ~frames in
   {
     mem;

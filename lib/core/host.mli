@@ -30,8 +30,8 @@ type t = {
 
 val create :
   ?frames:int -> ?cost:Cost_model.t -> ?swap_slots:int -> ?engine:Engine.kind -> unit -> t
-(** Default: 16384 frames (64 MiB), 4096 swap slots, interpreter
-    engine. *)
+(** Default: 16384 frames (64 MiB), 4096 swap slots,
+    {!Engine.default}. *)
 
 val churn : t -> Churn.t
 (** The host's dirty-frame tracker, attached on first use: every

@@ -39,8 +39,6 @@ type t = {
   bt_cache : (int64, unit) Hashtbl.t;
       (* guest PCs whose sensitive instruction has been translated *)
   engine : Engine.t;
-  mem_listener : int option;
-      (* write-listener handle on host memory (block engine only) *)
   mutable trace : Trace.t option;
   mutable traces_seen : int;
       (* superblock traces already reported to the trace ring; the
@@ -271,17 +269,6 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
     Engine.of_kind
       (match engine with Some k -> k | None -> host.Host.default_engine)
   in
-  (* Blocks are keyed by machine frame, so content coherence (including
-     guest self-modifying code) hangs off the host memory's write
-     listeners; registered here, dropped in {!destroy}. *)
-  let mem_listener =
-    Option.map
-      (fun cache ->
-        Phys_mem.add_write_listener host.Host.mem (fun ~ppn ~lo ~hi ->
-            Trans_cache.invalidate_range cache ~ppn ~lo ~hi;
-            Trans_cache.has_frame cache ~ppn))
-      engine.Engine.cache
-  in
   let p2m = P2m.create ~gframes:mem_frames in
   (* Populate guest memory eagerly; on failure return what we took. *)
   let allocated = ref [] in
@@ -338,7 +325,6 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
       exec_mode;
       bt_cache = Hashtbl.create 64;
       engine;
-      mem_listener;
       trace = None;
       traces_seen = 0;
     }
@@ -380,8 +366,7 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
   t
 
 let destroy t =
-  Option.iter (Phys_mem.remove_write_listener t.host.Host.mem) t.mem_listener;
-  (match t.engine.Engine.cache with Some c -> Trans_cache.flush c | None -> ());
+  Engine.release t.engine;
   (match t.shadow with Some s -> Shadow.flush_all s | None -> ());
   P2m.iter t.p2m ~f:(fun ~gfn entry ->
       match entry with

@@ -67,9 +67,6 @@ type t = {
           the {e cost-model} abstraction (what an exit costs), the engine
           is the {e mechanism} (how instructions are dispatched) — the
           two compose freely *)
-  mem_listener : int option;
-      (** host-memory write-listener handle keeping the engine's
-          translation cache coherent (block engine only) *)
   mutable trace : Trace.t option;
       (** tracing sink shared with the hypervisor ([None] = tracing off;
           set by {!Hypervisor.set_trace}, inherited at
@@ -105,7 +102,8 @@ val create :
     so far is returned first). *)
 
 val destroy : t -> unit
-(** Release every host frame the VM holds (guest memory, shadow tables).
+(** Release every host frame the VM holds (guest memory, shadow tables)
+    and the engine's write listener on host memory ({!Engine.release}).
     The VM must not be used afterwards. *)
 
 val attach_vnet : t -> link:Link.t -> endpoint:Link.endpoint -> Virtio_net.t
@@ -195,8 +193,9 @@ val revoke_exec_frame : t -> ppn:int64 -> unit
     a frame leaves the VM with its bytes intact — ballooning, COW
     sharing, hypervisor swap-out — so the translation cache never pins
     work for pages the guest no longer owns.  Content {e changes} need no
-    call: the cache subscribes to {!Velum_machine.Phys_mem} write
-    listeners.  No-op on the interpreter engine. *)
+    call: the engine keeps its cache coherent through a
+    {!Velum_machine.Phys_mem} write listener.  No-op on the interpreter
+    engine. *)
 
 val traces_built : t -> int
 (** Superblock traces compiled so far by this VM's block engine (0 on

@@ -68,7 +68,7 @@ let identity_guest_mem mem =
 let blk_sectors = 8192
 
 let create ?(frames = 4096) ?(cost = Cost_model.default) ?(tlb_size = 64)
-    ?(engine = Engine.Interp) () =
+    ?(engine = Engine.default) () =
   let mem = Phys_mem.create ~frames in
   let bus = Bus.create () in
   let uart = Uart.create () in
@@ -82,16 +82,6 @@ let create ?(frames = 4096) ?(cost = Cost_model.default) ?(tlb_size = 64)
   let dtlb = Dtlb.create ~tlb in
   let mmu = Mmu.create ~mem ~tlb ~cost ~get_satp:(fun () -> Cpu.get_csr cpu Arch.Satp) in
   let engine = Engine.of_kind engine in
-  (* Bare metal has no frame revocation, so the write listener is the
-     only coherence hook a block engine needs here (covers stores, DMA
-     and load_image alike). *)
-  Option.iter
-    (fun cache ->
-      ignore
-        (Phys_mem.add_write_listener mem (fun ~ppn ~lo ~hi ->
-             Trans_cache.invalidate_range cache ~ppn ~lo ~hi;
-             Trans_cache.has_frame cache ~ppn)))
-    engine.Engine.cache;
   {
     mem;
     bus;

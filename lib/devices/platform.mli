@@ -42,9 +42,9 @@ val create :
   t
 (** [create ()] builds a machine with 4096 frames (16 MiB) by default.
     Both block devices hold 8192 sectors.  [engine] picks the execution
-    engine (default interpreter); the block engine's cache is kept
-    coherent with RAM via write listeners, so DMA and self-modifying
-    code behave identically on both. *)
+    engine (default {!Engine.default}); the block engine keeps its cache
+    coherent with RAM through its own write listener, so DMA and
+    self-modifying code behave identically on both. *)
 
 val load_image : t -> Asm.image -> unit
 (** Copy an assembled image into RAM at its origin. *)

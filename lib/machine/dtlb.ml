@@ -1,19 +1,29 @@
 open Velum_isa
 
 (* A micro-TLB entry mirrors one translation the backing {!Tlb} is known
-   to hold: while the TLB's generation is unchanged, replaying the access
-   through the TLB would hit — same physical address, zero cycles, one
+   to hold: while its certificate holds, replaying the access through
+   the TLB would hit — same physical address, zero cycles, one
    [note_hit] — so serving it from here is observationally identical and
    skips the full translator call chain.  [load_ok]/[store_ok] are
    learned per access kind because the translators gate stores on the
-   dirty bit independently of read permission. *)
+   dirty bit independently of read permission.
+
+   The certificate is the TLB slot and version of the 4 KiB entry that
+   mapped the page at fill time ({!Tlb.holds}), with the TLB generation
+   as its fast path: an unchanged generation proves that no entry left
+   since [gen] was recorded.  When the generation moved but the slot
+   still holds the entry, [gen] is brought forward, so the next hit is
+   one compare again.  A page served by a superpage entry has no slot
+   ([-1]) and is certified by the generation alone. *)
 type entry = {
   vpn : int64;
   ppn : int;  (* 4 KiB frame of the translated pa *)
   user : bool;
   mutable load_ok : bool;
   mutable store_ok : bool;
-  gen : int;  (* Tlb.generation at fill time *)
+  mutable gen : int;  (* a Tlb.generation at which the entry was certified *)
+  slot : int;
+  version : int;
 }
 
 type t = {
@@ -36,6 +46,15 @@ let generation t = Tlb.generation t.tlb
 let page_mask = Arch.page_size - 1
 let slot_of vpn = Int64.to_int (Int64.logand vpn slot_mask)
 
+let[@inline] certified tlb e =
+  let g = Tlb.generation tlb in
+  e.gen = g
+  || Tlb.holds tlb ~slot:e.slot ~version:e.version
+     && begin
+          e.gen <- g;
+          true
+        end
+
 let lookup t ~access ~user va =
   let vpn = Int64.shift_right_logical va Arch.page_shift in
   match t.slots.(slot_of vpn) with
@@ -45,7 +64,7 @@ let lookup t ~access ~user va =
             | Arch.Load -> e.load_ok
             | Arch.Store -> e.store_ok
             | Arch.Fetch -> false)
-         && e.gen = Tlb.generation t.tlb ->
+         && certified t.tlb e ->
       t.hits <- t.hits + 1;
       (* replicate the side effect the real TLB hit would have had *)
       Tlb.note_hit t.tlb;
@@ -73,17 +92,18 @@ let fill t ~access ~user ~va ~pa =
             | Arch.Store -> e.perms.Pte.w && e.dirty_ok
             | Arch.Fetch -> false) ->
       let ppn = pa lsr Arch.page_shift in
-      let gen = Tlb.generation t.tlb in
-      let slot = slot_of vpn in
-      (match t.slots.(slot) with
-      | Some old when old.vpn = vpn && old.user = user && old.gen = gen && old.ppn = ppn
+      let idx = slot_of vpn in
+      (match t.slots.(idx) with
+      | Some old
+        when old.vpn = vpn && old.user = user && old.ppn = ppn && certified t.tlb old
         -> (
           match access with
           | Arch.Load -> old.load_ok <- true
           | Arch.Store -> old.store_ok <- true
           | Arch.Fetch -> ())
       | _ ->
-          t.slots.(slot) <-
+          let slot = Tlb.cert_slot t.tlb ~vpn in
+          t.slots.(idx) <-
             Some
               {
                 vpn;
@@ -91,7 +111,9 @@ let fill t ~access ~user ~va ~pa =
                 user;
                 load_ok = access = Arch.Load;
                 store_ok = access = Arch.Store;
-                gen;
+                gen = Tlb.generation t.tlb;
+                slot;
+                version = Tlb.version t.tlb slot;
               });
       t.fills <- t.fills + 1
   | _ -> ()

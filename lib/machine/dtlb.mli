@@ -6,8 +6,10 @@
     interpreter.  Every cached entry is verified at fill time against
     the backing {!Tlb} — the entry is only stored if the TLB would, on
     its own, satisfy the same access as a zero-cycle hit — and is
-    consulted only while {!Tlb.generation} is unchanged, i.e. while no
-    TLB entry has been flushed, evicted or replaced.  A micro-TLB hit is
+    consulted only while the TLB entry it was verified against is still
+    there: its slot's version is unchanged ({!Tlb.holds}), or, as the
+    one-compare fast path and for superpage entries, {!Tlb.generation}
+    is.  A micro-TLB hit is
     therefore observationally identical to the real translate call it
     replaces (same physical address, zero charged cycles, one
     {!Tlb.note_hit}), just without the full MMU/nested/shadow call
@@ -25,7 +27,7 @@ val generation : t -> int
 val lookup : t -> access:Velum_isa.Arch.access -> user:bool -> int64 -> int
 (** [lookup t ~access ~user va] returns the physical address when the
     cached translation for [va]'s page is still certified by the backing
-    TLB's generation, and [-1] otherwise; a hit replicates the
+    TLB, and [-1] otherwise; a hit replicates the
     [note_hit] the real hit would have recorded.  Fetch accesses never
     hit. *)
 

@@ -2,16 +2,52 @@ open Velum_isa
 
 type kind = Interp | Block
 
+let default = Block
 let kind_name = function Interp -> "interp" | Block -> "block"
+
+(* The cache's write listener on the memory it decodes from, once the
+   first block is inserted. *)
+type hook = { mutable attached : (Phys_mem.t * int) option }
 
 type t = {
   kind : kind;
   step_n : Cpu.state -> Cpu.ctx -> fuel:int -> int * Cpu.stop;
   cache : Trans_cache.t option;
+  hook : hook;
 }
 
 let interp =
-  { kind = Interp; step_n = (fun s ctx ~fuel -> Cpu.run s ctx ~budget:fuel); cache = None }
+  {
+    kind = Interp;
+    step_n = (fun s ctx ~fuel -> Cpu.run s ctx ~budget:fuel);
+    cache = None;
+    hook = { attached = None };
+  }
+
+(* Blocks are keyed by machine frame, so content coherence (including
+   self-modifying code, DMA and restores) hangs off a write listener on
+   the memory the hart executes from.  It is registered the first time a
+   block is about to be inserted, so a machine that never runs the
+   engine carries no listener.  An engine serves one machine, so one
+   registration covers its life. *)
+let attach h cache mem =
+  if Option.is_none h.attached then
+    h.attached <-
+      Some
+        ( mem,
+          Phys_mem.add_write_listener mem (fun ~ppn ~lo ~hi ->
+              Trans_cache.invalidate_range cache ~ppn ~lo ~hi;
+              Trans_cache.has_frame cache ~ppn) )
+
+(* Without the listener the cache cannot see writes, so releasing it
+   also drops every block. *)
+let release t =
+  match (t.cache, t.hook.attached) with
+  | Some cache, Some (mem, id) ->
+      Phys_mem.remove_write_listener mem id;
+      t.hook.attached <- None;
+      Trans_cache.flush cache
+  | _ -> ()
 
 let page_mask = Int64.of_int (Arch.page_size - 1)
 let pc_slot = Cpu.pc_slot
@@ -20,35 +56,41 @@ let instr_bytes64 = Int64.of_int Arch.instr_bytes
 
 (* Per-hart window state, keyed by [Cpu.state] identity so it survives
    across [step_n] calls.  Persistence is sound because nothing here is
-   trusted on re-entry: the fetch window is re-validated against the
-   micro-TLB generation (and vpn/mode), block reuse re-checks
+   trusted on re-entry: the fetch window is re-validated against its
+   TLB certificate (and vpn/mode), block reuse re-checks
    [valid]/regime/containment, and a stale [pending] edge can at worst
    patch a chain that [follow] will refuse later.  Without a micro-TLB
-   there is no generation to consult, so the state is reset cold on
+   there is no certificate to consult, so the state is reset cold on
    every call (the strict static window rules then apply). *)
 type wstate = {
   mutable w_dtlb : Dtlb.t option;
       (* the micro-TLB the fields below were computed against; a
-         different (or absent) one makes generations incomparable *)
+         different (or absent) one makes certificates incomparable *)
   mutable fresh : bool;
   mutable cur_vpn : int64;
   mutable cur_frame : int64;
   mutable cur_user : bool;
   mutable cur_gen : int;
+  mutable cur_slot : int;
+  mutable cur_ver : int;
+      (* the window's certificate: the micro-TLB generation it was taken
+         at, and the fetch page's 4 KiB TLB slot and version (see
+         {!Dtlb}) *)
   mutable cur_block : Trans_cache.block option;
   mutable pending : (Trans_cache.block * bool) option;
   (* Victim cache of recently displaced fetch windows.  A slot holds the
      same facts as the primary window fields (vpn, user, frame, and the
-     micro-TLB generation they were certified under); it is usable
-     exactly while the current generation equals the recorded one — the
-     same certificate the primary window relies on.  This is what makes
-     page ping-pong (user code <-> trap vector on every syscall) cheap:
-     re-entering a recently-left page skips the whole translate chain
-     when nothing in the TLB moved. *)
+     certificate they were taken under); it is usable exactly while that
+     certificate holds — the same check the primary window relies on.
+     This is what makes page ping-pong (user code <-> trap vector on
+     every syscall) cheap: re-entering a recently-left page skips the
+     whole translate chain while its TLB entry stays put. *)
   v_vpns : int64 array;
   v_frames : int64 array;
   v_users : bool array;
   v_gens : int array;
+  v_slots : int array;
+  v_vers : int array;
   mutable v_next : int;
 }
 
@@ -62,12 +104,16 @@ let new_wstate () =
     cur_frame = -1L;
     cur_user = false;
     cur_gen = 0;
+    cur_slot = -1;
+    cur_ver = 0;
     cur_block = None;
     pending = None;
     v_vpns = Array.make num_victims (-1L);
     v_frames = Array.make num_victims (-1L);
     v_users = Array.make num_victims false;
     v_gens = Array.make num_victims 0;
+    v_slots = Array.make num_victims (-1);
+    v_vers = Array.make num_victims 0;
     v_next = 0;
   }
 
@@ -79,6 +125,8 @@ let stash_window w =
     w.v_frames.(k) <- w.cur_frame;
     w.v_users.(k) <- w.cur_user;
     w.v_gens.(k) <- w.cur_gen;
+    w.v_slots.(k) <- w.cur_slot;
+    w.v_vers.(k) <- w.cur_ver;
     w.v_next <- (k + 1) land (num_victims - 1)
   end
 
@@ -86,24 +134,66 @@ let clear_victims w =
   Array.fill w.v_vpns 0 num_victims (-1L);
   w.v_next <- 0
 
+(* The window's certificate after the generation moved (callers test
+   [Dtlb.generation d = w.cur_gen] first, one compare): the fetch page's
+   TLB slot is still at its version.  That brings [cur_gen] forward, so
+   the next check is one compare again. *)
+let recertify_window w d =
+  Tlb.holds (Dtlb.backing d) ~slot:w.cur_slot ~version:w.cur_ver
+  && begin
+       w.cur_gen <- Dtlb.generation d;
+       true
+     end
+
+(* Adopt a fresh window for [vpn] -> [frame] in mode [user], stashing
+   the displaced one in the victim ring and keeping the decoded block
+   when the refetch landed in the same frame and regime: a collapsed
+   window then costs one translate (or a victim probe), not a hashtable
+   round trip.  [slot] and [ver] certify it (see [recertify_window]). *)
+let adopt_window w dtlb s ~user ~vpn ~frame ~slot ~ver =
+  stash_window w;
+  w.cur_vpn <- vpn;
+  w.cur_user <- user;
+  (match dtlb with
+  | Some d ->
+      w.cur_gen <- Dtlb.generation d;
+      w.cur_slot <- slot;
+      w.cur_ver <- ver
+  | None -> ());
+  w.fresh <- true;
+  (if frame <> w.cur_frame then w.cur_block <- None
+   else
+     match w.cur_block with
+     | Some b
+       when not
+              (Trans_cache.same_regime_key b
+                 (Trans_cache.key ~ppn:frame ~off:0 ~user
+                    ~paging:(Arch.satp_enabled (Cpu.get_csr s Arch.Satp)))) ->
+         w.cur_block <- None
+     | _ -> ());
+  w.cur_frame <- frame
+
 (* The block engine's driver loop.  It mirrors [Cpu.run] stop for stop
    and cycle for cycle; the only liberty it takes is {e skipping}
    translations the interpreter would perform as guaranteed zero-cycle
    TLB hits.
 
    Fetch side — the reuse window.  After a fetch translation of page
-   [vpn] succeeds we record the mode and the backing TLB's generation
-   ({!Dtlb.generation}).  While the PC stays in [vpn], the mode is
-   unchanged and the generation is unchanged (no TLB entry flushed,
-   evicted or replaced — which also implies [satp] is unchanged, since
-   every [satp] write flushes), a fetch translation would return the
-   same frame as a zero-cycle hit, so it is skipped.  Loads and stores
-   do not collapse the window (cf. the relaxed
-   [Block.preserves_translation]): an access served by the micro-TLB or
-   by a plain TLB hit leaves the generation alone, and one that walks
-   and thereby evicts a TLB entry bumps the generation, collapsing the
-   window exactly when required.  Without a micro-TLB wired in the ctx
-   there is no generation to consult, and the window only survives
+   [vpn] succeeds we record the mode and a certificate for the TLB
+   entry that served it: the backing TLB's generation and the entry's
+   slot and version ({!Tlb.holds}; a superpage entry has only the
+   generation).  While the PC stays in [vpn], the mode is unchanged and
+   the certificate holds (that entry was not flushed, evicted or
+   replaced — which also implies [satp] is unchanged, since every
+   [satp] write flushes), a fetch translation would return the same
+   frame as a zero-cycle hit, so it is skipped.  Loads and stores do not
+   collapse the window (cf. the relaxed [Block.preserves_translation]):
+   an access served by the micro-TLB or by a plain TLB hit changes no
+   entry, and one that walks and thereby evicts the fetch page's entry
+   bumps its slot's version, collapsing the window exactly when
+   required; evicting some other entry leaves the window open.  Without
+   a micro-TLB wired in the ctx there is no certificate to consult, and
+   the window only survives
    instructions that are statically incapable of disturbing translation
    ([Block.preserves_translation_unconditionally]).
 
@@ -126,13 +216,13 @@ let clear_victims w =
    going around the dispatch loop, as long as each retired instruction
    is provably equivalent to re-dispatching: the block is still valid
    (a store into its own page clears [valid] via the write listener),
-   the window facts still hold (generation and mode under a micro-TLB,
+   the window facts still hold (certificate and mode under a micro-TLB,
    static class otherwise), fuel remains, and — outside deprivileged
    mode, where the interpreter checks interrupts before every
    instruction — the instruction class cannot affect interrupt state
    (no CSR, MMIO or port access; [now]/[ext_irq] are constant within a
    [step_n] call, so nothing else can make an interrupt pending). *)
-let block_step cache states s ctx ~fuel =
+let block_step cache hook states s ctx ~fuel =
   let cost = ctx.Cpu.cost in
   (* hoisted cost-model constants: no per-iteration field reads *)
   let trap_enter = cost.Cost_model.trap_enter in
@@ -228,53 +318,28 @@ let block_step cache states s ctx ~fuel =
             && Int64.shift_right_logical pc Arch.page_shift = w.cur_vpn
             && user = w.cur_user
             && (match dtlb with
-               | Some d -> Dtlb.generation d = w.cur_gen
+               | Some d -> Dtlb.generation d = w.cur_gen || recertify_window w d
                | None -> true)
             && Int64.logand pc align_mask = 0L
-          in
-          (* adopt a fresh window for [vpn] -> [frame], stashing the
-             displaced one in the victim ring and keeping the decoded
-             block when the refetch landed in the same frame and
-             regime: a collapsed window then costs one translate (or a
-             victim probe), not a hashtable round trip *)
-          let adopt_window ~vpn ~frame =
-            stash_window w;
-            w.cur_vpn <- vpn;
-            w.cur_user <- user;
-            (match dtlb with
-            | Some d -> w.cur_gen <- Dtlb.generation d
-            | None -> ());
-            w.fresh <- true;
-            (if frame <> w.cur_frame then w.cur_block <- None
-             else
-               match w.cur_block with
-               | Some b
-                 when not
-                        (Trans_cache.same_regime_key b
-                           (Trans_cache.key ~ppn:frame ~off:0 ~user
-                              ~paging:(Arch.satp_enabled (Cpu.get_csr s Arch.Satp))))
-                 ->
-                   w.cur_block <- None
-               | _ -> ());
-            w.cur_frame <- frame
           in
           let xl =
             if win_ok then Some 0
             else begin
               let vpn = Int64.shift_right_logical pc Arch.page_shift in
-              (* A victim window for this (vpn, mode) whose generation
-                 is still current carries the same certificate the
-                 primary window does: the fetch translation would be a
+              (* A victim window for this (vpn, mode) whose certificate
+                 still holds carries the same guarantee the primary
+                 window does: the fetch translation would be a
                  zero-cycle TLB hit, so it is skipped outright. *)
               let victim =
                 match dtlb with
                 | Some d when Int64.logand pc align_mask = 0L ->
-                    let gen = Dtlb.generation d in
+                    let gen = Dtlb.generation d and tlb = Dtlb.backing d in
                     let rec probe k =
                       if k >= num_victims then -1
                       else if
                         w.v_vpns.(k) = vpn && w.v_users.(k) = user
-                        && w.v_gens.(k) = gen
+                        && (w.v_gens.(k) = gen
+                           || Tlb.holds tlb ~slot:w.v_slots.(k) ~version:w.v_vers.(k))
                       then k
                       else probe (k + 1)
                     in
@@ -282,7 +347,8 @@ let block_step cache states s ctx ~fuel =
                 | _ -> -1
               in
               if victim >= 0 then begin
-                adopt_window ~vpn ~frame:w.v_frames.(victim);
+                adopt_window w dtlb s ~user ~vpn ~frame:w.v_frames.(victim)
+                  ~slot:w.v_slots.(victim) ~ver:w.v_vers.(victim);
                 Some 0
               end
               else
@@ -293,8 +359,19 @@ let block_step cache states s ctx ~fuel =
                   None
                 end
                 else begin
-                  adopt_window ~vpn
-                    ~frame:(Int64.of_int (Cpu.xl_pa x lsr Arch.page_shift));
+                  (* certify against the entry the fetch hit or filled *)
+                  let slot =
+                    match dtlb with
+                    | Some d -> Tlb.cert_slot (Dtlb.backing d) ~vpn
+                    | None -> -1
+                  in
+                  adopt_window w dtlb s ~user ~vpn
+                    ~frame:(Int64.of_int (Cpu.xl_pa x lsr Arch.page_shift))
+                    ~slot
+                    ~ver:
+                      (match dtlb with
+                      | Some d -> Tlb.version (Dtlb.backing d) slot
+                      | None -> 0);
                   Some (Cpu.xl_cycles x)
                 end
             end
@@ -359,6 +436,7 @@ let block_step cache states s ctx ~fuel =
                                   collapse_window ();
                                   None
                               | _ ->
+                                  attach hook cache ctx.Cpu.mem;
                                   let b =
                                     Trans_cache.insert cache ~key ~ppn:w.cur_frame
                                       ~insns:d.Block.insns ~classes:d.Block.classes
@@ -481,7 +559,7 @@ let block_step cache states s ctx ~fuel =
                              ops exit instead of trapping — cannot have
                              changed the mode.  Continuation therefore
                              needs no PC or containment re-check: just
-                             fuel, the generation after a memory access
+                             fuel, the certificate after a memory access
                              (its walk may have evicted the fetch
                              entry) and block validity after a store
                              (it may have hit this very code page). *)
@@ -495,9 +573,12 @@ let block_step cache states s ctx ~fuel =
                                   | Instr.Nop | Instr.Alu _ | Instr.Alui _
                                   | Instr.Lui _ ->
                                       true
-                                  | Instr.Load _ -> Dtlb.generation d = w.cur_gen
-                                  | Instr.Store _ ->
+                                  | Instr.Load _ ->
                                       Dtlb.generation d = w.cur_gen
+                                      || recertify_window w d
+                                  | Instr.Store _ ->
+                                      (Dtlb.generation d = w.cur_gen
+                                      || recertify_window w d)
                                       && b.Trans_cache.valid
                                   | _ -> false)
                               | None ->
@@ -529,8 +610,9 @@ let cache_capacity = 1024
 
 let block () =
   let cache = Trans_cache.create ~capacity:cache_capacity () in
+  let hook = { attached = None } in
   let states = ref [] in
-  { kind = Block; step_n = block_step cache states; cache = Some cache }
+  { kind = Block; step_n = block_step cache hook states; cache = Some cache; hook }
 
 let of_kind = function Interp -> interp | Block -> block ()
 

@@ -6,11 +6,12 @@
     {!Cpu}.  Two engines ship:
 
     - {!interp} — the per-instruction reference interpreter
-      ({!Cpu.run}).
+      ({!Cpu.run}), the oracle every lockstep check compares against.
     - {!block} — a decoded-block translation cache ({!Trans_cache}):
       straight-line runs of instructions are decoded once per (physical
       frame, offset, mode, paging) key and replayed from the cache,
-      skipping the per-instruction translate/fetch/decode work.
+      skipping the per-instruction translate/fetch/decode work.  It is
+      the {!default}.
 
     {b Equivalence contract.}  Every engine must be observationally
     identical to {!interp}: same architectural state after every stop,
@@ -24,12 +25,21 @@
     costing zero cycles.
 
     Engines hold no architectural state: the cache is rebuilt on demand
-    and invalidated by {!Phys_mem} write listeners, so snapshots and
-    migration copy {!Cpu.state} only (see {!Cpu.copy_state}). *)
+    and invalidated by a {!Phys_mem} write listener the engine owns, so
+    snapshots and migration copy {!Cpu.state} only (see
+    {!Cpu.copy_state}). *)
 
 type kind = Interp | Block
 
+val default : kind
+(** [Block]: what a host, a fleet spec, a bare-metal platform and the
+    CLI run unless told otherwise.  [Interp] stays selectable as the
+    reference. *)
+
 val kind_name : kind -> string
+
+type hook
+(** The block engine's coherence hook (see {!block} and {!release}). *)
 
 type t = {
   kind : kind;
@@ -38,19 +48,28 @@ type t = {
           stops; the drop-in replacement for {!Cpu.run}. *)
   cache : Trans_cache.t option;
       (** The block engine's cache, exposed so embedders can wire
-          invalidation (memory-write listeners, revocation hooks) and
-          read the counters. *)
+          revocation hooks and read the counters. *)
+  hook : hook;
 }
 
 val interp : t
 (** Stateless; a single shared instance. *)
 
 val block : unit -> t
-(** A fresh block engine with a private cache of 1024 blocks.  The
-    embedder must register a {!Phys_mem.add_write_listener} on the
-    machine memory the hart executes from, forwarding frame writes to
-    {!Trans_cache.invalidate_frame} — without it, self-modifying code
-    would execute stale blocks. *)
+(** A fresh block engine with a private cache of 1024 blocks.  The first
+    time it is about to insert a block it registers one
+    {!Phys_mem.add_write_listener} on the memory the hart executes from
+    ([ctx.mem]), which invalidates cached blocks overlapping every write
+    — self-modifying code, DMA, image loads, restores.  A machine that
+    never runs it carries no listener.  An engine serves one machine:
+    every run must execute from the same memory. *)
+
+val release : t -> unit
+(** [release t] removes the block engine's write listener, if one was
+    registered, and drops every cached block (nothing would keep them
+    coherent); the machine owning [t] calls it when it is torn down.  A
+    later run starts cold and registers the listener again.  No-op for
+    {!interp}. *)
 
 val of_kind : kind -> t
 

@@ -27,6 +27,9 @@ type entry = {
 type bank = {
   slots : entry option array;
   keys : int array;  (* key of the entry in each live slot *)
+  versions : int array;
+      (* per slot, bumped whenever the slot's live entry leaves: while a
+         slot's version is unchanged, so is the entry it held *)
   index : int array;
   mask : int;  (* index length - 1 *)
   shift : int;  (* int bits - log2 (index length) *)
@@ -42,9 +45,10 @@ type t = {
   mutable flushes : int;
   mutable generation : int;
       (* bumped whenever an entry leaves or changes (flush, capacity
-         eviction, same-vpn replacement) — never on a fill into an empty
-         slot.  A consumer that cached "the TLB holds entry E" may keep
-         trusting it exactly while the generation is unchanged. *)
+         eviction, same-vpn replacement), and when a 4 KiB fill shadows
+         a live superpage entry — never on any other fill into an empty
+         slot.  A consumer that cached "[lookup] returns entry E" may
+         keep trusting it exactly while the generation is unchanged. *)
 }
 
 let make_bank size =
@@ -53,6 +57,7 @@ let make_bank size =
   {
     slots = Array.make size None;
     keys = Array.make size 0;
+    versions = Array.make size 0;
     index = Array.make (1 lsl bits) (-1);
     mask = (1 lsl bits) - 1;
     shift = Sys.int_size - bits;
@@ -115,13 +120,14 @@ let lookup t ~vpn =
   | None -> bank_lookup t.large (key lsr Arch.vpn_bits)
 
 (* Any removal of a live entry invalidates what consumers may have
-   cached about the TLB's contents, so it both counts as an eviction and
-   bumps the generation. *)
+   cached about the TLB's contents, so it counts as an eviction and
+   bumps both the generation and the slot's version. *)
 let evict_slot t b slot =
   match b.slots.(slot) with
   | Some _ ->
       remove_pos b (find b b.keys.(slot));
       b.slots.(slot) <- None;
+      b.versions.(slot) <- b.versions.(slot) + 1;
       t.evictions <- t.evictions + 1;
       t.generation <- t.generation + 1
   | None -> ()
@@ -145,13 +151,21 @@ let bank_insert t b key e =
 let insert t e =
   let key = Int64.to_int e.vpn in
   if e.superpage then bank_insert t t.large (key lsr Arch.vpn_bits) e
-  else bank_insert t t.small key e
+  else begin
+    (* a 4 KiB entry takes precedence over a live superpage entry for
+       the same vpn: [lookup]'s answer changes although nothing left *)
+    if find t.large (key lsr Arch.vpn_bits) >= 0 then t.generation <- t.generation + 1;
+    bank_insert t t.small key e
+  end
 
 let flush t =
   List.iter
     (fun b ->
       Array.fill b.slots 0 (Array.length b.slots) None;
-      Array.fill b.index 0 (Array.length b.index) (-1))
+      Array.fill b.index 0 (Array.length b.index) (-1);
+      for i = 0 to Array.length b.versions - 1 do
+        b.versions.(i) <- b.versions.(i) + 1
+      done)
     [ t.small; t.large ];
   t.flushes <- t.flushes + 1;
   t.generation <- t.generation + 1
@@ -164,6 +178,14 @@ let flush_vpn t vpn =
   let key = Int64.to_int vpn in
   flush_key t t.small key;
   flush_key t t.large (key lsr Arch.vpn_bits)
+
+let cert_slot t ~vpn =
+  let b = t.small in
+  let pos = find b (Int64.to_int vpn) in
+  if pos < 0 then -1 else b.index.(pos)
+
+let version t slot = if slot < 0 then 0 else t.small.versions.(slot)
+let holds t ~slot ~version = slot >= 0 && t.small.versions.(slot) = version
 
 let hits t = t.hits
 let misses t = t.misses

@@ -55,10 +55,35 @@ val flushes : t -> int
 
 val generation : t -> int
 (** Monotonic counter bumped whenever any live entry is removed or
-    replaced ({!flush}, {!flush_vpn}, eviction, same-VPN refill).  Fills
-    into empty slots do not bump it, so a consumer that observed an entry
-    present may keep assuming it is present — unchanged — for as long as
-    the generation stays equal. *)
+    replaced ({!flush}, {!flush_vpn}, eviction, same-VPN refill), and
+    when a 4 KiB fill shadows a live superpage entry for the same VPN.
+    Other fills into empty slots do not bump it, so a consumer that
+    observed [lookup] return an entry may keep assuming it returns that
+    entry — unchanged — for as long as the generation stays equal.  It
+    is the fast path of the certificate below. *)
+
+(** {1 Per-slot certificates}
+
+    The generation moves on every eviction anywhere in the TLB, so a
+    working set larger than the TLB invalidates every certificate on
+    every capacity miss.  A finer certificate names the one entry a
+    consumer relies on: the 4 KiB slot holding it, and that slot's
+    version, which is bumped whenever the slot's live entry leaves
+    ({!flush}, {!flush_vpn}, eviction, same-VPN refill).  While the
+    version is unchanged the slot holds the same entry, and [lookup]
+    returns it for its VPN (4 KiB entries are consulted first).  A VPN
+    served by a superpage entry has no slot ({!cert_slot} is [-1]) and
+    is certified by the generation alone. *)
+
+val cert_slot : t -> vpn:int64 -> int
+(** The 4 KiB slot holding [vpn]'s entry, or [-1]. *)
+
+val version : t -> int -> int
+(** [version t slot] is the slot's current version ([0] for [-1]). *)
+
+val holds : t -> slot:int -> version:int -> bool
+(** [holds t ~slot ~version] — [slot] is a slot and still at [version]:
+    the entry certified then is still there, unchanged. *)
 
 val note_hit : t -> unit
 val note_miss : t -> unit

@@ -86,19 +86,35 @@ for w in hello spin syscalls memwalk pt-churn blk vblk; do
   done
 done
 
+# -n 24 fits memwalk in the 64-entry TLB.  At -n 96 every pass evicts
+# for capacity, so the block engine's fetch windows and micro-TLB
+# entries survive other pages' evictions only through their per-slot
+# TLB certificates.
+for cfg in "--paging nested" "--paging shadow"; do
+  for eng in interp block; do
+    dune exec bin/velum.exe -- run -w memwalk -n 96 $cfg --engine "$eng" \
+      >"$tmp/memwalk96.$eng.raw.txt"
+    grep -v -E '^(engine|tlb|dtlb)\.' <"$tmp/memwalk96.$eng.raw.txt" >"$tmp/memwalk96.$eng.txt"
+  done
+  diff "$tmp/memwalk96.interp.txt" "$tmp/memwalk96.block.txt" || {
+    echo "FAIL: interp/block divergence on memwalk -n 96 ($cfg)"; exit 1; }
+done
+
 # Under --ha the HA supervisor's dirty tracker and the block engine's
 # cache listener share the host memory's per-frame write watch: the
 # tracker stops wanting a frame once it has stamped it, the cache wants
 # every frame it holds code from.  These legs run both on one frame
-# byte.  dirty loops forever, so --budget bounds it.
-for w in memwalk dirty; do
+# byte.  dirty loops forever, so --budget bounds it; memwalk at -n 96
+# adds capacity evictions under the supervisor.
+for leg in "memwalk 24" "dirty 24" "memwalk 96"; do
+  set -- $leg
   for eng in interp block; do
-    dune exec bin/velum.exe -- run -w "$w" -n 24 --ha --budget 50000000 --engine "$eng" \
-      >"$tmp/ha.$w.$eng.raw.txt"
-    grep -v -E '^(engine|tlb|dtlb)\.' <"$tmp/ha.$w.$eng.raw.txt" >"$tmp/ha.$w.$eng.txt"
+    dune exec bin/velum.exe -- run -w "$1" -n "$2" --ha --budget 50000000 --engine "$eng" \
+      >"$tmp/ha.$1.$2.$eng.raw.txt"
+    grep -v -E '^(engine|tlb|dtlb)\.' <"$tmp/ha.$1.$2.$eng.raw.txt" >"$tmp/ha.$1.$2.$eng.txt"
   done
-  diff "$tmp/ha.$w.interp.txt" "$tmp/ha.$w.block.txt" || {
-    echo "FAIL: interp/block divergence on $w (--ha)"; exit 1; }
+  diff "$tmp/ha.$1.$2.interp.txt" "$tmp/ha.$1.$2.block.txt" || {
+    echo "FAIL: interp/block divergence on $1 -n $2 (--ha)"; exit 1; }
 done
 
 echo "== engine throughput gate (cpu-spin: block >= 60 MIPS, interp >= 70% of committed) =="

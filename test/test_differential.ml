@@ -236,6 +236,10 @@ let workload_setups () =
       ("cpu-spin", Workloads.cpu_spin ~iters:30_000L, 0);
       ("syscalls", Workloads.syscall_loop ~count:48L, 0);
       ("memwalk", Workloads.memwalk ~pages:24 ~iters:8 ~write:true, 24);
+      (* 96 pages overflow the 64-entry TLB: capacity evictions on every
+         pass, so fetch windows and micro-TLB entries outlive evictions
+         of other pages only by their per-slot certificates *)
+      ("memwalk-96", Workloads.memwalk ~pages:96 ~iters:4 ~write:true, 96);
       ("pt-churn", Workloads.pt_churn ~batch:16 ~count:24 (), 0);
       ("blk", Workloads.blk_read ~sector:0 ~count:4 ~reps:8, 8);
       ("vblk", Workloads.vblk_read ~sector:0 ~count:4 ~reps:8, 8);
@@ -892,11 +896,110 @@ let engine_differential_prop =
     (fun prog ->
       let user = compile prog in
       let setup = Images.plan ~heap_pages:1 ~user () in
-      let native = run_native setup in
+      let native = run_native ~engine:Engine.Interp setup in
       String.length native = 16
       && native = run_native ~engine:Engine.Block setup
       && native = run_virt ~engine:Engine.Block ~paging:Vm.Shadow_paging ~pv:false setup
       && native = run_virt ~engine:Engine.Block ~paging:Vm.Nested_paging ~pv:false setup)
+
+(* The block engine's coherence hook is its own: creating and loading a
+   VM registers no write listener on host memory, the first inserted
+   block registers exactly one, and destroying the VM removes it. *)
+let hook_lifecycle () =
+  let setup = Images.plan ~user:(Workloads.cpu_spin ~iters:200L) () in
+  let host = Host.create ~frames:(setup.Images.frames + 1024) () in
+  let hyp = Hypervisor.create ~host () in
+  let mem = host.Host.mem in
+  let before = Phys_mem.listener_count mem in
+  let vm =
+    Hypervisor.create_vm hyp ~name:"hook" ~mem_frames:setup.Images.frames
+      ~entry:Images.entry ()
+  in
+  Images.load_vm vm setup;
+  Alcotest.(check bool) "default engine is the block engine" true
+    (Vm.engine_kind vm = Engine.Block);
+  Alcotest.(check int) "created and loaded: no listener" before (Phys_mem.listener_count mem);
+  ignore (Hypervisor.run hyp ~budget:10_000L);
+  Alcotest.(check int) "first blocks: one listener" (before + 1)
+    (Phys_mem.listener_count mem);
+  (match Hypervisor.run hyp ~budget:500_000_000L with
+  | Hypervisor.All_halted -> ()
+  | _ -> Alcotest.fail "spin did not halt");
+  Alcotest.(check int) "still one after the run" (before + 1) (Phys_mem.listener_count mem);
+  Vm.destroy vm;
+  Alcotest.(check int) "destroy removes it" before (Phys_mem.listener_count mem)
+
+(* Drop the engine-local gauges from a fleet report's per-VM monitor
+   JSON: [engine.*], [dtlb.*], [tlb.hits] and [tlb.misses] count work
+   the block engine skips, so they differ between engines by design —
+   the names ci.sh's engine-equivalence stage filters from [velum run].
+   [tlb.evictions] and [tlb.flushes] are lockstep and stay. *)
+let strip_engine_gauges report =
+  let local key =
+    List.exists
+      (fun prefix -> String.starts_with ~prefix key)
+      [ "engine."; "dtlb."; "tlb.hits"; "tlb.misses" ]
+  in
+  let n = String.length report in
+  let b = Buffer.create n in
+  let rec go i =
+    if i < n then
+      if report.[i] <> '"' then begin
+        Buffer.add_char b report.[i];
+        go (i + 1)
+      end
+      else
+        let j = String.index_from report (i + 1) '"' in
+        if j + 1 < n && report.[j + 1] = ':' && local (String.sub report (i + 1) (j - i - 1))
+        then begin
+          (* skip the value and its separator *)
+          let k = ref (j + 2) in
+          while !k < n && report.[!k] <> ',' && report.[!k] <> '}' do
+            incr k
+          done;
+          go (if !k < n && report.[!k] = ',' then !k + 1 else !k)
+        end
+        else begin
+          Buffer.add_string b (String.sub report i (j - i + 1));
+          go (j + 1)
+        end
+  in
+  go 0;
+  Buffer.contents b
+
+(* The E23 fabric cell, small: every VM forced onto the reference
+   interpreter, then on the default engine.  The fleet report (but for
+   its engine-local gauges) and every reply latency must be
+   identical. *)
+let fabric_fleet_lockstep () =
+  let module F = Velum_cluster.Fabric in
+  let module P = Velum_cluster.Parallel in
+  let shape = { F.backends = 2; clients = 2; requests = 6; batch = 2; service = 150 } in
+  let run force =
+    let hosts = 2 in
+    let cells = Array.make hosts None in
+    let mk_vms h =
+      List.map
+        (fun sp -> match force with Some engine -> { sp with P.engine } | None -> sp)
+        (F.mk_vms shape h)
+    in
+    let r =
+      P.run ~domains:1
+        (P.config ~quantum:400_000L ~rounds:16 ~seed:1L ~hosts
+           ~wire:(fun i hyp -> cells.(i) <- Some (F.wire shape ~cell:i hyp))
+           ~mk_vms ())
+    in
+    let latencies =
+      Array.to_list cells
+      |> List.concat_map (fun (c : F.cell option) -> (Option.get c).F.latencies)
+    in
+    (strip_engine_gauges r.P.report, latencies)
+  in
+  let report_i, lat_i = run (Some Engine.Interp) in
+  let report_b, lat_b = run None in
+  Alcotest.(check bool) "replies measured" true (lat_i <> []);
+  Alcotest.(check string) "fleet report" report_i report_b;
+  Alcotest.(check (list int)) "latencies" lat_i lat_b
 
 let () =
   Alcotest.run "differential"
@@ -918,6 +1021,9 @@ let () =
           Alcotest.test_case "native cache hit path" `Quick native_cache_hits;
           Alcotest.test_case "chain severed by SMC" `Quick native_chain_smc;
           Alcotest.test_case "trace severed by interior SMC" `Quick vm_trace_smc;
+          Alcotest.test_case "coherence hook lifecycle" `Quick hook_lifecycle;
+          Alcotest.test_case "fabric fleet: interp = default engine" `Quick
+            fabric_fleet_lockstep;
           QCheck_alcotest.to_alcotest engine_smc_prop;
           QCheck_alcotest.to_alcotest engine_chain_smc_prop;
           QCheck_alcotest.to_alcotest engine_trace_smc_prop;

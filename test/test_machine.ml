@@ -729,8 +729,9 @@ module Reference = struct
     mutable flushes : int;
     mutable generation : int;
         (* bumped whenever an entry leaves or changes (flush, capacity
-           eviction, same-vpn replacement) — never on a fill into an empty
-           slot.  A consumer that cached "the TLB holds entry E" may keep
+           eviction, same-vpn replacement), and when a 4 KiB fill shadows
+           a live superpage entry — never on any other fill into an empty
+           slot.  A consumer that cached "lookup returns entry E" may keep
            trusting it exactly while the generation is unchanged. *)
   }
 
@@ -789,7 +790,11 @@ module Reference = struct
 
   let insert t e =
     if e.superpage then bank_insert t t.large super_key e
-    else bank_insert t t.small (fun v -> v) e
+    else begin
+      if Index.mem t.large.index (super_key e.vpn) then
+        t.generation <- t.generation + 1;
+      bank_insert t t.small (fun v -> v) e
+    end
 
   let flush t =
     List.iter
@@ -871,6 +876,190 @@ let prop_tlb_matches_reference =
           && Tlb.evictions t = Reference.evictions r
           && Tlb.flushes t = Reference.flushes r
           && Tlb.generation t = Reference.generation r)
+        ops)
+
+(* ---------------- TLB certificates ----------------
+
+   The micro-TLB, the block engine's fetch window and its victim ring
+   skip a translation while a certificate says the TLB still holds the
+   entry it would hit: the TLB generation (fast path) or the slot and
+   version of the page's 4 KiB entry.  Drive a small TLB through random
+   inserts past capacity, same-vpn replacements, shootdowns, full
+   flushes and superpage entries, fill certificates exactly as the
+   engine does, and after every step hold each one the certificate
+   would honour to what the translators would answer from the TLB
+   alone. *)
+
+type cert_op =
+  | C_insert of Tlb.entry
+  | C_flush_vpn of int64
+  | C_flush
+  | C_access of Arch.access * bool * int64
+
+(* The pa a translator would serve as a zero-cycle TLB hit (the
+   strictest hit predicate: right permissions, stores need the dirty
+   bit, no MMIO), or [None] when it would walk. *)
+let tlb_hit_pa tlb ~access ~user vpn =
+  match Tlb.lookup tlb ~vpn with
+  | Some e
+    when (not e.Tlb.mmio)
+         && ((not user) || e.perms.Pte.u)
+         && (match access with
+            | Arch.Load -> e.perms.Pte.r
+            | Arch.Store -> e.perms.Pte.w && e.dirty_ok
+            | Arch.Fetch -> e.perms.Pte.x) ->
+      let frame = if e.superpage then Int64.add e.ppn (Int64.logand vpn 511L) else e.ppn in
+      Some ((Int64.to_int frame lsl Arch.page_shift) lor 8)
+  | _ -> None
+
+(* A fetch window, or a victim-ring slot: the frame the fetch hit and
+   the certificate taken right after it (see [Engine]). *)
+type window = {
+  w_vpn : int64;
+  w_user : bool;
+  w_pa : int;
+  mutable w_gen : int;
+  w_slot : int;
+  w_ver : int;
+}
+
+let window_holds tlb w =
+  let g = Tlb.generation tlb in
+  w.w_gen = g
+  || Tlb.holds tlb ~slot:w.w_slot ~version:w.w_ver
+     && begin
+          w.w_gen <- g;
+          true
+        end
+
+(* 32 vpns under 4 superpage keys, so fills, shadowing 4 KiB entries
+   and superpages keep meeting on the same pages *)
+let cert_vpns = List.filter (fun v -> Int64.compare v 8192L < 0) tlb_probe_vpns
+let gen_cert_vpn = QCheck2.Gen.oneofl cert_vpns
+
+let gen_cert_op =
+  QCheck2.Gen.(
+    let perms =
+      oneofl
+        [
+          rwxu;
+          { Pte.r = true; w = false; x = true; u = true };
+          { Pte.r = true; w = true; x = false; u = false };
+          { Pte.r = false; w = false; x = true; u = false };
+        ]
+    in
+    let entry superpage =
+      map
+        (fun (vpn, ppn, perms, (dirty_ok, mmio)) ->
+          C_insert
+            {
+              Tlb.vpn;
+              ppn = (if superpage then Int64.of_int (512 * ppn) else Int64.of_int ppn);
+              perms;
+              dirty_ok;
+              mmio;
+              superpage;
+            })
+        (quad gen_cert_vpn (int_range 1 40) perms
+           (pair bool (frequency [ (9, return false); (1, return true) ])))
+    in
+    frequency
+      [
+        (5, entry false);
+        (2, entry true);
+        (2, map (fun v -> C_flush_vpn v) gen_cert_vpn);
+        (1, return C_flush);
+        ( 10,
+          map3
+            (fun a u v -> C_access (a, u, v))
+            (oneofl [ Arch.Load; Arch.Store; Arch.Fetch ])
+            bool gen_cert_vpn );
+      ])
+
+let prop_tlb_certificates =
+  QCheck2.Test.make ~count:500
+    ~name:"micro-TLB and fetch-window certificates never outlive their entry"
+    QCheck2.Gen.(pair (int_range 1 16) (list_size (int_range 1 100) gen_cert_op))
+    (fun (size, ops) ->
+      let tlb = Tlb.create ~size in
+      let d = Dtlb.create ~tlb in
+      let windows = ref [] in
+      let walks = ref 0 in
+      (* a translation that missed: walk and fill a fresh 4 KiB entry *)
+      let walk vpn =
+        incr walks;
+        Tlb.insert tlb
+          {
+            Tlb.vpn;
+            ppn = Int64.of_int (1000 + !walks);
+            perms = rwxu;
+            dirty_ok = true;
+            mmio = false;
+            superpage = false;
+          }
+      in
+      let translate ~access ~user vpn =
+        match tlb_hit_pa tlb ~access ~user vpn with
+        | Some pa -> pa
+        | None -> (
+            walk vpn;
+            match tlb_hit_pa tlb ~access ~user vpn with
+            | Some pa -> pa
+            | None -> assert false)
+      in
+      let step = function
+        | C_insert e -> Tlb.insert tlb e
+        | C_flush_vpn v -> Tlb.flush_vpn tlb v
+        | C_flush -> Tlb.flush tlb
+        | C_access (Arch.Fetch, user, vpn) ->
+            if
+              not
+                (List.exists
+                   (fun w -> w.w_vpn = vpn && w.w_user = user && window_holds tlb w)
+                   !windows)
+            then begin
+              let pa = translate ~access:Arch.Fetch ~user vpn in
+              let slot = Tlb.cert_slot tlb ~vpn in
+              let w =
+                {
+                  w_vpn = vpn;
+                  w_user = user;
+                  w_pa = pa;
+                  w_gen = Tlb.generation tlb;
+                  w_slot = slot;
+                  w_ver = Tlb.version tlb slot;
+                }
+              in
+              (* the primary window and the engine's 8 victims *)
+              windows := List.filteri (fun i _ -> i < 8) (w :: !windows)
+            end
+        | C_access (access, user, vpn) ->
+            let va = Int64.logor (Int64.shift_left vpn Arch.page_shift) 8L in
+            if Dtlb.lookup d ~access ~user va < 0 then
+              Dtlb.fill d ~access ~user ~va ~pa:(translate ~access ~user vpn)
+      in
+      let dtlb_sound () =
+        List.for_all
+          (fun vpn ->
+            let va = Int64.logor (Int64.shift_left vpn Arch.page_shift) 8L in
+            List.for_all
+              (fun (access, user) ->
+                let pa = Dtlb.lookup d ~access ~user va in
+                pa < 0 || tlb_hit_pa tlb ~access ~user vpn = Some pa)
+              [ (Arch.Load, false); (Arch.Load, true); (Arch.Store, false); (Arch.Store, true) ])
+          cert_vpns
+      in
+      let windows_sound () =
+        List.for_all
+          (fun w ->
+            (not (window_holds tlb w))
+            || tlb_hit_pa tlb ~access:Arch.Fetch ~user:w.w_user w.w_vpn = Some w.w_pa)
+          !windows
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          dtlb_sound () && windows_sound ())
         ops)
 
 (* ---------------- CPU harness ---------------- *)
@@ -1586,7 +1775,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_tlb_stats;
           Alcotest.test_case "superpage entries" `Quick test_tlb_superpage_entry;
         ]
-        @ qsuite [ prop_tlb_matches_reference ] );
+        @ qsuite [ prop_tlb_matches_reference; prop_tlb_certificates ] );
       ( "cpu",
         [
           Alcotest.test_case "alu" `Quick test_cpu_alu;
