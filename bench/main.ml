@@ -30,36 +30,44 @@ let section name title =
 (* Harness helpers                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let scale l q = if !quick then q else l
+
 let run_native setup =
-  let platform = Platform.create ~frames:(setup.Images.frames + 16) () in
-  Images.load_native platform setup;
+  let platform = Images.boot_native setup in
   (match Platform.run platform with
   | Platform.Halted -> ()
   | Platform.Out_of_budget -> failwith "native run: out of budget"
   | Platform.Deadlock -> failwith "native run: deadlock");
   (platform, Platform.cycles platform)
 
-let run_vm ?(paging = Vm.Nested_paging) ?(pv = Vm.no_pv) ?host_frames ?exec_mode ?engine
-    setup =
-  let frames =
-    match host_frames with Some f -> f | None -> setup.Images.frames + 1024
-  in
-  let host = Host.create ~frames () in
-  let hyp = Hypervisor.create ~host () in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"bench" ~mem_frames:setup.Images.frames ~paging ~pv
-      ?exec_mode ?engine ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
-  (match Hypervisor.run hyp ~budget:20_000_000_000L with
+(* Write [file] as one JSON object: the [header] lines (each ending in
+   ",\n"), then a [key] array (default "benchmarks") of [rows], one
+   object per row. *)
+let write_json ?(header = "") ?(key = "benchmarks") file rows =
+  let oc = open_out file in
+  Printf.fprintf oc "{\n%s  \"%s\": [\n%s\n  ]\n}\n" header key
+    (String.concat ",\n" rows);
+  close_out oc
+
+(* Run [hyp] until every VM halts; [what] names the run on failure. *)
+let run_to_halt ?budget hyp what =
+  match Hypervisor.run ?budget hyp with
   | Hypervisor.All_halted -> ()
   | o ->
       failwith
-        (Printf.sprintf "vm run did not halt (%s)"
+        (Printf.sprintf "%s did not halt (%s)" what
            (match o with
            | Hypervisor.Out_of_budget -> "budget"
            | Hypervisor.Idle_deadlock -> "deadlock"
-           | _ -> "?")));
+           | _ -> "?"))
+
+(* Boot [setup] alone on a fresh host, run it to halt, and return the VM
+   with its total (guest + VMM) cycles.  [trace] is attached before the
+   run. *)
+let run_vm ?(name = "bench") ?paging ?pv ?cost ?tlb_size ?exec_mode ?engine ?trace setup =
+  let hyp, vm = Images.boot ?cost ~name ?paging ?pv ?tlb_size ?exec_mode ?engine setup in
+  Option.iter (Hypervisor.set_trace hyp) trace;
+  run_to_halt ~budget:20_000_000_000L hyp (name ^ " run");
   let total = Int64.add (Vm.guest_cycles vm) (Vm.vmm_cycles vm) in
   (vm, total)
 
@@ -348,12 +356,7 @@ let e6 () =
       let vms =
         List.map
           (fun w ->
-            let vm =
-              Hypervisor.create_vm hyp ~name:(Printf.sprintf "w%d" w)
-                ~mem_frames:setup.Images.frames ~weight:w ~entry:Images.entry ()
-            in
-            Images.load_vm vm setup;
-            vm)
+            Images.create_vm hyp ~name:(Printf.sprintf "w%d" w) ~weight:w setup)
           weights
       in
       ignore (Hypervisor.run hyp ~budget);
@@ -396,15 +399,8 @@ let e6 () =
         let host = Host.create ~frames:4096 () in
         let hyp = Hypervisor.create ~host () in
         let setup = Images.plan ~user:(Workloads.cpu_spin ~iters:1_000_000_000L) () in
-        let mk name =
-          let vm =
-            Hypervisor.create_vm hyp ~name ~mem_frames:setup.Images.frames
-              ~entry:Images.entry ()
-          in
-          Images.load_vm vm setup;
-          vm
-        in
-        let capped = mk "capped" and free = mk "free" in
+        let capped = Images.create_vm hyp ~name:"capped" setup in
+        let free = Images.create_vm hyp ~name:"free" setup in
         capped.Vm.vcpus.(0).Vcpu.cap <- cap;
         ignore (Hypervisor.run hyp ~budget);
         let total = Int64.to_float (Hypervisor.now hyp) in
@@ -445,15 +441,8 @@ let e7 () =
               Images.plan ~heap_pages:128
                 ~user:(Workloads.dirty_loop ~pages:96 ~delay) ()
             in
-            let host_a = Host.create ~frames:(setup.Images.frames + 1024) () in
-            let host_b = Host.create ~frames:(setup.Images.frames + 1024) () in
-            let src = Hypervisor.create ~host:host_a () in
-            let dst = Hypervisor.create ~host:host_b () in
-            let vm =
-              Hypervisor.create_vm src ~name:"mig" ~mem_frames:setup.Images.frames
-                ~entry:Images.entry ()
-            in
-            Images.load_vm vm setup;
+            let src, vm = Images.boot ~name:"mig" setup in
+            let dst = Images.hypervisor setup in
             ignore (Hypervisor.run src ~budget:3_000_000L);
             let link = Link.create () in
             let _twin, r =
@@ -501,13 +490,7 @@ let e8 () =
         let host = Host.create ~frames:((n * setup.Images.frames) + 2048) () in
         let hyp = Hypervisor.create ~host () in
         let vms =
-          List.init n (fun i ->
-              let vm =
-                Hypervisor.create_vm hyp ~name:(Printf.sprintf "vm%d" i)
-                  ~mem_frames:setup.Images.frames ~entry:Images.entry ()
-              in
-              Images.load_vm vm setup;
-              vm)
+          List.init n (fun i -> Images.create_vm hyp ~name:(Printf.sprintf "vm%d" i) setup)
         in
         ignore (Hypervisor.run hyp ~budget:(Int64.of_int (n * 1_500_000)));
         let before = Frame_alloc.used_count host.Host.alloc in
@@ -575,20 +558,12 @@ let e10 () =
         Images.plan ~heap_pages:heap
           ~user:(Workloads.memwalk ~pages:wss ~iters ~write:true) ()
       in
-      let host = Host.create ~frames:(setup.Images.frames + 1024) () in
-      let hyp = Hypervisor.create ~host () in
-      let vm =
-        Hypervisor.create_vm hyp ~name:"oc" ~mem_frames:setup.Images.frames
-          ~entry:Images.entry ()
-      in
-      Images.load_vm vm setup;
+      let hyp, vm = Images.boot ~name:"oc" setup in
       (* boot + first touch pass, then reclaim, then measure the rest *)
       ignore (Hypervisor.run hyp ~budget:2_000_000L);
       let reclaimed = reclaim vm in
       let before = Int64.add (Vm.guest_cycles vm) (Vm.vmm_cycles vm) in
-      (match Hypervisor.run hyp ~budget:20_000_000_000L with
-      | Hypervisor.All_halted -> ()
-      | _ -> failwith "overcommit case did not finish");
+      run_to_halt ~budget:20_000_000_000L hyp "overcommit case";
       let after = Int64.add (Vm.guest_cycles vm) (Vm.vmm_cycles vm) in
       (reclaimed, Int64.to_float (Int64.sub after before),
        Monitor.count vm.Vm.monitor Monitor.E_swap_in)
@@ -655,13 +630,9 @@ let e11 () =
           else Workloads.dirty_loop ~pages:(min heap 16) ~delay:20
         in
         let setup = Images.plan ~heap_pages:heap ~user () in
-        let host = Host.create ~frames:((3 * setup.Images.frames) + 1024) () in
-        let hyp = Hypervisor.create ~host () in
-        let vm =
-          Hypervisor.create_vm hyp ~name:"snap" ~mem_frames:setup.Images.frames
-            ~entry:Images.entry ()
+        let hyp, vm =
+          Images.boot ~host_frames:((3 * setup.Images.frames) + 1024) ~name:"snap" setup
         in
-        Images.load_vm vm setup;
         ignore (Hypervisor.run hyp ~budget:3_000_000L);
         let full = Snapshot.capture vm in
         let live = Snapshot.capture_live vm in
@@ -697,17 +668,8 @@ let e12 () =
         let setup =
           Images.plan ~heap_pages:64 ~user:(Workloads.dirty_loop ~pages:48 ~delay:500) ()
         in
-        let primary =
-          Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 1024) ()) ()
-        in
-        let backup =
-          Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 1024) ()) ()
-        in
-        let vm =
-          Hypervisor.create_vm primary ~name:"ha" ~mem_frames:setup.Images.frames
-            ~entry:Images.entry ()
-        in
-        Images.load_vm vm setup;
+        let primary, vm = Images.boot ~name:"ha" setup in
+        let backup = Images.hypervisor setup in
         ignore (Hypervisor.run primary ~budget:3_000_000L);
         let link = Link.create () in
         let epochs = Int64.to_int (Int64.div total epoch_cycles) in
@@ -816,17 +778,9 @@ let e13 () =
         let host = Host.create ~frames:((vms * setup.Images.frames) + 2048) () in
         let hyp = Hypervisor.create ~host ~pcpus () in
         let guests =
-          List.init vms (fun i ->
-              let vm =
-                Hypervisor.create_vm hyp ~name:(Printf.sprintf "v%d" i)
-                  ~mem_frames:setup.Images.frames ~entry:Images.entry ()
-              in
-              Images.load_vm vm setup;
-              vm)
+          List.init vms (fun i -> Images.create_vm hyp ~name:(Printf.sprintf "v%d" i) setup)
         in
-        (match Hypervisor.run hyp with
-        | Hypervisor.All_halted -> ()
-        | _ -> failwith "E13 fleet did not finish");
+        run_to_halt hyp "E13 fleet";
         let makespan = Int64.to_float (Hypervisor.now hyp) in
         if pcpus = 1 then baseline := makespan;
         let shares =
@@ -874,18 +828,12 @@ let e15 () =
       let hyp = Hypervisor.create ~host () in
       let link = Link.create ~bytes_per_cycle:1.0 ~latency_cycles:300 () in
       let client =
-        Hypervisor.create_vm hyp ~name:"client" ~mem_frames:client_setup.Images.frames
-          ~paging ~exec_mode ~nic:(link, `A) ~entry:Images.entry ()
+        Images.create_vm hyp ~name:"client" ~paging ~exec_mode ~nic:(link, `A) client_setup
       in
       let server =
-        Hypervisor.create_vm hyp ~name:"server" ~mem_frames:server_setup.Images.frames
-          ~paging ~exec_mode ~nic:(link, `B) ~entry:Images.entry ()
+        Images.create_vm hyp ~name:"server" ~paging ~exec_mode ~nic:(link, `B) server_setup
       in
-      Images.load_vm client client_setup;
-      Images.load_vm server server_setup;
-      (match Hypervisor.run hyp with
-      | Hypervisor.All_halted -> ()
-      | _ -> failwith "E15 pair did not finish");
+      run_to_halt hyp "E15 pair";
       let per_req =
         Int64.to_float (Hypervisor.now hyp) /. float_of_int requests /. 1000.0
       in
@@ -928,19 +876,6 @@ let e15 () =
 (* A1 — ablation: TLB reach vs nested-paging overhead                  *)
 (* ------------------------------------------------------------------ *)
 
-let run_vm_tlb ~tlb_size ~paging setup =
-  let host = Host.create ~frames:(setup.Images.frames + 1024) () in
-  let hyp = Hypervisor.create ~host () in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"abl" ~mem_frames:setup.Images.frames ~paging
-      ~tlb_size ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
-  (match Hypervisor.run hyp ~budget:20_000_000_000L with
-  | Hypervisor.All_halted -> ()
-  | _ -> failwith "ablation run did not halt");
-  Int64.add (Vm.guest_cycles vm) (Vm.vmm_cycles vm)
-
 let a1 () =
   if section "A1" "Ablation: TLB size vs paging-mode overhead (128-page walk)" then begin
     let t =
@@ -957,8 +892,8 @@ let a1 () =
             ~user:(Workloads.memwalk ~pages ~iters:n ~write:true) ()
         in
         let per paging =
-          let c1 = run_vm_tlb ~tlb_size ~paging (build n1) in
-          let c2 = run_vm_tlb ~tlb_size ~paging (build n2) in
+          let _, c1 = run_vm ~name:"abl" ~tlb_size ~paging (build n1) in
+          let _, c2 = run_vm ~name:"abl" ~tlb_size ~paging (build n2) in
           Int64.to_float (Int64.sub c2 c1) /. float_of_int ((n2 - n1) * pages)
         in
         let sh = per Vm.Shadow_paging and ne = per Vm.Nested_paging in
@@ -990,20 +925,7 @@ let a2 () =
     List.iter
       (fun vmexit ->
         let cost = { Velum_machine.Cost_model.default with vmexit } in
-        let run n =
-          let setup = build n in
-          let host = Host.create ~frames:(setup.Images.frames + 1024) ~cost () in
-          let hyp = Hypervisor.create ~host () in
-          let vm =
-            Hypervisor.create_vm hyp ~name:"a2" ~mem_frames:setup.Images.frames
-              ~entry:Images.entry ()
-          in
-          Images.load_vm vm setup;
-          (match Hypervisor.run hyp ~budget:20_000_000_000L with
-          | Hypervisor.All_halted -> ()
-          | _ -> failwith "a2 run did not halt");
-          Int64.add (Vm.guest_cycles vm) (Vm.vmm_cycles vm)
-        in
+        let run n = snd (run_vm ~name:"a2" ~cost (build n)) in
         let per = Int64.to_float (Int64.sub (run n2) (run n1)) /. float_of_int (n2 - n1) in
         Tablefmt.add_row t
           [ Tablefmt.cell_i vmexit; Tablefmt.cell_f per;
@@ -1064,24 +986,9 @@ let a4 () =
             Images.plan ~heap_pages:256
               ~user:(Workloads.memwalk ~pages:(max 1 fill) ~iters:1 ~write:true) ()
           in
-          let src =
-            Hypervisor.create
-              ~host:(Host.create ~frames:(setup.Images.frames + 1024) ())
-              ()
-          in
-          let dst =
-            Hypervisor.create
-              ~host:(Host.create ~frames:(setup.Images.frames + 1024) ())
-              ()
-          in
-          let vm =
-            Hypervisor.create_vm src ~name:"a4" ~mem_frames:setup.Images.frames
-              ~entry:Images.entry ()
-          in
-          Images.load_vm vm setup;
-          (match Hypervisor.run src with
-          | Hypervisor.All_halted -> ()
-          | _ -> failwith "a4 guest did not finish");
+          let src, vm = Images.boot ~name:"a4" setup in
+          let dst = Images.hypervisor setup in
+          run_to_halt src "a4 guest";
           let link = Link.create () in
           let _twin, r = Migrate.stop_and_copy ~compress ~src ~dst ~vm ~link () in
           r.Migrate.bytes_sent
@@ -1164,29 +1071,27 @@ let a5 () =
 
 let e16 () =
   if section "E16" "Fault injection: migration and replication on a lossy link" then begin
-    let scale l q = if !quick then q else l in
+    (* a link on the seed-42 fault stream: lossy, or dead from cycle [lo] *)
+    let lossy_link spec =
+      let link = Link.create () in
+      let f = Fault.create ~seed:42L () in
+      (match spec with
+      | `Drop p -> Fault.set_prob f Fault.Drop p
+      | `Partition lo -> Fault.add_window f Fault.Partition ~lo ~hi:Int64.max_int);
+      Link.set_faults link f;
+      link
+    in
     (* --- pre-copy migration vs frame loss rate ----------------------- *)
     let mig_case spec =
       let setup =
         Images.plan ~heap_pages:128
           ~user:(Workloads.memwalk ~pages:96 ~iters:5000 ~write:true) ()
       in
-      let host_a = Host.create ~frames:(setup.Images.frames + 1024) () in
-      let host_b = Host.create ~frames:(setup.Images.frames + 1024) () in
-      let src = Hypervisor.create ~host:host_a () in
-      let dst = Hypervisor.create ~host:host_b () in
-      let vm =
-        Hypervisor.create_vm src ~name:"mig" ~mem_frames:setup.Images.frames
-          ~entry:Images.entry ()
-      in
-      Images.load_vm vm setup;
+      let src, vm = Images.boot ~name:"mig" setup in
+      let dst = Images.hypervisor setup in
+      let host_b = Hypervisor.host dst in
       ignore (Hypervisor.run src ~budget:3_000_000L);
-      let link = Link.create () in
-      let f = Fault.create ~seed:42L () in
-      (match spec with
-      | `Drop p -> Fault.set_prob f Fault.Drop p
-      | `Partition -> Fault.add_window f Fault.Partition ~lo:0L ~hi:Int64.max_int);
-      Link.set_faults link f;
+      let link = lossy_link spec in
       let dst_used_before = Frame_alloc.used_count host_b.Host.alloc in
       let survivor, r =
         Migrate.precopy ~src ~dst ~vm ~link ~max_rounds:12 ~stop_threshold:8 ()
@@ -1199,9 +1104,7 @@ let e16 () =
          guest must finish with exactly the baseline's output and retired
          instruction count, wherever the handoff happened *)
       let hyp = if r.Migrate.aborted then src else dst in
-      (match Hypervisor.run hyp ~budget:20_000_000_000L with
-      | Hypervisor.All_halted -> ()
-      | _ -> failwith "E16: migrated guest did not halt");
+      run_to_halt ~budget:20_000_000_000L hyp "E16: migrated guest";
       let output =
         if r.Migrate.aborted then Vm.console_output survivor
         else Vm.console_output vm ^ Vm.console_output survivor
@@ -1216,13 +1119,13 @@ let e16 () =
           ("rounds", Tablefmt.Right); ("retransmits", Tablefmt.Right);
           ("aborted", Tablefmt.Left); ("state match", Tablefmt.Left) ]
     in
-    let base_r, base_out, base_instret, _ = mig_case (`Drop 0.0) in
+    let base = mig_case (`Drop 0.0) in
+    let _, base_out, base_instret, _ = base in
     let mig_rows =
       List.map
         (fun p ->
           let r, out, instret, reclaimed =
-            if p = 0.0 then (base_r, base_out, base_instret, true)
-            else mig_case (`Drop p)
+            if p = 0.0 then base else mig_case (`Drop p)
           in
           let state_match = out = base_out && instret = base_instret in
           Tablefmt.add_row t
@@ -1239,14 +1142,14 @@ let e16 () =
           if p > 0.0 && r.Migrate.retransmits = 0 then
             failwith "E16: lossy migration saw no retransmits";
           if not state_match then failwith "E16: migrated state diverged";
-          ignore reclaimed;
-          (Printf.sprintf "drop-%.0f%%" (p *. 100.0), p, r, state_match, true))
+          if not reclaimed then failwith "E16: destination frames not reclaimed";
+          (Printf.sprintf "drop-%.0f%%" (p *. 100.0), p, r, state_match, reclaimed))
         rates
     in
     (* total partition: retries exhaust, migration rolls back, the source
        resumes and still finishes identically; destination frames are
        reclaimed *)
-    let ab_r, ab_out, ab_instret, ab_reclaimed = mig_case `Partition in
+    let ab_r, ab_out, ab_instret, ab_reclaimed = mig_case (`Partition 0L) in
     let ab_match = ab_out = base_out && ab_instret = base_instret in
     Tablefmt.add_row t
       [ "dead"; Tablefmt.cell_f ~decimals:1
@@ -1267,22 +1170,10 @@ let e16 () =
       let setup =
         Images.plan ~heap_pages:64 ~user:(Workloads.dirty_loop ~pages:48 ~delay:500) ()
       in
-      let host_a = Host.create ~frames:(setup.Images.frames + 1024) () in
-      let host_b = Host.create ~frames:(setup.Images.frames + 1024) () in
-      let primary = Hypervisor.create ~host:host_a () in
-      let backup = Hypervisor.create ~host:host_b () in
-      let vm =
-        Hypervisor.create_vm primary ~name:"ha" ~mem_frames:setup.Images.frames
-          ~entry:Images.entry ()
-      in
-      Images.load_vm vm setup;
+      let primary, vm = Images.boot ~name:"ha" setup in
+      let backup = Images.hypervisor setup in
       ignore (Hypervisor.run primary ~budget:2_000_000L);
-      let link = Link.create () in
-      let f = Fault.create ~seed:42L () in
-      (match spec with
-      | `Drop p -> Fault.set_prob f Fault.Drop p
-      | `Partition lo -> Fault.add_window f Fault.Partition ~lo ~hi:Int64.max_int);
-      Link.set_faults link f;
+      let link = lossy_link spec in
       let twin, st =
         Replicate.protect ~primary ~backup ~vm ~link ~epoch_cycles:200_000L
           ~epochs:6 ()
@@ -1317,30 +1208,26 @@ let e16 () =
         rep_specs
     in
     Tablefmt.print t2;
-    let oc = open_out "BENCH_fault.json" in
-    output_string oc "{\n  \"benchmarks\": [\n";
-    List.iter
-      (fun (name, loss, (r : Migrate.result), state_match, reclaimed) ->
-        Printf.fprintf oc
-          "    {\"name\": \"fault/migrate/%s\", \"loss\": %.2f, \"total_cycles\": \
-           %Ld, \"downtime_cycles\": %Ld, \"pages\": %d, \"rounds\": %d, \
-           \"retransmits\": %d, \"aborted\": %b, \"state_match\": %b, \
-           \"frames_reclaimed\": %b},\n"
-          name loss r.Migrate.total_cycles r.Migrate.downtime_cycles
-          r.Migrate.pages_sent r.Migrate.rounds r.Migrate.retransmits
-          r.Migrate.aborted state_match reclaimed)
-      mig_rows;
-    List.iteri
-      (fun i (name, (st : Replicate.stats)) ->
-        Printf.fprintf oc
-          "    {\"name\": \"fault/replicate/%s\", \"epochs_completed\": %d, \
-           \"retransmits\": %d, \"link_failed\": %b, \"paused_cycles\": %Ld}%s\n"
-          name st.Replicate.epochs_completed st.Replicate.retransmits
-          st.Replicate.link_failed st.Replicate.paused_cycles
-          (if i = List.length rep_rows - 1 then "" else ","))
-      rep_rows;
-    output_string oc "  ]\n}\n";
-    close_out oc;
+    write_json "BENCH_fault.json"
+      (List.map
+         (fun (name, loss, (r : Migrate.result), state_match, reclaimed) ->
+           Printf.sprintf
+             "    {\"name\": \"fault/migrate/%s\", \"loss\": %.2f, \"total_cycles\": \
+              %Ld, \"downtime_cycles\": %Ld, \"pages\": %d, \"rounds\": %d, \
+              \"retransmits\": %d, \"aborted\": %b, \"state_match\": %b, \
+              \"frames_reclaimed\": %b}"
+             name loss r.Migrate.total_cycles r.Migrate.downtime_cycles
+             r.Migrate.pages_sent r.Migrate.rounds r.Migrate.retransmits
+             r.Migrate.aborted state_match reclaimed)
+         mig_rows
+      @ List.map
+          (fun (name, (st : Replicate.stats)) ->
+            Printf.sprintf
+              "    {\"name\": \"fault/replicate/%s\", \"epochs_completed\": %d, \
+               \"retransmits\": %d, \"link_failed\": %b, \"paused_cycles\": %Ld}"
+              name st.Replicate.epochs_completed st.Replicate.retransmits
+              st.Replicate.link_failed st.Replicate.paused_cycles)
+          rep_rows);
     Printf.printf
       "\nExpected shape: retransmits grow with the loss rate while the migrated\n\
        guest stays bit-identical to the fault-free baseline; a dead link aborts\n\
@@ -1367,7 +1254,6 @@ let e16 () =
 
 let e17 () =
   if section "E17" "High availability: crash recovery, restart MTTR, failover" then begin
-    let scale l q = if !quick then q else l in
     let module Asm = Velum_isa.Asm in
     let unikernel hyp name prog =
       let vm = Hypervisor.create_vm hyp ~name ~mem_frames:16 ~entry:0L () in
@@ -1394,36 +1280,44 @@ let e17 () =
     let reference_finish image =
       let hyp = Hypervisor.create ~host:(Host.create ~frames:2048 ()) () in
       let vm = Snapshot.restore hyp image in
-      (match Hypervisor.run hyp ~budget:20_000_000_000L with
-      | Hypervisor.All_halted -> ()
-      | _ -> failwith "E17: restored reference did not halt");
+      run_to_halt ~budget:20_000_000_000L hyp "E17: restored reference";
       Vm.instret vm
     in
     let expect_finish = reference_finish img1 in
     let sectors = Store.sectors_for ~image_bytes:(Bytes.length img2) in
-    (* delta-commit sweep: baseline prepared once, byte-cloned per offset *)
+    (* every cut must tear and still recover generation [gen] as [img];
+       the baseline is prepared once and byte-cloned per offset *)
+    let cut_sweep base cut ~gen ~img =
+      let total =
+        match cut with
+        | Store.Cut_commit src -> Store.commit_bytes base src
+        | Store.Cut_gc -> Store.gc_bytes base
+      in
+      let offsets = ref 0 and prev = ref 0 and bad = ref 0 in
+      let off = ref 0 in
+      while !off < total do
+        let p = Store.crash_probe base cut ~at:!off in
+        if not p.Store.torn then incr bad;
+        (match p.Store.recovered with
+        | Some (r, g) when g = gen && Bytes.equal r img -> incr prev
+        | _ -> incr bad);
+        incr offsets;
+        off := !off + sweep_stride
+      done;
+      (!offsets, !prev, !bad, total)
+    in
+    (* delta-commit sweep: the previous generation survives every cut *)
     let sweep () =
       let base = Store.create ~sectors () in
       (match Store.commit base (Store.of_bytes img1) with
       | Store.Committed { gen = 1; _ } -> ()
       | _ -> failwith "E17: baseline commit failed");
-      let total = Store.commit_bytes base (Store.of_bytes img2) in
-      let offsets = ref 0 and prev = ref 0 and bad = ref 0 in
-      let off = ref 0 in
-      while !off < total do
-        let probe = Store.clone base in
-        (match Store.commit ~crash_at:!off probe (Store.of_bytes img2) with
-        | Store.Torn _ -> ()
-        | Store.Committed _ -> incr bad);
-        (match Store.recover (Store.mount (Store.device probe)) with
-        | Some (img, 1) when Bytes.equal img img1 -> incr prev
-        | _ -> incr bad);
-        incr offsets;
-        off := !off + sweep_stride
-      done;
+      let offsets, prev, bad, total =
+        cut_sweep base (Store.Cut_commit (Store.of_bytes img2)) ~gen:1 ~img:img1
+      in
       (* a torn-then-recovered image must still boot and run to lockstep *)
-      if reference_finish img1 <> expect_finish then incr bad;
-      (!offsets, !prev, !bad, total)
+      let bad = if reference_finish img1 <> expect_finish then bad + 1 else bad in
+      (offsets, prev, bad, total)
     in
     (* GC-compaction sweep: two live generations, cut the compaction —
        the newest one must survive every offset *)
@@ -1435,21 +1329,7 @@ let e17 () =
       (match Store.commit base (Store.of_bytes img2) with
       | Store.Committed { gen = 2; _ } -> ()
       | _ -> failwith "E17: gc second commit failed");
-      let total = Store.gc_bytes base in
-      let offsets = ref 0 and prev = ref 0 and bad = ref 0 in
-      let off = ref 0 in
-      while !off < total do
-        let probe = Store.clone base in
-        (match Store.gc ~crash_at:!off probe with
-        | Store.Gc_torn _ -> ()
-        | Store.Gc_committed _ -> incr bad);
-        (match Store.recover (Store.mount (Store.device probe)) with
-        | Some (img, 2) when Bytes.equal img img2 -> incr prev
-        | _ -> incr bad);
-        incr offsets;
-        off := !off + sweep_stride
-      done;
-      (!offsets, !prev, !bad, total)
+      cut_sweep base Store.Cut_gc ~gen:2 ~img:img2
     in
     let offsets, prev, bad, commit_total = sweep () in
     let gc_offsets, gc_prev, gc_bad, gc_total = gc_sweep () in
@@ -1475,9 +1355,7 @@ let e17 () =
     let reference =
       let hyp = Hypervisor.create ~host:(Host.create ~frames:2048 ()) () in
       let vm = unikernel hyp "ref" (spin_n_then_halt work) in
-      (match Hypervisor.run hyp with
-      | Hypervisor.All_halted -> ()
-      | _ -> failwith "E17: reference run did not halt");
+      run_to_halt hyp "E17: reference run";
       Vm.instret vm
     in
     let supervise cadence =
@@ -1552,17 +1430,9 @@ let e17 () =
         Images.plan ~heap_pages:32
           ~user:(Workloads.dirty_loop ~pages:16 ~delay:50) ()
       in
-      let primary =
-        Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) ()
-      in
-      let backup =
-        Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) ()
-      in
-      let vm =
-        Hypervisor.create_vm primary ~name ~mem_frames:setup.Images.frames
-          ~entry:Images.entry ()
-      in
-      Images.load_vm vm setup;
+      let host_frames = setup.Images.frames + 512 in
+      let primary, vm = Images.boot ~host_frames ~name setup in
+      let backup = Images.hypervisor ~host_frames setup in
       ignore (Hypervisor.run primary ~budget:1_000_000L);
       let link = Link.create () in
       let faults =
@@ -1635,44 +1505,40 @@ let e17 () =
         fo_specs
     in
     Tablefmt.print t3;
-    let oc = open_out "BENCH_ha.json" in
-    output_string oc "{\n  \"benchmarks\": [\n";
-    Printf.fprintf oc
-      "    {\"name\": \"ha/crash_sweep\", \"commit_bytes\": %d, \"offsets\": %d, \
-       \"recover_previous\": %d, \"failures\": %d},\n"
-      commit_total offsets prev bad;
-    Printf.fprintf oc
-      "    {\"name\": \"ha/crash_sweep_gc\", \"gc_bytes\": %d, \"offsets\": %d, \
-       \"recover_newest\": %d, \"failures\": %d},\n"
-      gc_total gc_offsets gc_prev gc_bad;
-    List.iter
-      (fun (cadence, (s : Ha.stats), elapsed, avail, overhead, mttr, dedup) ->
-        Printf.fprintf oc
-          "    {\"name\": \"ha/supervisor/cadence_%Ld\", \"checkpoints\": %d, \
-           \"torn\": %d, \"checkpoint_cycles\": %Ld, \"bytes_written\": %d, \
-           \"logical_bytes\": %d, \"dedup_ratio\": %.3f, \"frames_churned\": \
-           %d, \"restarts\": %d, \"mttr_cycles\": %Ld, \"elapsed_cycles\": \
-           %Ld, \"availability\": %.6f, \"checkpoint_overhead\": %.6f},\n"
-          cadence s.Ha.checkpoints s.Ha.torn_checkpoints s.Ha.checkpoint_cycles
-          s.Ha.ckpt_bytes s.Ha.ckpt_logical_bytes dedup s.Ha.frames_churned
-          s.Ha.restarts mttr elapsed avail overhead)
-      sup_rows;
-    List.iteri
-      (fun i (name, (s : Ha.Failover.stats), avail) ->
-        let open Ha.Failover in
-        Printf.fprintf oc
-          "    {\"name\": \"ha/failover/%s\", \"generation\": %d, \"hb_sent\": \
-           %d, \"hb_lost\": %d, \"hb_seen\": %d, \"failover_at\": %s, \
-           \"mttr_cycles\": %s, \"split_brain_epochs\": %d, \"fenced\": %b, \
-           \"availability\": %.6f}%s\n"
-          name s.generation s.hb_sent s.hb_lost s.hb_seen
-          (match s.failover_at with Some v -> Int64.to_string v | None -> "null")
-          (match s.mttr with Some v -> Int64.to_string v | None -> "null")
-          s.split_brain_epochs s.fenced avail
-          (if i = List.length fo_rows - 1 then "" else ","))
-      fo_rows;
-    output_string oc "  ]\n}\n";
-    close_out oc;
+    write_json "BENCH_ha.json"
+      ([ Printf.sprintf
+           "    {\"name\": \"ha/crash_sweep\", \"commit_bytes\": %d, \"offsets\": %d, \
+            \"recover_previous\": %d, \"failures\": %d}"
+           commit_total offsets prev bad;
+         Printf.sprintf
+           "    {\"name\": \"ha/crash_sweep_gc\", \"gc_bytes\": %d, \"offsets\": %d, \
+            \"recover_newest\": %d, \"failures\": %d}"
+           gc_total gc_offsets gc_prev gc_bad ]
+      @ List.map
+          (fun (cadence, (s : Ha.stats), elapsed, avail, overhead, mttr, dedup) ->
+            Printf.sprintf
+              "    {\"name\": \"ha/supervisor/cadence_%Ld\", \"checkpoints\": %d, \
+               \"torn\": %d, \"checkpoint_cycles\": %Ld, \"bytes_written\": %d, \
+               \"logical_bytes\": %d, \"dedup_ratio\": %.3f, \"frames_churned\": \
+               %d, \"restarts\": %d, \"mttr_cycles\": %Ld, \"elapsed_cycles\": \
+               %Ld, \"availability\": %.6f, \"checkpoint_overhead\": %.6f}"
+              cadence s.Ha.checkpoints s.Ha.torn_checkpoints s.Ha.checkpoint_cycles
+              s.Ha.ckpt_bytes s.Ha.ckpt_logical_bytes dedup s.Ha.frames_churned
+              s.Ha.restarts mttr elapsed avail overhead)
+          sup_rows
+      @ List.map
+          (fun (name, (s : Ha.Failover.stats), avail) ->
+            let open Ha.Failover in
+            Printf.sprintf
+              "    {\"name\": \"ha/failover/%s\", \"generation\": %d, \"hb_sent\": \
+               %d, \"hb_lost\": %d, \"hb_seen\": %d, \"failover_at\": %s, \
+               \"mttr_cycles\": %s, \"split_brain_epochs\": %d, \"fenced\": %b, \
+               \"availability\": %.6f}"
+              name s.generation s.hb_sent s.hb_lost s.hb_seen
+              (match s.failover_at with Some v -> Int64.to_string v | None -> "null")
+              (match s.mttr with Some v -> Int64.to_string v | None -> "null")
+              s.split_brain_epochs s.fenced avail)
+          fo_rows);
     Printf.printf
       "\nExpected shape: every swept power-failure offset — of a delta commit\n\
        AND of a GC compaction — recovers the newest complete generation (the\n\
@@ -1701,8 +1567,6 @@ let e17 () =
 
 let e18 () =
   if section "E18" "Tracing overhead: off vs on (identical simulated cycles)" then begin
-    let scale l q = if !quick then q else l in
-    let scale_i l q = if !quick then q else l in
     let cases =
       [
         ( "cpu-spin",
@@ -1711,33 +1575,16 @@ let e18 () =
           Images.plan ~user:(Workloads.syscall_loop ~count:(scale 4_000L 400L)) () );
         ( "memwalk",
           Images.plan ~heap_pages:64
-            ~user:(Workloads.memwalk ~pages:64 ~iters:(scale_i 16 4) ~write:true)
+            ~user:(Workloads.memwalk ~pages:64 ~iters:(scale 16 4) ~write:true)
             () );
       ]
     in
     let run_once ~traced setup =
-      let host = Host.create ~frames:(setup.Images.frames + 1024) () in
-      let hyp = Hypervisor.create ~host () in
-      let tr =
-        if traced then begin
-          let tr = Trace.create () in
-          Hypervisor.set_trace hyp tr;
-          Some tr
-        end
-        else None
-      in
-      let vm =
-        Hypervisor.create_vm hyp ~name:"bench" ~mem_frames:setup.Images.frames
-          ~entry:Images.entry ()
-      in
-      Images.load_vm vm setup;
+      let trace = if traced then Some (Trace.create ()) else None in
       let t0 = Sys.time () in
-      (match Hypervisor.run hyp ~budget:20_000_000_000L with
-      | Hypervisor.All_halted -> ()
-      | _ -> failwith "E18: run did not halt");
+      let vm, cycles = run_vm ?trace setup in
       let dt = Sys.time () -. t0 in
-      let cycles = Int64.add (Vm.guest_cycles vm) (Vm.vmm_cycles vm) in
-      (dt, cycles, Monitor.total_exits vm.Vm.monitor, tr)
+      (dt, cycles, Monitor.total_exits vm.Vm.monitor, trace)
     in
     let t =
       Tablefmt.create
@@ -1797,19 +1644,15 @@ let e18 () =
         cases
     in
     Tablefmt.print t;
-    let oc = open_out "BENCH_trace.json" in
-    output_string oc "{\n  \"benchmarks\": [\n";
-    List.iteri
-      (fun i (name, cycles, exits, events, off_s, on_s, overhead) ->
-        Printf.fprintf oc
-          "    {\"name\": \"trace/%s\", \"sim_cycles\": %Ld, \"sim_cycles_added\": 0, \
-           \"exits\": %d, \"events\": %d, \"off_s\": %.6f, \"on_s\": %.6f, \
-           \"wall_overhead_pct\": %.2f}%s\n"
-          name cycles exits events off_s on_s overhead
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    output_string oc "  ]\n}\n";
-    close_out oc;
+    write_json "BENCH_trace.json"
+      (List.map
+         (fun (name, cycles, exits, events, off_s, on_s, overhead) ->
+           Printf.sprintf
+             "    {\"name\": \"trace/%s\", \"sim_cycles\": %Ld, \"sim_cycles_added\": 0, \
+              \"exits\": %d, \"events\": %d, \"off_s\": %.6f, \"on_s\": %.6f, \
+              \"wall_overhead_pct\": %.2f}"
+             name cycles exits events off_s on_s overhead)
+         results);
     Printf.printf
       "\nSimulated cycles and exit counts are identical with tracing on or off\n\
        (asserted above, 'sim_cycles_added: 0'), and two traced runs export\n\
@@ -1881,21 +1724,17 @@ let e19 () =
             Tablefmt.cell_f ~decimals:2 (wall1 /. wall); "byte-identical" ])
       results;
     Tablefmt.print t;
-    let oc = open_out "BENCH_par.json" in
-    Printf.fprintf oc
-      "{\n  \"cores\": %d, \"hosts\": %d, \"rounds\": %d, \"quantum\": %Ld,\n\
-      \  \"benchmarks\": [\n"
-      cores hosts rounds quantum;
-    List.iteri
-      (fun i (d, (wall, _, _)) ->
-        Printf.fprintf oc
-          "    {\"name\": \"par/domains-%d\", \"wall_s\": %.6f, \"speedup\": \
-           %.3f, \"byte_identical\": true}%s\n"
-          d wall (wall1 /. wall)
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    output_string oc "  ]\n}\n";
-    close_out oc;
+    write_json "BENCH_par.json"
+      ~header:
+        (Printf.sprintf "  \"cores\": %d, \"hosts\": %d, \"rounds\": %d, \"quantum\": %Ld,\n"
+           cores hosts rounds quantum)
+      (List.map
+         (fun (d, (wall, _, _)) ->
+           Printf.sprintf
+             "    {\"name\": \"par/domains-%d\", \"wall_s\": %.6f, \"speedup\": \
+              %.3f, \"byte_identical\": true}"
+             d wall (wall1 /. wall))
+         results);
     Printf.printf
       "\nThe fleet report and every per-host trace export are byte-identical\n\
        at 1, 2 and 4 domains (asserted above) — parallelism changes wall\n\
@@ -2015,7 +1854,6 @@ let e20 () =
 
 let e22 () =
   if section "E22" "Incremental store: churn cost, cross-VM dedup, GC reclaim" then begin
-    let scale l q = if !quick then q else l in
     let pages = scale 256 64 in
     let image_bytes = pages * 4096 in
     let fill_page img i tag =
@@ -2161,28 +1999,25 @@ let e22 () =
     if recovers <> "newest" then
       failwith "E22: compaction lost the newest generation";
     ignore before;
-    let oc = open_out "BENCH_store.json" in
-    output_string oc "{\n  \"benchmarks\": [\n";
-    List.iter
-      (fun (k, per_commit, dedup, gcs) ->
-        Printf.fprintf oc
-          "    {\"name\": \"store/churn_%d\", \"bytes_per_commit\": %d, \
-           \"dedup_ratio\": %.3f, \"auto_gc_runs\": %d},\n"
-          k per_commit dedup gcs)
-      churn_rows;
-    List.iter
-      (fun (s, bytes, chunks_new, chunks_shared) ->
-        Printf.fprintf oc
-          "    {\"name\": \"store/stream_vm%d\", \"commit_bytes\": %d, \
-           \"chunks_new\": %d, \"chunks_shared\": %d},\n"
-          s bytes chunks_new chunks_shared)
-      stream_rows;
-    Printf.fprintf oc
-      "    {\"name\": \"store/gc\", \"stream_bytes\": %d, \"live_chunks\": \
-       %d, \"reclaimed_bytes\": %d}\n"
-      gc_bytes gc_live gc_reclaimed;
-    output_string oc "  ]\n}\n";
-    close_out oc;
+    write_json "BENCH_store.json"
+      (List.map
+         (fun (k, per_commit, dedup, gcs) ->
+           Printf.sprintf
+             "    {\"name\": \"store/churn_%d\", \"bytes_per_commit\": %d, \
+              \"dedup_ratio\": %.3f, \"auto_gc_runs\": %d}"
+             k per_commit dedup gcs)
+         churn_rows
+      @ List.map
+          (fun (s, bytes, chunks_new, chunks_shared) ->
+            Printf.sprintf
+              "    {\"name\": \"store/stream_vm%d\", \"commit_bytes\": %d, \
+               \"chunks_new\": %d, \"chunks_shared\": %d}"
+              s bytes chunks_new chunks_shared)
+          stream_rows
+      @ [ Printf.sprintf
+            "    {\"name\": \"store/gc\", \"stream_bytes\": %d, \"live_chunks\": \
+             %d, \"reclaimed_bytes\": %d}"
+            gc_bytes gc_live gc_reclaimed ]);
     Printf.printf
       "\nExpected shape: a delta commit costs its churned chunks plus fixed\n\
        metadata — a 1-page delta is hundreds of times cheaper than the image\n\
@@ -2257,17 +2092,10 @@ let e23 () =
     if totals_clean.Fabric.kicks * 2 > totals_clean.Fabric.sent then
       failwith "E23: doorbell coalescing regressed (kicks > sent/2)";
     (* --- scenario 3: live-migrate a backend mid-benchmark --- *)
-    let host_a = Host.create ~frames:8192 () in
-    let src = Hypervisor.create ~host:host_a () in
+    let src = Hypervisor.create ~host:(Host.create ~frames:8192 ()) () in
     let vms =
       List.map
-        (fun s ->
-          let vm =
-            Hypervisor.create_vm src ~name:s.P.vname
-              ~mem_frames:s.P.setup.Images.frames ~entry:Images.entry ()
-          in
-          Images.load_vm vm s.P.setup;
-          vm)
+        (fun s -> Images.create_vm src ~name:s.P.vname s.P.setup)
         (Fabric.mk_vms shape 0)
     in
     let cell_mig = Fabric.wire shape ~cell:0 src in
@@ -2289,20 +2117,14 @@ let e23 () =
       ignore (Hypervisor.run src ~budget:200_000L);
       incr spins
     done;
-    let host_b = Host.create ~frames:8192 () in
-    let dst = Hypervisor.create ~host:host_b () in
+    let dst = Hypervisor.create ~host:(Host.create ~frames:8192 ()) () in
     Hypervisor.add_ticker dst (Switch.tick sw_mig);
     Hypervisor.add_event_source dst (fun () -> Switch.next_event sw_mig);
     let old_vnet = Option.get victim.Vm.vnet in
     let mig_link = Link.create () in
-    let twin, mig_result =
+    let _twin, mig_result =
       Migrate.stop_and_copy ~src ~dst ~vm:victim ~link:mig_link ()
     in
-    let backlog = Virtio_net.drain_backlog old_vnet in
-    let v = Vm.attach_vnet twin ~link:cell_mig.Fabric.ports.(1) ~endpoint:`A in
-    Virtio_net.configure v ~tx_base:Abi.vnet_tx_ring ~tx_size:Abi.vnet_ring_size
-      ~rx_base:Abi.vnet_rx_ring ~rx_size:Abi.vnet_ring_size;
-    Virtio_net.seed_backlog v backlog;
     let all_clients_halted () = List.for_all Vm.halted clients_vms in
     let slices = ref 0 in
     while (not (all_clients_halted ())) && !slices < 120 do
@@ -2352,30 +2174,27 @@ let e23 () =
     let mig_totals = Fabric.totals [ (cell_mig, mig_vnets) ] in
     row "live migration" tail_mig mig_totals;
     Tablefmt.print t;
-    let oc = open_out "BENCH_net.json" in
-    let emit name (l : Fabric.tail) totals last extra =
-      Printf.fprintf oc
+    let scenario name (l : Fabric.tail) totals extra =
+      Printf.sprintf
         "    {\"name\": \"net/%s\", \"replies\": %d, \"p50\": %d, \"p95\": \
          %d, \"p99\": %d, \"max\": %d,\n\
         \     \"sent\": %d, \"received\": %d, \"switch_drops\": %d, \
-         \"wire_dropped\": %d, \"kicks\": %d%s}%s\n"
+         \"wire_dropped\": %d, \"kicks\": %d%s}"
         name l.replies l.p50 l.p95 l.p99 l.max totals.Fabric.sent totals.Fabric.received
         totals.Fabric.sw_drops totals.Fabric.wire_dropped totals.Fabric.kicks extra
-        (if last then "" else ",")
     in
-    Printf.fprintf oc
-      "{\n  \"hosts\": %d, \"clients_per_host\": %d, \"backends_per_host\": \
-       %d, \"requests_per_client\": %d,\n\
-      \  \"domains_checked\": [1, 4], \"byte_identical\": true,\n\
-      \  \"scenarios\": [\n"
-      hosts clients backends requests;
-    emit "clean" tail_clean totals_clean false "";
-    emit "faults" tail_faults totals_faults false "";
-    emit "migration" tail_mig mig_totals true
-      (Printf.sprintf ", \"downtime_cycles\": %Ld, \"pages_sent\": %d"
-         mig_result.Migrate.downtime_cycles mig_result.Migrate.pages_sent);
-    output_string oc "  ]\n}\n";
-    close_out oc;
+    write_json "BENCH_net.json" ~key:"scenarios"
+      ~header:
+        (Printf.sprintf
+           "  \"hosts\": %d, \"clients_per_host\": %d, \"backends_per_host\": \
+            %d, \"requests_per_client\": %d,\n\
+           \  \"domains_checked\": [1, 4], \"byte_identical\": true,\n"
+           hosts clients backends requests)
+      [ scenario "clean" tail_clean totals_clean "";
+        scenario "faults" tail_faults totals_faults "";
+        scenario "migration" tail_mig mig_totals
+          (Printf.sprintf ", \"downtime_cycles\": %Ld, \"pages_sent\": %d"
+             mig_result.Migrate.downtime_cycles mig_result.Migrate.pages_sent) ];
     Printf.printf
       "\nOpen-loop request/reply latency through the switched fabric\n\
        (client stamp to switch egress, simulated cycles).  The fleet\n\
@@ -2396,8 +2215,6 @@ let e23 () =
 
 let engine_bench () =
   if section "ENGINE" "Execution engines: interp vs block (equal simulated cycles)" then begin
-    let scale l q = if !quick then q else l in
-    let scale_i l q = if !quick then q else l in
     let cases =
       [
         ( "cpu-spin",
@@ -2407,13 +2224,13 @@ let engine_bench () =
         ( "memcpy",
           Images.plan ~heap_pages:18
             ~user:
-              (Workloads.stream_copy ~words:4096 ~iters:(scale_i 150 15))
+              (Workloads.stream_copy ~words:4096 ~iters:(scale 150 15))
             () );
         ( "null-syscall",
           Images.plan ~user:(Workloads.syscall_loop ~count:(scale 4_000L 400L)) () );
         ( "pgtable-churn",
           Images.plan
-            ~user:(Workloads.pt_churn ~batch:16 ~count:(scale_i 1_500 150) ())
+            ~user:(Workloads.pt_churn ~batch:16 ~count:(scale 1_500 150) ())
             () );
       ]
     in
@@ -2482,21 +2299,17 @@ let engine_bench () =
         cases
     in
     Tablefmt.print t;
-    let oc = open_out "BENCH_engine.json" in
     (* wall clock is machine-local: record the core count beside it *)
-    Printf.fprintf oc "{\n  \"cores\": %d,\n  \"benchmarks\": [\n"
-      (Domain.recommended_domain_count ());
-    List.iteri
-      (fun i (name, si, sb, speedup, interp_mips, mips, chains, traces, cycles) ->
-        Printf.fprintf oc
-          "    {\"name\": \"engine/%s\", \"interp_s\": %.6f, \"block_s\": %.6f, \
-           \"speedup\": %.3f, \"interp_mips\": %.2f, \"block_mips\": %.2f, \
-           \"chain_follows\": %d, \"trace_follows\": %d, \"sim_cycles\": %Ld}%s\n"
-          name si sb speedup interp_mips mips chains traces cycles
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    output_string oc "  ]\n}\n";
-    close_out oc;
+    write_json "BENCH_engine.json"
+      ~header:(Printf.sprintf "  \"cores\": %d,\n" (Domain.recommended_domain_count ()))
+      (List.map
+         (fun (name, si, sb, speedup, interp_mips, mips, chains, traces, cycles) ->
+           Printf.sprintf
+             "    {\"name\": \"engine/%s\", \"interp_s\": %.6f, \"block_s\": %.6f, \
+              \"speedup\": %.3f, \"interp_mips\": %.2f, \"block_mips\": %.2f, \
+              \"chain_follows\": %d, \"trace_follows\": %d, \"sim_cycles\": %Ld}"
+             name si sb speedup interp_mips mips chains traces cycles)
+         results);
     Printf.printf
       "\nSimulated cycles and retired instructions are identical by construction\n\
        (asserted above); the speedup is pure host wall clock.  'chains' counts\n\
@@ -2533,9 +2346,9 @@ let bechamel_suite () =
       Test.make ~name:"tlb-lookup-hit" (Staged.stage (fun () -> ignore (Tlb.lookup tlb ~vpn:5L)))
     in
     (* native guest execution: cycles per simulated chunk *)
-    let setup = Images.plan ~user:(Workloads.cpu_spin ~iters:1_000_000_000L) () in
-    let platform = Platform.create ~frames:(setup.Images.frames + 16) () in
-    Images.load_native platform setup;
+    let platform =
+      Images.boot_native (Images.plan ~user:(Workloads.cpu_spin ~iters:1_000_000_000L) ())
+    in
     ignore (Platform.run ~budget:300_000L platform);
     let ctx_state = platform.Platform.cpu in
     let t_interp =

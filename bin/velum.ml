@@ -270,11 +270,7 @@ let run_cmd =
         P.config ~quantum ~rounds ~seed ?faults ~migrate_every ?fail_host
           ~trace:(trace_to <> None) ~hosts ~mk_vms ()
       in
-      let fleet = P.init cfg in
-      let det = D.create ~knobs ?faults ~hosts ~quantum ~seed () in
-      P.run_fleet ~domains fleet ~on_round:(fun fl ~round ->
-          ignore
-            (D.observe_round det ~alive:(fun i -> fl.P.nodes.(i).P.alive) ~round));
+      let fleet, det = D.run_watched ~knobs ~domains cfg in
       print_string (P.report fleet);
       print_string (D.summary det);
       for i = 0 to hosts - 1 do
@@ -299,7 +295,7 @@ let run_cmd =
       Printf.printf "trace: %d events -> %s\n" (Trace.events_recorded tr) file
     in
     if native then begin
-      let platform = Platform.create ~frames:(setup.Images.frames + 16) ~engine () in
+      let platform = Images.boot_native ~engine setup in
       let tr = Option.map (fun _ -> Trace.create ()) trace_to in
       (* The device library cannot depend on the hypervisor core, so
          tracing on bare metal is glued here through a neutral I/O hook. *)
@@ -309,7 +305,6 @@ let run_cmd =
               Trace.record tr ~vm_id:0 ~name:"native" ~at:now
                 (Trace.Device_io { write; addr })))
         tr;
-      Images.load_native platform setup;
       let outcome = Platform.run ~budget platform in
       Option.iter
         (fun tr ->
@@ -333,15 +328,12 @@ let run_cmd =
       | _ -> ()
     end
     else begin
-      let host = Host.create ~frames:(setup.Images.frames + 1024) () in
-      let hyp = Hypervisor.create ~host () in
-      Option.iter (fun _ -> Hypervisor.set_trace hyp (Trace.create ())) trace_to;
-      let vm =
-        Hypervisor.create_vm hyp ~name:"cli" ~mem_frames:setup.Images.frames ~paging
+      let hyp, vm =
+        Images.boot ~name:"cli" ~paging
           ~pv:(if pv then Vm.full_pv else Vm.no_pv)
-          ~exec_mode ~engine ~entry:Images.entry ()
+          ~exec_mode ~engine setup
       in
-      Images.load_vm vm setup;
+      Option.iter (fun _ -> Hypervisor.set_trace hyp (Trace.create ())) trace_to;
       (match faults with
       | Some f ->
           Blockdev.set_faults vm.Vm.blk f;
@@ -447,13 +439,8 @@ let migrate_cmd =
     let setup =
       Images.plan ~heap_pages:(pages + 8) ~user:(Workloads.dirty_loop ~pages ~delay) ()
     in
-    let src = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 1024) ()) () in
-    let dst = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 1024) ()) () in
-    let vm =
-      Hypervisor.create_vm src ~name:"mig" ~mem_frames:setup.Images.frames
-        ~entry:Images.entry ()
-    in
-    Images.load_vm vm setup;
+    let src, vm = Images.boot ~name:"mig" setup in
+    let dst = Images.hypervisor setup in
     ignore (Hypervisor.run src ~budget:4_000_000L);
     let link = Link.create () in
     Option.iter (Link.set_faults link) faults;
@@ -499,17 +486,8 @@ let replicate_cmd =
     let setup =
       Images.plan ~heap_pages:64 ~user:(Workloads.dirty_loop ~pages:48 ~delay:500) ()
     in
-    let primary =
-      Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 1024) ()) ()
-    in
-    let backup =
-      Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 1024) ()) ()
-    in
-    let vm =
-      Hypervisor.create_vm primary ~name:"protected" ~mem_frames:setup.Images.frames
-        ~entry:Images.entry ()
-    in
-    Images.load_vm vm setup;
+    let primary, vm = Images.boot ~name:"protected" setup in
+    let backup = Images.hypervisor setup in
     ignore (Hypervisor.run primary ~budget:3_000_000L);
     let link = Link.create () in
     Option.iter (Link.set_faults link) faults;
@@ -537,13 +515,9 @@ let replicate_cmd =
 let snapshot_cmd =
   let action () =
     let setup = build_setup W_hello ~size:0 ~pv:false in
-    let host = Host.create ~frames:((3 * setup.Images.frames) + 1024) () in
-    let hyp = Hypervisor.create ~host () in
-    let vm =
-      Hypervisor.create_vm hyp ~name:"snap-demo" ~mem_frames:setup.Images.frames
-        ~entry:Images.entry ()
+    let hyp, vm =
+      Images.boot ~host_frames:((3 * setup.Images.frames) + 1024) ~name:"snap-demo" setup
     in
-    Images.load_vm vm setup;
     ignore (Hypervisor.run hyp);
     let image = Snapshot.capture vm in
     Printf.printf "captured %s: %d bytes (%d guest frames)\n" vm.Vm.name
@@ -658,13 +632,7 @@ let recover_cmd =
              committed from the live VM as the HA supervisor does: the
              second through the dirty-set hint the first left *)
           let setup = build_setup W_dirty ~size ~pv:false in
-          let host = Host.create ~frames:(setup.Images.frames + 1024) () in
-          let hyp = Hypervisor.create ~host () in
-          let vm =
-            Hypervisor.create_vm hyp ~name:"durable"
-              ~mem_frames:setup.Images.frames ~entry:Images.entry ()
-          in
-          Images.load_vm vm setup;
+          let hyp, vm = Images.boot ~name:"durable" setup in
           let source ?since () =
             match Snapshot.source ?since vm with
             | Ok src -> src
@@ -699,20 +667,17 @@ let recover_cmd =
     in
     let hint_misses = ref (Store.hint_misses base) in
     let base_gen = Store.generation base in
+    let cut = if gc then Store.Cut_gc else Store.Cut_commit src2 in
     let check offset =
-      let store = Store.clone base in
-      if gc then ignore (Store.gc ~crash_at:offset store)
-      else ignore (Store.commit ~crash_at:offset store src2);
-      hint_misses := !hint_misses + Store.hint_misses store;
-      (* power cycle: remount the raw device, discarding memory state *)
-      let store = Store.mount (Store.device store) in
-      match Store.recover store with
+      let p = Store.crash_probe base cut ~at:offset in
+      hint_misses := !hint_misses + p.Store.hint_misses;
+      match p.Store.recovered with
       | None -> `Nothing
       | Some (img, _gen) ->
           if gc then
             (* GC must preserve the newest generation at every cut *)
             if Bytes.equal img img2 then
-              if Store.generation store > base_gen then `New else `Old
+              if p.Store.generation > base_gen then `New else `Old
             else `Torn
           else if Bytes.equal img img2 then `New
           else if Bytes.equal img img1 then `Old
@@ -745,8 +710,9 @@ let recover_cmd =
       let offset =
         match crash_at with Some o -> o | None -> stream_bytes / 2
       in
+      let outcome = check offset in
       let verdict =
-        match check offset with
+        match outcome with
         | `Old ->
             if gc then "newest generation (compaction lost, image intact)"
             else "previous generation (commit lost, image intact)"
@@ -758,7 +724,7 @@ let recover_cmd =
       in
       Printf.printf "power failure at byte %d of %d (%s): recovered %s\n"
         offset stream_bytes what verdict;
-      match check offset with `Old | `New -> () | _ -> exit 1
+      match outcome with `Old | `New -> () | _ -> exit 1
     end
   in
   Cmd.v

@@ -19,13 +19,7 @@ let run_case label reclaim =
   let setup =
     Images.plan ~heap_pages:heap ~user:(Workloads.memwalk ~pages:wss ~iters:20000 ~write:true) ()
   in
-  let host = Host.create ~frames:(setup.Images.frames + 1024) () in
-  let hyp = Hypervisor.create ~host () in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"victim" ~mem_frames:setup.Images.frames
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let hyp, vm = Images.boot ~name:"victim" setup in
   ignore (Hypervisor.run hyp ~budget:2_000_000L);
   let reclaimed = reclaim vm in
   let t0 = Int64.add (Vm.guest_cycles vm) (Vm.vmm_cycles vm) in

@@ -16,8 +16,7 @@ let () =
   let setup = Images.plan ~user:(Workloads.hello ()) () in
 
   (* 1. Bare metal: the baseline every experiment compares against. *)
-  let platform = Platform.create ~frames:(setup.Images.frames + 16) () in
-  Images.load_native platform setup;
+  let platform = Images.boot_native setup in
   (match Platform.run platform with
   | Platform.Halted -> ()
   | _ -> failwith "native boot failed");
@@ -26,15 +25,13 @@ let () =
   Printf.printf "cycles: %Ld, instructions: %Ld\n\n" (Platform.cycles platform)
     (Platform.instructions_retired platform);
 
-  (* 2 & 3. The same image under the hypervisor, in each paging mode. *)
+  (* 2 & 3. The same image under the hypervisor, in each paging mode:
+     Images.boot sizes a host for the guest, creates the VM with the
+     frames and entry point the image pair needs, and loads it. *)
   let boot paging label =
-    let host = Host.create ~frames:(setup.Images.frames + 512) () in
-    let hyp = Hypervisor.create ~host () in
-    let vm =
-      Hypervisor.create_vm hyp ~name:"demo" ~mem_frames:setup.Images.frames ~paging
-        ~entry:Images.entry ()
+    let hyp, vm =
+      Images.boot ~host_frames:(setup.Images.frames + 512) ~name:"demo" ~paging setup
     in
-    Images.load_vm vm setup;
     (match Hypervisor.run hyp with
     | Hypervisor.All_halted -> ()
     | _ -> failwith "guest did not halt");

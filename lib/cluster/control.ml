@@ -1,5 +1,4 @@
 open Velum_vmm
-open Velum_devices
 module Fault = Velum_util.Fault
 module Images = Velum_guests.Images
 module Pool = Placement.Pool
@@ -273,16 +272,7 @@ let commit_checkpoint t e ~host =
 
 let place_fresh t e ~host =
   let node = t.fleet.Parallel.nodes.(host) in
-  let vm =
-    Hypervisor.create_vm node.Parallel.hyp ~name:e.desc.name
-      ~mem_frames:e.desc.setup.Images.frames ~entry:Images.entry ()
-  in
-  Images.load_vm vm e.desc.setup;
-  let node_faults = Host_ctx.faults (Hypervisor.ctx node.Parallel.hyp) in
-  if Fault.active node_faults then begin
-    Blockdev.set_faults vm.Vm.blk node_faults;
-    Virtio_blk.set_faults vm.Vm.vblk node_faults
-  end;
+  let vm = Parallel.place node (Parallel.spec ~name:e.desc.name e.desc.setup) in
   Pool.commit t.pool host ~units:e.units ~group:e.desc.group;
   e.vm <- Some vm;
   e.state <- Placed host;

@@ -138,6 +138,17 @@ let observe_round t ~alive ~round =
     t.lanes;
   List.rev !newly_dead
 
+let run_watched ?knobs ?domains (cfg : Parallel.config) =
+  let fleet = Parallel.init cfg in
+  let det =
+    create ?knobs ?faults:cfg.faults ~hosts:cfg.hosts ~quantum:cfg.quantum
+      ~seed:cfg.seed ()
+  in
+  Parallel.run_fleet ?domains fleet ~on_round:(fun fl ~round ->
+      ignore
+        (observe_round det ~alive:(fun i -> fl.Parallel.nodes.(i).Parallel.alive) ~round));
+  (fleet, det)
+
 type stats = {
   hb_sent : int;
   hb_lost : int;

@@ -49,6 +49,16 @@ val observe_round : t -> alive:(int -> bool) -> round:int -> int list
     ascending id order.  Must be called from the coordinator phase,
     once per round, in round order. *)
 
+val run_watched :
+  ?knobs:Velum_vmm.Ha.Failover.hb_knobs ->
+  ?domains:int ->
+  Parallel.config ->
+  Parallel.fleet * t
+(** The watched fleet of [velum run --hosts]: {!Parallel.init} the
+    fleet, {!create} a detector from the config's faults, host count,
+    quantum and seed, and {!Parallel.run_fleet} it with {!observe_round}
+    fed every node's [alive] flag on every round. *)
+
 val declared_at : t -> int -> int option
 (** Round the host was declared dead, if it was. *)
 

@@ -97,6 +97,19 @@ let derive_plan faults ~seed ~stream ~i =
   | Some f -> Fault.derive f ~seed:(mix_seed seed ~stream ~i)
   | None -> Fault.none ()
 
+let place node s =
+  let vm =
+    Velum_guests.Images.create_vm node.hyp ~name:s.vname ~paging:s.paging
+      ~pv:(if s.pv then Vm.full_pv else Vm.no_pv)
+      ~engine:s.engine s.setup
+  in
+  let faults = Host_ctx.faults (Hypervisor.ctx node.hyp) in
+  if Fault.active faults then begin
+    Blockdev.set_faults vm.Vm.blk faults;
+    Virtio_blk.set_faults vm.Vm.vblk faults
+  end;
+  vm
+
 let init cfg =
   let nodes =
     Array.init cfg.hosts (fun i ->
@@ -117,24 +130,12 @@ let init cfg =
         in
         let hyp = Hypervisor.create ~ctx () in
         if cfg.trace then Hypervisor.set_trace hyp (Trace.create ());
-        List.iter
-          (fun s ->
-            let vm =
-              Hypervisor.create_vm hyp ~name:s.vname
-                ~mem_frames:s.setup.Velum_guests.Images.frames ~paging:s.paging
-                ~pv:(if s.pv then Vm.full_pv else Vm.no_pv)
-                ~engine:s.engine ~entry:Velum_guests.Images.entry ()
-            in
-            Velum_guests.Images.load_vm vm s.setup;
-            if Fault.active node_faults then begin
-              Blockdev.set_faults vm.Vm.blk node_faults;
-              Virtio_blk.set_faults vm.Vm.vblk node_faults
-            end)
-          specs;
+        let node = { id = i; hyp; alive = true; halted = false; error = None } in
+        List.iter (fun s -> ignore (place node s)) specs;
         (* intra-host fabric (switch, vnet adapters, tickers): runs
            before the first round, in host order, on the coordinator *)
         Option.iter (fun w -> w i hyp) cfg.wire;
-        { id = i; hyp; alive = true; halted = false; error = None })
+        node)
   in
   (* stream 2 stays unused: renumbering would shift the fault draws of
      every later stream *)
@@ -209,24 +210,30 @@ let check_worker_errors fleet =
 
 (* ---- drivers ---- *)
 
-let no_hook (_ : fleet) ~round:(_ : int) = ()
-
-let run_sequential ?(on_round = no_hook) fleet =
-  let cfg = fleet.cfg in
+(* The one round loop: a scheduled failure takes effect, the worker
+   phase [workers round] runs every live host up to the round boundary,
+   then the coordinator alone migrates and calls [on_round].  The
+   sequential and the domain-parallel runs differ only in [workers]. *)
+let run_rounds fleet ~on_round ~workers =
   let round = ref 0 in
   let continue = ref true in
-  while !continue && !round < cfg.rounds do
+  while !continue && !round < fleet.cfg.rounds do
     apply_failure fleet ~round:!round;
-    Array.iter (fun n -> step_node fleet n ~round:!round) fleet.nodes;
+    workers !round;
     migrate_storm fleet ~round:!round;
     on_round fleet ~round:!round;
     if all_done fleet then continue := false;
     incr round
   done
 
-let run_parallel ?(on_round = no_hook) fleet ~domains =
-  let cfg = fleet.cfg in
-  let m = min domains cfg.hosts in
+let step_all fleet round = Array.iter (fun n -> step_node fleet n ~round) fleet.nodes
+
+(* Spawn [min domains hosts] workers, each stepping a fixed stripe of
+   hosts, and hand [body] the worker phase that releases them for one
+   round and waits for all of them.  Domains are joined however [body]
+   ends. *)
+let with_domains fleet ~domains body =
+  let m = min domains fleet.cfg.hosts in
   (* workers + coordinator meet at both edges of every worker phase *)
   let start_b = Barrier.create ~parties:(m + 1) in
   let done_b = Barrier.create ~parties:(m + 1) in
@@ -259,18 +266,13 @@ let run_parallel ?(on_round = no_hook) fleet ~domains =
     Barrier.await start_b;
     Array.iter Domain.join doms
   in
-  (try
-     let continue = ref true in
-     while !continue && !round < cfg.rounds do
-       apply_failure fleet ~round:!round;
-       Barrier.await start_b;
-       Barrier.await done_b;
-       check_worker_errors fleet;
-       migrate_storm fleet ~round:!round;
-       on_round fleet ~round:!round;
-       if all_done fleet then continue := false;
-       round := !round + 1
-     done
+  let phase r =
+    round := r;
+    Barrier.await start_b;
+    Barrier.await done_b;
+    check_worker_errors fleet
+  in
+  (try body phase
    with e ->
      shutdown ();
      raise e);
@@ -354,11 +356,11 @@ type result = { fleet : fleet; report : string }
 let set_alive node v = node.alive <- v
 let clear_halted node = node.halted <- false
 
-let run_fleet ?(domains = 1) ?on_round fleet =
+let run_fleet ?(domains = 1) ?(on_round = fun _ ~round:_ -> ()) fleet =
   if domains <= 0 then
     invalid_arg "Parallel.run_fleet: domains must be positive";
-  if domains = 1 then run_sequential ?on_round fleet
-  else run_parallel ?on_round fleet ~domains
+  if domains = 1 then run_rounds fleet ~on_round ~workers:(step_all fleet)
+  else with_domains fleet ~domains (fun workers -> run_rounds fleet ~on_round ~workers)
 
 let run ?(domains = 1) ?on_round cfg =
   if domains <= 0 then invalid_arg "Parallel.run: domains must be positive";

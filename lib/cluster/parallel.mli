@@ -118,6 +118,12 @@ val derive_plan :
     streams coincide ([i < 8191]).  The runner uses streams 0, 1 and 3
     (2 is retired), {!Detector} 4-5 and {!Control} from 6. *)
 
+val place : node -> vm_spec -> Velum_vmm.Vm.t
+(** Boot one VM on a host ({!Velum_guests.Images.create_vm}) and attach
+    the host's fault plan to its block devices when the plan is active.
+    {!init} places every configured VM this way; a control plane places
+    later arrivals with it. *)
+
 val init : config -> fleet
 (** Build the fleet (hosts, VMs, migration link) without running it.  A control
     plane uses this to admit and place VMs before the first round. *)

@@ -237,6 +237,17 @@ let present_gfns (vm : Vm.t) =
 let finish ~src ~vm ~(twin : Vm.t) =
   (* The source instance is gone; its frames return to the source host. *)
   Hypervisor.remove_vm src vm;
+  (* The fabric port moves with the guest: the twin plugs a fresh
+     adapter into the same link endpoint and inherits the old one's
+     ring layout and undelivered backlog. *)
+  Option.iter
+    (fun old ->
+      let v =
+        Vm.attach_vnet twin ~link:(Virtio_net.link old)
+          ~endpoint:(Virtio_net.endpoint old)
+      in
+      Virtio_net.hand_over old ~dst:v)
+    vm.Vm.vnet;
   (* Destination vCPUs may be runnable now — make sure the scheduler
      sees them. *)
   Array.iter

@@ -933,3 +933,31 @@ let mount ?faults blk =
   t
 
 let clone t = mount (Blockdev.copy t.blk)
+
+type cut = Cut_commit of source | Cut_gc
+
+type probe = {
+  torn : bool;
+  recovered : (Bytes.t * int) option;
+  generation : int;
+  hint_misses : int;
+}
+
+let crash_probe t cut ~at =
+  let cut_store = clone t in
+  let torn =
+    match cut with
+    | Cut_commit src -> (
+        match commit ~crash_at:at cut_store src with
+        | Torn _ -> true
+        | Committed _ -> false)
+    | Cut_gc -> (
+        match gc ~crash_at:at cut_store with
+        | Gc_torn _ -> true
+        | Gc_committed _ -> false)
+  in
+  (* power cycle: remount the raw device, discarding memory state *)
+  let rebooted = mount (device cut_store) in
+  let recovered = recover rebooted in
+  { torn; recovered; generation = generation rebooted;
+    hint_misses = hint_misses cut_store }

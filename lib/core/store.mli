@@ -175,6 +175,24 @@ val gc_bytes : t -> int
 (** Bytes {!gc} would write right now — the exclusive upper bound for
     interesting [crash_at] offsets of a compaction. *)
 
+type cut =
+  | Cut_commit of source  (** a commit of this image to stream [""] *)
+  | Cut_gc  (** a GC compaction *)
+
+type probe = {
+  torn : bool;  (** the cut landed inside the stream *)
+  recovered : (Bytes.t * int) option;  (** {!recover} after the power cycle *)
+  generation : int;  (** {!generation} after the power cycle *)
+  hint_misses : int;  (** {!hint_misses} of the cut commit *)
+}
+
+val crash_probe : t -> cut -> at:int -> probe
+(** One power failure on a prepared store: on a {!clone} of [t] ([t]
+    itself is untouched), run [cut] with its byte stream cut after [at]
+    bytes, remount the raw device as a reboot would, and {!recover}.
+    The crash sweeps of [velum recover] and the HA benchmark are loops
+    over this. *)
+
 val recover : ?id:string -> t -> (Bytes.t * int) option
 (** Scan the device and return stream [id]'s newest complete image with
     its generation; [None] if no generation of that stream ever

@@ -59,9 +59,6 @@ let revoke_exec_frame t ~ppn =
   | Some c -> Trans_cache.invalidate_frame c ~ppn
   | None -> ()
 
-let note_tlb_flush t =
-  match t.engine.Engine.cache with Some c -> Trans_cache.note_flush c | None -> ()
-
 let traces_built t =
   match t.engine.Engine.cache with
   | Some c -> Trans_cache.traces_built c
@@ -142,8 +139,7 @@ let resolve_read t gfn =
 
 let invalidate_mapping t gfn =
   (match t.shadow with Some s -> Shadow.invalidate_gfn s gfn | None -> ());
-  Array.iter Tlb.flush t.tlbs;
-  note_tlb_flush t
+  Array.iter Tlb.flush t.tlbs
 
 let resolve_write t gfn =
   match resolve_read t gfn with
@@ -377,8 +373,8 @@ let destroy t =
 
 (* Plug a virtio-net adapter into [link] at [endpoint] and put it on
    the bus.  Callable any time after creation — a migration twin gets
-   its fabric port back this way, with {!Virtio_net.configure} restoring
-   the ring layout host-side. *)
+   its fabric port back this way, with {!Virtio_net.hand_over} restoring
+   the ring layout and backlog host-side. *)
 let attach_vnet t ~link ~endpoint =
   let v = Virtio_net.create ~link ~endpoint ~mem:(guest_mem (Lazy.from_val t)) () in
   t.vnet <- Some v;
@@ -404,13 +400,8 @@ let instret t =
 
 (* ---- dirty logging epochs ---- *)
 
-let flush_all_tlbs t =
-  Array.iter Tlb.flush t.tlbs;
-  note_tlb_flush t
-
-let flush_vcpu_tlb t ~vcpu_idx =
-  Tlb.flush t.tlbs.(vcpu_idx);
-  note_tlb_flush t
+let flush_all_tlbs t = Array.iter Tlb.flush t.tlbs
+let flush_vcpu_tlb t ~vcpu_idx = Tlb.flush t.tlbs.(vcpu_idx)
 
 let start_dirty_logging t =
   t.dirty_logging <- true;

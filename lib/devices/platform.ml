@@ -121,12 +121,7 @@ let make_ctx t =
   {
     Cpu.translate = (fun ~access ~user va -> Mmu.translate t.mmu ~access ~user va);
     mem = t.mem;
-    flush_tlb =
-      (fun () ->
-        Mmu.flush t.mmu;
-        match t.engine.Engine.cache with
-        | Some c -> Trans_cache.note_flush c
-        | None -> ());
+    flush_tlb = (fun () -> Mmu.flush t.mmu);
     now = (fun () -> t.clock);
     ext_irq = (fun () -> Bus.pending_irq t.bus);
     cost = t.cost;

@@ -239,8 +239,7 @@ let device ?(base = mmio_base) t =
     pending_irq = (fun () -> t.irq || not (Ring.is_empty t.backlog));
   }
 
-(* Host-side programming — a migration destination re-attaches the
-   device with the same ring layout without replaying guest MMIO. *)
+(* Host-side programming: the ring layout without guest MMIO writes. *)
 let configure t ~tx_base ~tx_size ~rx_base ~rx_size =
   t.tx_base <- tx_base;
   t.tx_size <- Int64.of_int tx_size;
@@ -262,6 +261,11 @@ let seed_backlog t frames =
     (fun f -> if not (Ring.push t.backlog f) then t.rx_overflow <- t.rx_overflow + 1)
     frames
 
+let hand_over t ~dst =
+  configure dst ~tx_base:t.tx_base ~tx_size:(Int64.to_int t.tx_size) ~rx_base:t.rx_base
+    ~rx_size:(Int64.to_int t.rx_size);
+  seed_backlog dst (drain_backlog t)
+
 let frames_sent t = t.sent
 let frames_received t = t.received
 let tx_dropped t = t.tx_dropped
@@ -273,3 +277,4 @@ let kicks t = t.kick_count
 let backlog_length t = Ring.length t.backlog
 let next_arrival t = Link.next_arrival t.link ~at:t.endpoint
 let link t = t.link
+let endpoint t = t.endpoint

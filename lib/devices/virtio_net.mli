@@ -65,16 +65,12 @@ val tick : t -> int64 -> unit
 
 val configure :
   t -> tx_base:int64 -> tx_size:int -> rx_base:int64 -> rx_size:int -> unit
-(** Program both rings host-side — how a migration destination
-    re-attaches the device to the already-copied guest ring pages
-    without replaying the source's MMIO writes. *)
+(** Program both rings host-side, without guest MMIO writes. *)
 
-val drain_backlog : t -> string list
-(** Remove and return undelivered arrived frames (device-state handoff
-    at migration time). *)
-
-val seed_backlog : t -> string list -> unit
-(** Enqueue handed-over frames; overflow is counted, never silent. *)
+val hand_over : t -> dst:t -> unit
+(** Device-state handoff at migration time: program [dst]'s rings with
+    [t]'s layout (the ring pages travel with guest memory) and move
+    [t]'s undelivered backlog to [dst], counting any overflow. *)
 
 val frames_sent : t -> int
 val frames_received : t -> int
@@ -109,3 +105,6 @@ val next_arrival : t -> int64 option
 
 val link : t -> Link.t
 (** The wire (for conservation audits). *)
+
+val endpoint : t -> Link.endpoint
+(** The side of {!link} this adapter is plugged into. *)

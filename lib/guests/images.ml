@@ -34,11 +34,30 @@ let plan ?(pv_console = false) ?(pv_pt = false) ?hcall_ok ?(heap_pages = 0)
   in
   { kernel; user; config; frames }
 
-let load_native platform setup =
+let boot_native ?engine setup =
+  let platform = Velum_devices.Platform.create ~frames:(setup.frames + 16) ?engine () in
   Velum_devices.Platform.load_image platform setup.kernel;
   Velum_devices.Platform.load_image platform setup.user;
-  Velum_devices.Platform.boot platform ~entry
+  Velum_devices.Platform.boot platform ~entry;
+  platform
 
 let load_vm vm setup =
   Velum_vmm.Vm.load_image vm setup.kernel;
   Velum_vmm.Vm.load_image vm setup.user
+
+let create_vm hyp ~name ?paging ?pv ?weight ?nic ?tlb_size ?exec_mode ?engine
+    setup =
+  let vm =
+    Velum_vmm.Hypervisor.create_vm hyp ~name ~mem_frames:setup.frames ?paging ?pv
+      ?weight ?nic ?tlb_size ?exec_mode ?engine ~entry ()
+  in
+  load_vm vm setup;
+  vm
+
+let hypervisor ?host_frames ?cost setup =
+  let frames = Option.value host_frames ~default:(setup.frames + 1024) in
+  Velum_vmm.Hypervisor.create ~host:(Velum_vmm.Host.create ~frames ?cost ()) ()
+
+let boot ?host_frames ?cost ~name ?paging ?pv ?tlb_size ?exec_mode ?engine setup =
+  let hyp = hypervisor ?host_frames ?cost setup in
+  (hyp, create_vm hyp ~name ?paging ?pv ?tlb_size ?exec_mode ?engine setup)

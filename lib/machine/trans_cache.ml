@@ -75,7 +75,6 @@ type t = {
   mutable misses : int;
   mutable invalidations : int;
   mutable evictions : int;
-  mutable tlb_flushes : int;
   mutable chains_patched : int;
   mutable chain_follows : int;
   mutable chains_severed : int;
@@ -96,7 +95,6 @@ let create ?(capacity = 1024) () =
     misses = 0;
     invalidations = 0;
     evictions = 0;
-    tlb_flushes = 0;
     chains_patched = 0;
     chain_follows = 0;
     chains_severed = 0;
@@ -312,8 +310,6 @@ let has_frame t ~ppn = Hashtbl.mem t.by_frame (Int64.to_int ppn)
 
 let invalidate_frame t ~ppn = invalidate_range t ~ppn ~lo:0 ~hi:Arch.page_size
 
-let note_flush t = t.tlb_flushes <- t.tlb_flushes + 1
-
 let flush t =
   Hashtbl.iter
     (fun _ b ->
@@ -451,7 +447,6 @@ let hits t = t.hits
 let misses t = t.misses
 let invalidations t = t.invalidations
 let evictions t = t.evictions
-let tlb_flushes t = t.tlb_flushes
 let chains_patched t = t.chains_patched
 let chain_follows t = t.chain_follows
 let chains_severed t = t.chains_severed

@@ -136,11 +136,6 @@ val note_trace_side_exit : t -> unit
 (** Count a guard-driven trace side exit (micro-TLB miss, misalignment,
     mid-run severing, or a zero-progress bail). *)
 
-val note_flush : t -> unit
-(** Record a TLB/[satp] flush event.  Because entries are keyed by
-    physical frame, a translation flush cannot stale them, so nothing is
-    dropped; the counter keeps the invalidation matrix observable. *)
-
 val flush : t -> unit
 (** Drop everything (e.g. on reset). *)
 
@@ -153,8 +148,6 @@ val invalidations : t -> int
 (** Blocks dropped by {!invalidate_range}/{!invalidate_frame}. *)
 
 val evictions : t -> int
-val tlb_flushes : t -> int
-(** Flush events observed via {!note_flush}. *)
 
 val chains_patched : t -> int
 (** Chain edges installed or replaced via {!set_succ}. *)

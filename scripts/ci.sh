@@ -149,6 +149,15 @@ awk -v m="$imips" -v r="$imips_ref" 'BEGIN { exit !(m + 0 >= 0.7 * r) }' || {
 echo "cpu-spin: block ${mips} MIPS (${traces} trace dispatches), interp ${imips} MIPS" \
   "(committed ${imips_ref}); block/interp ${spin}x; $(nproc) cores"
 
+echo "== simulated-only bench sections (E1-E15, A1-A5) =="
+# These sections print only simulated numbers and write no JSON, so
+# their stdout is the artifact: it must regenerate the committed
+# BENCH_sim.txt byte for byte.
+sim_sections="E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 E15 A1 A2 A3 A4 A5"
+dune exec bench/main.exe -- $sim_sections >"$tmp/sim.txt"
+diff BENCH_sim.txt "$tmp/sim.txt" || {
+  echo "FAIL: simulated bench sections diverged from BENCH_sim.txt"; exit 1; }
+
 twice E16 BENCH_fault.json
 
 # The quick runs above only prove determinism.  The full E16 is all

@@ -148,22 +148,6 @@ let mk_setup kind =
       (* never halts: every round runs a full quantum *)
       Images.plan ~heap_pages:16 ~user:(Workloads.dirty_loop ~pages:8 ~delay:1500) ()
 
-(* The adapter [velum run --hosts] runs: the fleet detector, tuned by
-   [knobs], fed every node's [alive] flag from the coordinator's
-   [on_round] hook. *)
-let run_watched ~knobs ~domains cfg =
-  let fleet = Parallel.init cfg in
-  let det =
-    Detector.create ~knobs ?faults:cfg.Parallel.faults ~hosts:cfg.Parallel.hosts
-      ~quantum:cfg.Parallel.quantum ~seed:cfg.Parallel.seed ()
-  in
-  Parallel.run_fleet ~domains fleet ~on_round:(fun fl ~round ->
-      ignore
-        (Detector.observe_round det
-           ~alive:(fun i -> fl.Parallel.nodes.(i).Parallel.alive)
-           ~round));
-  (fleet, det)
-
 let fleet_invariance_prop =
   QCheck2.Test.make ~count:8
     ~name:"fleet report and traces are byte-identical for domains 1/2/4"
@@ -196,7 +180,7 @@ let fleet_invariance_prop =
       in
       let knobs = { Ha.Failover.default_hb_knobs with Ha.Failover.miss_limit = 2 } in
       let outcome domains =
-        let fleet, det = run_watched ~knobs ~domains cfg in
+        let fleet, det = Detector.run_watched ~knobs ~domains cfg in
         ( Parallel.report fleet,
           Parallel.traces fleet,
           Detector.summary det,
@@ -217,7 +201,7 @@ let test_fleet_detection () =
   let knobs = { Ha.Failover.default_hb_knobs with Ha.Failover.miss_limit = 3 } in
   List.iter
     (fun domains ->
-      let fleet, det = run_watched ~knobs ~domains cfg in
+      let fleet, det = Detector.run_watched ~knobs ~domains cfg in
       checkb "host 1 is down" true (not fleet.Parallel.nodes.(1).Parallel.alive);
       (* host 1 is down from round 4's worker phase on, so its last
          heartbeat is round 3's; rounds 4, 5 and 6 miss, and the third

@@ -94,8 +94,7 @@ let compile (seeds, ops) =
 (* ---------------- execution under each configuration ---------------- *)
 
 let run_native ?engine setup =
-  let platform = Platform.create ~frames:(setup.Images.frames + 16) ?engine () in
-  Images.load_native platform setup;
+  let platform = Images.boot_native ?engine setup in
   match Platform.run ~budget:100_000_000L platform with
   | Platform.Halted -> Platform.console_output platform
   | _ -> "<native did not halt>"

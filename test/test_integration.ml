@@ -14,23 +14,13 @@ let checks = Alcotest.(check string)
 (* --- helpers --- *)
 
 let boot_native setup =
-  let platform = Platform.create ~frames:(setup.Images.frames + 16) () in
-  Images.load_native platform setup;
+  let platform = Images.boot_native setup in
   let outcome = Platform.run platform in
   (platform, outcome)
 
-let boot_vm ?(paging = Vm.Nested_paging) ?(pv = Vm.no_pv) ?host_frames ?exec_mode setup =
-  let frames =
-    match host_frames with Some f -> f | None -> setup.Images.frames + 512
-  in
-  let host = Host.create ~frames () in
-  let hyp = Hypervisor.create ~host () in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"t" ~mem_frames:setup.Images.frames ~paging ~pv
-      ?exec_mode ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
-  (hyp, vm)
+let boot_vm ?paging ?pv ?host_frames ?exec_mode setup =
+  let host_frames = Option.value host_frames ~default:(setup.Images.frames + 512) in
+  Images.boot ~host_frames ~name:"t" ?paging ?pv ?exec_mode setup
 
 let run_to_halt hyp =
   match Hypervisor.run hyp with
@@ -73,9 +63,8 @@ let test_native_blk () =
   let setup =
     Images.plan ~heap_pages:8 ~user:(Workloads.blk_read ~sector:3 ~count:4 ~reps:2) ()
   in
-  let platform = Platform.create ~frames:(setup.Images.frames + 16) () in
+  let platform = Images.boot_native setup in
   Blockdev.load platform.Platform.blk ~sector:3 (String.make 2048 'z');
-  Images.load_native platform setup;
   let outcome = Platform.run platform in
   checkb "halted" true (outcome = Platform.Halted)
 
@@ -83,9 +72,8 @@ let test_native_vblk () =
   let setup =
     Images.plan ~heap_pages:8 ~user:(Workloads.vblk_read ~sector:0 ~count:4 ~reps:2) ()
   in
-  let platform = Platform.create ~frames:(setup.Images.frames + 16) () in
+  let platform = Images.boot_native setup in
   Virtio_blk.load platform.Platform.vblk ~sector:0 (String.make 2048 'q');
-  Images.load_native platform setup;
   let outcome = Platform.run platform in
   checkb "halted" true (outcome = Platform.Halted)
 
@@ -214,8 +202,7 @@ let test_superpage_equivalence () =
   let plain = Images.plan ~heap_pages:pages ~user () in
   let sup = Images.plan ~heap_pages:pages ~heap_superpages:true ~user () in
   let run_native setup =
-    let platform = Platform.create ~frames:(setup.Images.frames + 16) () in
-    Images.load_native platform setup;
+    let platform = Images.boot_native setup in
     checkb "halts" true (Platform.run platform = Platform.Halted);
     Platform.console_output platform
   in
@@ -238,8 +225,7 @@ let test_superpage_tlb_reach_native () =
       Images.plan ~heap_pages:512 ~heap_superpages:superpages
         ~user:(Workloads.memwalk ~pages:512 ~iters:4 ~write:true) ()
     in
-    let platform = Platform.create ~frames:(setup.Images.frames + 16) () in
-    Images.load_native platform setup;
+    let platform = Images.boot_native setup in
     checkb "halts" true (Platform.run platform = Platform.Halted);
     Platform.cycles platform
   in
@@ -307,8 +293,7 @@ let test_smp_guest_syscalls () =
 let test_smp_guest_native_single_hart () =
   (* the same SMP-aware kernel still boots a single native hart *)
   let setup = Images.plan ~heap_pages:1 ~user:Workloads.smp_probe () in
-  let platform = Platform.create ~frames:(setup.Images.frames + 16) () in
-  Images.load_native platform setup;
+  let platform = Images.boot_native setup in
   checkb "halts" true (Platform.run platform = Platform.Halted)
 
 (* --- the red pill: vmid distinguishes bare metal from a VM --- *)
@@ -378,9 +363,8 @@ let test_bt_translation_cache_reuse () =
 
 let test_echo_native () =
   let setup = Images.plan ~user:(Workloads.echo ~count:4L) () in
-  let platform = Platform.create ~frames:(setup.Images.frames + 16) () in
+  let platform = Images.boot_native setup in
   Uart.feed_input platform.Platform.uart "ping";
-  Images.load_native platform setup;
   checkb "halted" true (Platform.run platform = Platform.Halted);
   checks "echoed" "ping" (Platform.console_output platform)
 
@@ -902,11 +886,11 @@ let test_vnet_fabric () =
   check_vnet_conservation sw ports vms
 
 (* A backend migrates to another host mid-benchmark: its port link and
-   the switch are shared infrastructure, so the twin re-attaches a fresh
-   virtio-net at the same link endpoint, re-programs the rings from the
-   static ABI layout (the ring pages travelled with guest memory), and
-   inherits the undelivered backlog.  The switch's clock is monotonic,
-   so both hypervisors may tick it. *)
+   the switch are shared infrastructure, so the migration plugs the
+   twin's fresh virtio-net into the same link endpoint, with the old
+   adapter's ring layout (the ring pages travelled with guest memory)
+   and its undelivered backlog.  The switch's clock is monotonic, so
+   both hypervisors may tick it. *)
 let test_vnet_migration () =
   let host_a = Host.create ~frames:8192 () in
   let src = Hypervisor.create ~host:host_a () in
@@ -926,14 +910,9 @@ let test_vnet_migration () =
   let dst = Hypervisor.create ~host:host_b () in
   Hypervisor.add_ticker dst (Switch.tick sw);
   Hypervisor.add_event_source dst (fun () -> Switch.next_event sw);
-  let old_vnet = Option.get backend.Vm.vnet in
   let mig_link = Link.create () in
   let twin, result = Migrate.stop_and_copy ~src ~dst ~vm:backend ~link:mig_link () in
-  let backlog = Virtio_net.drain_backlog old_vnet in
-  let v = Vm.attach_vnet twin ~link:ports.(3) ~endpoint:`A in
-  Virtio_net.configure v ~tx_base:Abi.vnet_tx_ring ~tx_size:Abi.vnet_ring_size
-    ~rx_base:Abi.vnet_rx_ring ~rx_size:Abi.vnet_ring_size;
-  Virtio_net.seed_backlog v backlog;
+  let v = Option.get twin.Vm.vnet in
   checkb "pages were sent" true (result.Migrate.pages_sent > 0);
   (* drive both hosts in alternating slices until the client finishes *)
   let slices = ref 0 in
@@ -956,6 +935,38 @@ let test_vnet_migration () =
   (* the migrated backend kept serving on the destination *)
   checkb "twin served requests" true (Virtio_net.frames_sent v > 0);
   checkb "switch conserved" true (Switch.conserved sw)
+
+(* Migration moves the virtio-net adapter: the twin is plugged into the
+   same link endpoint, with the rings where the source adapter had them
+   and every frame the source had received but not yet delivered. *)
+let test_migrate_moves_vnet () =
+  let setup = Images.plan ~user:(Workloads.hello ()) () in
+  let src, vm = Images.boot ~name:"nic" setup in
+  let dst = Images.hypervisor setup in
+  let port = Link.create () in
+  let old = Vm.attach_vnet vm ~link:port ~endpoint:`A in
+  List.iter
+    (fun payload -> ignore (Link.send port ~from:`B ~now:0L ~payload))
+    [ "frame-1"; "frame-2"; "frame-3" ];
+  (* no rings yet, so the arrivals wait in the backlog *)
+  Virtio_net.tick old 1_000_000L;
+  Alcotest.(check int) "source backlog" 3 (Virtio_net.backlog_length old);
+  Virtio_net.configure old ~tx_base:0x7000L ~tx_size:8 ~rx_base:0x7800L ~rx_size:4;
+  let twin, r = Migrate.stop_and_copy ~src ~dst ~vm ~link:(Link.create ()) () in
+  checkb "migrated" false r.Migrate.aborted;
+  let v = Option.get twin.Vm.vnet in
+  checkb "fresh adapter" true (v != old);
+  checkb "same link" true (Virtio_net.link v == port);
+  checkb "same endpoint" true (Virtio_net.endpoint v = `A);
+  let reg off = (Virtio_net.device v).Velum_machine.Bus.read off Velum_isa.Instr.W64 in
+  Alcotest.(check (list int64))
+    "ring layout"
+    [ 0x7000L; 8L; 0x7800L; 4L ]
+    (List.map reg
+       Virtio_net.
+         [ reg_tx_ring_base; reg_tx_ring_size; reg_rx_ring_base; reg_rx_ring_size ]);
+  Alcotest.(check int) "backlog moved" 3 (Virtio_net.backlog_length v);
+  Alcotest.(check int) "source drained" 0 (Virtio_net.backlog_length old)
 
 let suite =
   [
@@ -988,6 +999,7 @@ let suite =
     ("net ping-pong", `Quick, test_net_ping_pong);
     ("vnet fabric lb", `Quick, test_vnet_fabric);
     ("vnet live migration", `Quick, test_vnet_migration);
+    ("migration moves the vnet adapter", `Quick, test_migrate_moves_vnet);
     ("smp guest probe", `Quick, test_smp_guest_probe);
     ("smp guest syscalls", `Quick, test_smp_guest_syscalls);
     ("smp kernel native", `Quick, test_smp_guest_native_single_hart);
