@@ -2350,33 +2350,12 @@ let bechamel_suite () =
       Images.boot_native (Images.plan ~user:(Workloads.cpu_spin ~iters:1_000_000_000L) ())
     in
     ignore (Platform.run ~budget:300_000L platform);
-    let ctx_state = platform.Platform.cpu in
+    let ctx_state = platform.Platform.cpu and ctx = Platform.make_ctx platform in
     let t_interp =
       Test.make ~name:"interp-1k-cycles"
         (Staged.stage (fun () ->
              (* keep executing the spin loop; budget bounds the work *)
-             ignore
-               (Velum_machine.Cpu.run ctx_state
-                  (let open Velum_machine in
-                   {
-                     Cpu.translate =
-                       (fun ~access ~user va -> Mmu.translate platform.Platform.mmu ~access ~user va);
-                     mem = platform.Platform.mem;
-                     flush_tlb = (fun () -> Mmu.flush platform.Platform.mmu);
-                     now = (fun () -> 0L);
-                     ext_irq = (fun () -> false);
-                     cost = platform.Platform.cost;
-                     dtlb = None;
-                     env =
-                       Cpu.Native
-                         {
-                           mmio_read = (fun _ _ -> None);
-                           mmio_write = (fun _ _ _ -> false);
-                           port_in = (fun _ -> None);
-                           port_out = (fun _ _ -> false);
-                         };
-                   })
-                  ~budget:1000)))
+             ignore (Cpu.run ctx_state ctx ~budget:1000)))
     in
     (* frame hashing (page-sharing scan) *)
     let mem = Phys_mem.create ~frames:8 in

@@ -187,7 +187,7 @@ type exec_outcome = Slice_done | Yielded | Blocked | Halted_vcpu
 
 (* Run one vCPU for up to [slice] cycles starting at [base], servicing
    exits as they occur.  Returns cycles consumed (guest + VMM). *)
-let exec_vcpu t vm ~vcpu_idx ~base ~slice =
+let exec_vcpu vm ~vcpu_idx ~base ~slice =
   let vcpu = vm.Vm.vcpus.(vcpu_idx) in
   let state = vcpu.Vcpu.state in
   vcpu.Vcpu.runstate <- Vcpu.Running;
@@ -197,19 +197,7 @@ let exec_vcpu t vm ~vcpu_idx ~base ~slice =
     let delta = Int64.to_int (Int64.sub vcpu.Vcpu.vmm_cycles before) in
     used := !used + delta
   in
-  let h = host t in
-  let ctx =
-    {
-      Cpu.translate = Vm.translate vm ~vcpu_idx;
-      mem = h.Host.mem;
-      flush_tlb = (fun () -> Vm.flush_vcpu_tlb vm ~vcpu_idx);
-      now = now_fn;
-      ext_irq = (fun () -> false);
-      cost = h.Host.cost;
-      env = Cpu.Deprivileged;
-      dtlb = Some vm.Vm.dtlbs.(vcpu_idx);
-    }
-  in
+  let ctx = Vm.cpu_ctx vm ~vcpu_idx ~now:now_fn in
   let inject () =
     let before = vcpu.Vcpu.vmm_cycles in
     let injected = Emulate.maybe_inject_irq vm ~vcpu_idx ~now:(now_fn ()) in
@@ -409,7 +397,7 @@ let dispatch_on t p (vcpu : Vcpu.t) slice =
       p.pclock <-
         Int64.add p.pclock (Int64.of_int (host t).Host.cost.Cost_model.ctx_switch);
       let dispatched_at = p.pclock in
-      let used, outcome = exec_vcpu t vm ~vcpu_idx ~base:p.pclock ~slice in
+      let used, outcome = exec_vcpu vm ~vcpu_idx ~base:p.pclock ~slice in
       p.pclock <- Int64.add p.pclock (Int64.of_int used);
       vcpu.Vcpu.last_scheduled <- p.pclock;
       (sched t).Scheduler.charge vcpu ~used ~now:p.pclock;
@@ -514,7 +502,7 @@ let run_vm t vm ~cycles =
           next := i + 1;
           let remaining = Int64.to_int (min (Int64.sub deadline p.pclock) 1_000_000L) in
           let slice = min Scheduler.default_slice (max 1 remaining) in
-          let used, _outcome = exec_vcpu t vm ~vcpu_idx:i ~base:p.pclock ~slice in
+          let used, _outcome = exec_vcpu vm ~vcpu_idx:i ~base:p.pclock ~slice in
           p.pclock <- Int64.add p.pclock (Int64.of_int used);
           loop ()
     end

@@ -207,13 +207,9 @@ let read_gpa_bytes t gpa len =
         | None -> None
         | Some ppn ->
             let in_page = min remaining (page - Int64.to_int (page_off gpa)) in
-            let base = Int64.to_int (Int64.logor (frame_base ppn) (page_off gpa)) in
-            for i = 0 to in_page - 1 do
-              Bytes.set out (off + i)
-                (Char.chr
-                   (Int64.to_int
-                      (Phys_mem.read t.host.Host.mem (Int64.of_int (base + i)) Instr.W8)))
-            done;
+            Phys_mem.blit_out t.host.Host.mem ~ppn
+              ~off:(Int64.to_int (page_off gpa))
+              out ~pos:off ~len:in_page;
             go (Int64.add gpa (Int64.of_int in_page)) (off + in_page) (remaining - in_page)
     in
     go gpa 0 len
@@ -506,6 +502,18 @@ let translate t ~vcpu_idx =
         if Arch.satp_enabled satp then
           Shadow.translate shadow ~root_gfn:(Arch.satp_root_ppn satp) ~tlb ~access ~user va
         else translate_bare_shadow t ~tlb ~access va
+
+let cpu_ctx t ~vcpu_idx ~now =
+  {
+    Cpu.translate = translate t ~vcpu_idx;
+    mem = t.host.Host.mem;
+    flush_tlb = (fun () -> flush_vcpu_tlb t ~vcpu_idx);
+    now;
+    ext_irq = (fun () -> false);
+    cost = t.host.Host.cost;
+    env = Cpu.Deprivileged;
+    dtlb = t.dtlbs.(vcpu_idx);
+  }
 
 (* ---- ballooning ---- *)
 

@@ -177,9 +177,14 @@ val translate :
     to [t] and [~vcpu_idx] alone binds the paging mode, the pager, the
     vCPU's TLB and [satp]'s CSR slot once and returns the per-access
     function, which still reads [satp] on every call — so
-    [Vm.translate vm ~vcpu_idx] is what {!Hypervisor} installs as
+    [Vm.translate vm ~vcpu_idx] is what {!cpu_ctx} installs as
     [Cpu.translate].  The VM's pager must exist (it does once {!create}
     returns). *)
+
+val cpu_ctx : t -> vcpu_idx:int -> now:(unit -> int64) -> Cpu.ctx
+(** The deprivileged hart context vCPU [vcpu_idx] runs in: {!translate},
+    the host's memory and cost model, the vCPU's TLB flush and micro-TLB,
+    no external interrupt line, and [now] as the cycle clock. *)
 
 val flush_vcpu_tlb : t -> vcpu_idx:int -> unit
 val flush_all_tlbs : t -> unit

@@ -23,27 +23,27 @@ let identity_dma mem =
       (fun pa len ->
         if Phys_mem.in_range mem ~pa ~bytes:len then begin
           let b = Bytes.create len in
-          for i = 0 to len - 1 do
-            Bytes.set b i
-              (Char.chr
-                 (Int64.to_int
-                    (Phys_mem.read mem (Int64.add pa (Int64.of_int i)) Instr.W8)))
-          done;
+          let rec go pa pos =
+            if pos < len then begin
+              let off = Int64.to_int pa land (Arch.page_size - 1) in
+              let n = min (len - pos) (Arch.page_size - off) in
+              Phys_mem.blit_out mem
+                ~ppn:(Int64.shift_right_logical pa Arch.page_shift)
+                ~off b ~pos ~len:n;
+              go (Int64.add pa (Int64.of_int n)) (pos + n)
+            end
+          in
+          go pa 0;
           Some b
         end
         else None);
     dma_write =
       (fun pa b ->
-        if Phys_mem.in_range mem ~pa ~bytes:(Bytes.length b) then begin
-          for i = 0 to Bytes.length b - 1 do
-            Phys_mem.write mem
-              (Int64.add pa (Int64.of_int i))
-              Instr.W8
-              (Int64.of_int (Char.code (Bytes.get b i)))
-          done;
-          true
-        end
-        else false);
+        Phys_mem.in_range mem ~pa ~bytes:(Bytes.length b)
+        && begin
+             Phys_mem.load_bytes mem ~pa b;
+             true
+           end);
   }
 
 let identity_guest_mem mem =
@@ -125,7 +125,7 @@ let make_ctx t =
     now = (fun () -> t.clock);
     ext_irq = (fun () -> Bus.pending_irq t.bus);
     cost = t.cost;
-    dtlb = Some t.dtlb;
+    dtlb = t.dtlb;
     env =
       Cpu.Native
         {

@@ -59,6 +59,12 @@ val set_io_hook : t -> (write:bool -> addr:int64 -> now:int64 -> unit) -> unit
 val boot : t -> entry:int64 -> unit
 (** Reset the hart: [pc := entry], supervisor mode, registers cleared. *)
 
+val make_ctx : t -> Cpu.ctx
+(** The native hart context {!run} drives the engine with: the MMU's
+    translate and flush, the machine clock as [now], the bus's interrupt
+    line, MMIO and UART ports reaching the devices (each access reported
+    to the {!set_io_hook} observer), and the machine's micro-TLB. *)
+
 type outcome =
   | Halted  (** the guest executed [halt] *)
   | Out_of_budget

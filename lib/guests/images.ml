@@ -45,11 +45,11 @@ let load_vm vm setup =
   Velum_vmm.Vm.load_image vm setup.kernel;
   Velum_vmm.Vm.load_image vm setup.user
 
-let create_vm hyp ~name ?paging ?pv ?weight ?nic ?tlb_size ?exec_mode ?engine
-    setup =
+let create_vm hyp ~name ?vcpu_count ?paging ?pv ?weight ?nic ?tlb_size ?exec_mode
+    ?engine setup =
   let vm =
-    Velum_vmm.Hypervisor.create_vm hyp ~name ~mem_frames:setup.frames ?paging ?pv
-      ?weight ?nic ?tlb_size ?exec_mode ?engine ~entry ()
+    Velum_vmm.Hypervisor.create_vm hyp ~name ~mem_frames:setup.frames ?vcpu_count
+      ?paging ?pv ?weight ?nic ?tlb_size ?exec_mode ?engine ~entry ()
   in
   load_vm vm setup;
   vm

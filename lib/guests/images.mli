@@ -39,6 +39,7 @@ val load_vm : Velum_vmm.Vm.t -> setup -> unit
 val create_vm :
   Velum_vmm.Hypervisor.t ->
   name:string ->
+  ?vcpu_count:int ->
   ?paging:Velum_vmm.Vm.paging_mode ->
   ?pv:Velum_vmm.Vm.pv ->
   ?weight:int ->

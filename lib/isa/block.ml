@@ -1,24 +1,11 @@
-type cls = Fast | Slow
-
-let classify = function
+let is_terminator = function
   | Instr.Nop | Instr.Alu _ | Instr.Alui _ | Instr.Lui _ | Instr.Load _
-  | Instr.Store _ | Instr.Branch _ | Instr.Jal _ | Instr.Jalr _ ->
-      Fast
-  | Instr.Ecall | Instr.Ebreak | Instr.Hcall | Instr.Csrr _ | Instr.Csrw _
-  | Instr.Sret | Instr.Sfence | Instr.Wfi | Instr.In _ | Instr.Out _ | Instr.Halt
-    ->
-      Slow
-
-let is_terminator insn =
-  match insn with
-  | Instr.Branch _ | Instr.Jal _ | Instr.Jalr _ -> true
-  | _ -> classify insn = Slow
-
-let preserves_translation = function
-  | Instr.Nop | Instr.Alu _ | Instr.Alui _ | Instr.Lui _ | Instr.Branch _
-  | Instr.Jal _ | Instr.Jalr _ | Instr.Load _ | Instr.Store _ ->
+  | Instr.Store _ ->
+      false
+  | Instr.Branch _ | Instr.Jal _ | Instr.Jalr _ | Instr.Ecall | Instr.Ebreak
+  | Instr.Hcall | Instr.Csrr _ | Instr.Csrw _ | Instr.Sret | Instr.Sfence
+  | Instr.Wfi | Instr.In _ | Instr.Out _ | Instr.Halt ->
       true
-  | _ -> false
 
 let preserves_translation_unconditionally = function
   | Instr.Nop | Instr.Alu _ | Instr.Alui _ | Instr.Lui _ | Instr.Branch _
@@ -26,23 +13,13 @@ let preserves_translation_unconditionally = function
       true
   | _ -> false
 
-type decoded = { insns : Instr.t array; classes : cls array; terminated : bool }
-
 let decode_span ~read_word ~max_instrs =
-  let acc = ref [] in
-  let count = ref 0 in
-  let terminated = ref false in
-  let stop = ref false in
-  while (not !stop) && !count < max_instrs do
-    match Instr.decode (read_word !count) with
-    | None -> stop := true
-    | Some insn ->
-        acc := insn :: !acc;
-        incr count;
-        if is_terminator insn then begin
-          terminated := true;
-          stop := true
-        end
-  done;
-  let insns = Array.of_list (List.rev !acc) in
-  { insns; classes = Array.map classify insns; terminated = !terminated }
+  let rec go i acc =
+    if i >= max_instrs then acc
+    else
+      match Instr.decode (read_word i) with
+      | None -> acc
+      | Some insn when is_terminator insn -> insn :: acc
+      | Some insn -> go (i + 1) (insn :: acc)
+  in
+  Array.of_list (List.rev (go 0 []))

@@ -11,48 +11,19 @@
     changed.  Blocks never cross a page-frame boundary, so every
     instruction of a block shares one fetch translation. *)
 
-type cls =
-  | Fast  (** pure register/ALU/memory work: no mode, PC-discontinuity or
-              translation side effects beyond the access itself *)
-  | Slow  (** traps, hypercalls and sensitive instructions: emulation or
-              a world switch may be required *)
-
-val classify : Instr.t -> cls
-
 val is_terminator : Instr.t -> bool
 (** Ends a straight-line block (the terminator itself is still part of
-    the block).  Every [Slow] instruction terminates; so do the [Fast]
-    control transfers ([Branch], [Jal], [Jalr]). *)
-
-val preserves_translation : Instr.t -> bool
-(** [preserves_translation i] — executing [i] {e can} leave every
-    address translation outcome unchanged.  For [Nop], [Alu], [Alui],
-    [Lui], [Branch], [Jal] and [Jalr] this is unconditional; [Load] and
-    [Store] are also included — relaxed from the original definition —
-    because their translations do not disturb the TLB as long as they
-    are served by an existing entry (a data micro-TLB hit, see {!Dtlb}
-    in the machine library).  An engine using this relaxed predicate
-    must pair it with a dynamic check that the instruction really did
-    leave translation state alone (mode unchanged and TLB generation
-    unchanged); without such a check, use
-    {!preserves_translation_unconditionally}. *)
+    the block): every control transfer and every trapping or sensitive
+    instruction.  Only [Nop], [Alu], [Alui], [Lui], [Load] and [Store]
+    continue a block. *)
 
 val preserves_translation_unconditionally : Instr.t -> bool
-(** The strict, statically-certain form: executing the instruction
-    touches no memory (so it cannot evict or fill TLB entries), cannot
-    trap (mode unchanged) and cannot write [satp] or flush.  True
-    exactly for [Nop], [Alu], [Alui], [Lui], [Branch], [Jal] and
-    [Jalr]. *)
+(** Executing the instruction touches no memory (so it cannot evict or
+    fill TLB entries), cannot trap (mode unchanged) and cannot write
+    [satp] or flush.  True exactly for [Nop], [Alu], [Alui], [Lui],
+    [Branch], [Jal] and [Jalr]. *)
 
-type decoded = {
-  insns : Instr.t array;
-  classes : cls array;  (** parallel to [insns] *)
-  terminated : bool;
-      (** the last instruction is a terminator (as opposed to the span
-          ending at an undecodable word or the read limit) *)
-}
-
-val decode_span : read_word:(int -> int64) -> max_instrs:int -> decoded
+val decode_span : read_word:(int -> int64) -> max_instrs:int -> Instr.t array
 (** [decode_span ~read_word ~max_instrs] decodes instruction words
     [read_word 0], [read_word 1], … into a straight-line block: decoding
     stops after the first terminator, before the first word that fails

@@ -148,7 +148,7 @@ type ctx = {
   ext_irq : unit -> bool;
   cost : Cost_model.t;
   env : env;
-  dtlb : Dtlb.t option;
+  dtlb : Dtlb.t;
 }
 
 type vmexit =

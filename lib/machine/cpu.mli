@@ -155,12 +155,11 @@ type ctx = {
   ext_irq : unit -> bool;
   cost : Cost_model.t;
   env : env;
-  dtlb : Dtlb.t option;
-      (** data-side micro-TLB backed by this hart's TLB, used by block
-          engines to serve repeated load/store translations and to
-          certify fetch-translation reuse via {!Dtlb.generation}.  The
-          interpreter itself never consults it (it stays the pure
-          reference), so wiring it is always behaviour-preserving. *)
+  dtlb : Dtlb.t;
+      (** data-side micro-TLB backed by this hart's TLB: the block
+          engine serves repeated load/store translations from it and
+          certifies fetch-translation reuse against it.  The interpreter
+          never consults it (it stays the pure reference). *)
 }
 
 (** {1 VM exits} *)

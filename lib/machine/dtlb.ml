@@ -121,8 +121,3 @@ let fill t ~access ~user ~va ~pa =
 let hits t = t.hits
 let misses t = t.misses
 let fills t = t.fills
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.fills <- 0

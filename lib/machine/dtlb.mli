@@ -39,4 +39,3 @@ val fill : t -> access:Velum_isa.Arch.access -> user:bool -> va:int64 -> pa:int 
 val hits : t -> int
 val misses : t -> int
 val fills : t -> int
-val reset_stats : t -> unit

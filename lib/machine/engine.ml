@@ -59,13 +59,11 @@ let instr_bytes64 = Int64.of_int Arch.instr_bytes
    trusted on re-entry: the fetch window is re-validated against its
    TLB certificate (and vpn/mode), block reuse re-checks
    [valid]/regime/containment, and a stale [pending] edge can at worst
-   patch a chain that [follow] will refuse later.  Without a micro-TLB
-   there is no certificate to consult, so the state is reset cold on
-   every call (the strict static window rules then apply). *)
+   patch a chain that [follow] will refuse later. *)
 type wstate = {
-  mutable w_dtlb : Dtlb.t option;
+  mutable w_dtlb : Dtlb.t;
       (* the micro-TLB the fields below were computed against; a
-         different (or absent) one makes certificates incomparable *)
+         different one makes certificates incomparable *)
   mutable fresh : bool;
   mutable cur_vpn : int64;
   mutable cur_frame : int64;
@@ -96,9 +94,9 @@ type wstate = {
 
 let num_victims = 8
 
-let new_wstate () =
+let new_wstate dtlb =
   {
-    w_dtlb = None;
+    w_dtlb = dtlb;
     fresh = false;
     cur_vpn = 0L;
     cur_frame = -1L;
@@ -154,12 +152,9 @@ let adopt_window w dtlb s ~user ~vpn ~frame ~slot ~ver =
   stash_window w;
   w.cur_vpn <- vpn;
   w.cur_user <- user;
-  (match dtlb with
-  | Some d ->
-      w.cur_gen <- Dtlb.generation d;
-      w.cur_slot <- slot;
-      w.cur_ver <- ver
-  | None -> ());
+  w.cur_gen <- Dtlb.generation dtlb;
+  w.cur_slot <- slot;
+  w.cur_ver <- ver;
   w.fresh <- true;
   (if frame <> w.cur_frame then w.cur_block <- None
    else
@@ -187,15 +182,11 @@ let adopt_window w dtlb s ~user ~vpn ~frame ~slot ~ver =
    replaced — which also implies [satp] is unchanged, since every
    [satp] write flushes), a fetch translation would return the same
    frame as a zero-cycle hit, so it is skipped.  Loads and stores do not
-   collapse the window (cf. the relaxed [Block.preserves_translation]):
-   an access served by the micro-TLB or by a plain TLB hit changes no
-   entry, and one that walks and thereby evicts the fetch page's entry
-   bumps its slot's version, collapsing the window exactly when
-   required; evicting some other entry leaves the window open.  Without
-   a micro-TLB wired in the ctx there is no certificate to consult, and
-   the window only survives
-   instructions that are statically incapable of disturbing translation
-   ([Block.preserves_translation_unconditionally]).
+   collapse the window: an access served by the micro-TLB or by a plain
+   TLB hit changes no entry, and one that walks and thereby evicts the
+   fetch page's entry bumps its slot's version, collapsing the window
+   exactly when required; evicting some other entry leaves the window
+   open.
 
    Data side — the micro-TLB.  [ctx.translate] is wrapped so load/store
    translations are first served from {!Dtlb}; a hit replicates exactly
@@ -216,12 +207,12 @@ let adopt_window w dtlb s ~user ~vpn ~frame ~slot ~ver =
    going around the dispatch loop, as long as each retired instruction
    is provably equivalent to re-dispatching: the block is still valid
    (a store into its own page clears [valid] via the write listener),
-   the window facts still hold (certificate and mode under a micro-TLB,
-   static class otherwise), fuel remains, and — outside deprivileged
-   mode, where the interpreter checks interrupts before every
-   instruction — the instruction class cannot affect interrupt state
-   (no CSR, MMIO or port access; [now]/[ext_irq] are constant within a
-   [step_n] call, so nothing else can make an interrupt pending). *)
+   the window facts still hold (certificate and mode), fuel remains,
+   and — outside deprivileged mode, where the interpreter checks
+   interrupts before every instruction — the instruction class cannot
+   affect interrupt state (no CSR, MMIO or port access; [now]/[ext_irq]
+   are constant within a [step_n] call, so nothing else can make an
+   interrupt pending). *)
 let block_step cache hook states s ctx ~fuel =
   let cost = ctx.Cpu.cost in
   (* hoisted cost-model constants: no per-iteration field reads *)
@@ -235,21 +226,20 @@ let block_step cache hook states s ctx ~fuel =
       match List.assq_opt s !states with
       | Some w -> w
       | None ->
-          let w = new_wstate () in
+          let w = new_wstate dtlb in
           states := (s, w) :: !states;
           w
     in
     (* window state persists across calls only while the same micro-TLB
        keeps generations comparable; otherwise start cold *)
-    (match (w.w_dtlb, dtlb) with
-    | Some a, Some b when a == b -> ()
-    | _ ->
-        w.w_dtlb <- dtlb;
-        w.fresh <- false;
-        w.cur_frame <- -1L;
-        w.cur_block <- None;
-        w.pending <- None;
-        clear_victims w);
+    if w.w_dtlb != dtlb then begin
+      w.w_dtlb <- dtlb;
+      w.fresh <- false;
+      w.cur_frame <- -1L;
+      w.cur_block <- None;
+      w.pending <- None;
+      clear_victims w
+    end;
     let consumed = ref 0 in
     (* instructions retired by the inner loop, added to [instret] once
        on the way out (a trace adds its own) *)
@@ -265,25 +255,22 @@ let block_step cache hook states s ctx ~fuel =
       w.cur_block <- None;
       w.pending <- None
     in
-    (* serve data translations from the micro-TLB when one is wired *)
+    (* serve data translations from the micro-TLB *)
     let ctx =
-      match dtlb with
-      | None -> ctx
-      | Some d ->
-          let translate ~access ~user va =
-            match access with
-            | Arch.Fetch -> ctx.Cpu.translate ~access ~user va
-            | Arch.Load | Arch.Store ->
-                let pa = Dtlb.lookup d ~access ~user va in
-                if pa >= 0 then Cpu.xl_make ~pa ~mmio:false ~cycles:0
-                else begin
-                  let x = ctx.Cpu.translate ~access ~user va in
-                  if x >= 0 && not (Cpu.xl_mmio x) then
-                    Dtlb.fill d ~access ~user ~va ~pa:(Cpu.xl_pa x);
-                  x
-                end
-          in
-          { ctx with Cpu.translate }
+      let translate ~access ~user va =
+        match access with
+        | Arch.Fetch -> ctx.Cpu.translate ~access ~user va
+        | Arch.Load | Arch.Store ->
+            let pa = Dtlb.lookup dtlb ~access ~user va in
+            if pa >= 0 then Cpu.xl_make ~pa ~mmio:false ~cycles:0
+            else begin
+              let x = ctx.Cpu.translate ~access ~user va in
+              if x >= 0 && not (Cpu.xl_mmio x) then
+                Dtlb.fill dtlb ~access ~user ~va ~pa:(Cpu.xl_pa x);
+              x
+            end
+      in
+      { ctx with Cpu.translate }
     in
     let finish step =
       match step with
@@ -317,9 +304,7 @@ let block_step cache hook states s ctx ~fuel =
             w.fresh
             && Int64.shift_right_logical pc Arch.page_shift = w.cur_vpn
             && user = w.cur_user
-            && (match dtlb with
-               | Some d -> Dtlb.generation d = w.cur_gen || recertify_window w d
-               | None -> true)
+            && (Dtlb.generation dtlb = w.cur_gen || recertify_window w dtlb)
             && Int64.logand pc align_mask = 0L
           in
           let xl =
@@ -331,20 +316,19 @@ let block_step cache hook states s ctx ~fuel =
                  window does: the fetch translation would be a
                  zero-cycle TLB hit, so it is skipped outright. *)
               let victim =
-                match dtlb with
-                | Some d when Int64.logand pc align_mask = 0L ->
-                    let gen = Dtlb.generation d and tlb = Dtlb.backing d in
-                    let rec probe k =
-                      if k >= num_victims then -1
-                      else if
-                        w.v_vpns.(k) = vpn && w.v_users.(k) = user
-                        && (w.v_gens.(k) = gen
-                           || Tlb.holds tlb ~slot:w.v_slots.(k) ~version:w.v_vers.(k))
-                      then k
-                      else probe (k + 1)
-                    in
-                    probe 0
-                | _ -> -1
+                if Int64.logand pc align_mask <> 0L then -1
+                else
+                  let gen = Dtlb.generation dtlb and tlb = Dtlb.backing dtlb in
+                  let rec probe k =
+                    if k >= num_victims then -1
+                    else if
+                      w.v_vpns.(k) = vpn && w.v_users.(k) = user
+                      && (w.v_gens.(k) = gen
+                         || Tlb.holds tlb ~slot:w.v_slots.(k) ~version:w.v_vers.(k))
+                    then k
+                    else probe (k + 1)
+                  in
+                  probe 0
               in
               if victim >= 0 then begin
                 adopt_window w dtlb s ~user ~vpn ~frame:w.v_frames.(victim)
@@ -360,18 +344,11 @@ let block_step cache hook states s ctx ~fuel =
                 end
                 else begin
                   (* certify against the entry the fetch hit or filled *)
-                  let slot =
-                    match dtlb with
-                    | Some d -> Tlb.cert_slot (Dtlb.backing d) ~vpn
-                    | None -> -1
-                  in
+                  let tlb = Dtlb.backing dtlb in
+                  let slot = Tlb.cert_slot tlb ~vpn in
                   adopt_window w dtlb s ~user ~vpn
                     ~frame:(Int64.of_int (Cpu.xl_pa x lsr Arch.page_shift))
-                    ~slot
-                    ~ver:
-                      (match dtlb with
-                      | Some d -> Tlb.version (Dtlb.backing d) slot
-                      | None -> 0);
+                    ~slot ~ver:(Tlb.version tlb slot);
                   Some (Cpu.xl_cycles x)
                 end
             end
@@ -423,8 +400,8 @@ let block_step cache hook states s ctx ~fuel =
                                   Instr.W64
                               in
                               let max_instrs = (Arch.page_size - off) / Arch.instr_bytes in
-                              let d = Block.decode_span ~read_word ~max_instrs in
-                              match Array.length d.Block.insns with
+                              let insns = Block.decode_span ~read_word ~max_instrs in
+                              match Array.length insns with
                               | 0 ->
                                   (* Undecodable first word: the
                                      interpreter's illegal-instruction
@@ -438,8 +415,7 @@ let block_step cache hook states s ctx ~fuel =
                               | _ ->
                                   attach hook cache ctx.Cpu.mem;
                                   let b =
-                                    Trans_cache.insert cache ~key ~ppn:w.cur_frame
-                                      ~insns:d.Block.insns ~classes:d.Block.classes
+                                    Trans_cache.insert cache ~key ~ppn:w.cur_frame ~insns
                                       ~start_off:off
                                   in
                                   (* the cache holds code from this frame
@@ -475,8 +451,8 @@ let block_step cache hook states s ctx ~fuel =
                      guaranteed. *)
                   let ran_trace =
                     deprivileged
-                    && (match (b.Trans_cache.trace_at, dtlb) with
-                       | Some tr, Some d
+                    && (match b.Trans_cache.trace_at with
+                       | Some tr
                          when !(tr.Trans_cache.t_prog.Trace_ir.live)
                               && tr.Trans_cache.t_cost == cost -> (
                            let start =
@@ -486,7 +462,7 @@ let block_step cache hook states s ctx ~fuel =
                              Int64.shift_left w.cur_vpn Arch.page_shift
                            in
                            match
-                             Trace_ir.exec tr.Trans_cache.t_prog ~start ~s ~dtlb:d
+                             Trace_ir.exec tr.Trans_cache.t_prog ~start ~s ~dtlb
                                ~mem:ctx.Cpu.mem ~user ~page_base
                                ~fuel_left:(fuel - !consumed) ~xl
                            with
@@ -507,14 +483,12 @@ let block_step cache hook states s ctx ~fuel =
                            (* hotness accounting: promotion triggers on
                               dispatch count, which also sees in-block
                               loops that never cross a chain edge *)
-                           (if dtlb <> None then begin
-                              b.Trans_cache.heat <- b.Trans_cache.heat + 1;
-                              if b.Trans_cache.heat >= Trans_cache.promote_threshold
-                              then begin
-                                b.Trans_cache.heat <- 0;
-                                ignore (Trans_cache.try_promote cache ~head:b ~cost)
-                              end
-                            end);
+                           b.Trans_cache.heat <- b.Trans_cache.heat + 1;
+                           if b.Trans_cache.heat >= Trans_cache.promote_threshold
+                           then begin
+                             b.Trans_cache.heat <- 0;
+                             ignore (Trans_cache.try_promote cache ~head:b ~cost)
+                           end;
                            false)
                   in
                   if ran_trace then ()
@@ -536,11 +510,6 @@ let block_step cache hook states s ctx ~fuel =
                         incr retired;
                         consumed := !consumed + c + !xl;
                         xl := 0;
-                        (match dtlb with
-                        | Some _ -> ()
-                        | None ->
-                            if not (Block.preserves_translation_unconditionally insn)
-                            then w.fresh <- false);
                         if !idx = len - 1 then begin
                           w.pending <-
                             Some
@@ -567,22 +536,17 @@ let block_step cache hook states s ctx ~fuel =
                             !consumed < fuel
                             &&
                             if deprivileged then
-                              match dtlb with
-                              | Some d -> (
-                                  match insn with
-                                  | Instr.Nop | Instr.Alu _ | Instr.Alui _
-                                  | Instr.Lui _ ->
-                                      true
-                                  | Instr.Load _ ->
-                                      Dtlb.generation d = w.cur_gen
-                                      || recertify_window w d
-                                  | Instr.Store _ ->
-                                      (Dtlb.generation d = w.cur_gen
-                                      || recertify_window w d)
-                                      && b.Trans_cache.valid
-                                  | _ -> false)
-                              | None ->
-                                  Block.preserves_translation_unconditionally insn
+                              match insn with
+                              | Instr.Nop | Instr.Alu _ | Instr.Alui _ | Instr.Lui _ ->
+                                  true
+                              | Instr.Load _ ->
+                                  Dtlb.generation dtlb = w.cur_gen
+                                  || recertify_window w dtlb
+                              | Instr.Store _ ->
+                                  (Dtlb.generation dtlb = w.cur_gen
+                                  || recertify_window w dtlb)
+                                  && b.Trans_cache.valid
+                              | _ -> false
                             else
                               (* native mode: must also be
                                  interrupt-neutral (no CSR, MMIO or

@@ -19,10 +19,10 @@
     cycle counts} — an engine buys wall-clock speed, never simulated
     time.  The block engine preserves cycle accounting by charging the
     block-entry fetch translation exactly where the interpreter would,
-    and re-translating after any instruction that could disturb a
-    translation ({!Velum_isa.Block.preserves_translation}); in the runs
-    it skips, the interpreter's own translation is a guaranteed TLB hit
-    costing zero cycles.
+    and re-translating once the mode changes or the TLB entry that served
+    the fetch is no longer certified ({!Tlb.holds}, via the hart's
+    {!Dtlb}); in the runs it skips, the interpreter's own translation is
+    a guaranteed TLB hit costing zero cycles.
 
     Engines hold no architectural state: the cache is rebuilt on demand
     and invalidated by a {!Phys_mem} write listener the engine owns, so

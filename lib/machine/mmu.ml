@@ -82,7 +82,7 @@ let translate t ~access ~user va =
               if pte' <> pte then acc.write_pte pte_addr pte';
               let ppn = Pte.ppn pte in
               let pa = Page_table.leaf_pa ~pte ~level ~va in
-              (* classify the page actually touched, not the whole
+              (* [classify_pa] the page actually touched, not the whole
                  (possibly partially-backed) superpage region *)
               let target = classify_pa t.mem pa ~bytes:1 in
               match target with

@@ -5,7 +5,6 @@ type key = int
 type block = {
   key : key;
   insns : Instr.t array;
-  classes : Block.cls array;
   start_off : int;
   mutable valid : bool;
   mutable stamp : int;
@@ -239,14 +238,13 @@ let evict_lru t =
       t.evictions <- t.evictions + 1
   | None -> ()
 
-let insert t ~key:k ~ppn ~insns ~classes ~start_off =
+let insert t ~key:k ~ppn ~insns ~start_off =
   if Hashtbl.length t.table >= t.capacity then evict_lru t;
   t.tick <- t.tick + 1;
   let b =
     {
       key = k;
       insns;
-      classes;
       start_off;
       valid = true;
       stamp = t.tick;

@@ -27,7 +27,6 @@ type key
 type block = {
   key : key;  (** the key this block was interned under *)
   insns : Instr.t array;
-  classes : Block.cls array;
   start_off : int;  (** byte offset of [insns.(0)] within its frame *)
   mutable valid : bool;
       (** cleared by invalidation; engines must re-fetch when false *)
@@ -80,8 +79,7 @@ val find : t -> key -> block option
 (** Bumps the LRU stamp and the hit counter on success; counts a miss
     otherwise. *)
 
-val insert : t -> key:key -> ppn:int64 -> insns:Instr.t array ->
-  classes:Block.cls array -> start_off:int -> block
+val insert : t -> key:key -> ppn:int64 -> insns:Instr.t array -> start_off:int -> block
 (** Caches a freshly decoded block, evicting the LRU entry when at
     capacity.  Returns the interned block. *)
 

@@ -65,9 +65,12 @@ echo "== engine equivalence (interp vs block) =="
 # hot enough that the superblock trace tier kicks in (promotion
 # threshold is a handful of dispatches), so this diff also certifies
 # trace execution against the interpreter; the engine.trace.built gauge
-# is checked below to prove traces really formed.
+# is checked below to prove traces really formed.  The two binary-
+# translation legs (paravirtual, and shadow paging) run the same diff
+# through the translated sensitive sites.
 for w in hello spin syscalls memwalk pt-churn blk vblk; do
-  for cfg in "--native" "--paging nested" "--paging shadow"; do
+  for cfg in "--native" "--paging nested" "--paging shadow" "--pv --exec bt" \
+    "--paging shadow --exec bt"; do
     for eng in interp block; do
       dune exec bin/velum.exe -- run -w "$w" -n 24 $cfg --engine "$eng" \
         >"$tmp/$w.$eng.raw.txt"

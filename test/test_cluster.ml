@@ -78,11 +78,7 @@ let test_concurrent_traces () =
     let hyp = Hypervisor.create () in
     let tr = Trace.create () in
     Hypervisor.set_trace hyp tr;
-    let vm =
-      Hypervisor.create_vm hyp ~name ~mem_frames:setup.Images.frames
-        ~entry:Images.entry ()
-    in
-    Images.load_vm vm setup;
+    ignore (Images.create_vm hyp ~name setup);
     (hyp, tr)
   in
   let a, tra = mk "alpha" in
@@ -476,11 +472,7 @@ let test_failover_knobs () =
     in
     let primary = mk_hyp () in
     let backup = mk_hyp () in
-    let vm =
-      Hypervisor.create_vm primary ~name:"prot" ~mem_frames:setup.Images.frames
-        ~entry:Images.entry ()
-    in
-    Images.load_vm vm setup;
+    let vm = Images.create_vm primary ~name:"prot" setup in
     ignore (Hypervisor.run primary ~budget:1_000_000L);
     (primary, backup, vm, Velum_devices.Link.create ())
   in

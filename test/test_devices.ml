@@ -917,6 +917,30 @@ let test_platform_budget () =
   Platform.boot platform ~entry:0L;
   checkb "budget" true (Platform.run ~budget:10_000L platform = Platform.Out_of_budget)
 
+(* Identity DMA copies page spans; compare them with a byte-wise
+   reference.  4200 bytes from 0xFF0 cross two page boundaries. *)
+let test_identity_dma_straddle () =
+  let mem = Phys_mem.create ~frames:4 in
+  let dma = Platform.identity_dma mem in
+  let pa = 0xFF0L and len = 4200 in
+  let byte_pa i = Int64.add pa (Int64.of_int i) in
+  let src = Bytes.init len (fun i -> Char.chr (((i * 7) + 3) land 0xFF)) in
+  checkb "write" true (dma.Blockdev.dma_write pa src);
+  let written =
+    Bytes.init len (fun i -> Char.chr (Int64.to_int (Phys_mem.read mem (byte_pa i) Instr.W8)))
+  in
+  checkb "write = byte-wise" true (Bytes.equal written src);
+  let pattern = Bytes.init len (fun i -> Char.chr (((i * 13) + 1) land 0xFF)) in
+  Bytes.iteri
+    (fun i c -> Phys_mem.write mem (byte_pa i) Instr.W8 (Int64.of_int (Char.code c)))
+    pattern;
+  (match dma.Blockdev.dma_read pa len with
+  | Some b -> checkb "read = byte-wise" true (Bytes.equal b pattern)
+  | None -> Alcotest.fail "read failed");
+  let ram = Int64.of_int (4 * Arch.page_size) in
+  checkb "read past RAM" true (dma.Blockdev.dma_read (Int64.sub ram 8L) 16 = None);
+  checkb "write past RAM" false (dma.Blockdev.dma_write (Int64.sub ram 8L) (Bytes.make 16 'x'))
+
 let () =
   Alcotest.run "devices"
     [
@@ -988,5 +1012,6 @@ let () =
           Alcotest.test_case "deadlock detection" `Quick test_platform_deadlock_detection;
           Alcotest.test_case "timer wakeup" `Quick test_platform_timer_wakeup;
           Alcotest.test_case "budget" `Quick test_platform_budget;
+          Alcotest.test_case "identity DMA straddles pages" `Quick test_identity_dma_straddle;
         ] );
     ]

@@ -100,14 +100,11 @@ let run_native ?engine setup =
   | _ -> "<native did not halt>"
 
 let run_virt ?exec_mode ?engine ~paging ~pv setup =
-  let host = Host.create ~frames:(setup.Images.frames + 1024) () in
-  let hyp = Hypervisor.create ~host () in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"diff" ~mem_frames:setup.Images.frames ~paging
+  let hyp, vm =
+    Images.boot ~name:"diff" ~paging
       ~pv:(if pv then Vm.full_pv else Vm.no_pv)
-      ?exec_mode ?engine ~entry:Images.entry ()
+      ?exec_mode ?engine setup
   in
-  Images.load_vm vm setup;
   match Hypervisor.run hyp ~budget:500_000_000L with
   | Hypervisor.All_halted -> Vm.console_output vm
   | _ -> "<vm did not halt>"
@@ -209,13 +206,7 @@ let observe_vm (vm : Vm.t) outcome =
   Buffer.contents b
 
 let run_observed_vm ~engine ~paging setup =
-  let host = Host.create ~frames:(setup.Images.frames + 1024) () in
-  let hyp = Hypervisor.create ~host () in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"eng" ~mem_frames:setup.Images.frames ~paging ~engine
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let hyp, vm = Images.boot ~name:"eng" ~paging ~engine setup in
   let outcome =
     match Hypervisor.run hyp ~budget:500_000_000L with
     | Hypervisor.All_halted -> "halted"
@@ -298,31 +289,15 @@ let engine_trace_workloads () =
     setups
 
 (* Literal exit sequences: a stripped-down copy of the hypervisor's
-   exec_vcpu loop that records every [Stop_exec] reason the engine
-   reports, in order.  Both engines must produce the same sequence. *)
+   exec_vcpu loop, in the same hart context, that records every
+   [Stop_exec] reason the engine reports, in order.  Both engines must
+   produce the same sequence. *)
 let record_exits ~engine setup =
-  let host = Host.create ~frames:(setup.Images.frames + 1024) () in
-  let hyp = Hypervisor.create ~host () in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"seq" ~mem_frames:setup.Images.frames ~engine
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let _, vm = Images.boot ~name:"seq" ~engine setup in
   let state = vm.Vm.vcpus.(0).Vcpu.state in
   let used = ref 0 in
   let now_fn () = Int64.of_int !used in
-  let ctx =
-    {
-      Cpu.translate = (fun ~access ~user va -> Vm.translate vm ~vcpu_idx:0 ~access ~user va);
-      mem = host.Host.mem;
-      flush_tlb = (fun () -> Vm.flush_vcpu_tlb vm ~vcpu_idx:0);
-      now = now_fn;
-      ext_irq = (fun () -> false);
-      cost = host.Host.cost;
-      dtlb = None;
-      env = Cpu.Deprivileged;
-    }
-  in
+  let ctx = Vm.cpu_ctx vm ~vcpu_idx:0 ~now:now_fn in
   let exits = ref [] in
   let halted = ref false in
   let rounds = ref 0 in
@@ -344,16 +319,21 @@ let record_exits ~engine setup =
         | Emulate.Vcpu_halted -> halted := true)
   done;
   if not !halted then Alcotest.fail "exit-sequence harness did not halt";
-  (List.rev !exits, state.Cpu.instret, !used)
+  (List.rev !exits, state.Cpu.instret, !used, vm)
 
+(* The block legs must run the engine's hot path — micro-TLB hits and
+   superblock traces — not a cold fallback. *)
 let exit_sequences () =
   List.iter
     (fun (name, setup) ->
-      let xs_i, ret_i, used_i = record_exits ~engine:Engine.Interp setup in
-      let xs_b, ret_b, used_b = record_exits ~engine:Engine.Block setup in
+      let xs_i, ret_i, used_i, _ = record_exits ~engine:Engine.Interp setup in
+      let xs_b, ret_b, used_b, vm_b = record_exits ~engine:Engine.Block setup in
       Alcotest.(check (list string)) (name ^ " exit sequence") xs_i xs_b;
       Alcotest.(check int64) (name ^ " retired") ret_i ret_b;
-      Alcotest.(check int) (name ^ " cycles") used_i used_b)
+      Alcotest.(check int) (name ^ " cycles") used_i used_b;
+      Alcotest.(check bool) (name ^ " traces built") true (Vm.traces_built vm_b > 0);
+      Alcotest.(check bool) (name ^ " micro-TLB hits") true
+        (Dtlb.hits vm_b.Vm.dtlbs.(0) > 0))
     (List.filter
        (fun (n, _) -> List.mem n [ "hello"; "syscalls"; "pt-churn"; "memwalk" ])
        (workload_setups ()))
@@ -622,26 +602,9 @@ let native_smc_watch () =
    is deterministic, so it pins the allocation-free hot path. *)
 let minor_words_per_insn engine =
   let setup = Images.plan ~user:(Workloads.cpu_spin ~iters:1_000_000_000L) () in
-  let host = Host.create ~frames:(setup.Images.frames + 1024) () in
-  let hyp = Hypervisor.create ~host () in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"alloc" ~mem_frames:setup.Images.frames ~engine
-      ~paging:Vm.Nested_paging ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let _, vm = Images.boot ~name:"alloc" ~engine ~paging:Vm.Nested_paging setup in
   let state = vm.Vm.vcpus.(0).Vcpu.state in
-  let ctx =
-    {
-      Cpu.translate = Vm.translate vm ~vcpu_idx:0;
-      mem = host.Host.mem;
-      flush_tlb = (fun () -> Vm.flush_vcpu_tlb vm ~vcpu_idx:0);
-      now = (fun () -> 0L);
-      ext_irq = (fun () -> false);
-      cost = host.Host.cost;
-      dtlb = Some vm.Vm.dtlbs.(0);
-      env = Cpu.Deprivileged;
-    }
-  in
+  let ctx = Vm.cpu_ctx vm ~vcpu_idx:0 ~now:(fun () -> 0L) in
   let step fuel =
     match vm.Vm.engine.Engine.step_n state ctx ~fuel with
     | _, Cpu.Budget -> true
@@ -910,11 +873,7 @@ let hook_lifecycle () =
   let hyp = Hypervisor.create ~host () in
   let mem = host.Host.mem in
   let before = Phys_mem.listener_count mem in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"hook" ~mem_frames:setup.Images.frames
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm hyp ~name:"hook" setup in
   Alcotest.(check bool) "default engine is the block engine" true
     (Vm.engine_kind vm = Engine.Block);
   Alcotest.(check int) "created and loaded: no listener" before (Phys_mem.listener_count mem);

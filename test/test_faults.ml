@@ -116,11 +116,7 @@ let mig_setup () =
 let boot_source () =
   let setup = mig_setup () in
   let src = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) () in
-  let vm =
-    Hypervisor.create_vm src ~name:"m" ~mem_frames:setup.Images.frames
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm src ~name:"m" setup in
   ignore (Hypervisor.run src ~budget:1_000_000L);
   (src, vm)
 
@@ -152,11 +148,7 @@ let migrate_under faults =
 let plain_run () =
   let setup = mig_setup () in
   let hyp = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) () in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"m" ~mem_frames:setup.Images.frames
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm hyp ~name:"m" setup in
   (match Hypervisor.run hyp with
   | Hypervisor.All_halted -> ()
   | _ -> Alcotest.fail "plain run did not halt");
@@ -270,11 +262,7 @@ let boot_primary () =
   let host () = Host.create ~frames:(setup.Images.frames + 512) () in
   let primary = Hypervisor.create ~host:(host ()) () in
   let backup = Hypervisor.create ~host:(host ()) () in
-  let vm =
-    Hypervisor.create_vm primary ~name:"ha" ~mem_frames:setup.Images.frames
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm primary ~name:"ha" setup in
   ignore (Hypervisor.run primary ~budget:1_000_000L);
   (primary, backup, vm)
 

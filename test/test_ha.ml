@@ -511,11 +511,7 @@ let snap_base_image =
   lazy
     (let setup = Images.plan ~heap_pages:4 ~user:(Workloads.hello ()) () in
      let hyp = make_hyp ~frames:(setup.Images.frames + 512) () in
-     let vm =
-       Hypervisor.create_vm hyp ~name:"h" ~mem_frames:setup.Images.frames
-         ~entry:Images.entry ()
-     in
-     Images.load_vm vm setup;
+     let vm = Images.create_vm hyp ~name:"h" setup in
      ignore (Hypervisor.run hyp);
      Snapshot.capture vm)
 
@@ -560,11 +556,7 @@ let test_failover_idempotent () =
   in
   let primary = make_hyp ~frames:(setup.Images.frames + 512) () in
   let backup = make_hyp ~frames:(setup.Images.frames + 512) () in
-  let vm =
-    Hypervisor.create_vm primary ~name:"p" ~mem_frames:setup.Images.frames
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm primary ~name:"p" setup in
   ignore (Hypervisor.run primary ~budget:1_000_000L);
   let link = Link.create () in
   let session = Replicate.start ~primary ~backup ~vm ~link () in
@@ -789,11 +781,7 @@ let failover_setup () =
   in
   let primary = make_hyp ~frames:(setup.Images.frames + 512) () in
   let backup = make_hyp ~frames:(setup.Images.frames + 512) () in
-  let vm =
-    Hypervisor.create_vm primary ~name:"prot" ~mem_frames:setup.Images.frames
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm primary ~name:"prot" setup in
   ignore (Hypervisor.run primary ~budget:1_000_000L);
   (primary, backup, vm, Link.create ())
 

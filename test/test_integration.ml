@@ -244,11 +244,7 @@ let test_smp_guest_probe () =
       let setup = Images.plan ~heap_pages:1 ~user:Workloads.smp_probe () in
       let host = Host.create ~frames:(setup.Images.frames + 512) () in
       let hyp = Hypervisor.create ~host ~pcpus () in
-      let vm =
-        Hypervisor.create_vm hyp ~name:"smp" ~mem_frames:setup.Images.frames
-          ~vcpu_count:4 ~entry:Images.entry ()
-      in
-      Images.load_vm vm setup;
+      let vm = Images.create_vm hyp ~name:"smp" ~vcpu_count:4 setup in
       run_to_halt hyp;
       for hart = 0 to 3 do
         Alcotest.(check (option int64))
@@ -281,11 +277,7 @@ let test_smp_guest_syscalls () =
   let setup = Images.plan ~user:smp_letters () in
   let host = Host.create ~frames:(setup.Images.frames + 512) () in
   let hyp = Hypervisor.create ~host ~pcpus:2 () in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"smp-sys" ~mem_frames:setup.Images.frames
-      ~vcpu_count:4 ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm hyp ~name:"smp-sys" ~vcpu_count:4 setup in
   run_to_halt hyp;
   let chars = List.sort compare (List.init 4 (String.get (Vm.console_output vm))) in
   Alcotest.(check (list char)) "all four harts spoke" [ 'A'; 'B'; 'C'; 'D' ] chars
@@ -400,16 +392,8 @@ let test_net_ping_pong () =
   let host = Host.create ~frames () in
   let hyp = Hypervisor.create ~host () in
   let link = Link.create ~bytes_per_cycle:1.0 ~latency_cycles:500 () in
-  let ping_vm =
-    Hypervisor.create_vm hyp ~name:"ping" ~mem_frames:ping_setup.Images.frames
-      ~nic:(link, `A) ~entry:Images.entry ()
-  in
-  let echo_vm =
-    Hypervisor.create_vm hyp ~name:"echo" ~mem_frames:echo_setup.Images.frames
-      ~nic:(link, `B) ~entry:Images.entry ()
-  in
-  Images.load_vm ping_vm ping_setup;
-  Images.load_vm echo_vm echo_setup;
+  let ping_vm = Images.create_vm hyp ~name:"ping" ~nic:(link, `A) ping_setup in
+  ignore (Images.create_vm hyp ~name:"echo" ~nic:(link, `B) echo_setup);
   run_to_halt hyp;
   checks "round trip" "hi velum" (Vm.console_output ping_vm);
   (match ping_vm.Vm.nic with
@@ -434,16 +418,8 @@ let run_client_server ~paging ~virtio ~requests =
   in
   let hyp = Hypervisor.create ~host () in
   let link = Link.create ~bytes_per_cycle:1.0 ~latency_cycles:300 () in
-  let client =
-    Hypervisor.create_vm hyp ~name:"client" ~mem_frames:client_setup.Images.frames
-      ~paging ~nic:(link, `A) ~entry:Images.entry ()
-  in
-  let server =
-    Hypervisor.create_vm hyp ~name:"server" ~mem_frames:server_setup.Images.frames
-      ~paging ~nic:(link, `B) ~entry:Images.entry ()
-  in
-  Images.load_vm client client_setup;
-  Images.load_vm server server_setup;
+  let client = Images.create_vm hyp ~name:"client" ~paging ~nic:(link, `A) client_setup in
+  let server = Images.create_vm hyp ~name:"server" ~paging ~nic:(link, `B) server_setup in
   (* give the served sectors recognizable content *)
   for sct = 0 to requests - 1 do
     let dev_load = if virtio then Virtio_blk.load server.Vm.vblk else Blockdev.load server.Vm.blk in
@@ -481,11 +457,7 @@ let migrate_test strategy () =
   let host_b = Host.create ~frames:(setup.Images.frames + 512) () in
   let src = Hypervisor.create ~host:host_a () in
   let dst = Hypervisor.create ~host:host_b () in
-  let vm =
-    Hypervisor.create_vm src ~name:"mig" ~mem_frames:setup.Images.frames
-      ~paging:Vm.Nested_paging ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm src ~name:"mig" ~paging:Vm.Nested_paging setup in
   (* let the guest boot and start dirtying *)
   ignore (Hypervisor.run src ~budget:3_000_000L);
   checkb "guest alive" true (not (Vm.halted vm));
@@ -554,11 +526,8 @@ let migrate_with ~paging ~pv () =
   let src = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) () in
   let dst = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) () in
   let vm =
-    Hypervisor.create_vm src ~name:"mv" ~mem_frames:setup.Images.frames ~paging
-      ~pv:(if pv then Vm.full_pv else Vm.no_pv)
-      ~entry:Images.entry ()
+    Images.create_vm src ~name:"mv" ~paging ~pv:(if pv then Vm.full_pv else Vm.no_pv) setup
   in
-  Images.load_vm vm setup;
   ignore (Hypervisor.run src ~budget:3_000_000L);
   checkb "alive before" true (not (Vm.halted vm));
   let link = Link.create () in
@@ -575,11 +544,7 @@ let test_migrate_bt_mode_carried () =
   let setup = Images.plan ~user:(Workloads.syscall_loop ~count:1_000_000L) () in
   let src = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) () in
   let dst = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) () in
-  let vm =
-    Hypervisor.create_vm src ~name:"btmig" ~mem_frames:setup.Images.frames
-      ~exec_mode:Vm.Binary_translation ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm src ~name:"btmig" ~exec_mode:Vm.Binary_translation setup in
   ignore (Hypervisor.run src ~budget:3_000_000L);
   let link = Link.create () in
   let twin, _ = Migrate.precopy ~src ~dst ~vm ~link () in
@@ -595,11 +560,7 @@ let test_migrate_with_swapped_and_ballooned () =
   in
   let src = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) () in
   let dst = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) () in
-  let vm =
-    Hypervisor.create_vm src ~name:"mixed" ~mem_frames:setup.Images.frames
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm src ~name:"mixed" setup in
   ignore (Hypervisor.run src ~budget:3_000_000L);
   (* park some pages in swap and balloon one out before migrating *)
   checkb "evicted some" true (Mem_mgr.evict vm ~n:8 = 8);
@@ -625,11 +586,7 @@ let test_migration_compression () =
     let setup = Images.plan ~heap_pages:128 ~user:(Workloads.cpu_spin ~iters:1_000_000_000L) () in
     let src = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) () in
     let dst = Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) () in
-    let vm =
-      Hypervisor.create_vm src ~name:"z" ~mem_frames:setup.Images.frames
-        ~entry:Images.entry ()
-    in
-    Images.load_vm vm setup;
+    let vm = Images.create_vm src ~name:"z" setup in
     ignore (Hypervisor.run src ~budget:2_000_000L);
     let link = Link.create () in
     let twin, r = Migrate.stop_and_copy ~compress ~src ~dst ~vm ~link () in
@@ -658,11 +615,7 @@ let test_replication_failover () =
   let backup =
     Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) ()
   in
-  let vm =
-    Hypervisor.create_vm primary ~name:"ha" ~mem_frames:setup.Images.frames
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm primary ~name:"ha" setup in
   ignore (Hypervisor.run primary ~budget:3_000_000L);
   let link = Link.create () in
   let twin, stats =
@@ -687,11 +640,7 @@ let test_replication_backup_idle_until_failover () =
   let backup =
     Hypervisor.create ~host:(Host.create ~frames:(setup.Images.frames + 512) ()) ()
   in
-  let vm =
-    Hypervisor.create_vm primary ~name:"ha2" ~mem_frames:setup.Images.frames
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm primary ~name:"ha2" setup in
   ignore (Hypervisor.run primary ~budget:2_000_000L);
   let link = Link.create () in
   let session = Replicate.start ~primary ~backup ~vm ~link () in
@@ -716,11 +665,7 @@ let test_page_sharing_live () =
   let hyp = Hypervisor.create ~host () in
   let vms =
     List.init 3 (fun i ->
-        let vm =
-          Hypervisor.create_vm hyp ~name:(Printf.sprintf "vm%d" i)
-            ~mem_frames:setup.Images.frames ~entry:Images.entry ()
-        in
-        Images.load_vm vm setup;
+        let vm = Images.create_vm hyp ~name:(Printf.sprintf "vm%d" i) setup in
         vm)
   in
   (* boot all three a bit *)
@@ -753,11 +698,7 @@ let test_live_snapshot_clone () =
   in
   let host = Host.create ~frames:8192 () in
   let hyp = Hypervisor.create ~host () in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"orig" ~mem_frames:setup.Images.frames
-      ~entry:Images.entry ()
-  in
-  Images.load_vm vm setup;
+  let vm = Images.create_vm hyp ~name:"orig" setup in
   ignore (Hypervisor.run hyp ~budget:2_000_000L);
   let snap = Snapshot.capture_live vm in
   let clone = Snapshot.restore_live hyp snap in
@@ -814,12 +755,8 @@ let build_vnet_fleet ?(requests = 8) ?(batch = 4) ?(backends = 2) hyp =
   let vms =
     List.mapi
       (fun i (name, setup) ->
-        let vm =
-          Hypervisor.create_vm hyp ~name ~mem_frames:setup.Images.frames
-            ~entry:Images.entry ()
-        in
+        let vm = Images.create_vm hyp ~name setup in
         ignore (Vm.attach_vnet vm ~link:ports.(i) ~endpoint:`A);
-        Images.load_vm vm setup;
         vm)
       setups
   in

@@ -365,6 +365,100 @@ let test_pp_smoke () =
     (Instr.to_string (Instr.Load { rd = 1; base = 2; off = 16L; width = Instr.W64 })
     = "ld.w64 r1, 16(r2)")
 
+(* ---------------- Block ---------------- *)
+
+(* Every constructor once, tagged with what it does to the PC: [`Seq]
+   falls through, [`Jump] transfers control (including [sret]), [`Trap]
+   always traps or exits ([ecall], [ebreak], [hcall]).  The sensitive
+   instructions are {!Instr.is_privileged}, whatever their tag. *)
+let block_samples =
+  Instr.
+    [
+      (Nop, `Seq);
+      (Alu (Add, 1, 2, 3), `Seq);
+      (Alui (Add, 1, 2, 5L), `Seq);
+      (Lui (1, 2L), `Seq);
+      (Load { rd = 1; base = 2; off = 8L; width = W64 }, `Seq);
+      (Store { src = 1; base = 2; off = 8L; width = W8 }, `Seq);
+      (Branch (Beq, 1, 2, 16L), `Jump);
+      (Jal (1, 16L), `Jump);
+      (Jalr (0, 1, 0L), `Jump);
+      (Ecall, `Trap);
+      (Ebreak, `Trap);
+      (Csrr (1, Arch.Satp), `Seq);
+      (Csrw (Arch.Satp, 1), `Seq);
+      (Sret, `Jump);
+      (Sfence, `Seq);
+      (Wfi, `Seq);
+      (In (1, 2), `Seq);
+      (Out (2, 1), `Seq);
+      (Hcall, `Trap);
+      (Halt, `Seq);
+    ]
+
+(* Exhaustive, so a new constructor fails to compile here until it gets
+   a sample above. *)
+let constructor_index = function
+  | Instr.Nop -> 0
+  | Alu _ -> 1
+  | Alui _ -> 2
+  | Lui _ -> 3
+  | Load _ -> 4
+  | Store _ -> 5
+  | Branch _ -> 6
+  | Jal _ -> 7
+  | Jalr _ -> 8
+  | Ecall -> 9
+  | Ebreak -> 10
+  | Csrr _ -> 11
+  | Csrw _ -> 12
+  | Sret -> 13
+  | Sfence -> 14
+  | Wfi -> 15
+  | In _ -> 16
+  | Out _ -> 17
+  | Hcall -> 18
+  | Halt -> 19
+
+let test_block_terminators () =
+  Alcotest.(check (list int)) "one sample per constructor" (List.init 20 Fun.id)
+    (List.sort_uniq compare (List.map (fun (i, _) -> constructor_index i) block_samples));
+  List.iter
+    (fun (i, tag) ->
+      checkb (Instr.to_string i)
+        (tag <> `Seq || Instr.is_privileged i)
+        (Block.is_terminator i))
+    block_samples
+
+(* [decode_span] over a word list, also reporting the highest index it
+   read: it must not look past the word that ends the block. *)
+let span words ~max_instrs =
+  let furthest = ref (-1) in
+  let read_word k =
+    furthest := max !furthest k;
+    List.nth words k
+  in
+  let insns = Block.decode_span ~read_word ~max_instrs in
+  (Array.to_list (Array.map Instr.to_string insns), !furthest)
+
+let test_block_decode_span () =
+  let addi = Instr.Alui (Instr.Add, 1, 1, 1L) and beq = Instr.Branch (Instr.Beq, 1, 2, 16L) in
+  let enc = List.map Instr.encode in
+  let s = Instr.to_string in
+  let check_span name (want, want_read) got =
+    Alcotest.(check (pair (list string) int)) name (want, want_read) got
+  in
+  check_span "stops after the first terminator"
+    ([ s addi; s addi; s beq ], 2)
+    (span (enc [ addi; addi; beq; addi; Instr.Halt ]) ~max_instrs:5);
+  check_span "stops before an undecodable word"
+    ([ s addi; s addi ], 2)
+    (span (enc [ addi; addi ] @ [ 0L; Instr.encode Instr.Halt ]) ~max_instrs:4);
+  check_span "stops at max_instrs" ([ s addi; s addi; s addi ], 2)
+    (span (enc [ addi; addi; addi; addi; Instr.Halt ]) ~max_instrs:3);
+  check_span "empty when the first word is undecodable" ([], 0)
+    (span [ 0xFFL; Instr.encode addi ] ~max_instrs:2)
+
 (* ---------------- Asm ---------------- *)
 
 open Asm
@@ -505,6 +599,11 @@ let () =
           Alcotest.test_case "pretty printing" `Quick test_pp_smoke;
         ]
         @ qsuite [ prop_encode_decode_roundtrip ] );
+      ( "block",
+        [
+          Alcotest.test_case "terminators" `Quick test_block_terminators;
+          Alcotest.test_case "decode_span stops" `Quick test_block_decode_span;
+        ] );
       ( "asm",
         [
           Alcotest.test_case "layout" `Quick test_asm_simple_layout;

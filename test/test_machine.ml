@@ -1084,7 +1084,8 @@ let make_cpu ?(frames = 16) ?(env = `Native) () =
       now = (fun () -> !clock);
       ext_irq = (fun () -> !ext);
       cost;
-      dtlb = None;
+      (* the interpreter never consults it *)
+      dtlb = Dtlb.create ~tlb:(Tlb.create ~size:4);
       env =
         (match env with
         | `Native ->
@@ -1442,7 +1443,7 @@ let test_exit_page_fault () =
       now = (fun () -> 0L);
       ext_irq = (fun () -> false);
       cost;
-      dtlb = None;
+      dtlb = Dtlb.create ~tlb:(Tlb.create ~size:4);
       env = Cpu.Deprivileged;
     }
   in

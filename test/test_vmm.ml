@@ -257,6 +257,40 @@ let test_vm_gpa_accessors () =
   | None -> Alcotest.fail "read failed");
   checkb "oob" true (Vm.read_gpa_u64 vm 0x40_0000L = None)
 
+(* Span copies against a byte-wise reference: every byte through its own
+   frame lookup and a one-byte access.  4200 bytes from 0x1FF0 cross two
+   page boundaries (guest frames 1, 2 and 3). *)
+let test_vm_gpa_bytes_straddle () =
+  let host, vm = make_vm () in
+  let mem = host.Host.mem in
+  let gpa = 0x1FF0L and len = 4200 in
+  let byte_pa i =
+    let a = Int64.add gpa (Int64.of_int i) in
+    match Vm.resolve_read vm (Int64.shift_right_logical a Arch.page_shift) with
+    | Some ppn ->
+        Int64.logor (Int64.shift_left ppn Arch.page_shift)
+          (Int64.logand a (Int64.of_int (Arch.page_size - 1)))
+    | None -> Alcotest.fail "unbacked guest frame"
+  in
+  let src = Bytes.init len (fun i -> Char.chr (((i * 7) + 3) land 0xFF)) in
+  checkb "write" true (Vm.write_gpa_bytes vm gpa src);
+  let written =
+    Bytes.init len (fun i -> Char.chr (Int64.to_int (Phys_mem.read mem (byte_pa i) Instr.W8)))
+  in
+  checkb "write = byte-wise" true (Bytes.equal written src);
+  let pattern = Bytes.init len (fun i -> Char.chr (((i * 13) + 1) land 0xFF)) in
+  Bytes.iteri
+    (fun i c -> Phys_mem.write mem (byte_pa i) Instr.W8 (Int64.of_int (Char.code c)))
+    pattern;
+  (match Vm.read_gpa_bytes vm gpa len with
+  | Some b -> checkb "read = byte-wise" true (Bytes.equal b pattern)
+  | None -> Alcotest.fail "read failed");
+  let ram = Int64.of_int (64 * Arch.page_size) in
+  checkb "read past RAM" true (Vm.read_gpa_bytes vm (Int64.sub ram 8L) 16 = None);
+  checkb "read longer than RAM" true (Vm.read_gpa_bytes vm 0L (Int64.to_int ram + 1) = None);
+  checkb "negative length" true (Vm.read_gpa_bytes vm 0L (-1) = None);
+  checkb "write past RAM" false (Vm.write_gpa_bytes vm (Int64.sub ram 8L) (Bytes.make 16 'x'))
+
 let test_vm_dirty_logging () =
   let _, vm = make_vm () in
   Vm.start_dirty_logging vm;
@@ -989,6 +1023,7 @@ let () =
       ( "vm",
         [
           Alcotest.test_case "gpa accessors" `Quick test_vm_gpa_accessors;
+          Alcotest.test_case "gpa bytes straddle pages" `Quick test_vm_gpa_bytes_straddle;
           Alcotest.test_case "dirty logging" `Quick test_vm_dirty_logging;
           Alcotest.test_case "balloon" `Quick test_vm_balloon;
           Alcotest.test_case "destroy returns frames" `Quick test_vm_destroy_returns_frames;
