@@ -33,11 +33,6 @@ let host_lookup t gfn =
     | P2m.Absent -> `Bad
     | P2m.Swapped _ | P2m.Ballooned | P2m.Remote -> `Host_fault
 
-let perms_allow (p : Pte.perms) access ~user =
-  (if user then p.u else true)
-  &&
-  match access with Arch.Fetch -> p.x | Arch.Load -> p.r | Arch.Store -> p.w
-
 (* One 2-D walk.  Returns the machine frame, effective permissions and
    the number of memory references, or the failure class. *)
 type walk_outcome =
@@ -159,8 +154,7 @@ let translate t ~guest_satp ~tlb ~access ~user va =
   let vpn = Int64.shift_right_logical va Arch.page_shift in
   let hit =
     match Tlb.lookup tlb ~vpn with
-    | Some e when (not e.mmio) && perms_allow e.perms access ~user ->
-        if access = Arch.Store && not e.dirty_ok then None else Some e
+    | Some e when (not e.mmio) && Tlb.permits e access ~user -> Some e
     | Some e when e.mmio -> Some e
     | _ -> None
   in

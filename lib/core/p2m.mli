@@ -32,6 +32,10 @@ val gframes : t -> int
 val get : t -> int64 -> entry
 (** @raise Invalid_argument if the gfn is out of range. *)
 
+val frame : t -> int -> int
+(** [frame t gfn] is the machine frame of a [Present] gfn, else [-1]
+    (out of range included): the unboxed lookup of the page walkers. *)
+
 val set : t -> int64 -> entry -> unit
 val in_range : t -> int64 -> bool
 

@@ -26,8 +26,10 @@ type env = {
   mem : Phys_mem.t;  (** host machine memory (shadow tables live here) *)
   alloc : Frame_alloc.t;
   cost : Cost_model.t;
-  read_guest_pte : int64 -> Pte.t option;
-      (** read a guest PTE by guest-physical address ([None] = bad gpa) *)
+  guest_frame : int -> int;
+      (** the machine frame holding guest frame [gfn], resolving it as
+          for a read (swap-in etc.), or [-1] for a bad gfn: the pager
+          reads guest PTEs there directly *)
   write_guest_pte : int64 -> Pte.t -> bool;
       (** write a guest PTE (A/D maintenance, PT-write emulation);
           implementations must mark the page dirty for migration *)
@@ -48,10 +50,6 @@ val create : env -> t
 val is_pt_gfn : t -> int64 -> bool
 (** [is_pt_gfn t gfn] — the frame is a known guest page-table page (and
     is therefore write-protected). *)
-
-val shadow_root : t -> root_gfn:int64 -> int64 option
-(** [shadow_root t ~root_gfn] is the machine frame of the shadow table
-    paired with the guest root, if it exists. *)
 
 val fills : t -> int
 val pt_writes : t -> int
@@ -78,8 +76,10 @@ val handle_fault :
 
 val emulate_pt_write : t -> gpa:int64 -> value:Pte.t -> bool
 (** [emulate_pt_write t ~gpa ~value] applies a guest PTE write to the
-    guest table and knocks out the paired shadow entry.  Returns [false]
-    on a bad address.  The caller flushes the TLB. *)
+    guest table and knocks out the paired shadow entry, and, when the
+    entry is a guest 2 MiB superpage the pager has splintered, every
+    4 KiB shadow leaf splintered from it.  Returns [false] on a bad
+    address.  The caller flushes the TLB. *)
 
 val invalidate_gfn : t -> int64 -> unit
 (** [invalidate_gfn t gfn] revokes every shadow leaf mapping [gfn]
@@ -100,13 +100,16 @@ val take_tlb_flush : t -> bool
 
 val translate :
   t ->
-  root_gfn:int64 ->
+  satp:int64 ->
   tlb:Tlb.t ->
   access:Arch.access ->
   user:bool ->
   int64 ->
   int
 (** The translate function the deprivileged hart runs with while the
-    guest has paging enabled: TLB, then a one-dimensional walk of the
-    shadow tree.  Every miss that the shadow tree cannot satisfy is a
-    {!Cpu.xl_page} fault, which the hypervisor routes to {!handle_fault}. *)
+    guest has paging enabled ([satp] is the guest's, enabled): TLB, then
+    a one-dimensional walk of the shadow tree paired with its root.
+    Every miss that the shadow tree cannot satisfy is a {!Cpu.xl_page}
+    fault, which the hypervisor routes to {!handle_fault}.  The root
+    pairing is memoised per [satp] until {!flush_all}, and a miss
+    allocates nothing but the TLB entry it installs. *)

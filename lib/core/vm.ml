@@ -44,6 +44,8 @@ type t = {
       (* superblock traces already reported to the trace ring; the
          hypervisor polls [traces_built] after each vCPU slice and
          records a formation event for the delta *)
+  read_gpte : int -> Pte.Word.t;
+  gwalk : Page_table.walk;
 }
 
 let engine_kind t = t.engine.Engine.kind
@@ -175,13 +177,28 @@ let resolve_write t gfn =
 
 (* ---- guest-physical accessors ---- *)
 
+(* The machine frame holding [gfn] for a read, or -1: [resolve_read]
+   without the option on the common, present path. *)
+let guest_frame t gfn =
+  let f = P2m.frame t.p2m gfn in
+  if f >= 0 then f
+  else match resolve_read t (Int64.of_int gfn) with Some p -> Int64.to_int p | None -> -1
+
+(* A guest PTE by guest-physical address, for the page walkers; an
+   unbacked address reads as not present. *)
+let guest_pte t gpa =
+  let f = guest_frame t (gpa lsr Arch.page_shift) in
+  if f < 0 then 0
+  else Phys_mem.read_word t.host.Host.mem ((f lsl Arch.page_shift) lor (gpa land (page - 1)))
+
 let read_gpa_u64 t gpa =
   if Int64.rem gpa 8L <> 0L then None
   else
-    Option.map
-      (fun ppn ->
-        Phys_mem.read t.host.Host.mem (Int64.logor (frame_base ppn) (page_off gpa)) Instr.W64)
-      (resolve_read t (gfn_of gpa))
+    match resolve_read t (gfn_of gpa) with
+    | Some ppn ->
+        Some
+          (Phys_mem.read t.host.Host.mem (Int64.logor (frame_base ppn) (page_off gpa)) Instr.W64)
+    | None -> None
 
 let write_gpa_u64 t gpa v =
   if Int64.rem gpa 8L <> 0L then false
@@ -319,6 +336,8 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
       engine;
       trace = None;
       traces_seen = 0;
+      read_gpte = (fun gpa -> guest_pte (Lazy.force vm) gpa);
+      gwalk = Page_table.scratch ();
     }
   in
   let t = Lazy.force vm in
@@ -333,7 +352,7 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
           Shadow.mem = host.Host.mem;
           alloc = host.Host.alloc;
           cost = host.Host.cost;
-          read_guest_pte = (fun gpa -> read_gpa_u64 t gpa);
+          guest_frame = (fun gfn -> guest_frame t gfn);
           write_guest_pte = (fun gpa v -> write_gpa_u64 t gpa v);
           resolve_read = (fun gfn -> resolve_read t gfn);
           resolve_write = (fun gfn -> resolve_write t gfn);
@@ -418,25 +437,18 @@ let stop_dirty_logging t =
 (* ---- guest-virtual software walk (no side effects) ---- *)
 
 let read_guest_va t ~vcpu_idx va =
-  let vcpu = t.vcpus.(vcpu_idx) in
-  let satp = Cpu.get_csr vcpu.Vcpu.state Arch.Satp in
-  let gpa =
-    if not (Arch.satp_enabled satp) then Some va
-    else begin
-      let acc =
-        {
-          Page_table.read_pte =
-            (fun gpa -> Option.value (read_gpa_u64 t gpa) ~default:Pte.invalid);
-          write_pte = (fun _ _ -> ());
-        }
-      in
-      match Page_table.walk acc ~root_ppn:(Arch.satp_root_ppn satp) va with
-      | Ok { pte; level; _ } -> Some (Page_table.leaf_pa ~pte ~level ~va)
-      | Error _ -> None
-    end
-  in
-  Option.bind gpa (fun gpa ->
-      if Int64.rem gpa 8L <> 0L then None else read_gpa_u64 t gpa)
+  let satp = Cpu.get_csr t.vcpus.(vcpu_idx).Vcpu.state Arch.Satp in
+  if not (Arch.satp_enabled satp) then read_gpa_u64 t va
+  else
+    let w = t.gwalk in
+    if
+      Page_table.walk ~read:t.read_gpte w
+        ~root_ppn:(Int64.to_int (Arch.satp_root_ppn satp))
+        va
+    then
+      read_gpa_u64 t
+        (Int64.of_int (Page_table.leaf_pa ~pte:w.Page_table.pte ~level:w.Page_table.level ~va))
+    else None
 
 (* ---- translation ---- *)
 
@@ -499,8 +511,7 @@ let translate t ~vcpu_idx =
       let shadow = Option.get t.shadow in
       fun ~access ~user va ->
         let satp = csrs.(satp_slot) in
-        if Arch.satp_enabled satp then
-          Shadow.translate shadow ~root_gfn:(Arch.satp_root_ppn satp) ~tlb ~access ~user va
+        if Arch.satp_enabled satp then Shadow.translate shadow ~satp ~tlb ~access ~user va
         else translate_bare_shadow t ~tlb ~access va
 
 let cpu_ctx t ~vcpu_idx ~now =

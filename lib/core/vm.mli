@@ -75,6 +75,11 @@ type t = {
       (** superblock traces already reported to the [trace] ring — the
           hypervisor polls {!traces_built} after each vCPU slice and
           records a formation event for the delta *)
+  read_gpte : int -> Pte.Word.t;
+      (** a guest PTE by guest-physical address (not present when the
+          address is unbacked): {!read_guest_va}'s walker reads through
+          it, built once per VM *)
+  gwalk : Page_table.walk;  (** {!read_guest_va}'s walk outcome *)
 }
 
 val create :

@@ -6,10 +6,6 @@ let invalid = 0L
 
 type perms = { r : bool; w : bool; x : bool; u : bool }
 
-let pp_perms ppf p =
-  let c b ch = if b then ch else '-' in
-  Format.fprintf ppf "%c%c%c%c" (c p.r 'r') (c p.w 'w') (c p.x 'x') (c p.u 'u')
-
 let bit_valid = 0
 let bit_r = 1
 let bit_w = 2
@@ -31,12 +27,25 @@ let leaf ~ppn { r; w; x; u } =
 let table ~ppn =
   Bitops.insert (Bitops.set_bit 0L bit_valid true) ~lo:ppn_lo ~width:ppn_width ppn
 
-let is_valid t = Bitops.test_bit t bit_valid
+module Word = struct
+  type t = int
 
-let is_leaf t =
-  is_valid t && (Bitops.test_bit t bit_r || Bitops.test_bit t bit_w || Bitops.test_bit t bit_x)
+  let bit w i = w land (1 lsl i) <> 0
+  let is_valid w = bit w bit_valid
+  let is_leaf w = is_valid w && w land ((1 lsl bit_r) lor (1 lsl bit_w) lor (1 lsl bit_x)) <> 0
+  let ppn w = (w lsr ppn_lo) land ((1 lsl ppn_width) - 1)
+  let writable w = bit w bit_w
+  let accessed w = bit w bit_a
+  let dirty w = bit w bit_d
 
-let ppn t = Bitops.extract t ~lo:ppn_lo ~width:ppn_width
+  let allows w access ~user =
+    ((not user) || bit w bit_u)
+    && bit w (match access with Arch.Fetch -> bit_x | Arch.Load -> bit_r | Arch.Store -> bit_w)
+end
+
+let is_valid t = Word.is_valid (Int64.to_int t)
+let is_leaf t = Word.is_leaf (Int64.to_int t)
+let ppn t = Int64.of_int (Word.ppn (Int64.to_int t))
 
 let perms t =
   {
@@ -58,13 +67,4 @@ let with_perms t { r; w; x; u } =
   let t = Bitops.set_bit t bit_x x in
   Bitops.set_bit t bit_u u
 
-let allows t access ~user =
-  let p = perms t in
-  let priv_ok = if user then p.u else true in
-  let kind_ok =
-    match access with
-    | Arch.Fetch -> p.x
-    | Arch.Load -> p.r
-    | Arch.Store -> p.w
-  in
-  priv_ok && kind_ok
+let allows t access ~user = Word.allows (Int64.to_int t) access ~user

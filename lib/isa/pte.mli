@@ -14,8 +14,6 @@ type perms = { r : bool; w : bool; x : bool; u : bool }
 (** Leaf permissions: readable / writable / executable /
     user-accessible. *)
 
-val pp_perms : Format.formatter -> perms -> unit
-
 val leaf : ppn:int64 -> perms -> t
 (** [leaf ~ppn perms] is a valid leaf entry. *)
 
@@ -43,3 +41,22 @@ val allows : t -> Arch.access -> user:bool -> bool
 (** [allows pte access ~user] checks a leaf's permission bits against an
     access from user ([true]) or supervisor mode.  Supervisor may touch
     user pages (no SUM restriction in VR64). *)
+
+(** {1 Entries as immediates}
+
+    Every field sits below bit 54, so an entry's low 63 bits ([Int64.to_int])
+    carry all of it.  Page walkers read entries this way: an [int] is never
+    boxed, so a walk allocates nothing. *)
+module Word : sig
+  type t = int
+
+  val is_valid : t -> bool
+  val is_leaf : t -> bool
+  val ppn : t -> int
+  val writable : t -> bool
+  val accessed : t -> bool
+  val dirty : t -> bool
+
+  val allows : t -> Arch.access -> user:bool -> bool
+  (** As {!allows} on the entry. *)
+end

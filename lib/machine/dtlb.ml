@@ -84,13 +84,7 @@ let lookup t ~access ~user va =
 let fill t ~access ~user ~va ~pa =
   let vpn = Int64.shift_right_logical va Arch.page_shift in
   match Tlb.lookup t.tlb ~vpn with
-  | Some e
-    when (not e.Tlb.mmio)
-         && ((not user) || e.perms.Pte.u)
-         && (match access with
-            | Arch.Load -> e.perms.Pte.r
-            | Arch.Store -> e.perms.Pte.w && e.dirty_ok
-            | Arch.Fetch -> false) ->
+  | Some e when (not e.Tlb.mmio) && access <> Arch.Fetch && Tlb.permits e access ~user ->
       let ppn = pa lsr Arch.page_shift in
       let idx = slot_of vpn in
       (match t.slots.(idx) with

@@ -90,11 +90,37 @@ type wstate = {
   v_slots : int array;
   v_vers : int array;
   mutable v_next : int;
+  (* one [step_n] call's progress, here so that re-entering [step_n]
+     after an exit builds no closures *)
+  mutable consumed : int;
+  mutable result : Cpu.stop;
+  mutable stopped : bool;
+  mutable src : Cpu.ctx;
+  mutable wrapped : Cpu.ctx;  (* [src] with its micro-TLB in front, see [wrap] *)
 }
 
 let num_victims = 8
 
-let new_wstate dtlb =
+(* [ctx] with load/store translations served from its micro-TLB *)
+let wrap ctx =
+  let dtlb = ctx.Cpu.dtlb in
+  let translate ~access ~user va =
+    match access with
+    | Arch.Fetch -> ctx.Cpu.translate ~access ~user va
+    | Arch.Load | Arch.Store ->
+        let pa = Dtlb.lookup dtlb ~access ~user va in
+        if pa >= 0 then Cpu.xl_make ~pa ~mmio:false ~cycles:0
+        else begin
+          let x = ctx.Cpu.translate ~access ~user va in
+          if x >= 0 && not (Cpu.xl_mmio x) then
+            Dtlb.fill dtlb ~access ~user ~va ~pa:(Cpu.xl_pa x);
+          x
+        end
+  in
+  { ctx with Cpu.translate }
+
+let new_wstate ctx =
+  let dtlb = ctx.Cpu.dtlb in
   {
     w_dtlb = dtlb;
     fresh = false;
@@ -113,6 +139,11 @@ let new_wstate dtlb =
     v_slots = Array.make num_victims (-1);
     v_vers = Array.make num_victims 0;
     v_next = 0;
+    consumed = 0;
+    result = Cpu.Budget;
+    stopped = false;
+    src = ctx;
+    wrapped = wrap ctx;
   }
 
 (* Save the primary window into the victim ring before it is replaced. *)
@@ -131,6 +162,22 @@ let stash_window w =
 let clear_victims w =
   Array.fill w.v_vpns 0 num_victims (-1L);
   w.v_next <- 0
+
+let stop w r =
+  w.result <- r;
+  w.stopped <- true
+
+let collapse_window w =
+  w.fresh <- false;
+  w.cur_block <- None;
+  w.pending <- None
+
+let finish w step =
+  match step with
+  | Cpu.Retired c -> w.consumed <- w.consumed + c
+  | Cpu.Stop_exec (r, c) ->
+      w.consumed <- w.consumed + c;
+      stop w r
 
 (* The window's certificate after the generation moved (callers test
    [Dtlb.generation d = w.cur_gen] first, one compare): the fetch page's
@@ -223,10 +270,10 @@ let block_step cache hook states s ctx ~fuel =
   if s.Cpu.halted then (0, Cpu.Halted)
   else begin
     let w =
-      match List.assq_opt s !states with
-      | Some w -> w
-      | None ->
-          let w = new_wstate dtlb in
+      match List.assq s !states with
+      | w -> w
+      | exception Not_found ->
+          let w = new_wstate ctx in
           states := (s, w) :: !states;
           w
     in
@@ -240,48 +287,20 @@ let block_step cache hook states s ctx ~fuel =
       w.pending <- None;
       clear_victims w
     end;
-    let consumed = ref 0 in
+    if w.src != ctx then begin
+      w.src <- ctx;
+      w.wrapped <- wrap ctx
+    end;
+    let ctx = w.wrapped in
+    w.consumed <- 0;
+    w.result <- Cpu.Budget;
+    w.stopped <- false;
     (* instructions retired by the inner loop, added to [instret] once
        on the way out (a trace adds its own) *)
     let retired = ref 0 in
-    let result = ref Cpu.Budget in
-    let stopped = ref false in
-    let stop r =
-      result := r;
-      stopped := true
-    in
-    let collapse_window () =
-      w.fresh <- false;
-      w.cur_block <- None;
-      w.pending <- None
-    in
-    (* serve data translations from the micro-TLB *)
-    let ctx =
-      let translate ~access ~user va =
-        match access with
-        | Arch.Fetch -> ctx.Cpu.translate ~access ~user va
-        | Arch.Load | Arch.Store ->
-            let pa = Dtlb.lookup dtlb ~access ~user va in
-            if pa >= 0 then Cpu.xl_make ~pa ~mmio:false ~cycles:0
-            else begin
-              let x = ctx.Cpu.translate ~access ~user va in
-              if x >= 0 && not (Cpu.xl_mmio x) then
-                Dtlb.fill dtlb ~access ~user ~va ~pa:(Cpu.xl_pa x);
-              x
-            end
-      in
-      { ctx with Cpu.translate }
-    in
-    let finish step =
-      match step with
-      | Cpu.Retired c -> consumed := !consumed + c
-      | Cpu.Stop_exec (r, c) ->
-          consumed := !consumed + c;
-          stop r
-    in
-    while not !stopped do
-      if !consumed >= fuel then stop Cpu.Budget
-      else if s.Cpu.halted then stop Cpu.Halted
+    while not w.stopped do
+      if w.consumed >= fuel then stop w Cpu.Budget
+      else if s.Cpu.halted then stop w Cpu.Halted
       else begin
         (if not deprivileged then
            match
@@ -289,12 +308,12 @@ let block_step cache hook states s ctx ~fuel =
            with
            | Some cause ->
                Cpu.deliver_trap s ~cause ~tval:0L;
-               consumed := !consumed + trap_enter;
+               w.consumed <- w.consumed + trap_enter;
                (* asynchronous flow hijack: never chain across it (the
                   window itself is re-validated below) *)
                w.pending <- None
            | None -> ());
-        if s.Cpu.waiting then stop Cpu.Waiting
+        if s.Cpu.waiting then stop w Cpu.Waiting
         else begin
           let pc = Cpu.slot_get s.Cpu.regs pc_slot in
           let user = s.Cpu.mode = Arch.User in
@@ -338,8 +357,8 @@ let block_step cache hook states s ctx ~fuel =
               else
                 let x = Cpu.fetch_prelude s ctx in
                 if x < 0 then begin
-                  finish (Cpu.fetch_fault s ctx x);
-                  collapse_window ();
+                  finish w (Cpu.fetch_fault s ctx x);
+                  collapse_window w;
                   None
                 end
                 else begin
@@ -407,10 +426,10 @@ let block_step cache hook states s ctx ~fuel =
                                      interpreter's illegal-instruction
                                      outcome (which charges no
                                      translation cycles either). *)
-                                  finish
+                                  finish w
                                     (Cpu.trap_or_exit s ctx Arch.Illegal_instruction
                                        (read_word 0) base_instr);
-                                  collapse_window ();
+                                  collapse_window w;
                                   None
                               | _ ->
                                   attach hook cache ctx.Cpu.mem;
@@ -464,20 +483,20 @@ let block_step cache hook states s ctx ~fuel =
                            match
                              Trace_ir.exec tr.Trans_cache.t_prog ~start ~s ~dtlb
                                ~mem:ctx.Cpu.mem ~user ~page_base
-                               ~fuel_left:(fuel - !consumed) ~xl
+                               ~fuel_left:(fuel - w.consumed) ~xl
                            with
                            | Trace_ir.Bail ->
                                Trans_cache.note_trace_side_exit cache;
                                false
                            | Trace_ir.Fall { cycles; early } ->
-                               consumed := !consumed + cycles;
+                               w.consumed <- w.consumed + cycles;
                                Trans_cache.note_trace_follow cache;
                                if early then Trans_cache.note_trace_side_exit cache;
                                true
                            | Trace_ir.Stop { cycles; stop = r } ->
-                               consumed := !consumed + cycles;
+                               w.consumed <- w.consumed + cycles;
                                Trans_cache.note_trace_follow cache;
-                               stop r;
+                               stop w r;
                                true)
                        | _ ->
                            (* hotness accounting: promotion triggers on
@@ -508,7 +527,7 @@ let block_step cache hook states s ctx ~fuel =
                     match Cpu.exec_insn s ctx insn with
                     | Cpu.Retired c ->
                         incr retired;
-                        consumed := !consumed + c + !xl;
+                        w.consumed <- w.consumed + c + !xl;
                         xl := 0;
                         if !idx = len - 1 then begin
                           w.pending <-
@@ -533,7 +552,7 @@ let block_step cache hook states s ctx ~fuel =
                              entry) and block validity after a store
                              (it may have hit this very code page). *)
                           let continue_ =
-                            !consumed < fuel
+                            w.consumed < fuel
                             &&
                             if deprivileged then
                               match insn with
@@ -557,16 +576,16 @@ let block_step cache hook states s ctx ~fuel =
                           if continue_ then incr idx else inner := false
                         end
                     | Cpu.Stop_exec (r, c) ->
-                        consumed := !consumed + c + !xl;
+                        w.consumed <- w.consumed + c + !xl;
                         xl := 0;
-                        stop r;
+                        stop w r;
                         inner := false
                   done)
         end
       end
     done;
     s.Cpu.instret <- Int64.add s.Cpu.instret (Int64.of_int !retired);
-    (!consumed, !result)
+    (w.consumed, w.result)
   end
 
 (* Translation-cache capacity of a block engine, in blocks. *)

@@ -1,141 +1,61 @@
 open Velum_isa
-open Velum_util
 
-type accessor = {
-  read_pte : int64 -> Pte.t;
-  write_pte : int64 -> Pte.t -> unit;
-}
-
-let entries_per_table = 1 lsl Arch.vpn_bits
+let index_mask = (1 lsl Arch.vpn_bits) - 1
 
 let vpn va ~level =
-  let lo = Arch.page_shift + (level * Arch.vpn_bits) in
-  Int64.to_int (Bitops.extract va ~lo ~width:Arch.vpn_bits)
+  Int64.to_int (Int64.shift_right_logical va (Arch.page_shift + (level * Arch.vpn_bits)))
+  land index_mask
 
 let canonical va =
   Int64.shift_right_logical va Arch.va_bits = 0L
 
-let pte_addr_of ~table_ppn ~index =
-  Int64.add (Int64.shift_left table_ppn Arch.page_shift) (Int64.of_int (index * 8))
-
-type walk_ok = {
-  pte : Pte.t;
-  pte_addr : int64;
-  level : int;
-  refs : int;
-  table_ppns : int64 list;
+type walk = {
+  mutable pte : Pte.Word.t;
+  mutable pte_addr : int;
+  mutable level : int;
+  mutable refs : int;
+  mutable bad_pte : bool;
 }
 
-type walk_fault = { fault_level : int; fault_refs : int; bad_pte : bool }
+let scratch () = { pte = 0; pte_addr = 0; level = 0; refs = 0; bad_pte = false }
 
-let walk acc ~root_ppn va =
-  if not (canonical va) then
-    Error { fault_level = Arch.pt_levels - 1; fault_refs = 0; bad_pte = true }
-  else
-    let rec go level table_ppn refs visited =
-      let index = vpn va ~level in
-      let addr = pte_addr_of ~table_ppn ~index in
-      let pte = acc.read_pte addr in
-      let refs = refs + 1 in
-      if not (Pte.is_valid pte) then
-        Error { fault_level = level; fault_refs = refs; bad_pte = false }
-      else if Pte.is_leaf pte then
-        if level <= 1 then begin
-          (* level 1 = 2 MiB superpage; its base frame must be aligned *)
-          if level = 1 && not (Bitops.is_aligned (Pte.ppn pte) (1 lsl Arch.vpn_bits))
-          then Error { fault_level = level; fault_refs = refs; bad_pte = true }
-          else Ok { pte; pte_addr = addr; level; refs; table_ppns = List.rev visited }
-        end
-        else (* no 1 GiB pages in VR64 *)
-          Error { fault_level = level; fault_refs = refs; bad_pte = true }
-      else if level = 0 then
-        Error { fault_level = 0; fault_refs = refs; bad_pte = true }
-      else go (level - 1) (Pte.ppn pte) refs (Pte.ppn pte :: visited)
-    in
-    go (Arch.pt_levels - 1) root_ppn 0 [ root_ppn ]
+let fault w ~level ~refs ~bad =
+  w.level <- level;
+  w.refs <- refs;
+  w.bad_pte <- bad;
+  false
+
+(* Top level rather than local to [walk], so a walk builds no closure.
+   [v] is the canonical va as an int. *)
+let rec descend read w v level table_ppn refs =
+  let addr =
+    (table_ppn lsl Arch.page_shift)
+    + (((v lsr (Arch.page_shift + (level * Arch.vpn_bits))) land index_mask) * 8)
+  in
+  let pte = read addr in
+  let refs = refs + 1 in
+  if not (Pte.Word.is_valid pte) then fault w ~level ~refs ~bad:false
+  else if Pte.Word.is_leaf pte then
+    (* level 1 = 2 MiB superpage, whose base frame must be aligned; no
+       1 GiB pages in VR64 *)
+    if level = 0 || (level = 1 && Pte.Word.ppn pte land index_mask = 0) then begin
+      w.pte <- pte;
+      w.pte_addr <- addr;
+      w.level <- level;
+      w.refs <- refs;
+      w.bad_pte <- false;
+      true
+    end
+    else fault w ~level ~refs ~bad:true
+  else if level = 0 then fault w ~level ~refs ~bad:true
+  else descend read w v (level - 1) (Pte.Word.ppn pte) refs
+
+let walk ~read w ~root_ppn va =
+  if not (canonical va) then fault w ~level:(Arch.pt_levels - 1) ~refs:0 ~bad:true
+  else descend read w (Int64.to_int va) (Arch.pt_levels - 1) root_ppn 0
 
 (* Physical address of [va] through a leaf found at [level]. *)
 let leaf_pa ~pte ~level ~va =
   let offset_bits = Arch.page_shift + (level * Arch.vpn_bits) in
-  Int64.logor
-    (Int64.shift_left (Pte.ppn pte) Arch.page_shift)
-    (Int64.logand va (Bitops.mask offset_bits))
-
-let check_mappable va =
-  if not (canonical va) then invalid_arg "Page_table.map: non-canonical va";
-  if not (Bitops.is_aligned va Arch.page_size) then
-    invalid_arg "Page_table.map: va not page aligned"
-
-let map ?(level = 0) acc ~alloc ~root_ppn ~va pte =
-  check_mappable va;
-  if level < 0 || level > 1 then invalid_arg "Page_table.map: bad leaf level";
-  let rec go cur table_ppn =
-    let index = vpn va ~level:cur in
-    let addr = pte_addr_of ~table_ppn ~index in
-    if cur = level then acc.write_pte addr pte
-    else
-      let entry = acc.read_pte addr in
-      let next_ppn =
-        if Pte.is_valid entry then begin
-          if Pte.is_leaf entry then
-            invalid_arg "Page_table.map: intermediate entry is a leaf";
-          Pte.ppn entry
-        end
-        else begin
-          let ppn = alloc () in
-          acc.write_pte addr (Pte.table ~ppn);
-          ppn
-        end
-      in
-      go (cur - 1) next_ppn
-  in
-  go (Arch.pt_levels - 1) root_ppn
-
-let find_leaf_addr acc ~root_ppn ~va =
-  match walk acc ~root_ppn va with
-  | Ok { pte_addr; pte; _ } -> Some (pte_addr, pte)
-  | Error _ -> None
-
-let unmap acc ~root_ppn ~va =
-  match find_leaf_addr acc ~root_ppn ~va with
-  | Some (addr, _) ->
-      acc.write_pte addr Pte.invalid;
-      true
-  | None -> false
-
-let update_leaf acc ~root_ppn ~va ~f =
-  match find_leaf_addr acc ~root_ppn ~va with
-  | Some (addr, pte) ->
-      acc.write_pte addr (f pte);
-      true
-  | None -> false
-
-let iter_leaves acc ~root_ppn ~f =
-  let rec go level table_ppn va_base =
-    for index = 0 to entries_per_table - 1 do
-      let addr = pte_addr_of ~table_ppn ~index in
-      let pte = acc.read_pte addr in
-      if Pte.is_valid pte then begin
-        let step = Int64.shift_left 1L (Arch.page_shift + (level * Arch.vpn_bits)) in
-        let va = Int64.add va_base (Int64.mul (Int64.of_int index) step) in
-        if Pte.is_leaf pte then f ~va ~pte_addr:addr pte
-        else if level > 0 then go (level - 1) (Pte.ppn pte) va
-      end
-    done
-  in
-  go (Arch.pt_levels - 1) root_ppn 0L
-
-let count_table_pages acc ~root_ppn =
-  let count = ref 1 in
-  let rec go level table_ppn =
-    if level > 0 then
-      for index = 0 to entries_per_table - 1 do
-        let pte = acc.read_pte (pte_addr_of ~table_ppn ~index) in
-        if Pte.is_valid pte && not (Pte.is_leaf pte) then begin
-          incr count;
-          go (level - 1) (Pte.ppn pte)
-        end
-      done
-  in
-  go (Arch.pt_levels - 1) root_ppn;
-  !count
+  (Pte.Word.ppn pte lsl Arch.page_shift)
+  lor (Int64.to_int va land ((1 lsl offset_bits) - 1))

@@ -1,17 +1,18 @@
-(** Radix page-table walking and construction.
+(** Radix page-table walking.
 
-    Works over an abstract physical-memory accessor so the same code walks
-    native tables, guest tables viewed through a physical-to-machine map,
-    and hypervisor shadow tables.  Tables are three levels of 512 8-byte
-    PTEs; leaves live at level 0 (4 KiB pages) or level 1 (2 MiB
-    superpages, whose base frame must be 512-aligned). *)
+    One walker serves every translator: the native MMU, the shadow
+    pager's hardware walk of its own tables and the hypervisor's software
+    walk of a guest's tables through its physical-to-machine map.  Tables
+    are three levels of 512 8-byte PTEs; leaves live at level 0 (4 KiB
+    pages) or level 1 (2 MiB superpages, whose base frame must be
+    512-aligned).
+
+    The walker reads each entry through [read] (a table address to the
+    entry's {!Pte.Word}), which its caller builds once, and leaves the
+    outcome in a {!walk} record the caller owns, so a walk allocates
+    nothing. *)
 
 open Velum_isa
-
-type accessor = {
-  read_pte : int64 -> Pte.t;  (** read a PTE at a physical address *)
-  write_pte : int64 -> Pte.t -> unit;
-}
 
 val vpn : int64 -> level:int -> int
 (** [vpn va ~level] is the 9-bit table index used at [level]
@@ -21,61 +22,29 @@ val canonical : int64 -> bool
 (** [canonical va] — the address fits in {!Arch.va_bits} bits (high bits
     all zero; VR64 uses a positive-half-only canonical form). *)
 
-type walk_ok = {
-  pte : Pte.t;  (** the leaf entry *)
-  pte_addr : int64;  (** physical address of the leaf entry *)
-  level : int;  (** 0 for a 4 KiB page, 1 for a 2 MiB superpage *)
-  refs : int;  (** page-table memory references performed *)
-  table_ppns : int64 list;  (** PPNs of the table pages visited, root
-                                first — the shadow pager uses these to
-                                write-protect guest page-table frames *)
+type walk = {
+  mutable pte : Pte.Word.t;  (** the leaf entry (after a hit) *)
+  mutable pte_addr : int;  (** table address of the leaf entry (after a hit) *)
+  mutable level : int;
+      (** the leaf's level (0 = 4 KiB, 1 = 2 MiB superpage), or the level
+          at which a faulting walk stopped *)
+  mutable refs : int;  (** page-table memory references performed *)
+  mutable bad_pte : bool;
+      (** after a fault: the entry was malformed (a leaf above level 1, a
+          misaligned superpage, a pointer at level 0, a non-canonical
+          address) rather than merely not present *)
 }
 
-type walk_fault = {
-  fault_level : int;  (** level at which the walk stopped *)
-  fault_refs : int;  (** references performed before stopping *)
-  bad_pte : bool;  (** true when the entry was malformed (e.g. a leaf at
-                       a non-zero level) rather than merely not present *)
-}
+val scratch : unit -> walk
+(** A fresh outcome record, to be reused across walks. *)
 
-val walk : accessor -> root_ppn:int64 -> int64 -> (walk_ok, walk_fault) result
-(** [walk acc ~root_ppn va] walks to the leaf for [va].  Does not touch
-    A/D bits (callers decide).  Non-canonical addresses fault at the root
-    level with [bad_pte = true]. *)
+val walk : read:(int -> Pte.Word.t) -> walk -> root_ppn:int -> int64 -> bool
+(** [walk ~read w ~root_ppn va] walks to the leaf for [va]: [true] with
+    [w.pte], [w.pte_addr], [w.level] and [w.refs] set, or [false] with
+    [w.level], [w.refs] and [w.bad_pte] set.  Does not touch A/D bits
+    (callers decide).  Non-canonical addresses fault at the root level
+    with no reference made and [bad_pte = true]. *)
 
-val leaf_pa : pte:Pte.t -> level:int -> va:int64 -> int64
+val leaf_pa : pte:Pte.Word.t -> level:int -> va:int64 -> int
 (** [leaf_pa ~pte ~level ~va] composes the physical address of [va]
     through a leaf found at [level]. *)
-
-val map :
-  ?level:int ->
-  accessor ->
-  alloc:(unit -> int64) ->
-  root_ppn:int64 ->
-  va:int64 ->
-  Pte.t ->
-  unit
-(** [map acc ~alloc ~root_ppn ~va pte] installs leaf [pte] for [va] at
-    [level] (default 0; 1 installs a 2 MiB superpage), allocating
-    intermediate table pages with [alloc] (which must return the PPN of
-    a zeroed frame).  Overwrites any existing leaf.
-
-    @raise Invalid_argument if [va] is not canonical or page aligned, or
-    an intermediate entry is a malformed leaf. *)
-
-val unmap : accessor -> root_ppn:int64 -> va:int64 -> bool
-(** [unmap acc ~root_ppn ~va] clears the leaf; returns false if nothing
-    was mapped.  Intermediate tables are not reclaimed. *)
-
-val update_leaf :
-  accessor -> root_ppn:int64 -> va:int64 -> f:(Pte.t -> Pte.t) -> bool
-(** [update_leaf acc ~root_ppn ~va ~f] rewrites an existing leaf in
-    place; false if the walk faults. *)
-
-val iter_leaves :
-  accessor -> root_ppn:int64 -> f:(va:int64 -> pte_addr:int64 -> Pte.t -> unit) -> unit
-(** [iter_leaves acc ~root_ppn ~f] visits every valid leaf in the tree. *)
-
-val count_table_pages : accessor -> root_ppn:int64 -> int
-(** [count_table_pages acc ~root_ppn] counts table pages (including the
-    root) reachable from the root — the memory footprint of the tree. *)

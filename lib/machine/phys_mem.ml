@@ -148,6 +148,16 @@ let[@inline] read_at t pa w =
     | Instr.W32 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le p o)) 0xFFFF_FFFFL
     | Instr.W64 -> Bytes.get_int64_le p o
 
+(* The unchecked primitive, so the word is never boxed: [check_word] has
+   already bounded [pa], and [o] leaves 8 bytes in the page. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let read_word t pa =
+  check_word t pa 8;
+  let o = pa land mask in
+  if o > page - 8 then Int64.to_int (read_straddle t pa 8)
+  else Int64.to_int (get64u t.pages.(pa lsr Arch.page_shift) o)
+
 let[@inline] write_at t pa w v =
   let bytes = Instr.width_bytes w in
   check_word t pa bytes;

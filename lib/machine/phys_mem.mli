@@ -45,6 +45,12 @@ val write_at : t -> int -> Velum_isa.Instr.width -> int64 -> unit
     carries it: same bytes, same notifications, and the same
     [Invalid_argument] when out of range. *)
 
+val read_word : t -> int -> int
+(** [read_word t pa] is the 8-byte word at [pa] as an [int]: its low 63
+    bits, unboxed (a page-table entry as {!Velum_isa.Pte.Word}).
+
+    @raise Invalid_argument if out of range. *)
+
 val load_bytes : t -> pa:int64 -> ?pos:int -> ?len:int -> Bytes.t -> unit
 (** [load_bytes t ~pa ~pos ~len b] copies [len] bytes of [b] from [pos]
     (default: all of [b]) into memory at [pa], with one notification for

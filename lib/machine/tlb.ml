@@ -23,13 +23,17 @@ type entry = {
    and every miss walks.  Deletion shifts later members of the run back
    into the hole, so there are no tombstones and a lookup allocates
    nothing.  The index is never iterated, so its layout cannot leak into
-   behaviour. *)
+   behaviour.  The live slots are also kept as a set, so a full flush
+   touches only them. *)
 type bank = {
   slots : entry option array;
   keys : int array;  (* key of the entry in each live slot *)
   versions : int array;
       (* per slot, bumped whenever the slot's live entry leaves: while a
          slot's version is unchanged, so is the entry it held *)
+  live : int array;  (* the live slots, in [live.(0 .. n_live - 1)] *)
+  live_at : int array;  (* each live slot's position in [live] *)
+  mutable n_live : int;
   index : int array;
   mask : int;  (* index length - 1 *)
   shift : int;  (* int bits - log2 (index length) *)
@@ -49,7 +53,20 @@ type t = {
          a live superpage entry — never on any other fill into an empty
          slot.  A consumer that cached "[lookup] returns entry E" may
          keep trusting it exactly while the generation is unchanged. *)
+  mutable recent : int;
+      (* the 4 KiB slot last hit or filled, or -1: the micro-TLB's fill
+         and the fetch window's certificate follow a translate for the
+         same vpn, so [lookup] and [cert_slot] try it, checked exactly,
+         before probing *)
 }
+
+let permits e access ~user =
+  ((not user) || e.perms.u)
+  &&
+  match access with
+  | Arch.Fetch -> e.perms.x
+  | Arch.Load -> e.perms.r
+  | Arch.Store -> e.perms.w && e.dirty_ok
 
 let make_bank size =
   let rec index_bits b = if 1 lsl b >= 4 * size then b else index_bits (b + 1) in
@@ -58,6 +75,9 @@ let make_bank size =
     slots = Array.make size None;
     keys = Array.make size 0;
     versions = Array.make size 0;
+    live = Array.make size 0;
+    live_at = Array.make size 0;
+    n_live = 0;
     index = Array.make (1 lsl bits) (-1);
     mask = (1 lsl bits) - 1;
     shift = Sys.int_size - bits;
@@ -75,9 +95,8 @@ let create ~size =
     evictions = 0;
     flushes = 0;
     generation = 0;
+    recent = -1;
   }
-
-let size t = Array.length t.small.slots
 
 (* Index position holding [key], or [-1].  The index always has empty
    cells, so the probe terminates. *)
@@ -109,15 +128,41 @@ let remove_pos b pos =
   b.index.(pos) <- -1;
   close_hole b pos ((pos + 1) land b.mask)
 
+let add_live b slot =
+  b.live.(b.n_live) <- slot;
+  b.live_at.(slot) <- b.n_live;
+  b.n_live <- b.n_live + 1
+
+let remove_live b slot =
+  let last = b.live.(b.n_live - 1) in
+  let at = b.live_at.(slot) in
+  b.live.(at) <- last;
+  b.live_at.(last) <- at;
+  b.n_live <- b.n_live - 1
+
 let bank_lookup b key =
   let pos = find b key in
   if pos < 0 then None else b.slots.(b.index.(pos))
 
+(* The 4 KiB slot holding [key], or -1; a hit becomes [recent]. *)
+let small_slot t key =
+  let b = t.small in
+  let s = t.recent in
+  if s >= 0 && b.keys.(s) = key && b.slots.(s) != None then s
+  else begin
+    let pos = find b key in
+    if pos < 0 then -1
+    else begin
+      let s = b.index.(pos) in
+      t.recent <- s;
+      s
+    end
+  end
+
 let lookup t ~vpn =
   let key = Int64.to_int vpn in
-  match bank_lookup t.small key with
-  | Some _ as hit -> hit
-  | None -> bank_lookup t.large (key lsr Arch.vpn_bits)
+  let s = small_slot t key in
+  if s >= 0 then t.small.slots.(s) else bank_lookup t.large (key lsr Arch.vpn_bits)
 
 (* Any removal of a live entry invalidates what consumers may have
    cached about the TLB's contents, so it counts as an eviction and
@@ -126,6 +171,7 @@ let evict_slot t b slot =
   match b.slots.(slot) with
   | Some _ ->
       remove_pos b (find b b.keys.(slot));
+      remove_live b slot;
       b.slots.(slot) <- None;
       b.versions.(slot) <- b.versions.(slot) + 1;
       t.evictions <- t.evictions + 1;
@@ -146,27 +192,38 @@ let bank_insert t b key e =
   evict_slot t b slot;
   b.slots.(slot) <- Some e;
   b.keys.(slot) <- key;
-  add b slot (home b key)
+  add_live b slot;
+  add b slot (home b key);
+  slot
 
 let insert t e =
   let key = Int64.to_int e.vpn in
-  if e.superpage then bank_insert t t.large (key lsr Arch.vpn_bits) e
+  if e.superpage then ignore (bank_insert t t.large (key lsr Arch.vpn_bits) e)
   else begin
     (* a 4 KiB entry takes precedence over a live superpage entry for
        the same vpn: [lookup]'s answer changes although nothing left *)
     if find t.large (key lsr Arch.vpn_bits) >= 0 then t.generation <- t.generation + 1;
-    bank_insert t t.small key e
+    t.recent <- bank_insert t t.small key e
   end
 
+(* Empty every live slot (an empty slot's version was bumped when its
+   entry left).  A live key's index cell is in the run from its home, past
+   cells already emptied: nothing moves while the runs are cleared. *)
+let rec clear_cell b slot i =
+  if b.index.(i) = slot then b.index.(i) <- -1 else clear_cell b slot ((i + 1) land b.mask)
+
+let flush_bank b =
+  for k = 0 to b.n_live - 1 do
+    let slot = b.live.(k) in
+    clear_cell b slot (home b b.keys.(slot));
+    b.slots.(slot) <- None;
+    b.versions.(slot) <- b.versions.(slot) + 1
+  done;
+  b.n_live <- 0
+
 let flush t =
-  List.iter
-    (fun b ->
-      Array.fill b.slots 0 (Array.length b.slots) None;
-      Array.fill b.index 0 (Array.length b.index) (-1);
-      for i = 0 to Array.length b.versions - 1 do
-        b.versions.(i) <- b.versions.(i) + 1
-      done)
-    [ t.small; t.large ];
+  flush_bank t.small;
+  flush_bank t.large;
   t.flushes <- t.flushes + 1;
   t.generation <- t.generation + 1
 
@@ -179,10 +236,7 @@ let flush_vpn t vpn =
   flush_key t t.small key;
   flush_key t t.large (key lsr Arch.vpn_bits)
 
-let cert_slot t ~vpn =
-  let b = t.small in
-  let pos = find b (Int64.to_int vpn) in
-  if pos < 0 then -1 else b.index.(pos)
+let cert_slot t ~vpn = small_slot t (Int64.to_int vpn)
 
 let version t slot = if slot < 0 then 0 else t.small.versions.(slot)
 let holds t ~slot ~version = slot >= 0 && t.small.versions.(slot) = version

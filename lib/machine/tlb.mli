@@ -26,7 +26,10 @@ type t
 val create : size:int -> t
 (** @raise Invalid_argument if [size <= 0]. *)
 
-val size : t -> int
+val permits : entry -> Arch.access -> user:bool -> bool
+(** [permits e access ~user] — the entry's permissions allow the access,
+    and a store finds the dirty bit hardened: the translators' hit
+    predicate. *)
 
 val lookup : t -> vpn:int64 -> entry option
 (** [lookup t ~vpn] — 4 KiB entries are consulted first, then superpage
@@ -38,6 +41,8 @@ val insert : t -> entry -> unit
     replacing any existing entry for the same VPN. *)
 
 val flush : t -> unit
+(** Drop every entry, in time proportional to the entries live. *)
+
 val flush_vpn : t -> int64 -> unit
 
 val hits : t -> int

@@ -58,23 +58,25 @@ grep -q "retransmits" "$tmp/mig1.txt" || {
 echo "== engine equivalence (interp vs block) =="
 # The block engine must be observationally identical to the reference
 # interpreter: same console bytes, same outcome, same guest/VMM cycles
-# and retired-instruction counts, same per-kind exit accounting.  Only
-# the engine-local statistics gauges (tlb.* / dtlb.* / engine.* lines)
-# may differ — the block engine exists to skip redundant translations —
-# so those are filtered out before the diff.  The virtualized legs run
+# and retired-instruction counts, same per-kind exit accounting, same
+# TLB misses, evictions and full flushes.  Only the engine-local gauges
+# may differ — tlb.hits, dtlb.* and engine.* lines: the block engine
+# exists to skip translations that would be TLB hits — so those are
+# filtered out before the diff.  The virtualized legs run
 # hot enough that the superblock trace tier kicks in (promotion
 # threshold is a handful of dispatches), so this diff also certifies
 # trace execution against the interpreter; the engine.trace.built gauge
 # is checked below to prove traces really formed.  The two binary-
 # translation legs (paravirtual, and shadow paging) run the same diff
 # through the translated sensitive sites.
+engine_local='^(engine\.|dtlb\.|tlb\.hits:)'
 for w in hello spin syscalls memwalk pt-churn blk vblk; do
   for cfg in "--native" "--paging nested" "--paging shadow" "--pv --exec bt" \
     "--paging shadow --exec bt"; do
     for eng in interp block; do
       dune exec bin/velum.exe -- run -w "$w" -n 24 $cfg --engine "$eng" \
         >"$tmp/$w.$eng.raw.txt"
-      grep -v -E '^(engine|tlb|dtlb)\.' <"$tmp/$w.$eng.raw.txt" >"$tmp/$w.$eng.txt"
+      grep -v -E "$engine_local" <"$tmp/$w.$eng.raw.txt" >"$tmp/$w.$eng.txt"
     done
     diff "$tmp/$w.interp.txt" "$tmp/$w.block.txt" || {
       echo "FAIL: interp/block divergence on $w ($cfg)"; exit 1; }
@@ -97,7 +99,7 @@ for cfg in "--paging nested" "--paging shadow"; do
   for eng in interp block; do
     dune exec bin/velum.exe -- run -w memwalk -n 96 $cfg --engine "$eng" \
       >"$tmp/memwalk96.$eng.raw.txt"
-    grep -v -E '^(engine|tlb|dtlb)\.' <"$tmp/memwalk96.$eng.raw.txt" >"$tmp/memwalk96.$eng.txt"
+    grep -v -E "$engine_local" <"$tmp/memwalk96.$eng.raw.txt" >"$tmp/memwalk96.$eng.txt"
   done
   diff "$tmp/memwalk96.interp.txt" "$tmp/memwalk96.block.txt" || {
     echo "FAIL: interp/block divergence on memwalk -n 96 ($cfg)"; exit 1; }
@@ -114,7 +116,7 @@ for leg in "memwalk 24" "dirty 24" "memwalk 96"; do
   for eng in interp block; do
     dune exec bin/velum.exe -- run -w "$1" -n "$2" --ha --budget 50000000 --engine "$eng" \
       >"$tmp/ha.$1.$2.$eng.raw.txt"
-    grep -v -E '^(engine|tlb|dtlb)\.' <"$tmp/ha.$1.$2.$eng.raw.txt" >"$tmp/ha.$1.$2.$eng.txt"
+    grep -v -E "$engine_local" <"$tmp/ha.$1.$2.$eng.raw.txt" >"$tmp/ha.$1.$2.$eng.txt"
   done
   diff "$tmp/ha.$1.$2.interp.txt" "$tmp/ha.$1.$2.block.txt" || {
     echo "FAIL: interp/block divergence on $1 -n $2 (--ha)"; exit 1; }

@@ -623,14 +623,52 @@ let minor_words_per_insn engine =
   let words = Gc.minor_words () -. w0 in
   words /. Int64.to_float (Int64.sub state.Cpu.instret i0)
 
+(* Host allocation per retired guest instruction over a whole
+   shadow-paging run of [user] under the default engine, exits included:
+   the [step_n] + [Emulate.handle_exit] loop the hypervisor runs around
+   each vCPU slice, without the scheduler.  Counts are deterministic, so
+   this pins the miss path (walks, shadow fills, PT-write emulation, TLB
+   flushes) the way the case above pins the hit path. *)
+let shadow_words_per_insn user =
+  let setup = Images.plan ~user () in
+  let _, vm = Images.boot ~name:"alloc" ~paging:Vm.Shadow_paging setup in
+  let state = vm.Vm.vcpus.(0).Vcpu.state in
+  let ctx = Vm.cpu_ctx vm ~vcpu_idx:0 ~now:(fun () -> 0L) in
+  let i0 = state.Cpu.instret and w0 = Gc.minor_words () in
+  let rec go () =
+    match vm.Vm.engine.Engine.step_n state ctx ~fuel:100_000 with
+    | _, Cpu.Budget -> go ()
+    | _, Cpu.Halted -> ()
+    | _, Cpu.Exit e -> (
+        match Emulate.handle_exit vm ~vcpu_idx:0 ~now:0L e with
+        | Emulate.Resume | Emulate.Yielded -> go ()
+        | Emulate.Vcpu_halted -> ()
+        | Emulate.Became_blocked -> Alcotest.fail "guest blocked")
+    | _, Cpu.Waiting -> Alcotest.fail "guest waited"
+  in
+  go ();
+  let words = Gc.minor_words () -. w0 in
+  words /. Int64.to_float (Int64.sub state.Cpu.instret i0)
+
 let alloc_budget () =
   let block = minor_words_per_insn Engine.Block
   and interp = minor_words_per_insn Engine.Interp in
-  Printf.printf "minor words per instruction: block %.4f, interp %.2f\n" block interp;
+  let churn = shadow_words_per_insn (Workloads.pt_churn ~batch:16 ~count:200 ())
+  and syscalls = shadow_words_per_insn (Workloads.syscall_loop ~count:2000L) in
+  Printf.printf
+    "minor words per instruction: block %.4f, interp %.2f, shadow pt_churn %.2f, shadow \
+     syscall_loop %.2f\n"
+    block interp churn syscalls;
   Alcotest.(check bool) (Printf.sprintf "trace tier allocates %.4f <= 0.05" block) true
     (block <= 0.05);
   Alcotest.(check bool) (Printf.sprintf "interpreter allocates %.2f <= 40" interp) true
-    (interp <= 40.0)
+    (interp <= 40.0);
+  (* shadow paging, exits included: 19.0 and 14.2 words per instruction
+     since the miss path stopped allocating (34.2 and 17.1 before) *)
+  Alcotest.(check bool) (Printf.sprintf "shadow pt_churn allocates %.2f <= 21" churn) true
+    (churn <= 21.0);
+  Alcotest.(check bool) (Printf.sprintf "shadow syscall_loop allocates %.2f <= 15.5" syscalls)
+    true (syscalls <= 15.5)
 
 (* Random programs that also store encoded instructions over a patch
    slab inside their own (RWX-mapped) code page, then fall through and

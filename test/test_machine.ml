@@ -505,7 +505,7 @@ let make_pt_world () =
   in
   let acc =
     {
-      Page_table.read_pte = (fun pa -> Phys_mem.read mem pa Instr.W64);
+      Pt_build.read_pte = (fun pa -> Phys_mem.read mem pa Instr.W64);
       write_pte = (fun pa v -> Phys_mem.write mem pa Instr.W64 v);
     }
   in
@@ -517,29 +517,28 @@ let test_pt_map_walk () =
   let _, acc, alloc = make_pt_world () in
   let root = alloc () in
   let va = 0x12_3456_7000L in
-  Page_table.map acc ~alloc ~root_ppn:root ~va (Pte.leaf ~ppn:33L rwxu);
-  match Page_table.walk acc ~root_ppn:root va with
-  | Ok { pte; refs; table_ppns; _ } ->
+  Pt_build.map acc ~alloc ~root_ppn:root ~va (Pte.leaf ~ppn:33L rwxu);
+  match Pt_build.walk acc ~root_ppn:root va with
+  | Ok { pte; refs; _ } ->
       check64 "target" 33L (Pte.ppn pte);
-      checki "refs" 3 refs;
-      checki "tables visited" 3 (List.length table_ppns)
+      checki "refs" 3 refs
   | Error _ -> Alcotest.fail "walk failed"
 
 let test_pt_walk_not_mapped () =
   let _, acc, alloc = make_pt_world () in
   let root = alloc () in
-  (match Page_table.walk acc ~root_ppn:root 0x5000L with
+  (match Pt_build.walk acc ~root_ppn:root 0x5000L with
   | Error { fault_level = 2; bad_pte = false; _ } -> ()
   | _ -> Alcotest.fail "expected level-2 miss");
-  Page_table.map acc ~alloc ~root_ppn:root ~va:0x5000L (Pte.leaf ~ppn:5L rwxu);
-  match Page_table.walk acc ~root_ppn:root 0x6000L with
+  Pt_build.map acc ~alloc ~root_ppn:root ~va:0x5000L (Pte.leaf ~ppn:5L rwxu);
+  match Pt_build.walk acc ~root_ppn:root 0x6000L with
   | Error { fault_level = 0; bad_pte = false; _ } -> ()
   | _ -> Alcotest.fail "expected level-0 miss"
 
 let test_pt_non_canonical () =
   let _, acc, alloc = make_pt_world () in
   let root = alloc () in
-  match Page_table.walk acc ~root_ppn:root 0x80_0000_0000L with
+  match Pt_build.walk acc ~root_ppn:root 0x80_0000_0000L with
   | Error { bad_pte = true; _ } -> ()
   | _ -> Alcotest.fail "expected canonical fault"
 
@@ -547,15 +546,15 @@ let test_pt_unmap_update () =
   let _, acc, alloc = make_pt_world () in
   let root = alloc () in
   let va = 0x7000L in
-  Page_table.map acc ~alloc ~root_ppn:root ~va (Pte.leaf ~ppn:9L rwxu);
+  Pt_build.map acc ~alloc ~root_ppn:root ~va (Pte.leaf ~ppn:9L rwxu);
   checkb "update" true
-    (Page_table.update_leaf acc ~root_ppn:root ~va ~f:Pte.set_dirty);
-  (match Page_table.walk acc ~root_ppn:root va with
+    (Pt_build.update_leaf acc ~root_ppn:root ~va ~f:Pte.set_dirty);
+  (match Pt_build.walk acc ~root_ppn:root va with
   | Ok { pte; _ } -> checkb "dirty set" true (Pte.dirty pte)
   | Error _ -> Alcotest.fail "walk failed");
-  checkb "unmap" true (Page_table.unmap acc ~root_ppn:root ~va);
-  checkb "unmap again" false (Page_table.unmap acc ~root_ppn:root ~va);
-  match Page_table.walk acc ~root_ppn:root va with
+  checkb "unmap" true (Pt_build.unmap acc ~root_ppn:root ~va);
+  checkb "unmap again" false (Pt_build.unmap acc ~root_ppn:root ~va);
+  match Pt_build.walk acc ~root_ppn:root va with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "still mapped"
 
@@ -565,16 +564,16 @@ let test_pt_iter_count () =
   let vas = [ 0x1000L; 0x2000L; 0x40_0000L; 0x12_3456_7000L ] in
   List.iteri
     (fun i va ->
-      Page_table.map acc ~alloc ~root_ppn:root ~va (Pte.leaf ~ppn:(Int64.of_int (100 + i)) rwxu))
+      Pt_build.map acc ~alloc ~root_ppn:root ~va (Pte.leaf ~ppn:(Int64.of_int (100 + i)) rwxu))
     vas;
   let seen = ref [] in
-  Page_table.iter_leaves acc ~root_ppn:root ~f:(fun ~va ~pte_addr:_ _ -> seen := va :: !seen);
+  Pt_build.iter_leaves acc ~root_ppn:root ~f:(fun ~va ~pte_addr:_ _ -> seen := va :: !seen);
   Alcotest.(check (list int64)) "all leaves" (List.sort compare vas)
     (List.sort compare !seen);
   (* root; one L1 for the first GB shared by 0x1000/0x2000/0x400000;
      a leaf table for 0x1000/0x2000 and another for 0x400000; the huge
      address gets its own L1 and leaf table: 6 table pages in all *)
-  checki "table pages" 6 (Page_table.count_table_pages acc ~root_ppn:root)
+  checki "table pages" 6 (Pt_build.count_table_pages acc ~root_ppn:root)
 
 let prop_pt_map_then_walk =
   QCheck2.Test.make ~count:200 ~name:"map/walk round-trips over random VAs"
@@ -586,13 +585,13 @@ let prop_pt_map_then_walk =
       List.iteri
         (fun i page ->
           let va = Int64.shift_left (Int64.of_int page) 12 in
-          Page_table.map acc ~alloc ~root_ppn:root ~va
+          Pt_build.map acc ~alloc ~root_ppn:root ~va
             (Pte.leaf ~ppn:(Int64.of_int (200 + i)) rwxu))
         vas;
       List.for_all
         (fun page ->
           let va = Int64.shift_left (Int64.of_int page) 12 in
-          match Page_table.walk acc ~root_ppn:root va with
+          match Pt_build.walk acc ~root_ppn:root va with
           | Ok { pte; _ } -> Pte.ppn pte >= 200L
           | Error _ -> false)
         vas)
@@ -601,25 +600,137 @@ let test_pt_superpage () =
   let _, acc, alloc = make_pt_world () in
   let root = alloc () in
   (* a 2 MiB leaf at level 1: base frame 512-aligned *)
-  Page_table.map ~level:1 acc ~alloc ~root_ppn:root ~va:0x20_0000L
+  Pt_build.map ~level:1 acc ~alloc ~root_ppn:root ~va:0x20_0000L
     (Pte.leaf ~ppn:512L rwxu);
-  (match Page_table.walk acc ~root_ppn:root 0x21_2345L with
+  (match Pt_build.walk acc ~root_ppn:root 0x21_2345L with
   | Ok { pte; level = 1; refs = 2; _ } ->
       check64 "pa composes superpage offset" 0x21_2345L
-        (Page_table.leaf_pa ~pte ~level:1 ~va:0x21_2345L)
+        (Int64.of_int (Page_table.leaf_pa ~pte:(Int64.to_int pte) ~level:1 ~va:0x21_2345L))
       (* base ppn 512 = pa 0x200000, so identity here *)
   | Ok _ -> Alcotest.fail "expected a level-1 leaf with 2 refs"
   | Error _ -> Alcotest.fail "superpage walk failed");
   (* a misaligned superpage base is malformed *)
-  Page_table.map ~level:1 acc ~alloc ~root_ppn:root ~va:0x40_0000L
+  Pt_build.map ~level:1 acc ~alloc ~root_ppn:root ~va:0x40_0000L
     (Pte.leaf ~ppn:513L rwxu);
-  (match Page_table.walk acc ~root_ppn:root 0x40_0000L with
+  (match Pt_build.walk acc ~root_ppn:root 0x40_0000L with
   | Error { bad_pte = true; _ } -> ()
   | _ -> Alcotest.fail "misaligned superpage should be malformed");
   (* iter_leaves reports the superpage once *)
   let supers = ref 0 in
-  Page_table.iter_leaves acc ~root_ppn:root ~f:(fun ~va:_ ~pte_addr:_ _ -> incr supers);
+  Pt_build.iter_leaves acc ~root_ppn:root ~f:(fun ~va:_ ~pte_addr:_ _ -> incr supers);
   checki "leaves seen" 2 !supers
+
+(* The walker as it was before it read entries as immediates into a
+   caller-owned record: an accessor, a result, its own bit tests.  Kept
+   as the model the allocation-free walker must match. *)
+module Reference_walk = struct
+  open Velum_util
+
+  type ok = { pte : int64; pte_addr : int64; level : int; refs : int }
+  type fault = { fault_level : int; fault_refs : int; bad_pte : bool }
+
+  let valid pte = Bitops.test_bit pte 0
+  let leaf pte = valid pte && (Bitops.test_bit pte 1 || Bitops.test_bit pte 2 || Bitops.test_bit pte 3)
+  let ppn pte = Bitops.extract pte ~lo:10 ~width:44
+
+  let walk (acc : Pt_build.accessor) ~root_ppn va =
+    if Int64.shift_right_logical va 39 <> 0L then
+      Error { fault_level = 2; fault_refs = 0; bad_pte = true }
+    else
+      let rec go level table_ppn refs =
+        let index = Int64.to_int (Bitops.extract va ~lo:(12 + (9 * level)) ~width:9) in
+        let addr = Int64.add (Int64.shift_left table_ppn 12) (Int64.of_int (index * 8)) in
+        let pte = acc.read_pte addr in
+        let refs = refs + 1 in
+        if not (valid pte) then Error { fault_level = level; fault_refs = refs; bad_pte = false }
+        else if leaf pte then
+          if level <= 1 then
+            if level = 1 && not (Bitops.is_aligned (ppn pte) 512) then
+              Error { fault_level = level; fault_refs = refs; bad_pte = true }
+            else Ok { pte; pte_addr = addr; level; refs }
+          else Error { fault_level = level; fault_refs = refs; bad_pte = true }
+        else if level = 0 then Error { fault_level = 0; fault_refs = refs; bad_pte = true }
+        else go (level - 1) (ppn pte) refs
+      in
+      go 2 root_ppn 0
+end
+
+(* Random three-level tables in frames 1-6 of a 16-frame memory, entries
+   at indexes 0-3 only so walks keep meeting them: not present, pointers
+   (to tables, to an empty frame, beyond RAM), leaves with every
+   permission mix over aligned and misaligned superpage bases, and raw
+   words with reserved and top bits set. *)
+let gen_pt_entry =
+  QCheck2.Gen.(
+    let frame = oneofl [ 1L; 2L; 3L; 4L; 5L; 6L; 7L; 40L ] in
+    let perms =
+      map
+        (fun (r, w, x, u) -> { Pte.r; w; x; u })
+        (quad bool bool bool bool)
+    in
+    frequency
+      [
+        (2, return Pte.invalid);
+        (4, map (fun ppn -> Pte.table ~ppn) frame);
+        ( 4,
+          map2
+            (fun ppn p -> Pte.leaf ~ppn p)
+            (oneofl [ 0L; 7L; 512L; 513L; 1024L; 0xFFF_FFFF_FE00L ])
+            perms );
+        (1, map (fun (hi, lo) -> Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+              (pair (int_bound 0xFFFF_FFFF) (int_bound 0xFFFF_FFFF)) );
+        (1, map (fun v -> Int64.logor v Int64.min_int) (map Int64.of_int (int_bound 0x3FF)));
+      ])
+
+let gen_walk_va =
+  QCheck2.Gen.(
+    map
+      (fun ((i2, i1, i0), (off, noncanon)) ->
+        let va = (i2 lsl 30) lor (i1 lsl 21) lor (i0 lsl 12) lor off in
+        Int64.logor (Int64.of_int va) (if noncanon then Int64.shift_left 1L 39 else 0L))
+      (pair
+         (triple (int_range 0 3) (int_range 0 3) (int_range 0 3))
+         (pair (int_bound 4095) (frequency [ (9, return false); (1, return true) ]))))
+
+let prop_walk_matches_reference =
+  QCheck2.Test.make ~count:400 ~name:"walker matches the reference walk"
+    QCheck2.Gen.(
+      triple (int_range 1 6)
+        (list_size (int_range 0 40) (triple (int_range 1 6) (int_range 0 3) gen_pt_entry))
+        (list_size (int_range 1 20) gen_walk_va))
+    (fun (root, entries, vas) ->
+      let mem = Phys_mem.create ~frames:16 in
+      List.iter
+        (fun (frame, index, pte) ->
+          Phys_mem.write mem (Int64.of_int ((frame * 4096) + (index * 8))) Instr.W64 pte)
+        entries;
+      let acc =
+        {
+          Pt_build.read_pte =
+            (fun pa ->
+              if Phys_mem.in_range mem ~pa ~bytes:8 then Phys_mem.read mem pa Instr.W64
+              else Pte.invalid);
+          write_pte = (fun _ _ -> ());
+        }
+      in
+      let last = Phys_mem.size_bytes mem - 8 in
+      let read pa = if pa >= 0 && pa <= last then Phys_mem.read_word mem pa else 0 in
+      let w = Page_table.scratch () in
+      List.for_all
+        (fun va ->
+          match
+            ( Reference_walk.walk acc ~root_ppn:(Int64.of_int root) va,
+              Page_table.walk ~read w ~root_ppn:root va )
+          with
+          | Ok r, true ->
+              Int64.to_int r.pte = w.Page_table.pte
+              && Int64.to_int r.pte_addr = w.pte_addr
+              && r.level = w.level && r.refs = w.refs
+          | Error f, false ->
+              f.fault_level = w.Page_table.level && f.fault_refs = w.refs
+              && f.bad_pte = w.bad_pte
+          | _ -> false)
+        vas)
 
 let test_tlb_superpage_entry () =
   let tlb = Tlb.create ~size:4 in
@@ -877,6 +988,264 @@ let prop_tlb_matches_reference =
           && Tlb.flushes t = Reference.flushes r
           && Tlb.generation t = Reference.generation r)
         ops)
+
+(* The TLB as it was before full flushes tracked the live slots (every
+   flush refilled each slot, index cell and version), kept verbatim (bar
+   [size] and [reset_stats], unused here) as the model the O(live) flush and the recent-slot memo must match: same
+   lookups, generations, counters and certificate outcomes. *)
+module Full_flush = struct
+  type entry = Tlb.entry = {
+    vpn : int64;
+    ppn : int64;
+    perms : Pte.perms;
+    dirty_ok : bool;
+    mmio : bool;
+    superpage : bool;
+  }
+
+  (* Two fully-associative banks with round-robin replacement, each with
+     an open-addressed index of slot numbers. *)
+  type bank = {
+    slots : entry option array;
+    keys : int array;  (* key of the entry in each live slot *)
+    versions : int array;
+        (* per slot, bumped whenever the slot's live entry leaves: while a
+           slot's version is unchanged, so is the entry it held *)
+    index : int array;
+    mask : int;  (* index length - 1 *)
+    shift : int;  (* int bits - log2 (index length) *)
+    mutable victim : int;
+  }
+
+  type t = {
+    small : bank;
+    large : bank;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+    mutable flushes : int;
+    mutable generation : int;
+        (* bumped whenever an entry leaves or changes (flush, capacity
+           eviction, same-vpn replacement), and when a 4 KiB fill shadows
+           a live superpage entry — never on any other fill into an empty
+           slot.  A consumer that cached "[lookup] returns entry E" may
+           keep trusting it exactly while the generation is unchanged. *)
+  }
+
+  let make_bank size =
+    let rec index_bits b = if 1 lsl b >= 4 * size then b else index_bits (b + 1) in
+    let bits = index_bits 0 in
+    {
+      slots = Array.make size None;
+      keys = Array.make size 0;
+      versions = Array.make size 0;
+      index = Array.make (1 lsl bits) (-1);
+      mask = (1 lsl bits) - 1;
+      shift = Sys.int_size - bits;
+      victim = 0;
+    }
+
+  let create ~size =
+    if size <= 0 then invalid_arg "Tlb.create: size must be positive";
+    (* the superpage bank is a quarter of the 4K bank, at least 4 entries *)
+    {
+      small = make_bank size;
+      large = make_bank (max 4 (size / 4));
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+      flushes = 0;
+      generation = 0;
+    }
+
+  (* Index position holding [key], or [-1].  The index always has empty
+     cells, so the probe terminates. *)
+  let rec find_pos b key i =
+    let s = b.index.(i) in
+    if s < 0 then -1 else if b.keys.(s) = key then i else find_pos b key ((i + 1) land b.mask)
+
+  let home b key = (key * 0x4F1B_BCDC_BFA5_3E0B) lsr b.shift
+  let find b key = find_pos b key (home b key)
+
+  let rec add b slot i =
+    if b.index.(i) < 0 then b.index.(i) <- slot else add b slot ((i + 1) land b.mask)
+
+  (* [hole] was just emptied: walk the rest of its probe run and move back
+     every member whose home cell does not lie cyclically in (hole, j], so
+     each stays reachable from its home. *)
+  let rec close_hole b hole j =
+    let s = b.index.(j) in
+    if s >= 0 then begin
+      if (j - home b b.keys.(s)) land b.mask >= (j - hole) land b.mask then begin
+        b.index.(hole) <- s;
+        b.index.(j) <- -1;
+        close_hole b j ((j + 1) land b.mask)
+      end
+      else close_hole b hole ((j + 1) land b.mask)
+    end
+
+  let remove_pos b pos =
+    b.index.(pos) <- -1;
+    close_hole b pos ((pos + 1) land b.mask)
+
+  let bank_lookup b key =
+    let pos = find b key in
+    if pos < 0 then None else b.slots.(b.index.(pos))
+
+  let lookup t ~vpn =
+    let key = Int64.to_int vpn in
+    match bank_lookup t.small key with
+    | Some _ as hit -> hit
+    | None -> bank_lookup t.large (key lsr Arch.vpn_bits)
+
+  (* Any removal of a live entry invalidates what consumers may have
+     cached about the TLB's contents, so it counts as an eviction and
+     bumps both the generation and the slot's version. *)
+  let evict_slot t b slot =
+    match b.slots.(slot) with
+    | Some _ ->
+        remove_pos b (find b b.keys.(slot));
+        b.slots.(slot) <- None;
+        b.versions.(slot) <- b.versions.(slot) + 1;
+        t.evictions <- t.evictions + 1;
+        t.generation <- t.generation + 1
+    | None -> ()
+
+  let bank_insert t b key e =
+    let pos = find b key in
+    let slot =
+      if pos >= 0 then b.index.(pos)
+      else begin
+        let s = b.victim in
+        b.victim <- (b.victim + 1) mod Array.length b.slots;
+        evict_slot t b s;
+        s
+      end
+    in
+    evict_slot t b slot;
+    b.slots.(slot) <- Some e;
+    b.keys.(slot) <- key;
+    add b slot (home b key)
+
+  let insert t e =
+    let key = Int64.to_int e.vpn in
+    if e.superpage then bank_insert t t.large (key lsr Arch.vpn_bits) e
+    else begin
+      (* a 4 KiB entry takes precedence over a live superpage entry for
+         the same vpn: [lookup]'s answer changes although nothing left *)
+      if find t.large (key lsr Arch.vpn_bits) >= 0 then t.generation <- t.generation + 1;
+      bank_insert t t.small key e
+    end
+
+  let flush t =
+    List.iter
+      (fun b ->
+        Array.fill b.slots 0 (Array.length b.slots) None;
+        Array.fill b.index 0 (Array.length b.index) (-1);
+        for i = 0 to Array.length b.versions - 1 do
+          b.versions.(i) <- b.versions.(i) + 1
+        done)
+      [ t.small; t.large ];
+    t.flushes <- t.flushes + 1;
+    t.generation <- t.generation + 1
+
+  let flush_key t b key =
+    let pos = find b key in
+    if pos >= 0 then evict_slot t b b.index.(pos)
+
+  let flush_vpn t vpn =
+    let key = Int64.to_int vpn in
+    flush_key t t.small key;
+    flush_key t t.large (key lsr Arch.vpn_bits)
+
+  let cert_slot t ~vpn =
+    let b = t.small in
+    let pos = find b (Int64.to_int vpn) in
+    if pos < 0 then -1 else b.index.(pos)
+
+  let version t slot = if slot < 0 then 0 else t.small.versions.(slot)
+  let holds t ~slot ~version = slot >= 0 && t.small.versions.(slot) = version
+
+  let hits t = t.hits
+  let misses t = t.misses
+  let evictions t = t.evictions
+  let flushes t = t.flushes
+  let generation t = t.generation
+  let note_hit t = t.hits <- t.hits + 1
+  let note_miss t = t.misses <- t.misses + 1
+end
+
+type tlb_step =
+  | S_insert of Tlb.entry
+  | S_flush_vpn of int64
+  | S_flush
+  | S_lookup of int64  (* a translator's probe: a hit or a miss noted *)
+  | S_cert of int64  (* a certificate taken on the vpn's 4 KiB slot *)
+
+let gen_tlb_step =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 6,
+          map3
+            (fun vpn ppn superpage ->
+              S_insert
+                { Tlb.vpn; ppn = Int64.of_int ppn; perms = rwxu; dirty_ok = true; mmio = false;
+                  superpage })
+            gen_vpn (int_range 0 1000) (frequency [ (3, return false); (1, return true) ]) );
+        (3, map (fun v -> S_flush_vpn v) gen_vpn);
+        (1, return S_flush);
+        (4, map (fun v -> S_lookup v) gen_vpn);
+        (3, map (fun v -> S_cert v) gen_vpn);
+      ])
+
+let prop_tlb_matches_full_flush =
+  QCheck2.Test.make ~count:300 ~name:"O(live) flush matches the full-flush TLB"
+    QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 1 100) gen_tlb_step))
+    (fun (size, steps) ->
+      let t = Tlb.create ~size and r = Full_flush.create ~size in
+      let certs = ref [] in
+      List.for_all
+        (fun step ->
+          let certs_agree =
+            match step with
+            | S_insert e ->
+                Tlb.insert t e;
+                Full_flush.insert r e;
+                true
+            | S_flush_vpn v ->
+                Tlb.flush_vpn t v;
+                Full_flush.flush_vpn r v;
+                true
+            | S_flush ->
+                Tlb.flush t;
+                Full_flush.flush r;
+                true
+            | S_lookup vpn ->
+                let e = Tlb.lookup t ~vpn in
+                if e = None then Tlb.note_miss t else Tlb.note_hit t;
+                if Full_flush.lookup r ~vpn = None then Full_flush.note_miss r
+                else Full_flush.note_hit r;
+                e = Full_flush.lookup r ~vpn
+            | S_cert vpn ->
+                let slot = Tlb.cert_slot t ~vpn and rslot = Full_flush.cert_slot r ~vpn in
+                certs :=
+                  (slot, Tlb.version t slot, rslot, Full_flush.version r rslot) :: !certs;
+                slot = rslot
+          in
+          certs_agree
+          && List.for_all (fun vpn -> Tlb.lookup t ~vpn = Full_flush.lookup r ~vpn) tlb_probe_vpns
+          && Tlb.generation t = Full_flush.generation r
+          && Tlb.hits t = Full_flush.hits r
+          && Tlb.misses t = Full_flush.misses r
+          && Tlb.evictions t = Full_flush.evictions r
+          && Tlb.flushes t = Full_flush.flushes r
+          && List.for_all
+               (fun (slot, version, rslot, rversion) ->
+                 Tlb.holds t ~slot ~version
+                 = Full_flush.holds r ~slot:rslot ~version:rversion)
+               !certs)
+        steps)
 
 (* ---------------- TLB certificates ----------------
 
@@ -1629,7 +1998,7 @@ let make_mmu_world () =
   in
   let acc =
     {
-      Page_table.read_pte = (fun pa -> Phys_mem.read mem pa Instr.W64);
+      Pt_build.read_pte = (fun pa -> Phys_mem.read mem pa Instr.W64);
       write_pte = (fun pa v -> Phys_mem.write mem pa Instr.W64 v);
     }
   in
@@ -1650,7 +2019,7 @@ let test_mmu_bare () =
 let test_mmu_walk_and_tlb () =
   let _, tlb, satp, mmu, acc, alloc = make_mmu_world () in
   let root = alloc () in
-  Page_table.map acc ~alloc ~root_ppn:root ~va:0x4000L
+  Pt_build.map acc ~alloc ~root_ppn:root ~va:0x4000L
     (Pte.leaf ~ppn:10L { Pte.r = true; w = true; x = false; u = false });
   satp := Arch.satp_make ~root_ppn:root;
   (* first access walks *)
@@ -1670,18 +2039,18 @@ let test_mmu_walk_and_tlb () =
 let test_mmu_ad_bits () =
   let _, _, satp, mmu, acc, alloc = make_mmu_world () in
   let root = alloc () in
-  Page_table.map acc ~alloc ~root_ppn:root ~va:0x4000L
+  Pt_build.map acc ~alloc ~root_ppn:root ~va:0x4000L
     (Pte.leaf ~ppn:10L { Pte.r = true; w = true; x = false; u = false });
   satp := Arch.satp_make ~root_ppn:root;
   ignore (Mmu.translate mmu ~access:Arch.Load ~user:false 0x4000L);
-  (match Page_table.walk acc ~root_ppn:root 0x4000L with
+  (match Pt_build.walk acc ~root_ppn:root 0x4000L with
   | Ok { pte; _ } ->
       checkb "A set" true (Pte.accessed pte);
       checkb "D clear" false (Pte.dirty pte)
   | Error _ -> Alcotest.fail "walk");
   (* store through a load-installed entry re-walks to set D *)
   ignore (Mmu.translate mmu ~access:Arch.Store ~user:false 0x4000L);
-  (match Page_table.walk acc ~root_ppn:root 0x4000L with
+  (match Pt_build.walk acc ~root_ppn:root 0x4000L with
   | Ok { pte; _ } -> checkb "D set" true (Pte.dirty pte)
   | Error _ -> Alcotest.fail "walk");
   checki "two walks" 2 (Mmu.walk_count mmu)
@@ -1689,7 +2058,7 @@ let test_mmu_ad_bits () =
 let test_mmu_permissions () =
   let _, _, satp, mmu, acc, alloc = make_mmu_world () in
   let root = alloc () in
-  Page_table.map acc ~alloc ~root_ppn:root ~va:0x4000L
+  Pt_build.map acc ~alloc ~root_ppn:root ~va:0x4000L
     (Pte.leaf ~ppn:10L { Pte.r = true; w = false; x = false; u = true });
   satp := Arch.satp_make ~root_ppn:root;
   (match Mmu.translate mmu ~access:Arch.Store ~user:true 0x4000L with
@@ -1705,7 +2074,7 @@ let test_mmu_permissions () =
 let test_mmu_flush () =
   let _, tlb, satp, mmu, acc, alloc = make_mmu_world () in
   let root = alloc () in
-  Page_table.map acc ~alloc ~root_ppn:root ~va:0x4000L (Pte.leaf ~ppn:10L rwxu);
+  Pt_build.map acc ~alloc ~root_ppn:root ~va:0x4000L (Pte.leaf ~ppn:10L rwxu);
   satp := Arch.satp_make ~root_ppn:root;
   ignore (Mmu.translate mmu ~access:Arch.Load ~user:false 0x4000L);
   Mmu.flush mmu;
@@ -1716,7 +2085,7 @@ let test_mmu_flush () =
 let test_mmu_write_protected_store_faults () =
   let _, _, satp, mmu, acc, alloc = make_mmu_world () in
   let root = alloc () in
-  Page_table.map acc ~alloc ~root_ppn:root ~va:0x4000L
+  Pt_build.map acc ~alloc ~root_ppn:root ~va:0x4000L
     (Pte.leaf ~ppn:10L { Pte.r = true; w = false; x = false; u = false });
   satp := Arch.satp_make ~root_ppn:root;
   (match Mmu.translate mmu ~access:Arch.Load ~user:false 0x4000L with
@@ -1767,7 +2136,7 @@ let () =
           Alcotest.test_case "iter/count" `Quick test_pt_iter_count;
           Alcotest.test_case "superpages" `Quick test_pt_superpage;
         ]
-        @ qsuite [ prop_pt_map_then_walk ] );
+        @ qsuite [ prop_pt_map_then_walk; prop_walk_matches_reference ] );
       ( "tlb",
         [
           Alcotest.test_case "insert/lookup/evict" `Quick test_tlb_insert_lookup;
@@ -1776,7 +2145,8 @@ let () =
           Alcotest.test_case "stats" `Quick test_tlb_stats;
           Alcotest.test_case "superpage entries" `Quick test_tlb_superpage_entry;
         ]
-        @ qsuite [ prop_tlb_matches_reference; prop_tlb_certificates ] );
+        @ qsuite
+            [ prop_tlb_matches_reference; prop_tlb_matches_full_flush; prop_tlb_certificates ] );
       ( "cpu",
         [
           Alcotest.test_case "alu" `Quick test_cpu_alu;

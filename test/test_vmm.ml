@@ -340,7 +340,7 @@ let make_shadow_world () =
   in
   let acc =
     {
-      Page_table.read_pte = (fun gpa -> Option.value (Vm.read_gpa_u64 vm gpa) ~default:0L);
+      Pt_build.read_pte = (fun gpa -> Option.value (Vm.read_gpa_u64 vm gpa) ~default:0L);
       write_pte = (fun gpa v -> ignore (Vm.write_gpa_u64 vm gpa v));
     }
   in
@@ -350,35 +350,34 @@ let user_rw = { Pte.r = true; w = true; x = false; u = true }
 
 let test_shadow_fill_and_translate () =
   let _, vm, shadow, root_gfn, acc, alloc = make_shadow_world () in
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
   (* fault-fill a load *)
   (match Shadow.handle_fault shadow ~root_gfn ~access:Arch.Load ~user:true ~va:0x4008L with
   | Shadow.Filled _ -> ()
   | _ -> Alcotest.fail "expected fill");
   checki "fills" 1 (Shadow.fills shadow);
-  checkb "root paired" true (Shadow.shadow_root shadow ~root_gfn <> None);
-  checkb "pt pages protected" true (Shadow.is_pt_gfn shadow root_gfn);
+  checkb "root paired and protected" true (Shadow.is_pt_gfn shadow root_gfn);
   (* the shadow now translates loads without faults *)
   let tlb = Tlb.create ~size:8 in
-  (match Shadow.translate shadow ~root_gfn ~tlb ~access:Arch.Load ~user:true 0x4008L with
+  (match Shadow.translate shadow ~satp:(Arch.satp_make ~root_ppn:root_gfn) ~tlb ~access:Arch.Load ~user:true 0x4008L with
   | x when x >= 0 ->
       (* pa must land in the host frame backing gfn 5 *)
       let hpa = Option.get (Vm.resolve_read vm 5L) in
       checki "host frame" (Int64.to_int hpa) (Cpu.xl_pa x lsr 12)
   | _ -> Alcotest.fail "translate failed");
   (* stores still fault (guest D bit not yet set)… *)
-  (match Shadow.translate shadow ~root_gfn ~tlb ~access:Arch.Store ~user:true 0x4008L with
+  (match Shadow.translate shadow ~satp:(Arch.satp_make ~root_ppn:root_gfn) ~tlb ~access:Arch.Store ~user:true 0x4008L with
   | x when x = Cpu.xl_page -> ()
   | _ -> Alcotest.fail "store should fault for D-bit");
   (* …until the pager upgrades them *)
   (match Shadow.handle_fault shadow ~root_gfn ~access:Arch.Store ~user:true ~va:0x4008L with
   | Shadow.Filled _ -> ()
   | _ -> Alcotest.fail "store fill");
-  (match Shadow.translate shadow ~root_gfn ~tlb ~access:Arch.Store ~user:true 0x4008L with
+  (match Shadow.translate shadow ~satp:(Arch.satp_make ~root_ppn:root_gfn) ~tlb ~access:Arch.Store ~user:true 0x4008L with
   | x when x >= 0 -> ()
   | _ -> Alcotest.fail "store should now hit");
   (* and the guest leaf has A+D set *)
-  match Page_table.walk acc ~root_ppn:root_gfn 0x4000L with
+  match Pt_build.walk acc ~root_ppn:root_gfn 0x4000L with
   | Ok { pte; _ } ->
       checkb "A" true (Pte.accessed pte);
       checkb "D" true (Pte.dirty pte)
@@ -386,13 +385,13 @@ let test_shadow_fill_and_translate () =
 
 let test_shadow_guest_fault () =
   let _, _, shadow, root_gfn, acc, alloc = make_shadow_world () in
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
   (* unmapped VA *)
   (match Shadow.handle_fault shadow ~root_gfn ~access:Arch.Load ~user:true ~va:0x9000L with
   | Shadow.Guest_fault -> ()
   | _ -> Alcotest.fail "expected guest fault");
   (* supervisor-only page touched from user *)
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x5000L
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x5000L
     (Pte.leaf ~ppn:6L { Pte.r = true; w = true; x = false; u = false });
   match Shadow.handle_fault shadow ~root_gfn ~access:Arch.Load ~user:true ~va:0x5000L with
   | Shadow.Guest_fault -> ()
@@ -400,7 +399,7 @@ let test_shadow_guest_fault () =
 
 let test_shadow_pt_write_detection () =
   let _, _, shadow, root_gfn, acc, alloc = make_shadow_world () in
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
   ignore (Shadow.handle_fault shadow ~root_gfn ~access:Arch.Load ~user:true ~va:0x4008L);
   (* map the leaf-table gfn itself into the guest address space and store
      to it: the pager must flag a PT write rather than filling *)
@@ -412,7 +411,7 @@ let test_shadow_pt_write_detection () =
     if Shadow.is_pt_gfn shadow (Int64.of_int g) then pt_gfn := Some (Int64.of_int g)
   done;
   let pt_gfn = Option.get !pt_gfn in
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x8000L (Pte.leaf ~ppn:pt_gfn user_rw);
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x8000L (Pte.leaf ~ppn:pt_gfn user_rw);
   match Shadow.handle_fault shadow ~root_gfn ~access:Arch.Store ~user:true ~va:0x8010L with
   | Shadow.Pt_write { gpa } ->
       check64 "gpa in that frame" pt_gfn (Int64.shift_right_logical gpa 12)
@@ -420,14 +419,14 @@ let test_shadow_pt_write_detection () =
 
 let test_shadow_emulate_pt_write_invalidates () =
   let _, vm, shadow, root_gfn, acc, alloc = make_shadow_world () in
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
   ignore (Shadow.handle_fault shadow ~root_gfn ~access:Arch.Load ~user:true ~va:0x4000L);
   let tlb = Tlb.create ~size:8 in
-  (match Shadow.translate shadow ~root_gfn ~tlb ~access:Arch.Load ~user:true 0x4000L with
+  (match Shadow.translate shadow ~satp:(Arch.satp_make ~root_ppn:root_gfn) ~tlb ~access:Arch.Load ~user:true 0x4000L with
   | x when x >= 0 -> ()
   | _ -> Alcotest.fail "should hit");
   (* locate the guest leaf PTE and remap the VA to gfn 6 via the pager *)
-  (match Page_table.walk acc ~root_ppn:root_gfn 0x4000L with
+  (match Pt_build.walk acc ~root_ppn:root_gfn 0x4000L with
   | Ok { pte_addr; _ } ->
       checkb "applied" true
         (Shadow.emulate_pt_write shadow ~gpa:pte_addr ~value:(Pte.leaf ~ppn:6L user_rw))
@@ -436,30 +435,64 @@ let test_shadow_emulate_pt_write_invalidates () =
   Tlb.flush tlb;
   (* the old shadow entry is gone: next access faults, then refills to
      the new frame *)
-  (match Shadow.translate shadow ~root_gfn ~tlb ~access:Arch.Load ~user:true 0x4000L with
+  (match Shadow.translate shadow ~satp:(Arch.satp_make ~root_ppn:root_gfn) ~tlb ~access:Arch.Load ~user:true 0x4000L with
   | x when x = Cpu.xl_page -> ()
   | _ -> Alcotest.fail "stale shadow entry survived");
   ignore (Shadow.handle_fault shadow ~root_gfn ~access:Arch.Load ~user:true ~va:0x4000L);
-  match Shadow.translate shadow ~root_gfn ~tlb ~access:Arch.Load ~user:true 0x4000L with
+  match Shadow.translate shadow ~satp:(Arch.satp_make ~root_ppn:root_gfn) ~tlb ~access:Arch.Load ~user:true 0x4000L with
   | x when x >= 0 ->
       let hpa6 = Option.get (Vm.resolve_read vm 6L) in
       checki "remapped" (Int64.to_int hpa6) (Cpu.xl_pa x lsr 12)
   | _ -> Alcotest.fail "refill failed"
 
+(* Rewriting a guest superpage entry must drop every 4 KiB shadow leaf
+   splintered from it, not just the paired L1 slot: the next fill
+   re-links the splinter table, and a leaf left in it would keep serving
+   the old permissions. *)
+let test_shadow_superpage_rewrite () =
+  let _, _, shadow, root_gfn, acc, alloc = make_shadow_world () in
+  let satp = Arch.satp_make ~root_ppn:root_gfn in
+  let va = 0x20_0000L and va2 = 0x20_1000L in
+  Pt_build.map ~level:1 acc ~alloc ~root_ppn:root_gfn ~va (Pte.leaf ~ppn:0L user_rw);
+  let tlb = Tlb.create ~size:8 in
+  let fill access va =
+    match Shadow.handle_fault shadow ~root_gfn ~access ~user:true ~va with
+    | Shadow.Filled _ -> ()
+    | _ -> Alcotest.fail "expected a fill"
+  in
+  fill Arch.Load va;
+  fill Arch.Load va2;
+  checkb "splinter serves the second page" true
+    (Shadow.translate shadow ~satp ~tlb ~access:Arch.Load ~user:true va2 >= 0);
+  (* the guest makes the superpage execute-only *)
+  let l1 = Pte.ppn (acc.Pt_build.read_pte
+    (Int64.add (Int64.shift_left root_gfn 12) (Int64.of_int (8 * Page_table.vpn va ~level:2)))) in
+  let gpa = Int64.add (Int64.shift_left l1 12) (Int64.of_int (8 * Page_table.vpn va ~level:1)) in
+  checkb "applied" true
+    (Shadow.emulate_pt_write shadow ~gpa
+       ~value:(Pte.leaf ~ppn:0L { Pte.r = false; w = false; x = true; u = true }));
+  ignore (Shadow.take_tlb_flush shadow);
+  Tlb.flush tlb;
+  fill Arch.Fetch va;
+  checkb "refilled for fetch" true
+    (Shadow.translate shadow ~satp ~tlb ~access:Arch.Fetch ~user:true va >= 0);
+  checkb "stale splinter leaf is gone" true
+    (Shadow.translate shadow ~satp ~tlb ~access:Arch.Load ~user:true va2 = Cpu.xl_page)
+
 let test_shadow_invalidate_gfn () =
   let _, _, shadow, root_gfn, acc, alloc = make_shadow_world () in
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
   ignore (Shadow.handle_fault shadow ~root_gfn ~access:Arch.Load ~user:true ~va:0x4000L);
   Shadow.invalidate_gfn shadow 5L;
   let tlb = Tlb.create ~size:8 in
-  match Shadow.translate shadow ~root_gfn ~tlb ~access:Arch.Load ~user:true 0x4000L with
+  match Shadow.translate shadow ~satp:(Arch.satp_make ~root_ppn:root_gfn) ~tlb ~access:Arch.Load ~user:true 0x4000L with
   | x when x = Cpu.xl_page -> ()
   | _ -> Alcotest.fail "mapping should be revoked"
 
 let test_shadow_mmio_detection () =
   let _, _, shadow, root_gfn, acc, alloc = make_shadow_world () in
   (* guest maps the UART page *)
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x6000L
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x6000L
     (Pte.leaf ~ppn:(Int64.shift_right_logical 0x4000_0000L 12) user_rw);
   match Shadow.handle_fault shadow ~root_gfn ~access:Arch.Load ~user:true ~va:0x6008L with
   | Shadow.Target_mmio { gpa } -> check64 "device gpa" 0x4000_0008L gpa
@@ -467,7 +500,7 @@ let test_shadow_mmio_detection () =
 
 let test_shadow_flush_all_frees () =
   let host, _, shadow, root_gfn, acc, alloc = make_shadow_world () in
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
   ignore (Shadow.handle_fault shadow ~root_gfn ~access:Arch.Load ~user:true ~va:0x4000L);
   let used = Frame_alloc.used_count host.Host.alloc in
   let tables = Shadow.table_frames shadow in
@@ -483,7 +516,7 @@ let make_nested_world () =
   let nested = Option.get vm.Vm.nested in
   let acc =
     {
-      Page_table.read_pte = (fun gpa -> Option.value (Vm.read_gpa_u64 vm gpa) ~default:0L);
+      Pt_build.read_pte = (fun gpa -> Option.value (Vm.read_gpa_u64 vm gpa) ~default:0L);
       write_pte = (fun gpa v -> ignore (Vm.write_gpa_u64 vm gpa v));
     }
   in
@@ -498,7 +531,7 @@ let make_nested_world () =
 let test_nested_translate_and_ad () =
   let _, vm, nested, acc, alloc = make_nested_world () in
   let root_gfn = 8L in
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
   let satp = Arch.satp_make ~root_ppn:root_gfn in
   let tlb = Tlb.create ~size:8 in
   (match Nested.translate nested ~guest_satp:satp ~tlb ~access:Arch.Store ~user:true 0x4010L with
@@ -509,7 +542,7 @@ let test_nested_translate_and_ad () =
       checkb "2d cost" true (Cpu.xl_cycles x >= 15 * Cost_model.default.Cost_model.pt_ref)
   | _ -> Alcotest.fail "translate failed");
   (* A/D set in the guest tables by the walker *)
-  (match Page_table.walk acc ~root_ppn:root_gfn 0x4000L with
+  (match Pt_build.walk acc ~root_ppn:root_gfn 0x4000L with
   | Ok { pte; _ } ->
       checkb "A" true (Pte.accessed pte);
       checkb "D" true (Pte.dirty pte)
@@ -522,7 +555,7 @@ let test_nested_translate_and_ad () =
 let test_nested_classify () =
   let _, vm, nested, acc, alloc = make_nested_world () in
   let root_gfn = 8L in
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
   let satp = Arch.satp_make ~root_ppn:root_gfn in
   (* guest-level: unmapped va *)
   (match Nested.classify_fault nested ~guest_satp:satp ~access:Arch.Load ~user:true ~va:0x9000L with
@@ -535,13 +568,13 @@ let test_nested_classify () =
   | Nested.Host_level { gfn = 5L } -> ()
   | _ -> Alcotest.fail "expected host level on ballooned frame");
   (* mmio *)
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x6000L
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x6000L
     (Pte.leaf ~ppn:(Int64.shift_right_logical 0x4000_0000L 12) user_rw);
   (match Nested.classify_fault nested ~guest_satp:satp ~access:Arch.Load ~user:true ~va:0x6000L with
   | Nested.Mmio { gpa = 0x4000_0000L } -> ()
   | _ -> Alcotest.fail "expected mmio");
   (* bad gpa: guest maps beyond its memory *)
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x7000L (Pte.leaf ~ppn:1000L user_rw);
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x7000L (Pte.leaf ~ppn:1000L user_rw);
   match Nested.classify_fault nested ~guest_satp:satp ~access:Arch.Load ~user:true ~va:0x7000L with
   | Nested.Bad _ -> ()
   | _ -> Alcotest.fail "expected bad gpa"
@@ -549,7 +582,7 @@ let test_nested_classify () =
 let test_nested_write_protection () =
   let _, vm, nested, acc, alloc = make_nested_world () in
   let root_gfn = 8L in
-  Page_table.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
   let satp = Arch.satp_make ~root_ppn:root_gfn in
   let tlb = Tlb.create ~size:8 in
   Vm.start_dirty_logging vm;
@@ -570,7 +603,7 @@ let make_two_root_vm paging =
   let _, vm = make_vm ~paging ~mem_frames:64 () in
   let acc =
     {
-      Page_table.read_pte = (fun gpa -> Option.value (Vm.read_gpa_u64 vm gpa) ~default:0L);
+      Pt_build.read_pte = (fun gpa -> Option.value (Vm.read_gpa_u64 vm gpa) ~default:0L);
       write_pte = (fun gpa v -> ignore (Vm.write_gpa_u64 vm gpa v));
     }
   in
@@ -584,8 +617,8 @@ let make_two_root_vm paging =
   let kernel_rx = { Pte.r = true; w = false; x = true; u = false } in
   for i = 0 to 3 do
     let va = Int64.of_int (0x4000 + (i * 0x1000)) in
-    Page_table.map acc ~alloc ~root_ppn:8L ~va (Pte.leaf ~ppn:(Int64.of_int (16 + i)) user_rwx);
-    Page_table.map acc ~alloc ~root_ppn:9L ~va (Pte.leaf ~ppn:(Int64.of_int (24 + i)) kernel_rx)
+    Pt_build.map acc ~alloc ~root_ppn:8L ~va (Pte.leaf ~ppn:(Int64.of_int (16 + i)) user_rwx);
+    Pt_build.map acc ~alloc ~root_ppn:9L ~va (Pte.leaf ~ppn:(Int64.of_int (24 + i)) kernel_rx)
   done;
   vm
 
@@ -1035,6 +1068,8 @@ let () =
           Alcotest.test_case "pt write detection" `Quick test_shadow_pt_write_detection;
           Alcotest.test_case "pt write invalidates" `Quick
             test_shadow_emulate_pt_write_invalidates;
+          Alcotest.test_case "superpage rewrite drops splinters" `Quick
+            test_shadow_superpage_rewrite;
           Alcotest.test_case "invalidate gfn" `Quick test_shadow_invalidate_gfn;
           Alcotest.test_case "mmio detection" `Quick test_shadow_mmio_detection;
           Alcotest.test_case "flush all frees" `Quick test_shadow_flush_all_frees;
