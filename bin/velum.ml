@@ -362,6 +362,10 @@ let run_cmd =
             Printf.printf "ha: mean MTTR %Ld cycles over %d restores\n"
               (Int64.div s.Ha.mttr_total (Int64.of_int s.Ha.mttr_events))
               s.Ha.mttr_events;
+          Printf.printf
+            "store: %d commits (%d torn), %d bytes written, hint_misses=%d, %d gc runs\n"
+            (Store.commits store) (Store.torn_commits store) (Store.bytes_written store)
+            (Store.hint_misses store) (Store.gc_runs store);
           (o, Ha.vm sup)
         end
         else begin

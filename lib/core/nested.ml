@@ -8,33 +8,55 @@ type env = {
   mark_ad_write : int64 -> unit;
 }
 
-type t = { env : env; mutable walk_count : int }
+type t = {
+  env : env;
+  read : int -> Pte.Word.t;
+      (* a guest table entry by guest-physical address, through the p2m:
+         the walker's reader, built once *)
+  w : Page_table.walk;
+  mutable failed : int;
+      (* the table frame the p2m could not serve in the current walk:
+         [no_failure], [bad_table] (Absent or out of range), or the gfn of
+         a Swapped, Ballooned or Remote frame *)
+  mutable walk_count : int;
+}
 
-let create env = { env; walk_count = 0 }
+let no_failure = -2
+let bad_table = -1
+
+(* Guest dimension.  Hardware table walks are not write-checked, so a
+   table page is read whatever its p2m writable bit; a frame the p2m
+   cannot serve reads as an invalid entry, which stops the walk, and
+   leaves its failure in [failed]. *)
+let read_entry t gpa =
+  let gfn = gpa lsr Arch.page_shift in
+  match P2m.lookup t.env.p2m gfn with
+  | P2m.Present { hpa_ppn; _ } ->
+      Phys_mem.read_word t.env.mem
+        ((Int64.to_int hpa_ppn lsl Arch.page_shift) lor (gpa land (Arch.page_size - 1)))
+  | P2m.Absent ->
+      t.failed <- bad_table;
+      0
+  | P2m.Swapped _ | P2m.Ballooned | P2m.Remote ->
+      t.failed <- gfn;
+      0
+
+let create env =
+  let rec t =
+    {
+      env;
+      read = (fun gpa -> read_entry t gpa);
+      w = Page_table.scratch ();
+      failed = no_failure;
+      walk_count = 0;
+    }
+  in
+  t
 
 let walks t = t.walk_count
 
-let page = Arch.page_size
-let frame_base ppn = Int64.shift_left ppn Arch.page_shift
-let page_off va = Int64.logand va (Int64.of_int (page - 1))
-let gfn_of gpa = Int64.shift_right_logical gpa Arch.page_shift
+let page_off va = Int64.logand va (Int64.of_int (Arch.page_size - 1))
 
-(* Host dimension: resolve a gfn for the walker.  The walker reads guest
-   table pages regardless of the p2m writable bit (hardware table walks
-   are not write-checked); A/D updates may write through dirty-logging
-   protection (they report via mark_ad_write) but never through COW —
-   the frame is shared, so the update must fault to the hypervisor. *)
-let host_lookup t gfn =
-  if not (P2m.in_range t.env.p2m gfn) then `Bad
-  else
-    match P2m.get t.env.p2m gfn with
-    | P2m.Present { hpa_ppn; writable; cow } ->
-        `Ram (hpa_ppn, writable && not cow, cow)
-    | P2m.Absent -> `Bad
-    | P2m.Swapped _ | P2m.Ballooned | P2m.Remote -> `Host_fault
-
-(* One 2-D walk.  Returns the machine frame, effective permissions and
-   the number of memory references, or the failure class. *)
 type walk_outcome =
   | W_ram of { hpa_ppn : int64; perms : Pte.perms; dirty_ok : bool; refs : int }
   | W_mmio of { gpa : int64 }
@@ -42,134 +64,102 @@ type walk_outcome =
   | W_host_fault of { gfn : int64 }
   | W_bad
 
+(* Host dimension of the data frame [gfn]: a store needs its p2m entry
+   writable and not COW, and so does a writable or dirty translation. *)
+let host_target t ~store gfn ~(perms : Pte.perms) ~dirty ~refs =
+  match P2m.lookup t.env.p2m gfn with
+  | P2m.Present { hpa_ppn; writable; cow } ->
+      let host_w = writable && not cow in
+      if store && not host_w then W_host_fault { gfn = Int64.of_int gfn }
+      else
+        let perms = if host_w || not perms.w then perms else { perms with w = false } in
+        W_ram { hpa_ppn; perms; dirty_ok = dirty && host_w; refs }
+  | P2m.Absent -> W_bad
+  | P2m.Swapped _ | P2m.Ballooned | P2m.Remote -> W_host_fault { gfn = Int64.of_int gfn }
+
+(* Architectural A/D maintenance on the guest leaf at [gpa], whole 64-bit
+   entry.  The update may write through dirty-logging protection (it
+   reports through [mark_ad_write]) but never through COW: the frame is
+   shared, so the update faults to the hypervisor ([false]). *)
+let write_ad t gpa ~store =
+  let gfn = gpa lsr Arch.page_shift in
+  match P2m.lookup t.env.p2m gfn with
+  | P2m.Present { cow = true; _ } -> false
+  | P2m.Present { hpa_ppn; _ } ->
+      let addr =
+        Int64.logor (Int64.shift_left hpa_ppn Arch.page_shift)
+          (Int64.of_int (gpa land (Arch.page_size - 1)))
+      in
+      let full = Pte.set_accessed (Phys_mem.read t.env.mem addr Instr.W64) in
+      Phys_mem.write t.env.mem addr Instr.W64 (if store then Pte.set_dirty full else full);
+      t.env.mark_ad_write (Int64.of_int gfn);
+      true
+  | P2m.Absent | P2m.Swapped _ | P2m.Ballooned | P2m.Remote -> true
+
+(* One 2-D walk: the guest dimension through [Page_table.walk], each
+   entry read costing one reference to the table page plus a host walk
+   for its address, then the leaf.  A guest superpage still composes with
+   4 KiB host frames, so the cached translation splinters to a 4 KiB
+   entry — the hardware behaviour when the host does not back guests
+   with large frames. *)
 let walk_2d t ~guest_satp ~access ~user va =
-  let env = t.env in
   t.walk_count <- t.walk_count + 1;
-  if not (Page_table.canonical va) then W_guest_fault
+  t.failed <- no_failure;
+  let w = t.w in
+  let root_ppn = Int64.to_int (Arch.satp_root_ppn guest_satp) in
+  if not (Page_table.walk ~read:t.read w ~root_ppn va) then
+    if t.failed = no_failure then W_guest_fault
+    else if t.failed = bad_table then W_bad
+    else W_host_fault { gfn = Int64.of_int t.failed }
   else begin
-    let refs = ref 0 in
-    (* Each guest-level reference costs one access to the guest table
-       page plus a host walk for its address. *)
-    let host_levels = Arch.pt_levels in
-    let exception Stop of walk_outcome in
-    try
-      let read_gpte table_gfn index =
-        match host_lookup t table_gfn with
-        | `Bad -> raise (Stop W_bad)
-        | `Host_fault -> raise (Stop (W_host_fault { gfn = table_gfn }))
-        | `Ram (hpa_ppn, _, _) ->
-            refs := !refs + 1 + host_levels;
-            Phys_mem.read env.mem
-              (Int64.add (frame_base hpa_ppn) (Int64.of_int (index * 8)))
-              Instr.W64
+    let pte = w.Page_table.pte in
+    let store = access = Arch.Store in
+    if not (Pte.Word.allows pte access ~user) then W_guest_fault
+    else if
+      ((not (Pte.Word.accessed pte)) || (store && not (Pte.Word.dirty pte)))
+      && not (write_ad t w.Page_table.pte_addr ~store)
+    then W_host_fault { gfn = Int64.of_int (w.Page_table.pte_addr lsr Arch.page_shift) }
+    else begin
+      let target_gfn =
+        if w.Page_table.level = 0 then Pte.Word.ppn pte
+        else Pte.Word.ppn pte + Page_table.vpn va ~level:0
       in
-      let write_gpte table_gfn index v =
-        match host_lookup t table_gfn with
-        | `Ram (_, _, true) ->
-            (* A/D update into a shared frame: must break COW first. *)
-            raise (Stop (W_host_fault { gfn = table_gfn }))
-        | `Ram (hpa_ppn, _, false) ->
-            Phys_mem.write env.mem
-              (Int64.add (frame_base hpa_ppn) (Int64.of_int (index * 8)))
-              Instr.W64 v;
-            env.mark_ad_write table_gfn
-        | `Bad | `Host_fault -> ()
-      in
-      (* Finish through a leaf found at [level]: a guest superpage
-         (level 1) still composes with 4 KiB host frames, so the cached
-         translation splinters to a 4 KiB entry — the hardware behaviour
-         when the host does not back guests with large frames. *)
-      let finish level table_gfn index gpte =
-        if not (Pte.allows gpte access ~user) then raise (Stop W_guest_fault);
-        if level = 1 && not (Velum_util.Bitops.is_aligned (Pte.ppn gpte) (1 lsl Arch.vpn_bits))
-        then raise (Stop W_guest_fault);
-        (* Architectural A/D maintenance in the guest tables. *)
-        let gpte' = Pte.set_accessed gpte in
-        let gpte' = if access = Arch.Store then Pte.set_dirty gpte' else gpte' in
-        if gpte' <> gpte then write_gpte table_gfn index gpte';
-        let target_gfn =
-          if level = 0 then Pte.ppn gpte
-          else
-            Int64.add (Pte.ppn gpte)
-              (Velum_util.Bitops.extract va ~lo:Arch.page_shift ~width:Arch.vpn_bits)
-        in
-        let target_base = frame_base target_gfn in
-        if Bus.is_mmio target_base then
-          raise (Stop (W_mmio { gpa = Int64.logor target_base (page_off va) }));
-        match host_lookup t target_gfn with
-        | `Bad -> raise (Stop W_bad)
-        | `Host_fault -> raise (Stop (W_host_fault { gfn = target_gfn }))
-        | `Ram (hpa_ppn, host_w, _) ->
-            if access = Arch.Store && not host_w then
-              raise (Stop (W_host_fault { gfn = target_gfn }));
-            (* final host walk for the data page *)
-            refs := !refs + host_levels;
-            let gp = Pte.perms gpte in
-            let eff = { gp with w = gp.w && host_w } in
-            W_ram
-              {
-                hpa_ppn;
-                perms = eff;
-                dirty_ok = (access = Arch.Store || Pte.dirty gpte') && host_w;
-                refs = !refs;
-              }
-      in
-      let rec descend level table_gfn =
-        let index = Page_table.vpn va ~level in
-        let gpte = read_gpte table_gfn index in
-        if not (Pte.is_valid gpte) then raise (Stop W_guest_fault);
-        if Pte.is_leaf gpte then
-          if level <= 1 then finish level table_gfn index gpte
-          else raise (Stop W_guest_fault)
-        else if level = 0 then raise (Stop W_guest_fault)
-        else descend (level - 1) (Pte.ppn gpte)
-      in
-      descend (Arch.pt_levels - 1) (Arch.satp_root_ppn guest_satp)
-    with Stop o -> o
+      let target_base = Int64.of_int (target_gfn lsl Arch.page_shift) in
+      if Bus.is_mmio target_base then W_mmio { gpa = Int64.logor target_base (page_off va) }
+      else
+        host_target t ~store target_gfn
+          ~perms:(Pte.perms (Int64.of_int pte))
+          ~dirty:(store || Pte.Word.dirty pte)
+          (* and a final host walk for the data page *)
+          ~refs:((w.Page_table.refs * (1 + Arch.pt_levels)) + Arch.pt_levels)
+    end
   end
+
+let bare_perms = { Pte.r = true; w = true; x = true; u = true }
 
 (* Guest paging disabled: identity guest-virtual → guest-physical, host
    dimension only. *)
 let walk_bare t ~access va =
-  let gpa = va in
-  if Bus.is_mmio gpa then W_mmio { gpa }
-  else begin
-    let gfn = gfn_of gpa in
-    match host_lookup t gfn with
-    | `Bad -> W_bad
-    | `Host_fault -> W_host_fault { gfn }
-    | `Ram (hpa_ppn, host_w, _) ->
-        if access = Arch.Store && not host_w then W_host_fault { gfn }
-        else
-          W_ram
-            {
-              hpa_ppn;
-              perms = { Pte.r = true; w = host_w; x = true; u = true };
-              dirty_ok = host_w;
-              refs = Arch.pt_levels;
-            }
-  end
+  if Bus.is_mmio va then W_mmio { gpa = va }
+  else
+    host_target t ~store:(access = Arch.Store)
+      (Int64.to_int (Int64.shift_right_logical va Arch.page_shift))
+      ~perms:bare_perms ~dirty:true ~refs:Arch.pt_levels
+
+let walk t ~guest_satp ~access ~user va =
+  if Arch.satp_enabled guest_satp then walk_2d t ~guest_satp ~access ~user va
+  else walk_bare t ~access va
 
 let translate t ~guest_satp ~tlb ~access ~user va =
   let vpn = Int64.shift_right_logical va Arch.page_shift in
-  let hit =
-    match Tlb.lookup tlb ~vpn with
-    | Some e when (not e.mmio) && Tlb.permits e access ~user -> Some e
-    | Some e when e.mmio -> Some e
-    | _ -> None
-  in
-  match hit with
-  | Some e ->
+  match Tlb.lookup tlb ~vpn with
+  | Some e when e.mmio || Tlb.permits e access ~user ->
       Tlb.note_hit tlb;
       Cpu.xl_frame ~ppn:e.ppn ~va ~mmio:e.mmio ~cycles:0
-  | None -> (
+  | _ -> (
       Tlb.note_miss tlb;
-      let outcome =
-        if Arch.satp_enabled guest_satp then walk_2d t ~guest_satp ~access ~user va
-        else walk_bare t ~access va
-      in
       let cost = t.env.cost in
-      match outcome with
+      match walk t ~guest_satp ~access ~user va with
       | W_ram { hpa_ppn; perms; dirty_ok; refs } ->
           Tlb.insert tlb
             { Tlb.vpn; ppn = hpa_ppn; perms; dirty_ok; mmio = false; superpage = false };
@@ -181,7 +171,7 @@ let translate t ~guest_satp ~tlb ~access ~user va =
           Tlb.insert tlb
             {
               Tlb.vpn;
-              ppn = gfn_of gpa;
+              ppn = Int64.shift_right_logical gpa Arch.page_shift;
               perms = { Pte.r = true; w = true; x = false; u = true };
               dirty_ok = true;
               mmio = true;
@@ -198,11 +188,7 @@ type classify =
   | Bad of { gpa : int64 }
 
 let classify_fault t ~guest_satp ~access ~user ~va =
-  let outcome =
-    if Arch.satp_enabled guest_satp then walk_2d t ~guest_satp ~access ~user va
-    else walk_bare t ~access va
-  in
-  match outcome with
+  match walk t ~guest_satp ~access ~user va with
   | W_guest_fault -> Guest_level
   | W_host_fault { gfn } -> Host_level { gfn }
   | W_mmio { gpa } -> Mmio { gpa }

@@ -29,6 +29,29 @@ type t
 val create : env -> t
 
 val walks : t -> int
+(** 2-D walks started (guest paging enabled), faulting ones included. *)
+
+(** What one walk found. *)
+type walk_outcome =
+  | W_ram of { hpa_ppn : int64; perms : Pte.perms; dirty_ok : bool; refs : int }
+      (** the machine frame, the effective permissions (the guest leaf's,
+          writable only if the p2m entry is writable and not COW), whether
+          stores may hit without a fault, and the memory references made:
+          [entries read × (1 + Arch.pt_levels) + Arch.pt_levels] *)
+  | W_mmio of { gpa : int64 }  (** the target is in the device window *)
+  | W_guest_fault  (** the guest's tables deny the access *)
+  | W_host_fault of { gfn : int64 }
+      (** the p2m entry of a table or target frame needs hypervisor work
+          (Swapped, Ballooned, Remote, COW for an A/D update, or not
+          writable for a store) *)
+  | W_bad  (** a table or target gfn is Absent or beyond the VM's memory *)
+
+val walk : t -> guest_satp:int64 -> access:Arch.access -> user:bool -> int64 -> walk_outcome
+(** [walk t ~guest_satp ~access ~user va] is the walk behind {!translate}
+    and {!classify_fault}.  With guest paging enabled it walks the
+    guest's tables through {!Page_table.walk}, reading each entry through
+    the p2m, then sets the leaf's A/D bits in guest memory (reporting the
+    table gfn to [mark_ad_write]) before looking the target up. *)
 
 val translate :
   t ->

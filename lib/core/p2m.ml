@@ -23,9 +23,9 @@ let get t gfn =
   check t gfn;
   t.entries.(Int64.to_int gfn)
 
-let frame t gfn =
-  if gfn < 0 || gfn >= Array.length t.entries then -1
-  else match t.entries.(gfn) with Present { hpa_ppn; _ } -> Int64.to_int hpa_ppn | _ -> -1
+let lookup t gfn = if gfn < 0 || gfn >= Array.length t.entries then Absent else t.entries.(gfn)
+
+let frame t gfn = match lookup t gfn with Present { hpa_ppn; _ } -> Int64.to_int hpa_ppn | _ -> -1
 
 let set t gfn e =
   check t gfn;

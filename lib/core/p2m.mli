@@ -32,6 +32,10 @@ val gframes : t -> int
 val get : t -> int64 -> entry
 (** @raise Invalid_argument if the gfn is out of range. *)
 
+val lookup : t -> int -> entry
+(** [lookup t gfn] is [gfn]'s entry, [Absent] when out of range: the
+    stored value itself, so a lookup allocates nothing. *)
+
 val frame : t -> int -> int
 (** [frame t gfn] is the machine frame of a [Present] gfn, else [-1]
     (out of range included): the unboxed lookup of the page walkers. *)

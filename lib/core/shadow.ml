@@ -6,6 +6,7 @@ type env = {
   alloc : Frame_alloc.t;
   cost : Cost_model.t;
   guest_frame : int -> int;
+  is_ram : int -> bool;
   write_guest_pte : int64 -> Pte.t -> bool;
   resolve_read : int64 -> int64 option;
   resolve_write : int64 -> int64 option;
@@ -208,9 +209,13 @@ let rec descend t ~access ~user ~va level table_gfn shadow_ppn =
     else if level = 0 then Guest_fault
     else begin
       let child_gfn = Pte.Word.ppn gpte in
-      let child_shadow = ensure_pair t child_gfn (level - 1) in
-      link t shadow_ppn index child_shadow;
-      descend t ~access ~user ~va (level - 1) child_gfn child_shadow
+      (* a table outside RAM is never paired: pairing takes a host frame *)
+      if not (t.env.is_ram child_gfn) then Bad_gpa
+      else begin
+        let child_shadow = ensure_pair t child_gfn (level - 1) in
+        link t shadow_ppn index child_shadow;
+        descend t ~access ~user ~va (level - 1) child_gfn child_shadow
+      end
     end
   end
 
@@ -218,8 +223,10 @@ let handle_fault t ~root_gfn ~access ~user ~va =
   if not (Page_table.canonical va) then Guest_fault
   else begin
     let root_gfn = Int64.to_int root_gfn in
-    let root_shadow = ensure_pair t root_gfn (Arch.pt_levels - 1) in
-    descend t ~access ~user ~va (Arch.pt_levels - 1) root_gfn root_shadow
+    if not (t.env.is_ram root_gfn) then Bad_gpa
+    else
+      let root_shadow = ensure_pair t root_gfn (Arch.pt_levels - 1) in
+      descend t ~access ~user ~va (Arch.pt_levels - 1) root_gfn root_shadow
   end
 
 let emulate_pt_write t ~gpa ~value =

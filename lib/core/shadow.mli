@@ -30,6 +30,10 @@ type env = {
       (** the machine frame holding guest frame [gfn], resolving it as
           for a read (swap-in etc.), or [-1] for a bad gfn: the pager
           reads guest PTEs there directly *)
+  is_ram : int -> bool;
+      (** guest frame [gfn] is RAM: in range and not [Absent].  No side
+          effect (nothing is swapped in); the pager asks before pairing a
+          table, since a pairing takes a host frame *)
   write_guest_pte : int64 -> Pte.t -> bool;
       (** write a guest PTE (A/D maintenance, PT-write emulation);
           implementations must mark the page dirty for migration *)

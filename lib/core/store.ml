@@ -109,8 +109,11 @@ let sectors_for ~image_bytes = fleet_sectors_for ~streams:1 ~image_bytes
 
 (* --- on-device records --- *)
 
-let put_i64 b off v = Bytes.set_int64_le b off v
-let get_i64 b off = Bytes.get_int64_le b off
+(* Bounds-checked primitives, compiled inline: no call, and a word
+   consumed at once is never boxed.  Native order is the records'
+   little-endian order on the little-endian hosts [Fnv] requires. *)
+external put_i64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external get_i64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 let space_off t s = data_start + (s * t.space_bytes)
 let sb_off slot = slot * Blockdev.sector_bytes
 

@@ -353,6 +353,7 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
           alloc = host.Host.alloc;
           cost = host.Host.cost;
           guest_frame = (fun gfn -> guest_frame t gfn);
+          is_ram = (fun gfn -> match P2m.lookup t.p2m gfn with P2m.Absent -> false | _ -> true);
           write_guest_pte = (fun gpa v -> write_gpa_u64 t gpa v);
           resolve_read = (fun gfn -> resolve_read t gfn);
           resolve_write = (fun gfn -> resolve_write t gfn);

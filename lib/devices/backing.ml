@@ -54,10 +54,23 @@ let sub t ~off ~len =
 
 let sub_string t ~off ~len = Bytes.unsafe_to_string (sub t ~off ~len)
 
+(* Unchecked and unboxed: [equal_range] has bounded the buffer range. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
 let equal_range t ~off b ~pos ~len =
   check t ~off ~len "Backing.equal_range: out of range";
   check_buf (Bytes.length b) ~pos ~len "Backing.equal_range: buffer out of range";
-  let rec zeros q stop = q >= stop || (Bytes.unsafe_get b q = '\000' && zeros (q + 1) stop) in
+  (* [b]'s bytes [q, stop) are all zero, a word at a time *)
+  let zeros q stop =
+    let q = ref q in
+    while !q + 8 <= stop && get64u b !q = 0L do
+      q := !q + 8
+    done;
+    while !q < stop && Bytes.unsafe_get b !q = '\000' do
+      incr q
+    done;
+    !q >= stop
+  in
   let ok = ref true in
   walk ~off ~len (fun i eoff p n ->
       if !ok then

@@ -1,3 +1,11 @@
+(* The unchecked load, so a word is never boxed and no call is made; each
+   caller has bounded its range first.  It reads native-endian, which is
+   the little-endian order the digests are defined in only on a
+   little-endian host. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let () = if Sys.big_endian then failwith "Fnv needs a little-endian host"
+
 let offset_basis = 0xCBF29CE484222325L
 let prime = 0x100000001B3L
 
@@ -16,7 +24,7 @@ let hash_bytes ?(pos = 0) ?len b =
   let stop = pos + len in
   let i = ref pos in
   while !i + 8 <= stop do
-    let w = Bytes.get_int64_le b !i in
+    let w = get64u b !i in
     let x = step64 !h w in
     let x = step64 x (Int64.shift_right_logical w 8) in
     let x = step64 x (Int64.shift_right_logical w 16) in
@@ -44,17 +52,31 @@ let combine h v =
   done;
   !h
 
+(* The xor of the words at [apos + i] and [bpos + i]: zero iff equal. *)
+let[@inline] differ a apos b bpos i = Int64.logxor (get64u a (apos + i)) (get64u b (bpos + i))
+
+(* Four words per step (one test of their or-ed differences), then
+   single words, then bytes: a checkpoint verifies every shared 4 KiB
+   chunk this way. *)
 let equal_range a apos b bpos len =
   if apos < 0 || bpos < 0 || len < 0
      || apos > Bytes.length a - len
      || bpos > Bytes.length b - len
   then invalid_arg "Fnv.equal_range: range out of bounds";
-  let rec words i =
-    if i + 8 > len then bytes i
-    else
-      let x : int64 = Bytes.get_int64_le a (apos + i) in
-      x = Bytes.get_int64_le b (bpos + i) && words (i + 8)
-  and bytes i =
-    i >= len || (Bytes.unsafe_get a (apos + i) = Bytes.unsafe_get b (bpos + i) && bytes (i + 1))
-  in
-  words 0
+  let i = ref 0 in
+  while
+    !i + 32 <= len
+    && Int64.logor
+         (Int64.logor (differ a apos b bpos !i) (differ a apos b bpos (!i + 8)))
+         (Int64.logor (differ a apos b bpos (!i + 16)) (differ a apos b bpos (!i + 24)))
+       = 0L
+  do
+    i := !i + 32
+  done;
+  while !i + 8 <= len && differ a apos b bpos !i = 0L do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.unsafe_get a (apos + !i) = Bytes.unsafe_get b (bpos + !i) do
+    incr i
+  done;
+  !i >= len

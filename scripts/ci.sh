@@ -210,6 +210,20 @@ dune exec bin/velum.exe -- run -w spin --ha --faults "seed=7,store.torn=0.5" \
   >"$tmp/ha2.txt"
 diff "$tmp/ha1.txt" "$tmp/ha2.txt" || {
   echo "FAIL: supervised run diverged between identical-seed runs"; exit 1; }
+# Rotted chunk records and reference rows: a commit's verify of a shared
+# chunk must refuse a rotted copy and rehash, the same way twice.  Rot
+# lands only in a commit's own new records, so the window rots the first
+# commits, whose chunks later commits re-reference (with seed 7, rot at
+# 0.2 alone refused none of the run's 36,563 verifies).
+rot="run -w dirty -n 24 --ha --budget 30000000 --checkpoint-every 200000 \
+  --faults seed=7,store.csum=0.2,store.csum@0-2,store.ref=0.2"
+dune exec bin/velum.exe -- $rot >"$tmp/rot1.txt"
+dune exec bin/velum.exe -- $rot >"$tmp/rot2.txt"
+diff "$tmp/rot1.txt" "$tmp/rot2.txt" || {
+  echo "FAIL: supervised run under store rot diverged between identical-seed runs"; exit 1; }
+grep "^store:" "$tmp/rot1.txt"
+grep -q "^store: .* hint_misses=[1-9]" "$tmp/rot1.txt" || {
+  echo "FAIL: no commit refused a rotted chunk"; exit 1; }
 
 twice E17 BENCH_ha.json
 

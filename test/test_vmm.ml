@@ -479,6 +479,36 @@ let test_shadow_superpage_rewrite () =
   checkb "stale splinter leaf is gone" true
     (Shadow.translate shadow ~satp ~tlb ~access:Arch.Load ~user:true va2 = Cpu.xl_page)
 
+(* A guest table pointer outside RAM is a bad gpa, and costs no host
+   frame: the pager checks for RAM before it pairs a table. *)
+let test_shadow_bad_table_no_leak () =
+  let host, _, shadow, root_gfn, acc, _ = make_shadow_world () in
+  let free () = Frame_alloc.free_count host.Host.alloc in
+  let va k = Int64.shift_left (Int64.of_int k) (Arch.page_shift + (2 * Arch.vpn_bits)) in
+  (* pair the root first: root entry 10 is not present *)
+  (match Shadow.handle_fault shadow ~root_gfn ~access:Arch.Load ~user:true ~va:(va 10) with
+  | Shadow.Guest_fault -> ()
+  | _ -> Alcotest.fail "expected a guest fault");
+  let before = free () in
+  for k = 0 to 9 do
+    acc.Pt_build.write_pte
+      (Pt_build.pte_addr_of ~table_ppn:root_gfn ~index:k)
+      (Pte.table ~ppn:(Int64.of_int (64 + k)))
+  done;
+  let bad = ref 0 in
+  for k = 0 to 9 do
+    match Shadow.handle_fault shadow ~root_gfn ~access:Arch.Load ~user:true ~va:(va k) with
+    | Shadow.Bad_gpa -> incr bad
+    | _ -> ()
+  done;
+  checki "bad gpas" 10 !bad;
+  (* a root outside RAM, too *)
+  checkb "bad root" true
+    (Shadow.handle_fault shadow ~root_gfn:1000L ~access:Arch.Load ~user:true ~va:0L
+     = Shadow.Bad_gpa);
+  checki "host free frames" before (free ());
+  checki "shadow tables" 1 (Shadow.table_frames shadow)
+
 let test_shadow_invalidate_gfn () =
   let _, _, shadow, root_gfn, acc, alloc = make_shadow_world () in
   Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x4000L (Pte.leaf ~ppn:5L user_rw);
@@ -593,6 +623,175 @@ let test_nested_write_protection () =
   match Nested.translate nested ~guest_satp:satp ~tlb ~access:Arch.Store ~user:true 0x4000L with
   | x when x = Cpu.xl_page -> ()
   | _ -> Alcotest.fail "store should host-fault under logging"
+
+(* The walker property: [Nested.walk] against [Nested_model], the
+   reference 2-D walk, on two identical worlds.  Guest frames 0-11 have
+   random p2m entries (Absent; Present writable, read-only or COW;
+   Swapped; Ballooned; Remote), each Present one backed by host frame
+   gfn + 4.  Indexes 0-3 of frames 0-2 mostly point at frames 3-5, whose
+   entries mostly point at frames 6-8 or are superpage leaves (aligned,
+   misaligned, MMIO); frames 6-8 mostly hold 4 KiB leaves; the rest of
+   the entries are not present, pointers to gfns inside and beyond the
+   p2m, leaves anywhere, and words with reserved and top bits set.
+   Leaves carry every permission mix and A/D state.  A run of walks
+   (guest paging on or off, every access kind, user or supervisor,
+   canonical or not) must give the same outcomes, leave the same guest
+   memory, report the same [mark_ad_write] sequence and count the same
+   walks. *)
+let nested_gframes = 12
+
+let gen_p2m_entry =
+  QCheck2.Gen.(
+    frequencyl
+      [
+        (1, `Absent);
+        (5, `Rw);
+        (2, `Ro);
+        (3, `Cow);
+        (1, `Swapped);
+        (1, `Ballooned);
+        (1, `Remote);
+      ])
+
+(* An entry of a frame of [role] 2, 1 or 0 (the level it mostly serves),
+   or of a data frame (-1). *)
+let gen_guest_pte role =
+  QCheck2.Gen.(
+    let gfn lo hi = map Int64.of_int (int_range lo hi) in
+    let perms =
+      frequency
+        [
+          (1, return { Pte.r = true; w = true; x = true; u = true });
+          (2, map (fun (r, w, x, u) -> { Pte.r; w; x; u }) (quad bool bool bool bool));
+        ]
+    in
+    let leaf ppn =
+      map3
+        (fun ppn p (a, d) ->
+          let pte = Pte.leaf ~ppn p in
+          let pte = if a then Pte.set_accessed pte else pte in
+          if d then Pte.set_dirty pte else pte)
+        ppn perms (pair bool bool)
+    in
+    let any =
+      frequency
+        [
+          (2, return Pte.invalid);
+          (2, map (fun ppn -> Pte.table ~ppn) (gfn 0 (nested_gframes + 1)));
+          (2, leaf (gfn 0 (nested_gframes + 1)));
+          ( 1,
+            map2
+              (fun pte high -> Int64.logor pte (Int64.shift_left (Int64.of_int high) 54))
+              (map2 (fun ppn p -> Pte.leaf ~ppn p) (gfn 0 (nested_gframes + 1)) perms)
+              (int_bound 0x3FF) );
+        ]
+    in
+    match role with
+    | 2 -> frequency [ (3, map (fun ppn -> Pte.table ~ppn) (gfn 3 5)); (1, any) ]
+    | 1 ->
+        frequency
+          [
+            (3, map (fun ppn -> Pte.table ~ppn) (gfn 6 8));
+            (1, leaf (oneofl [ 0L; 1L; 512L; 513L; 0x40000L ]));
+            (1, any);
+          ]
+    | 0 ->
+        frequency
+          [
+            (6, leaf (gfn 0 (nested_gframes + 1)));
+            (1, leaf (oneofl [ 0x40000L; 0x40001L ]));
+            (1, any);
+          ]
+    | _ -> any)
+
+let gen_guest_tables =
+  QCheck2.Gen.(
+    flatten_l
+      (List.concat_map
+         (fun gfn ->
+           let role = if gfn < 9 then 2 - (gfn / 3) else -1 in
+           List.init 4 (fun index -> map (fun pte -> (gfn, index, pte)) (gen_guest_pte role)))
+         (List.init nested_gframes Fun.id)))
+
+let gen_nested_walk =
+  QCheck2.Gen.(
+    let va =
+      map
+        (fun ((i2, i1, i0), (off, noncanon)) ->
+          Int64.logor
+            (Int64.of_int ((i2 lsl 30) lor (i1 lsl 21) lor (i0 lsl 12) lor off))
+            (if noncanon then Int64.shift_left 1L 39 else 0L))
+        (pair
+           (triple (int_range 0 3) (int_range 0 3) (int_range 0 3))
+           (pair (int_bound 4095) (frequencyl [ (9, false); (1, true) ])))
+    in
+    map2
+      (fun (root, paging, access) (user, va) ->
+        let satp =
+          if paging then Arch.satp_make ~root_ppn:(Int64.of_int root) else Int64.of_int root
+        in
+        (satp, access, user, va))
+      (triple
+         (frequency [ (4, int_range 0 2); (1, int_range 0 (nested_gframes + 1)) ])
+         (frequencyl [ (9, true); (1, false) ])
+         (oneofl [ Arch.Fetch; Arch.Load; Arch.Store ]))
+      (pair bool va))
+
+(* One world: host memory, the p2m and a log of [mark_ad_write] calls. *)
+let nested_world kinds entries =
+  let mem = Phys_mem.create ~frames:(nested_gframes + 4) in
+  let p2m = P2m.create ~gframes:nested_gframes in
+  List.iteri
+    (fun gfn kind ->
+      let hpa_ppn = Int64.of_int (gfn + 4) in
+      P2m.set p2m (Int64.of_int gfn)
+        (match kind with
+        | `Absent -> P2m.Absent
+        | `Rw -> P2m.Present { hpa_ppn; writable = true; cow = false }
+        | `Ro -> P2m.Present { hpa_ppn; writable = false; cow = false }
+        | `Cow -> P2m.Present { hpa_ppn; writable = false; cow = true }
+        | `Swapped -> P2m.Swapped { slot = 0 }
+        | `Ballooned -> P2m.Ballooned
+        | `Remote -> P2m.Remote))
+    kinds;
+  List.iter
+    (fun (gfn, index, pte) ->
+      Phys_mem.write mem (Int64.of_int (((gfn + 4) * 4096) + (index * 8))) Instr.W64 pte)
+    entries;
+  let log = ref [] in
+  let env =
+    {
+      Nested.mem;
+      cost = Cost_model.default;
+      p2m;
+      mark_ad_write = (fun gfn -> log := gfn :: !log);
+    }
+  in
+  (mem, env, log)
+
+let prop_nested_walk_matches_model =
+  QCheck2.Test.make ~count:500 ~name:"walk matches the reference 2-D walk"
+    QCheck2.Gen.(
+      triple
+        (list_repeat nested_gframes gen_p2m_entry)
+        gen_guest_tables
+        (list_size (int_range 1 16) gen_nested_walk))
+    (fun (kinds, entries, walks) ->
+      let mem_m, env_m, log_m = nested_world kinds entries
+      and mem_n, env_n, log_n = nested_world kinds entries in
+      let model = Nested_model.create env_m and nested = Nested.create env_n in
+      List.for_all
+        (fun (guest_satp, access, user, va) ->
+          Nested_model.walk model ~guest_satp ~access ~user va
+          = Nested.walk nested ~guest_satp ~access ~user va)
+        walks
+      && !log_m = !log_n
+      && Nested_model.walks model = Nested.walks nested
+      && List.for_all
+           (fun ppn ->
+             Bytes.equal (Phys_mem.frame_read mem_m ~ppn:(Int64.of_int ppn))
+               (Phys_mem.frame_read mem_n ~ppn:(Int64.of_int ppn)))
+           (List.init (nested_gframes + 4) Fun.id))
 
 (* ---------------- Bound translator ---------------- *)
 
@@ -1070,6 +1269,8 @@ let () =
             test_shadow_emulate_pt_write_invalidates;
           Alcotest.test_case "superpage rewrite drops splinters" `Quick
             test_shadow_superpage_rewrite;
+          Alcotest.test_case "bad table gfn takes no frame" `Quick
+            test_shadow_bad_table_no_leak;
           Alcotest.test_case "invalidate gfn" `Quick test_shadow_invalidate_gfn;
           Alcotest.test_case "mmio detection" `Quick test_shadow_mmio_detection;
           Alcotest.test_case "flush all frees" `Quick test_shadow_flush_all_frees;
@@ -1079,6 +1280,7 @@ let () =
           Alcotest.test_case "translate and a/d" `Quick test_nested_translate_and_ad;
           Alcotest.test_case "classify" `Quick test_nested_classify;
           Alcotest.test_case "write protection" `Quick test_nested_write_protection;
+          QCheck_alcotest.to_alcotest prop_nested_walk_matches_model;
         ] );
       (* Alcotest sizes its name column by the longest group name; a longer
          one truncates the long case names above in the output. *)
