@@ -5,7 +5,9 @@ type t = {
   alloc : Frame_alloc.t;
   cost : Cost_model.t;
   default_engine : Engine.kind;
-  mutable swap : Bytes.t option array;
+  swap : (int, Bytes.t) Hashtbl.t;
+  swap_slots : int;
+  mutable swap_next : int;
   mutable swap_free : int list;
   mutable swap_ins : int;
   mutable swap_outs : int;
@@ -22,8 +24,10 @@ let create ?(frames = 16384) ?(cost = Cost_model.default) ?(swap_slots = 4096)
     alloc = Frame_alloc.create ~mem ();
     cost;
     default_engine = engine;
-    swap = Array.make swap_slots None;
-    swap_free = List.init swap_slots Fun.id;
+    swap = Hashtbl.create 16;
+    swap_slots;
+    swap_next = 0;
+    swap_free = [];
     swap_ins = 0;
     swap_outs = 0;
     churn = None;
@@ -38,21 +42,27 @@ let churn t =
       c
 
 let swap_out t ~ppn =
-  match t.swap_free with
-  | [] -> failwith "Host.swap_out: swap full"
-  | slot :: rest ->
-      t.swap_free <- rest;
-      t.swap.(slot) <- Some (Phys_mem.frame_read t.mem ~ppn);
-      t.swap_outs <- t.swap_outs + 1;
-      slot
+  let slot =
+    match t.swap_free with
+    | slot :: rest ->
+        t.swap_free <- rest;
+        slot
+    | [] ->
+        if t.swap_next >= t.swap_slots then failwith "Host.swap_out: swap full";
+        t.swap_next <- t.swap_next + 1;
+        t.swap_next - 1
+  in
+  Hashtbl.replace t.swap slot (Phys_mem.frame_read t.mem ~ppn);
+  t.swap_outs <- t.swap_outs + 1;
+  slot
 
 let swap_in t ~slot ~ppn =
-  match t.swap.(slot) with
+  match Hashtbl.find_opt t.swap slot with
   | Some b ->
       Phys_mem.frame_write t.mem ~ppn b;
-      t.swap.(slot) <- None;
+      Hashtbl.remove t.swap slot;
       t.swap_free <- slot :: t.swap_free;
       t.swap_ins <- t.swap_ins + 1
   | None -> invalid_arg "Host.swap_in: empty slot"
 
-let free_swap_slots t = List.length t.swap_free
+let free_swap_slots t = List.length t.swap_free + (t.swap_slots - t.swap_next)

@@ -16,11 +16,15 @@ type t = {
   default_engine : Engine.kind;
       (** execution engine VMs on this host use unless overridden at
           {!Hypervisor.create_vm} time *)
-  mutable swap : Bytes.t option array;  (** slot → parked frame image *)
+  swap : (int, Bytes.t) Hashtbl.t;  (** slot → parked frame image *)
+  swap_slots : int;  (** the swap area's size in slots *)
+  mutable swap_next : int;
+      (** slots [swap_next .. swap_slots - 1] have never been used: a
+          host that never swaps builds nothing per slot *)
   mutable swap_free : int list;
-      (** free-slot free-list (LIFO), so {!swap_out} allocates in O(1)
-          instead of rescanning the array — swap-out sits on the
-          overcommit hot path *)
+      (** slots used and given back (LIFO), taken before a never-used
+          one, so {!swap_out} allocates in O(1) and hands out slots in
+          the order a full free list would *)
   mutable swap_ins : int;
   mutable swap_outs : int;
   mutable churn : Churn.t option;

@@ -159,6 +159,40 @@ let test_host_swap_fill_drain () =
   checki "LIFO reuse" taken.(slots - 1) again;
   checki "one taken" (slots - 1) (Host.free_swap_slots host)
 
+(* Slots are made on first use; interleaved swap-outs and swap-ins must
+   hand out the slots a full LIFO free list of every slot would. *)
+let prop_host_swap_order =
+  QCheck2.Test.make ~count:200 ~name:"swap slots in free-list order"
+    QCheck2.Gen.(list_size (int_range 1 40) (pair bool (int_bound 7)))
+    (fun ops ->
+      let slots = 6 in
+      let host = Host.create ~frames:64 ~swap_slots:slots () in
+      let p = Frame_alloc.alloc_exn host.Host.alloc in
+      let free = ref (List.init slots Fun.id) and held = ref [] in
+      List.for_all
+        (fun (out, k) ->
+          (if out then
+             match !free with
+             | [] -> (
+                 match Host.swap_out host ~ppn:p with
+                 | _ -> false
+                 | exception Failure _ -> true)
+             | slot :: rest ->
+                 free := rest;
+                 held := slot :: !held;
+                 Host.swap_out host ~ppn:p = slot
+           else
+             match !held with
+             | [] -> true
+             | l ->
+                 let slot = List.nth l (k mod List.length l) in
+                 held := List.filter (( <> ) slot) l;
+                 free := slot :: !free;
+                 Host.swap_in host ~slot ~ppn:p;
+                 true)
+          && Host.free_swap_slots host = List.length !free)
+        ops)
+
 (* ---------------- Monitor ---------------- *)
 
 let test_monitor_counts () =
@@ -1243,6 +1277,7 @@ let () =
         [
           Alcotest.test_case "swap roundtrip" `Quick test_host_swap_roundtrip;
           Alcotest.test_case "swap fill/drain" `Quick test_host_swap_fill_drain;
+          QCheck_alcotest.to_alcotest prop_host_swap_order;
         ] );
       ( "monitor",
         [
