@@ -212,8 +212,7 @@ let check_worker_errors fleet =
 
 (* The one round loop: a scheduled failure takes effect, the worker
    phase [workers round] runs every live host up to the round boundary,
-   then the coordinator alone migrates and calls [on_round].  The
-   sequential and the domain-parallel runs differ only in [workers]. *)
+   then the coordinator alone migrates and calls [on_round]. *)
 let run_rounds fleet ~on_round ~workers =
   let round = ref 0 in
   let continue = ref true in
@@ -226,41 +225,43 @@ let run_rounds fleet ~on_round ~workers =
     incr round
   done
 
-let step_all fleet round = Array.iter (fun n -> step_node fleet n ~round) fleet.nodes
-
-(* Spawn [min domains hosts] workers, each stepping a fixed stripe of
-   hosts, and hand [body] the worker phase that releases them for one
-   round and waits for all of them.  Domains are joined however [body]
+(* Split the hosts into [m = min domains hosts] fixed stripes (host [i]
+   is in stripe [i mod m]) and hand [body] the worker phase: the calling
+   domain steps stripe 0 itself while [m - 1] spawned domains step the
+   others.  With [m = 1] that is the plain sequential loop.  Every
+   stripe's exceptions are recorded per host and re-raised, in host
+   order, once the phase is over.  Domains are joined however [body]
    ends. *)
 let with_domains fleet ~domains body =
   let m = min domains fleet.cfg.hosts in
-  (* workers + coordinator meet at both edges of every worker phase *)
-  let start_b = Barrier.create ~parties:(m + 1) in
-  let done_b = Barrier.create ~parties:(m + 1) in
+  (* the m stripes meet at both edges of every worker phase *)
+  let start_b = Barrier.create ~parties:m in
+  let done_b = Barrier.create ~parties:m in
   let round = ref 0 in
   let stop = ref false in
   (* [round] and [stop] are written by the coordinator strictly before
      it enters [start_b] and read by workers strictly after they leave
      it; the barrier mutex orders those accesses, so plain refs are
      race-free here. *)
+  let step_stripe w r =
+    Array.iteri
+      (fun i n ->
+        if i mod m = w then
+          try step_node fleet n ~round:r with e -> n.error <- Some e)
+      fleet.nodes
+  in
   let worker w =
     let live = ref true in
     while !live do
       Barrier.await start_b;
       if !stop then live := false
       else begin
-        let r = !round in
-        Array.iteri
-          (fun i n ->
-            if i mod m = w then
-              try step_node fleet n ~round:r
-              with e -> n.error <- Some e)
-          fleet.nodes;
+        step_stripe w !round;
         Barrier.await done_b
       end
     done
   in
-  let doms = Array.init m (fun w -> Domain.spawn (fun () -> worker w)) in
+  let doms = Array.init (m - 1) (fun w -> Domain.spawn (fun () -> worker (w + 1))) in
   let shutdown () =
     stop := true;
     Barrier.await start_b;
@@ -269,6 +270,7 @@ let with_domains fleet ~domains body =
   let phase r =
     round := r;
     Barrier.await start_b;
+    step_stripe 0 r;
     Barrier.await done_b;
     check_worker_errors fleet
   in
@@ -359,8 +361,7 @@ let clear_halted node = node.halted <- false
 let run_fleet ?(domains = 1) ?(on_round = fun _ ~round:_ -> ()) fleet =
   if domains <= 0 then
     invalid_arg "Parallel.run_fleet: domains must be positive";
-  if domains = 1 then run_rounds fleet ~on_round ~workers:(step_all fleet)
-  else with_domains fleet ~domains (fun workers -> run_rounds fleet ~on_round ~workers)
+  with_domains fleet ~domains (fun workers -> run_rounds fleet ~on_round ~workers)
 
 let run ?(domains = 1) ?on_round cfg =
   if domains <= 0 then invalid_arg "Parallel.run: domains must be positive";

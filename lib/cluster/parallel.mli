@@ -10,9 +10,12 @@
     Execution alternates two phases per round:
 
     - {b worker phase}: every live host runs independently up to the
-      absolute cycle boundary [(round+1) * quantum].  With
-      [domains > 1] the hosts are statically partitioned over domains;
-      with [domains = 1] they run in host order on the calling thread.
+      absolute cycle boundary [(round+1) * quantum].  The hosts are
+      statically partitioned into [m = min domains hosts] stripes (host
+      [i] in stripe [i mod m]); the calling domain steps stripe 0 and
+      [m - 1] spawned domains step the rest, so [--domains N] runs N
+      domains in all.  With [domains = 1] the calling domain steps every
+      host in host order.
     - {b barrier phase}: the coordinator alone performs the scheduled
       migration and then calls the [on_round] hook.  A scheduled host
       failure takes effect before the worker phase of its round.
@@ -143,11 +146,13 @@ val run :
   ?domains:int -> ?on_round:(fleet -> round:int -> unit) -> config -> result
 (** [run ~domains cfg] = {!init} + {!run_fleet} + {!report}.
     [domains = 1] (default) is the sequential reference; any larger
-    value spawns [min domains hosts] worker domains.  The report is
-    byte-identical across domain counts.
+    value runs [min domains hosts] stripes, stripe 0 on the caller and
+    one spawned domain per other stripe.  The report is byte-identical
+    across domain counts.
 
-    A worker exception is captured, the fleet is shut down cleanly
-    (domains joined), and the exception re-raised on the caller.
+    An exception from a host, in any stripe, is recorded; at the end of
+    that worker phase the fleet is shut down cleanly (domains joined)
+    and the first one in host order is re-raised on the caller.
 
     @raise Invalid_argument if [domains <= 0]. *)
 

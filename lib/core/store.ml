@@ -14,6 +14,15 @@ let chunk_payload = 4096
 let data_start_sector = 2
 let data_start = data_start_sector * Blockdev.sector_bytes
 
+(* Tables keyed by content hash.  FNV digests are well mixed, so the
+   low bits are the hash: no [caml_hash] over a boxed [int64]. *)
+module I64tbl = Hashtbl.Make (struct
+  type t = int64
+
+  let equal = Int64.equal
+  let hash h = Int64.to_int h land max_int
+end)
+
 (* A chunk the in-memory index knows about: where the newest clean copy
    of this content lives in the active space. *)
 type chunk = { c_off : int; c_len : int }
@@ -23,7 +32,9 @@ type chunk = { c_off : int; c_len : int }
 type manifest = {
   m_stream : string;
   m_gen : int;
-  m_entries : (int64 * int * int) array; (* content hash, absolute off, len *)
+  m_entries : Bytes.t;
+      (* the manifest record's entry span: [entry_bytes] per chunk, its
+         content hash, absolute off and len *)
   m_image_len : int;
   m_root : int64; (* FNV fold of the entries' payload hashes, in order *)
   m_off : int; (* absolute device offset of this manifest record *)
@@ -37,12 +48,12 @@ type t = {
   mutable seq : int; (* global commit sequence (superblock flips) *)
   mutable space : int; (* active log space, 0 or 1 *)
   mutable head : int; (* append offset relative to the space start *)
-  index : (int64, chunk) Hashtbl.t;
+  index : chunk I64tbl.t;
   streams : (string, manifest) Hashtbl.t; (* newest manifest per stream *)
   mutable catalogs : manifest list list; (* newest-first, at most 2 *)
-  mutable refs : (int64 * int) array;
-      (* the refcount table: references the distinct manifests of
-         [catalogs] hold on each content hash, in hash order *)
+  mutable refs : Bytes.t;
+      (* the refcount table's rows: references the distinct manifests
+         of [catalogs] hold on each content hash, in hash order *)
   mutable commits : int;
   mutable torn : int;
   mutable bytes_written : int;
@@ -79,10 +90,42 @@ let of_bytes b =
     clean = None;
   }
 
-let merkle_root entries =
-  Array.fold_left (fun acc (h, _, _) -> Fnv.combine acc h) Fnv.offset_basis entries
+(* --- in-memory tables in the on-device record layouts --- *)
 
-let chunks_live t = Array.length t.refs
+(* Bounds-checked primitives, compiled inline: no call, and a word
+   consumed at once is never boxed.  Native order is the records'
+   little-endian order on the little-endian hosts [Fnv] requires. *)
+external put_i64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external get_i64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
+(* Manifest entries, as a manifest record stores them. *)
+let entry_bytes = 24
+let[@inline] ent_count e = Bytes.length e / entry_bytes
+let[@inline] ent_hash e i = get_i64 e (entry_bytes * i)
+let[@inline] ent_off e i = Int64.to_int (get_i64 e ((entry_bytes * i) + 8))
+let[@inline] ent_len e i = Int64.to_int (get_i64 e ((entry_bytes * i) + 16))
+
+let set_entry e i h ~off ~len =
+  let p = entry_bytes * i in
+  put_i64 e p h;
+  put_i64 e (p + 8) (Int64.of_int off);
+  put_i64 e (p + 16) (Int64.of_int len)
+
+(* Refcount rows, as the refcount table record stores them: content
+   hash, count.  The same layout carries a commit's signed deltas. *)
+let row_bytes = 16
+let[@inline] row_count r = Bytes.length r / row_bytes
+let[@inline] row_hash r i = get_i64 r (row_bytes * i)
+let[@inline] row_value r i = Int64.to_int (get_i64 r ((row_bytes * i) + 8))
+
+let merkle_root e =
+  let h = ref Fnv.offset_basis in
+  for i = 0 to ent_count e - 1 do
+    h := Fnv.combine !h (ent_hash e i)
+  done;
+  !h
+
+let chunks_live t = row_count t.refs
 
 let stream_generation ?(id = "") t =
   match Hashtbl.find_opt t.streams id with Some m -> m.m_gen | None -> 0
@@ -109,11 +152,6 @@ let sectors_for ~image_bytes = fleet_sectors_for ~streams:1 ~image_bytes
 
 (* --- on-device records --- *)
 
-(* Bounds-checked primitives, compiled inline: no call, and a word
-   consumed at once is never boxed.  Native order is the records'
-   little-endian order on the little-endian hosts [Fnv] requires. *)
-external put_i64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
-external get_i64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 let space_off t s = data_start + (s * t.space_bytes)
 let sb_off slot = slot * Blockdev.sector_bytes
 
@@ -138,29 +176,22 @@ let chunk_record ~hash payload_src ~pos ~len =
   Bytes.blit payload_src pos b chunk_header len;
   b
 
+let manifest_len m = 48 + String.length m.m_stream + Bytes.length m.m_entries + 8
+
 let manifest_bytes m =
   let nlen = String.length m.m_stream in
-  let n = Array.length m.m_entries in
-  let total = 48 + nlen + (24 * n) + 8 in
+  let total = manifest_len m in
   let b = Bytes.create total in
   put_i64 b 0 manifest_magic;
   put_i64 b 8 (Int64.of_int nlen);
-  put_i64 b 16 (Int64.of_int n);
+  put_i64 b 16 (Int64.of_int (ent_count m.m_entries));
   put_i64 b 24 (Int64.of_int m.m_image_len);
   put_i64 b 32 m.m_root;
   put_i64 b 40 (Int64.of_int m.m_gen);
   Bytes.blit_string m.m_stream 0 b 48 nlen;
-  Array.iteri
-    (fun i (h, off, len) ->
-      let p = 48 + nlen + (24 * i) in
-      put_i64 b p h;
-      put_i64 b (p + 8) (Int64.of_int off);
-      put_i64 b (p + 16) (Int64.of_int len))
-    m.m_entries;
+  Bytes.blit m.m_entries 0 b (48 + nlen) (Bytes.length m.m_entries);
   put_i64 b (total - 8) (Fnv.hash_bytes ~pos:0 ~len:(total - 8) b);
   b
-
-let manifest_len m = 48 + String.length m.m_stream + (24 * Array.length m.m_entries) + 8
 
 (* Catalog: the stream directory — name, per-stream generation, and the
    absolute location of each stream's newest manifest.  Serialized in
@@ -188,70 +219,81 @@ let catalog_bytes ms =
   put_i64 b (total - 8) (Fnv.hash_bytes ~pos:0 ~len:(total - 8) b);
   b
 
-let reftable_bytes entries =
-  let n = Array.length entries in
-  let total = 16 + (16 * n) + 8 in
+let reftable_bytes rows =
+  let total = 16 + Bytes.length rows + 8 in
   let b = Bytes.create total in
   put_i64 b 0 reftable_magic;
-  put_i64 b 8 (Int64.of_int n);
-  Array.iteri
-    (fun i (h, r) ->
-      put_i64 b (16 + (16 * i)) h;
-      put_i64 b (24 + (16 * i)) (Int64.of_int r))
-    entries;
+  put_i64 b 8 (Int64.of_int (row_count rows));
+  Bytes.blit rows 0 b 16 (Bytes.length rows);
   put_i64 b (total - 8) (Fnv.hash_bytes ~pos:0 ~len:(total - 8) b);
   b
 
-let by_hash (a, _) (b, _) = Int64.compare a b
+(* [d] more references on every entry of [e], tallied per hash. *)
+let tally refs e d =
+  for i = 0 to ent_count e - 1 do
+    let h = ent_hash e i in
+    I64tbl.replace refs h (d + Option.value ~default:0 (I64tbl.find_opt refs h))
+  done
 
-(* The refcount table's rows: every hash with a positive count, in hash
-   order. *)
-let rows_of refs =
-  let a =
-    Array.of_list (Hashtbl.fold (fun h n acc -> if n > 0 then (h, n) :: acc else acc) refs [])
-  in
-  Array.sort by_hash a;
-  a
+(* The [(h, v)] of [refs] whose [v] passes [keep], as rows in hash order.
+   The keys array starts from a constant, not a fresh block, so building
+   it forces no minor collection. *)
+let rows_of ?(keep = fun n -> n > 0) refs =
+  let keys = Array.make (I64tbl.length refs) 0L in
+  let n = I64tbl.fold (fun h v n -> if keep v then (keys.(n) <- h; n + 1) else n) refs 0 in
+  let keys = Array.sub keys 0 n in
+  Array.sort Int64.compare keys;
+  let rows = Bytes.create (row_bytes * n) in
+  Array.iteri
+    (fun i h ->
+      put_i64 rows (row_bytes * i) h;
+      put_i64 rows ((row_bytes * i) + 8) (Int64.of_int (I64tbl.find refs h)))
+    keys;
+  rows
 
-(* [rows] with each [(h, d)] of the hash-ordered [changes] added. *)
+(* [rows] with the value of each hash-ordered row of [changes] added; rows
+   that reach 0 drop out.  One pass into a buffer sized for the worst
+   case, then trimmed. *)
 let merge_rows rows changes =
-  let out = ref [] in
-  let emit h n = if n > 0 then out := (h, n) :: !out in
+  let nr = row_count rows and nc = row_count changes in
+  let out = Bytes.create (row_bytes * (nr + nc)) in
+  let k = ref 0 in
+  let emit src r n =
+    if n > 0 then begin
+      put_i64 out (row_bytes * !k) (row_hash src r);
+      put_i64 out ((row_bytes * !k) + 8) (Int64.of_int n);
+      incr k
+    end
+  in
   let i = ref 0 and j = ref 0 in
-  let nr = Array.length rows and nc = Array.length changes in
   while !i < nr || !j < nc do
-    let c = if !i >= nr then 1 else if !j >= nc then -1 else by_hash rows.(!i) changes.(!j) in
-    if c < 0 then (
-      let h, n = rows.(!i) in
-      emit h n;
-      incr i)
-    else if c > 0 then (
-      let h, d = changes.(!j) in
-      emit h d;
-      incr j)
-    else (
-      let h, n = rows.(!i) in
-      emit h (n + snd changes.(!j));
+    if !j >= nc || (!i < nr && row_hash rows !i < row_hash changes !j) then begin
+      emit rows !i (row_value rows !i);
+      incr i
+    end
+    else if !i >= nr || row_hash rows !i > row_hash changes !j then begin
+      emit changes !j (row_value changes !j);
+      incr j
+    end
+    else begin
+      emit rows !i (row_value rows !i + row_value changes !j);
       incr i;
-      incr j)
+      incr j
+    end
   done;
-  Array.of_list (List.rev !out)
+  Bytes.sub out 0 (row_bytes * !k)
 
 (* References held on each content hash by the distinct manifests of the
    (at most two) recoverable catalogs.  Identity is the manifest's device
    offset; counts are per entry occurrence. *)
 let refs_of_catalogs catalogs =
-  let refs = Hashtbl.create 64 in
+  let refs = I64tbl.create 1024 in
   let seen = Hashtbl.create 16 in
   List.iter
     (List.iter (fun m ->
          if not (Hashtbl.mem seen m.m_off) then begin
            Hashtbl.replace seen m.m_off ();
-           Array.iter
-             (fun (h, _, _) ->
-               Hashtbl.replace refs h
-                 (1 + Option.value ~default:0 (Hashtbl.find_opt refs h)))
-             m.m_entries
+           tally refs m.m_entries 1
          end))
     catalogs;
   refs
@@ -261,12 +303,12 @@ let refs_of_catalogs catalogs =
 type plan = {
   p_gen : int;
   p_new : (int * Bytes.t) list; (* absolute off, chunk record *)
-  p_new_meta : (int64 * int * int) list; (* hash, absolute off, payload len *)
   p_shared : int;
   p_misses : int; (* hinted chunks the verify refused *)
+  p_rotted : int; (* refused verifies whose stored payload rotted *)
   p_manifest : manifest;
   p_catalog : manifest list;
-  p_refs : (int64 * int) array; (* the refcount table once committed *)
+  p_refs : Bytes.t; (* the refcount table's rows once committed *)
   p_cat_off : int;
   p_cat_b : Bytes.t;
   p_ref_off : int;
@@ -276,104 +318,96 @@ type plan = {
   p_total : int; (* p_data_len + sb_bytes *)
 }
 
-(* The previous manifest's hash for chunk [i] of [src], when the source
-   proves that chunk unchanged since the stream's current generation. *)
+(* The stream's current manifest entries and the source's clean test,
+   when the source proves chunks unchanged since that generation; chunk
+   [i] then reuses entry [i]'s hash if the lengths agree. *)
 let hint_for t ~id src =
   match (src.clean, Hashtbl.find_opt t.streams id) with
-  | Some (gen, clean), Some m when m.m_gen = gen ->
-      fun i plen ->
-        if i < Array.length m.m_entries && clean i then
-          let h, _, len = m.m_entries.(i) in
-          if len = plen then Some h else None
-        else None
-  | _ -> fun _ _ -> None
+  | Some (gen, clean), Some m when m.m_gen = gen -> (m.m_entries, clean)
+  | _ -> (Bytes.empty, fun _ -> false)
 
 (* Refcount change of a commit whose catalog adds manifest [m], as
    hash-ordered nonzero [(hash, delta)] rows: the window of recoverable
    catalogs becomes the newest one plus [m], so [m]'s entries gain a
    reference and the manifests only the older catalog held lose theirs. *)
 let refs_delta t m =
-  let delta = Hashtbl.create 64 in
-  let bump d (h, _, _) =
-    Hashtbl.replace delta h (d + Option.value ~default:0 (Hashtbl.find_opt delta h))
-  in
-  Array.iter (bump 1) m.m_entries;
+  let delta = I64tbl.create (2 * ent_count m.m_entries) in
+  tally delta m.m_entries 1;
   (match t.catalogs with
   | [ newest; older ] ->
       let kept = Hashtbl.create 16 in
       List.iter (fun m -> Hashtbl.replace kept m.m_off ()) newest;
       List.iter
-        (fun m -> if not (Hashtbl.mem kept m.m_off) then Array.iter (bump (-1)) m.m_entries)
+        (fun m -> if not (Hashtbl.mem kept m.m_off) then tally delta m.m_entries (-1))
         older
   | _ -> ());
-  let changes =
-    Array.of_list (Hashtbl.fold (fun h d acc -> if d = 0 then acc else (h, d) :: acc) delta [])
-  in
-  Array.sort by_hash changes;
-  changes
+  rows_of ~keep:(fun d -> d <> 0) delta
 
 let plan_commit t ~id src =
   let len = src.length in
-  let nchunks = (len + chunk_payload - 1) / chunk_payload in
+  let nchunks = max 0 ((len + chunk_payload - 1) / chunk_payload) in
   let base = space_off t t.space in
   let cursor = ref t.head in
-  let pending = Hashtbl.create 16 in
+  let pending = I64tbl.create 16 in
   (* hash -> record and absolute off of the first new chunk with that content *)
-  let news = ref [] and news_meta = ref [] and shared = ref 0 and misses = ref 0 in
-  let hinted = hint_for t ~id src in
+  let news = ref [] and shared = ref 0 and misses = ref 0 and rotted = ref 0 in
+  let prev, clean = hint_for t ~id src in
   let buf = Bytes.create chunk_payload in
-  (* Share a copy of [buf]'s first [plen] bytes already in this commit or
-     the store — after a byte-compare verify: content-hash equality is
-     not content equality, and a rotted stored copy must not be
-     re-referenced. *)
+  (* The absolute off of a copy of [buf]'s first [plen] bytes already in
+     this commit or the store, or -1 — after a byte-compare verify:
+     content-hash equality is not content equality, and a rotted stored
+     copy must not be re-referenced.  A refused stored copy whose payload
+     no longer hashes to its record's hash is rot; a collision or a lying
+     hint leaves it intact. *)
   let lookup h plen =
-    match Hashtbl.find_opt pending h with
+    match I64tbl.find_opt pending h with
     | Some (rec_b, off)
       when Bytes.length rec_b >= chunk_header + plen
            && Fnv.equal_range rec_b chunk_header buf 0 plen ->
-        Some off
+        off
     | _ -> (
-        match Hashtbl.find_opt t.index h with
-        | Some c
-          when c.c_len = plen
-               && Blockdev.pequal t.blk ~off:(c.c_off + chunk_header) buf ~pos:0 ~len:plen
-          ->
-            Some c.c_off
-        | _ -> None)
+        match I64tbl.find_opt t.index h with
+        | Some c when c.c_len = plen ->
+            let at = c.c_off + chunk_header in
+            if Blockdev.pequal t.blk ~off:at buf ~pos:0 ~len:plen then c.c_off
+            else begin
+              if Fnv.hash_bytes (Blockdev.pread t.blk ~off:at ~len:plen) <> h then incr rotted;
+              -1
+            end
+        | _ -> -1)
   in
-  let entries =
-    Array.init (max 0 nchunks) (fun i ->
-        let pos = i * chunk_payload in
-        let plen = min chunk_payload (len - pos) in
-        src.blit ~pos buf ~off:0 ~len:plen;
-        let h, dedup =
-          match hinted i plen with
-          | Some h -> (
-              (* A clean chunk skips only the hash: the lookup and its
-                 verify run as for any other chunk. *)
-              match lookup h plen with
-              | Some off -> (h, Some off)
-              | None ->
-                  incr misses;
-                  let h' = Fnv.hash_bytes ~pos:0 ~len:plen buf in
-                  (h', if Int64.equal h' h then None else lookup h' plen))
-          | None ->
-              let h = Fnv.hash_bytes ~pos:0 ~len:plen buf in
-              (h, lookup h plen)
-        in
-        match dedup with
-        | Some off ->
-            incr shared;
-            (h, off, plen)
-        | None ->
-            let off = base + !cursor in
-            let rec_b = chunk_record ~hash:h buf ~pos:0 ~len:plen in
-            news := (off, rec_b) :: !news;
-            news_meta := (h, off, plen) :: !news_meta;
-            if not (Hashtbl.mem pending h) then Hashtbl.replace pending h (rec_b, off);
-            cursor := !cursor + Bytes.length rec_b;
-            (h, off, plen))
-  in
+  let entries = Bytes.create (entry_bytes * nchunks) in
+  for i = 0 to nchunks - 1 do
+    let pos = i * chunk_payload in
+    let plen = min chunk_payload (len - pos) in
+    src.blit ~pos buf ~off:0 ~len:plen;
+    let h = ref 0L and off = ref (-1) in
+    if i < ent_count prev && clean i && ent_len prev i = plen then begin
+      (* A clean chunk skips only the hash: the lookup and its verify
+         run as for any other chunk. *)
+      h := ent_hash prev i;
+      off := lookup !h plen;
+      if !off < 0 then begin
+        incr misses;
+        let h' = Fnv.hash_bytes ~pos:0 ~len:plen buf in
+        if not (Int64.equal h' !h) then off := lookup h' plen;
+        h := h'
+      end
+    end
+    else begin
+      h := Fnv.hash_bytes ~pos:0 ~len:plen buf;
+      off := lookup !h plen
+    end;
+    if !off >= 0 then incr shared
+    else begin
+      off := base + !cursor;
+      let rec_b = chunk_record ~hash:!h buf ~pos:0 ~len:plen in
+      news := (!off, rec_b) :: !news;
+      if not (I64tbl.mem pending !h) then I64tbl.replace pending !h (rec_b, !off);
+      cursor := !cursor + Bytes.length rec_b
+    end;
+    set_entry entries i !h ~off:!off ~len:plen
+  done;
   let p_gen = stream_generation ~id t + 1 in
   let m_off = base + !cursor in
   let m0 =
@@ -406,9 +440,9 @@ let plan_commit t ~id src =
   {
     p_gen;
     p_new = List.rev !news;
-    p_new_meta = List.rev !news_meta;
     p_shared = !shared;
     p_misses = !misses;
+    p_rotted = !rotted;
     p_manifest = m;
     p_catalog = catalog;
     p_refs;
@@ -463,7 +497,7 @@ type gc_outcome =
 type gc_plan = {
   g_writes : (int * Bytes.t) list;
   g_manifests : (string * manifest) list;
-  g_refs : (int64 * int) array;
+  g_refs : Bytes.t;
   g_head : int;
   g_live : int;
   g_total : int;
@@ -482,26 +516,31 @@ let plan_gc t =
   let writes = ref [] in
   List.iter
     (fun (_, m) ->
-      Array.iter
-        (fun (h, off, len) ->
-          if not (Hashtbl.mem reloc off) then begin
-            let payload = Blockdev.pread t.blk ~off:(off + chunk_header) ~len in
-            (* Copy raw: a rotted payload keeps its original hash in the
-               record so recovery still detects the rot after compaction. *)
-            let rec_b = chunk_record ~hash:h payload ~pos:0 ~len in
-            Hashtbl.replace reloc off (base + !cursor);
-            writes := (base + !cursor, rec_b) :: !writes;
-            cursor := !cursor + Bytes.length rec_b
-          end)
-        m.m_entries)
+      let e = m.m_entries in
+      for i = 0 to ent_count e - 1 do
+        let off = ent_off e i in
+        if not (Hashtbl.mem reloc off) then begin
+          let len = ent_len e i in
+          let payload = Blockdev.pread t.blk ~off:(off + chunk_header) ~len in
+          (* Copy raw: a rotted payload keeps its original hash in the
+             record so recovery still detects the rot after compaction. *)
+          let rec_b = chunk_record ~hash:(ent_hash e i) payload ~pos:0 ~len in
+          Hashtbl.replace reloc off (base + !cursor);
+          writes := (base + !cursor, rec_b) :: !writes;
+          cursor := !cursor + Bytes.length rec_b
+        end
+      done)
     streams;
   let live = Hashtbl.length reloc in
   let manifests =
     List.map
       (fun (name, m) ->
-        let entries =
-          Array.map (fun (h, off, len) -> (h, Hashtbl.find reloc off, len)) m.m_entries
-        in
+        let entries = Bytes.copy m.m_entries in
+        for i = 0 to ent_count entries - 1 do
+          set_entry entries i (ent_hash entries i)
+            ~off:(Hashtbl.find reloc (ent_off entries i))
+            ~len:(ent_len entries i)
+        done;
         let m' = { m with m_entries = entries; m_off = base + !cursor } in
         let b = manifest_bytes m' in
         let m' = { m' with m_len = Bytes.length b } in
@@ -559,13 +598,13 @@ let gc ?crash_at t =
       t.seq <- t.seq + 1;
       t.space <- 1 - t.space;
       t.head <- p.g_head;
-      Hashtbl.reset t.index;
+      I64tbl.reset t.index;
       List.iter
         (fun (_, m) ->
-          Array.iter
-            (fun (h, off, len) ->
-              Hashtbl.replace t.index h { c_off = off; c_len = len })
-            m.m_entries)
+          let e = m.m_entries in
+          for i = 0 to ent_count e - 1 do
+            I64tbl.replace t.index (ent_hash e i) { c_off = ent_off e i; c_len = ent_len e i }
+          done)
         p.g_manifests;
       t.refs <- p.g_refs;
       Hashtbl.reset t.streams;
@@ -605,6 +644,9 @@ let do_commit ?crash_at t ~id ~plan:p =
   in
   stream_writes t writes ~cut;
   t.hint_misses <- t.hint_misses + p.p_misses;
+  for _ = 1 to p.p_rotted do
+    Fault.observe t.faults Fault.Store_csum
+  done;
   match cut with
   | Some cut ->
       (* The in-memory generation is deliberately not advanced — a real
@@ -634,8 +676,10 @@ let do_commit ?crash_at t ~id ~plan:p =
       t.seq <- seq;
       t.head <- t.head + p.p_data_len;
       List.iter
-        (fun (h, off, len) -> Hashtbl.replace t.index h { c_off = off; c_len = len })
-        p.p_new_meta;
+        (fun (off, rec_b) ->
+          I64tbl.replace t.index (get_i64 rec_b 8)
+            { c_off = off; c_len = Bytes.length rec_b - chunk_header })
+        p.p_new;
       t.refs <- p.p_refs;
       Hashtbl.replace t.streams id p.p_manifest;
       let prev = match t.catalogs with c :: _ -> [ c ] | [] -> [] in
@@ -645,7 +689,7 @@ let do_commit ?crash_at t ~id ~plan:p =
         {
           gen = p.p_gen;
           bytes = p.p_total;
-          chunks_new = List.length p.p_new_meta;
+          chunks_new = List.length p.p_new;
           chunks_shared = p.p_shared;
         }
 
@@ -701,18 +745,14 @@ let parse_manifest t ~stream ~gen ~off ~len =
   if get_i64 b (len - 8) <> Fnv.hash_bytes ~pos:0 ~len:(len - 8) b then
     raise (Bad Fault.Store_csum);
   if Bytes.sub_string b 48 nlen <> stream then raise (Bad Fault.Store_torn);
-  let entries =
-    Array.init n (fun i ->
-        let p = 48 + nlen + (24 * i) in
-        let h = get_i64 b p in
-        let coff = Int64.to_int (get_i64 b (p + 8)) in
-        let clen = Int64.to_int (get_i64 b (p + 16)) in
-        if
-          coff < data_start || clen <= 0 || clen > chunk_payload
-          || coff + chunk_header + clen > capacity t
-        then raise (Bad Fault.Store_torn);
-        (h, coff, clen))
-  in
+  let entries = Bytes.sub b (48 + nlen) (entry_bytes * n) in
+  for i = 0 to n - 1 do
+    let coff = ent_off entries i and clen = ent_len entries i in
+    if
+      coff < data_start || clen <= 0 || clen > chunk_payload
+      || coff + chunk_header + clen > capacity t
+    then raise (Bad Fault.Store_torn)
+  done;
   {
     m_stream = stream;
     m_gen = gen;
@@ -791,29 +831,30 @@ let reconstruct t m =
   let root = ref Fnv.offset_basis in
   let torn = ref false in
   let ok = ref true in
+  let e = m.m_entries in
   (try
-     Array.iter
-       (fun (h, off, len) ->
-         let hdr = Blockdev.pread t.blk ~off ~len:chunk_header in
-         if
-           get_i64 hdr 0 <> chunk_magic
-           || get_i64 hdr 8 <> h
-           || get_i64 hdr 16 <> Int64.of_int len
-         then begin
-           torn := true;
-           raise Exit
-         end;
-         if !pos + len > m.m_image_len then begin
-           torn := true;
-           raise Exit
-         end;
-         let payload = Blockdev.pread t.blk ~off:(off + chunk_header) ~len in
-         let ph = Fnv.hash_bytes payload in
-         if ph <> h then raise Exit;
-         root := Fnv.combine !root ph;
-         Bytes.blit payload 0 image !pos len;
-         pos := !pos + len)
-       m.m_entries
+     for i = 0 to ent_count e - 1 do
+       let h = ent_hash e i and off = ent_off e i and len = ent_len e i in
+       let hdr = Blockdev.pread t.blk ~off ~len:chunk_header in
+       if
+         get_i64 hdr 0 <> chunk_magic
+         || get_i64 hdr 8 <> h
+         || get_i64 hdr 16 <> Int64.of_int len
+       then begin
+         torn := true;
+         raise Exit
+       end;
+       if !pos + len > m.m_image_len then begin
+         torn := true;
+         raise Exit
+       end;
+       let payload = Blockdev.pread t.blk ~off:(off + chunk_header) ~len in
+       let ph = Fnv.hash_bytes payload in
+       if ph <> h then raise Exit;
+       root := Fnv.combine !root ph;
+       Bytes.blit payload 0 image !pos len;
+       pos := !pos + len
+     done
    with Exit | Invalid_argument _ -> ok := false);
   if !ok && !pos = m.m_image_len && Int64.equal !root m.m_root then
     Some image
@@ -850,10 +891,10 @@ let of_blk ?(faults = Fault.none ()) blk =
     seq = 0;
     space = 0;
     head = 0;
-    index = Hashtbl.create 64;
+    index = I64tbl.create 1024;
     streams = Hashtbl.create 4;
     catalogs = [];
-    refs = [||];
+    refs = Bytes.empty;
     commits = 0;
     torn = 0;
     bytes_written = 0;
@@ -873,10 +914,11 @@ let create ?(sectors = 8192) ?faults () =
   of_blk ?faults (Blockdev.create ~sectors host_dma)
 
 (* Check the stored refcount table against the truth recomputed from the
-   live manifests.  Tolerates a superset (a torn commit can retire a
-   catalog whose references the last-written table still counts), but a
-   missing or under-counted reference means the table was lost or rotted. *)
-let reftable_covers t ~off ~len refs =
+   live manifests, as rows.  Tolerates a superset (a torn commit can
+   retire a catalog whose references the last-written table still
+   counts), but a missing or under-counted reference means the table was
+   lost or rotted. *)
+let reftable_covers t ~off ~len rows =
   try
     if len < 24 || off < data_start || off + len > capacity t then raise Exit;
     let b = Blockdev.pread t.blk ~off ~len in
@@ -885,16 +927,16 @@ let reftable_covers t ~off ~len refs =
       raise Exit;
     let n = Int64.to_int (get_i64 b 8) in
     if n < 0 || 16 + (16 * n) + 8 <> len then raise Exit;
-    let stored = Hashtbl.create 64 in
+    let stored = I64tbl.create (2 * n) in
     for i = 0 to n - 1 do
-      Hashtbl.replace stored (get_i64 b (16 + (16 * i)))
+      I64tbl.replace stored (get_i64 b (16 + (16 * i)))
         (Int64.to_int (get_i64 b (24 + (16 * i))))
     done;
-    Hashtbl.iter
-      (fun h r ->
-        if r > 0 && Option.value ~default:0 (Hashtbl.find_opt stored h) < r then
-          raise Exit)
-      refs;
+    for i = 0 to row_count rows - 1 do
+      let r = row_value rows i in
+      if r > 0 && Option.value ~default:0 (I64tbl.find_opt stored (row_hash rows i)) < r then
+        raise Exit
+    done;
     true
   with Exit | Invalid_argument _ -> false
 
@@ -920,15 +962,15 @@ let mount ?faults blk =
       t.catalogs <- cats;
       List.iter
         (List.iter (fun m ->
-             Array.iter
-               (fun (h, off, len) ->
-                 if not (Hashtbl.mem t.index h) then
-                   Hashtbl.replace t.index h { c_off = off; c_len = len })
-               m.m_entries))
+             let e = m.m_entries in
+             for i = 0 to ent_count e - 1 do
+               let h = ent_hash e i in
+               if not (I64tbl.mem t.index h) then
+                 I64tbl.replace t.index h { c_off = ent_off e i; c_len = ent_len e i }
+             done))
         cats;
-      let refs = refs_of_catalogs cats in
-      t.refs <- rows_of refs;
-      if not (reftable_covers t ~off:newest.k_ref_off ~len:newest.k_ref_len refs)
+      t.refs <- rows_of (refs_of_catalogs cats);
+      if not (reftable_covers t ~off:newest.k_ref_off ~len:newest.k_ref_len t.refs)
       then begin
         Fault.observe t.faults Fault.Store_ref;
         t.ref_rebuilds <- t.ref_rebuilds + 1

@@ -236,7 +236,18 @@ val torn_gc : t -> int
 val hint_misses : t -> int
 (** Chunks a source called clean whose verify against the stored copy
     failed, so they were hashed after all (executed commits only, torn
-    ones included).  0 unless stored chunks rot. *)
+    ones included).  0 unless stored chunks rot or a source lies.  Any
+    refused verify, hinted or not, whose stored payload no longer
+    hashes to its record's hash counts as observed [store.csum]. *)
+
+val merge_rows : Bytes.t -> Bytes.t -> Bytes.t
+(** [merge_rows rows changes] is the refcount update a commit applies.
+    Both arguments and the result use the refcount table record's row
+    layout: 16 bytes per row, a content hash then a count, each a
+    little-endian [int64], rows in signed hash order with no hash
+    repeated.  [changes] carries signed deltas; each is added to the
+    row with its hash (a hash absent from [rows] starts at 0), and rows
+    that end at or below 0 are dropped. *)
 
 val ref_rebuilds : t -> int
 (** Times {!mount} found the stored refcount table missing, rotted, or

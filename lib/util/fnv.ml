@@ -14,8 +14,18 @@ let step h byte =
 
 let[@inline] step64 h byte = Int64.mul (Int64.logxor h (Int64.logand byte 0xffL)) prime
 
+(* A zero byte's step is [(h lxor 0) * prime = h * prime], so eight of
+   them multiply by [prime^8] (mod 2^64): a zero word costs one multiply,
+   and the digest is bit-for-bit the byte loop's. *)
+let prime8 =
+  let p2 = Int64.mul prime prime in
+  let p4 = Int64.mul p2 p2 in
+  Int64.mul p4 p4
+
 (* One 8-byte load per 8 byte steps: the little-endian word's bytes come
-   out lowest first, in the same order the byte loop would visit them. *)
+   out lowest first, in the same order the byte loop would visit them.
+   Checkpoint images are mostly never-written RAM, hence the zero-word
+   shortcut. *)
 let hash_bytes ?(pos = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - pos in
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
@@ -25,14 +35,17 @@ let hash_bytes ?(pos = 0) ?len b =
   let i = ref pos in
   while !i + 8 <= stop do
     let w = get64u b !i in
-    let x = step64 !h w in
-    let x = step64 x (Int64.shift_right_logical w 8) in
-    let x = step64 x (Int64.shift_right_logical w 16) in
-    let x = step64 x (Int64.shift_right_logical w 24) in
-    let x = step64 x (Int64.shift_right_logical w 32) in
-    let x = step64 x (Int64.shift_right_logical w 40) in
-    let x = step64 x (Int64.shift_right_logical w 48) in
-    h := step64 x (Int64.shift_right_logical w 56);
+    if Int64.equal w 0L then h := Int64.mul !h prime8
+    else begin
+      let x = step64 !h w in
+      let x = step64 x (Int64.shift_right_logical w 8) in
+      let x = step64 x (Int64.shift_right_logical w 16) in
+      let x = step64 x (Int64.shift_right_logical w 24) in
+      let x = step64 x (Int64.shift_right_logical w 32) in
+      let x = step64 x (Int64.shift_right_logical w 40) in
+      let x = step64 x (Int64.shift_right_logical w 48) in
+      h := step64 x (Int64.shift_right_logical w 56)
+    end;
     i := !i + 8
   done;
   for j = !i to stop - 1 do

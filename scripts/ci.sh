@@ -224,6 +224,9 @@ diff "$tmp/rot1.txt" "$tmp/rot2.txt" || {
 grep "^store:" "$tmp/rot1.txt"
 grep -q "^store: .* hint_misses=[1-9]" "$tmp/rot1.txt" || {
   echo "FAIL: no commit refused a rotted chunk"; exit 1; }
+# A refused verify that finds a rotted payload counts as observed rot.
+grep -q "fault.store.csum .* observed *[1-9]" "$tmp/rot1.txt" || {
+  echo "FAIL: a refused verify of rotted chunks observed no store.csum fault"; exit 1; }
 
 twice E17 BENCH_ha.json
 
@@ -324,6 +327,15 @@ dune exec bin/velum.exe -- cluster $cchaos --domains 1 >"$tmp/cluster1.txt" 2>"$
 dune exec bin/velum.exe -- cluster $cchaos --domains 4 >"$tmp/cluster4.txt"
 diff "$tmp/cluster1.txt" "$tmp/cluster4.txt" || {
   echo "FAIL: cluster report diverged between 1 and 4 domains"; exit 1; }
+# At 2 domains the coordinator steps one of the two stripes itself: the
+# report and the host: lines must still match the 1-domain run.
+dune exec bin/velum.exe -- cluster $cchaos --domains 2 >"$tmp/cluster2.txt" 2>"$tmp/cluster2.err"
+diff "$tmp/cluster1.txt" "$tmp/cluster2.txt" || {
+  echo "FAIL: cluster report diverged between 1 and 2 domains"; exit 1; }
+grep '^host:' "$tmp/cluster1.err" >"$tmp/cluster1.host"
+grep '^host:' "$tmp/cluster2.err" >"$tmp/cluster2.host"
+diff "$tmp/cluster1.host" "$tmp/cluster2.host" || {
+  echo "FAIL: cluster host: lines diverged between 1 and 2 domains"; exit 1; }
 avail=$(sed -n 's/^metrics availability=\([0-9.]*\).*/\1/p' "$tmp/cluster1.txt")
 [ -n "$avail" ] || { echo "FAIL: cluster report carries no availability metric"; exit 1; }
 awk -v a="$avail" 'BEGIN { exit !(a + 0 >= 0.95) }' || {

@@ -242,6 +242,41 @@ let test_storm_skips_dead_pairs () =
        (fun vm -> vm.Vm.name = "vm2")
        fleet.Parallel.nodes.(0).Parallel.hyp.Hypervisor.vms)
 
+(* --- a host exception ends the phase, whichever stripe raised it --- *)
+
+(* Host 0 raises in round 1.  Host 0 is in stripe 0, which the calling
+   domain steps: the exception is recorded like any worker's, the other
+   hosts of the stripe still finish the round, and it is re-raised once
+   the phase is over, before the coordinator phase of that round. *)
+let test_stripe0_exception_after_phase () =
+  let quantum = 60_000L in
+  List.iter
+    (fun domains ->
+      let last_clock = ref 0L in
+      let wire i hyp =
+        if i = 0 then
+          Hypervisor.add_ticker hyp (fun now ->
+              if Int64.compare now quantum > 0 then failwith "host 0 broke")
+        else if i = 2 then
+          Hypervisor.add_ticker hyp (fun now ->
+              if Int64.compare now !last_clock > 0 then last_clock := now)
+      in
+      let cfg =
+        Parallel.config ~quantum ~rounds:6 ~wire ~hosts:3
+          ~mk_vms:(fun i -> [ Parallel.spec ~name:(Printf.sprintf "vm%d" i) (mk_setup 2) ])
+          ()
+      in
+      let rounds_seen = ref 0 in
+      (match Parallel.run ~domains cfg ~on_round:(fun _ ~round:_ -> incr rounds_seen) with
+      | _ -> Alcotest.failf "domains=%d: the host exception was lost" domains
+      | exception Failure msg -> checks "the host's own exception" "host 0 broke" msg);
+      checki (Printf.sprintf "domains=%d: no coordinator phase after it" domains) 1 !rounds_seen;
+      checkb
+        (Printf.sprintf "domains=%d: host 2 finished the round" domains)
+        true
+        (Int64.compare !last_clock quantum > 0))
+    [ 1; 2; 3 ]
+
 (* --- chaos targets outside the fleet are rejected, not ignored --- *)
 
 let test_rejects_bad_chaos_targets () =
@@ -712,6 +747,8 @@ let () =
             test_fleet_detection;
           Alcotest.test_case "migration storm skips dead pairs" `Quick
             test_storm_skips_dead_pairs;
+          Alcotest.test_case "a host exception ends the phase" `Quick
+            test_stripe0_exception_after_phase;
           Alcotest.test_case "chaos targets outside the fleet fail" `Quick
             test_rejects_bad_chaos_targets;
         ]

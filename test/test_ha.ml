@@ -463,13 +463,139 @@ let test_lying_hint_is_verified () =
   let img1 = Bytes.make 40_000 'a' in
   let img2 = Bytes.copy img1 in
   Bytes.fill img2 5_000 9_000 'b';
-  let a = store_for ~image_bytes:40_000 () and b = store_for ~image_bytes:40_000 () in
+  let f = Fault.create ~seed:1L () in
+  let a = store_for ~faults:f ~image_bytes:40_000 ()
+  and b = store_for ~image_bytes:40_000 () in
   List.iter (fun s -> ignore (Store.commit s (Store.of_bytes img1))) [ a; b ];
   let liar = { (Store.of_bytes img2) with Store.clean = Some (1, fun _ -> true) } in
   let oa = Store.commit a liar and ob = Store.commit b (Store.of_bytes img2) in
   checkb "same outcome" true (oa = ob);
   checki "the stale chunks were refused" 3 (Store.hint_misses a);
+  checki "an intact store is not rot" 0 (Fault.observed f Fault.Store_csum);
   checkb "same recovery" true (Store.recover a = Store.recover b)
+
+(* Rot that a commit's verify finds is observed where it is found: a
+   stored chunk whose payload changed under its record is refused,
+   counted as [store.csum], and written again. *)
+let test_refused_verify_observes_rot () =
+  let img = Bytes.make 16_384 'a' in
+  Bytes.fill img 4_096 4_096 'Q';
+  let f = Fault.create ~seed:1L () in
+  let store = store_for ~faults:f ~image_bytes:16_384 () in
+  ignore (Store.commit store (Store.of_bytes img));
+  let dev = Store.device store in
+  let raw = Blockdev.pread dev ~off:0 ~len:(Blockdev.capacity_bytes dev) in
+  let q = Bytes.to_string (Bytes.make 4_096 'Q') in
+  let rec find i = if Bytes.sub_string raw i 4_096 = q then i else find (i + 1) in
+  let at = find 0 + 100 in
+  Blockdev.pwrite dev ~off:at (Bytes.make 1 'R') ~pos:0 ~len:1;
+  checki "nothing observed before the commit" 0 (Fault.observed f Fault.Store_csum);
+  (match Store.commit store (Store.of_bytes img) with
+  | Store.Committed { chunks_new; _ } ->
+      checki "the rotted chunk is written again" 1 chunks_new
+  | Store.Torn _ -> Alcotest.fail "commit torn");
+  checki "the refused verify observed the rot" 1 (Fault.observed f Fault.Store_csum);
+  match Store.recover store with
+  | Some (got, 2) -> checkb "the new generation recovers intact" true (Bytes.equal got img)
+  | _ -> Alcotest.fail "generation 2 must recover"
+
+(* The tuple merge the packed [Store.merge_rows] replaced: rows and
+   changes as hash-ordered [(hash, n)] arrays. *)
+let merge_rows_model rows changes =
+  let out = ref [] in
+  let emit h n = if n > 0 then out := (h, n) :: !out in
+  let i = ref 0 and j = ref 0 in
+  let nr = Array.length rows and nc = Array.length changes in
+  while !i < nr || !j < nc do
+    let c =
+      if !i >= nr then 1
+      else if !j >= nc then -1
+      else Int64.compare (fst rows.(!i)) (fst changes.(!j))
+    in
+    if c < 0 then (
+      emit (fst rows.(!i)) (snd rows.(!i));
+      incr i)
+    else if c > 0 then (
+      emit (fst changes.(!j)) (snd changes.(!j));
+      incr j)
+    else (
+      emit (fst rows.(!i)) (snd rows.(!i) + snd changes.(!j));
+      incr i;
+      incr j)
+  done;
+  List.rev !out
+
+let pack_rows rows =
+  let b = Bytes.create (16 * List.length rows) in
+  List.iteri
+    (fun i (h, n) ->
+      Bytes.set_int64_le b (16 * i) h;
+      Bytes.set_int64_le b ((16 * i) + 8) (Int64.of_int n))
+    rows;
+  b
+
+let unpack_rows b =
+  List.init (Bytes.length b / 16) (fun i ->
+      (Bytes.get_int64_le b (16 * i), Int64.to_int (Bytes.get_int64_le b ((16 * i) + 8))))
+
+(* Hashes from a small pool (so rows and changes overlap), both signs;
+   deltas that cancel a count exactly, overshoot it, or add to it. *)
+let merge_rows_prop =
+  QCheck2.Test.make ~count:500 ~name:"packed merge_rows = tuple merge"
+    QCheck2.Gen.(
+      let hash =
+        map (fun k -> Int64.mul (Int64.of_int (k - 40)) 0x0123456789ABCDEL) (int_bound 80)
+      in
+      pair
+        (list_size (int_range 0 60) (pair hash (int_range 1 5)))
+        (list_size (int_range 0 60) (pair hash (int_range (-6) 6))))
+    (fun (rows, changes) ->
+      let distinct l =
+        List.sort_uniq (fun (a, _) (b, _) -> Int64.compare a b) l
+      in
+      let rows = distinct rows in
+      (* some deltas cancel their row exactly *)
+      let changes =
+        distinct changes
+        |> List.map (fun (h, d) ->
+               match List.assoc_opt h rows with
+               | Some n when d = 0 -> (h, -n)
+               | _ -> (h, if d = 0 then 1 else d))
+      in
+      let got = unpack_rows (Store.merge_rows (pack_rows rows) (pack_rows changes)) in
+      got = merge_rows_model (Array.of_list rows) (Array.of_list changes))
+
+(* A hinted commit of a large image builds no array whose initial value
+   is a fresh block, so it forces no minor collection: 16 commits of a
+   640-chunk image run at most two minor collections more than their
+   allocation volume fills the minor heap (3 in all here, against 33
+   when each commit's tables forced their own). *)
+let test_commit_forces_no_minor_gc () =
+  let nchunks = 640 in
+  let image_bytes = nchunks * Store.chunk_bytes in
+  let img = Bytes.make image_bytes '\000' in
+  for i = 0 to nchunks - 1 do
+    Bytes.set_int64_le img (i * Store.chunk_bytes) (Int64.of_int (i + 1))
+  done;
+  let store = store_for ~image_bytes () in
+  ignore (Store.commit store (Store.of_bytes img));
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let words0 = Gc.minor_words () in
+  for g = 1 to 16 do
+    let src = { (Store.of_bytes img) with Store.clean = Some (g, fun _ -> true) } in
+    match Store.commit store src with
+    | Store.Committed { chunks_new = 0; _ } -> ()
+    | _ -> Alcotest.fail "a clean commit writes no chunk"
+  done;
+  let minors = (Gc.quick_stat ()).Gc.minor_collections - before in
+  let by_volume =
+    int_of_float ((Gc.minor_words () -. words0) /. float_of_int (Gc.get ()).Gc.minor_heap_size)
+  in
+  checki "hinted commits refused nothing" 0 (Store.hint_misses store);
+  if minors > by_volume + 2 then
+    Alcotest.failf
+      "16 hinted commits ran %d minor collections (allocation fills the heap %d times)" minors
+      by_volume
 
 (* A clone copies only the written extents, yet reads, recovers and
    resumes exactly as the original; writes to it stay its own. *)
@@ -936,12 +1062,16 @@ let () =
              test_hint_marks_clean_chunks
         :: Alcotest.test_case "a lying hint is caught by the verify" `Quick
              test_lying_hint_is_verified
+        :: Alcotest.test_case "a refused verify observes rot" `Quick
+             test_refused_verify_observes_rot
+        :: Alcotest.test_case "hinted commits force no minor collection" `Quick
+             test_commit_forces_no_minor_gc
         :: Alcotest.test_case "a clone copies written extents only" `Quick
              test_clone_copies_written_extents
         :: qsuite
              [
                store_crash_sweep_prop; store_gc_live_prop;
-               store_delta_oracle_prop; hinted_commit_prop;
+               store_delta_oracle_prop; hinted_commit_prop; merge_rows_prop;
              ] );
       ("churn", qsuite [ churn_prop ]);
       ( "snapshot",

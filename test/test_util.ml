@@ -397,6 +397,41 @@ let fnv_prop_wordwise_matches_reference =
     gen_buffer_range (fun (b, pos, len) ->
       Fnv.hash_bytes ~pos ~len b = fnv_reference b ~pos ~len)
 
+(* Mostly-zero buffers, as checkpoint images of never-written RAM are:
+   all-zero words, zero runs starting at every alignment, single nonzero
+   bytes inside otherwise-zero words, and ranges with any start and a
+   0-7-byte tail.  Random bytes almost never form a zero word, so the
+   property above cannot tell a wrong zero-word step from a right one. *)
+let gen_zeroish_range =
+  let open QCheck2.Gen in
+  let* n = int_range 0 136 in
+  let* kind = int_range 0 2 in
+  let* marks =
+    list_size (int_range 1 6) (pair (int_range 0 (max 0 (n - 1))) (int_range 1 255))
+  in
+  let* lo = int_range 0 n in
+  let* run = int_range 0 (n - lo) in
+  let b =
+    match kind with
+    | 0 -> Bytes.make n '\000'
+    | 1 ->
+        let b = Bytes.make n '\x5a' in
+        Bytes.fill b lo run '\000';
+        b
+    | _ ->
+        let b = Bytes.make n '\000' in
+        if n > 0 then List.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) marks;
+        b
+  in
+  let* pos = int_range 0 n in
+  let+ len = int_range 0 (n - pos) in
+  (b, pos, len)
+
+let fnv_prop_zero_words_match_reference =
+  QCheck2.Test.make ~count:3000 ~name:"hash_bytes = byte-wise reference on zero-heavy input"
+    gen_zeroish_range (fun (b, pos, len) ->
+      Fnv.hash_bytes ~pos ~len b = fnv_reference b ~pos ~len)
+
 let fnv_prop_equal_range =
   QCheck2.Test.make ~count:1000 ~name:"equal_range = Bytes.equal of the subs"
     QCheck2.Gen.(pair gen_buffer_range (int_range 0 15))
@@ -507,6 +542,7 @@ let () =
             [
               fnv_prop_string_bytes_agree;
               fnv_prop_wordwise_matches_reference;
+              fnv_prop_zero_words_match_reference;
               fnv_prop_equal_range;
             ] );
       ( "tablefmt",

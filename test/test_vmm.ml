@@ -53,6 +53,37 @@ let test_alloc_exhaustion () =
   ignore (Frame_alloc.alloc_exn fa);
   checkb "exhausted" true (Frame_alloc.alloc fa = None)
 
+(* Frames come out in the order one free list of every managed frame
+   gives, popped on alloc and pushed on free: returned frames first,
+   newest first, then never-used ones in ascending order. *)
+let prop_alloc_free_list_order =
+  QCheck2.Test.make ~count:300 ~name:"frame_alloc hands out frames in free-list order"
+    QCheck2.Gen.(list_size (int_range 1 60) (pair bool (int_bound 15)))
+    (fun ops ->
+      let reserved = 3 and frames = 14 in
+      let fa = Frame_alloc.create ~mem:(Phys_mem.create ~frames) ~reserved () in
+      let free = ref (List.init (frames - reserved) (fun i -> Int64.of_int (reserved + i))) in
+      let held = ref [] in
+      List.for_all
+        (fun (alloc, k) ->
+          (if alloc then (
+             match (!free, Frame_alloc.alloc fa) with
+             | [], got -> got = None
+             | p :: rest, got ->
+                 free := rest;
+                 held := p :: !held;
+                 got = Some p)
+           else
+             match !held with
+             | [] -> true
+             | l ->
+                 let p = List.nth l (k mod List.length l) in
+                 held := List.filter (( <> ) p) l;
+                 free := p :: !free;
+                 Frame_alloc.decr_ref fa p)
+          && Frame_alloc.free_count fa = List.length !free)
+        ops)
+
 (* Model-based property: the allocator's refcounts and free counts match
    a reference map under random alloc/incr/decr sequences. *)
 let prop_alloc_model =
@@ -1267,6 +1298,7 @@ let () =
           Alcotest.test_case "refcounting" `Quick test_alloc_refcounting;
           Alcotest.test_case "exhaustion" `Quick test_alloc_exhaustion;
           QCheck_alcotest.to_alcotest prop_alloc_model;
+          QCheck_alcotest.to_alcotest prop_alloc_free_list_order;
         ] );
       ( "p2m",
         [
