@@ -121,12 +121,12 @@ let advance_idle t ~to_ =
   refresh_makespan t
 
 let create_vm t ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Vm.Nested_paging)
-    ?(pv = Vm.no_pv) ?(weight = 256) ?(populate = true) ?nic ?tlb_size ?exec_mode ?engine
+    ?(pv = Vm.no_pv) ?(weight = 256) ?(populate = true) ?tlb_size ?exec_mode ?engine
     ~entry () =
   let id = t.next_vm_id in
   t.next_vm_id <- id + 1;
   let vm =
-    Vm.create ~host:(host t) ~id ~name ~mem_frames ~vcpu_count ~paging ~pv ~populate ?nic
+    Vm.create ~host:(host t) ~id ~name ~mem_frames ~vcpu_count ~paging ~pv ~populate
       ?tlb_size ?exec_mode ?engine ~entry ()
   in
   vm.Vm.trace <- t.ctx.Host_ctx.trace;

@@ -84,7 +84,6 @@ val create_vm :
   ?pv:Vm.pv ->
   ?weight:int ->
   ?populate:bool ->
-  ?nic:Velum_devices.Nic.link_binding ->
   ?tlb_size:int ->
   ?exec_mode:Vm.exec_mode ->
   ?engine:Velum_machine.Engine.kind ->

@@ -174,10 +174,7 @@ end
 (* ---- the destination twin ---- *)
 
 (* Same shape as [vm], unpopulated p2m. *)
-let make_twin ~(dst : Hypervisor.t) ~(vm : Vm.t) ~name =
-  Hypervisor.create_vm dst ~name ~mem_frames:(Vm.mem_frames vm)
-    ~vcpu_count:(Array.length vm.Vm.vcpus) ~paging:vm.Vm.paging ~pv:vm.Vm.pv
-    ~exec_mode:vm.Vm.exec_mode ~engine:(Vm.engine_kind vm) ~populate:false ~entry:0L ()
+let make_twin ~dst vm = Vm_state.create_vm dst ~populate:false (Vm_state.save vm)
 
 (* Copy one page's current contents source→destination memory; {!apply}
    has already checked the destination has a frame for it. *)
@@ -211,48 +208,9 @@ let apply ~(vm : Vm.t) ~(twin : Vm.t) gfns =
          (Printf.sprintf "destination out of frames: %d needed, %d free" missing free));
   List.iter (copy_page ~vm ~twin) gfns
 
-let copy_vcpus ~(vm : Vm.t) ~(twin : Vm.t) =
-  Array.iteri
-    (fun i (vcpu : Vcpu.t) ->
-      let s = vcpu.Vcpu.state and d = twin.Vm.vcpus.(i).Vcpu.state in
-      Bytes.blit s.Cpu.regs 0 d.Cpu.regs 0 (Bytes.length s.Cpu.regs);
-      Array.blit s.Cpu.csrs 0 d.Cpu.csrs 0 (Array.length s.Cpu.csrs);
-      d.Cpu.mode <- s.Cpu.mode;
-      d.Cpu.halted <- s.Cpu.halted;
-      d.Cpu.waiting <- s.Cpu.waiting;
-      d.Cpu.instret <- s.Cpu.instret)
-    vm.Vm.vcpus
-
-(* A migrating guest's vCPUs also take their run states along. *)
-let move_vcpus ~(vm : Vm.t) ~(twin : Vm.t) =
-  copy_vcpus ~vm ~twin;
-  Array.iteri
-    (fun i (vcpu : Vcpu.t) -> twin.Vm.vcpus.(i).Vcpu.runstate <- vcpu.Vcpu.runstate)
-    vm.Vm.vcpus
-
 let present_gfns (vm : Vm.t) =
   P2m.fold_present vm.Vm.p2m ~init:[] ~f:(fun acc ~gfn ~hpa_ppn:_ -> gfn :: acc)
   |> List.rev
-
-let finish ~src ~vm ~(twin : Vm.t) =
-  (* The source instance is gone; its frames return to the source host. *)
-  Hypervisor.remove_vm src vm;
-  (* The fabric port moves with the guest: the twin plugs a fresh
-     adapter into the same link endpoint and inherits the old one's
-     ring layout and undelivered backlog. *)
-  Option.iter
-    (fun old ->
-      let v =
-        Vm.attach_vnet twin ~link:(Virtio_net.link old)
-          ~endpoint:(Virtio_net.endpoint old)
-      in
-      Virtio_net.hand_over old ~dst:v)
-    vm.Vm.vnet;
-  (* Destination vCPUs may be runnable now — make sure the scheduler
-     sees them. *)
-  Array.iter
-    (fun vcpu -> if Vcpu.is_runnable vcpu then vcpu.Vcpu.runstate <- Vcpu.Runnable)
-    twin.Vm.vcpus
 
 let rollback ~dst ~twin reason =
   Log.warn (fun m ->
@@ -280,15 +238,15 @@ let result w ~rounds ~downtime ~aborted =
 
 let stop_and_copy ?(compress = false) ?faults ~src ~dst ~vm ~link () =
   let faults = match faults with Some f -> f | None -> Link.faults link in
-  let twin = make_twin ~dst ~vm ~name:vm.Vm.name in
+  let twin = make_twin ~dst vm in
   let w = Wire.create ~link ~faults ~compress () in
   let gfns = present_gfns vm in
   try
     Wire.ship w ~vm ~vcpus:true gfns;
     apply ~vm ~twin gfns;
-    move_vcpus ~vm ~twin;
+    Vm_state.move dst ~from:vm twin;
     trace_round ~src vm ~round:1 ~pages:(List.length gfns);
-    finish ~src ~vm ~twin;
+    Hypervisor.remove_vm src vm;
     (twin, result w ~rounds:1 ~downtime:(Wire.clock w) ~aborted:false)
   with Abort_migration reason ->
     rollback ~dst ~twin reason;
@@ -297,7 +255,7 @@ let stop_and_copy ?(compress = false) ?faults ~src ~dst ~vm ~link () =
 let precopy ?(compress = false) ?faults ~src ~dst ~vm ~link
     ?(max_rounds = 8) ?(stop_threshold = 64) () =
   let faults = match faults with Some f -> f | None -> Link.faults link in
-  let twin = make_twin ~dst ~vm ~name:vm.Vm.name in
+  let twin = make_twin ~dst vm in
   let w = Wire.create ~link ~faults ~compress () in
   Vm.start_dirty_logging vm;
   let rounds = ref 0 in
@@ -331,8 +289,8 @@ let precopy ?(compress = false) ?faults ~src ~dst ~vm ~link
     let downtime = Int64.sub (Wire.clock w) t0 in
     apply ~vm ~twin residue;
     Vm.stop_dirty_logging vm;
-    move_vcpus ~vm ~twin;
-    finish ~src ~vm ~twin;
+    Vm_state.move dst ~from:vm twin;
+    Hypervisor.remove_vm src vm;
     (twin, result w ~rounds:!rounds ~downtime ~aborted:false)
   with Abort_migration reason ->
     (* Rollback: the source keeps running with dirty logging off; the
@@ -345,14 +303,14 @@ let precopy ?(compress = false) ?faults ~src ~dst ~vm ~link
 let push_batch = 32
 
 let postcopy ~src ~dst ~vm ~link () =
-  let twin = make_twin ~dst ~vm ~name:vm.Vm.name in
+  let twin = make_twin ~dst vm in
   (* Freeze: ship only the vCPU state; every present page becomes Remote
      on the destination. *)
   let downtime = Int64.of_int (Link.transfer_cycles link ~bytes:vcpu_state_bytes) in
   let gfns = present_gfns vm in
   trace_round ~src vm ~round:1 ~pages:(List.length gfns);
   List.iter (fun gfn -> P2m.set twin.Vm.p2m gfn P2m.Remote) gfns;
-  move_vcpus ~vm ~twin;
+  Vm_state.move dst ~from:vm twin;
   let pulled = ref 0 in
   twin.Vm.remote_fetch <-
     Some
@@ -398,7 +356,7 @@ let postcopy ~src ~dst ~vm ~link () =
   let faults = Monitor.count twin.Vm.monitor Monitor.E_remote_fetch in
   twin.Vm.remote_fetch <- None;
   let pages = !pulled in
-  finish ~src ~vm ~twin;
+  Hypervisor.remove_vm src vm;
   ( twin,
     {
       total_cycles = !total;

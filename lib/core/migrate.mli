@@ -15,8 +15,12 @@
       Minimal downtime, degraded performance until the working set
       arrives.
 
-    Storage is modelled as shared (network-attached); only memory and
-    vCPU state move.  Stop-and-copy and pre-copy ship every batch on one
+    Memory moves page by page; everything else moves through the
+    {!Vm_state} codec when the guest freezes: the twin is built from the
+    source's shape, takes over its ports ({!Vm_state.move}) and loads
+    its vCPU and device state.  Disk contents do not move: each VM's
+    disks are its own, so storage is "shared" only for disks no guest
+    writes.  Stop-and-copy and pre-copy ship every batch on one
     {!Wire}, which charges it through the {!Velum_devices.Link}
     bandwidth/latency model — ideally, or frame by frame with
     retransmits when a fault plan is active — and then {!apply} it to
@@ -88,10 +92,6 @@ module Wire : sig
   val retransmits : t -> int
 end
 
-val make_twin : dst:Hypervisor.t -> vm:Vm.t -> name:string -> Vm.t
-(** A VM on [dst] shaped like [vm] (frames, vCPUs, paging, PV, engine)
-    with an unpopulated p2m. *)
-
 val present_gfns : Vm.t -> int64 list
 (** Every present gfn, ascending. *)
 
@@ -101,10 +101,6 @@ val apply : vm:Vm.t -> twin:Vm.t -> int64 list -> unit
     not hold yet, checked before anything is copied.
 
     @raise Abort_migration when it does not. *)
-
-val copy_vcpus : vm:Vm.t -> twin:Vm.t -> unit
-(** Copy every vCPU's architectural state.  Run states stay as they are:
-    a replication backup stays blocked until failover. *)
 
 val stop_and_copy :
   ?compress:bool ->

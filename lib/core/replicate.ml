@@ -37,11 +37,16 @@ type stats = {
 
 type epoch_outcome = Committed | Link_failed
 
+(* Load the primary's state into the backup twin, which must not run
+   until failover. *)
+let sync ~backup ~twin state =
+  Vm_state.load backup twin state;
+  Array.iter Vcpu.block twin.Vm.vcpus
+
 let start ?faults ~primary ~backup ~vm ~link () =
   let faults = match faults with Some f -> f | None -> Link.faults link in
-  let twin = Migrate.make_twin ~dst:backup ~vm ~name:(vm.Vm.name ^ "-backup") in
-  (* the backup must not run until failover *)
-  Array.iter (fun v -> Vcpu.block v) twin.Vm.vcpus;
+  let state = Vm_state.save vm in
+  let twin = Vm_state.create_vm backup ~suffix:"-backup" ~populate:false state in
   (* Initial full synchronization with the guest paused.  It is assumed
      reliable, so it ships on an ideal wire whatever the fault plan, in
      descending gfn order. *)
@@ -49,7 +54,7 @@ let start ?faults ~primary ~backup ~vm ~link () =
   let w = Migrate.Wire.create ~link ~faults:(Fault.none ()) ~compress:false () in
   Migrate.Wire.ship w ~vm ~vcpus:true gfns;
   Migrate.apply ~vm ~twin gfns;
-  Migrate.copy_vcpus ~vm ~twin;
+  sync ~backup ~twin state;
   Vm.start_dirty_logging vm;
   {
     primary;
@@ -96,7 +101,7 @@ let epoch (s : session) ~run_cycles =
       try
         Migrate.Wire.ship w ~vm:s.vm ~vcpus:true dirty;
         Migrate.apply ~vm:s.vm ~twin:s.twin dirty;
-        Migrate.copy_vcpus ~vm:s.vm ~twin:s.twin;
+        sync ~backup:s.backup ~twin:s.twin (Vm_state.save s.vm);
         Committed
       with Migrate.Abort_migration _ -> Link_failed
     in

@@ -2,7 +2,8 @@
 
     A protected VM runs in epochs: at the end of each epoch the primary
     pauses briefly, ships the pages dirtied during the epoch plus the
-    vCPU state to a warm backup on another host, and resumes.  If the
+    rest of its state ({!Vm_state}: vCPUs and devices) to a warm backup
+    on another host, and resumes.  If the
     primary fails, the backup resumes from the last completed checkpoint
     — losing at most one epoch of execution, with no shared storage of
     memory state required.
@@ -13,10 +14,12 @@
     (NSDI'08) evaluates.
 
     Checkpoints travel the way migrations do: each epoch ships its batch
-    on a fresh {!Migrate.Wire} and then {!Migrate.apply}s it to a twin
-    made by {!Migrate.make_twin}.  The one difference is that the twin's
-    vCPU run states never travel: the backup stays blocked until
-    {!failover}.  This module is the layer {!Ha.Failover} builds on. *)
+    on a fresh {!Migrate.Wire}, {!Migrate.apply}s it to a twin built from
+    the VM's shape ({!Vm_state.create_vm}) and loads the VM's state into
+    it.  The one difference: the twin's vCPUs are blocked again after
+    every load, so the backup stays blocked until {!failover}.  Ports do
+    not move to the backup, and disk contents are not replicated.  This
+    module is the layer {!Ha.Failover} builds on. *)
 
 open Velum_devices
 

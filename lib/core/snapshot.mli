@@ -1,12 +1,14 @@
 (** VM snapshots: full images, checkpoint sources, and copy-on-write
     live snapshots.
 
-    A {e full} snapshot is vCPU state and every data page in one image
+    A {e full} snapshot is a VM's memory and {!Vm_state} in one image
     that can be restored on any host (portable, sized ~ guest memory).
-    The image layout is defined once: a header (name, sizes, paging, PV
-    flags, each vCPU's state, page count), one record per gfn in gfn
-    order (gfn, kind, and the page bytes for data pages), then the
-    console.  {!capture} materializes it into one presized buffer;
+    The image layout is defined once: a header (magic, offset of the
+    state), one record per gfn in gfn order (gfn, kind, and the page
+    bytes for data pages), then the {!Vm_state} bytes — shape, vCPUs and
+    device state, console included; variable-length, so last, where it
+    moves no page record.  Disk contents and port bindings are not in
+    the image.  {!capture} materializes it into one presized buffer;
     {!source} presents the same bytes to {!Store.commit} straight from
     the VM's frames, with no serialized image, and — given the {!hint}
     its stream's previous commit left — names the chunks whose pages
@@ -21,9 +23,8 @@
 type full = Bytes.t
 
 val capture : Vm.t -> full
-(** Serialize the VM (vCPU state, data pages, balloon/absent layout,
-    console), bringing swapped and remote pages back in first, in gfn
-    order.  The VM should be quiesced (not running) for a consistent
+(** Serialize the VM (data pages, balloon/absent layout, {!Vm_state}),
+    bringing swapped and remote pages back in first, in gfn order.  The VM should be quiesced (not running) for a consistent
     image.
 
     @raise Failure when a page cannot be brought in (the host is out of
@@ -58,7 +59,9 @@ val committed : source -> gen:int -> hint
 
 val restore : Hypervisor.t -> full -> Vm.t
 (** Materialize a VM from a full snapshot on the given hypervisor
-    (scheduler-registered, same run states).
+    (scheduler-registered, same shape, run states and device state,
+    device requests in flight due relative to this hypervisor's clock),
+    without ports.
 
     @raise Failure on a corrupt image or when the host lacks frames.  A
     rejected image leaves no trace: every frame the partial restore
@@ -70,13 +73,14 @@ val size_bytes : full -> int
 type live
 
 val capture_live : Vm.t -> live
-(** Mark every present frame copy-on-write and take a reference; the VM
-    continues running. *)
+(** Mark every present frame copy-on-write and take a reference, and
+    save the {!Vm_state}; the VM continues running. *)
 
 val restore_live : Hypervisor.t -> live -> Vm.t
-(** Clone a VM sharing the snapshot's frames (all copy-on-write).  The
-    clone and the original diverge page by page as either writes.  Must
-    run on the same host as the snapshot's frames. *)
+(** Clone a VM (named with ["-snap"] appended, without ports) sharing
+    the snapshot's frames (all copy-on-write), with the saved state.
+    The clone and the original diverge page by page as either writes.
+    Must run on the same host as the snapshot's frames. *)
 
 val release_live : live -> unit
 (** Drop the snapshot's frame references (frames whose last reference

@@ -272,7 +272,7 @@ let guest_dma t =
 let blk_sectors = 2048
 
 let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_paging)
-    ?(pv = no_pv) ?(populate = true) ?nic ?(tlb_size = 64) ?(exec_mode = Trap_emulate)
+    ?(pv = no_pv) ?(populate = true) ?(tlb_size = 64) ?(exec_mode = Trap_emulate)
     ?engine ~entry () =
   let engine =
     Engine.of_kind
@@ -319,10 +319,7 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
       uart;
       blk = Blockdev.create ~sectors:blk_sectors (guest_dma vm);
       vblk = Virtio_blk.create ~sectors:blk_sectors (guest_mem vm);
-      nic =
-        Option.map
-          (fun (link, endpoint) -> Nic.create ~link ~endpoint ~dma:(guest_dma vm) ())
-          nic;
+      nic = None;
       vnet = None;
       monitor = Monitor.create ();
       dirty = Bytes.make ((mem_frames + 7) / 8) '\000';
@@ -344,7 +341,6 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
   Bus.attach t.bus (Uart.device t.uart);
   Bus.attach t.bus (Blockdev.device t.blk);
   Bus.attach t.bus (Virtio_blk.device t.vblk);
-  Option.iter (fun n -> Bus.attach t.bus (Nic.device n)) t.nic;
   (match paging with
   | Shadow_paging ->
       let env =
@@ -389,13 +385,18 @@ let destroy t =
 
 (* Plug a virtio-net adapter into [link] at [endpoint] and put it on
    the bus.  Callable any time after creation — a migration twin gets
-   its fabric port back this way, with {!Virtio_net.hand_over} restoring
-   the ring layout and backlog host-side. *)
+   its fabric port back this way, before it loads the source's state. *)
 let attach_vnet t ~link ~endpoint =
   let v = Virtio_net.create ~link ~endpoint ~mem:(guest_mem (Lazy.from_val t)) () in
   t.vnet <- Some v;
   Bus.attach t.bus (Virtio_net.device v);
   v
+
+(* The same for an emulated NIC. *)
+let attach_nic t (link, endpoint) =
+  let n = Nic.create ~link ~endpoint ~dma:(guest_dma (Lazy.from_val t)) () in
+  t.nic <- Some n;
+  Bus.attach t.bus (Nic.device n)
 
 let load_image t (img : Asm.image) =
   if not (write_gpa_bytes t img.Asm.origin img.Asm.code) then

@@ -91,7 +91,6 @@ val create :
   ?paging:paging_mode ->
   ?pv:pv ->
   ?populate:bool ->
-  ?nic:Nic.link_binding ->
   ?tlb_size:int ->
   ?exec_mode:exec_mode ->
   ?engine:Engine.kind ->
@@ -115,8 +114,11 @@ val attach_vnet : t -> link:Link.t -> endpoint:Link.endpoint -> Virtio_net.t
 (** Plug a virtio-net adapter into one end of [link] and attach it to
     the VM's bus (at {!Virtio_net.mmio_base}).  Callable any time after
     creation — this is also how a live-migration twin gets its switch
-    port back on the destination host, with {!Virtio_net.configure}
-    restoring the ring layout host-side. *)
+    port back on the destination host, before {!Vm_state.move} loads
+    the source's state into it. *)
+
+val attach_nic : t -> Nic.link_binding -> unit
+(** The same for an emulated NIC (at {!Nic.mmio_base}). *)
 
 val load_image : t -> Asm.image -> unit
 (** Copy an assembled image into guest-physical memory. *)

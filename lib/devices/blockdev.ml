@@ -1,3 +1,5 @@
+module Serial = Velum_util.Serial
+
 let sector_bytes = 512
 let reg_cmd = 0x00L
 let reg_sector = 0x08L
@@ -168,6 +170,28 @@ let tick t now =
       t.ops <- t.ops + 1;
       t.irq <- true
   | _ -> ()
+
+(* The device state: the registers, the command in flight with its
+   finish time relative to the device clock, the interrupt line and the
+   counters.  The disk's contents and fault plan are not state. *)
+let state t io ~now =
+  let now = if Serial.loading io then now else t.now in
+  t.sector <- Serial.i64 io t.sector;
+  t.count <- Serial.i64 io t.count;
+  t.dma_addr <- Serial.i64 io t.dma_addr;
+  t.status <- Int64.of_int (Serial.int ~max:3 io (Int64.to_int t.status));
+  let pending p =
+    let rel = Serial.i64 io (Int64.sub p.finish_at t.now) in
+    { finish_at = Int64.add now rel; ok = Serial.bool io p.ok }
+  in
+  t.pending <-
+    List.nth_opt
+      (Serial.list ~max:1 io pending { finish_at = 0L; ok = false } (Option.to_list t.pending))
+      0;
+  t.irq <- Serial.bool io t.irq;
+  t.ops <- Serial.int ~max:max_int io t.ops;
+  t.errors <- Serial.int ~max:max_int io t.errors;
+  t.now <- now
 
 let read_reg t off =
   if off = reg_status then begin

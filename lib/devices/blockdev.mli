@@ -97,6 +97,12 @@ val copy : t -> t
 
 val device : ?base:int64 -> t -> Velum_machine.Bus.device
 
+val state : t -> Velum_util.Serial.io -> now:int64 -> unit
+(** Save or load the device state: registers, the command in flight, the
+    interrupt line and the counters, not the disk's contents.  A load
+    restarts the device clock at [now], the command due as long after it
+    as it was after the saved clock. *)
+
 val set_faults : t -> Velum_util.Fault.t -> unit
 (** Attach a fault plan.  [Blk_transient] fails one command (a retry may
     succeed); [Blk_permanent] breaks the device — every later command

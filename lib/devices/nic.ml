@@ -80,6 +80,14 @@ let tick t now =
       if not (Ring.push t.rx frame) then t.rx_overflow <- t.rx_overflow + 1)
     (Link.poll t.link ~at:t.endpoint ~now:t.now)
 
+(* The device state: the DMA registers and the received frames not yet
+   read. *)
+let state t io =
+  t.tx_addr <- Serial.i64 io t.tx_addr;
+  t.tx_len <- Serial.i64 io t.tx_len;
+  t.rx_dma <- Serial.i64 io t.rx_dma;
+  Serial.ring io (Serial.string io) "" t.rx
+
 let read_reg t off =
   if off = reg_rx_len then
     match Ring.peek t.rx with
@@ -120,4 +128,4 @@ let rx_dropped t = t.rx_dropped
 let rx_overflow t = t.rx_overflow
 let rx_queue_length t = Ring.length t.rx
 let next_arrival t = Link.next_arrival t.link ~at:t.endpoint
-let link t = t.link
+let binding t = (t.link, t.endpoint)

@@ -51,6 +51,11 @@ val create :
 
 val device : ?base:int64 -> t -> Velum_machine.Bus.device
 
+val state : t -> Velum_util.Serial.io -> unit
+(** Save or load the device state: DMA registers and receive queue.  As
+    in {!Virtio_net.state}, the counters and the port {!binding} stay
+    with the adapter. *)
+
 val frames_sent : t -> int
 (** Frames actually handed to the wire (the link may still lose them —
     see {!Link.wire_dropped}). *)
@@ -74,5 +79,5 @@ val rx_queue_length : t -> int
 val next_arrival : t -> int64 option
 (** Earliest cycle at which a frame will arrive from the wire. *)
 
-val link : t -> Link.t
-(** The wire this NIC is plugged into (for conservation audits). *)
+val binding : t -> link_binding
+(** The port: the link and the endpoint this NIC is plugged into. *)

@@ -18,6 +18,15 @@ let output_length t = Buffer.length t.tx
 let clear_output t = Buffer.clear t.tx
 let rx_pending t = not (Ring.is_empty t.rx)
 
+(* The device state: the console written so far and the unread input. *)
+let state t io =
+  let tx = Serial.string io (Buffer.contents t.tx) in
+  if Serial.loading io then begin
+    Buffer.clear t.tx;
+    Buffer.add_string t.tx tx
+  end;
+  Serial.ring io (fun c -> Char.chr (Serial.int ~max:255 io (Char.code c))) ' ' t.rx
+
 let read_reg t off =
   if off = reg_data then
     match Ring.pop t.rx with Some c -> Int64.of_int (Char.code c) | None -> 0L

@@ -37,6 +37,9 @@ val output_length : t -> int
 
 val clear_output : t -> unit
 
+val state : t -> Velum_util.Serial.io -> unit
+(** Save or load the device state: console output and unread input. *)
+
 val read_reg : t -> int64 -> int64
 (** Register access used by both the MMIO wrapper and port handlers. *)
 

@@ -1,3 +1,5 @@
+module Serial = Velum_util.Serial
+
 let reg_kick = 0x00L
 let reg_isr = 0x08L
 let reg_ring_base = 0x10L
@@ -75,12 +77,17 @@ let read_back t ~sector ~count =
   if not (sectors_ok t ~sector ~count) then invalid_arg "Virtio_blk.read_back: out of range";
   Backing.sub_string t.store ~off:(sector * sector_bytes) ~len:(count * sector_bytes)
 
+(* The ring size the registers hold, or 0 when it is not a power of two. *)
+let ring_slots t =
+  let size = Int64.to_int t.ring_size in
+  if size > 0 && size land (size - 1) = 0 then size else 0
+
 let setup_ring t =
   match t.ring with
   | Some r -> Some r
   | None ->
-      let size = Int64.to_int t.ring_size in
-      if size > 0 && size land (size - 1) = 0 then begin
+      let size = ring_slots t in
+      if size > 0 then begin
         let r = Virtio_ring.create ~mem:t.mem ~base:t.ring_base ~size in
         t.ring <- Some r;
         Some r
@@ -183,6 +190,42 @@ let tick t now =
     | _ -> ()
   in
   drain ()
+
+(* The device state: the ring layout, each batch in flight with its
+   finish time relative to the device clock, the interrupt line and the
+   counters.  The disk's contents and fault plan are not state.  A batch
+   completes through the ring's used index, so a loaded one needs a ring
+   whose header lies in the [ram_bytes] of guest RAM, and a slot per
+   entry. *)
+let state t io ~now ~ram_bytes =
+  let now = if Serial.loading io then now else t.now in
+  t.ring_base <- Serial.i64 io t.ring_base;
+  t.ring_size <- Serial.i64 io t.ring_size;
+  let slots =
+    if t.ring_base >= 0L && t.ring_base <= Int64.of_int (ram_bytes - 16) then ring_slots t
+    else 0
+  in
+  let completion c =
+    let tag, v = match c with Exec (gpa, ok) -> (Bool.to_int ok, gpa) | Bad_slot i -> (2, i) in
+    let tag = Serial.int ~max:2 io tag in
+    let v = Serial.i64 io v in
+    if tag = 2 then Bad_slot v else Exec (v, tag = 1)
+  in
+  let batch b =
+    let rel = Serial.i64 io (Int64.sub b.finish_at t.now) in
+    let completions = Serial.list ~max:slots io completion (Bad_slot 0L) b.completions in
+    { finish_at = Int64.add now rel; completions }
+  in
+  t.batches <- Serial.list io batch { finish_at = 0L; completions = [] } t.batches;
+  t.irq <- Serial.bool io t.irq;
+  t.ops <- Serial.int ~max:max_int io t.ops;
+  t.error_count <- Serial.int ~max:max_int io t.error_count;
+  t.kick_count <- Serial.int ~max:max_int io t.kick_count;
+  t.now <- now;
+  if Serial.loading io then begin
+    t.ring <- None;
+    ignore (setup_ring t)
+  end
 
 let read_reg t off =
   if off = reg_isr then begin

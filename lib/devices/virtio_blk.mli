@@ -41,6 +41,12 @@ val read_back : t -> sector:int -> count:int -> string
 val resident_bytes : t -> int
 (** Backing-store bytes held in memory ({!Backing.resident_bytes}). *)
 
+val state : t -> Velum_util.Serial.io -> now:int64 -> ram_bytes:int -> unit
+(** As {!Blockdev.state}, with the ring layout and the batches in
+    flight.  A loaded batch needs a ring whose header lies in the
+    [ram_bytes] of guest RAM, and no more entries than the ring has
+    slots. *)
+
 val set_faults : t -> Velum_util.Fault.t -> unit
 (** Attach a fault plan.  [Blk_transient] fails individual descriptors
     (status byte 1); [Blk_permanent] breaks the device for good. *)

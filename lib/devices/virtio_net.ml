@@ -239,32 +239,20 @@ let device ?(base = mmio_base) t =
     pending_irq = (fun () -> t.irq || not (Ring.is_empty t.backlog));
   }
 
-(* Host-side programming: the ring layout without guest MMIO writes. *)
-let configure t ~tx_base ~tx_size ~rx_base ~rx_size =
-  t.tx_base <- tx_base;
-  t.tx_size <- Int64.of_int tx_size;
-  t.rx_base <- rx_base;
-  t.rx_size <- Int64.of_int rx_size;
-  t.tx_ring <- None;
-  t.rx_ring <- None
+(* The device state: the ring layout and the frames that arrived but are
+   not delivered yet. *)
+let state t io =
+  t.tx_base <- Serial.i64 io t.tx_base;
+  t.tx_size <- Serial.i64 io t.tx_size;
+  t.rx_base <- Serial.i64 io t.rx_base;
+  t.rx_size <- Serial.i64 io t.rx_size;
+  if Serial.loading io then begin
+    t.tx_ring <- None;
+    t.rx_ring <- None
+  end;
+  Serial.ring io (Serial.string io) "" t.backlog
 
-(* Device-state handoff: drain the source device's undelivered backlog
-   so a live migration loses no frames that already left the wire. *)
-let drain_backlog t =
-  let rec go acc =
-    match Ring.pop t.backlog with None -> List.rev acc | Some f -> go (f :: acc)
-  in
-  go []
-
-let seed_backlog t frames =
-  List.iter
-    (fun f -> if not (Ring.push t.backlog f) then t.rx_overflow <- t.rx_overflow + 1)
-    frames
-
-let hand_over t ~dst =
-  configure dst ~tx_base:t.tx_base ~tx_size:(Int64.to_int t.tx_size) ~rx_base:t.rx_base
-    ~rx_size:(Int64.to_int t.rx_size);
-  seed_backlog dst (drain_backlog t)
+let unplug t = Ring.clear t.backlog
 
 let frames_sent t = t.sent
 let frames_received t = t.received

@@ -63,14 +63,14 @@ val kick : t -> unit
 
 val tick : t -> int64 -> unit
 
-val configure :
-  t -> tx_base:int64 -> tx_size:int -> rx_base:int64 -> rx_size:int -> unit
-(** Program both rings host-side, without guest MMIO writes. *)
+val state : t -> Velum_util.Serial.io -> unit
+(** Save or load the device state: ring layout and undelivered backlog.
+    The counters stay with the adapter (fabric audits sum them per
+    adapter), and so does the port ({!link}, {!endpoint}). *)
 
-val hand_over : t -> dst:t -> unit
-(** Device-state handoff at migration time: program [dst]'s rings with
-    [t]'s layout (the ring pages travel with guest memory) and move
-    [t]'s undelivered backlog to [dst], counting any overflow. *)
+val unplug : t -> unit
+(** The port moved to an adapter that loaded this one's state: drop the
+    backlog it took along. *)
 
 val frames_sent : t -> int
 val frames_received : t -> int

@@ -49,8 +49,9 @@ let create_vm hyp ~name ?vcpu_count ?paging ?pv ?weight ?nic ?tlb_size ?exec_mod
     ?engine setup =
   let vm =
     Velum_vmm.Hypervisor.create_vm hyp ~name ~mem_frames:setup.frames ?vcpu_count
-      ?paging ?pv ?weight ?nic ?tlb_size ?exec_mode ?engine ~entry ()
+      ?paging ?pv ?weight ?tlb_size ?exec_mode ?engine ~entry ()
   in
+  Option.iter (Velum_vmm.Vm.attach_nic vm) nic;
   load_vm vm setup;
   vm
 

@@ -51,8 +51,9 @@ val create_vm :
   Velum_vmm.Vm.t
 (** The one way a guest is booted under a hypervisor:
     {!Velum_vmm.Hypervisor.create_vm} with [setup.frames] frames and
-    [entry] as the boot PC, then {!load_vm}.  The other arguments are
-    passed through. *)
+    [entry] as the boot PC, a NIC plugged into [nic]'s port
+    ({!Velum_vmm.Vm.attach_nic}), then {!load_vm}.  The other arguments
+    are passed through. *)
 
 val hypervisor :
   ?host_frames:int -> ?cost:Velum_machine.Cost_model.t -> setup -> Velum_vmm.Hypervisor.t

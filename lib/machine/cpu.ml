@@ -34,16 +34,6 @@ let create_state ?(pc = 0L) ?(mode = Arch.Supervisor) () =
     instret = 0L;
   }
 
-let copy_state s =
-  {
-    regs = Bytes.copy s.regs;
-    mode = s.mode;
-    csrs = Array.copy s.csrs;
-    halted = s.halted;
-    waiting = s.waiting;
-    instret = s.instret;
-  }
-
 let reg_slot r =
   if r < 0 || r >= Arch.num_regs then invalid_arg "Cpu: register index out of range";
   r lsl 3

@@ -24,6 +24,9 @@ open Velum_isa
 
 (** {1 Architectural state} *)
 
+(** The complete engine-visible state of a hart: decoded blocks held by
+    a translation cache ({!Trans_cache}) are rebuilt on demand from
+    memory, so saving a hart saves this record and nothing else. *)
 type state = {
   regs : Bytes.t;
       (** the register file: 17 little-endian 64-bit slots, r0-r15 then
@@ -41,15 +44,6 @@ type state = {
 val create_state : ?pc:int64 -> ?mode:Arch.mode -> unit -> state
 (** Fresh state: zero registers and CSRs (mode defaults to
     [Supervisor]). *)
-
-val copy_state : state -> state
-(** Deep copy of the {e architectural} state — registers, PC, mode,
-    CSRs, halt/wait flags and [instret].  This is, by construction, the
-    complete engine-visible state: decoded blocks held by a translation
-    cache ({!Trans_cache}) are a pure acceleration structure rebuilt on
-    demand from memory, so they are never copied, snapshotted or
-    migrated.  Snapshot/migration/replication consumers may rely on
-    [copy_state] capturing everything an execution engine can observe. *)
 
 val get_reg : state -> Arch.reg -> int64
 val set_reg : state -> Arch.reg -> int64 -> unit

@@ -26,8 +26,7 @@
 
     Engines hold no architectural state: the cache is rebuilt on demand
     and invalidated by a {!Phys_mem} write listener the engine owns, so
-    snapshots and migration copy {!Cpu.state} only (see
-    {!Cpu.copy_state}). *)
+    snapshots and migration save {!Cpu.state} only. *)
 
 type kind = Interp | Block
 

@@ -241,6 +241,7 @@ let cert_slot t ~vpn = small_slot t (Int64.to_int vpn)
 let version t slot = if slot < 0 then 0 else t.small.versions.(slot)
 let holds t ~slot ~version = slot >= 0 && t.small.versions.(slot) = version
 
+let size t = Array.length t.small.slots
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions

@@ -45,6 +45,9 @@ val flush : t -> unit
 
 val flush_vpn : t -> int64 -> unit
 
+val size : t -> int
+(** [create]'s [size]. *)
+
 val hits : t -> int
 val misses : t -> int
 (** Callers report hits/misses via {!note_hit} / {!note_miss}; the TLB

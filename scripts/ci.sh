@@ -110,8 +110,9 @@ done
 # tracker stops wanting a frame once it has stamped it, the cache wants
 # every frame it holds code from.  These legs run both on one frame
 # byte.  dirty loops forever, so --budget bounds it; memwalk at -n 96
-# adds capacity evictions under the supervisor.
-for leg in "memwalk 24" "dirty 24" "memwalk 96"; do
+# adds capacity evictions under the supervisor; vblk and blk checkpoint
+# a guest that drives a block device.
+for leg in "memwalk 24" "dirty 24" "memwalk 96" "vblk 3" "blk 3"; do
   set -- $leg
   for eng in interp block; do
     dune exec bin/velum.exe -- run -w "$1" -n "$2" --ha --budget 50000000 --engine "$eng" \

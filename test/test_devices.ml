@@ -729,7 +729,7 @@ let test_vnet_malformed_tx_slot () =
     }
   in
   let v = Virtio_net.create ~link ~endpoint:`A ~mem:gm () in
-  Virtio_net.configure v ~tx_base:0x1000L ~tx_size:4 ~rx_base:0x2000L ~rx_size:4;
+  Setups.vnet_rings v ~tx_base:0x1000L ~tx_size:4L ~rx_base:0x2000L ~rx_size:4L;
   let ring = Virtio_ring.create ~mem:gm ~base:0x1000L ~size:4 in
   poisoned := Virtio_ring.slot_addr ring 1L;
   let push i =
@@ -765,7 +765,7 @@ let test_vnet_rx_overflow () =
   checki "backlog full" 4 (Virtio_net.backlog_length v);
   checki "overflow counted" 3 (Virtio_net.rx_overflow v);
   (* post two empty buffers; exactly two deliver, the rest stay queued *)
-  Virtio_net.configure v ~tx_base:0x1000L ~tx_size:4 ~rx_base:0x2000L ~rx_size:4;
+  Setups.vnet_rings v ~tx_base:0x1000L ~tx_size:4L ~rx_base:0x2000L ~rx_size:4L;
   let rx = Virtio_ring.create ~mem:gm ~base:0x2000L ~size:4 in
   for i = 0 to 1 do
     ignore

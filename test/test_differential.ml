@@ -218,23 +218,6 @@ let run_observed_vm ~engine ~paging setup =
 
 let run_observed ~engine ~paging setup = fst (run_observed_vm ~engine ~paging setup)
 
-let workload_setups () =
-  List.map
-    (fun (name, user, heap) -> (name, Images.plan ~heap_pages:heap ~user ()))
-    [
-      ("hello", Workloads.hello (), 0);
-      ("cpu-spin", Workloads.cpu_spin ~iters:30_000L, 0);
-      ("syscalls", Workloads.syscall_loop ~count:48L, 0);
-      ("memwalk", Workloads.memwalk ~pages:24 ~iters:8 ~write:true, 24);
-      (* 96 pages overflow the 64-entry TLB: capacity evictions on every
-         pass, so fetch windows and micro-TLB entries outlive evictions
-         of other pages only by their per-slot certificates *)
-      ("memwalk-96", Workloads.memwalk ~pages:96 ~iters:4 ~write:true, 96);
-      ("pt-churn", Workloads.pt_churn ~batch:16 ~count:24 (), 0);
-      ("blk", Workloads.blk_read ~sector:0 ~count:4 ~reps:8, 8);
-      ("vblk", Workloads.vblk_read ~sector:0 ~count:4 ~reps:8, 8);
-    ]
-
 let engine_lockstep () =
   List.iter
     (fun (name, setup) ->
@@ -245,7 +228,7 @@ let engine_lockstep () =
             (run_observed ~engine:Engine.Interp ~paging setup)
             (run_observed ~engine:Engine.Block ~paging setup))
         [ ("nested", Vm.Nested_paging); ("shadow", Vm.Shadow_paging) ])
-    (workload_setups ())
+    (Setups.workload_setups ())
 
 (* The five ENGINE bench workloads at a scale where the superblock
    trace tier actually kicks in (hot heads cross the promotion
@@ -336,7 +319,7 @@ let exit_sequences () =
         (Dtlb.hits vm_b.Vm.dtlbs.(0) > 0))
     (List.filter
        (fun (n, _) -> List.mem n [ "hello"; "syscalls"; "pt-churn"; "memwalk" ])
-       (workload_setups ()))
+       (Setups.workload_setups ()))
 
 (* Deterministic supervisor-mode self-modifying code on bare metal: a
    two-iteration loop patches its own body (same 4 KiB page, already

@@ -674,6 +674,128 @@ let test_truncated_restore_rejected () =
     (Frame_alloc.used_count (Hypervisor.host hyp).Host.alloc);
   checki "no half-built VM registered" 0 (List.length hyp.Hypervisor.vms)
 
+(* ---------------- one state codec: cut anywhere, resume elsewhere ---------------- *)
+
+(* What a finished guest shows: console, instructions retired (unless
+   [instret] is false), and each block device's completed-op and error
+   counters. *)
+let observed ?(instret = true) (vm : Vm.t) =
+  Printf.sprintf "%S instret=%s blk=%d/%d vblk=%d/%d" (Vm.console_output vm)
+    (if instret then Int64.to_string (Vm.instret vm) else "-")
+    (Blockdev.completed_ops vm.Vm.blk) (Blockdev.error_count vm.Vm.blk)
+    (Virtio_blk.completed_ops vm.Vm.vblk)
+    (Virtio_blk.error_count vm.Vm.vblk)
+
+(* A hypervisor that switches every 1,500 cycles, so that a run cut at
+   a slice boundary stops anywhere in a guest's I/O, and a moved VM's
+   slices start where the uncut run's do. *)
+let fine_hypervisor setup =
+  Hypervisor.create
+    ~host:(Host.create ~frames:(setup.Images.frames + 1024) ())
+    ~sched:(Credit.create ~slice:1_500 ())
+    ()
+
+let fine_boot ~name setup =
+  let hyp = fine_hypervisor setup in
+  (hyp, Images.create_vm hyp ~name setup)
+
+(* Every workload run uncut to halt once: its cycles and its VM. *)
+let uncut_runs =
+  lazy
+    (List.map
+       (fun (name, setup) ->
+         let hyp, vm = fine_boot ~name setup in
+         if Hypervisor.run hyp <> Hypervisor.All_halted then failwith (name ^ " hangs");
+         (name, setup, Hypervisor.now hyp, vm))
+       (Setups.workload_setups ()
+       @ List.map
+           (fun (name, user) -> (name, Images.plan ~heap_pages:8 ~user ()))
+           [
+             ("blk-3", Workloads.blk_read ~sector:0 ~count:4 ~reps:3);
+             ("vblk-3", Workloads.vblk_read ~sector:0 ~count:4 ~reps:3);
+           ]))
+
+(* Each way a VM leaves its hypervisor for another: the hypervisor it
+   goes on on and the VM that goes on.  [peer] makes the destination. *)
+let moves peer =
+  [
+    ("capture/restore", fun _ vm ->
+        let dst = peer () in
+        (dst, Snapshot.restore dst (Snapshot.capture vm)));
+    ("stop-and-copy", fun src vm ->
+        let dst = peer () in
+        (dst, fst (Migrate.stop_and_copy ~src ~dst ~vm ~link:(Link.create ()) ())));
+    ("postcopy", fun src vm ->
+        let dst = peer () in
+        (dst, fst (Migrate.postcopy ~src ~dst ~vm ~link:(Link.create ()) ())));
+    ("failover", fun primary vm ->
+        let backup = peer () in
+        let s = Replicate.start ~primary ~backup ~vm ~link:(Link.create ()) () in
+        (backup, Replicate.failover s));
+  ]
+
+(* Cut a guest at a random cycle, move it by every path, run the moved
+   VM to halt: it must show exactly what the uncut run showed.  Device
+   state in flight at the cut (a block request, a pending completion)
+   must move with the vCPUs, or the guest waits forever.  Post-copy runs
+   the moved guest outside the scheduler while it pulls pages
+   ({!Hypervisor.run_vm}, no slice switches, stalls on demand fetches),
+   so a guest polling a device retires a different number of polls
+   there: its instret is not compared. *)
+let roundtrip_prop =
+  QCheck2.Test.make ~count:5 ~name:"a guest cut anywhere resumes to the uncut result"
+    QCheck2.Gen.(float_range 0.02 0.98)
+    (fun frac ->
+      List.for_all
+        (fun (name, setup, cycles, uncut) ->
+          let cut = Int64.of_float (frac *. Int64.to_float cycles) in
+          List.for_all
+            (fun (path, move) ->
+              let src, vm = fine_boot ~name setup in
+              ignore (Hypervisor.run src ~budget:cut);
+              let dst, moved = move src vm in
+              ignore (Hypervisor.run dst ~budget:(Int64.add (Int64.mul 2L cycles) 1_000_000L));
+              let instret = path <> "postcopy" in
+              let got = observed ~instret moved and want = observed ~instret uncut in
+              got = want
+              || QCheck2.Test.fail_reportf "%s cut at %Ld via %s: %s, uncut %s" name cut
+                   path got want)
+            (moves (fun () -> fine_hypervisor setup)))
+        (Lazy.force uncut_runs))
+
+(* A VM's whole shape survives every path, live snapshots included:
+   binary translation, a 16-entry TLB, weight 512 and the interpreter
+   on a host whose default engine is the block engine. *)
+let test_shape_survives_every_path () =
+  let setup = Images.plan ~user:(Workloads.hello ()) () in
+  let shape (vm : Vm.t) =
+    ( vm.Vm.exec_mode = Vm.Binary_translation,
+      Array.to_list (Array.map Tlb.size vm.Vm.tlbs),
+      Array.to_list (Array.map (fun (v : Vcpu.t) -> v.Vcpu.weight) vm.Vm.vcpus),
+      Vm.engine_kind vm )
+  in
+  let want = (true, [ 16; 16 ], [ 512; 512 ], Engine.Interp) in
+  let peer () = Images.hypervisor setup in
+  let live hyp vm = (hyp, Snapshot.restore_live hyp (Snapshot.capture_live vm)) in
+  let precopy src vm =
+    let dst = peer () in
+    (dst, fst (Migrate.precopy ~src ~dst ~vm ~link:(Link.create ()) ()))
+  in
+  List.iter
+    (fun (path, move) ->
+      let hyp = peer () in
+      checkb "the host default is another engine" true
+        ((Hypervisor.host hyp).Host.default_engine <> Engine.Interp);
+      let vm =
+        Images.create_vm hyp ~name:"shape" ~vcpu_count:2 ~exec_mode:Vm.Binary_translation
+          ~tlb_size:16 ~weight:512 ~engine:Engine.Interp setup
+      in
+      checkb "booted with the shape" true (shape vm = want);
+      ignore (Hypervisor.run hyp ~budget:20_000L);
+      let _, moved = move hyp vm in
+      checkb (path ^ " keeps the shape") true (shape moved = want))
+    (("capture_live/restore_live", live) :: ("precopy", precopy) :: moves peer)
+
 (* ---------------- replication: idempotent failover ---------------- *)
 
 let test_failover_idempotent () =
@@ -1077,7 +1199,9 @@ let () =
       ( "snapshot",
         Alcotest.test_case "truncated image rejected without trace" `Quick
           test_truncated_restore_rejected
-        :: qsuite [ restore_no_leak_prop ] );
+        :: Alcotest.test_case "the shape survives every path" `Quick
+             test_shape_survives_every_path
+        :: qsuite [ restore_no_leak_prop; roundtrip_prop ] );
       ( "replication",
         [ Alcotest.test_case "failover is idempotent" `Quick test_failover_idempotent ] );
       ( "watchdog",

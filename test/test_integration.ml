@@ -888,7 +888,7 @@ let test_migrate_moves_vnet () =
   (* no rings yet, so the arrivals wait in the backlog *)
   Virtio_net.tick old 1_000_000L;
   Alcotest.(check int) "source backlog" 3 (Virtio_net.backlog_length old);
-  Virtio_net.configure old ~tx_base:0x7000L ~tx_size:8 ~rx_base:0x7800L ~rx_size:4;
+  Setups.vnet_rings old ~tx_base:0x7000L ~tx_size:8L ~rx_base:0x7800L ~rx_size:4L;
   let twin, r = Migrate.stop_and_copy ~src ~dst ~vm ~link:(Link.create ()) () in
   checkb "migrated" false r.Migrate.aborted;
   let v = Option.get twin.Vm.vnet in

@@ -1166,19 +1166,61 @@ let test_snapshot_bad_magic () =
   Alcotest.check_raises "bad magic" (Failure "Snapshot: bad magic") (fun () ->
       ignore (Snapshot.restore hyp (Bytes.make 64 '\000')))
 
+(* Restoring [img] must raise [Failure] and leave no trace: the host's
+   free frames and its VM list stay as they were. *)
+let check_rejected hyp what img =
+  let alloc = (Hypervisor.host hyp).Host.alloc in
+  let free0 = Frame_alloc.free_count alloc and vms0 = hyp.Hypervisor.vms in
+  (match Snapshot.restore hyp img with
+  | _ -> Alcotest.failf "%s: restored" what
+  | exception Failure _ -> ());
+  checki (what ^ ": free frames") free0 (Frame_alloc.free_count alloc);
+  checkb (what ^ ": VM list") true (List.equal ( == ) vms0 hyp.Hypervisor.vms)
+
+(* An image of a guest stopped with a virtio-blk batch in flight and
+   console output, cut at every offset of its header and of its state
+   section (shape, vCPUs, devices, console), cut in its page records,
+   and with device fields out of range. *)
 let test_snapshot_truncated () =
-  let host = Host.create ~frames:512 () in
-  let hyp = Hypervisor.create ~host () in
-  let vm =
-    Hypervisor.create_vm hyp ~name:"s" ~mem_frames:8 ~entry:0L ()
+  let open Velum_guests in
+  let setup =
+    Images.plan ~heap_pages:8 ~user:(Workloads.vblk_read ~sector:0 ~count:4 ~reps:3) ()
   in
+  let hyp, vm = Images.boot ~name:"s" setup in
+  while Velum_devices.Virtio_blk.next_completion vm.Vm.vblk = None do
+    Hypervisor.run_vm hyp vm ~cycles:500L
+  done;
+  String.iter (Vm.console_put vm) "console";
   let img = Snapshot.capture vm in
-  let cut = Bytes.sub img 0 (Bytes.length img / 2) in
-  checkb "raises on truncation" true
-    (try
-       ignore (Snapshot.restore hyp cut);
-       false
-     with Failure _ -> true)
+  let len = Bytes.length img in
+  let state_at = Int64.to_int (Bytes.get_int64_le img 8) in
+  (* the whole image restores *)
+  Hypervisor.remove_vm hyp (Snapshot.restore hyp img);
+  let cut n = check_rejected hyp (Printf.sprintf "cut at %d" n) (Bytes.sub img 0 n) in
+  for n = 0 to 15 do cut n done;
+  cut (len / 2);
+  for n = state_at to len - 1 do cut n done;
+  let patched what off v =
+    let b = Bytes.copy img in
+    Bytes.set_int64_le b off v;
+    check_rejected hyp what b
+  in
+  (* the ring layout the kernel programs: its ring page, 64 slots *)
+  let ring = ref (-1) in
+  for o = state_at to len - 16 do
+    if Bytes.get_int64_le img o = Abi.ring_page && Bytes.get_int64_le img (o + 8) = 64L
+    then ring := o
+  done;
+  checkb "found the ring layout" true (!ring > 0);
+  patched "a ring beyond RAM" !ring (Int64.of_int (Vm.mem_frames vm * Arch.page_size));
+  patched "more in-flight entries than ring slots" (!ring + 8) 2L;
+  (* after the shape (name, then nine 8-byte fields) comes the vCPU count *)
+  patched "a vCPU count that disagrees with the shape" (state_at + 8 + 1 + 72) 2L;
+  (* the first page record made an absent page beyond RAM *)
+  let b = Bytes.copy img in
+  Bytes.set_int64_le b 16 (Int64.shift_left 1L 40);
+  Bytes.set_int64_le b 24 2L;
+  check_rejected hyp "an absent page beyond RAM" b
 
 let test_live_snapshot_release () =
   let host = Host.create ~frames:512 () in
