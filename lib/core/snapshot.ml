@@ -212,7 +212,9 @@ let restore hyp image =
   if Serial.i64 io 0L <> magic then failwith "Snapshot: bad magic";
   let state_at = Serial.int ~max:(Bytes.length image) io 0 in
   let state = Bytes.sub image state_at (Bytes.length image - state_at) in
-  let vm = Vm_state.create_vm hyp ~populate:true state in
+  (* every gfn has a record of at least [record_header] bytes *)
+  let max_frames = (state_at - header_bytes) / record_header in
+  let vm = Vm_state.create_vm hyp ~max_frames ~populate:true state in
   (* From here on the VM owns frames and is registered: any parse failure
      must tear it down completely (frames reclaimed, scheduler and VM
      list clean) before the error propagates, or every rejected image

@@ -278,6 +278,10 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
     Engine.of_kind
       (match engine with Some k -> k | None -> host.Host.default_engine)
   in
+  (* a populated VM needs every frame now: refuse one the host cannot
+     back before building tables sized by it *)
+  if populate && mem_frames > Frame_alloc.free_count host.Host.alloc then
+    failwith "Vm.create: host out of frames";
   let p2m = P2m.create ~gframes:mem_frames in
   (* Populate guest memory eagerly; on failure return what we took. *)
   let allocated = ref [] in

@@ -102,8 +102,10 @@ val create :
     (post-copy migration fills them as [Remote]).  Both block devices
     hold 2048 sectors.
 
-    @raise Failure when the host is out of frames (everything allocated
-    so far is returned first). *)
+    @raise Failure when the host is out of frames: when it has fewer
+    free than [mem_frames], before anything is allocated (everything
+    allocated so far is returned first should an allocation fail all
+    the same). *)
 
 val destroy : t -> unit
 (** Release every host frame the VM holds (guest memory, shadow tables)

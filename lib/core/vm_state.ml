@@ -62,9 +62,10 @@ let save (vm : Vm.t) =
 
 (* Read the shape, checked before anything is allocated (a VM numbers
    at most 64 vCPUs, and 4096 TLB entries each bound what a corrupt
-   shape can make us allocate); applying the result builds the VM it
-   describes. *)
-let read_shape io =
+   shape can make us allocate, as does [max_frames], which a caller
+   holding the VM's page records sets to how many they can be);
+   applying the result builds the VM it describes. *)
+let read_shape ?(max_frames = 1 lsl 24) io =
   let positive max =
     let n = Serial.int ~max io 0 in
     if n = 0 then failwith "Vm_state: bad shape";
@@ -72,7 +73,7 @@ let read_shape io =
   in
   let flag () = Serial.bool io false in
   let name = Serial.string io "" in
-  let mem_frames = positive (1 lsl 24) in
+  let mem_frames = positive (min max_frames (1 lsl 24)) in
   let vcpu_count = positive 64 in
   let paging = if flag () then Vm.Nested_paging else Vm.Shadow_paging in
   let pv_console = flag () in
@@ -86,8 +87,8 @@ let read_shape io =
       ~pv:{ Vm.pv_console; pv_pt } ~exec_mode ~engine ~tlb_size ~weight ~populate
       ~entry:0L ()
 
-let create_vm hyp ?(suffix = "") ~populate st =
-  read_shape (Serial.Load (Serial.reader st)) hyp ~suffix ~populate
+let create_vm hyp ?(suffix = "") ?max_frames ~populate st =
+  read_shape ?max_frames (Serial.Load (Serial.reader st)) hyp ~suffix ~populate
 
 let load hyp (vm : Vm.t) st =
   let io = Serial.Load (Serial.reader st) in

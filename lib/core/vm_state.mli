@@ -11,12 +11,14 @@ type t = Bytes.t
 
 val save : Vm.t -> t
 
-val create_vm : Hypervisor.t -> ?suffix:string -> populate:bool -> t -> Vm.t
+val create_vm : Hypervisor.t -> ?suffix:string -> ?max_frames:int -> populate:bool -> t -> Vm.t
 (** The one way a VM is built from a saved shape: registered, named with
     [suffix] appended, guest frames allocated unless [populate = false],
-    no state loaded and no port plugged in.
+    no state loaded and no port plugged in.  A shape of more than
+    [max_frames] frames (default and cap 2{^24}) is bad.
 
-    @raise Failure on a bad shape or when the host lacks frames. *)
+    @raise Failure on a bad shape or when the host lacks frames, before
+    anything sized by the shape is allocated. *)
 
 val load : Hypervisor.t -> Vm.t -> t -> unit
 (** Load the vCPUs and devices into a VM on this hypervisor built from

@@ -4,8 +4,31 @@ type tgt = Op of int | Out of int
 
 type uop =
   | U_nop of int
-  | U_alu of { op : Instr.alu_op; rd : int; rs1 : int; rs2 : int; cyc : int }
-  | U_alui of { op : Instr.alu_op; rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_add of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_sub of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_mul of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_div of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_rem of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_and of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_or of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_xor of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_sll of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_srl of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_sra of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_slt of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_sltu of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_addi of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_muli of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_divi of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_remi of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_andi of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_ori of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_xori of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_slli of { rd : int; rs1 : int; sh : int; cyc : int }
+  | U_srli of { rd : int; rs1 : int; sh : int; cyc : int }
+  | U_srai of { rd : int; rs1 : int; sh : int; cyc : int }
+  | U_slti of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_sltiu of { rd : int; rs1 : int; imm : int64; cyc : int }
   | U_lui of { rd : int; v : int64; cyc : int }
   | U_load of {
       rd : int;
@@ -23,14 +46,12 @@ type uop =
       amask : int64;
       cyc : int;
     }
-  | U_branch of {
-      op : Instr.branch_op;
-      rs1 : int;
-      rs2 : int;
-      t_tgt : tgt;
-      f_tgt : tgt;
-      cyc : int;
-    }
+  | U_beq of { rs1 : int; rs2 : int; t_tgt : tgt; f_tgt : tgt; cyc : int }
+  | U_bne of { rs1 : int; rs2 : int; t_tgt : tgt; f_tgt : tgt; cyc : int }
+  | U_blt of { rs1 : int; rs2 : int; t_tgt : tgt; f_tgt : tgt; cyc : int }
+  | U_bge of { rs1 : int; rs2 : int; t_tgt : tgt; f_tgt : tgt; cyc : int }
+  | U_bltu of { rs1 : int; rs2 : int; t_tgt : tgt; f_tgt : tgt; cyc : int }
+  | U_bgeu of { rs1 : int; rs2 : int; t_tgt : tgt; f_tgt : tgt; cyc : int }
   | U_jal of { rd : int; link : int; tgt : tgt; cyc : int }
   | U_jalr of { rd : int; link : int; rs1 : int; imm : int64; cyc : int }
   | U_exit of { stop : Cpu.stop; cyc : int }
@@ -60,6 +81,60 @@ let static_exit insn =
   | Instr.In _ | Instr.Out _ | Instr.Halt ->
       Some (Cpu.Exit (Cpu.X_privileged insn))
   | _ -> None
+
+(* Register operands are lowered to their byte offsets in the register
+   file ([Cpu.state.regs]), so an op reads and writes its registers
+   with no index arithmetic; offset 0 is [r0]. *)
+let[@inline] slot r = r lsl 3
+
+let lower_alu op rd rs1 rs2 cyc =
+  let rd = slot rd and rs1 = slot rs1 and rs2 = slot rs2 in
+  match op with
+  | Instr.Add -> U_add { rd; rs1; rs2; cyc }
+  | Instr.Sub -> U_sub { rd; rs1; rs2; cyc }
+  | Instr.Mul -> U_mul { rd; rs1; rs2; cyc }
+  | Instr.Div -> U_div { rd; rs1; rs2; cyc }
+  | Instr.Rem -> U_rem { rd; rs1; rs2; cyc }
+  | Instr.And -> U_and { rd; rs1; rs2; cyc }
+  | Instr.Or -> U_or { rd; rs1; rs2; cyc }
+  | Instr.Xor -> U_xor { rd; rs1; rs2; cyc }
+  | Instr.Sll -> U_sll { rd; rs1; rs2; cyc }
+  | Instr.Srl -> U_srl { rd; rs1; rs2; cyc }
+  | Instr.Sra -> U_sra { rd; rs1; rs2; cyc }
+  | Instr.Slt -> U_slt { rd; rs1; rs2; cyc }
+  | Instr.Sltu -> U_sltu { rd; rs1; rs2; cyc }
+
+(* The immediate is folded through [Cpu.alui_imm] first, so shift
+   amounts arrive already masked to 0..63.  The decoder produces no
+   immediate [Sub]/[Mul]/[Div]/[Rem], but [Cpu.exec_insn] defines them,
+   so they lower too: [a - imm] is [a + (-imm)] modulo 2^64. *)
+let lower_alui op rd rs1 imm cyc =
+  let rd = slot rd and rs1 = slot rs1 in
+  let imm = Cpu.alui_imm op imm in
+  match op with
+  | Instr.Add -> U_addi { rd; rs1; imm; cyc }
+  | Instr.Sub -> U_addi { rd; rs1; imm = Int64.neg imm; cyc }
+  | Instr.Mul -> U_muli { rd; rs1; imm; cyc }
+  | Instr.Div -> U_divi { rd; rs1; imm; cyc }
+  | Instr.Rem -> U_remi { rd; rs1; imm; cyc }
+  | Instr.And -> U_andi { rd; rs1; imm; cyc }
+  | Instr.Or -> U_ori { rd; rs1; imm; cyc }
+  | Instr.Xor -> U_xori { rd; rs1; imm; cyc }
+  | Instr.Sll -> U_slli { rd; rs1; sh = Int64.to_int imm; cyc }
+  | Instr.Srl -> U_srli { rd; rs1; sh = Int64.to_int imm; cyc }
+  | Instr.Sra -> U_srai { rd; rs1; sh = Int64.to_int imm; cyc }
+  | Instr.Slt -> U_slti { rd; rs1; imm; cyc }
+  | Instr.Sltu -> U_sltiu { rd; rs1; imm; cyc }
+
+let lower_branch op rs1 rs2 t_tgt f_tgt cyc =
+  let rs1 = slot rs1 and rs2 = slot rs2 in
+  match op with
+  | Instr.Beq -> U_beq { rs1; rs2; t_tgt; f_tgt; cyc }
+  | Instr.Bne -> U_bne { rs1; rs2; t_tgt; f_tgt; cyc }
+  | Instr.Blt -> U_blt { rs1; rs2; t_tgt; f_tgt; cyc }
+  | Instr.Bge -> U_bge { rs1; rs2; t_tgt; f_tgt; cyc }
+  | Instr.Bltu -> U_bltu { rs1; rs2; t_tgt; f_tgt; cyc }
+  | Instr.Bgeu -> U_bgeu { rs1; rs2; t_tgt; f_tgt; cyc }
 
 let build ~cost ~segments =
   let base = cost.Cost_model.base_instr in
@@ -117,25 +192,17 @@ let build ~cost ~segments =
               match insn with
               | Instr.Nop -> Some (U_nop base)
               | Instr.Alu (op, rd, rs1, rs2) ->
-                  Some (U_alu { op; rd; rs1; rs2; cyc = base + Cpu.alu_cycles cost op })
+                  Some (lower_alu op rd rs1 rs2 (base + Cpu.alu_cycles cost op))
               | Instr.Alui (op, rd, rs1, imm) ->
-                  Some
-                    (U_alui
-                       {
-                         op;
-                         rd;
-                         rs1;
-                         imm = Cpu.alui_imm op imm;
-                         cyc = base + Cpu.alu_cycles cost op;
-                       })
+                  Some (lower_alui op rd rs1 imm (base + Cpu.alu_cycles cost op))
               | Instr.Lui (rd, imm) ->
-                  Some (U_lui { rd; v = Int64.shift_left imm 32; cyc = base })
+                  Some (U_lui { rd = slot rd; v = Int64.shift_left imm 32; cyc = base })
               | Instr.Load { rd; base = b; off = o; width } ->
                   Some
                     (U_load
                        {
-                         rd;
-                         base = b;
+                         rd = slot rd;
+                         base = slot b;
                          off = o;
                          width;
                          amask = Int64.of_int (Instr.width_bytes width - 1);
@@ -150,8 +217,8 @@ let build ~cost ~segments =
                     Some
                       (U_store
                          {
-                           src;
-                           base = b;
+                           src = slot src;
+                           base = slot b;
                            off = o;
                            width;
                            amask = Int64.of_int (Instr.width_bytes width - 1);
@@ -159,26 +226,21 @@ let build ~cost ~segments =
                          })
               | Instr.Branch (op, rs1, rs2, delta) when last ->
                   Some
-                    (U_branch
-                       {
-                         op;
-                         rs1;
-                         rs2;
-                         t_tgt = resolve (off + Int64.to_int delta);
-                         f_tgt = resolve (off + ib);
-                         cyc = base;
-                       })
+                    (lower_branch op rs1 rs2
+                       (resolve (off + Int64.to_int delta))
+                       (resolve (off + ib))
+                       base)
               | Instr.Jal (rd, delta) when last ->
                   Some
                     (U_jal
                        {
-                         rd;
+                         rd = slot rd;
                          link = off + ib;
                          tgt = resolve (off + Int64.to_int delta);
                          cyc = base;
                        })
               | Instr.Jalr (rd, rs1, imm) when last ->
-                  Some (U_jalr { rd; link = off + ib; rs1; imm; cyc = base })
+                  Some (U_jalr { rd = slot rd; link = off + ib; rs1 = slot rs1; imm; cyc = base })
               | insn when last -> (
                   match static_exit insn with
                   | Some stop -> Some (U_exit { stop; cyc = base })
@@ -213,130 +275,270 @@ type outcome =
   | Bail
 
 (* The register file and PC through the compiler primitives [Cpu]
-   exports: inlined here, unboxed, no bounds check (register indices are
-   4-bit decoder fields). *)
+   exports: inlined here, unboxed, no bounds check (register offsets
+   come from 4-bit decoder fields). *)
 let pc_slot = Cpu.pc_slot
-let[@inline] reg regs r = Cpu.slot_get regs (r lsl 3)
-let[@inline] set_reg regs r v = if r <> 0 then Cpu.slot_set regs (r lsl 3) v
+let[@inline] reg regs o = Cpu.slot_get regs o
+let[@inline] set_reg regs o v = if o <> 0 then Cpu.slot_set regs o v
 let[@inline] set_pc regs v = Cpu.slot_set regs pc_slot v
 
-(* The ALU and branch semantics of [Cpu.eval_alu]/[Cpu.eval_branch],
-   written here with nothing but [Int64] primitives.  Trace ops call
-   them only from positions where the compiler inlines them, so no arm
-   boxes its result; a single arm that called out of the module would
-   make every arm allocate. *)
+(* [Cpu.eval_alu]'s semantics, written here with nothing but [Int64]
+   primitives, which a property test pins; calling [Cpu.eval_alu] would
+   box every result, since [-opaque] builds inline nothing across
+   modules. *)
 let[@inline] ult (a : int64) (b : int64) = Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
 
-let[@inline] alu op (a : int64) (b : int64) =
-  match op with
-  | Instr.Add -> Int64.add a b
-  | Instr.Sub -> Int64.sub a b
-  | Instr.Mul -> Int64.mul a b
-  | Instr.Div ->
-      if b = 0L then -1L
-      else if b = -1L then Int64.neg a (* min_int / -1 wraps to min_int *)
-      else Int64.div a b
-  | Instr.Rem -> if b = 0L then a else if b = -1L then 0L else Int64.rem a b
-  | Instr.And -> Int64.logand a b
-  | Instr.Or -> Int64.logor a b
-  | Instr.Xor -> Int64.logxor a b
-  | Instr.Sll -> Int64.shift_left a (Int64.to_int b land 63)
-  | Instr.Srl -> Int64.shift_right_logical a (Int64.to_int b land 63)
-  | Instr.Sra -> Int64.shift_right a (Int64.to_int b land 63)
-  | Instr.Slt -> if a < b then 1L else 0L
-  | Instr.Sltu -> if ult a b then 1L else 0L
+let[@inline] div (a : int64) b =
+  if b = 0L then -1L
+  else if b = -1L then Int64.neg a (* min_int / -1 wraps to min_int *)
+  else Int64.div a b
 
-let[@inline] branch op (a : int64) (b : int64) =
-  match op with
-  | Instr.Beq -> a = b
-  | Instr.Bne -> a <> b
-  | Instr.Blt -> a < b
-  | Instr.Bge -> a >= b
-  | Instr.Bltu -> ult a b
-  | Instr.Bgeu -> not (ult a b)
+let[@inline] rem (a : int64) b = if b = 0L then a else if b = -1L then 0L else Int64.rem a b
+let[@inline] shamt (b : int64) = Int64.to_int b land 63
 
+(* The ways out of a trace run.  They flush the batched instret delta
+   and write the PC; they are closed top-level functions, so a run
+   allocates nothing for them. *)
+let fall s cyc ret early =
+  s.Cpu.instret <- Int64.add s.Cpu.instret (Int64.of_int ret);
+  Fall { cycles = cyc; early }
+
+(* leave before op [i]; zero ops retired means nothing was touched *)
+let leave s p page_base i cyc ret early =
+  if ret = 0 then Bail
+  else begin
+    set_pc s.Cpu.regs (Int64.logor page_base (Int64.of_int p.offs.(i)));
+    fall s cyc ret early
+  end
+
+(* a retired transfer to a target outside the trace *)
+let out s page_base delta cyc ret =
+  set_pc s.Cpu.regs (Int64.add page_base (Int64.of_int delta));
+  fall s cyc ret false
+
+(* a lowered slow instruction: the PC stays at op [i] *)
+let stop_at s p page_base i cyc ret stop =
+  set_pc s.Cpu.regs (Int64.logor page_base (Int64.of_int p.offs.(i)));
+  if ret > 0 then s.Cpu.instret <- Int64.add s.Cpu.instret (Int64.of_int ret);
+  Stop { cycles = cyc; stop }
+
+(* One dispatch per op: every arm is one instruction's whole semantics
+   with its operands decoded at build time, followed by the fuel check
+   that admits the next op (the engine runs an instruction only while
+   consumed < fuel; the first op is always admitted).  [go] makes no
+   call but tail calls, so the loop has no stack-limit check and keeps
+   its state in registers; the loads and stores, which call into [Dtlb]
+   and [Phys_mem], run in [side_op], which [go] and they tail-call in
+   turn.
+   [cyc] mirrors the engine's [consumed] delta: it starts at [xl], which
+   is charged only if an op executes ([leave] bails on zero ops). *)
 let exec p ~start ~s ~dtlb ~mem ~user ~page_base ~fuel_left ~xl =
   if fuel_left <= 0 then Bail
   else begin
     let regs = s.Cpu.regs in
-    let ops = p.ops and offs = p.offs and live = p.live in
-    (* [cyc] mirrors the engine's [consumed] delta (including [xl] once
-       the first op executes); [ret] is the batched instret delta; [xlp]
-       is the still-uncharged fetch-translation cost. *)
-    let retire ret = s.Cpu.instret <- Int64.add s.Cpu.instret (Int64.of_int ret) in
-    let leave i cyc ret early =
-      if ret = 0 then Bail
-      else begin
-        set_pc regs (Int64.logor page_base (Int64.of_int offs.(i)));
-        retire ret;
-        Fall { cycles = cyc; early }
-      end
+    let ops = p.ops in
+    let rec go i cyc ret =
+      match ops.(i) with
+      | U_nop c ->
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_add { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (Int64.add (reg regs rs1) (reg regs rs2));
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_sub { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (Int64.sub (reg regs rs1) (reg regs rs2));
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_mul { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (Int64.mul (reg regs rs1) (reg regs rs2));
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_div { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (div (reg regs rs1) (reg regs rs2));
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_rem { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (rem (reg regs rs1) (reg regs rs2));
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_and { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (Int64.logand (reg regs rs1) (reg regs rs2));
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_or { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (Int64.logor (reg regs rs1) (reg regs rs2));
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_xor { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (Int64.logxor (reg regs rs1) (reg regs rs2));
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_sll { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (Int64.shift_left (reg regs rs1) (shamt (reg regs rs2)));
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_srl { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (Int64.shift_right_logical (reg regs rs1) (shamt (reg regs rs2)));
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_sra { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (Int64.shift_right (reg regs rs1) (shamt (reg regs rs2)));
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_slt { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (if reg regs rs1 < reg regs rs2 then 1L else 0L);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_sltu { rd; rs1; rs2; cyc = c } ->
+          set_reg regs rd (if ult (reg regs rs1) (reg regs rs2) then 1L else 0L);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_addi { rd; rs1; imm; cyc = c } ->
+          set_reg regs rd (Int64.add (reg regs rs1) imm);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_muli { rd; rs1; imm; cyc = c } ->
+          set_reg regs rd (Int64.mul (reg regs rs1) imm);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_divi { rd; rs1; imm; cyc = c } ->
+          set_reg regs rd (div (reg regs rs1) imm);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_remi { rd; rs1; imm; cyc = c } ->
+          set_reg regs rd (rem (reg regs rs1) imm);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_andi { rd; rs1; imm; cyc = c } ->
+          set_reg regs rd (Int64.logand (reg regs rs1) imm);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_ori { rd; rs1; imm; cyc = c } ->
+          set_reg regs rd (Int64.logor (reg regs rs1) imm);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_xori { rd; rs1; imm; cyc = c } ->
+          set_reg regs rd (Int64.logxor (reg regs rs1) imm);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_slli { rd; rs1; sh; cyc = c } ->
+          set_reg regs rd (Int64.shift_left (reg regs rs1) sh);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_srli { rd; rs1; sh; cyc = c } ->
+          set_reg regs rd (Int64.shift_right_logical (reg regs rs1) sh);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_srai { rd; rs1; sh; cyc = c } ->
+          set_reg regs rd (Int64.shift_right (reg regs rs1) sh);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_slti { rd; rs1; imm; cyc = c } ->
+          set_reg regs rd (if reg regs rs1 < imm then 1L else 0L);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_sltiu { rd; rs1; imm; cyc = c } ->
+          set_reg regs rd (if ult (reg regs rs1) imm then 1L else 0L);
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | U_lui { rd; v; cyc = c } ->
+          set_reg regs rd v;
+          let cyc = cyc + c in
+          if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+          else leave s p page_base (i + 1) cyc (ret + 1) false
+      | (U_load _ | U_store _ | U_exit _) as u -> side_op u i cyc ret
+      | U_beq { rs1; rs2; t_tgt; f_tgt; cyc = c } ->
+          take (if reg regs rs1 = reg regs rs2 then t_tgt else f_tgt) (cyc + c) (ret + 1)
+      | U_bne { rs1; rs2; t_tgt; f_tgt; cyc = c } ->
+          take (if reg regs rs1 <> reg regs rs2 then t_tgt else f_tgt) (cyc + c) (ret + 1)
+      | U_blt { rs1; rs2; t_tgt; f_tgt; cyc = c } ->
+          take (if reg regs rs1 < reg regs rs2 then t_tgt else f_tgt) (cyc + c) (ret + 1)
+      | U_bge { rs1; rs2; t_tgt; f_tgt; cyc = c } ->
+          take (if reg regs rs1 >= reg regs rs2 then t_tgt else f_tgt) (cyc + c) (ret + 1)
+      | U_bltu { rs1; rs2; t_tgt; f_tgt; cyc = c } ->
+          take (if ult (reg regs rs1) (reg regs rs2) then t_tgt else f_tgt) (cyc + c) (ret + 1)
+      | U_bgeu { rs1; rs2; t_tgt; f_tgt; cyc = c } ->
+          take (if ult (reg regs rs1) (reg regs rs2) then f_tgt else t_tgt) (cyc + c) (ret + 1)
+      | U_jal { rd; link; tgt; cyc = c } ->
+          set_reg regs rd (Int64.add page_base (Int64.of_int link));
+          take tgt (cyc + c) (ret + 1)
+      | U_jalr { rd; link; rs1; imm; cyc = c } ->
+          let target = Int64.add (reg regs rs1) imm in
+          set_reg regs rd (Int64.add page_base (Int64.of_int link));
+          set_pc regs target;
+          fall s (cyc + c) (ret + 1) false
+    (* a control transfer that retired: in-trace targets pass the fuel
+       check like any next op, others leave with the target PC *)
+    and take tgt cyc ret =
+      match tgt with
+      | Op j ->
+          if cyc < fuel_left then go j cyc ret else leave s p page_base j cyc ret false
+      | Out delta -> out s page_base delta cyc ret
+    (* Loads, stores and lowered slow instructions run here, out of
+       [go]: loads and stores call into [Dtlb] and [Phys_mem], and the
+       exit's eight-argument tail call would make [go] spill [cyc] to
+       its frame and reload it on every op.  A load or store executes only on an
+       aligned micro-TLB hit; anything else side-exits before the op. *)
+    and side_op u i cyc ret =
+      match u with
+      | U_load { rd; base; off; width; amask; cyc = c } ->
+          let va = Int64.add (reg regs base) off in
+          if Int64.logand va amask <> 0L then leave s p page_base i cyc ret true
+          else
+            let pa = Dtlb.lookup dtlb ~access:Arch.Load ~user va in
+            if pa < 0 then leave s p page_base i cyc ret true
+            else begin
+              set_reg regs rd (Phys_mem.read_at mem pa width);
+              let cyc = cyc + c in
+              if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+              else leave s p page_base (i + 1) cyc (ret + 1) false
+            end
+      | U_store { src; base; off; width; amask; cyc = c } ->
+          let va = Int64.add (reg regs base) off in
+          if Int64.logand va amask <> 0L then leave s p page_base i cyc ret true
+          else
+            let pa = Dtlb.lookup dtlb ~access:Arch.Store ~user va in
+            if pa < 0 then leave s p page_base i cyc ret true
+            else begin
+              Phys_mem.write_at mem pa width (reg regs src);
+              let cyc = cyc + c in
+              (* the write may have severed this very trace (a store
+                 into a constituent block's bytes); the op retired, so
+                 side-exit at the next op, like the engine's [b.valid]
+                 continuation check *)
+              if not !(p.live) then leave s p page_base (i + 1) cyc (ret + 1) true
+              else if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+              else leave s p page_base (i + 1) cyc (ret + 1) false
+            end
+      | U_exit { stop; cyc = c } -> stop_at s p page_base i (cyc + c) ret stop
+      | _ -> assert false (* [go] passes no other op *)
     in
-    let out delta cyc ret =
-      set_pc regs (Int64.add page_base (Int64.of_int delta));
-      retire ret;
-      Fall { cycles = cyc; early = false }
-    in
-    let rec go i cyc ret xlp =
-      (* the engine runs an instruction only while consumed < fuel; the
-         first op is always admitted (cyc = 0 < fuel_left) *)
-      if cyc >= fuel_left then leave i cyc ret false
-      else
-        match ops.(i) with
-        | U_nop c -> go (i + 1) (cyc + c + xlp) (ret + 1) 0
-        | U_alu { op; rd; rs1; rs2; cyc = c } ->
-            set_reg regs rd (alu op (reg regs rs1) (reg regs rs2));
-            go (i + 1) (cyc + c + xlp) (ret + 1) 0
-        | U_alui { op; rd; rs1; imm; cyc = c } ->
-            set_reg regs rd (alu op (reg regs rs1) imm);
-            go (i + 1) (cyc + c + xlp) (ret + 1) 0
-        | U_lui { rd; v; cyc = c } ->
-            set_reg regs rd v;
-            go (i + 1) (cyc + c + xlp) (ret + 1) 0
-        | U_load { rd; base; off; width; amask; cyc = c } ->
-            let va = Int64.add (reg regs base) off in
-            if Int64.logand va amask <> 0L then leave i cyc ret true
-            else
-              let pa = Dtlb.lookup dtlb ~access:Arch.Load ~user va in
-              if pa < 0 then leave i cyc ret true
-              else begin
-                set_reg regs rd (Phys_mem.read_at mem pa width);
-                go (i + 1) (cyc + c + xlp) (ret + 1) 0
-              end
-        | U_store { src; base; off; width; amask; cyc = c } ->
-            let va = Int64.add (reg regs base) off in
-            if Int64.logand va amask <> 0L then leave i cyc ret true
-            else
-              let pa = Dtlb.lookup dtlb ~access:Arch.Store ~user va in
-              if pa < 0 then leave i cyc ret true
-              else begin
-                Phys_mem.write_at mem pa width (reg regs src);
-                (* the write may have severed this very trace (a store
-                   into a constituent block's bytes); the op retired,
-                   so side-exit at the next op, like the engine's
-                   [b.valid] continuation check *)
-                if !live then go (i + 1) (cyc + c + xlp) (ret + 1) 0
-                else leave (i + 1) (cyc + c + xlp) (ret + 1) true
-              end
-        | U_branch { op; rs1; rs2; t_tgt; f_tgt; cyc = c } -> (
-            match if branch op (reg regs rs1) (reg regs rs2) then t_tgt else f_tgt with
-            | Op j -> go j (cyc + c + xlp) (ret + 1) 0
-            | Out delta -> out delta (cyc + c + xlp) (ret + 1))
-        | U_jal { rd; link; tgt; cyc = c } -> (
-            set_reg regs rd (Int64.add page_base (Int64.of_int link));
-            match tgt with
-            | Op j -> go j (cyc + c + xlp) (ret + 1) 0
-            | Out delta -> out delta (cyc + c + xlp) (ret + 1))
-        | U_jalr { rd; link; rs1; imm; cyc = c } ->
-            let target = Int64.add (reg regs rs1) imm in
-            set_reg regs rd (Int64.add page_base (Int64.of_int link));
-            set_pc regs target;
-            retire (ret + 1);
-            Fall { cycles = cyc + c + xlp; early = false }
-        | U_exit { stop; cyc = c } ->
-            set_pc regs (Int64.logor page_base (Int64.of_int offs.(i)));
-            if ret > 0 then retire ret;
-            Stop { cycles = cyc + c + xlp; stop }
-    in
-    go start 0 0 xl
+    go start xl 0
   end

@@ -29,6 +29,13 @@
       ALU or branch op allocates nothing.  Calling [Cpu.eval_alu] would
       box every result: with [-opaque] builds no function is inlined
       across modules.
+    - {b One dispatch, no calls.}  Each lowered instruction is a uop
+      of its own with its operands decoded, so running it is one
+      dispatch on the uop's tag.  The dispatch loop makes no call that
+      is not a tail call (a non-tail call would give it a stack-limit
+      check, a frame and register spills on every op); loads, stores
+      and slow-instruction exits run in a sibling function that it
+      tail-calls and that tail-calls it back.
     - {b Static PCs.}  Every op's PC is a build-time page offset; the
       architectural [pc] is written only at (side) exits, never per op.
       Branch/jump targets inside the trace are resolved to op indices
@@ -47,11 +54,47 @@ open Velum_isa
     beyond the page for cross-page targets). *)
 type tgt = Op of int | Out of int
 
+(** One op per lowered instruction, each its own constructor, so that
+    executing an op is a single dispatch on its tag.  Operands are
+    decoded at build time: registers as their byte offsets in
+    [Cpu.state.regs] (8 times the register number, so [r0] is 0),
+    immediates already folded through {!Cpu.alui_imm} (immediate shift
+    amounts as [int], 0..63), and [cyc], the op's exact interpreter
+    cycle cost.  The reg-reg ALU ops compute [rd <- rs1 op rs2], the
+    immediate ones [rd <- rs1 op imm], with {!Cpu.eval_alu}'s semantics
+    (the decoder produces no immediate [Sub], [Mul], [Div] or [Rem]; an
+    immediate [Sub] lowers to {!U_addi} of the negated immediate, the
+    others to their own ops).  Writes to [r0] are dropped.  A branch
+    compares [rs1] with [rs2] as {!Cpu.eval_branch} does and continues
+    at [t_tgt] when the comparison holds, at [f_tgt] otherwise. *)
 type uop =
   | U_nop of int  (** cycles *)
-  | U_alu of { op : Instr.alu_op; rd : int; rs1 : int; rs2 : int; cyc : int }
-  | U_alui of { op : Instr.alu_op; rd : int; rs1 : int; imm : int64; cyc : int }
-      (** [imm] already folded through {!Cpu.alui_imm} *)
+  | U_add of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_sub of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_mul of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_div of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_rem of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_and of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_or of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_xor of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_sll of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_srl of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_sra of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_slt of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_sltu of { rd : int; rs1 : int; rs2 : int; cyc : int }
+  | U_addi of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_muli of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_divi of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_remi of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_andi of { rd : int; rs1 : int; imm : int64; cyc : int }
+      (** bitwise immediates are the zero-extended low 32 bits *)
+  | U_ori of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_xori of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_slli of { rd : int; rs1 : int; sh : int; cyc : int }
+  | U_srli of { rd : int; rs1 : int; sh : int; cyc : int }
+  | U_srai of { rd : int; rs1 : int; sh : int; cyc : int }
+  | U_slti of { rd : int; rs1 : int; imm : int64; cyc : int }
+  | U_sltiu of { rd : int; rs1 : int; imm : int64; cyc : int }
   | U_lui of { rd : int; v : int64; cyc : int }  (** [v] already shifted *)
   | U_load of {
       rd : int;
@@ -69,14 +112,12 @@ type uop =
       amask : int64;
       cyc : int;
     }
-  | U_branch of {
-      op : Instr.branch_op;
-      rs1 : int;
-      rs2 : int;
-      t_tgt : tgt;
-      f_tgt : tgt;
-      cyc : int;
-    }
+  | U_beq of { rs1 : int; rs2 : int; t_tgt : tgt; f_tgt : tgt; cyc : int }
+  | U_bne of { rs1 : int; rs2 : int; t_tgt : tgt; f_tgt : tgt; cyc : int }
+  | U_blt of { rs1 : int; rs2 : int; t_tgt : tgt; f_tgt : tgt; cyc : int }
+  | U_bge of { rs1 : int; rs2 : int; t_tgt : tgt; f_tgt : tgt; cyc : int }
+  | U_bltu of { rs1 : int; rs2 : int; t_tgt : tgt; f_tgt : tgt; cyc : int }
+  | U_bgeu of { rs1 : int; rs2 : int; t_tgt : tgt; f_tgt : tgt; cyc : int }
   | U_jal of { rd : int; link : int; tgt : tgt; cyc : int }
       (** [link] is the static return page offset (op offset + 8) *)
   | U_jalr of { rd : int; link : int; rs1 : int; imm : int64; cyc : int }

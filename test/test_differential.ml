@@ -55,7 +55,9 @@ let gen_program =
   let open QCheck2.Gen in
   pair (array_size (return 10) (map Int64.of_int int)) (list_size (int_range 5 60) gen_op)
 
-let compile (seeds, ops) =
+(* [laps] > 1 runs the ops that many times in a loop counted in r13,
+   outside the r2..r11 they touch. *)
+let compile ?(laps = 1) (seeds, ops) =
   let seed_items =
     List.concat (List.mapi (fun i v -> [ li (i + 2) v ]) (Array.to_list seeds))
   in
@@ -87,7 +89,11 @@ let compile (seeds, ops) =
   Asm.assemble ~origin:Abi.user_base
     ([ label "u_entry"; li r14 0x0014_4000L; li r15 Abi.heap_base ]
     @ seed_items
-    @ List.map op_item ops
+    @ (if laps = 1 then List.map op_item ops
+       else
+         [ li r13 (Int64.of_int laps); label "lap" ]
+         @ List.map op_item ops
+         @ [ addi r13 r13 (-1L); bne r13 r0 "lap" ])
     @ fold @ print_digest
     @ [ li r1 Abi.sys_exit; ecall ])
 
@@ -652,14 +658,16 @@ let alloc_budget () =
   Alcotest.(check bool) (Printf.sprintf "interpreter allocates %.2f <= 40" interp) true
     (interp <= 40.0);
   (* shadow paging, exits included: 19.0 and 14.2 words per instruction
-     since the miss path stopped allocating (34.2 and 17.1 before) *)
+     since the miss path stopped allocating (34.2 and 17.1 before), 16.6
+     and 12.7 since the trace exits left [Trace_ir.exec]'s closures *)
   Alcotest.(check bool) (Printf.sprintf "shadow pt_churn allocates %.2f <= 21" churn) true
     (churn <= 21.0);
   Alcotest.(check bool) (Printf.sprintf "shadow syscall_loop allocates %.2f <= 15.5" syscalls)
     true (syscalls <= 15.5);
   (* nested paging, ha-migrate's guest: every access misses the 64-entry
      TLB; 26.2 words per instruction since the 2-D walk went through
-     [Page_table.walk] (43.8 before) *)
+     [Page_table.walk] (43.8 before), 23.8 since the trace exits left
+     [Trace_ir.exec]'s closures *)
   Alcotest.(check bool) (Printf.sprintf "nested memwalk allocates %.2f <= 28" memwalk) true
     (memwalk <= 28.0)
 
@@ -895,6 +903,27 @@ let engine_differential_prop =
       && native = run_virt ~engine:Engine.Block ~paging:Vm.Shadow_paging ~pv:false setup
       && native = run_virt ~engine:Engine.Block ~paging:Vm.Nested_paging ~pv:false setup)
 
+(* The random ALU/heap bodies, run 40 laps (past
+   [Trans_cache.promote_threshold]) so that their ops execute inside
+   superblock traces rather than one at a time: the whole observable
+   state, console digest, instret and cycles included, must match the
+   interpreter under both paging modes, and the block runs must really
+   have built traces. *)
+let engine_trace_loop_prop =
+  QCheck2.Test.make ~count:25 ~name:"interp = block for random programs looped into traces"
+    gen_program
+    (fun prog ->
+      let setup = Images.plan ~heap_pages:1 ~user:(compile ~laps:40 prog) () in
+      List.for_all
+        (fun paging ->
+          let obs_b, vm = run_observed_vm ~engine:Engine.Block ~paging setup in
+          run_observed ~engine:Engine.Interp ~paging setup = obs_b
+          &&
+          match vm.Vm.engine.Engine.cache with
+          | Some c -> Trans_cache.traces_built c > 0
+          | None -> false)
+        [ Vm.Nested_paging; Vm.Shadow_paging ])
+
 (* The block engine's coherence hook is its own: creating and loading a
    VM registers no write listener on host memory, the first inserted
    block registers exactly one, and destroying the VM removes it. *)
@@ -1017,5 +1046,6 @@ let () =
           QCheck_alcotest.to_alcotest engine_chain_smc_prop;
           QCheck_alcotest.to_alcotest engine_trace_smc_prop;
           QCheck_alcotest.to_alcotest engine_differential_prop;
+          QCheck_alcotest.to_alcotest engine_trace_loop_prop;
         ] );
     ]

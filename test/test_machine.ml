@@ -1942,16 +1942,31 @@ let all_branch_ops =
 let special_operands =
   [ 0L; 1L; -1L; 2L; 7L; 63L; 64L; 65L; 127L; -64L; Int64.min_int; Int64.max_int ]
 
+(* [rd = r3]; [rd = r0], whose write is dropped with nothing else
+   moving; and [rd = rs1 = rs2] *)
 let trace_agrees op a b imm =
   let jr = Instr.Jalr (0, 0, 0x100L) in
+  let ref_imm = Cpu.eval_alu op a (Cpu.alui_imm op imm) in
   let s = run_trace [| Instr.Alu (op, 3, 1, 2); jr |] ~a ~b in
   let si = run_trace [| Instr.Alui (op, 3, 1, imm); jr |] ~a ~b in
+  let untouched s =
+    Cpu.get_reg s 0 = 0L && Cpu.get_reg s 1 = a && Cpu.get_reg s 2 = b && Cpu.get_reg s 3 = 0L
+  in
+  let same = run_trace [| Instr.Alu (op, 1, 1, 1); jr |] ~a ~b in
+  let samei = run_trace [| Instr.Alui (op, 1, 1, imm); jr |] ~a ~b in
   Cpu.get_reg s 3 = Cpu.eval_alu op a b
-  && Cpu.get_reg si 3 = Cpu.eval_alu op a (Cpu.alui_imm op imm)
+  && Cpu.get_reg si 3 = ref_imm
+  && untouched (run_trace [| Instr.Alu (op, 0, 1, 2); jr |] ~a ~b)
+  && untouched (run_trace [| Instr.Alui (op, 0, 1, imm); jr |] ~a ~b)
+  && Cpu.get_reg same 1 = Cpu.eval_alu op a a
+  && Cpu.get_reg samei 1 = ref_imm
 
 let branch_agrees op a b =
-  let s = run_trace [| Instr.Branch (op, 1, 2, 64L) |] ~a ~b in
-  (Cpu.pc s = 64L) = Cpu.eval_branch op a b && (Cpu.pc s = 64L || Cpu.pc s = 8L)
+  let taken rs2 = Cpu.pc (run_trace [| Instr.Branch (op, 1, rs2, 64L) |] ~a ~b) in
+  let pc = taken 2 and pc_same = taken 1 in
+  (pc = 64L) = Cpu.eval_branch op a b
+  && (pc = 64L || pc = 8L)
+  && (pc_same = 64L) = Cpu.eval_branch op a a
 
 let prop_trace_alu =
   let operand =
@@ -1979,6 +1994,93 @@ let test_trace_alu_edges () =
             all_branch_ops)
         special_operands)
     special_operands
+
+(* Fuel admission inside a looping two-segment trace holding every
+   decodable non-memory op kind, a load and a store (micro-TLB hits),
+   closed by a taken branch and a [jal] back to the start.  For every
+   fuel value over about ten laps, the trace run must stop where the
+   reference interpreter's [Cpu.run ~budget:fuel] stops: the same
+   registers, PC, instret, stored word and cycles. *)
+let test_trace_fuel () =
+  let alu = List.mapi (fun k op -> Instr.Alu (op, 3 + (k mod 9), 1 + (k mod 11), 2)) all_alu_ops in
+  let alui =
+    [ Instr.Add; Instr.And; Instr.Or; Instr.Xor; Instr.Sll; Instr.Srl; Instr.Sra; Instr.Slt;
+      Instr.Sltu ]
+    |> List.mapi (fun k op ->
+           Instr.Alui (op, 4 + (k mod 8), 3 + (k mod 10), Int64.of_int ((37 * k) - 100)))
+  in
+  let seg_a =
+    [ Instr.Nop; Instr.Lui (5, 0x1234L) ] @ alu
+    @ [ Instr.Load { rd = 6; base = 15; off = 0L; width = Instr.W64 };
+        Instr.Store { src = 7; base = 15; off = 8L; width = Instr.W64 } ]
+  in
+  let seg_a = Array.of_list (seg_a @ [ Instr.Branch (Instr.Beq, 0, 0, 0x200L) ]) in
+  let a_len = Array.length seg_a in
+  (* segment A at 0 branches to segment B at A's last op + 0x200, whose
+     [jal] returns to 0 *)
+  let b_off = (8 * (a_len - 1)) + 0x200 in
+  let seg_b =
+    Array.of_list (alui @ [ Instr.Jal (0, Int64.of_int (-(b_off + (8 * List.length alui)))) ])
+  in
+  let prog =
+    match
+      Trace_ir.build ~cost
+        ~segments:
+          [
+            { Trace_ir.seg_insns = seg_a; seg_off = 0 };
+            { Trace_ir.seg_insns = seg_b; seg_off = b_off };
+          ]
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "fuel trace not lowerable"
+  in
+  let init (s : Cpu.state) =
+    List.iteri (fun r v -> Cpu.set_reg s (r + 1) v)
+      [ 7L; -3L; 0x55L; Int64.min_int; 1L; 99L; -1L; 64L; 0x7FFF_FFFFL; 5L; 13L ];
+    Cpu.set_reg s 15 0x1000L
+  in
+  let laps = ref 0 in
+  for fuel = 1 to 600 do
+    (* the reference: the interpreter over the same code in memory *)
+    let mem, ref_s, ctx, _, _ = make_cpu ~env:`Deprivileged () in
+    let load off =
+      Array.iteri (fun k i ->
+          Phys_mem.write mem (Int64.of_int (off + (8 * k))) Instr.W64 (Instr.encode i))
+    in
+    load 0 seg_a;
+    load b_off seg_b;
+    init ref_s;
+    let ref_cycles, _ = Cpu.run ref_s ctx ~budget:fuel in
+    (* the trace, its load and store served by the micro-TLB *)
+    let tmem = Phys_mem.create ~frames:2 in
+    let tlb = Tlb.create ~size:4 in
+    Tlb.insert tlb
+      { Tlb.vpn = 1L; ppn = 1L; perms = rwxu; dirty_ok = true; mmio = false; superpage = false };
+    let dtlb = Dtlb.create ~tlb in
+    Dtlb.fill dtlb ~access:Arch.Load ~user:true ~va:0x1000L ~pa:0x1000;
+    Dtlb.fill dtlb ~access:Arch.Store ~user:true ~va:0x1000L ~pa:0x1000;
+    let s = Cpu.create_state () in
+    init s;
+    let cycles =
+      match
+        Trace_ir.exec prog ~start:0 ~s ~dtlb ~mem:tmem ~user:true ~page_base:0L ~fuel_left:fuel
+          ~xl:0
+      with
+      | Trace_ir.Fall { cycles; early = false } -> cycles
+      | _ -> Alcotest.fail "the trace left other than by fuel"
+    in
+    let what = Printf.sprintf "fuel %d" fuel in
+    Alcotest.(check int) (what ^ " cycles") ref_cycles cycles;
+    check64 (what ^ " instret") ref_s.Cpu.instret s.Cpu.instret;
+    check64 (what ^ " pc") (Cpu.pc ref_s) (Cpu.pc s);
+    for r = 0 to Arch.num_regs - 1 do
+      check64 (Printf.sprintf "%s r%d" what r) (Cpu.get_reg ref_s r) (Cpu.get_reg s r)
+    done;
+    check64 (what ^ " stored word") (Phys_mem.read mem 0x1008L Instr.W64)
+      (Phys_mem.read tmem 0x1008L Instr.W64);
+    if Int64.to_int s.Cpu.instret > a_len + Array.length seg_b then incr laps
+  done;
+  checkb "fuel ran out on later laps too" true (!laps > 0)
 
 (* ---------------- Native MMU ---------------- *)
 
@@ -2172,6 +2274,7 @@ let () =
           Alcotest.test_case "register index checked" `Quick test_register_index_checked;
           Alcotest.test_case "translation packing" `Quick test_xlate_packing;
           Alcotest.test_case "trace ALU edge operands" `Quick test_trace_alu_edges;
+          Alcotest.test_case "trace fuel admission = interpreter" `Quick test_trace_fuel;
         ]
         @ qsuite [ prop_register_file; prop_trace_alu ] );
       ( "exits",

@@ -1220,7 +1220,28 @@ let test_snapshot_truncated () =
   let b = Bytes.copy img in
   Bytes.set_int64_le b 16 (Int64.shift_left 1L 40);
   Bytes.set_int64_le b 24 2L;
-  check_rejected hyp "an absent page beyond RAM" b
+  check_rejected hyp "an absent page beyond RAM" b;
+  (* a shape of 2^24 frames (the shape's first field after the name)
+     is refused before tables sized by it are built *)
+  let b = Bytes.copy img in
+  Bytes.set_int64_le b (state_at + 8 + 1) (Int64.of_int (1 lsl 24));
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
+  check_rejected hyp "a 2^24-frame shape" b;
+  let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
+  checkb (Printf.sprintf "2^24-frame shape allocated %.0f major words" major) true
+    (major < 131_072.)
+
+(* A VM of more frames than the host has free is refused before its
+   tables are built: well under 1 MB of major heap for 2^24 frames. *)
+let test_create_beyond_free_frames () =
+  let host = Host.create ~frames:512 () in
+  let free0 = Frame_alloc.free_count host.Host.alloc in
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
+  Alcotest.check_raises "refused" (Failure "Vm.create: host out of frames") (fun () ->
+      ignore (Vm.create ~host ~id:0 ~name:"big" ~mem_frames:(1 lsl 24) ~entry:0L ()));
+  let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
+  checkb (Printf.sprintf "allocated %.0f major words" major) true (major < 131_072.);
+  checki "free frames" free0 (Frame_alloc.free_count host.Host.alloc)
 
 let test_live_snapshot_release () =
   let host = Host.create ~frames:512 () in
@@ -1428,6 +1449,8 @@ let () =
         [
           Alcotest.test_case "bad magic" `Quick test_snapshot_bad_magic;
           Alcotest.test_case "truncated" `Quick test_snapshot_truncated;
+          Alcotest.test_case "a VM beyond the free frames" `Quick
+            test_create_beyond_free_frames;
           Alcotest.test_case "live release" `Quick test_live_snapshot_release;
           QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
           Alcotest.test_case "balloon+swap state" `Quick test_snapshot_with_balloon_and_swap;
