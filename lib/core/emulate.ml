@@ -3,6 +3,7 @@ open Velum_machine
 
 type action = Resume | Yielded | Became_blocked | Vcpu_halted
 
+(* Cycles charged to copy a page when breaking copy-on-write. *)
 let cow_copy_cycles = Arch.page_size / 8 * 2
 
 let trace_event (vm : Vm.t) ~now ev =

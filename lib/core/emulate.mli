@@ -25,5 +25,3 @@ val maybe_inject_irq : Vm.t -> vcpu_idx:int -> now:int64 -> bool
     by performing trap entry on the virtual state; returns whether one
     was injected.  Called before resuming a vCPU. *)
 
-val cow_copy_cycles : int
-(** Cycles charged to copy a page when breaking copy-on-write. *)

@@ -145,7 +145,6 @@ module Pool = struct
     }
 
   let host t i = t.hosts.(i)
-  let nhosts t = Array.length t.hosts
   let cordon t i = t.hosts.(i).open_ <- false
   let uncordon t i = t.hosts.(i).open_ <- true
 

@@ -69,7 +69,6 @@ module Pool : sig
       [0 <= headroom < cap_units] and both counts are positive. *)
 
   val host : t -> int -> host_state
-  val nhosts : t -> int
 
   val cordon : t -> int -> unit
   (** Close a host to new placements (maintenance intent). *)

@@ -46,10 +46,8 @@ type record = { at : int64; ev : event }
 
 type t
 
-val default_ring_capacity : int
-(** 4096 events per VM. *)
-
 val create : ?ring_capacity:int -> unit -> t
+(** [ring_capacity] defaults to 4096 events per VM. *)
 
 val record : t -> vm_id:int -> name:string -> at:int64 -> event -> unit
 (** Append an event to [vm_id]'s ring (evicting the oldest when full)

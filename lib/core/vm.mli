@@ -137,7 +137,6 @@ val instret : t -> int64
 
 (** {1 Dirty-page tracking (live migration)} *)
 
-val mark_dirty : t -> int64 -> unit
 val is_dirty : t -> int64 -> bool
 val dirty_count : t -> int
 val collect_dirty : t -> clear:bool -> int64 list
@@ -161,9 +160,8 @@ val read_gpa_bytes : t -> int64 -> int -> Bytes.t option
 val write_gpa_bytes : t -> int64 -> Bytes.t -> bool
 
 val guest_mem : t Lazy.t -> Virtio_ring.guest_mem
-val guest_dma : t Lazy.t -> Blockdev.dma
-(** Device views of guest memory.  The VM is taken lazily so a device can
-    be built before the record that holds it; it is forced on each
+(** A device view of guest memory.  The VM is taken lazily so a device
+    can be built before the record that holds it; it is forced on each
     access. *)
 
 (** {1 Guest-virtual access (instruction emulation)} *)

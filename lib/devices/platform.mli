@@ -17,7 +17,7 @@ type t = {
   vblk : Virtio_blk.t;
   cpu : Cpu.state;
   tlb : Tlb.t;
-  dtlb : Dtlb.t;  (** data micro-TLB backed by [tlb] (see {!Dtlb}) *)
+  dtlb : Dtlb.t;  (** micro-TLB backed by [tlb] (see {!Dtlb}) *)
   mmu : Mmu.t;
   cost : Cost_model.t;
   engine : Engine.t;  (** execution engine driving the hart *)

@@ -1,9 +1,5 @@
 type mode = User | Supervisor
 
-let pp_mode ppf = function
-  | User -> Format.pp_print_string ppf "user"
-  | Supervisor -> Format.pp_print_string ppf "supervisor"
-
 type reg = int
 
 let num_regs = 16

@@ -10,8 +10,6 @@
 
 type mode = User | Supervisor
 
-val pp_mode : Format.formatter -> mode -> unit
-
 (** {1 General registers}
 
     Sixteen 64-bit registers; register 0 reads as zero and ignores

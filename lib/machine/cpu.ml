@@ -90,6 +90,8 @@ let synth_sip s ~now ~ext_irq =
   let v = if timer_pending s ~now then Bitops.set_bit 0L Arch.irq_timer true else 0L in
   if ext_irq then Bitops.set_bit v Arch.irq_external true else v
 
+(* CSR read semantics on bare metal: [Time] returns [now], [Sip]
+   synthesises pending bits, everything else reads the cell. *)
 let csr_read_native s ~now ~ext_irq = function
   | Arch.Time -> now
   | Arch.Sip -> synth_sip s ~now ~ext_irq

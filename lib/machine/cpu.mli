@@ -95,10 +95,6 @@ val interrupt_pending : state -> now:int64 -> ext_irq:bool -> Arch.cause option
     deliverable interrupt (external before timer), honouring GIE and the
     per-source enables. *)
 
-val csr_read_native : state -> now:int64 -> ext_irq:bool -> Arch.csr -> int64
-(** CSR read semantics on bare metal: [Time] returns [now], [Sip]
-    synthesises pending bits, everything else reads the cell. *)
-
 (** {1 Execution environment} *)
 
 (** {2 Translation results}
@@ -150,10 +146,9 @@ type ctx = {
   cost : Cost_model.t;
   env : env;
   dtlb : Dtlb.t;
-      (** data-side micro-TLB backed by this hart's TLB: the block
-          engine serves repeated load/store translations from it and
-          certifies fetch-translation reuse against it.  The interpreter
-          never consults it (it stays the pure reference). *)
+      (** micro-TLB backed by this hart's TLB: the block engine serves
+          repeated fetch, load and store translations from it.  The
+          interpreter never consults it (it stays the pure reference). *)
 }
 
 (** {1 VM exits} *)

@@ -6,7 +6,8 @@ open Velum_isa
    [note_hit] — so serving it from here is observationally identical and
    skips the full translator call chain.  [load_ok]/[store_ok] are
    learned per access kind because the translators gate stores on the
-   dirty bit independently of read permission.
+   dirty bit independently of read permission; an entry in the fetch
+   array was learned for fetches and serves nothing else.
 
    The certificate is the TLB slot and version of the 4 KiB entry that
    mapped the page at fill time ({!Tlb.holds}), with the TLB generation
@@ -14,37 +15,53 @@ open Velum_isa
    since [gen] was recorded.  When the generation moved but the slot
    still holds the entry, [gen] is brought forward, so the next hit is
    one compare again.  A page served by a superpage entry has no slot
-   ([-1]) and is certified by the generation alone. *)
+   ([-1]) and is certified by the generation alone.
+
+   Every slot holds its entry from [create] on, and a fill rewrites it
+   in place: a fill allocates nothing. *)
 type entry = {
-  vpn : int64;
-  ppn : int;  (* 4 KiB frame of the translated pa *)
-  user : bool;
+  mutable vpn : int;  (* -1 when empty *)
+  mutable ppn : int;  (* 4 KiB frame of the translated pa *)
+  mutable user : bool;
   mutable load_ok : bool;
   mutable store_ok : bool;
   mutable gen : int;  (* a Tlb.generation at which the entry was certified *)
-  slot : int;
-  version : int;
+  mutable slot : int;
+  mutable version : int;
 }
 
+(* Fetch entries have their own array: in a shared one, code and data
+   pages collide on the low vpn bits, and every collision makes a trace
+   load side-exit.  Both arrays are direct-mapped on the low vpn bits. *)
 type t = {
   tlb : Tlb.t;
-  slots : entry option array;  (* direct-mapped on the low vpn bits *)
+  data : entry array;
+  code : entry array;
   mutable hits : int;
   mutable misses : int;
   mutable fills : int;
 }
 
 let num_slots = 32
-let slot_mask = Int64.of_int (num_slots - 1)
+let num_code_slots = 16
+
+let empty _ =
+  { vpn = -1; ppn = 0; user = false; load_ok = false; store_ok = false; gen = 0; slot = -1; version = 0 }
 
 let create ~tlb =
-  { tlb; slots = Array.make num_slots None; hits = 0; misses = 0; fills = 0 }
+  {
+    tlb;
+    data = Array.init num_slots empty;
+    code = Array.init num_code_slots empty;
+    hits = 0;
+    misses = 0;
+    fills = 0;
+  }
 
-let backing t = t.tlb
 let generation t = Tlb.generation t.tlb
 
-let page_mask = Arch.page_size - 1
-let slot_of vpn = Int64.to_int (Int64.logand vpn slot_mask)
+let[@inline] slots_for t access = match access with Arch.Fetch -> t.code | _ -> t.data
+let[@inline] slot_of slots vpn = vpn land (Array.length slots - 1)
 
 let[@inline] certified tlb e =
   let g = Tlb.generation tlb in
@@ -55,23 +72,26 @@ let[@inline] certified tlb e =
           true
         end
 
-let lookup t ~access ~user va =
-  let vpn = Int64.shift_right_logical va Arch.page_shift in
-  match t.slots.(slot_of vpn) with
-  | Some e
-    when e.vpn = vpn && e.user = user
-         && (match access with
-            | Arch.Load -> e.load_ok
-            | Arch.Store -> e.store_ok
-            | Arch.Fetch -> false)
-         && certified t.tlb e ->
-      t.hits <- t.hits + 1;
-      (* replicate the side effect the real TLB hit would have had *)
-      Tlb.note_hit t.tlb;
-      (e.ppn lsl Arch.page_shift) lor (Int64.to_int va land page_mask)
-  | _ ->
-      t.misses <- t.misses + 1;
-      -1
+let lookup t ~access ~user vpn =
+  let slots = slots_for t access in
+  let e = slots.(slot_of slots vpn) in
+  if
+    e.vpn = vpn && e.user = user
+    && (match access with
+       | Arch.Load -> e.load_ok
+       | Arch.Store -> e.store_ok
+       | Arch.Fetch -> true)
+    && certified t.tlb e
+  then begin
+    t.hits <- t.hits + 1;
+    (* replicate the side effect the real TLB hit would have had *)
+    Tlb.note_hit t.tlb;
+    e.ppn
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    -1
+  end
 
 (* Cache a successful RAM translation, but only after verifying that the
    backing TLB now holds an entry that would satisfy this access on its
@@ -82,33 +102,27 @@ let lookup t ~access ~user va =
    (bare-metal runs with paging off) fail the probe and stay uncached;
    their translate path is already trivial. *)
 let fill t ~access ~user ~va ~pa =
-  let vpn = Int64.shift_right_logical va Arch.page_shift in
-  match Tlb.lookup t.tlb ~vpn with
-  | Some e when (not e.Tlb.mmio) && access <> Arch.Fetch && Tlb.permits e access ~user ->
-      let ppn = pa lsr Arch.page_shift in
-      let idx = slot_of vpn in
-      (match t.slots.(idx) with
-      | Some old
-        when old.vpn = vpn && old.user = user && old.ppn = ppn && certified t.tlb old
-        -> (
-          match access with
-          | Arch.Load -> old.load_ok <- true
-          | Arch.Store -> old.store_ok <- true
-          | Arch.Fetch -> ())
-      | _ ->
-          let slot = Tlb.cert_slot t.tlb ~vpn in
-          t.slots.(idx) <-
-            Some
-              {
-                vpn;
-                ppn;
-                user;
-                load_ok = access = Arch.Load;
-                store_ok = access = Arch.Store;
-                gen = Tlb.generation t.tlb;
-                slot;
-                version = Tlb.version t.tlb slot;
-              });
+  let vpn64 = Int64.shift_right_logical va Arch.page_shift in
+  match Tlb.lookup t.tlb ~vpn:vpn64 with
+  | Some e when (not e.Tlb.mmio) && Tlb.permits e access ~user ->
+      let vpn = Int64.to_int vpn64 and ppn = pa lsr Arch.page_shift in
+      let slots = slots_for t access in
+      let e = slots.(slot_of slots vpn) in
+      (if e.vpn = vpn && e.user = user && e.ppn = ppn && certified t.tlb e then
+         match access with
+         | Arch.Load -> e.load_ok <- true
+         | Arch.Store -> e.store_ok <- true
+         | Arch.Fetch -> ()
+       else
+         let slot = Tlb.cert_slot t.tlb ~vpn:vpn64 in
+         e.vpn <- vpn;
+         e.ppn <- ppn;
+         e.user <- user;
+         e.load_ok <- access = Arch.Load;
+         e.store_ok <- access = Arch.Store;
+         e.gen <- Tlb.generation t.tlb;
+         e.slot <- slot;
+         e.version <- Tlb.version t.tlb slot);
       t.fills <- t.fills + 1
   | _ -> ()
 

@@ -54,42 +54,23 @@ let pc_slot = Cpu.pc_slot
 let align_mask = Int64.of_int (Arch.instr_bytes - 1)
 let instr_bytes64 = Int64.of_int Arch.instr_bytes
 
-(* Per-hart window state, keyed by [Cpu.state] identity so it survives
+(* Per-hart dispatch state, keyed by [Cpu.state] identity so it survives
    across [step_n] calls.  Persistence is sound because nothing here is
-   trusted on re-entry: the fetch window is re-validated against its
-   TLB certificate (and vpn/mode), block reuse re-checks
-   [valid]/regime/containment, and a stale [pending] edge can at worst
-   patch a chain that [follow] will refuse later. *)
+   trusted on re-entry: every dispatch translates its fetch afresh,
+   block reuse re-checks [valid]/regime/containment, and a stale
+   [pending] edge can at worst patch a chain that [follow] will refuse
+   later. *)
 type wstate = {
   mutable w_dtlb : Dtlb.t;
-      (* the micro-TLB the fields below were computed against; a
-         different one makes certificates incomparable *)
-  mutable fresh : bool;
-  mutable cur_vpn : int64;
-  mutable cur_frame : int64;
+      (* the micro-TLB [cur_gen] was read from; a different one makes
+         generations incomparable *)
+  mutable cur_frame : int64;  (* the code frame of the last dispatch *)
   mutable cur_user : bool;
   mutable cur_gen : int;
-  mutable cur_slot : int;
-  mutable cur_ver : int;
-      (* the window's certificate: the micro-TLB generation it was taken
-         at, and the fetch page's 4 KiB TLB slot and version (see
-         {!Dtlb}) *)
+      (* a micro-TLB generation at which a fetch from the last
+         dispatch's page was a zero-cycle hit into [cur_frame] *)
   mutable cur_block : Trans_cache.block option;
   mutable pending : (Trans_cache.block * bool) option;
-  (* Victim cache of recently displaced fetch windows.  A slot holds the
-     same facts as the primary window fields (vpn, user, frame, and the
-     certificate they were taken under); it is usable exactly while that
-     certificate holds — the same check the primary window relies on.
-     This is what makes page ping-pong (user code <-> trap vector on
-     every syscall) cheap: re-entering a recently-left page skips the
-     whole translate chain while its TLB entry stays put. *)
-  v_vpns : int64 array;
-  v_frames : int64 array;
-  v_users : bool array;
-  v_gens : int array;
-  v_slots : int array;
-  v_vers : int array;
-  mutable v_next : int;
   (* one [step_n] call's progress, here so that re-entering [step_n]
      after an exit builds no closures *)
   mutable consumed : int;
@@ -99,8 +80,6 @@ type wstate = {
   mutable wrapped : Cpu.ctx;  (* [src] with its micro-TLB in front, see [wrap] *)
 }
 
-let num_victims = 8
-
 (* [ctx] with load/store translations served from its micro-TLB *)
 let wrap ctx =
   let dtlb = ctx.Cpu.dtlb in
@@ -108,8 +87,14 @@ let wrap ctx =
     match access with
     | Arch.Fetch -> ctx.Cpu.translate ~access ~user va
     | Arch.Load | Arch.Store ->
-        let pa = Dtlb.lookup dtlb ~access ~user va in
-        if pa >= 0 then Cpu.xl_make ~pa ~mmio:false ~cycles:0
+        let ppn =
+          Dtlb.lookup dtlb ~access ~user
+            (Int64.to_int (Int64.shift_right_logical va Arch.page_shift))
+        in
+        if ppn >= 0 then
+          Cpu.xl_make
+            ~pa:((ppn lsl Arch.page_shift) lor (Int64.to_int va land (Arch.page_size - 1)))
+            ~mmio:false ~cycles:0
         else begin
           let x = ctx.Cpu.translate ~access ~user va in
           if x >= 0 && not (Cpu.xl_mmio x) then
@@ -120,25 +105,13 @@ let wrap ctx =
   { ctx with Cpu.translate }
 
 let new_wstate ctx =
-  let dtlb = ctx.Cpu.dtlb in
   {
-    w_dtlb = dtlb;
-    fresh = false;
-    cur_vpn = 0L;
+    w_dtlb = ctx.Cpu.dtlb;
     cur_frame = -1L;
     cur_user = false;
     cur_gen = 0;
-    cur_slot = -1;
-    cur_ver = 0;
     cur_block = None;
     pending = None;
-    v_vpns = Array.make num_victims (-1L);
-    v_frames = Array.make num_victims (-1L);
-    v_users = Array.make num_victims false;
-    v_gens = Array.make num_victims 0;
-    v_slots = Array.make num_victims (-1);
-    v_vers = Array.make num_victims 0;
-    v_next = 0;
     consumed = 0;
     result = Cpu.Budget;
     stopped = false;
@@ -146,29 +119,11 @@ let new_wstate ctx =
     wrapped = wrap ctx;
   }
 
-(* Save the primary window into the victim ring before it is replaced. *)
-let stash_window w =
-  if w.fresh then begin
-    let k = w.v_next in
-    w.v_vpns.(k) <- w.cur_vpn;
-    w.v_frames.(k) <- w.cur_frame;
-    w.v_users.(k) <- w.cur_user;
-    w.v_gens.(k) <- w.cur_gen;
-    w.v_slots.(k) <- w.cur_slot;
-    w.v_vers.(k) <- w.cur_ver;
-    w.v_next <- (k + 1) land (num_victims - 1)
-  end
-
-let clear_victims w =
-  Array.fill w.v_vpns 0 num_victims (-1L);
-  w.v_next <- 0
-
 let stop w r =
   w.result <- r;
   w.stopped <- true
 
-let collapse_window w =
-  w.fresh <- false;
+let collapse w =
   w.cur_block <- None;
   w.pending <- None
 
@@ -179,66 +134,55 @@ let finish w step =
       w.consumed <- w.consumed + c;
       stop w r
 
-(* The window's certificate after the generation moved (callers test
-   [Dtlb.generation d = w.cur_gen] first, one compare): the fetch page's
-   TLB slot is still at its version.  That brings [cur_gen] forward, so
-   the next check is one compare again. *)
-let recertify_window w d =
-  Tlb.holds (Dtlb.backing d) ~slot:w.cur_slot ~version:w.cur_ver
-  && begin
-       w.cur_gen <- Dtlb.generation d;
-       true
-     end
+(* Start a dispatch whose fetch hit [frame] in mode [user].  The current
+   block is kept only in the frame and regime it was decoded for, so a
+   dispatch that stays in its block costs no hashtable round trip.  An
+   unchanged generation means no flush, hence no [satp] write, since the
+   last dispatch: paging is unchanged too. *)
+let enter w dtlb s ~user ~frame =
+  let gen = Dtlb.generation dtlb in
+  if frame <> Int64.to_int w.cur_frame || user <> w.cur_user then begin
+    w.cur_frame <- Int64.of_int frame;
+    w.cur_user <- user;
+    w.cur_block <- None
+  end
+  else if gen <> w.cur_gen then begin
+    match w.cur_block with
+    | Some b
+      when not
+             (Trans_cache.same_regime_key b
+                (Trans_cache.key ~ppn:w.cur_frame ~off:0 ~user
+                   ~paging:(Arch.satp_enabled (Cpu.get_csr s Arch.Satp)))) ->
+        w.cur_block <- None
+    | _ -> ()
+  end;
+  w.cur_gen <- gen
 
-(* Adopt a fresh window for [vpn] -> [frame] in mode [user], stashing
-   the displaced one in the victim ring and keeping the decoded block
-   when the refetch landed in the same frame and regime: a collapsed
-   window then costs one translate (or a victim probe), not a hashtable
-   round trip.  [slot] and [ver] certify it (see [recertify_window]). *)
-let adopt_window w dtlb s ~user ~vpn ~frame ~slot ~ver =
-  stash_window w;
-  w.cur_vpn <- vpn;
-  w.cur_user <- user;
-  w.cur_gen <- Dtlb.generation dtlb;
-  w.cur_slot <- slot;
-  w.cur_ver <- ver;
-  w.fresh <- true;
-  (if frame <> w.cur_frame then w.cur_block <- None
-   else
-     match w.cur_block with
-     | Some b
-       when not
-              (Trans_cache.same_regime_key b
-                 (Trans_cache.key ~ppn:frame ~off:0 ~user
-                    ~paging:(Arch.satp_enabled (Cpu.get_csr s Arch.Satp)))) ->
-         w.cur_block <- None
-     | _ -> ());
-  w.cur_frame <- frame
+(* A fetch from [vpn], the last dispatch's page, would still hit
+   [cur_frame] at zero cycles: one compare while the generation stands
+   still, else the micro-TLB is asked again (a walk may have evicted the
+   fetch page's TLB entry). *)
+let fetch_holds w dtlb ~user ~vpn =
+  let gen = Dtlb.generation dtlb in
+  gen = w.cur_gen
+  || Dtlb.lookup dtlb ~access:Arch.Fetch ~user vpn = Int64.to_int w.cur_frame
+     && begin
+          w.cur_gen <- gen;
+          true
+        end
 
 (* The block engine's driver loop.  It mirrors [Cpu.run] stop for stop
    and cycle for cycle; the only liberty it takes is {e skipping}
    translations the interpreter would perform as guaranteed zero-cycle
    TLB hits.
 
-   Fetch side — the reuse window.  After a fetch translation of page
-   [vpn] succeeds we record the mode and a certificate for the TLB
-   entry that served it: the backing TLB's generation and the entry's
-   slot and version ({!Tlb.holds}; a superpage entry has only the
-   generation).  While the PC stays in [vpn], the mode is unchanged and
-   the certificate holds (that entry was not flushed, evicted or
-   replaced — which also implies [satp] is unchanged, since every
-   [satp] write flushes), a fetch translation would return the same
-   frame as a zero-cycle hit, so it is skipped.  Loads and stores do not
-   collapse the window: an access served by the micro-TLB or by a plain
-   TLB hit changes no entry, and one that walks and thereby evicts the
-   fetch page's entry bumps its slot's version, collapsing the window
-   exactly when required; evicting some other entry leaves the window
-   open.
-
-   Data side — the micro-TLB.  [ctx.translate] is wrapped so load/store
-   translations are first served from {!Dtlb}; a hit replicates exactly
-   what the real translate would have done (same pa, zero cycles, one
-   [Tlb.note_hit]) without the full MMU/nested/shadow call chain.
+   Translation — the micro-TLB.  Each dispatch asks {!Dtlb} for the
+   frame of the PC's page.  A certified entry replicates exactly what
+   the real fetch translation would do (same frame, zero cycles, one
+   [Tlb.note_hit]) without the MMU/nested/shadow call chain; a miss
+   runs the interpreter's own fetch prelude and offers its result to the
+   micro-TLB.  [ctx.translate] is wrapped so load/store translations are
+   served from the micro-TLB the same way.
 
    Dispatch — block chaining.  When the last instruction of a block
    retires, the engine remembers the (block, taken?) edge; resolving the
@@ -254,12 +198,12 @@ let adopt_window w dtlb s ~user ~vpn ~frame ~slot ~ver =
    going around the dispatch loop, as long as each retired instruction
    is provably equivalent to re-dispatching: the block is still valid
    (a store into its own page clears [valid] via the write listener),
-   the window facts still hold (certificate and mode), fuel remains,
-   and — outside deprivileged mode, where the interpreter checks
-   interrupts before every instruction — the instruction class cannot
-   affect interrupt state (no CSR, MMIO or port access; [now]/[ext_irq]
-   are constant within a [step_n] call, so nothing else can make an
-   interrupt pending). *)
+   the fetch would still hit the code frame ([fetch_holds]), fuel
+   remains, and — outside deprivileged mode, where the interpreter
+   checks interrupts before every instruction — the instruction class
+   cannot affect interrupt state (no CSR, MMIO or port access;
+   [now]/[ext_irq] are constant within a [step_n] call, so nothing else
+   can make an interrupt pending). *)
 let block_step cache hook states s ctx ~fuel =
   let cost = ctx.Cpu.cost in
   (* hoisted cost-model constants: no per-iteration field reads *)
@@ -277,15 +221,11 @@ let block_step cache hook states s ctx ~fuel =
           states := (s, w) :: !states;
           w
     in
-    (* window state persists across calls only while the same micro-TLB
-       keeps generations comparable; otherwise start cold *)
+    (* the current block persists across calls only while the same
+       micro-TLB keeps generations comparable (see [enter]) *)
     if w.w_dtlb != dtlb then begin
       w.w_dtlb <- dtlb;
-      w.fresh <- false;
-      w.cur_frame <- -1L;
-      w.cur_block <- None;
-      w.pending <- None;
-      clear_victims w
+      collapse w
     end;
     if w.src != ctx then begin
       w.src <- ctx;
@@ -309,72 +249,41 @@ let block_step cache hook states s ctx ~fuel =
            | Some cause ->
                Cpu.deliver_trap s ~cause ~tval:0L;
                w.consumed <- w.consumed + trap_enter;
-               (* asynchronous flow hijack: never chain across it (the
-                  window itself is re-validated below) *)
+               (* asynchronous flow hijack: never chain across it *)
                w.pending <- None
            | None -> ());
         if s.Cpu.waiting then stop w Cpu.Waiting
         else begin
           let pc = Cpu.slot_get s.Cpu.regs pc_slot in
           let user = s.Cpu.mode = Arch.User in
-          (* 1. A fetch translation for [pc]: free inside the reuse
-             window, a real (interpreter-identical) prelude outside. *)
-          let win_ok =
-            w.fresh
-            && Int64.shift_right_logical pc Arch.page_shift = w.cur_vpn
-            && user = w.cur_user
-            && (Dtlb.generation dtlb = w.cur_gen || recertify_window w dtlb)
-            && Int64.logand pc align_mask = 0L
+          let vpn = Int64.to_int (Int64.shift_right_logical pc Arch.page_shift) in
+          (* 1. The fetch translation for [pc]: free on a micro-TLB hit,
+             a real (interpreter-identical) prelude on a miss.  [xl] is
+             its cycles, or -1 after a fetch fault. *)
+          let frame =
+            if Int64.logand pc align_mask = 0L then
+              Dtlb.lookup dtlb ~access:Arch.Fetch ~user vpn
+            else -1
           in
           let xl =
-            if win_ok then Some 0
-            else begin
-              let vpn = Int64.shift_right_logical pc Arch.page_shift in
-              (* A victim window for this (vpn, mode) whose certificate
-                 still holds carries the same guarantee the primary
-                 window does: the fetch translation would be a
-                 zero-cycle TLB hit, so it is skipped outright. *)
-              let victim =
-                if Int64.logand pc align_mask <> 0L then -1
-                else
-                  let gen = Dtlb.generation dtlb and tlb = Dtlb.backing dtlb in
-                  let rec probe k =
-                    if k >= num_victims then -1
-                    else if
-                      w.v_vpns.(k) = vpn && w.v_users.(k) = user
-                      && (w.v_gens.(k) = gen
-                         || Tlb.holds tlb ~slot:w.v_slots.(k) ~version:w.v_vers.(k))
-                    then k
-                    else probe (k + 1)
-                  in
-                  probe 0
-              in
-              if victim >= 0 then begin
-                adopt_window w dtlb s ~user ~vpn ~frame:w.v_frames.(victim)
-                  ~slot:w.v_slots.(victim) ~ver:w.v_vers.(victim);
-                Some 0
-              end
-              else
-                let x = Cpu.fetch_prelude s ctx in
-                if x < 0 then begin
-                  finish w (Cpu.fetch_fault s ctx x);
-                  collapse_window w;
-                  None
-                end
-                else begin
-                  (* certify against the entry the fetch hit or filled *)
-                  let tlb = Dtlb.backing dtlb in
-                  let slot = Tlb.cert_slot tlb ~vpn in
-                  adopt_window w dtlb s ~user ~vpn
-                    ~frame:(Int64.of_int (Cpu.xl_pa x lsr Arch.page_shift))
-                    ~slot ~ver:(Tlb.version tlb slot);
-                  Some (Cpu.xl_cycles x)
-                end
+            if frame >= 0 then begin
+              enter w dtlb s ~user ~frame;
+              0
             end
+            else
+              let x = Cpu.fetch_prelude s ctx in
+              if x < 0 then begin
+                finish w (Cpu.fetch_fault s ctx x);
+                collapse w;
+                -1
+              end
+              else begin
+                Dtlb.fill dtlb ~access:Arch.Fetch ~user ~va:pc ~pa:(Cpu.xl_pa x);
+                enter w dtlb s ~user ~frame:(Cpu.xl_pa x lsr Arch.page_shift);
+                Cpu.xl_cycles x
+              end
           in
-          match xl with
-          | None -> ()
-          | Some xl -> (
+          if xl >= 0 then begin
               let off = Int64.to_int (Int64.logand pc page_mask) in
               (* 2. A decoded block covering [off] in the code frame:
                  the current block when the PC is still inside it
@@ -429,7 +338,7 @@ let block_step cache hook states s ctx ~fuel =
                                   finish w
                                     (Cpu.trap_or_exit s ctx Arch.Illegal_instruction
                                        (read_word 0) base_instr);
-                                  collapse_window w;
+                                  collapse w;
                                   None
                               | _ ->
                                   attach hook cache ctx.Cpu.mem;
@@ -462,9 +371,9 @@ let block_step cache hook states s ctx ~fuel =
                      execution enters the trace at the op matching
                      [off] and stays inside it across block boundaries
                      and loop back-edges.  No further guards are needed
-                     at entry — the window checks above certify exactly
-                     the facts the trace's eliminated interior guards
-                     rely on (see {!Trace_ir}).  A [Bail] means zero
+                     at entry — the fetch translation above certifies
+                     exactly the facts the trace's eliminated interior
+                     guards rely on (see {!Trace_ir}).  A [Bail] means zero
                      progress was made; fall through to the plain block
                      path in the same dispatch so progress is always
                      guaranteed. *)
@@ -477,9 +386,7 @@ let block_step cache hook states s ctx ~fuel =
                            let start =
                              (off - b.Trans_cache.start_off) / Arch.instr_bytes
                            in
-                           let page_base =
-                             Int64.shift_left w.cur_vpn Arch.page_shift
-                           in
+                           let page_base = Int64.logand pc (Int64.lognot page_mask) in
                            match
                              Trace_ir.exec tr.Trans_cache.t_prog ~start ~s ~dtlb
                                ~mem:ctx.Cpu.mem ~user ~page_base
@@ -547,7 +454,7 @@ let block_step cache hook states s ctx ~fuel =
                              ops exit instead of trapping — cannot have
                              changed the mode.  Continuation therefore
                              needs no PC or containment re-check: just
-                             fuel, the certificate after a memory access
+                             fuel, [fetch_holds] after a memory access
                              (its walk may have evicted the fetch
                              entry) and block validity after a store
                              (it may have hit this very code page). *)
@@ -558,13 +465,9 @@ let block_step cache hook states s ctx ~fuel =
                               match insn with
                               | Instr.Nop | Instr.Alu _ | Instr.Alui _ | Instr.Lui _ ->
                                   true
-                              | Instr.Load _ ->
-                                  Dtlb.generation dtlb = w.cur_gen
-                                  || recertify_window w dtlb
+                              | Instr.Load _ -> fetch_holds w dtlb ~user ~vpn
                               | Instr.Store _ ->
-                                  (Dtlb.generation dtlb = w.cur_gen
-                                  || recertify_window w dtlb)
-                                  && b.Trans_cache.valid
+                                  fetch_holds w dtlb ~user ~vpn && b.Trans_cache.valid
                               | _ -> false
                             else
                               (* native mode: must also be
@@ -580,7 +483,8 @@ let block_step cache hook states s ctx ~fuel =
                         xl := 0;
                         stop w r;
                         inner := false
-                  done)
+                  done
+          end
         end
       end
     done;

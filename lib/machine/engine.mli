@@ -21,8 +21,9 @@
     block-entry fetch translation exactly where the interpreter would,
     and re-translating once the mode changes or the TLB entry that served
     the fetch is no longer certified ({!Tlb.holds}, via the hart's
-    {!Dtlb}); in the runs it skips, the interpreter's own translation is
-    a guaranteed TLB hit costing zero cycles.
+    {!Dtlb}, which serves fetches, loads and stores); in the runs it
+    skips, the interpreter's own translation is a guaranteed TLB hit
+    costing zero cycles.
 
     Engines hold no architectural state: the cache is rebuilt on demand
     and invalidated by a {!Phys_mem} write listener the engine owns, so

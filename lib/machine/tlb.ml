@@ -55,9 +55,8 @@ type t = {
          keep trusting it exactly while the generation is unchanged. *)
   mutable recent : int;
       (* the 4 KiB slot last hit or filled, or -1: the micro-TLB's fill
-         and the fetch window's certificate follow a translate for the
-         same vpn, so [lookup] and [cert_slot] try it, checked exactly,
-         before probing *)
+         follows a translate for the same vpn, so [lookup] and
+         [cert_slot] try it, checked exactly, before probing *)
 }
 
 let permits e access ~user =

@@ -295,6 +295,10 @@ let[@inline] div (a : int64) b =
 
 let[@inline] rem (a : int64) b = if b = 0L then a else if b = -1L then 0L else Int64.rem a b
 let[@inline] shamt (b : int64) = Int64.to_int b land 63
+let[@inline] vpn_of va = Int64.to_int (Int64.shift_right_logical va Arch.page_shift)
+
+let[@inline] frame_pa ppn va =
+  (ppn lsl Arch.page_shift) lor (Int64.to_int va land (Arch.page_size - 1))
 
 (* The ways out of a trace run.  They flush the batched instret delta
    and write the PC; they are closed top-level functions, so a run
@@ -512,10 +516,10 @@ let exec p ~start ~s ~dtlb ~mem ~user ~page_base ~fuel_left ~xl =
           let va = Int64.add (reg regs base) off in
           if Int64.logand va amask <> 0L then leave s p page_base i cyc ret true
           else
-            let pa = Dtlb.lookup dtlb ~access:Arch.Load ~user va in
-            if pa < 0 then leave s p page_base i cyc ret true
+            let ppn = Dtlb.lookup dtlb ~access:Arch.Load ~user (vpn_of va) in
+            if ppn < 0 then leave s p page_base i cyc ret true
             else begin
-              set_reg regs rd (Phys_mem.read_at mem pa width);
+              set_reg regs rd (Phys_mem.read_at mem (frame_pa ppn va) width);
               let cyc = cyc + c in
               if cyc < fuel_left then go (i + 1) cyc (ret + 1)
               else leave s p page_base (i + 1) cyc (ret + 1) false
@@ -524,10 +528,10 @@ let exec p ~start ~s ~dtlb ~mem ~user ~page_base ~fuel_left ~xl =
           let va = Int64.add (reg regs base) off in
           if Int64.logand va amask <> 0L then leave s p page_base i cyc ret true
           else
-            let pa = Dtlb.lookup dtlb ~access:Arch.Store ~user va in
-            if pa < 0 then leave s p page_base i cyc ret true
+            let ppn = Dtlb.lookup dtlb ~access:Arch.Store ~user (vpn_of va) in
+            if ppn < 0 then leave s p page_base i cyc ret true
             else begin
-              Phys_mem.write_at mem pa width (reg regs src);
+              Phys_mem.write_at mem (frame_pa ppn va) width (reg regs src);
               let cyc = cyc + c in
               (* the write may have severed this very trace (a store
                  into a constituent block's bytes); the op retired, so

@@ -177,9 +177,9 @@ val exec :
   outcome
 (** Run the trace from op index [start] (the dispatcher maps the entry
     PC's page offset into the first segment).  The caller certifies at
-    entry exactly what the block engine's reuse window certifies for a
-    block: the PC is aligned in a page whose fetch translation is a
-    zero-cycle hit under the current micro-TLB generation, [user]
+    entry exactly what a micro-TLB fetch hit certifies for a block: the
+    PC is aligned in a page whose fetch translation is a zero-cycle hit
+    under the current micro-TLB generation, [user]
     matches the trace's regime, and [cost] is the model the trace was
     built with.  [fuel_left] must be positive; [xl] is charged on the
     first executed op, exactly as the engine charges fetch-translation

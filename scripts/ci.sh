@@ -92,9 +92,9 @@ for w in hello spin syscalls memwalk pt-churn blk vblk; do
 done
 
 # -n 24 fits memwalk in the 64-entry TLB.  At -n 96 every pass evicts
-# for capacity, so the block engine's fetch windows and micro-TLB
-# entries survive other pages' evictions only through their per-slot
-# TLB certificates.
+# for capacity, so the block engine's micro-TLB entries, for fetches
+# and data alike, survive other pages' evictions only through their
+# per-slot TLB certificates.
 for cfg in "--paging nested" "--paging shadow"; do
   for eng in interp block; do
     dune exec bin/velum.exe -- run -w memwalk -n 96 $cfg --engine "$eng" \
@@ -132,9 +132,14 @@ echo "== engine throughput gate (cpu-spin: block >= 60 MIPS, interp >= 70% of co
 # printed for information only — a faster reference interpreter lowers
 # it without anything getting slower.  The committed BENCH_engine.json
 # is restored afterwards so the gate never dirties the tree with
-# machine-local wall-clock numbers.
+# machine-local wall-clock numbers.  Each row's sim_cycles is simulated
+# and deterministic, so it must match the committed row; chain_follows
+# and trace_follows are engine-local counts and are not pinned.
 cp BENCH_engine.json "$tmp/BENCH_engine.ref.json"
 dune exec bench/main.exe -- --only ENGINE >"$tmp/engine_bench.txt"
+engine_sim() { grep -o '"name": "[^"]*"\|"sim_cycles": [0-9]*' "$1" | paste -d' ' - -; }
+engine_sim BENCH_engine.json >"$tmp/engine_sim.txt"
+engine_sim "$tmp/BENCH_engine.ref.json" >"$tmp/engine_sim.ref.txt"
 spin_field() {
   awk -F"\"$1\": " '/"name": "engine\/cpu-spin"/ { split($2, a, ","); print a[1] }' "$2"
 }
@@ -145,6 +150,10 @@ imips_ref=$(spin_field interp_mips "$tmp/BENCH_engine.ref.json")
 traces=$(spin_field trace_follows BENCH_engine.json)
 cp "$tmp/BENCH_engine.ref.json" BENCH_engine.json
 [ -n "$spin" ] || { echo "FAIL: no cpu-spin row in BENCH_engine.json"; exit 1; }
+[ -s "$tmp/engine_sim.ref.txt" ] || {
+  echo "FAIL: committed BENCH_engine.json has no sim_cycles rows"; exit 1; }
+diff "$tmp/engine_sim.ref.txt" "$tmp/engine_sim.txt" || {
+  echo "FAIL: ENGINE sim_cycles diverged from the committed BENCH_engine.json"; exit 1; }
 [ -n "$imips_ref" ] || { echo "FAIL: committed BENCH_engine.json has no interp_mips"; exit 1; }
 awk -v m="$mips" 'BEGIN { exit !(m + 0 >= 60.0) }' || {
   echo "FAIL: cpu-spin block-engine MIPS $mips regressed below 60"; exit 1; }

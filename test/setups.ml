@@ -12,7 +12,7 @@ let workload_setups () =
       ("syscalls", Workloads.syscall_loop ~count:48L, 0);
       ("memwalk", Workloads.memwalk ~pages:24 ~iters:8 ~write:true, 24);
       (* 96 pages overflow the 64-entry TLB: capacity evictions on every
-         pass, so fetch windows and micro-TLB entries outlive evictions
+         pass, so micro-TLB entries, fetch and data, outlive evictions
          of other pages only by their per-slot certificates *)
       ("memwalk-96", Workloads.memwalk ~pages:96 ~iters:4 ~write:true, 96);
       ("pt-churn", Workloads.pt_churn ~batch:16 ~count:24 (), 0);
