@@ -1,9 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the
-   evaluation (experiments E1-E11 in DESIGN.md / EXPERIMENTS.md), plus a
-   Bechamel suite that times the simulator's own hot paths.
+   evaluation (experiments E1-E11 in DESIGN.md / EXPERIMENTS.md).
 
    All experiment metrics are *simulated cycles* and are deterministic;
-   only the Bechamel section measures wall-clock time.
+   only E18, E19 and ENGINE measure wall-clock time.
 
    Usage: main.exe [--only E4 E7 ...] [--quick] *)
 
@@ -2319,84 +2318,6 @@ let engine_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel: wall-clock microbenchmarks of the simulator itself        *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  if section "BECH" "Bechamel: simulator hot-path wall-clock microbenchmarks" then begin
-    let open Bechamel in
-    let open Velum_isa in
-    let open Velum_machine in
-    (* instruction encode/decode round trip *)
-    let insns =
-      [ Instr.Alu (Instr.Add, 1, 2, 3); Instr.Load { rd = 4; base = 5; off = 16L; width = Instr.W64 };
-        Instr.Branch (Instr.Blt, 1, 2, -64L); Instr.Csrr (3, Arch.Satp); Instr.Hcall ]
-    in
-    let t_codec =
-      Test.make ~name:"instr-encode-decode"
-        (Staged.stage (fun () ->
-             List.iter (fun i -> ignore (Instr.decode (Instr.encode i))) insns))
-    in
-    (* TLB hit *)
-    let tlb = Tlb.create ~size:64 in
-    Tlb.insert tlb
-      { Tlb.vpn = 5L; ppn = 9L; perms = { Velum_isa.Pte.r = true; w = true; x = false; u = true };
-        dirty_ok = true; mmio = false; superpage = false };
-    let t_tlb =
-      Test.make ~name:"tlb-lookup-hit" (Staged.stage (fun () -> ignore (Tlb.lookup tlb ~vpn:5L)))
-    in
-    (* native guest execution: cycles per simulated chunk *)
-    let platform =
-      Images.boot_native (Images.plan ~user:(Workloads.cpu_spin ~iters:1_000_000_000L) ())
-    in
-    ignore (Platform.run ~budget:300_000L platform);
-    let ctx_state = platform.Platform.cpu and ctx = Platform.make_ctx platform in
-    let t_interp =
-      Test.make ~name:"interp-1k-cycles"
-        (Staged.stage (fun () ->
-             (* keep executing the spin loop; budget bounds the work *)
-             ignore (Cpu.run ctx_state ctx ~budget:1000)))
-    in
-    (* frame hashing (page-sharing scan) *)
-    let mem = Phys_mem.create ~frames:8 in
-    let t_hash =
-      Test.make ~name:"frame-hash-4k"
-        (Staged.stage (fun () -> ignore (Phys_mem.frame_hash mem ~ppn:3L)))
-    in
-    let grouped =
-      Test.make_grouped ~name:"velum" [ t_codec; t_tlb; t_interp; t_hash ]
-    in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-    let raw = Benchmark.all cfg instances grouped in
-    let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-    let t =
-      Tablefmt.create
-        [ ("benchmark", Tablefmt.Left); ("ns/run", Tablefmt.Right);
-          ("r²", Tablefmt.Right) ]
-    in
-    let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-    List.iter
-      (fun (name, ols_result) ->
-        let est =
-          match Analyze.OLS.estimates ols_result with
-          | Some (e :: _) -> Tablefmt.cell_f e
-          | _ -> "-"
-        in
-        let r2 =
-          match Analyze.OLS.r_square ols_result with
-          | Some r -> Tablefmt.cell_f ~decimals:4 r
-          | None -> "-"
-        in
-        Tablefmt.add_row t [ name; est; r2 ])
-      (List.sort compare rows);
-    Tablefmt.print t
-  end
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Array.iteri
@@ -2438,5 +2359,4 @@ let () =
   a4 ();
   a5 ();
   engine_bench ();
-  bechamel_suite ();
   Printf.printf "\nDone.\n"

@@ -243,20 +243,9 @@ let handle_host_fault (vm : Vm.t) ~vcpu_idx ~now ~gfn ~access =
         charge vm vcpu ~now Monitor.E_shadow_fill base;
         Resume
     | P2m.Ballooned | P2m.Absent ->
-        let cause =
-          match access with
-          | Arch.Fetch -> Arch.Fetch_access_fault
-          | Arch.Load -> Arch.Load_access_fault
-          | Arch.Store -> Arch.Store_access_fault
-        in
-        reflect vm vcpu ~now Monitor.E_guest_trap ~cause ~tval:0L;
+        reflect vm vcpu ~now Monitor.E_guest_trap
+          ~cause:(Arch.fault_cause access `Access) ~tval:0L;
         Resume
-
-let guest_page_fault_cause access =
-  match access with
-  | Arch.Fetch -> Arch.Fetch_page_fault
-  | Arch.Load -> Arch.Load_page_fault
-  | Arch.Store -> Arch.Store_page_fault
 
 let handle_page_fault (vm : Vm.t) ~vcpu_idx ~now ~access ~va =
   let vcpu = vm.Vm.vcpus.(vcpu_idx) in
@@ -282,7 +271,7 @@ let handle_page_fault (vm : Vm.t) ~vcpu_idx ~now ~access ~va =
             Resume
         | Shadow.Guest_fault ->
             reflect vm vcpu ~now Monitor.E_guest_page_fault
-              ~cause:(guest_page_fault_cause access) ~tval:va;
+              ~cause:(Arch.fault_cause access `Page) ~tval:va;
             Resume
         | Shadow.Target_mmio { gpa } -> emulate_mmio_insn vm ~vcpu_idx ~now ~gpa
         | Shadow.Pt_write { gpa } -> (
@@ -302,16 +291,11 @@ let handle_page_fault (vm : Vm.t) ~vcpu_idx ~now ~access ~va =
                 (* A sub-word store to a page-table page; reflect it as a
                    fault rather than guessing. *)
                 reflect vm vcpu ~now Monitor.E_guest_page_fault
-                  ~cause:(guest_page_fault_cause access) ~tval:va;
+                  ~cause:(Arch.fault_cause access `Page) ~tval:va;
                 Resume)
         | Shadow.Bad_gpa ->
-            let cause =
-              match access with
-              | Arch.Fetch -> Arch.Fetch_access_fault
-              | Arch.Load -> Arch.Load_access_fault
-              | Arch.Store -> Arch.Store_access_fault
-            in
-            reflect vm vcpu ~now Monitor.E_guest_trap ~cause ~tval:va;
+            reflect vm vcpu ~now Monitor.E_guest_trap
+              ~cause:(Arch.fault_cause access `Access) ~tval:va;
             Resume
       end
   | Vm.Nested_paging -> (
@@ -319,18 +303,13 @@ let handle_page_fault (vm : Vm.t) ~vcpu_idx ~now ~access ~va =
       match Nested.classify_fault nested ~guest_satp:satp ~access ~user ~va with
       | Nested.Guest_level ->
           reflect vm vcpu ~now Monitor.E_guest_page_fault
-            ~cause:(guest_page_fault_cause access) ~tval:va;
+            ~cause:(Arch.fault_cause access `Page) ~tval:va;
           Resume
       | Nested.Host_level { gfn } -> handle_host_fault vm ~vcpu_idx ~now ~gfn ~access
       | Nested.Mmio { gpa } -> emulate_mmio_insn vm ~vcpu_idx ~now ~gpa
       | Nested.Bad { gpa = _ } ->
-          let cause =
-            match access with
-            | Arch.Fetch -> Arch.Fetch_access_fault
-            | Arch.Load -> Arch.Load_access_fault
-            | Arch.Store -> Arch.Store_access_fault
-          in
-          reflect vm vcpu ~now Monitor.E_guest_trap ~cause ~tval:va;
+          reflect vm vcpu ~now Monitor.E_guest_trap
+            ~cause:(Arch.fault_cause access `Access) ~tval:va;
           Resume)
 
 let handle_exit (vm : Vm.t) ~vcpu_idx ~now exit_ =

@@ -10,11 +10,11 @@
     - [hc_console_putc]: r2 = character
     - [hc_console_write]: r2 = buffer gpa, r3 = length
     - [hc_yield]: voluntarily give up the CPU
-    - [hc_set_timer]: r2 = absolute cycle deadline (0 disarms)
+    - 3 (set timer): r2 = absolute cycle deadline (0 disarms)
     - [hc_balloon_give]: r2 = gfn surrendered to the host
     - [hc_balloon_want]: r2 = gfn requested back
     - [hc_pt_update]: r2 = gpa of a guest PTE, r3 = new value
-    - [hc_pt_update_batch]: r2 = gpa of an array of (pte-gpa, value)
+    - 7 (batched PT update): r2 = gpa of an array of (pte-gpa, value)
       pairs, r3 = pair count — the Xen-style amortization of page-table
       maintenance
     - [hc_vm_id]: returns the VM id in r1
@@ -25,11 +25,9 @@ val hc_console_putc : int64
 
 val hc_console_write : int64
 val hc_yield : int64
-val hc_set_timer : int64
 val hc_balloon_give : int64
 val hc_balloon_want : int64
 val hc_pt_update : int64
-val hc_pt_update_batch : int64
 val hc_vm_id : int64
 
 type action =

@@ -90,8 +90,8 @@ let write_ad t gpa ~store =
         Int64.logor (Int64.shift_left hpa_ppn Arch.page_shift)
           (Int64.of_int (gpa land (Arch.page_size - 1)))
       in
-      let full = Pte.set_accessed (Phys_mem.read t.env.mem addr Instr.W64) in
-      Phys_mem.write t.env.mem addr Instr.W64 (if store then Pte.set_dirty full else full);
+      Phys_mem.write t.env.mem addr Instr.W64
+        (Pte.mark_ad (Phys_mem.read t.env.mem addr Instr.W64) ~store);
       t.env.mark_ad_write (Int64.of_int gfn);
       true
   | P2m.Absent | P2m.Swapped _ | P2m.Ballooned | P2m.Remote -> true
@@ -115,9 +115,7 @@ let walk_2d t ~guest_satp ~access ~user va =
     let pte = w.Page_table.pte in
     let store = access = Arch.Store in
     if not (Pte.Word.allows pte access ~user) then W_guest_fault
-    else if
-      ((not (Pte.Word.accessed pte)) || (store && not (Pte.Word.dirty pte)))
-      && not (write_ad t w.Page_table.pte_addr ~store)
+    else if Pte.Word.needs_ad pte ~store && not (write_ad t w.Page_table.pte_addr ~store)
     then W_host_fault { gfn = Int64.of_int (w.Page_table.pte_addr lsr Arch.page_shift) }
     else begin
       let target_gfn =
@@ -152,27 +150,27 @@ let walk t ~guest_satp ~access ~user va =
 
 let translate t ~guest_satp ~tlb ~access ~user va =
   let vpn = Int64.shift_right_logical va Arch.page_shift in
-  match Tlb.lookup tlb ~vpn with
-  | Some e when e.mmio || Tlb.permits e access ~user ->
+  match Tlb.probe tlb ~vpn access ~user with
+  | hit when hit >= 0 ->
       Tlb.note_hit tlb;
-      Cpu.xl_frame ~ppn:e.ppn ~va ~mmio:e.mmio ~cycles:0
+      Cpu.xl_hit hit ~va
   | _ -> (
       Tlb.note_miss tlb;
-      let cost = t.env.cost in
       match walk t ~guest_satp ~access ~user va with
       | W_ram { hpa_ppn; perms; dirty_ok; refs } ->
           Tlb.insert tlb
             { Tlb.vpn; ppn = hpa_ppn; perms; dirty_ok; mmio = false; superpage = false };
           Cpu.xl_frame ~ppn:hpa_ppn ~va ~mmio:false
-            ~cycles:((refs * cost.Cost_model.pt_ref) + cost.Cost_model.tlb_fill)
+            ~cycles:(Cost_model.fill_cycles t.env.cost ~refs)
       | W_mmio { gpa } ->
           (* Cache the guest-physical page so repeated device touches
-             skip the walk; the exit itself still happens. *)
+             skip the walk; the exit itself still happens, so the entry
+             permits every access. *)
           Tlb.insert tlb
             {
               Tlb.vpn;
               ppn = Int64.shift_right_logical gpa Arch.page_shift;
-              perms = { Pte.r = true; w = true; x = false; u = true };
+              perms = bare_perms;
               dirty_ok = true;
               mmio = true;
               superpage = false;

@@ -160,12 +160,10 @@ let finish t ~access ~user ~va ~gpte ~gpte_gpa ~gpte_host ~target_gfn leaf_ppn i
              64-bit entry. *)
           let store = access = Arch.Store in
           let dirty = store || Pte.Word.dirty gpte in
-          if (not (Pte.Word.accessed gpte)) || (store && not (Pte.Word.dirty gpte)) then begin
-            let full = Pte.set_accessed (Phys_mem.read_at env.mem gpte_host Instr.W64) in
+          if Pte.Word.needs_ad gpte ~store then
             ignore
               (env.write_guest_pte (Int64.of_int gpte_gpa)
-                 (if store then Pte.set_dirty full else full))
-          end;
+                 (Pte.mark_ad (Phys_mem.read_at env.mem gpte_host Instr.W64) ~store));
           let gp = Pte.perms (Int64.of_int gpte) in
           let w =
             gp.w && dirty
@@ -298,10 +296,10 @@ let translate t ~satp ~tlb ~access ~user va =
   if root < 0 then Cpu.xl_page
   else
     let vpn = Int64.shift_right_logical va Arch.page_shift in
-    match Tlb.lookup tlb ~vpn with
-    | Some e when Tlb.permits e access ~user ->
+    match Tlb.probe tlb ~vpn access ~user with
+    | hit when hit >= 0 ->
         Tlb.note_hit tlb;
-        Cpu.xl_frame ~ppn:e.Tlb.ppn ~va ~mmio:false ~cycles:0
+        Cpu.xl_hit hit ~va
     | _ ->
         Tlb.note_miss tlb;
         let w = t.walk in
@@ -314,9 +312,8 @@ let translate t ~satp ~tlb ~access ~user va =
           let perms = Pte.perms (Int64.of_int pte) in
           Tlb.insert tlb
             { Tlb.vpn; ppn; perms; dirty_ok = perms.w; mmio = false; superpage = false };
-          let cost = t.env.cost in
           Cpu.xl_frame ~ppn ~va ~mmio:false
-            ~cycles:((w.Page_table.refs * cost.Cost_model.pt_ref) + cost.Cost_model.tlb_fill)
+            ~cycles:(Cost_model.fill_cycles t.env.cost ~refs:w.Page_table.refs)
         end
         else Cpu.xl_page
 

@@ -459,22 +459,19 @@ let read_guest_va t ~vcpu_idx va =
 (* ---- translation ---- *)
 
 (* Shadow mode with guest paging disabled: guest-virtual = guest-physical
-   through the hypervisor's direct map (still a 1-D walk on a miss). *)
-let translate_bare_shadow t ~tlb ~access va =
+   through the hypervisor's direct map (still a 1-D walk on a miss).  An
+   entry serves every access but a store to a page the p2m keeps
+   read-only.  A satp write flushes the vCPU's TLB, so no entry filled
+   with guest paging on is met here. *)
+let translate_bare_shadow t ~tlb ~access ~user va =
   if Bus.is_mmio va then Cpu.xl_make ~pa:(Int64.to_int va) ~mmio:true ~cycles:0
   else begin
     let vpn = gfn_of va in
-    let hit =
-      match Tlb.lookup tlb ~vpn with
-      | Some e when not e.Tlb.mmio ->
-          if access = Arch.Store && not e.dirty_ok then None else Some e
-      | _ -> None
-    in
-    match hit with
-    | Some e ->
+    match Tlb.probe tlb ~vpn access ~user with
+    | hit when hit >= 0 ->
         Tlb.note_hit tlb;
-        Cpu.xl_frame ~ppn:e.Tlb.ppn ~va ~mmio:false ~cycles:0
-    | None -> (
+        Cpu.xl_hit hit ~va
+    | _ -> (
         Tlb.note_miss tlb;
         if not (P2m.in_range t.p2m vpn) then Cpu.xl_access
         else
@@ -492,9 +489,8 @@ let translate_bare_shadow t ~tlb ~access va =
                     mmio = false;
                     superpage = false;
                   };
-                let cost = t.host.Host.cost in
                 Cpu.xl_frame ~ppn:hpa_ppn ~va ~mmio:false
-                  ~cycles:(Cost_model.walk_cycles_1d cost + cost.Cost_model.tlb_fill)
+                  ~cycles:(Cost_model.fill_cycles t.host.Host.cost ~refs:Cost_model.walk_refs_1d)
               end
           | P2m.Swapped _ | P2m.Remote -> Cpu.xl_page
           | P2m.Ballooned | P2m.Absent -> Cpu.xl_access)
@@ -518,7 +514,7 @@ let translate t ~vcpu_idx =
       fun ~access ~user va ->
         let satp = csrs.(satp_slot) in
         if Arch.satp_enabled satp then Shadow.translate shadow ~satp ~tlb ~access ~user va
-        else translate_bare_shadow t ~tlb ~access va
+        else translate_bare_shadow t ~tlb ~access ~user va
 
 let cpu_ctx t ~vcpu_idx ~now =
   {

@@ -102,7 +102,6 @@ let in_frames t = t.in_frames
 let out_frames t = t.out_frames
 let flood_extra t = t.flood_extra
 let drop_unknown t = t.drop_unknown
-let drop_reflect t = t.drop_reflect
 let drop_runt t = t.drop_runt
 let drop_queue_full t = t.drop_queue_full
 

@@ -18,9 +18,6 @@
 val broadcast_mac : int64
 val header_bytes : int
 
-val mac_dst : string -> int64
-val mac_src : string -> int64
-
 type t
 
 val create : ?queue_cap:int -> Link.t array -> t
@@ -28,7 +25,6 @@ val create : ?queue_cap:int -> Link.t array -> t
 
     @raise Invalid_argument on zero ports or a non-positive cap. *)
 
-val port_count : t -> int
 val port : t -> int -> Link.t
 
 val learn : t -> mac:int64 -> port:int -> unit
@@ -55,7 +51,6 @@ val in_frames : t -> int
 val out_frames : t -> int
 val flood_extra : t -> int
 val drop_unknown : t -> int
-val drop_reflect : t -> int
 val drop_runt : t -> int
 val drop_queue_full : t -> int
 val drops : t -> int

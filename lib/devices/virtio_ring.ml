@@ -16,8 +16,6 @@ type desc = {
 let desc_stride = 40
 let header_bytes = 16
 
-let ring_bytes ~size = header_bytes + (size * desc_stride)
-
 type t = { mem : guest_mem; base_addr : int64; ring_size : int }
 
 let create ~mem ~base ~size =

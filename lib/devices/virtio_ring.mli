@@ -35,11 +35,7 @@ type desc = {
   status_gpa : int64;
 }
 
-val desc_stride : int
 val header_bytes : int
-
-val ring_bytes : size:int -> int
-(** Total guest memory the ring occupies. *)
 
 type t
 

@@ -119,9 +119,6 @@ val vpn_bits : int
 val va_bits : int
 (** Virtual-address width: [pt_levels * vpn_bits + page_shift] = 39. *)
 
-val satp_enable_bit : int
-(** Bit position of the translation-enable flag in [satp] (63). *)
-
 val satp_make : root_ppn:int64 -> int64
 (** [satp_make ~root_ppn] is a satp value with translation enabled. *)
 

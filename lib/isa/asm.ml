@@ -49,7 +49,6 @@ let ori = alui Instr.Or
 let xori = alui Instr.Xor
 let slli = alui Instr.Sll
 let srli = alui Instr.Srl
-let slti = alui Instr.Slt
 let mv rd rs = addi rd rs 0L
 let li rd v = Li (rd, v)
 let la rd sym = La (rd, sym)

@@ -73,7 +73,6 @@ val ori : Arch.reg -> Arch.reg -> int64 -> item
 val xori : Arch.reg -> Arch.reg -> int64 -> item
 val slli : Arch.reg -> Arch.reg -> int64 -> item
 val srli : Arch.reg -> Arch.reg -> int64 -> item
-val slti : Arch.reg -> Arch.reg -> int64 -> item
 val mv : Arch.reg -> Arch.reg -> item
 val li : Arch.reg -> int64 -> item
 val la : Arch.reg -> string -> item

@@ -37,6 +37,7 @@ module Word = struct
   let writable w = bit w bit_w
   let accessed w = bit w bit_a
   let dirty w = bit w bit_d
+  let needs_ad w ~store = (not (accessed w)) || (store && not (dirty w))
 
   let allows w access ~user =
     ((not user) || bit w bit_u)
@@ -60,6 +61,7 @@ let dirty t = Bitops.test_bit t bit_d
 let set_accessed t = Bitops.set_bit t bit_a true
 let set_dirty t = Bitops.set_bit t bit_d true
 let clear_dirty t = Bitops.set_bit t bit_d false
+let mark_ad t ~store = if store then set_dirty (set_accessed t) else set_accessed t
 
 let with_perms t { r; w; x; u } =
   let t = Bitops.set_bit t bit_r r in

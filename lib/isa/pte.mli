@@ -33,6 +33,11 @@ val set_accessed : t -> t
 val set_dirty : t -> t
 val clear_dirty : t -> t
 
+val mark_ad : t -> store:bool -> t
+(** [mark_ad pte ~store] — [pte] with A set, and D too for a store: the
+    architectural update a walk makes to the leaf it used, when
+    {!Word.needs_ad} says one is due. *)
+
 val with_perms : t -> perms -> t
 (** [with_perms pte p] replaces the permission bits, keeping PPN and
     A/D. *)
@@ -56,6 +61,10 @@ module Word : sig
   val writable : t -> bool
   val accessed : t -> bool
   val dirty : t -> bool
+
+  val needs_ad : t -> store:bool -> bool
+  (** [needs_ad w ~store] — a walk that used this leaf for the access
+      must write A/D back: A is clear, or a store finds D clear. *)
 
   val allows : t -> Arch.access -> user:bool -> bool
   (** As {!allows} on the entry. *)

@@ -8,7 +8,6 @@
 open Velum_isa
 
 val mmio_base : int64
-val mmio_limit : int64
 
 val is_mmio : int64 -> bool
 (** [is_mmio pa] — the address falls in the device window (regardless of

@@ -43,5 +43,4 @@ let walk_refs_2d =
   let n = Velum_isa.Arch.pt_levels in
   ((n + 1) * n) + n
 
-let walk_cycles_1d t = walk_refs_1d * t.pt_ref
-let walk_cycles_2d t = walk_refs_2d * t.pt_ref
+let fill_cycles t ~refs = (refs * t.pt_ref) + t.tlb_fill

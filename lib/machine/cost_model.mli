@@ -42,5 +42,7 @@ val walk_refs_2d : int
 (** Memory references for a two-dimensional (nested) walk:
     [(levels + 1) * levels + levels] = 15 for three levels. *)
 
-val walk_cycles_1d : t -> int
-val walk_cycles_2d : t -> int
+val fill_cycles : t -> refs:int -> int
+(** [fill_cycles t ~refs] — a TLB miss served by a walk of [refs] table
+    references, plus installing the entry: what every translator charges
+    on a miss. *)

@@ -119,6 +119,7 @@ let xl_frame ~ppn ~va ~mmio ~cycles =
     ~pa:((Int64.to_int ppn lsl Arch.page_shift) lor (Int64.to_int va land (Arch.page_size - 1)))
     ~mmio ~cycles
 
+let xl_hit hit ~va = xl_make ~pa:(Tlb.hit_pa hit ~va) ~mmio:(Tlb.hit_mmio hit) ~cycles:0
 let xl_pa x = x land pa_mask
 let xl_mmio x = x land mmio_flag <> 0
 let xl_cycles x = x lsr cycles_shift

@@ -121,6 +121,10 @@ val xl_make : pa:int -> mmio:bool -> cycles:int -> int
 val xl_frame : ppn:int64 -> va:int64 -> mmio:bool -> cycles:int -> int
 (** {!xl_make} of the address at [va]'s page offset in frame [ppn]. *)
 
+val xl_hit : int -> va:int64 -> int
+(** [xl_hit hit ~va] — the zero-cycle translation of [va] through a
+    {!Tlb.probe} hit. *)
+
 val xl_pa : int -> int
 val xl_mmio : int -> bool
 val xl_cycles : int -> int

@@ -5,7 +5,7 @@ open Velum_isa
    the TLB would hit — same physical address, zero cycles, one
    [note_hit] — so serving it from here is observationally identical and
    skips the full translator call chain.  [load_ok]/[store_ok] are
-   learned per access kind because the translators gate stores on the
+   learned per access kind because the hit rule gates stores on the
    dirty bit independently of read permission; an entry in the fetch
    array was learned for fetches and serves nothing else.
 
@@ -93,19 +93,16 @@ let lookup t ~access ~user vpn =
     -1
   end
 
-(* Cache a successful RAM translation, but only after verifying that the
-   backing TLB now holds an entry that would satisfy this access on its
-   own (permissions pass, stores find the dirty bit hardened).  The
-   check is the strictest of the translators' hit predicates, so an
-   entry some laxer translator would accept is merely not cached — never
-   the other way round.  Translations that bypassed the TLB entirely
-   (bare-metal runs with paging off) fail the probe and stay uncached;
-   their translate path is already trivial. *)
-let fill t ~access ~user ~va ~pa =
+(* Cache the frame the backing TLB now serves this access from, when
+   {!Tlb.probe} says it serves it from RAM: the hit the translators'
+   next call would take.  MMIO pages, and translations that bypassed the
+   TLB entirely (bare-metal runs with paging off, whose translate path is
+   already trivial), stay uncached. *)
+let fill t ~access ~user ~va =
   let vpn64 = Int64.shift_right_logical va Arch.page_shift in
-  match Tlb.lookup t.tlb ~vpn:vpn64 with
-  | Some e when (not e.Tlb.mmio) && Tlb.permits e access ~user ->
-      let vpn = Int64.to_int vpn64 and ppn = pa lsr Arch.page_shift in
+  match Tlb.probe t.tlb ~vpn:vpn64 access ~user with
+  | hit when hit >= 0 && not (Tlb.hit_mmio hit) ->
+      let vpn = Int64.to_int vpn64 and ppn = Tlb.hit_frame hit in
       let slots = slots_for t access in
       let e = slots.(slot_of slots vpn) in
       (if e.vpn = vpn && e.user = user && e.ppn = ppn && certified t.tlb e then

@@ -29,11 +29,11 @@ val lookup : t -> access:Velum_isa.Arch.access -> user:bool -> int -> int
     real hit would have recorded.  The caller checks alignment: a hit
     says nothing about the offset within the page. *)
 
-val fill : t -> access:Velum_isa.Arch.access -> user:bool -> va:int64 -> pa:int -> unit
-(** [fill t ~access ~user ~va ~pa] caches a successful RAM translation,
-    provided the backing TLB verifiably holds a matching entry that
-    permits [access].  MMIO and TLB-bypassing translations are never
-    cached. *)
+val fill : t -> access:Velum_isa.Arch.access -> user:bool -> va:int64 -> unit
+(** [fill t ~access ~user ~va], after a successful translation of [va],
+    caches the frame {!Tlb.probe} says the backing TLB serves [access]
+    from, when it serves it from RAM.  MMIO and TLB-bypassing
+    translations are never cached. *)
 
 val hits : t -> int
 val misses : t -> int

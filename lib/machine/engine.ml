@@ -98,7 +98,7 @@ let wrap ctx =
         else begin
           let x = ctx.Cpu.translate ~access ~user va in
           if x >= 0 && not (Cpu.xl_mmio x) then
-            Dtlb.fill dtlb ~access ~user ~va ~pa:(Cpu.xl_pa x);
+            Dtlb.fill dtlb ~access ~user ~va;
           x
         end
   in
@@ -278,7 +278,7 @@ let block_step cache hook states s ctx ~fuel =
                 -1
               end
               else begin
-                Dtlb.fill dtlb ~access:Arch.Fetch ~user ~va:pc ~pa:(Cpu.xl_pa x);
+                Dtlb.fill dtlb ~access:Arch.Fetch ~user ~va:pc;
                 enter w dtlb s ~user ~frame:(Cpu.xl_pa x lsr Arch.page_shift);
                 Cpu.xl_cycles x
               end

@@ -21,9 +21,6 @@ let classify_pa mem pa ~bytes =
   else if Phys_mem.in_range mem ~pa ~bytes then `Ram
   else `Bad
 
-let page_mask = Int64.of_int (Arch.page_size - 1)
-let superpage_mask = Int64.of_int ((Arch.page_size lsl Arch.vpn_bits) - 1)
-
 let translate t ~access ~user va =
   let satp = t.get_satp () in
   if not (Arch.satp_enabled satp) then
@@ -33,19 +30,15 @@ let translate t ~access ~user va =
     | `Bad -> Cpu.xl_access
   else
     let vpn = Int64.shift_right_logical va Arch.page_shift in
-    match Tlb.lookup t.tlb ~vpn with
-    | Some e when Tlb.permits e access ~user -> (
+    match Tlb.probe t.tlb ~vpn access ~user with
+    | hit when hit >= 0 -> (
         Tlb.note_hit t.tlb;
-        let pa =
-          Int64.logor
-            (Int64.shift_left e.ppn Arch.page_shift)
-            (Int64.logand va (if e.superpage then superpage_mask else page_mask))
-        in
+        let pa = Tlb.hit_pa hit ~va in
         (* bounds are checked per access: a superpage entry may cover
            addresses beyond the end of RAM *)
-        match classify_pa t.mem pa ~bytes:1 with
+        match classify_pa t.mem (Int64.of_int pa) ~bytes:1 with
         | `Bad -> Cpu.xl_access
-        | `Ram | `Mmio -> Cpu.xl_make ~pa:(Int64.to_int pa) ~mmio:e.mmio ~cycles:0)
+        | `Ram | `Mmio -> Cpu.xl_make ~pa ~mmio:(Tlb.hit_mmio hit) ~cycles:0)
     | _ -> (
         Tlb.note_miss t.tlb;
         t.walks <- t.walks + 1;
@@ -62,10 +55,10 @@ let translate t ~access ~user va =
           else begin
             let store = access = Arch.Store in
             (* architectural A/D maintenance, on the whole 64-bit entry *)
-            if (not (Pte.Word.accessed pte)) || (store && not (Pte.Word.dirty pte)) then begin
+            if Pte.Word.needs_ad pte ~store then begin
               let addr = Int64.of_int w.Page_table.pte_addr in
-              let full = Pte.set_accessed (Phys_mem.read t.mem addr Instr.W64) in
-              Phys_mem.write t.mem addr Instr.W64 (if store then Pte.set_dirty full else full)
+              Phys_mem.write t.mem addr Instr.W64
+                (Pte.mark_ad (Phys_mem.read t.mem addr Instr.W64) ~store)
             end;
             let level = w.Page_table.level in
             let pa = Page_table.leaf_pa ~pte ~level ~va in
@@ -85,10 +78,8 @@ let translate t ~access ~user va =
                     mmio;
                     superpage = level = 1;
                   };
-                let cycles =
-                  (w.Page_table.refs * t.cost.Cost_model.pt_ref) + t.cost.Cost_model.tlb_fill
-                in
-                Cpu.xl_make ~pa ~mmio ~cycles
+                Cpu.xl_make ~pa ~mmio
+                  ~cycles:(Cost_model.fill_cycles t.cost ~refs:w.Page_table.refs)
           end)
 
 let flush t = Tlb.flush t.tlb

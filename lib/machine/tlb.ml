@@ -51,14 +51,16 @@ type t = {
       (* bumped whenever an entry leaves or changes (flush, capacity
          eviction, same-vpn replacement), and when a 4 KiB fill shadows
          a live superpage entry — never on any other fill into an empty
-         slot.  A consumer that cached "[lookup] returns entry E" may
+         slot.  A consumer that cached "[probe] hits entry E" may
          keep trusting it exactly while the generation is unchanged. *)
   mutable recent : int;
       (* the 4 KiB slot last hit or filled, or -1: the micro-TLB's fill
-         follows a translate for the same vpn, so [lookup] and
-         [cert_slot] try it, checked exactly, before probing *)
+         follows a translate for the same vpn, so [probe] and
+         [cert_slot] try it, checked exactly, before searching *)
 }
 
+(* The hit rule: the access's permission bit, the user bit for user
+   accesses, and for a store the hardened dirty bit. *)
 let permits e access ~user =
   ((not user) || e.perms.u)
   &&
@@ -158,10 +160,26 @@ let small_slot t key =
     end
   end
 
-let lookup t ~vpn =
-  let key = Int64.to_int vpn in
+(* The entry serving vpn [key]: its 4 KiB entry, else its superpage's. *)
+let entry_for t key =
   let s = small_slot t key in
   if s >= 0 then t.small.slots.(s) else bank_lookup t.large (key lsr Arch.vpn_bits)
+
+let lookup t ~vpn = entry_for t (Int64.to_int vpn)
+
+let probe t ~vpn access ~user =
+  let key = Int64.to_int vpn in
+  match entry_for t key with
+  | Some e when permits e access ~user ->
+      let ppn = Int64.to_int e.ppn in
+      let frame = if e.superpage then ppn + (key land ((1 lsl Arch.vpn_bits) - 1)) else ppn in
+      (frame lsl 1) lor Bool.to_int e.mmio
+  | _ -> -1
+
+let hit_frame hit = hit lsr 1
+let hit_mmio hit = hit land 1 = 1
+let hit_pa hit ~va =
+  (hit_frame hit lsl Arch.page_shift) lor (Int64.to_int va land (Arch.page_size - 1))
 
 (* Any removal of a live entry invalidates what consumers may have
    cached about the TLB's contents, so it counts as an eviction and
@@ -200,7 +218,7 @@ let insert t e =
   if e.superpage then ignore (bank_insert t t.large (key lsr Arch.vpn_bits) e)
   else begin
     (* a 4 KiB entry takes precedence over a live superpage entry for
-       the same vpn: [lookup]'s answer changes although nothing left *)
+       the same vpn: [probe]'s answer changes although nothing left *)
     if find t.large (key lsr Arch.vpn_bits) >= 0 then t.generation <- t.generation + 1;
     t.recent <- bank_insert t t.small key e
   end

@@ -4,7 +4,12 @@
     dirty state.  Fully associative with round-robin replacement, so
     behaviour is deterministic.  A store through an entry installed
     without the dirty bit misses, forcing a re-walk that sets the page
-    dirty — matching how hardware keeps D bits precise. *)
+    dirty — matching how hardware keeps D bits precise.
+
+    Which entry may serve which access is decided here, once: every
+    translator (native, shadow, nested, shadow with guest paging off)
+    and the micro-TLB's fill ask {!probe}.  A translator fills with
+    {!insert} an entry whose permissions say exactly what it may serve. *)
 
 open Velum_isa
 
@@ -26,15 +31,27 @@ type t
 val create : size:int -> t
 (** @raise Invalid_argument if [size <= 0]. *)
 
-val permits : entry -> Arch.access -> user:bool -> bool
-(** [permits e access ~user] — the entry's permissions allow the access,
-    and a store finds the dirty bit hardened: the translators' hit
-    predicate. *)
+val probe : t -> vpn:int64 -> Arch.access -> user:bool -> int
+(** [probe t ~vpn access ~user] is the hit rule.  The entry serving
+    [vpn] is its 4 KiB entry, else the superpage entry covering it; it
+    hits when its permissions allow [access] (the user bit too when
+    [user]), and for a store only when its dirty bit is hardened
+    ([dirty_ok]).  A hit is a non-negative immediate holding the 4 KiB
+    frame that serves [vpn] (for a superpage, the base frame plus
+    [vpn]'s offset in it) and the entry's MMIO flag — read it with
+    {!hit_frame}, {!hit_mmio} and {!hit_pa}; a miss is [-1].  Probing
+    counts nothing: callers report through {!note_hit}/{!note_miss}. *)
+
+val hit_frame : int -> int
+val hit_mmio : int -> bool
+
+val hit_pa : int -> va:int64 -> int
+(** [hit_pa hit ~va] — the address at [va]'s page offset in the hit's
+    frame. *)
 
 val lookup : t -> vpn:int64 -> entry option
-(** [lookup t ~vpn] — 4 KiB entries are consulted first, then superpage
-    entries covering [vpn].  A hit does not inspect permissions; the CPU
-    checks them against the access. *)
+(** [lookup t ~vpn] — the entry {!probe} would judge, whatever the
+    access: the observer reference models compare against. *)
 
 val insert : t -> entry -> unit
 (** [insert t e] fills an entry, evicting round-robin when full and
@@ -66,7 +83,7 @@ val generation : t -> int
     replaced ({!flush}, {!flush_vpn}, eviction, same-VPN refill), and
     when a 4 KiB fill shadows a live superpage entry for the same VPN.
     Other fills into empty slots do not bump it, so a consumer that
-    observed [lookup] return an entry may keep assuming it returns that
+    observed [probe] hit an entry may keep assuming it hits that
     entry — unchanged — for as long as the generation stays equal.  It
     is the fast path of the certificate below. *)
 
@@ -78,8 +95,8 @@ val generation : t -> int
     consumer relies on: the 4 KiB slot holding it, and that slot's
     version, which is bumped whenever the slot's live entry leaves
     ({!flush}, {!flush_vpn}, eviction, same-VPN refill).  While the
-    version is unchanged the slot holds the same entry, and [lookup]
-    returns it for its VPN (4 KiB entries are consulted first).  A VPN
+    version is unchanged the slot holds the same entry, and [probe]
+    judges it for its VPN (4 KiB entries are consulted first).  A VPN
     served by a superpage entry has no slot ({!cert_slot} is [-1]) and
     is certified by the generation alone. *)
 

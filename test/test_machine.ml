@@ -741,6 +741,9 @@ let test_tlb_superpage_entry () =
   (match Tlb.lookup tlb ~vpn:700L with
   | Some e -> checkb "superpage hit" true e.Tlb.superpage
   | None -> Alcotest.fail "expected superpage hit");
+  (* the probe serves the 4 KiB frame at the vpn's offset in the superpage *)
+  checki "superpage frame" (1024 + (700 - 512))
+    (Tlb.hit_frame (Tlb.probe tlb ~vpn:700L Arch.Load ~user:true));
   checkb "outside misses" true (Tlb.lookup tlb ~vpn:1200L = None);
   (* 4K entries take precedence *)
   Tlb.insert tlb
@@ -796,6 +799,63 @@ let test_tlb_stats () =
   checki "misses" 1 (Tlb.misses tlb);
   Tlb.reset_stats tlb;
   checki "reset" 0 (Tlb.hits tlb)
+
+(* A store hits only an entry whose dirty bit is hardened, even when its
+   permissions allow writing: the clean store re-walks to set D. *)
+let test_tlb_probe_store_needs_dirty () =
+  let tlb = Tlb.create ~size:4 in
+  Tlb.insert tlb { (entry 3L 30L) with dirty_ok = false };
+  checki "load hits" 30 (Tlb.hit_frame (Tlb.probe tlb ~vpn:3L Arch.Load ~user:true));
+  checki "clean store misses" (-1) (Tlb.probe tlb ~vpn:3L Arch.Store ~user:false);
+  Tlb.insert tlb (entry 3L 30L);
+  checki "dirty store hits" 30 (Tlb.hit_frame (Tlb.probe tlb ~vpn:3L Arch.Store ~user:false));
+  checki "hit rule counts nothing" 0 (Tlb.hits tlb + Tlb.misses tlb)
+
+(* The hit rule spelled out over the entry [Tlb.lookup] observes: the
+   frame and MMIO flag [Tlb.probe] must answer, or [None] for a miss. *)
+let rule_hit (e : Tlb.entry option) ~vpn access ~user =
+  match e with
+  | Some e
+    when ((not user) || e.perms.Pte.u)
+         && (match access with
+            | Arch.Load -> e.perms.Pte.r
+            | Arch.Store -> e.perms.Pte.w && e.dirty_ok
+            | Arch.Fetch -> e.perms.Pte.x) ->
+      let ppn = Int64.to_int e.ppn in
+      Some ((if e.superpage then ppn + (Int64.to_int vpn land 511) else ppn), e.mmio)
+  | _ -> None
+
+let probe_hit tlb ~vpn access ~user =
+  let hit = Tlb.probe tlb ~vpn access ~user in
+  if hit < 0 then None else Some (Tlb.hit_frame hit, Tlb.hit_mmio hit)
+
+let every_access =
+  List.concat_map
+    (fun access -> [ (access, false); (access, true) ])
+    [ Arch.Load; Arch.Store; Arch.Fetch ]
+
+(* [tlb]'s probes of [vpn], for every access from either mode, follow
+   the rule over the entry [model] holds for it *)
+let probes_follow model tlb vpn =
+  List.for_all
+    (fun (access, user) ->
+      probe_hit tlb ~vpn access ~user = rule_hit (model ~vpn) ~vpn access ~user)
+    every_access
+
+(* permission, dirty and MMIO mixes, so the probes meet every clause of
+   the rule *)
+let gen_entry_bits =
+  QCheck2.Gen.(
+    triple
+      (oneofl
+         [
+           rwxu;
+           { Pte.r = true; w = false; x = true; u = true };
+           { Pte.r = true; w = true; x = false; u = false };
+           { Pte.r = false; w = false; x = true; u = false };
+         ])
+      bool
+      (frequency [ (9, return false); (1, return true) ]))
 
 (* The Hashtbl-indexed TLB the open-addressed index replaced, kept
    verbatim (bar the hit/miss statistics, which it does not index) as the
@@ -956,10 +1016,11 @@ let gen_tlb_op =
     frequency
       [
         ( 6,
-          map3
-            (fun vpn ppn superpage ->
-              Insert { Tlb.vpn; ppn = Int64.of_int ppn; perms = rwxu; dirty_ok = true; mmio = false; superpage })
-            gen_vpn (int_range 0 1000) (frequency [ (3, return false); (1, return true) ]) );
+          map4
+            (fun vpn ppn superpage (perms, dirty_ok, mmio) ->
+              Insert { Tlb.vpn; ppn = Int64.of_int ppn; perms; dirty_ok; mmio; superpage })
+            gen_vpn (int_range 0 1000) (frequency [ (3, return false); (1, return true) ])
+            gen_entry_bits );
         (1, return Probe);
         (3, map (fun v -> Flush_vpn v) gen_vpn);
         (1, return Flush);
@@ -983,7 +1044,11 @@ let prop_tlb_matches_reference =
           | Flush ->
               Tlb.flush t;
               Reference.flush r);
-          List.for_all (fun vpn -> Tlb.lookup t ~vpn = Reference.lookup r ~vpn) tlb_probe_vpns
+          List.for_all
+            (fun vpn ->
+              Tlb.lookup t ~vpn = Reference.lookup r ~vpn
+              && probes_follow (Reference.lookup r) t vpn)
+            tlb_probe_vpns
           && Tlb.evictions t = Reference.evictions r
           && Tlb.flushes t = Reference.flushes r
           && Tlb.generation t = Reference.generation r)
@@ -1179,7 +1244,7 @@ type tlb_step =
   | S_insert of Tlb.entry
   | S_flush_vpn of int64
   | S_flush
-  | S_lookup of int64  (* a translator's probe: a hit or a miss noted *)
+  | S_lookup of int64 * Arch.access * bool  (* a translator's probe: a hit or a miss noted *)
   | S_cert of int64  (* a certificate taken on the vpn's 4 KiB slot *)
 
 let gen_tlb_step =
@@ -1187,15 +1252,17 @@ let gen_tlb_step =
     frequency
       [
         ( 6,
-          map3
-            (fun vpn ppn superpage ->
-              S_insert
-                { Tlb.vpn; ppn = Int64.of_int ppn; perms = rwxu; dirty_ok = true; mmio = false;
-                  superpage })
-            gen_vpn (int_range 0 1000) (frequency [ (3, return false); (1, return true) ]) );
+          map4
+            (fun vpn ppn superpage (perms, dirty_ok, mmio) ->
+              S_insert { Tlb.vpn; ppn = Int64.of_int ppn; perms; dirty_ok; mmio; superpage })
+            gen_vpn (int_range 0 1000) (frequency [ (3, return false); (1, return true) ])
+            gen_entry_bits );
         (3, map (fun v -> S_flush_vpn v) gen_vpn);
         (1, return S_flush);
-        (4, map (fun v -> S_lookup v) gen_vpn);
+        ( 4,
+          map3
+            (fun v access user -> S_lookup (v, access, user))
+            gen_vpn (oneofl [ Arch.Load; Arch.Store; Arch.Fetch ]) bool );
         (3, map (fun v -> S_cert v) gen_vpn);
       ])
 
@@ -1221,12 +1288,12 @@ let prop_tlb_matches_full_flush =
                 Tlb.flush t;
                 Full_flush.flush r;
                 true
-            | S_lookup vpn ->
-                let e = Tlb.lookup t ~vpn in
-                if e = None then Tlb.note_miss t else Tlb.note_hit t;
-                if Full_flush.lookup r ~vpn = None then Full_flush.note_miss r
-                else Full_flush.note_hit r;
-                e = Full_flush.lookup r ~vpn
+            | S_lookup (vpn, access, user) ->
+                let hit = probe_hit t ~vpn access ~user in
+                if hit = None then Tlb.note_miss t else Tlb.note_hit t;
+                let expected = rule_hit (Full_flush.lookup r ~vpn) ~vpn access ~user in
+                if expected = None then Full_flush.note_miss r else Full_flush.note_hit r;
+                hit = expected
             | S_cert vpn ->
                 let slot = Tlb.cert_slot t ~vpn and rslot = Full_flush.cert_slot r ~vpn in
                 certs :=
@@ -1234,7 +1301,11 @@ let prop_tlb_matches_full_flush =
                 slot = rslot
           in
           certs_agree
-          && List.for_all (fun vpn -> Tlb.lookup t ~vpn = Full_flush.lookup r ~vpn) tlb_probe_vpns
+          && List.for_all
+               (fun vpn ->
+                 Tlb.lookup t ~vpn = Full_flush.lookup r ~vpn
+                 && probes_follow (Full_flush.lookup r) t vpn)
+               tlb_probe_vpns
           && Tlb.generation t = Full_flush.generation r
           && Tlb.hits t = Full_flush.hits r
           && Tlb.misses t = Full_flush.misses r
@@ -1264,22 +1335,19 @@ type cert_op =
   | C_flush
   | C_access of Arch.access * bool * int64 * bool  (* user, vpn, lax translator *)
 
-(* The pa a translator would serve as a zero-cycle TLB hit (the
-   strictest hit predicate: right permissions, stores need the dirty
-   bit, no MMIO), or [None] when it would walk.  [~lax:true] also
-   ignores permissions and the dirty bit: laxer than any translator. *)
+(* The pa a translator would serve from RAM as a zero-cycle TLB hit
+   (the hit rule, and no MMIO), or [None] when it would walk.
+   [~lax:true] serves any entry as RAM, whatever its permissions, dirty
+   bit and MMIO flag: a caller that fills the micro-TLB after a
+   translation the rule did not make. *)
 let tlb_hit_pa ?(lax = false) tlb ~access ~user vpn =
-  match Tlb.lookup tlb ~vpn with
-  | Some e
-    when (not e.Tlb.mmio)
-         && (lax
-            || ((not user) || e.perms.Pte.u)
-               && (match access with
-                  | Arch.Load -> e.perms.Pte.r
-                  | Arch.Store -> e.perms.Pte.w && e.dirty_ok
-                  | Arch.Fetch -> e.perms.Pte.x)) ->
-      let frame = if e.superpage then Int64.add e.ppn (Int64.logand vpn 511L) else e.ppn in
-      Some ((Int64.to_int frame lsl Arch.page_shift) lor 8)
+  let e = Tlb.lookup tlb ~vpn in
+  let e =
+    if lax then Option.map (fun e -> { e with Tlb.perms = rwxu; dirty_ok = true; mmio = false }) e
+    else e
+  in
+  match rule_hit e ~vpn access ~user with
+  | Some (frame, false) -> Some ((frame lsl Arch.page_shift) lor 8)
   | _ -> None
 
 (* 32 vpns under 4 superpage keys, so fills, shadowing 4 KiB entries
@@ -1289,18 +1357,9 @@ let gen_cert_vpn = QCheck2.Gen.oneofl cert_vpns
 
 let gen_cert_op =
   QCheck2.Gen.(
-    let perms =
-      oneofl
-        [
-          rwxu;
-          { Pte.r = true; w = false; x = true; u = true };
-          { Pte.r = true; w = true; x = false; u = false };
-          { Pte.r = false; w = false; x = true; u = false };
-        ]
-    in
     let entry superpage =
-      map
-        (fun (vpn, ppn, perms, (dirty_ok, mmio)) ->
+      map3
+        (fun vpn ppn (perms, dirty_ok, mmio) ->
           C_insert
             {
               Tlb.vpn;
@@ -1310,8 +1369,7 @@ let gen_cert_op =
               mmio;
               superpage;
             })
-        (quad gen_cert_vpn (int_range 1 40) perms
-           (pair bool (frequency [ (9, return false); (1, return true) ])))
+        gen_cert_vpn (int_range 1 40) gen_entry_bits
     in
     frequency
       [
@@ -1363,10 +1421,10 @@ let prop_tlb_certificates =
         | C_flush_vpn v -> Tlb.flush_vpn tlb v
         | C_flush -> Tlb.flush tlb
         | C_access (access, user, vpn, lax) ->
-            if Dtlb.lookup d ~access ~user (Int64.to_int vpn) < 0 then
-              Dtlb.fill d ~access ~user
-                ~va:(Int64.logor (Int64.shift_left vpn Arch.page_shift) 8L)
-                ~pa:(translate ~lax ~access ~user vpn)
+            if Dtlb.lookup d ~access ~user (Int64.to_int vpn) < 0 then begin
+              ignore (translate ~lax ~access ~user vpn);
+              Dtlb.fill d ~access ~user ~va:(Int64.logor (Int64.shift_left vpn Arch.page_shift) 8L)
+            end
       in
       let dtlb_sound () =
         List.for_all
@@ -1376,9 +1434,8 @@ let prop_tlb_certificates =
                 let ppn = Dtlb.lookup d ~access ~user (Int64.to_int vpn) in
                 ppn < 0
                 || tlb_hit_pa tlb ~access ~user vpn = Some ((ppn lsl Arch.page_shift) lor 8))
-              (List.concat_map
-                 (fun access -> [ (access, false); (access, true) ])
-                 [ Arch.Load; Arch.Store; Arch.Fetch ]))
+              every_access
+            && probes_follow (Tlb.lookup tlb) tlb vpn)
           cert_vpns
       in
       List.for_all
@@ -2013,8 +2070,8 @@ let test_trace_fuel () =
     Tlb.insert tlb
       { Tlb.vpn = 1L; ppn = 1L; perms = rwxu; dirty_ok = true; mmio = false; superpage = false };
     let dtlb = Dtlb.create ~tlb in
-    Dtlb.fill dtlb ~access:Arch.Load ~user:true ~va:0x1000L ~pa:0x1000;
-    Dtlb.fill dtlb ~access:Arch.Store ~user:true ~va:0x1000L ~pa:0x1000;
+    Dtlb.fill dtlb ~access:Arch.Load ~user:true ~va:0x1000L;
+    Dtlb.fill dtlb ~access:Arch.Store ~user:true ~va:0x1000L;
     let s = Cpu.create_state () in
     init s;
     let cycles =
@@ -2137,6 +2194,23 @@ let test_mmu_flush () =
   ignore (Mmu.translate mmu ~access:Arch.Load ~user:false 0x4000L);
   checki "re-walked" 2 (Mmu.walk_count mmu)
 
+(* One 2 MiB entry serves every page of its superpage: a hit on another
+   page than the one walked lands where a fresh walk of it lands. *)
+let test_mmu_superpage_hit_pa () =
+  let _, tlb, satp, mmu, acc, alloc = make_mmu_world () in
+  let root = alloc () in
+  Pt_build.map ~level:1 acc ~alloc ~root_ppn:root ~va:0x20_0000L (Pte.leaf ~ppn:0L rwxu);
+  satp := Arch.satp_make ~root_ppn:root;
+  let load va = Mmu.translate mmu ~access:Arch.Load ~user:false va in
+  checkb "walked" true (Cpu.xl_cycles (load 0x20_3010L) > 0);
+  let hit = load 0x20_5008L in
+  checki "served by the superpage entry" 1 (Tlb.hits tlb);
+  Mmu.flush mmu;
+  let walked = load 0x20_5008L in
+  checkb "re-walked" true (Cpu.xl_cycles walked > 0);
+  checki "hit pa = walk pa" (Cpu.xl_pa walked) (Cpu.xl_pa hit);
+  checki "pa" 0x5008 (Cpu.xl_pa hit)
+
 let test_mmu_write_protected_store_faults () =
   let _, _, satp, mmu, acc, alloc = make_mmu_world () in
   let root = alloc () in
@@ -2158,7 +2232,8 @@ let test_cost_model_shape () =
   checki "1d refs" 3 Cost_model.walk_refs_1d;
   checki "2d refs" 15 Cost_model.walk_refs_2d;
   checkb "2d >> 1d" true
-    (Cost_model.walk_cycles_2d cost > 4 * Cost_model.walk_cycles_1d cost)
+    (Cost_model.fill_cycles cost ~refs:Cost_model.walk_refs_2d
+    > 4 * Cost_model.fill_cycles cost ~refs:Cost_model.walk_refs_1d)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -2199,6 +2274,7 @@ let () =
           Alcotest.test_case "flush" `Quick test_tlb_flush;
           Alcotest.test_case "stats" `Quick test_tlb_stats;
           Alcotest.test_case "superpage entries" `Quick test_tlb_superpage_entry;
+          Alcotest.test_case "stores need the dirty bit" `Quick test_tlb_probe_store_needs_dirty;
         ]
         @ qsuite
             [ prop_tlb_matches_reference; prop_tlb_matches_full_flush; prop_tlb_certificates ] );
@@ -2251,6 +2327,8 @@ let () =
           Alcotest.test_case "flush" `Quick test_mmu_flush;
           Alcotest.test_case "write-protected store" `Quick
             test_mmu_write_protected_store_faults;
+          Alcotest.test_case "superpage hit composes the walk's pa" `Quick
+            test_mmu_superpage_hit_pa;
         ] );
       ( "cost_model",
         [ Alcotest.test_case "relative magnitudes" `Quick test_cost_model_shape ] );

@@ -689,6 +689,24 @@ let test_nested_write_protection () =
   | x when x = Cpu.xl_page -> ()
   | _ -> Alcotest.fail "store should host-fault under logging"
 
+(* A device page's entry serves every access from the TLB, a fetch
+   too; the MMIO flag it carries still sends the access to the device. *)
+let test_nested_mmio_fetch_hits () =
+  let _, _, nested, acc, alloc = make_nested_world () in
+  let root_gfn = 8L in
+  Pt_build.map acc ~alloc ~root_ppn:root_gfn ~va:0x6000L
+    (Pte.leaf ~ppn:(Int64.shift_right_logical 0x4000_0000L 12) { user_rw with x = true });
+  let satp = Arch.satp_make ~root_ppn:root_gfn in
+  let tlb = Tlb.create ~size:8 in
+  let fetch () =
+    Nested.translate nested ~guest_satp:satp ~tlb ~access:Arch.Fetch ~user:true 0x6008L
+  in
+  let first = fetch () in
+  checkb "mmio" true (first >= 0 && Cpu.xl_mmio first && Cpu.xl_pa first = 0x4000_0008);
+  checki "same translation" first (fetch ());
+  checki "hit" 1 (Tlb.hits tlb);
+  checki "one walk" 1 (Nested.walks nested)
+
 (* The walker property: [Nested.walk] against [Nested_model], the
    reference 2-D walk, on two identical worlds.  Guest frames 0-11 have
    random p2m entries (Absent; Present writable, read-only or COW;
@@ -857,6 +875,27 @@ let prop_nested_walk_matches_model =
              Bytes.equal (Phys_mem.frame_read mem_m ~ppn:(Int64.of_int ppn))
                (Phys_mem.frame_read mem_n ~ppn:(Int64.of_int ppn)))
            (List.init (nested_gframes + 4) Fun.id))
+
+(* Shadow paging with guest paging off: a load fills an entry for a page
+   the dirty log keeps read-only, and a store through that clean entry
+   misses and walks the p2m again — faulting while the page is logged,
+   filling once the log let it be written. *)
+let test_bare_shadow_clean_store_rewalks () =
+  let _, vm = make_vm () in
+  let translate = Vm.translate vm ~vcpu_idx:0 and tlb = vm.Vm.tlbs.(0) in
+  Vm.start_dirty_logging vm;
+  let load = translate ~access:Arch.Load ~user:false 0x5008L in
+  checkb "load fills" true (load >= 0 && Cpu.xl_cycles load > 0);
+  checki "store to a logged page faults" Cpu.xl_page
+    (translate ~access:Arch.Store ~user:false 0x5008L);
+  (* the dirty-log exit's repair, without the flush that follows it *)
+  ignore (Vm.resolve_write vm 5L);
+  let store = translate ~access:Arch.Store ~user:false 0x5008L in
+  checkb "store re-walks" true (store >= 0 && Cpu.xl_cycles store > 0);
+  checki "same frame" (Cpu.xl_pa load) (Cpu.xl_pa store);
+  checki "every access so far missed" 3 (Tlb.misses tlb);
+  checki "then stores hit" 0 (Cpu.xl_cycles (translate ~access:Arch.Store ~user:false 0x5010L));
+  checki "one hit" 1 (Tlb.hits tlb)
 
 (* ---------------- Bound translator ---------------- *)
 
@@ -1404,12 +1443,15 @@ let () =
           Alcotest.test_case "invalidate gfn" `Quick test_shadow_invalidate_gfn;
           Alcotest.test_case "mmio detection" `Quick test_shadow_mmio_detection;
           Alcotest.test_case "flush all frees" `Quick test_shadow_flush_all_frees;
+          Alcotest.test_case "bare clean store re-walks" `Quick
+            test_bare_shadow_clean_store_rewalks;
         ] );
       ( "nested",
         [
           Alcotest.test_case "translate and a/d" `Quick test_nested_translate_and_ad;
           Alcotest.test_case "classify" `Quick test_nested_classify;
           Alcotest.test_case "write protection" `Quick test_nested_write_protection;
+          Alcotest.test_case "mmio fetch hits the tlb" `Quick test_nested_mmio_fetch_hits;
           QCheck_alcotest.to_alcotest prop_nested_walk_matches_model;
         ] );
       (* Alcotest sizes its name column by the longest group name; a longer
