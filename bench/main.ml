@@ -2238,7 +2238,6 @@ let engine_bench () =
       let best = ref infinity in
       let cycles = ref 0L in
       let instret = ref 0L in
-      let chains = ref 0 in
       let traces = ref 0 in
       for _ = 1 to reps do
         let t0 = Sys.time () in
@@ -2249,32 +2248,26 @@ let engine_bench () =
           Array.fold_left
             (fun acc v -> Int64.add acc v.Vcpu.state.Velum_machine.Cpu.instret)
             0L vm.Vm.vcpus;
-        (match vm.Vm.engine.Velum_machine.Engine.cache with
-        | Some c ->
-            chains := Velum_machine.Trans_cache.chain_follows c;
-            traces := Velum_machine.Trans_cache.trace_follows c
-        | None ->
-            chains := 0;
-            traces := 0);
+        traces :=
+          (match vm.Vm.engine.Velum_machine.Engine.cache with
+          | Some c -> Velum_machine.Trans_cache.trace_follows c
+          | None -> 0);
         if dt < !best then best := dt
       done;
-      (!best, !cycles, !instret, !chains, !traces)
+      (!best, !cycles, !instret, !traces)
     in
     let t =
       Tablefmt.create
         [ ("workload", Tablefmt.Left); ("interp s", Tablefmt.Right);
           ("block s", Tablefmt.Right); ("speedup", Tablefmt.Right);
           ("interp MIPS", Tablefmt.Right); ("block MIPS", Tablefmt.Right);
-          ("chains", Tablefmt.Right);
           ("traces", Tablefmt.Right); ("sim cycles", Tablefmt.Right) ]
     in
     let results =
       List.map
         (fun (name, setup) ->
-          let si, ci, ri, _, _ = time_engine ~engine:Velum_machine.Engine.Interp setup in
-          let sb, cb, rb, chains, traces =
-            time_engine ~engine:Velum_machine.Engine.Block setup
-          in
+          let si, ci, ri, _ = time_engine ~engine:Velum_machine.Engine.Interp setup in
+          let sb, cb, rb, traces = time_engine ~engine:Velum_machine.Engine.Block setup in
           if ci <> cb then
             failwith
               (Printf.sprintf
@@ -2292,9 +2285,9 @@ let engine_bench () =
           Tablefmt.add_row t
             [ name; Tablefmt.cell_f ~decimals:3 si; Tablefmt.cell_f ~decimals:3 sb;
               Tablefmt.cell_f ~decimals:2 speedup; Tablefmt.cell_f ~decimals:1 interp_mips;
-              Tablefmt.cell_f ~decimals:1 mips; string_of_int chains; string_of_int traces;
+              Tablefmt.cell_f ~decimals:1 mips; string_of_int traces;
               Int64.to_string ci ];
-          (name, si, sb, speedup, interp_mips, mips, chains, traces, ci))
+          (name, si, sb, speedup, interp_mips, mips, traces, ci))
         cases
     in
     Tablefmt.print t;
@@ -2302,17 +2295,16 @@ let engine_bench () =
     write_json "BENCH_engine.json"
       ~header:(Printf.sprintf "  \"cores\": %d,\n" (Domain.recommended_domain_count ()))
       (List.map
-         (fun (name, si, sb, speedup, interp_mips, mips, chains, traces, cycles) ->
+         (fun (name, si, sb, speedup, interp_mips, mips, traces, cycles) ->
            Printf.sprintf
              "    {\"name\": \"engine/%s\", \"interp_s\": %.6f, \"block_s\": %.6f, \
               \"speedup\": %.3f, \"interp_mips\": %.2f, \"block_mips\": %.2f, \
-              \"chain_follows\": %d, \"trace_follows\": %d, \"sim_cycles\": %Ld}"
-             name si sb speedup interp_mips mips chains traces cycles)
+              \"trace_follows\": %d, \"sim_cycles\": %Ld}"
+             name si sb speedup interp_mips mips traces cycles)
          results);
     Printf.printf
       "\nSimulated cycles and retired instructions are identical by construction\n\
-       (asserted above); the speedup is pure host wall clock.  'chains' counts\n\
-       block->block dispatches that skipped the hashtable, 'traces' counts\n\
+       (asserted above); the speedup is pure host wall clock.  'traces' counts\n\
        dispatches absorbed by compiled superblock traces.  Written to\n\
        BENCH_engine.json.\n"
   end

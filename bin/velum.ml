@@ -985,7 +985,6 @@ let info_cmd =
     Printf.printf
       "engine/TLB gauges (printed by 'run', set/dotted names):\n\
       \  engine.cache.{entries,hits,misses,invalidations,evictions}\n\
-      \  engine.chain.{patched,follows,severed}\n\
       \  engine.trace.{built,follows,severed,side_exits}\n\
       \  tlb.{hits,misses,evictions,flushes}  dtlb.{hits,misses,fills}\n\
       \  net.{sent,received,tx_dropped,rx_dropped,rx_overflow,rx_queued,kicks}\n";

@@ -21,11 +21,15 @@ let ext_irq_pending (vm : Vm.t) =
   Bus.pending_irq vm.Vm.bus
 
 (* The cost of getting from the guest's sensitive instruction into VMM
-   code and back.  Under trap-and-emulate this is a full world switch.
-   Under binary translation, a sensitive site is translated once (and
-   remembered by guest PC); afterwards the translated sequence emulates
-   inline at a fraction of the cost.  Device accesses and hidden page
-   faults don't go through here — they are real exits in both modes. *)
+   code and back, for the caller to charge under the exit's own kind.
+   Under trap-and-emulate this is a full world switch.  Under binary
+   translation, a sensitive site is translated once (and remembered by
+   guest PC); afterwards the translated sequence emulates inline at a
+   fraction of the cost.  The one-off translation is charged here, as a
+   [E_bt_translate] exit of its own, and the switch itself then costs
+   nothing more, so each cycle lands in exactly one kind.  Device
+   accesses and hidden page faults don't go through here — they are
+   real exits in both modes. *)
 let world_switch_cost (vm : Vm.t) (vcpu : Vcpu.t) ~now =
   let cost = vm.Vm.host.Host.cost in
   match vm.Vm.exec_mode with
@@ -35,17 +39,8 @@ let world_switch_cost (vm : Vm.t) (vcpu : Vcpu.t) ~now =
       if Hashtbl.mem vm.Vm.bt_cache pc then cost.Cost_model.bt_exec
       else begin
         Hashtbl.replace vm.Vm.bt_cache pc ();
-        Monitor.bump vm.Vm.monitor Monitor.E_bt_translate;
-        Monitor.add_cycles vm.Vm.monitor Monitor.E_bt_translate
-          cost.Cost_model.bt_translate;
-        trace_event vm ~now
-          (Trace.Exit
-             {
-               kind = Monitor.E_bt_translate;
-               cost = cost.Cost_model.bt_translate;
-               detail = pc;
-             });
-        cost.Cost_model.bt_translate
+        charge vm vcpu ~now ~detail:pc Monitor.E_bt_translate cost.Cost_model.bt_translate;
+        0
       end
 
 let irq_deliverable (vm : Vm.t) (vcpu : Vcpu.t) ~now =
@@ -94,35 +89,33 @@ let handle_privileged (vm : Vm.t) ~vcpu_idx ~now insn =
   let vcpu = vm.Vm.vcpus.(vcpu_idx) in
   let s = vcpu.Vcpu.state in
   let cost = vm.Vm.host.Host.cost in
-  let base = world_switch_cost vm vcpu ~now + cost.Cost_model.emul_instr in
-  let done_ ?detail kind extra =
-    Cpu.advance_pc s;
-    charge vm vcpu ~now ?detail kind (base + extra);
-    Resume
+  let illegal =
+    (* the virtual machine's *user* code ran a privileged instruction,
+       or its kernel wrote a read-only CSR *)
+    s.Cpu.mode = Arch.User
+    || match insn with Instr.Csrw (csr, _) -> Arch.csr_read_only csr | _ -> false
   in
-  if s.Cpu.mode = Arch.User then begin
-    (* The virtual machine's *user* code ran a privileged instruction:
-       the guest kernel gets the illegal-instruction trap. *)
+  if illegal then begin
+    (* the guest kernel gets the illegal-instruction trap *)
     reflect vm vcpu ~now Monitor.E_guest_trap ~cause:Arch.Illegal_instruction
       ~tval:(illegal_of insn);
     Resume
   end
   else
+    let base = world_switch_cost vm vcpu ~now + cost.Cost_model.emul_instr in
+    let done_ ?detail kind extra =
+      Cpu.advance_pc s;
+      charge vm vcpu ~now ?detail kind (base + extra);
+      Resume
+    in
     match insn with
     | Instr.Csrr (rd, csr) ->
         Cpu.set_reg s rd (vcsr_read vm vcpu ~now csr);
         done_ Monitor.E_csr 0
     | Instr.Csrw (csr, rs1) ->
-        if Arch.csr_read_only csr then begin
-          reflect vm vcpu ~now Monitor.E_guest_trap ~cause:Arch.Illegal_instruction
-            ~tval:(illegal_of insn);
-          Resume
-        end
-        else begin
-          Cpu.set_csr s csr (Cpu.get_reg s rs1);
-          if csr = Arch.Satp then Vm.flush_vcpu_tlb vm ~vcpu_idx;
-          done_ Monitor.E_csr 0
-        end
+        Cpu.set_csr s csr (Cpu.get_reg s rs1);
+        if csr = Arch.Satp then Vm.flush_vcpu_tlb vm ~vcpu_idx;
+        done_ Monitor.E_csr 0
     | Instr.Sret ->
         Cpu.apply_sret s;
         charge vm vcpu ~now Monitor.E_sret base;
@@ -167,7 +160,7 @@ let handle_privileged (vm : Vm.t) ~vcpu_idx ~now insn =
 
 (* Emulate the MMIO access of the instruction at the guest PC (shadow
    paging funnels device touches through page faults). *)
-let emulate_mmio_insn (vm : Vm.t) ~vcpu_idx ~now ~gpa =
+let emulate_mmio_insn (vm : Vm.t) ~vcpu_idx ~now ~access ~gpa =
   let vcpu = vm.Vm.vcpus.(vcpu_idx) in
   let s = vcpu.Vcpu.state in
   let cost = vm.Vm.host.Host.cost in
@@ -189,7 +182,8 @@ let emulate_mmio_insn (vm : Vm.t) ~vcpu_idx ~now ~gpa =
         (cost.Cost_model.vmexit + cost.Cost_model.emul_instr + cost.Cost_model.mmio_device);
       Resume
   | Some _ | None ->
-      reflect vm vcpu ~now Monitor.E_guest_trap ~cause:Arch.Load_access_fault ~tval:gpa;
+      reflect vm vcpu ~now Monitor.E_guest_trap
+        ~cause:(Arch.fault_cause access `Access) ~tval:gpa;
       Resume
 
 (* Host-level page-fault service: the guest never sees these. *)
@@ -210,8 +204,8 @@ let handle_host_fault (vm : Vm.t) ~vcpu_idx ~now ~gfn ~access =
             charge vm vcpu ~now ~detail:gfn Monitor.E_swap_in (base + Host.swap_cost_cycles);
             Resume
         | None ->
-            reflect vm vcpu ~now Monitor.E_guest_trap ~cause:Arch.Load_access_fault
-              ~tval:0L;
+            reflect vm vcpu ~now Monitor.E_guest_trap
+              ~cause:(Arch.fault_cause access `Access) ~tval:0L;
             Resume)
     | P2m.Remote -> (
         match Vm.resolve_read vm gfn with
@@ -221,8 +215,8 @@ let handle_host_fault (vm : Vm.t) ~vcpu_idx ~now ~gfn ~access =
               (base + vm.Vm.remote_fault_cycles);
             Resume
         | None ->
-            reflect vm vcpu ~now Monitor.E_guest_trap ~cause:Arch.Load_access_fault
-              ~tval:0L;
+            reflect vm vcpu ~now Monitor.E_guest_trap
+              ~cause:(Arch.fault_cause access `Access) ~tval:0L;
             Resume)
     | P2m.Present { writable = false; cow = true; _ } ->
         ignore (Vm.resolve_write vm gfn);
@@ -273,7 +267,7 @@ let handle_page_fault (vm : Vm.t) ~vcpu_idx ~now ~access ~va =
             reflect vm vcpu ~now Monitor.E_guest_page_fault
               ~cause:(Arch.fault_cause access `Page) ~tval:va;
             Resume
-        | Shadow.Target_mmio { gpa } -> emulate_mmio_insn vm ~vcpu_idx ~now ~gpa
+        | Shadow.Target_mmio { gpa } -> emulate_mmio_insn vm ~vcpu_idx ~now ~access ~gpa
         | Shadow.Pt_write { gpa } -> (
             (* Decode the trapped store and apply it to both trees. *)
             match Option.bind (Vm.read_guest_va vm ~vcpu_idx (Cpu.pc s)) Instr.decode with
@@ -306,7 +300,7 @@ let handle_page_fault (vm : Vm.t) ~vcpu_idx ~now ~access ~va =
             ~cause:(Arch.fault_cause access `Page) ~tval:va;
           Resume
       | Nested.Host_level { gfn } -> handle_host_fault vm ~vcpu_idx ~now ~gfn ~access
-      | Nested.Mmio { gpa } -> emulate_mmio_insn vm ~vcpu_idx ~now ~gpa
+      | Nested.Mmio { gpa } -> emulate_mmio_insn vm ~vcpu_idx ~now ~access ~gpa
       | Nested.Bad { gpa = _ } ->
           reflect vm vcpu ~now Monitor.E_guest_trap
             ~cause:(Arch.fault_cause access `Access) ~tval:va;

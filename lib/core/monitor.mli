@@ -70,7 +70,7 @@ val irq_injections : t -> int
 (** {1 Gauges}
 
     Free-form named statistics published in bulk (dotted names by
-    convention: [engine.chain.follows], [tlb.evictions], …).  Unlike the
+    convention: [engine.trace.follows], [tlb.evictions], …).  Unlike the
     exit counters these are set, not bumped — callers snapshot a
     subsystem's counters into the monitor right before printing. *)
 

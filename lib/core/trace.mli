@@ -39,7 +39,7 @@ type event =
   | Migration_round of { round : int; pages : int }
   | Ha_event of { what : ha_what; detail : int64 }
   | Trace_formed of { count : int }
-      (** the block engine promoted [count] hot chains into superblock
+      (** the block engine promoted [count] hot paths into superblock
           traces during the preceding vCPU slice *)
 
 type record = { at : int64; ev : event }

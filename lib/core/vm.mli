@@ -233,7 +233,7 @@ val console_output : t -> string
 val pp : Format.formatter -> t -> unit
 
 val publish_stats : t -> unit
-(** Snapshot engine dispatch, chain, trace, TLB and micro-TLB counters
+(** Snapshot engine dispatch, trace, TLB and micro-TLB counters
     into the monitor as gauges ([engine.*], [tlb.*], [dtlb.*]).  Presentation
     paths call this right before printing; the run loop never does, so
     raw monitor state stays comparable across engines. *)

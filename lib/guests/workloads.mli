@@ -26,7 +26,7 @@ val cpu_spin : iters:int64 -> Asm.image
 
 val branch_mix : iters:int64 -> Asm.image
 (** A 16-bit LFSR drives data-dependent branches between several short
-    blocks each iteration — the block-chaining stress case (taken and
+    blocks each iteration — the block-dispatch stress case (taken and
     fall-through edges alternate in an input-dependent order). *)
 
 val stream_copy : words:int -> iters:int -> Asm.image

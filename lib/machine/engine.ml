@@ -56,10 +56,8 @@ let instr_bytes64 = Int64.of_int Arch.instr_bytes
 
 (* Per-hart dispatch state, keyed by [Cpu.state] identity so it survives
    across [step_n] calls.  Persistence is sound because nothing here is
-   trusted on re-entry: every dispatch translates its fetch afresh,
-   block reuse re-checks [valid]/regime/containment, and a stale
-   [pending] edge can at worst patch a chain that [follow] will refuse
-   later. *)
+   trusted on re-entry: every dispatch translates its fetch afresh and
+   block reuse re-checks [valid]/regime/containment. *)
 type wstate = {
   mutable w_dtlb : Dtlb.t;
       (* the micro-TLB [cur_gen] was read from; a different one makes
@@ -70,7 +68,6 @@ type wstate = {
       (* a micro-TLB generation at which a fetch from the last
          dispatch's page was a zero-cycle hit into [cur_frame] *)
   mutable cur_block : Trans_cache.block option;
-  mutable pending : (Trans_cache.block * bool) option;
   (* one [step_n] call's progress, here so that re-entering [step_n]
      after an exit builds no closures *)
   mutable consumed : int;
@@ -111,7 +108,6 @@ let new_wstate ctx =
     cur_user = false;
     cur_gen = 0;
     cur_block = None;
-    pending = None;
     consumed = 0;
     result = Cpu.Budget;
     stopped = false;
@@ -122,10 +118,6 @@ let new_wstate ctx =
 let stop w r =
   w.result <- r;
   w.stopped <- true
-
-let collapse w =
-  w.cur_block <- None;
-  w.pending <- None
 
 let finish w step =
   match step with
@@ -184,14 +176,13 @@ let fetch_holds w dtlb ~user ~vpn =
    micro-TLB.  [ctx.translate] is wrapped so load/store translations are
    served from the micro-TLB the same way.
 
-   Dispatch — block chaining.  When the last instruction of a block
-   retires, the engine remembers the (block, taken?) edge; resolving the
-   next block first chases that edge ({!Trans_cache.follow}), then falls
-   back to the hashtable and patches the edge for next time
-   ({!Trans_cache.set_succ}).  Edges are predictions: following one
-   re-checks validity, regime and span containment, so invalidation
-   (which also severs incoming edges) can never lead to executing a
-   stale successor.
+   Dispatch — one way to the next block.  A PC still inside the current
+   block reuses it; any other PC resolves through one
+   {!Trans_cache.find}, or decode-and-insert on a miss.  When the last
+   instruction of a block retires, the PC delta says which way its
+   terminator went, and the block's [hot_taken]/[hot_fall] count it:
+   the trace tier promotes along the direction its exits took more
+   often.
 
    Execution — the in-block inner loop.  Once a block is resolved,
    instructions run back to back (including in-block branches) without
@@ -225,7 +216,7 @@ let block_step cache hook states s ctx ~fuel =
        micro-TLB keeps generations comparable (see [enter]) *)
     if w.w_dtlb != dtlb then begin
       w.w_dtlb <- dtlb;
-      collapse w
+      w.cur_block <- None
     end;
     if w.src != ctx then begin
       w.src <- ctx;
@@ -248,9 +239,7 @@ let block_step cache hook states s ctx ~fuel =
            with
            | Some cause ->
                Cpu.deliver_trap s ~cause ~tval:0L;
-               w.consumed <- w.consumed + trap_enter;
-               (* asynchronous flow hijack: never chain across it *)
-               w.pending <- None
+               w.consumed <- w.consumed + trap_enter
            | None -> ());
         if s.Cpu.waiting then stop w Cpu.Waiting
         else begin
@@ -274,7 +263,7 @@ let block_step cache hook states s ctx ~fuel =
               let x = Cpu.fetch_prelude s ctx in
               if x < 0 then begin
                 finish w (Cpu.fetch_fault s ctx x);
-                collapse w;
+                w.cur_block <- None;
                 -1
               end
               else begin
@@ -287,9 +276,8 @@ let block_step cache hook states s ctx ~fuel =
               let off = Int64.to_int (Int64.logand pc page_mask) in
               (* 2. A decoded block covering [off] in the code frame:
                  the current block when the PC is still inside it
-                 (sequential flow and in-block branches), else the
-                 chained successor, else a cache lookup (patching the
-                 chain), else decode-and-insert. *)
+                 (sequential flow and in-block branches), else a cache
+                 lookup, else decode-and-insert. *)
               let blk =
                 match w.cur_block with
                 | Some b
@@ -299,69 +287,46 @@ let block_step cache hook states s ctx ~fuel =
                           < b.Trans_cache.start_off
                             + (Arch.instr_bytes * Array.length b.Trans_cache.insns) ->
                     Some b
-                | _ -> (
+                | _ ->
                     let key =
                       Trans_cache.key ~ppn:w.cur_frame ~off ~user
                         ~paging:(Arch.satp_enabled (Cpu.get_csr s Arch.Satp))
                     in
-                    let chained =
-                      match w.pending with
-                      | Some (p, taken) ->
-                          Trans_cache.follow cache ~from:p ~taken ~key ~off
-                      | None -> None
+                    let resolved =
+                      match Trans_cache.find cache key with
+                      | Some b -> Some b
+                      | None -> (
+                          let base = (Int64.to_int w.cur_frame lsl Arch.page_shift) lor off in
+                          let read_word i =
+                            Phys_mem.read_at ctx.Cpu.mem
+                              (base + (i * Arch.instr_bytes))
+                              Instr.W64
+                          in
+                          let max_instrs = (Arch.page_size - off) / Arch.instr_bytes in
+                          let insns = Block.decode_span ~read_word ~max_instrs in
+                          match Array.length insns with
+                          | 0 ->
+                              (* Undecodable first word: the interpreter's
+                                 illegal-instruction outcome (which
+                                 charges no translation cycles either). *)
+                              finish w
+                                (Cpu.trap_or_exit s ctx Arch.Illegal_instruction
+                                   (read_word 0) base_instr);
+                              None
+                          | _ ->
+                              attach hook cache ctx.Cpu.mem;
+                              let b =
+                                Trans_cache.insert cache ~key ~ppn:w.cur_frame ~insns
+                                  ~start_off:off
+                              in
+                              (* the cache holds code from this frame now:
+                                 its writes must reach the listener again *)
+                              Phys_mem.watch ctx.Cpu.mem ~ppn:w.cur_frame;
+                              Some b)
                     in
-                    match chained with
-                    | Some b ->
-                        w.cur_block <- Some b;
-                        Some b
-                    | None -> (
-                        let resolved =
-                          match Trans_cache.find cache key with
-                          | Some b -> Some b
-                          | None -> (
-                              let base =
-                                (Int64.to_int w.cur_frame lsl Arch.page_shift) lor off
-                              in
-                              let read_word i =
-                                Phys_mem.read_at ctx.Cpu.mem
-                                  (base + (i * Arch.instr_bytes))
-                                  Instr.W64
-                              in
-                              let max_instrs = (Arch.page_size - off) / Arch.instr_bytes in
-                              let insns = Block.decode_span ~read_word ~max_instrs in
-                              match Array.length insns with
-                              | 0 ->
-                                  (* Undecodable first word: the
-                                     interpreter's illegal-instruction
-                                     outcome (which charges no
-                                     translation cycles either). *)
-                                  finish w
-                                    (Cpu.trap_or_exit s ctx Arch.Illegal_instruction
-                                       (read_word 0) base_instr);
-                                  collapse w;
-                                  None
-                              | _ ->
-                                  attach hook cache ctx.Cpu.mem;
-                                  let b =
-                                    Trans_cache.insert cache ~key ~ppn:w.cur_frame ~insns
-                                      ~start_off:off
-                                  in
-                                  (* the cache holds code from this frame
-                                     now: its writes must reach the
-                                     listener again *)
-                                  Phys_mem.watch ctx.Cpu.mem ~ppn:w.cur_frame;
-                                  Some b)
-                        in
-                        (match (resolved, w.pending) with
-                        | Some b, Some (p, taken) ->
-                            Trans_cache.set_succ cache ~from:p ~taken ~target:b
-                        | _ -> ());
-                        (match resolved with
-                        | Some b -> w.cur_block <- Some b
-                        | None -> ());
-                        resolved))
+                    w.cur_block <- resolved;
+                    resolved
               in
-              w.pending <- None;
               match blk with
               | None -> ()
               | Some b ->
@@ -408,7 +373,7 @@ let block_step cache hook states s ctx ~fuel =
                        | _ ->
                            (* hotness accounting: promotion triggers on
                               dispatch count, which also sees in-block
-                              loops that never cross a chain edge *)
+                              loops that never leave the block *)
                            b.Trans_cache.heat <- b.Trans_cache.heat + 1;
                            if b.Trans_cache.heat >= Trans_cache.promote_threshold
                            then begin
@@ -437,11 +402,11 @@ let block_step cache hook states s ctx ~fuel =
                         w.consumed <- w.consumed + c + !xl;
                         xl := 0;
                         if !idx = len - 1 then begin
-                          w.pending <-
-                            Some
-                              ( b,
-                                Int64.sub (Cpu.slot_get s.Cpu.regs pc_slot) pc_before
-                                <> instr_bytes64 );
+                          if
+                            Int64.sub (Cpu.slot_get s.Cpu.regs pc_slot) pc_before
+                            <> instr_bytes64
+                          then b.Trans_cache.hot_taken <- b.Trans_cache.hot_taken + 1
+                          else b.Trans_cache.hot_fall <- b.Trans_cache.hot_fall + 1;
                           inner := false
                         end
                         else begin
@@ -524,9 +489,6 @@ let counters ~tlbs ~dtlbs t =
         ("engine.cache.misses", Trans_cache.misses c);
         ("engine.cache.invalidations", Trans_cache.invalidations c);
         ("engine.cache.evictions", Trans_cache.evictions c);
-        ("engine.chain.patched", Trans_cache.chains_patched c);
-        ("engine.chain.follows", Trans_cache.chain_follows c);
-        ("engine.chain.severed", Trans_cache.chains_severed c);
         ("engine.trace.built", Trans_cache.traces_built c);
         ("engine.trace.follows", Trans_cache.trace_follows c);
         ("engine.trace.severed", Trans_cache.traces_severed c);

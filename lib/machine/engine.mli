@@ -10,8 +10,10 @@
     - {!block} — a decoded-block translation cache ({!Trans_cache}):
       straight-line runs of instructions are decoded once per (physical
       frame, offset, mode, paging) key and replayed from the cache,
-      skipping the per-instruction translate/fetch/decode work.  It is
-      the {!default}.
+      skipping the per-instruction translate/fetch/decode work.  A
+      dispatch that leaves the current block finds the next one with
+      one cache lookup; hot multi-block paths run as superblock traces
+      ({!Trace_ir}).  It is the {!default}.
 
     {b Equivalence contract.}  Every engine must be observationally
     identical to {!interp}: same architectural state after every stop,

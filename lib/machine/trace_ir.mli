@@ -1,7 +1,7 @@
 (** Superblock trace IR: the compiled form of a hot multi-block path.
 
-    The block engine's next tier above chaining ({!Trans_cache}):
-    instead of dispatching block→block through the cache, a hot chain of
+    The block engine's next tier above block dispatch ({!Trans_cache}):
+    instead of dispatching block→block through the cache, a hot path of
     decoded blocks is lowered once into a small linear IR and then
     executed op after op with {e no} per-instruction dispatch overhead.
     The lowering bakes in everything that is static along the trace:

@@ -8,20 +8,14 @@ type block = {
   start_off : int;
   mutable valid : bool;
   mutable stamp : int;
-  mutable succ_fall : block option;
-  mutable succ_taken : block option;
-  mutable preds : (block * bool) list;
-      (* incoming chain edges: [(p, taken)] means [p]'s fall-through
-         (false) or taken (true) successor slot points at this block, so
-         invalidating this block can sever every such edge *)
   mutable heat : int;
       (* dispatches since the last promotion attempt; the trace tier's
-         hotness signal (covers in-block loops that never cross a chain
-         edge) *)
+         hotness signal (covers in-block loops that never leave the
+         block) *)
   mutable hot_fall : int;
   mutable hot_taken : int;
-      (* per-direction chain-follow counts, guiding which way the
-         promotion walker extends through a branch junction *)
+      (* per-direction exit counts of the terminator, guiding which way
+         the promotion walker extends through a branch junction *)
   mutable trace_at : trace option;
       (* the superblock trace headed by this block, if promoted *)
   mutable in_traces : trace list;
@@ -48,8 +42,8 @@ let key ~ppn ~off ~user ~paging =
 let key_ppn k = k lsr 14
 
 (* Everything but the offset bits: frame, user and paging — the parts of
-   the key that must agree between two blocks for a chain edge, or
-   between a block and the current dispatch, to be meaningful. *)
+   the key that must agree between a block and the current dispatch for
+   the block to serve it. *)
 let regime_mask = lnot (0xFFF lsl 2)
 let same_regime_key b k = (b.key lxor k) land regime_mask = 0
 
@@ -74,9 +68,6 @@ type t = {
   mutable misses : int;
   mutable invalidations : int;
   mutable evictions : int;
-  mutable chains_patched : int;
-  mutable chain_follows : int;
-  mutable chains_severed : int;
   mutable traces_built : int;
   mutable trace_follows : int;
   mutable traces_severed : int;
@@ -94,9 +85,6 @@ let create ?(capacity = 1024) () =
     misses = 0;
     invalidations = 0;
     evictions = 0;
-    chains_patched = 0;
-    chain_follows = 0;
-    chains_severed = 0;
     traces_built = 0;
     trace_follows = 0;
     traces_severed = 0;
@@ -113,17 +101,6 @@ let find t k =
   | _ ->
       t.misses <- t.misses + 1;
       None
-
-(* ---- chain edges ----
-
-   [succ_fall]/[succ_taken] are patched by the engine on first dispatch
-   of the successor and let hot block→block transfers skip the hashtable.
-   An edge is only a prediction: following one re-checks validity, key
-   regime and span containment, so a stale or wrong edge can cost a
-   repatch but never wrong execution.  Severing on every unlink keeps
-   evicted/invalidated blocks unreachable through any predecessor. *)
-
-let slot_of b ~taken = if taken then b.succ_taken else b.succ_fall
 
 (* ---- trace severing ----
 
@@ -156,66 +133,12 @@ let sever_traces t b =
         traces;
       b.in_traces <- []
 
-let sever_incoming t b =
-  List.iter
-    (fun (p, taken) ->
-      match slot_of p ~taken with
-      | Some s when s == b ->
-          if taken then p.succ_taken <- None else p.succ_fall <- None;
-          t.chains_severed <- t.chains_severed + 1
-      | _ -> ())
-    b.preds;
-  b.preds <- []
-
-let drop_outgoing b =
-  let drop taken slot =
-    match slot with
-    | Some s ->
-        s.preds <- List.filter (fun (p, tk) -> not (p == b && tk = taken)) s.preds
-    | None -> ()
-  in
-  drop false b.succ_fall;
-  drop true b.succ_taken;
-  b.succ_fall <- None;
-  b.succ_taken <- None
-
-let set_succ t ~from ~taken ~target =
-  if
-    from.valid && target.valid
-    && same_regime_key from target.key
-    && not (match slot_of from ~taken with Some s -> s == target | None -> false)
-  then begin
-    (match slot_of from ~taken with
-    | Some old ->
-        old.preds <- List.filter (fun (p, tk) -> not (p == from && tk = taken)) old.preds
-    | None -> ());
-    if taken then from.succ_taken <- Some target else from.succ_fall <- Some target;
-    if not (List.exists (fun (p, tk) -> p == from && tk = taken) target.preds) then
-      target.preds <- (from, taken) :: target.preds;
-    t.chains_patched <- t.chains_patched + 1
-  end
-
-let follow t ~from ~taken ~key:k ~off =
-  match slot_of from ~taken with
-  | Some b
-    when b.valid && same_regime_key b k && off >= b.start_off
-         && off < b.start_off + (Arch.instr_bytes * Array.length b.insns) ->
-      t.tick <- t.tick + 1;
-      b.stamp <- t.tick;
-      t.chain_follows <- t.chain_follows + 1;
-      if taken then from.hot_taken <- from.hot_taken + 1
-      else from.hot_fall <- from.hot_fall + 1;
-      Some b
-  | _ -> None
-
 let unlink t k =
   match Hashtbl.find_opt t.table k with
   | None -> ()
   | Some b ->
       b.valid <- false;
       sever_traces t b;
-      sever_incoming t b;
-      drop_outgoing b;
       Hashtbl.remove t.table k;
       let ppn = key_ppn k in
       (match Hashtbl.find_opt t.by_frame ppn with
@@ -248,9 +171,6 @@ let insert t ~key:k ~ppn ~insns ~start_off =
       start_off;
       valid = true;
       stamp = t.tick;
-      succ_fall = None;
-      succ_taken = None;
-      preds = [];
       heat = 0;
       hot_fall = 0;
       hot_taken = 0;
@@ -312,11 +232,6 @@ let flush t =
   Hashtbl.iter
     (fun _ b ->
       b.valid <- false;
-      if b.succ_fall <> None then t.chains_severed <- t.chains_severed + 1;
-      if b.succ_taken <> None then t.chains_severed <- t.chains_severed + 1;
-      b.succ_fall <- None;
-      b.succ_taken <- None;
-      b.preds <- [];
       (* count each live trace once, via its head *)
       (match b.trace_at with
       | Some tr when !(tr.t_prog.Trace_ir.live) ->
@@ -333,8 +248,8 @@ let flush t =
 
    The walker turns a hot head block into a predicted execution path:
    starting from the head, it repeatedly steps through the terminator's
-   most likely continuation — the chain direction with the higher
-   follow count, the static jal target — collecting whole blocks as
+   most likely continuation — the branch direction the block's own
+   exits took more often, the static jal target — collecting whole blocks as
    segments, and stops at a dynamic jump (jalr), a slow instruction
    (the trace then ends in a static exit), an unknown or unterminated
    successor, a block already in the trace (the builder wires the back
@@ -355,27 +270,16 @@ let block_terminated b =
   len > 0 && Block.is_terminator b.insns.(len - 1)
 
 (* The block (if any) to continue the trace through for a control
-   transfer landing at page offset [tgt_off]: an exact-start table entry
-   first, else the chained successor when its span contains the target.
-   Must be valid and terminated, and must not restart a block already
-   collected (loops stay inside the trace). *)
-let successor_for t b ~taken ~tgt_off ~collected =
+   transfer landing at page offset [tgt_off]: the table entry starting
+   exactly there.  Must be valid and terminated, and must not restart a
+   block already collected (loops stay inside the trace). *)
+let successor_for t b ~tgt_off ~collected =
   if tgt_off < 0 || tgt_off >= Arch.page_size || tgt_off land (Arch.instr_bytes - 1) <> 0
   then None
   else
-    let candidate =
-      match Hashtbl.find_opt t.table (key_at b tgt_off) with
-      | Some s when s.valid -> Some s
-      | _ -> (
-          match slot_of b ~taken with
-          | Some s
-            when s.valid && tgt_off >= s.start_off
-                 && tgt_off < s.start_off + (Arch.instr_bytes * Array.length s.insns) ->
-              Some s
-          | _ -> None)
-    in
-    match candidate with
-    | Some s when block_terminated s && not (List.exists (fun x -> x == s) collected) ->
+    match Hashtbl.find_opt t.table (key_at b tgt_off) with
+    | Some s
+      when s.valid && block_terminated s && not (List.exists (fun x -> x == s) collected) ->
         Some s
     | _ -> None
 
@@ -388,8 +292,8 @@ let try_promote t ~head ~cost =
       let term = b.insns.(len - 1) in
       let term_off = b.start_off + ((len - 1) * ib) in
       let accept () = List.rev rev_blocks in
-      let extend ~taken ~tgt_off =
-        match successor_for t b ~taken ~tgt_off ~collected:rev_blocks with
+      let extend ~tgt_off =
+        match successor_for t b ~tgt_off ~collected:rev_blocks with
         | Some s
           when List.length rev_blocks < max_trace_segments
                && nops + Array.length s.insns <= max_trace_ops ->
@@ -399,7 +303,7 @@ let try_promote t ~head ~cost =
       match term with
       | Instr.Jal (_, delta) ->
           let delta = Int64.to_int delta in
-          extend ~taken:(delta <> ib) ~tgt_off:(term_off + delta)
+          extend ~tgt_off:(term_off + delta)
       | Instr.Branch (_, _, _, delta) ->
           let t_off = term_off + Int64.to_int delta and f_off = term_off + ib in
           (* follow the observed-hotter direction; cold branches guess
@@ -408,8 +312,7 @@ let try_promote t ~head ~cost =
             if b.hot_taken <> b.hot_fall then b.hot_taken > b.hot_fall
             else t_off <= term_off
           in
-          if prefer_taken then extend ~taken:true ~tgt_off:t_off
-          else extend ~taken:false ~tgt_off:f_off
+          extend ~tgt_off:(if prefer_taken then t_off else f_off)
       | _ ->
           (* jalr (dynamic) or a slow instruction (static exit) *)
           accept ()
@@ -445,9 +348,6 @@ let hits t = t.hits
 let misses t = t.misses
 let invalidations t = t.invalidations
 let evictions t = t.evictions
-let chains_patched t = t.chains_patched
-let chain_follows t = t.chain_follows
-let chains_severed t = t.chains_severed
 let traces_built t = t.traces_built
 let trace_follows t = t.trace_follows
 let traces_severed t = t.traces_severed

@@ -16,6 +16,9 @@
     because they make the key a faithful summary of everything fetch
     depends on besides the bytes.
 
+    The engine resolves every dispatch that leaves its current block
+    with one {!find}; blocks hold no links to each other, so nothing
+    but the table (and the traces built over it) can reach a block.
     Eviction is LRU over a bounded number of blocks.  Invalidation marks
     entries dead in place (so an engine holding a direct reference to a
     block observes the invalidation mid-block) and unlinks them. *)
@@ -31,19 +34,14 @@ type block = {
   mutable valid : bool;
       (** cleared by invalidation; engines must re-fetch when false *)
   mutable stamp : int;  (** LRU clock *)
-  mutable succ_fall : block option;
-      (** chained fall-through successor (QEMU-TCG-style); a prediction
-          only — {!follow} re-validates before use *)
-  mutable succ_taken : block option;  (** chained taken/jump successor *)
-  mutable preds : (block * bool) list;
-      (** incoming chain edges [(pred, taken)], kept so invalidation can
-          sever every edge pointing here *)
   mutable heat : int;
       (** dispatch count since the last promotion attempt; the engine
           bumps it and calls {!try_promote} when it crosses
           {!promote_threshold} *)
-  mutable hot_fall : int;  (** fall-through chain follows (see {!follow}) *)
-  mutable hot_taken : int;  (** taken-edge chain follows *)
+  mutable hot_fall : int;
+      (** retired exits through the terminator that fell through; the
+          engine bumps it at each block end *)
+  mutable hot_taken : int;  (** retired exits that took the terminator *)
   mutable trace_at : trace option;
       (** the superblock trace headed by this block, if one is
           installed; dispatch checks it right after block resolution *)
@@ -83,19 +81,6 @@ val insert : t -> key:key -> ppn:int64 -> insns:Instr.t array -> start_off:int -
 (** Caches a freshly decoded block, evicting the LRU entry when at
     capacity.  Returns the interned block. *)
 
-val set_succ : t -> from:block -> taken:bool -> target:block -> unit
-(** Patch a chain edge: [from]'s fall-through ([taken = false]) or taken
-    ([taken = true]) successor slot now points at [target].  Ignored
-    unless both blocks are valid and share frame/mode/paging regime.
-    Re-patching an edge replaces it (and fixes up [preds]). *)
-
-val follow : t -> from:block -> taken:bool -> key:key -> off:int -> block option
-(** Chase a chain edge instead of a hashtable {!find}: returns the
-    successor only if it is valid, its regime matches [key] and its span
-    contains byte offset [off].  Bumps the LRU stamp and the
-    chain-follow counter on success; on [None] the caller falls back to
-    {!find} and should re-patch via {!set_succ}. *)
-
 val invalidate_range : t -> ppn:int64 -> lo:int -> hi:int -> unit
 (** Drop (and mark dead) every block of frame [ppn] whose decoded span
     overlaps the byte range [\[lo, hi)] — called when exactly those
@@ -120,7 +105,8 @@ val promote_threshold : int
 
 val try_promote : t -> head:block -> cost:Cost_model.t -> bool
 (** Promote the hot path headed at [head] into a trace: walk the
-    predicted continuation (hotter chain direction, static jal targets)
+    predicted continuation (the more often taken branch direction by
+    [hot_taken]/[hot_fall], static jal targets)
     up to the size caps, lower it via {!Trace_ir.build}, and install the
     result on [head.trace_at] (registering every constituent's
     [in_traces] and refreshing their LRU stamps).  Returns [false] when
@@ -146,16 +132,6 @@ val invalidations : t -> int
 (** Blocks dropped by {!invalidate_range}/{!invalidate_frame}. *)
 
 val evictions : t -> int
-
-val chains_patched : t -> int
-(** Chain edges installed or replaced via {!set_succ}. *)
-
-val chain_follows : t -> int
-(** Dispatches served by chasing a chain edge (no hashtable lookup). *)
-
-val chains_severed : t -> int
-(** Chain edges cleared because their target (or, on {!flush},
-    everything) was invalidated or evicted. *)
 
 val traces_built : t -> int
 (** Superblock traces compiled by {!try_promote}. *)

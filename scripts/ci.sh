@@ -133,15 +133,14 @@ echo "== engine throughput gate (cpu-spin: block >= 60 MIPS, interp >= 70% of co
 # it without anything getting slower.  The committed BENCH_engine.json
 # is restored afterwards so the gate never dirties the tree with
 # machine-local wall-clock numbers.  Each row's sim_cycles is simulated
-# and deterministic, and so are its chain_follows and trace_follows
-# (engine-local, but the same on every run of one build), so all three
-# must match the committed row: a change that moves them regenerates
-# BENCH_engine.json.
+# and deterministic, and so is its trace_follows (engine-local, but the
+# same on every run of one build), so both must match the committed
+# row: a change that moves them regenerates BENCH_engine.json.
 cp BENCH_engine.json "$tmp/BENCH_engine.ref.json"
 dune exec bench/main.exe -- --only ENGINE >"$tmp/engine_bench.txt"
 engine_sim() {
-  grep -o '"name": "[^"]*"\|"chain_follows": [0-9]*\|"trace_follows": [0-9]*\|"sim_cycles": [0-9]*' \
-    "$1" | paste -d' ' - - - -
+  grep -o '"name": "[^"]*"\|"trace_follows": [0-9]*\|"sim_cycles": [0-9]*' \
+    "$1" | paste -d' ' - - -
 }
 engine_sim BENCH_engine.json >"$tmp/engine_sim.txt"
 engine_sim "$tmp/BENCH_engine.ref.json" >"$tmp/engine_sim.ref.txt"
@@ -158,7 +157,7 @@ cp "$tmp/BENCH_engine.ref.json" BENCH_engine.json
 [ -s "$tmp/engine_sim.ref.txt" ] || {
   echo "FAIL: committed BENCH_engine.json has no sim_cycles rows"; exit 1; }
 diff "$tmp/engine_sim.ref.txt" "$tmp/engine_sim.txt" || {
-  echo "FAIL: ENGINE sim_cycles or chain/trace follows diverged from the committed" \
+  echo "FAIL: ENGINE sim_cycles or trace follows diverged from the committed" \
     "BENCH_engine.json"; exit 1; }
 [ -n "$imips_ref" ] || { echo "FAIL: committed BENCH_engine.json has no interp_mips"; exit 1; }
 awk -v m="$mips" 'BEGIN { exit !(m + 0 >= 60.0) }' || {

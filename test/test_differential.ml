@@ -241,7 +241,7 @@ let engine_lockstep () =
    threshold).  The full lockstep oracle must hold with traces running
    most of the guest's instructions, and each block run must really
    have built and followed traces — otherwise this test would silently
-   degrade into re-testing plain chaining. *)
+   degrade into re-testing plain block dispatch. *)
 let engine_trace_workloads () =
   let setups =
     [
@@ -452,19 +452,16 @@ let native_cache_hits () =
   match pb.Platform.engine.Engine.cache with
   | None -> Alcotest.fail "block engine has no cache"
   | Some c ->
-      (* chained dispatches bypass the hashtable entirely, so count them
-         alongside plain hits: both are cached (no redecode) dispatches *)
-      let cached = Trans_cache.hits c + Trans_cache.chain_follows c in
+      let hits = Trans_cache.hits c in
       Alcotest.(check bool) "mostly hits" true
-        (cached > 100 && cached > 10 * Trans_cache.misses c);
-      Alcotest.(check bool) "chains followed" true (Trans_cache.chain_follows c > 0)
+        (hits > 100 && hits > 10 * Trans_cache.misses c)
 
-(* SMC into an established chain: a two-block loop runs hot (its edges
-   get patched and followed), then one store rewrites an instruction in
-   the middle block and the loop runs again.  Unlinking the patched
-   block must sever the chain edges through it, and the re-run must
-   execute the new bytes — r2's final value proves which bytes ran. *)
-let native_chain_smc () =
+(* SMC into a hot two-block loop: the loop runs hot (every block exit
+   resolves through the cache), then one store rewrites an instruction
+   in the second block and the loop runs again.  Invalidation must drop
+   the patched block, and the re-run must execute the new bytes — r2's
+   final value proves which bytes ran. *)
+let native_hot_loop_smc () =
   let patched = Instr.Alui (Instr.Add, 2, 2, 2L) in
   let prog =
     Asm.assemble ~origin:0L
@@ -500,7 +497,7 @@ let native_chain_smc () =
     Platform.boot p ~entry:0L;
     (match Platform.run p with
     | Platform.Halted -> ()
-    | _ -> Alcotest.fail "chain SMC did not halt");
+    | _ -> Alcotest.fail "hot loop SMC did not halt");
     (Platform.console_output p, Platform.cycles p, Platform.instructions_retired p, p)
   in
   let out_i, cyc_i, ret_i, _ = run Engine.Interp in
@@ -511,10 +508,7 @@ let native_chain_smc () =
   Alcotest.(check int64) "instret" ret_i ret_b;
   match pb.Platform.engine.Engine.cache with
   | None -> Alcotest.fail "block engine has no cache"
-  | Some c ->
-      Alcotest.(check bool) "chains patched" true (Trans_cache.chains_patched c > 0);
-      Alcotest.(check bool) "chains followed" true (Trans_cache.chain_follows c > 0);
-      Alcotest.(check bool) "chains severed" true (Trans_cache.chains_severed c > 0)
+  | Some c -> Alcotest.(check bool) "SMC invalidated" true (Trans_cache.invalidations c > 0)
 
 (* SMC into the interior of a formed superblock trace: a three-block
    loop runs hot enough (40 passes, threshold 16) for the trace tier to
@@ -566,6 +560,66 @@ let vm_trace_smc () =
             (Trans_cache.trace_follows c > 0);
           Alcotest.(check bool) (pname ^ " trace severed by interior SMC") true
             (Trans_cache.traces_severed c > 0))
+    [ ("nested", Vm.Nested_paging); ("shadow", Vm.Shadow_paging) ]
+
+(* Trace promotion through a forward conditional branch taken on seven
+   passes in eight.  The taken side ends in a jalr, so no trace carries
+   on from it back into the loop: the trace through the branch keeps
+   one side inside, and a pass down the other side leaves the trace and
+   dispatches its two blocks through the cache.  Left to the static
+   guess (a forward branch falls through), the walker would keep the
+   rare fall-through inside and leave on seven passes in eight; the
+   block's own exit counts ([hot_taken] > [hot_fall]) must steer it
+   along the taken edge, so only the rare passes leave.  The counter of
+   trace side exits counts guard exits only (micro-TLB miss,
+   misalignment, severing), not a branch that leaves the trace, so the
+   test counts cache lookups, the dispatches outside traces.  Boot and
+   the guest kernel make the same lookups whatever the loop count, so
+   it counts what 400 more passes add. *)
+let promote_hotter_direction () =
+  let user passes =
+    Asm.assemble ~origin:Abi.user_base
+      [
+        label "u_entry";
+        li r2 0L;
+        li r3 (Int64.of_int passes);
+        li r5 0L;
+        la r7 "join";
+        label "loop";
+        addi r5 r5 1L;
+        andi r6 r5 7L;
+        bne r6 r0 "hot";
+        addi r2 r2 1L;
+        jmp "join";
+        label "hot";
+        addi r4 r4 1L;
+        jalr r0 r7 0L;
+        label "join";
+        addi r3 r3 (-1L);
+        bne r3 r0 "loop";
+        li r1 Abi.sys_exit;
+        ecall;
+      ]
+  in
+  List.iter
+    (fun (pname, paging) ->
+      let lookups passes =
+        let setup = Images.plan ~user:(user passes) () in
+        let obs_i = run_observed ~engine:Engine.Interp ~paging setup in
+        let obs_b, vm = run_observed_vm ~engine:Engine.Block ~paging setup in
+        Alcotest.(check string) (Printf.sprintf "%s %d passes" pname passes) obs_i obs_b;
+        match vm.Vm.engine.Engine.cache with
+        | None -> Alcotest.fail "block engine has no cache"
+        | Some c ->
+            Alcotest.(check bool) (pname ^ " trace followed") true
+              (Trans_cache.trace_follows c > 0);
+            Trans_cache.hits c + Trans_cache.misses c
+      in
+      (* the 50 rare passes leave the trace: about 100 lookups; a trace
+         along the rare side would make about 700 *)
+      let left = lookups 440 - lookups 40 in
+      if left > 200 then
+        Alcotest.failf "%s: %d dispatches outside traces in 400 passes" pname left)
     [ ("nested", Vm.Nested_paging); ("shadow", Vm.Shadow_paging) ]
 
 (* The write watch under SMC: the routine's frame is first written as
@@ -793,14 +847,14 @@ let engine_smc_prop =
       && run_observed ~engine:Engine.Interp ~paging:Vm.Shadow_paging setup
          = run_observed ~engine:Engine.Block ~paging:Vm.Shadow_paging setup)
 
-(* Random block graphs under chained execution: the program loops four
-   times over code spread across two pages (a nop sled keeps them on
-   distinct frames), with random conditional splits carving each page
-   into several chained blocks.  Patch ops overwrite a nop slab either
-   in their own page or in the other one — SMC stores landing in both
-   the predecessor and the successor pages of live chain edges, every
-   pass, after the chains are hot.  The digest only matches the
-   interpreter if severing keeps stale chained successors unreachable. *)
+(* Random block graphs: the program loops four times over code spread
+   across two pages (a nop sled keeps them on distinct frames), with
+   random conditional splits carving each page into several blocks.
+   Patch ops overwrite a nop slab either in their own page or in the
+   other one — SMC stores landing in both the predecessor and the
+   successor pages of hot block-to-block transfers, every pass, after
+   the loop is hot.  The digest only matches the interpreter if
+   invalidation keeps stale successors unreachable. *)
 type chain_op =
   | C_plain of op
   | C_patch of bool * int * int * int64  (* into other page?, slot, rd, imm *)
@@ -1084,7 +1138,9 @@ let () =
           Alcotest.test_case "SMC re-watches a data-only frame" `Quick native_smc_watch;
           Alcotest.test_case "allocation per instruction" `Quick alloc_budget;
           Alcotest.test_case "native cache hit path" `Quick native_cache_hits;
-          Alcotest.test_case "chain severed by SMC" `Quick native_chain_smc;
+          Alcotest.test_case "SMC into a hot two-block loop" `Quick native_hot_loop_smc;
+          Alcotest.test_case "promotion follows the hotter branch direction" `Quick
+            promote_hotter_direction;
           Alcotest.test_case "trace severed by interior SMC" `Quick vm_trace_smc;
           Alcotest.test_case "coherence hook lifecycle" `Quick hook_lifecycle;
           Alcotest.test_case "fabric fleet: interp = default engine" `Quick

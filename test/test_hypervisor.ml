@@ -444,6 +444,99 @@ let test_cycle_accounting_consistent () =
             ((hyp.Hypervisor.sched_decisions + 1)
             * (Hypervisor.host hyp).Host.cost.Velum_machine.Cost_model.ctx_switch))
 
+(* The exit ledger covers every VMM cycle exactly once: the per-kind
+   exit cycles plus the interrupt injections add up to the VM's VMM
+   cycles.  Binary translation charges a site's one-off translation as
+   an exit of its own kind, so it must not also land in the kind of the
+   exit that triggered it. *)
+let test_exit_ledger_sums_to_vmm () =
+  let open Velum_guests in
+  let configs =
+    [
+      ("trap nested", Vm.Nested_paging, Vm.Trap_emulate, false);
+      ("trap shadow", Vm.Shadow_paging, Vm.Trap_emulate, false);
+      ("bt nested", Vm.Nested_paging, Vm.Binary_translation, false);
+      ("bt shadow", Vm.Shadow_paging, Vm.Binary_translation, false);
+      ("pv bt", Vm.Nested_paging, Vm.Binary_translation, true);
+      ("pv shadow", Vm.Shadow_paging, Vm.Trap_emulate, true);
+    ]
+  in
+  let workloads =
+    [
+      ("syscalls", Workloads.syscall_loop ~count:48L, 0);
+      ("pt-churn", Workloads.pt_churn ~batch:16 ~count:24 (), 0);
+      ("blk", Workloads.blk_read ~sector:0 ~count:4 ~reps:8, 8);
+    ]
+  in
+  List.iter
+    (fun (wname, user, heap) ->
+      List.iter
+        (fun (cname, paging, exec_mode, pv) ->
+          let setup = Images.plan ~pv_console:pv ~pv_pt:pv ~heap_pages:heap ~user () in
+          List.iter
+            (fun engine ->
+              let hyp, vm =
+                Images.boot ~name:"ledger" ~paging
+                  ~pv:(if pv then Vm.full_pv else Vm.no_pv)
+                  ~exec_mode ~engine setup
+              in
+              checkb "halted" true (Hypervisor.run hyp = Hypervisor.All_halted);
+              let m = vm.Vm.monitor in
+              let exits =
+                List.fold_left
+                  (fun acc k -> Int64.add acc (Monitor.cycles m k))
+                  0L Monitor.all_exit_kinds
+              in
+              let irqs =
+                Monitor.irq_injections m
+                * (Hypervisor.host hyp).Host.cost.Velum_machine.Cost_model.irq_inject
+              in
+              Alcotest.(check int64)
+                (Printf.sprintf "%s, %s, %s" wname cname
+                   (Velum_machine.Engine.kind_name engine))
+                (Vm.vmm_cycles vm)
+                (Int64.add exits (Int64.of_int irqs)))
+            [ Velum_machine.Engine.Interp; Velum_machine.Engine.Block ])
+        configs)
+    workloads
+
+(* A store to a guest page that cannot be brought back in (swapped out,
+   host out of frames) reaches the guest as a store access fault, the
+   cause its access kind gives, not as a load fault. *)
+let test_unresolvable_store_faults_as_store () =
+  let hyp = make_hyp ~frames:256 () in
+  let host = Hypervisor.host hyp in
+  let gfn = 8L in
+  let vm =
+    unikernel hyp "full"
+      [
+        la r1 "handler";
+        csrw Arch.Stvec r1;
+        li r2 (Int64.shift_left gfn Arch.page_shift);
+        li r3 7L;
+        sd r3 r2 0L;
+        halt;
+        label "handler";
+        halt;
+      ]
+  in
+  (match P2m.get vm.Vm.p2m gfn with
+  | P2m.Present { hpa_ppn; _ } ->
+      let slot = Host.swap_out host ~ppn:hpa_ppn in
+      ignore (Frame_alloc.decr_ref host.Host.alloc hpa_ppn);
+      P2m.set vm.Vm.p2m gfn (P2m.Swapped { slot });
+      Vm.flush_all_tlbs vm
+  | _ -> Alcotest.fail "page 8 must be present");
+  while Frame_alloc.alloc host.Host.alloc <> None do () done;
+  checkb "halted" true (Hypervisor.run hyp ~budget:1_000_000L = Hypervisor.All_halted);
+  let s = vm.Vm.vcpus.(0).Vcpu.state in
+  Alcotest.(check string) "cause"
+    (Arch.cause_name Arch.Store_access_fault)
+    (match Arch.cause_of_code (Velum_machine.Cpu.get_csr s Arch.Scause) with
+    | Some c -> Arch.cause_name c
+    | None -> "none");
+  checki "one reflected trap" 1 (Monitor.count vm.Vm.monitor Monitor.E_guest_trap)
+
 (* ---------------- progress watchdog ---------------- *)
 
 (* A VM whose vCPU is blocked (not halted) retires nothing: the watchdog
@@ -509,6 +602,8 @@ let () =
           Alcotest.test_case "guest-driven balloon" `Quick test_guest_driven_balloon;
           Alcotest.test_case "console write rejects huge length" `Quick
             test_console_write_huge_length;
+          Alcotest.test_case "unresolvable store faults as a store" `Quick
+            test_unresolvable_store_faults_as_store;
         ] );
       ( "smp",
         [
@@ -533,5 +628,9 @@ let () =
           Alcotest.test_case "empty host" `Quick test_empty_host_runs_nothing;
         ] );
       ( "accounting",
-        [ Alcotest.test_case "cycles add up" `Quick test_cycle_accounting_consistent ] );
+        [
+          Alcotest.test_case "cycles add up" `Quick test_cycle_accounting_consistent;
+          Alcotest.test_case "exit ledger sums to vmm cycles" `Quick
+            test_exit_ledger_sums_to_vmm;
+        ] );
     ]
