@@ -2212,6 +2212,33 @@ let e23 () =
    per-instruction fetch translation and decode.  Results also land in
    BENCH_engine.json for the CI trendline. *)
 
+(* A fixed host workload, timed beside each engine run so that a
+   throughput gate can divide out how fast the host ran at that moment:
+   pseudo-random reads and writes over an 8 MiB table, boxed [Int64]
+   arithmetic, short-lived allocation and data-dependent branches, the
+   reference interpreter's own mix, but none of its code, so a slower
+   interpreter does not slow the probe.  In two sets of ten processes
+   of one build, the best of six cpu-spin interpreter runs spread by a
+   factor of 1.69 and 1.48 (slowest over fastest); divided by the best
+   of six probe runs, by 1.12 and 1.15 with this table, 1.06 and 1.38
+   with a 4 KiB one, 1.50 and 1.65 with 2 MiB.  Returns CPU seconds. *)
+let probe_table = lazy (Bytes.make (8 lsl 20) '\001')
+
+let host_probe () =
+  let table = Lazy.force probe_table in
+  let t0 = Sys.time () in
+  let mask = Bytes.length table - 8 in
+  let acc = ref 0L and live = ref [] and idx = ref 0 in
+  for i = 1 to 1_000_000 do
+    idx := ((!idx * 1103515245) + 12345 + i) land mask land lnot 7;
+    let x = Sys.opaque_identity (Int64.add (Bytes.get_int64_le table !idx) (Int64.of_int i)) in
+    Bytes.set_int64_le table ((!idx + 4096) land mask) x;
+    acc := Int64.add !acc (if Int64.logand x 0x10L = 0L then x else Int64.neg x);
+    live := if i land 7 = 0 then [] else x :: !live
+  done;
+  ignore (Sys.opaque_identity (!acc, !live));
+  Sys.time () -. t0
+
 let engine_bench () =
   if section "ENGINE" "Execution engines: interp vs block (equal simulated cycles)" then begin
     let cases =
@@ -2233,13 +2260,20 @@ let engine_bench () =
             () );
       ]
     in
+    (* Each repetition starts from a compacted heap (without it, later
+       repetitions ran slower than the first, on the heap earlier runs
+       left) and times the host probe right before the run; the best
+       of each is kept. *)
     let time_engine ~engine setup =
       let reps = if !quick then 1 else 3 in
       let best = ref infinity in
+      let probe = ref infinity in
       let cycles = ref 0L in
       let instret = ref 0L in
       let traces = ref 0 in
       for _ = 1 to reps do
+        Gc.compact ();
+        probe := Float.min !probe (host_probe ());
         let t0 = Sys.time () in
         let vm, total = run_vm ~engine setup in
         let dt = Sys.time () -. t0 in
@@ -2254,20 +2288,21 @@ let engine_bench () =
           | None -> 0);
         if dt < !best then best := dt
       done;
-      (!best, !cycles, !instret, !traces)
+      (!best, !probe, !cycles, !instret, !traces)
     in
     let t =
       Tablefmt.create
         [ ("workload", Tablefmt.Left); ("interp s", Tablefmt.Right);
           ("block s", Tablefmt.Right); ("speedup", Tablefmt.Right);
           ("interp MIPS", Tablefmt.Right); ("block MIPS", Tablefmt.Right);
+          ("probe s", Tablefmt.Right); ("interp/probe", Tablefmt.Right);
           ("traces", Tablefmt.Right); ("sim cycles", Tablefmt.Right) ]
     in
     let results =
       List.map
         (fun (name, setup) ->
-          let si, ci, ri, _ = time_engine ~engine:Velum_machine.Engine.Interp setup in
-          let sb, cb, rb, traces = time_engine ~engine:Velum_machine.Engine.Block setup in
+          let si, probe, ci, ri, _ = time_engine ~engine:Velum_machine.Engine.Interp setup in
+          let sb, _, cb, rb, traces = time_engine ~engine:Velum_machine.Engine.Block setup in
           if ci <> cb then
             failwith
               (Printf.sprintf
@@ -2282,12 +2317,17 @@ let engine_bench () =
           (* guest instructions retired per host wall-clock second *)
           let mips = Int64.to_float rb /. sb /. 1e6 in
           let interp_mips = Int64.to_float ri /. si /. 1e6 in
+          (* millions of instructions the interpreter retires in the
+             time of one probe run: its throughput with the host's
+             speed of the moment divided out *)
+          let interp_probe = interp_mips *. probe in
           Tablefmt.add_row t
             [ name; Tablefmt.cell_f ~decimals:3 si; Tablefmt.cell_f ~decimals:3 sb;
               Tablefmt.cell_f ~decimals:2 speedup; Tablefmt.cell_f ~decimals:1 interp_mips;
-              Tablefmt.cell_f ~decimals:1 mips; string_of_int traces;
+              Tablefmt.cell_f ~decimals:1 mips; Tablefmt.cell_f ~decimals:4 probe;
+              Tablefmt.cell_f ~decimals:3 interp_probe; string_of_int traces;
               Int64.to_string ci ];
-          (name, si, sb, speedup, interp_mips, mips, traces, ci))
+          (name, si, sb, speedup, interp_mips, mips, probe, interp_probe, traces, ci))
         cases
     in
     Tablefmt.print t;
@@ -2295,18 +2335,21 @@ let engine_bench () =
     write_json "BENCH_engine.json"
       ~header:(Printf.sprintf "  \"cores\": %d,\n" (Domain.recommended_domain_count ()))
       (List.map
-         (fun (name, si, sb, speedup, interp_mips, mips, traces, cycles) ->
+         (fun (name, si, sb, speedup, interp_mips, mips, probe, interp_probe, traces, cycles) ->
            Printf.sprintf
              "    {\"name\": \"engine/%s\", \"interp_s\": %.6f, \"block_s\": %.6f, \
               \"speedup\": %.3f, \"interp_mips\": %.2f, \"block_mips\": %.2f, \
+              \"probe_s\": %.6f, \"interp_probe\": %.4f, \
               \"trace_follows\": %d, \"sim_cycles\": %Ld}"
-             name si sb speedup interp_mips mips traces cycles)
+             name si sb speedup interp_mips mips probe interp_probe traces cycles)
          results);
     Printf.printf
       "\nSimulated cycles and retired instructions are identical by construction\n\
-       (asserted above); the speedup is pure host wall clock.  'traces' counts\n\
-       dispatches absorbed by compiled superblock traces.  Written to\n\
-       BENCH_engine.json.\n"
+       (asserted above); the speedup is pure host wall clock.  'probe s' is\n\
+       the best CPU time of a fixed host workload run right before each\n\
+       interpreter repetition, 'interp/probe' the interpreter's MIPS times\n\
+       it (host speed divided out).  'traces' counts dispatches absorbed by\n\
+       compiled superblock traces.  Written to BENCH_engine.json.\n"
   end
 
 (* ------------------------------------------------------------------ *)

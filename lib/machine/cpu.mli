@@ -229,6 +229,12 @@ val trap_or_exit : state -> ctx -> Arch.cause -> int64 -> int -> step
     natively via {!deliver_trap} (folded into [Retired], adding
     [trap_enter]); deprivileged as a [X_trap] exit. *)
 
+val data_fault : state -> ctx -> Arch.access -> int64 -> int -> step
+(** [data_fault s ctx access va code] — the outcome of a load or store
+    at [va] whose translation failed with the fault code [code]: a page
+    fault exit (deprivileged) or a delivered page or access fault,
+    costing [base_instr]. *)
+
 val exec_insn : state -> ctx -> Instr.t -> step
 (** Execute one already-decoded instruction at the current PC.  Does
     {e not} bump [instret] (the driver loop owns that) and charges no

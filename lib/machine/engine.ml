@@ -338,10 +338,13 @@ let block_step cache hook states s ctx ~fuel =
                      and loop back-edges.  No further guards are needed
                      at entry — the fetch translation above certifies
                      exactly the facts the trace's eliminated interior
-                     guards rely on (see {!Trace_ir}).  A [Bail] means zero
-                     progress was made; fall through to the plain block
-                     path in the same dispatch so progress is always
-                     guaranteed. *)
+                     guards rely on (see {!Trace_ir}).  The trace gets
+                     the unwrapped ctx, whose translator it calls on a
+                     micro-TLB miss, and the code frame, which a fetch
+                     must still hit after such a translation.  A [Bail]
+                     means zero progress was made; fall through to the
+                     plain block path in the same dispatch so progress
+                     is always guaranteed. *)
                   let ran_trace =
                     deprivileged
                     && (match b.Trans_cache.trace_at with
@@ -353,8 +356,8 @@ let block_step cache hook states s ctx ~fuel =
                            in
                            let page_base = Int64.logand pc (Int64.lognot page_mask) in
                            match
-                             Trace_ir.exec tr.Trans_cache.t_prog ~start ~s ~dtlb
-                               ~mem:ctx.Cpu.mem ~user ~page_base
+                             Trace_ir.exec tr.Trans_cache.t_prog ~start ~s ~ctx:w.src
+                               ~user ~page_base ~frame:(Int64.to_int w.cur_frame)
                                ~fuel_left:(fuel - w.consumed) ~xl
                            with
                            | Trace_ir.Bail ->

@@ -1,6 +1,6 @@
 open Velum_isa
 
-type tgt = Op of int | Out of int
+type tgt = Op of int | Out of int | Side of int
 
 type uop =
   | U_nop of int
@@ -225,11 +225,13 @@ let build ~cost ~segments =
                            cyc = mem;
                          })
               | Instr.Branch (op, rs1, rs2, delta) when last ->
-                  Some
-                    (lower_branch op rs1 rs2
-                       (resolve (off + Int64.to_int delta))
-                       (resolve (off + ib))
-                       base)
+                  let t_tgt, f_tgt =
+                    match (resolve (off + Int64.to_int delta), resolve (off + ib)) with
+                    | (Op _ as t), Out d -> (t, Side d)
+                    | Out d, (Op _ as f) -> (Side d, f)
+                    | t, f -> (t, f)
+                  in
+                  Some (lower_branch op rs1 rs2 t_tgt f_tgt base)
               | Instr.Jal (rd, delta) when last ->
                   Some
                     (U_jal
@@ -315,28 +317,53 @@ let leave s p page_base i cyc ret early =
     fall s cyc ret early
   end
 
-(* a retired transfer to a target outside the trace *)
-let out s page_base delta cyc ret =
+(* a retired transfer to a target outside the trace; [early] when it is
+   a branch direction the trace was not built along *)
+let out s page_base delta cyc ret early =
   set_pc s.Cpu.regs (Int64.add page_base (Int64.of_int delta));
-  fall s cyc ret false
+  fall s cyc ret early
 
-(* a lowered slow instruction: the PC stays at op [i] *)
+(* a stop at op [i], which does not retire: the PC stays at it *)
 let stop_at s p page_base i cyc ret stop =
   set_pc s.Cpu.regs (Int64.logor page_base (Int64.of_int p.offs.(i)));
   if ret > 0 then s.Cpu.instret <- Int64.add s.Cpu.instret (Int64.of_int ret);
   Stop { cycles = cyc; stop }
+
+(* A load or store at op [i] whose translation failed with [code]: the
+   interpreter's own outcome.  Traces run deprivileged only, where every
+   data fault is an exit. *)
+let fault s ctx p page_base i cyc ret access va code =
+  match Cpu.data_fault s ctx access va code with
+  | Cpu.Stop_exec (stop, c) -> stop_at s p page_base i (cyc + c) ret stop
+  | Cpu.Retired _ -> assert false
+
+(* A load or store at op [i] whose translation found a device: the
+   interpreter's deprivileged MMIO exit, which costs [base_instr]. *)
+let mmio s ctx p page_base i cyc ret exit =
+  stop_at s p page_base i (cyc + ctx.Cpu.cost.Cost_model.base_instr) ret (Cpu.Exit exit)
+
+(* After op [i]'s access went through the translator, which found the
+   micro-TLB at generation [gen]: the trace may go on only while it is
+   still live (a walk writes A/D bits, a store any byte) and a fetch
+   from its page would still hit its code [frame] at zero cycles — the
+   engine's [fetch_holds] rule, since the walk may have evicted the code
+   page's TLB entry. *)
+let still_holds p dtlb ~user page_base frame gen =
+  !(p.live)
+  && (Dtlb.generation dtlb = gen
+     || Dtlb.lookup dtlb ~access:Arch.Fetch ~user (vpn_of page_base) = frame)
 
 (* One dispatch per op: every arm is one instruction's whole semantics
    with its operands decoded at build time, followed by the fuel check
    that admits the next op (the engine runs an instruction only while
    consumed < fuel; the first op is always admitted).  [go] makes no
    call but tail calls, so the loop has no stack-limit check and keeps
-   its state in registers; the loads and stores, which call into [Dtlb]
-   and [Phys_mem], run in [side_op], which [go] and they tail-call in
-   turn.
+   its state in registers; the loads and stores, which call into [Dtlb],
+   [Phys_mem] and the translator, run in [side_op], which [go] and they
+   tail-call in turn.
    [cyc] mirrors the engine's [consumed] delta: it starts at [xl], which
    is charged only if an op executes ([leave] bails on zero ops). *)
-let exec p ~start ~s ~dtlb ~mem ~user ~page_base ~fuel_left ~xl =
+let exec p ~start ~s ~ctx ~user ~page_base ~frame ~fuel_left ~xl =
   if fuel_left <= 0 then Bail
   else begin
     let regs = s.Cpu.regs in
@@ -504,33 +531,54 @@ let exec p ~start ~s ~dtlb ~mem ~user ~page_base ~fuel_left ~xl =
       match tgt with
       | Op j ->
           if cyc < fuel_left then go j cyc ret else leave s p page_base j cyc ret false
-      | Out delta -> out s page_base delta cyc ret
+      | Out delta -> out s page_base delta cyc ret false
+      | Side delta -> out s page_base delta cyc ret true
     (* Loads, stores and lowered slow instructions run here, out of
        [go]: loads and stores call into [Dtlb] and [Phys_mem], and the
        exit's eight-argument tail call would make [go] spill [cyc] to
-       its frame and reload it on every op.  A load or store executes only on an
-       aligned micro-TLB hit; anything else side-exits before the op. *)
+       its frame and reload it on every op.  An aligned access that
+       misses the micro-TLB calls the VM's own translator in place, as
+       the engine's wrapped [translate] and [Cpu.exec_load]/[exec_store]
+       do: a RAM translation fills the micro-TLB, makes the access and
+       adds its walk cycles; a fault or a device stops the trace at the
+       op with the interpreter's outcome.  A misaligned access
+       side-exits before the op. *)
     and side_op u i cyc ret =
+      let dtlb = ctx.Cpu.dtlb and mem = ctx.Cpu.mem in
       match u with
       | U_load { rd; base; off; width; amask; cyc = c } ->
           let va = Int64.add (reg regs base) off in
           if Int64.logand va amask <> 0L then leave s p page_base i cyc ret true
           else
             let ppn = Dtlb.lookup dtlb ~access:Arch.Load ~user (vpn_of va) in
-            if ppn < 0 then leave s p page_base i cyc ret true
-            else begin
+            if ppn >= 0 then begin
               set_reg regs rd (Phys_mem.read_at mem (frame_pa ppn va) width);
               let cyc = cyc + c in
               if cyc < fuel_left then go (i + 1) cyc (ret + 1)
               else leave s p page_base (i + 1) cyc (ret + 1) false
             end
+            else
+              let gen = Dtlb.generation dtlb in
+              let x = ctx.Cpu.translate ~access:Arch.Load ~user va in
+              if x < 0 then fault s ctx p page_base i cyc ret Arch.Load va x
+              else if Cpu.xl_mmio x then
+                mmio s ctx p page_base i cyc ret
+                  (Cpu.X_mmio_load { rd = rd lsr 3; pa = Int64.of_int (Cpu.xl_pa x); width })
+              else begin
+                Dtlb.fill dtlb ~access:Arch.Load ~user ~va;
+                set_reg regs rd (Phys_mem.read_at mem (Cpu.xl_pa x) width);
+                let cyc = cyc + c + Cpu.xl_cycles x in
+                if not (still_holds p dtlb ~user page_base frame gen) then
+                  leave s p page_base (i + 1) cyc (ret + 1) true
+                else if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+                else leave s p page_base (i + 1) cyc (ret + 1) false
+              end
       | U_store { src; base; off; width; amask; cyc = c } ->
           let va = Int64.add (reg regs base) off in
           if Int64.logand va amask <> 0L then leave s p page_base i cyc ret true
           else
             let ppn = Dtlb.lookup dtlb ~access:Arch.Store ~user (vpn_of va) in
-            if ppn < 0 then leave s p page_base i cyc ret true
-            else begin
+            if ppn >= 0 then begin
               Phys_mem.write_at mem (frame_pa ppn va) width (reg regs src);
               let cyc = cyc + c in
               (* the write may have severed this very trace (a store
@@ -541,6 +589,23 @@ let exec p ~start ~s ~dtlb ~mem ~user ~page_base ~fuel_left ~xl =
               else if cyc < fuel_left then go (i + 1) cyc (ret + 1)
               else leave s p page_base (i + 1) cyc (ret + 1) false
             end
+            else
+              let gen = Dtlb.generation dtlb in
+              let x = ctx.Cpu.translate ~access:Arch.Store ~user va in
+              if x < 0 then fault s ctx p page_base i cyc ret Arch.Store va x
+              else if Cpu.xl_mmio x then
+                mmio s ctx p page_base i cyc ret
+                  (Cpu.X_mmio_store
+                     { pa = Int64.of_int (Cpu.xl_pa x); width; value = reg regs src })
+              else begin
+                Dtlb.fill dtlb ~access:Arch.Store ~user ~va;
+                Phys_mem.write_at mem (Cpu.xl_pa x) width (reg regs src);
+                let cyc = cyc + c + Cpu.xl_cycles x in
+                if not (still_holds p dtlb ~user page_base frame gen) then
+                  leave s p page_base (i + 1) cyc (ret + 1) true
+                else if cyc < fuel_left then go (i + 1) cyc (ret + 1)
+                else leave s p page_base (i + 1) cyc (ret + 1) false
+              end
       | U_exit { stop; cyc = c } -> stop_at s p page_base i (cyc + c) ret stop
       | _ -> assert false (* [go] passes no other op *)
     in

@@ -15,13 +15,19 @@
       deprivileged (no interrupt window between instructions), interior
       ops are all [Fast]-class (mode and [satp] cannot change — every
       slow instruction is lowered as a trace-terminating {!uop.U_exit}
-      with a fully static exit payload), and loads/stores execute only
-      on a micro-TLB hit, which by construction cannot move the
-      {!Tlb.generation} the entry guard certified.
+      with a fully static exit payload), and the only thing that can
+      move the {!Tlb.generation} the entry guard certified is a load or
+      store that went through the translator: after one that moved it,
+      the trace goes on only while a fetch from its page still hits its
+      code frame, and otherwise side-exits at the next op.
     - {b Micro-TLB inlining.}  Trace loads/stores call {!Dtlb.lookup}
-      directly; any miss (or misalignment, or MMIO) side-exits {e
-      before} executing the op, so the interpreter-equivalent slow path
-      in the engine handles it with identical observable behaviour.
+      directly.  A miss calls the VM's own translator in place, exactly
+      as the engine's block path would: a RAM translation fills the
+      micro-TLB, makes the access and charges its walk cycles; a fault
+      or a device stops the trace at the op with the interpreter's own
+      outcome ({!Cpu.data_fault}, or the MMIO exit), so no op is ever
+      translated twice.  Only a misaligned access side-exits {e before}
+      the op, for the engine's block path to handle.
     - {b No boxing.}  Registers and the PC are read and written through
       the {!Cpu.slot_get}/{!Cpu.slot_set} primitives, and every ALU op
       and branch is evaluated by this module's own [Int64] primitives
@@ -51,8 +57,10 @@ open Velum_isa
 (** Where a lowered control transfer lands: an op index inside the trace
     (resolved statically, including loop back-edges), or outside the
     trace at a byte delta from the entry page base (possibly negative or
-    beyond the page for cross-page targets). *)
-type tgt = Op of int | Out of int
+    beyond the page for cross-page targets).  [Side] is an outside
+    target of a branch whose other target is inside: leaving through it
+    takes the direction promotion did not build, a side exit. *)
+type tgt = Op of int | Out of int | Side of int
 
 (** One op per lowered instruction, each its own constructor, so that
     executing an op is a single dispatch on its tag.  Operands are
@@ -146,7 +154,8 @@ val build : cost:Cost_model.t -> segments:segment list -> prog option
     program.  Junctions are wired statically: each segment must end in a
     terminator (branch, jal, jalr or a slow instruction); branch/jal
     targets falling inside any segment's span become in-trace op-index
-    transfers, everything else an [Out] side exit.  Returns [None] when
+    transfers, everything else an exit ([Side] for a branch direction
+    whose other one stays inside, [Out] otherwise).  Returns [None] when
     the segments are not lowerable (an unterminated segment, or a slow
     instruction in a non-final position) — callers treat that as
     "promotion refused", never as an error. *)
@@ -154,11 +163,13 @@ val build : cost:Cost_model.t -> segments:segment list -> prog option
 (** Result of one trace execution.  [Fall]: the trace was left with the
     PC written and [instret] flushed; [cycles] includes the fetch
     translation cycles passed as [xl].  [early] marks a side exit (a
-    micro-TLB miss, misalignment, or the trace being severed mid-run)
-    as opposed to an architectural exit or fuel expiry.  [Stop]: a
-    lowered slow instruction produced its static stop.  [Bail]: zero
-    ops executed and {e nothing} was touched (the caller must fall back
-    to the plain block path to guarantee progress). *)
+    branch leaving through a [Side] target, a misaligned access, the
+    trace being severed mid-run, or its code page lost to a
+    translation) as opposed to an architectural exit or fuel expiry.
+    [Stop]: a lowered slow instruction produced its static stop, or a
+    load or store its fault or MMIO exit, with the PC at that op.
+    [Bail]: zero ops executed and {e nothing} was touched (the caller
+    must fall back to the plain block path to guarantee progress). *)
 type outcome =
   | Fall of { cycles : int; early : bool }
   | Stop of { cycles : int; stop : Cpu.stop }
@@ -168,19 +179,22 @@ val exec :
   prog ->
   start:int ->
   s:Cpu.state ->
-  dtlb:Dtlb.t ->
-  mem:Phys_mem.t ->
+  ctx:Cpu.ctx ->
   user:bool ->
   page_base:int64 ->
+  frame:int ->
   fuel_left:int ->
   xl:int ->
   outcome
 (** Run the trace from op index [start] (the dispatcher maps the entry
-    PC's page offset into the first segment).  The caller certifies at
+    PC's page offset into the first segment).  [ctx] is the hart's
+    deprivileged context: its [translate] is the VM's own translator
+    (not one served from the micro-TLB), and its [dtlb], [mem] and
+    [cost] are the ones the trace runs against.  The caller certifies at
     entry exactly what a micro-TLB fetch hit certifies for a block: the
     PC is aligned in a page whose fetch translation is a zero-cycle hit
-    under the current micro-TLB generation, [user]
-    matches the trace's regime, and [cost] is the model the trace was
-    built with.  [fuel_left] must be positive; [xl] is charged on the
-    first executed op, exactly as the engine charges fetch-translation
+    into [frame] under the current micro-TLB generation, [user] matches
+    the trace's regime, and [ctx.cost] is the model the trace was built
+    with.  [fuel_left] must be positive; [xl] is charged on the first
+    executed op, exactly as the engine charges fetch-translation
     cycles. *)

@@ -117,8 +117,10 @@ val note_trace_follow : t -> unit
 (** Count a dispatch absorbed by executing a trace. *)
 
 val note_trace_side_exit : t -> unit
-(** Count a guard-driven trace side exit (micro-TLB miss, misalignment,
-    mid-run severing, or a zero-progress bail). *)
+(** Count a trace side exit: a trace left early (through a branch
+    direction it was not built along, at a misaligned access, after
+    mid-run severing, or with its code page lost to a translation), or
+    a zero-progress bail. *)
 
 val flush : t -> unit
 (** Drop everything (e.g. on reset). *)
@@ -144,5 +146,4 @@ val traces_severed : t -> int
     or replaced (SMC, frame revocation, eviction, {!flush}). *)
 
 val trace_side_exits : t -> int
-(** Guard-driven early exits out of executing traces
-    (see {!note_trace_side_exit}). *)
+(** Early exits out of executing traces (see {!note_trace_side_exit}). *)

@@ -123,14 +123,18 @@ for leg in "memwalk 24" "dirty 24" "memwalk 96" "vblk 3" "blk 3"; do
     echo "FAIL: interp/block divergence on $1 -n $2 (--ha)"; exit 1; }
 done
 
-echo "== engine throughput gate (cpu-spin: block >= 60 MIPS, interp >= 70% of committed) =="
+echo "== engine throughput gate (cpu-spin: block >= 60 MIPS, interp/probe >= 70% of committed) =="
 # Re-measure the engine suite (it also re-asserts cycle/instret
 # lockstep internally) and gate each engine on its own throughput: the
 # block engine with the superblock trace tier must hold 60 MIPS on
 # cpu-spin, and the reference interpreter must keep at least 70% of the
-# interp_mips committed in BENCH_engine.json.  The block/interp ratio is
-# printed for information only — a faster reference interpreter lowers
-# it without anything getting slower.  The committed BENCH_engine.json
+# interp_probe committed in BENCH_engine.json: its MIPS times the CPU
+# time of a fixed host workload run beside it in the same process, so
+# that a host running slower than when the file was committed does not
+# fail the gate with no interpreter code changed (six runs of one build
+# read raw interp_mips 12.70 to 19.52, interp_probe 0.340 to 0.414).
+# The block/interp ratio is printed for information only — a faster
+# reference interpreter lowers it without anything getting slower.  The committed BENCH_engine.json
 # is restored afterwards so the gate never dirties the tree with
 # machine-local wall-clock numbers.  Each row's sim_cycles is simulated
 # and deterministic, and so is its trace_follows (engine-local, but the
@@ -150,7 +154,8 @@ spin_field() {
 spin=$(spin_field speedup BENCH_engine.json)
 mips=$(spin_field block_mips BENCH_engine.json)
 imips=$(spin_field interp_mips BENCH_engine.json)
-imips_ref=$(spin_field interp_mips "$tmp/BENCH_engine.ref.json")
+iprobe=$(spin_field interp_probe BENCH_engine.json)
+iprobe_ref=$(spin_field interp_probe "$tmp/BENCH_engine.ref.json")
 traces=$(spin_field trace_follows BENCH_engine.json)
 cp "$tmp/BENCH_engine.ref.json" BENCH_engine.json
 [ -n "$spin" ] || { echo "FAIL: no cpu-spin row in BENCH_engine.json"; exit 1; }
@@ -159,15 +164,16 @@ cp "$tmp/BENCH_engine.ref.json" BENCH_engine.json
 diff "$tmp/engine_sim.ref.txt" "$tmp/engine_sim.txt" || {
   echo "FAIL: ENGINE sim_cycles or trace follows diverged from the committed" \
     "BENCH_engine.json"; exit 1; }
-[ -n "$imips_ref" ] || { echo "FAIL: committed BENCH_engine.json has no interp_mips"; exit 1; }
+[ -n "$iprobe_ref" ] || { echo "FAIL: committed BENCH_engine.json has no interp_probe"; exit 1; }
 awk -v m="$mips" 'BEGIN { exit !(m + 0 >= 60.0) }' || {
   echo "FAIL: cpu-spin block-engine MIPS $mips regressed below 60"; exit 1; }
-awk -v m="$imips" -v r="$imips_ref" 'BEGIN { exit !(m + 0 >= 0.7 * r) }' || {
-  echo "FAIL: cpu-spin interpreter MIPS $imips below 70% of the committed $imips_ref"; exit 1; }
+awk -v m="$iprobe" -v r="$iprobe_ref" 'BEGIN { exit !(m + 0 >= 0.7 * r) }' || {
+  echo "FAIL: cpu-spin interpreter $iprobe MIPS x probe s below 70% of the committed" \
+    "$iprobe_ref"; exit 1; }
 [ "${traces:-0}" -gt 0 ] || {
   echo "FAIL: cpu-spin bench ran without trace-tier dispatches"; exit 1; }
-echo "cpu-spin: block ${mips} MIPS (${traces} trace dispatches), interp ${imips} MIPS" \
-  "(committed ${imips_ref}); block/interp ${spin}x; $(nproc) cores"
+echo "cpu-spin: block ${mips} MIPS (${traces} trace dispatches), interp ${imips} MIPS," \
+  "interp x probe ${iprobe} (committed ${iprobe_ref}); block/interp ${spin}x; $(nproc) cores"
 
 echo "== simulated-only bench sections (E1-E15, A1-A5) =="
 # These sections print only simulated numbers and write no JSON, so

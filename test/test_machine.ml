@@ -1936,10 +1936,10 @@ let run_trace insns ~a ~b =
   let s = Cpu.create_state () in
   Cpu.set_reg s 1 a;
   Cpu.set_reg s 2 b;
-  let dtlb = Dtlb.create ~tlb:(Tlb.create ~size:4) in
-  let mem = Phys_mem.create ~frames:1 in
+  let _, _, ctx, _, _ = make_cpu ~env:`Deprivileged () in
   match
-    Trace_ir.exec prog ~start:0 ~s ~dtlb ~mem ~user:false ~page_base:0L ~fuel_left:1000 ~xl:0
+    Trace_ir.exec prog ~start:0 ~s ~ctx ~user:false ~page_base:0L ~frame:0 ~fuel_left:1000
+      ~xl:0
   with
   | Trace_ir.Fall _ -> s
   | _ -> Alcotest.fail "one-op trace did not fall out"
@@ -2076,8 +2076,9 @@ let test_trace_fuel () =
     init s;
     let cycles =
       match
-        Trace_ir.exec prog ~start:0 ~s ~dtlb ~mem:tmem ~user:true ~page_base:0L ~fuel_left:fuel
-          ~xl:0
+        Trace_ir.exec prog ~start:0 ~s
+          ~ctx:{ ctx with Cpu.mem = tmem; dtlb }
+          ~user:true ~page_base:0L ~frame:0 ~fuel_left:fuel ~xl:0
       with
       | Trace_ir.Fall { cycles; early = false } -> cycles
       | _ -> Alcotest.fail "the trace left other than by fuel"
