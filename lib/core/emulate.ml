@@ -36,9 +36,9 @@ let world_switch_cost (vm : Vm.t) (vcpu : Vcpu.t) ~now =
   | Vm.Trap_emulate -> cost.Cost_model.vmexit
   | Vm.Binary_translation ->
       let pc = Cpu.pc vcpu.Vcpu.state in
-      if Hashtbl.mem vm.Vm.bt_cache pc then cost.Cost_model.bt_exec
+      if Velum_util.Keytbl.I64.mem vm.Vm.bt_cache pc then cost.Cost_model.bt_exec
       else begin
-        Hashtbl.replace vm.Vm.bt_cache pc ();
+        Velum_util.Keytbl.I64.replace vm.Vm.bt_cache pc ();
         charge vm vcpu ~now ~detail:pc Monitor.E_bt_translate cost.Cost_model.bt_translate;
         0
       end

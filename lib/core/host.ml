@@ -5,7 +5,7 @@ type t = {
   alloc : Frame_alloc.t;
   cost : Cost_model.t;
   default_engine : Engine.kind;
-  swap : (int, Bytes.t) Hashtbl.t;
+  swap : Bytes.t Velum_util.Keytbl.Int.t;
   swap_slots : int;
   mutable swap_next : int;
   mutable swap_free : int list;
@@ -24,7 +24,7 @@ let create ?(frames = 16384) ?(cost = Cost_model.default) ?(swap_slots = 4096)
     alloc = Frame_alloc.create ~mem ();
     cost;
     default_engine = engine;
-    swap = Hashtbl.create 16;
+    swap = Velum_util.Keytbl.Int.create 16;
     swap_slots;
     swap_next = 0;
     swap_free = [];
@@ -52,15 +52,15 @@ let swap_out t ~ppn =
         t.swap_next <- t.swap_next + 1;
         t.swap_next - 1
   in
-  Hashtbl.replace t.swap slot (Phys_mem.frame_read t.mem ~ppn);
+  Velum_util.Keytbl.Int.replace t.swap slot (Phys_mem.frame_read t.mem ~ppn);
   t.swap_outs <- t.swap_outs + 1;
   slot
 
 let swap_in t ~slot ~ppn =
-  match Hashtbl.find_opt t.swap slot with
+  match Velum_util.Keytbl.Int.find_opt t.swap slot with
   | Some b ->
       Phys_mem.frame_write t.mem ~ppn b;
-      Hashtbl.remove t.swap slot;
+      Velum_util.Keytbl.Int.remove t.swap slot;
       t.swap_free <- slot :: t.swap_free;
       t.swap_ins <- t.swap_ins + 1
   | None -> invalid_arg "Host.swap_in: empty slot"

@@ -16,7 +16,7 @@ type t = {
   default_engine : Engine.kind;
       (** execution engine VMs on this host use unless overridden at
           {!Hypervisor.create_vm} time *)
-  swap : (int, Bytes.t) Hashtbl.t;  (** slot → parked frame image *)
+  swap : Bytes.t Velum_util.Keytbl.Int.t;  (** slot → parked frame image *)
   swap_slots : int;  (** the swap area's size in slots *)
   mutable swap_next : int;
       (** slots [swap_next .. swap_slots - 1] have never been used: a

@@ -15,7 +15,7 @@ type wd_mark = { mutable wd_instret : int64; mutable wd_window_start : int64 }
 type watchdog = {
   wd_budget : int64;
   wd_policy : watchdog_policy;
-  wd_marks : (int, wd_mark) Hashtbl.t; (* vm id -> progress mark *)
+  wd_marks : wd_mark Velum_util.Keytbl.Int.t; (* vm id -> progress mark *)
   mutable wd_fired : int;
 }
 
@@ -70,7 +70,12 @@ let set_watchdog t ~budget ~policy =
     invalid_arg "Hypervisor.set_watchdog: budget must be positive";
   t.watchdog <-
     Some
-      { wd_budget = budget; wd_policy = policy; wd_marks = Hashtbl.create 7; wd_fired = 0 }
+      {
+        wd_budget = budget;
+        wd_policy = policy;
+        wd_marks = Velum_util.Keytbl.Int.create 7;
+        wd_fired = 0;
+      }
 
 let watchdog_fired t = match t.watchdog with None -> 0 | Some w -> w.wd_fired
 let set_restart_handler t f = t.restart_handler <- Some f
@@ -321,9 +326,9 @@ let check_watchdog t =
         (fun vm ->
           if not (Vm.halted vm) then begin
             let instret = Vm.instret vm in
-            match Hashtbl.find_opt wd.wd_marks vm.Vm.id with
+            match Velum_util.Keytbl.Int.find_opt wd.wd_marks vm.Vm.id with
             | None ->
-                Hashtbl.replace wd.wd_marks vm.Vm.id
+                Velum_util.Keytbl.Int.replace wd.wd_marks vm.Vm.id
                   { wd_instret = instret; wd_window_start = t.clock }
             | Some m ->
                 if Int64.compare instret m.wd_instret <> 0 then begin
@@ -367,7 +372,7 @@ let check_watchdog t =
                               msg "watchdog: restarting stalled %s" vm.Vm.name);
                           (* the handler replaces the VM (new id), so the
                              stale progress mark must not linger *)
-                          Hashtbl.remove wd.wd_marks vm.Vm.id;
+                          Velum_util.Keytbl.Int.remove wd.wd_marks vm.Vm.id;
                           handler vm
                       | None ->
                           Log.warn (fun msg ->

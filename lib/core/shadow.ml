@@ -13,24 +13,18 @@ type env = {
   host_writable : int64 -> bool;
 }
 
-(* Keys are frame numbers and slot addresses, [int]s below 2^56: each is
-   its own hash, so a lookup boxes and hashes nothing. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k land max_int
-end)
+(* Keys are frame numbers and slot addresses, [int]s below 2^56. *)
+module Keytbl = Velum_util.Keytbl
 
 type pair = { shadow_ppn : int; pair_level : int }
 
 type t = {
   env : env;
-  pairs : pair Itbl.t; (* guest table gfn -> shadow table page *)
-  synthetic : int Itbl.t;
+  pairs : pair Keytbl.Int.t; (* guest table gfn -> shadow table page *)
+  synthetic : int Keytbl.Int.t;
       (* (guest L1-table gfn lsl 9) lor index -> shadow level-0 table
          splintering a guest 2 MiB superpage into 4 KiB shadow leaves *)
-  rmap : int list ref Itbl.t; (* data gfn -> shadow leaf slot addresses *)
+  rmap : int list ref Keytbl.Int.t; (* data gfn -> shadow leaf slot addresses *)
   walk : Page_table.walk;
   read_shadow : int -> Pte.Word.t;
   mutable memo_satp : int64;
@@ -45,9 +39,9 @@ type t = {
 let create env =
   {
     env;
-    pairs = Itbl.create 64;
-    synthetic = Itbl.create 16;
-    rmap = Itbl.create 256;
+    pairs = Keytbl.Int.create 64;
+    synthetic = Keytbl.Int.create 16;
+    rmap = Keytbl.Int.create 256;
     walk = Page_table.scratch ();
     read_shadow = Phys_mem.read_word env.mem;
     memo_satp = 0L;
@@ -57,12 +51,13 @@ let create env =
     needs_flush = false;
   }
 
-let find_pair t gfn = match Itbl.find t.pairs gfn with p -> p.shadow_ppn | exception Not_found -> -1
-let is_pt_gfn t gfn = Itbl.mem t.pairs (Int64.to_int gfn)
+let find_pair t gfn =
+  match Keytbl.Int.find t.pairs gfn with p -> p.shadow_ppn | exception Not_found -> -1
+let is_pt_gfn t gfn = Keytbl.Int.mem t.pairs (Int64.to_int gfn)
 
 let fills t = t.fill_count
 let pt_writes t = t.pt_write_count
-let table_frames t = Itbl.length t.pairs + Itbl.length t.synthetic
+let table_frames t = Keytbl.Int.length t.pairs + Keytbl.Int.length t.synthetic
 
 let page = Arch.page_size
 let frame_base ppn = Int64.shift_left ppn Arch.page_shift
@@ -75,7 +70,7 @@ let write_shadow_pte t addr v = Phys_mem.write_at t.env.mem addr Instr.W64 v
 (* Strip the writable bit from every shadow leaf that maps [gfn]; used
    when a data frame is promoted to a guest page-table page. *)
 let strip_rmap_writable t gfn =
-  match Itbl.find t.rmap gfn with
+  match Keytbl.Int.find t.rmap gfn with
   | exception Not_found -> ()
   | slots ->
       List.iter
@@ -93,7 +88,7 @@ let ensure_pair t gfn level =
   if p >= 0 then p
   else begin
     let shadow_ppn = Int64.to_int (Frame_alloc.alloc_exn t.env.alloc) in
-    Itbl.replace t.pairs gfn { shadow_ppn; pair_level = level };
+    Keytbl.Int.replace t.pairs gfn { shadow_ppn; pair_level = level };
     (* The frame is now a page-table page: revoke existing write
        mappings so future guest PTE updates trap. *)
     strip_rmap_writable t gfn;
@@ -105,22 +100,22 @@ let synthetic_key table_gfn index = (table_gfn lsl Arch.vpn_bits) lor index
 
 let ensure_synthetic t table_gfn index =
   let key = synthetic_key table_gfn index in
-  match Itbl.find t.synthetic key with
+  match Keytbl.Int.find t.synthetic key with
   | ppn -> ppn
   | exception Not_found ->
       let ppn = Int64.to_int (Frame_alloc.alloc_exn t.env.alloc) in
-      Itbl.replace t.synthetic key ppn;
+      Keytbl.Int.replace t.synthetic key ppn;
       ppn
 
 let rec mem_int x = function [] -> false | y :: l -> x = y || mem_int x l
 
 let rmap_add t gfn addr =
   let slots =
-    match Itbl.find t.rmap gfn with
+    match Keytbl.Int.find t.rmap gfn with
     | l -> l
     | exception Not_found ->
         let l = ref [] in
-        Itbl.replace t.rmap gfn l;
+        Keytbl.Int.replace t.rmap gfn l;
         l
   in
   if not (mem_int addr !slots) then slots := addr :: !slots
@@ -148,7 +143,8 @@ let finish t ~access ~user ~va ~gpte ~gpte_gpa ~gpte_host ~target_gfn leaf_ppn i
     let target = Int64.of_int target_gfn in
     let target_gpa = Int64.logor (frame_base target) (page_off va) in
     if Bus.is_mmio (frame_base target) then Target_mmio { gpa = target_gpa }
-    else if access = Arch.Store && Itbl.mem t.pairs target_gfn then Pt_write { gpa = target_gpa }
+    else if access = Arch.Store && Keytbl.Int.mem t.pairs target_gfn then
+      Pt_write { gpa = target_gpa }
     else begin
       let resolved =
         if access = Arch.Store then env.resolve_write target else env.resolve_read target
@@ -168,7 +164,7 @@ let finish t ~access ~user ~va ~gpte ~gpte_gpa ~gpte_host ~target_gfn leaf_ppn i
           let w =
             gp.w && dirty
             && env.host_writable target
-            && not (Itbl.mem t.pairs target_gfn)
+            && not (Keytbl.Int.mem t.pairs target_gfn)
           in
           let slot = slot_addr leaf_ppn index in
           write_shadow_pte t slot
@@ -235,7 +231,7 @@ let emulate_pt_write t ~gpa ~value =
     if p >= 0 then write_shadow_pte t (slot_addr p index) Pte.invalid;
     (* a rewritten superpage entry also drops the 4 KiB leaves splintered
        from it: the next fill re-links an empty table *)
-    (match Itbl.find t.synthetic (synthetic_key gfn index) with
+    (match Keytbl.Int.find t.synthetic (synthetic_key gfn index) with
     | synth -> Phys_mem.frame_fill t.env.mem ~ppn:(Int64.of_int synth) '\000'
     | exception Not_found -> ());
     t.pt_write_count <- t.pt_write_count + 1;
@@ -245,7 +241,7 @@ let emulate_pt_write t ~gpa ~value =
   else false
 
 let invalidate_gfn t gfn =
-  (match Itbl.find t.rmap (Int64.to_int gfn) with
+  (match Keytbl.Int.find t.rmap (Int64.to_int gfn) with
   | slots ->
       List.iter (fun addr -> write_shadow_pte t addr Pte.invalid) !slots;
       slots := []
@@ -263,19 +259,19 @@ let clear_table_writable t table_ppn =
   done
 
 let clear_all_writable t =
-  Itbl.iter
+  Keytbl.Int.iter
     (fun _gfn pair -> if pair.pair_level = 0 then clear_table_writable t pair.shadow_ppn)
     t.pairs;
-  Itbl.iter (fun _ ppn -> clear_table_writable t ppn) t.synthetic;
+  Keytbl.Int.iter (fun _ ppn -> clear_table_writable t ppn) t.synthetic;
   t.needs_flush <- true
 
 let flush_all t =
   let free ppn = ignore (Frame_alloc.decr_ref t.env.alloc (Int64.of_int ppn)) in
-  Itbl.iter (fun _ pair -> free pair.shadow_ppn) t.pairs;
-  Itbl.iter (fun _ ppn -> free ppn) t.synthetic;
-  Itbl.reset t.pairs;
-  Itbl.reset t.synthetic;
-  Itbl.reset t.rmap;
+  Keytbl.Int.iter (fun _ pair -> free pair.shadow_ppn) t.pairs;
+  Keytbl.Int.iter (fun _ ppn -> free ppn) t.synthetic;
+  Keytbl.Int.reset t.pairs;
+  Keytbl.Int.reset t.synthetic;
+  Keytbl.Int.reset t.rmap;
   t.memo_root <- -1;
   t.needs_flush <- true
 

@@ -14,14 +14,9 @@ let chunk_payload = 4096
 let data_start_sector = 2
 let data_start = data_start_sector * Blockdev.sector_bytes
 
-(* Tables keyed by content hash.  FNV digests are well mixed, so the
-   low bits are the hash: no [caml_hash] over a boxed [int64]. *)
-module I64tbl = Hashtbl.Make (struct
-  type t = int64
-
-  let equal = Int64.equal
-  let hash h = Int64.to_int h land max_int
-end)
+(* Tables keyed by content hash: FNV digests are well mixed in their
+   low bits. *)
+module Keytbl = Velum_util.Keytbl
 
 (* A chunk the in-memory index knows about: where the newest clean copy
    of this content lives in the active space. *)
@@ -48,7 +43,7 @@ type t = {
   mutable seq : int; (* global commit sequence (superblock flips) *)
   mutable space : int; (* active log space, 0 or 1 *)
   mutable head : int; (* append offset relative to the space start *)
-  index : chunk I64tbl.t;
+  index : chunk Keytbl.I64.t;
   streams : (string, manifest) Hashtbl.t; (* newest manifest per stream *)
   mutable catalogs : manifest list list; (* newest-first, at most 2 *)
   mutable refs : Bytes.t;
@@ -232,22 +227,22 @@ let reftable_bytes rows =
 let tally refs e d =
   for i = 0 to ent_count e - 1 do
     let h = ent_hash e i in
-    I64tbl.replace refs h (d + Option.value ~default:0 (I64tbl.find_opt refs h))
+    Keytbl.I64.replace refs h (d + Option.value ~default:0 (Keytbl.I64.find_opt refs h))
   done
 
 (* The [(h, v)] of [refs] whose [v] passes [keep], as rows in hash order.
    The keys array starts from a constant, not a fresh block, so building
    it forces no minor collection. *)
 let rows_of ?(keep = fun n -> n > 0) refs =
-  let keys = Array.make (I64tbl.length refs) 0L in
-  let n = I64tbl.fold (fun h v n -> if keep v then (keys.(n) <- h; n + 1) else n) refs 0 in
+  let keys = Array.make (Keytbl.I64.length refs) 0L in
+  let n = Keytbl.I64.fold (fun h v n -> if keep v then (keys.(n) <- h; n + 1) else n) refs 0 in
   let keys = Array.sub keys 0 n in
   Array.sort Int64.compare keys;
   let rows = Bytes.create (row_bytes * n) in
   Array.iteri
     (fun i h ->
       put_i64 rows (row_bytes * i) h;
-      put_i64 rows ((row_bytes * i) + 8) (Int64.of_int (I64tbl.find refs h)))
+      put_i64 rows ((row_bytes * i) + 8) (Int64.of_int (Keytbl.I64.find refs h)))
     keys;
   rows
 
@@ -287,7 +282,7 @@ let merge_rows rows changes =
    (at most two) recoverable catalogs.  Identity is the manifest's device
    offset; counts are per entry occurrence. *)
 let refs_of_catalogs catalogs =
-  let refs = I64tbl.create 1024 in
+  let refs = Keytbl.I64.create 1024 in
   let seen = Hashtbl.create 16 in
   List.iter
     (List.iter (fun m ->
@@ -331,7 +326,7 @@ let hint_for t ~id src =
    catalogs becomes the newest one plus [m], so [m]'s entries gain a
    reference and the manifests only the older catalog held lose theirs. *)
 let refs_delta t m =
-  let delta = I64tbl.create (2 * ent_count m.m_entries) in
+  let delta = Keytbl.I64.create (2 * ent_count m.m_entries) in
   tally delta m.m_entries 1;
   (match t.catalogs with
   | [ newest; older ] ->
@@ -348,7 +343,7 @@ let plan_commit t ~id src =
   let nchunks = max 0 ((len + chunk_payload - 1) / chunk_payload) in
   let base = space_off t t.space in
   let cursor = ref t.head in
-  let pending = I64tbl.create 16 in
+  let pending = Keytbl.I64.create 16 in
   (* hash -> record and absolute off of the first new chunk with that content *)
   let news = ref [] and shared = ref 0 and misses = ref 0 and rotted = ref 0 in
   let prev, clean = hint_for t ~id src in
@@ -360,13 +355,13 @@ let plan_commit t ~id src =
      no longer hashes to its record's hash is rot; a collision or a lying
      hint leaves it intact. *)
   let lookup h plen =
-    match I64tbl.find_opt pending h with
+    match Keytbl.I64.find_opt pending h with
     | Some (rec_b, off)
       when Bytes.length rec_b >= chunk_header + plen
            && Fnv.equal_range rec_b chunk_header buf 0 plen ->
         off
     | _ -> (
-        match I64tbl.find_opt t.index h with
+        match Keytbl.I64.find_opt t.index h with
         | Some c when c.c_len = plen ->
             let at = c.c_off + chunk_header in
             if Blockdev.pequal t.blk ~off:at buf ~pos:0 ~len:plen then c.c_off
@@ -403,7 +398,7 @@ let plan_commit t ~id src =
       off := base + !cursor;
       let rec_b = chunk_record ~hash:!h buf ~pos:0 ~len:plen in
       news := (!off, rec_b) :: !news;
-      if not (I64tbl.mem pending !h) then I64tbl.replace pending !h (rec_b, !off);
+      if not (Keytbl.I64.mem pending !h) then Keytbl.I64.replace pending !h (rec_b, !off);
       cursor := !cursor + Bytes.length rec_b
     end;
     set_entry entries i !h ~off:!off ~len:plen
@@ -598,12 +593,12 @@ let gc ?crash_at t =
       t.seq <- t.seq + 1;
       t.space <- 1 - t.space;
       t.head <- p.g_head;
-      I64tbl.reset t.index;
+      Keytbl.I64.reset t.index;
       List.iter
         (fun (_, m) ->
           let e = m.m_entries in
           for i = 0 to ent_count e - 1 do
-            I64tbl.replace t.index (ent_hash e i) { c_off = ent_off e i; c_len = ent_len e i }
+            Keytbl.I64.replace t.index (ent_hash e i) { c_off = ent_off e i; c_len = ent_len e i }
           done)
         p.g_manifests;
       t.refs <- p.g_refs;
@@ -677,7 +672,7 @@ let do_commit ?crash_at t ~id ~plan:p =
       t.head <- t.head + p.p_data_len;
       List.iter
         (fun (off, rec_b) ->
-          I64tbl.replace t.index (get_i64 rec_b 8)
+          Keytbl.I64.replace t.index (get_i64 rec_b 8)
             { c_off = off; c_len = Bytes.length rec_b - chunk_header })
         p.p_new;
       t.refs <- p.p_refs;
@@ -891,7 +886,7 @@ let of_blk ?(faults = Fault.none ()) blk =
     seq = 0;
     space = 0;
     head = 0;
-    index = I64tbl.create 1024;
+    index = Keytbl.I64.create 1024;
     streams = Hashtbl.create 4;
     catalogs = [];
     refs = Bytes.empty;
@@ -927,14 +922,14 @@ let reftable_covers t ~off ~len rows =
       raise Exit;
     let n = Int64.to_int (get_i64 b 8) in
     if n < 0 || 16 + (16 * n) + 8 <> len then raise Exit;
-    let stored = I64tbl.create (2 * n) in
+    let stored = Keytbl.I64.create (2 * n) in
     for i = 0 to n - 1 do
-      I64tbl.replace stored (get_i64 b (16 + (16 * i)))
+      Keytbl.I64.replace stored (get_i64 b (16 + (16 * i)))
         (Int64.to_int (get_i64 b (24 + (16 * i))))
     done;
     for i = 0 to row_count rows - 1 do
       let r = row_value rows i in
-      if r > 0 && Option.value ~default:0 (I64tbl.find_opt stored (row_hash rows i)) < r then
+      if r > 0 && Option.value ~default:0 (Keytbl.I64.find_opt stored (row_hash rows i)) < r then
         raise Exit
     done;
     true
@@ -965,8 +960,8 @@ let mount ?faults blk =
              let e = m.m_entries in
              for i = 0 to ent_count e - 1 do
                let h = ent_hash e i in
-               if not (I64tbl.mem t.index h) then
-                 I64tbl.replace t.index h { c_off = ent_off e i; c_len = ent_len e i }
+               if not (Keytbl.I64.mem t.index h) then
+                 Keytbl.I64.replace t.index h { c_off = ent_off e i; c_len = ent_len e i }
              done))
         cats;
       t.refs <- rows_of (refs_of_catalogs cats);

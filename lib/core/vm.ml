@@ -36,7 +36,7 @@ type t = {
   pv : pv;
   mutable balloon_pages : int;
   exec_mode : exec_mode;
-  bt_cache : (int64, unit) Hashtbl.t;
+  bt_cache : unit Velum_util.Keytbl.I64.t;
       (* guest PCs whose sensitive instruction has been translated *)
   engine : Engine.t;
   mutable trace : Trace.t option;
@@ -333,7 +333,7 @@ let create ~host ~id ~name ~mem_frames ?(vcpu_count = 1) ?(paging = Nested_pagin
       pv;
       balloon_pages = 0;
       exec_mode;
-      bt_cache = Hashtbl.create 64;
+      bt_cache = Velum_util.Keytbl.I64.create 64;
       engine;
       trace = None;
       traces_seen = 0;

@@ -61,7 +61,7 @@ type t = {
   pv : pv;
   mutable balloon_pages : int;  (** pages currently surrendered *)
   exec_mode : exec_mode;
-  bt_cache : (int64, unit) Hashtbl.t;  (** translated sensitive sites *)
+  bt_cache : unit Velum_util.Keytbl.I64.t;  (** translated sensitive sites *)
   engine : Engine.t;
       (** execution engine driving this VM's vCPUs; [exec_mode] above is
           the {e cost-model} abstraction (what an exit costs), the engine

@@ -13,7 +13,7 @@ let mac_src frame = String.get_int64_le frame 8
 
 type t = {
   ports : Link.t array;
-  macs : (int64, int) Hashtbl.t;
+  macs : int Velum_util.Keytbl.I64.t;
   queue_cap : int;
   snoop : (int -> int64 -> string -> unit) option ref;
   mutable in_frames : int;
@@ -31,7 +31,7 @@ let create ?(queue_cap = 64) ports =
   if queue_cap <= 0 then invalid_arg "Switch.create: queue_cap must be positive";
   {
     ports;
-    macs = Hashtbl.create 16;
+    macs = Velum_util.Keytbl.I64.create 16;
     queue_cap;
     snoop = ref None;
     in_frames = 0;
@@ -46,8 +46,8 @@ let create ?(queue_cap = 64) ports =
 
 let port_count t = Array.length t.ports
 let port t i = t.ports.(i)
-let learn t ~mac ~port = Hashtbl.replace t.macs mac port
-let lookup t mac = Hashtbl.find_opt t.macs mac
+let learn t ~mac ~port = Velum_util.Keytbl.I64.replace t.macs mac port
+let lookup t mac = Velum_util.Keytbl.I64.find_opt t.macs mac
 let set_snoop t f = t.snoop := f
 
 (* Bounded egress: a full queue toward the VM is an explicit drop, not

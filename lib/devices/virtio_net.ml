@@ -137,25 +137,30 @@ let kick t =
 (* Deliver backlogged frames into posted rx buffers, in order.  The
    guest reposts buffers with plain stores and tracks delivery by the
    used index + length-carrying status words — the rx path costs zero
-   VM exits. *)
+   VM exits.  The walk reads a slot's descriptor when it reaches the
+   slot: a malformed slot is failed and passed even with no frame
+   waiting, and the first good slot with no frame for it ends the walk,
+   so an idle tick reads the two indexes and one descriptor, not the
+   whole posted ring. *)
 let deliver_rx t =
   match rx_ring t with
   | None -> ()
   | Some ring ->
-      let completed = ref 0 in
-      let rec go slots =
-        match slots with
-        | [] -> ()
-        | (idx, None) :: rest ->
-            (* bad buffer descriptor: consume the slot, keep the frame *)
-            t.rx_malformed <- t.rx_malformed + 1;
-            Virtio_ring.fail_slot ring idx;
-            incr completed;
-            go rest
-        | (_, Some d) :: rest -> (
-            match Ring.peek t.backlog with
-            | None -> ()
-            | Some frame ->
+      let used, n = Virtio_ring.pending_range ring in
+      let rec go i =
+        if i = n then i
+        else
+          let idx = Int64.add used (Int64.of_int i) in
+          match Virtio_ring.read_desc ring idx with
+          | None ->
+              (* bad buffer descriptor: consume the slot, keep the frame *)
+              t.rx_malformed <- t.rx_malformed + 1;
+              Virtio_ring.fail_slot ring idx;
+              go (i + 1)
+          | Some d -> (
+              match Ring.peek t.backlog with
+              | None -> i
+              | Some frame ->
                 let len = String.length frame in
                 if len > d.Virtio_ring.data_len then begin
                   (* buffer too small: the frame cannot be delivered and
@@ -174,12 +179,11 @@ let deliver_rx t =
                   t.rx_dropped <- t.rx_dropped + 1;
                   write_status t d status_error
                 end;
-                incr completed;
-                go rest)
+                go (i + 1))
       in
-      go (Virtio_ring.pending_slots ring);
-      if !completed > 0 then begin
-        Virtio_ring.complete ring ~count:!completed;
+      let completed = go 0 in
+      if completed > 0 then begin
+        Virtio_ring.complete ring ~count:completed;
         t.irq <- true
       end
 

@@ -13,9 +13,12 @@
 
     {b RX} — post empty buffer descriptors; the device polls the wire
     and the avail index on its own tick, delivers frames in order and
-    writes a length-carrying status word [(len lsl 8)].  Reposting
-    buffers is a plain store; the whole receive path costs {e zero} VM
-    exits.
+    writes a length-carrying status word [(len lsl 8)].  It reads a
+    slot's descriptor when it reaches the slot — to fill it with the
+    next frame, or to fail it as malformed — so a tick with no frame
+    waiting reads the indexes and the first posted descriptor only.
+    Reposting buffers is a plain store; the whole receive path costs
+    {e zero} VM exits.
 
     Accounting is conservative, like {!Nic}: every frame is delivered or
     counted ([tx_dropped]/[tx_malformed]/[rx_dropped]/[rx_malformed]/

@@ -48,16 +48,16 @@ let read_desc t idx =
   let* status_gpa = t.mem.read_u64 (Int64.add a 32L) in
   Some { data_gpa; data_len = Int64.to_int len; kind; arg; status_gpa }
 
-let pending_slots t =
+let pending_range t =
   let avail = avail_idx t and used = used_idx t in
   let n = Int64.to_int (Int64.sub avail used) in
-  if n <= 0 || n > t.ring_size then []
-  else
-    List.map
-      (fun i ->
-        let idx = Int64.add used (Int64.of_int i) in
-        (idx, read_desc t idx))
-      (List.init n Fun.id)
+  (used, if n <= 0 || n > t.ring_size then 0 else n)
+
+let pending_slots t =
+  let used, n = pending_range t in
+  List.init n (fun i ->
+      let idx = Int64.add used (Int64.of_int i) in
+      (idx, read_desc t idx))
 
 let pending t = List.filter_map snd (pending_slots t)
 

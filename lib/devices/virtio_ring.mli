@@ -54,13 +54,29 @@ val avail_idx : t -> int64
 
 val used_idx : t -> int64
 
+val pending_range : t -> int64 * int
+(** [pending_range t] is [(used, n)]: the [n] slots at free-running
+    indexes [used, used + n) are published and not yet completed.  [n]
+    is [0] when [avail_idx - used_idx] is not in [\[1, size\]] (nothing
+    published, or a corrupt index).  Reads the two indexes, no
+    descriptor. *)
+
+val read_desc : t -> int64 -> desc option
+(** [read_desc t idx] reads the descriptor of the slot at free-running
+    index [idx] — [None] when the slot is malformed (a descriptor-word
+    read failed).  A device that walks {!pending_range} itself reads
+    each slot when it uses it, so a delivery into an earlier slot's
+    buffer is visible to the read of a later slot, as on a real
+    device. *)
+
 val pending_slots : t -> (int64 * desc option) list
-(** [pending_slots t] covers {e every} slot in [used_idx, avail_idx), in
-    order, pairing each free-running index with its descriptor — [None]
-    when the slot is malformed (a descriptor-word read failed).  Devices
-    must consume this, not {!pending}: the used index is in-order, so a
-    skipped slot must still be completed (see {!fail_slot}) or the ring
-    desynchronizes forever. *)
+(** [pending_slots t] covers {e every} slot of {!pending_range}, in
+    order, pairing each free-running index with its {!read_desc} —
+    every descriptor read before the caller writes anything.  Devices
+    must consume this (or walk {!pending_range}), not {!pending}: the
+    used index is in-order, so a skipped slot must still be completed
+    (see {!fail_slot}) or the ring desynchronizes forever.  TX and
+    virtio-blk use it: they consume every slot anyway. *)
 
 val pending : t -> desc list
 (** [pending t] is [pending_slots t] with malformed slots dropped —

@@ -36,8 +36,7 @@ let attach h cache mem =
       Some
         ( mem,
           Phys_mem.add_write_listener mem (fun ~ppn ~lo ~hi ->
-              Trans_cache.invalidate_range cache ~ppn ~lo ~hi;
-              Trans_cache.has_frame cache ~ppn) )
+              Trans_cache.invalidate_range cache ~ppn ~lo ~hi) )
 
 (* Without the listener the cache cannot see writes, so releasing it
    also drops every block. *)

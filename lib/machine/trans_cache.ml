@@ -1,4 +1,5 @@
 open Velum_isa
+module Keytbl = Velum_util.Keytbl
 
 type key = int
 
@@ -31,20 +32,25 @@ and trace = {
   t_blocks : block list;  (* constituents, head first *)
 }
 
-(* Packed key: frame number, byte offset within the frame (multiple of
-   8, needs 12 bits) and two regime bits. *)
-let key ~ppn ~off ~user ~paging =
-  (Int64.to_int ppn lsl 14)
-  lor (off lsl 2)
-  lor (if user then 1 else 0)
-  lor (if paging then 2 else 0)
+(* Packed key: the instruction slot within the frame (byte offset / 8,
+   9 bits) lowest, then two regime bits, then the frame number.  The
+   tables hash a key to its low bits, so the slot goes there: blocks at
+   different offsets land in different buckets. *)
+let slot_shift = 3 (* log2 Arch.instr_bytes *)
+let off_bits = Arch.page_shift - slot_shift
 
-let key_ppn k = k lsr 14
+let key ~ppn ~off ~user ~paging =
+  (Int64.to_int ppn lsl (off_bits + 2))
+  lor (if paging then 1 lsl (off_bits + 1) else 0)
+  lor (if user then 1 lsl off_bits else 0)
+  lor (off lsr slot_shift)
+
+let key_ppn k = k lsr (off_bits + 2)
 
 (* Everything but the offset bits: frame, user and paging — the parts of
    the key that must agree between a block and the current dispatch for
    the block to serve it. *)
-let regime_mask = lnot (0xFFF lsl 2)
+let regime_mask = lnot ((1 lsl off_bits) - 1)
 let same_regime_key b k = (b.key lxor k) land regime_mask = 0
 
 (* Per-frame index: the blocks decoded from the frame plus the union of
@@ -54,15 +60,15 @@ let same_regime_key b k = (b.key lxor k) land regime_mask = 0
    page with code — return after two integer compares instead of
    walking the block set. *)
 type frame_info = {
-  blocks : (key, block) Hashtbl.t;
+  blocks : block Keytbl.Int.t;
   mutable span_lo : int;
   mutable span_hi : int;
 }
 
 type t = {
   capacity : int;
-  table : (key, block) Hashtbl.t;
-  by_frame : (int, frame_info) Hashtbl.t;
+  table : block Keytbl.Int.t;
+  by_frame : frame_info Keytbl.Int.t;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -78,8 +84,8 @@ let create ?(capacity = 1024) () =
   if capacity <= 0 then invalid_arg "Trans_cache.create: capacity must be positive";
   {
     capacity;
-    table = Hashtbl.create (min capacity 256);
-    by_frame = Hashtbl.create 64;
+    table = Keytbl.Int.create (min capacity 256);
+    by_frame = Keytbl.Int.create 64;
     tick = 0;
     hits = 0;
     misses = 0;
@@ -92,7 +98,7 @@ let create ?(capacity = 1024) () =
   }
 
 let find t k =
-  match Hashtbl.find_opt t.table k with
+  match Keytbl.Int.find_opt t.table k with
   | Some b when b.valid ->
       t.tick <- t.tick + 1;
       b.stamp <- t.tick;
@@ -134,22 +140,22 @@ let sever_traces t b =
       b.in_traces <- []
 
 let unlink t k =
-  match Hashtbl.find_opt t.table k with
+  match Keytbl.Int.find_opt t.table k with
   | None -> ()
   | Some b ->
       b.valid <- false;
       sever_traces t b;
-      Hashtbl.remove t.table k;
+      Keytbl.Int.remove t.table k;
       let ppn = key_ppn k in
-      (match Hashtbl.find_opt t.by_frame ppn with
+      (match Keytbl.Int.find_opt t.by_frame ppn with
       | Some info ->
-          Hashtbl.remove info.blocks k;
-          if Hashtbl.length info.blocks = 0 then Hashtbl.remove t.by_frame ppn
+          Keytbl.Int.remove info.blocks k;
+          if Keytbl.Int.length info.blocks = 0 then Keytbl.Int.remove t.by_frame ppn
       | None -> ())
 
 let evict_lru t =
   let victim = ref None in
-  Hashtbl.iter
+  Keytbl.Int.iter
     (fun k b ->
       match !victim with
       | Some (_, stamp) when b.stamp >= stamp -> ()
@@ -162,7 +168,7 @@ let evict_lru t =
   | None -> ()
 
 let insert t ~key:k ~ppn ~insns ~start_off =
-  if Hashtbl.length t.table >= t.capacity then evict_lru t;
+  if Keytbl.Int.length t.table >= t.capacity then evict_lru t;
   t.tick <- t.tick + 1;
   let b =
     {
@@ -181,17 +187,17 @@ let insert t ~key:k ~ppn ~insns ~start_off =
   (* Replacing a dead entry under the same key is possible after an
      invalidation raced a decode; last write wins. *)
   unlink t k;
-  Hashtbl.replace t.table k b;
+  Keytbl.Int.replace t.table k b;
   let ppn_i = Int64.to_int ppn in
   let info =
-    match Hashtbl.find_opt t.by_frame ppn_i with
+    match Keytbl.Int.find_opt t.by_frame ppn_i with
     | Some i -> i
     | None ->
-        let i = { blocks = Hashtbl.create 4; span_lo = max_int; span_hi = 0 } in
-        Hashtbl.replace t.by_frame ppn_i i;
+        let i = { blocks = Keytbl.Int.create 4; span_lo = max_int; span_hi = 0 } in
+        Keytbl.Int.replace t.by_frame ppn_i i;
         i
   in
-  Hashtbl.replace info.blocks k b;
+  Keytbl.Int.replace info.blocks k b;
   info.span_lo <- min info.span_lo start_off;
   info.span_hi <- max info.span_hi (start_off + (Arch.instr_bytes * Array.length insns));
   b
@@ -200,15 +206,15 @@ let insert t ~key:k ~ppn ~insns ~start_off =
    range [lo, hi) of the frame.  Precision matters: guest kernels keep
    register-save areas and data words in the same pages as code, and
    whole-frame invalidation would re-decode the trap handler on every
-   context save. *)
+   context save.  The answer — does the frame still hold blocks — is
+   what the engine's write listener returns, from the same lookup. *)
 let invalidate_range t ~ppn ~lo ~hi =
-  let ppn_i = Int64.to_int ppn in
-  match Hashtbl.find_opt t.by_frame ppn_i with
-  | None -> ()
+  match Keytbl.Int.find_opt t.by_frame (Int64.to_int ppn) with
+  | None -> false
   | Some info ->
       if hi > info.span_lo && lo < info.span_hi then begin
         let keys =
-          Hashtbl.fold
+          Keytbl.Int.fold
             (fun k b acc ->
               if
                 b.start_off < hi
@@ -222,14 +228,14 @@ let invalidate_range t ~ppn ~lo ~hi =
             unlink t k;
             t.invalidations <- t.invalidations + 1)
           keys
-      end
+      end;
+      Keytbl.Int.length info.blocks > 0
 
-let has_frame t ~ppn = Hashtbl.mem t.by_frame (Int64.to_int ppn)
-
-let invalidate_frame t ~ppn = invalidate_range t ~ppn ~lo:0 ~hi:Arch.page_size
+let invalidate_frame t ~ppn =
+  ignore (invalidate_range t ~ppn ~lo:0 ~hi:Arch.page_size : bool)
 
 let flush t =
-  Hashtbl.iter
+  Keytbl.Int.iter
     (fun _ b ->
       b.valid <- false;
       (* count each live trace once, via its head *)
@@ -241,8 +247,8 @@ let flush t =
       b.trace_at <- None;
       b.in_traces <- [])
     t.table;
-  Hashtbl.reset t.table;
-  Hashtbl.reset t.by_frame
+  Keytbl.Int.reset t.table;
+  Keytbl.Int.reset t.by_frame
 
 (* ---- superblock trace promotion ----
 
@@ -263,7 +269,7 @@ let max_trace_ops = 96
 let promote_threshold = 16
 
 (* the block's key with its offset bits replaced by [off] *)
-let key_at b off = (b.key land regime_mask) lor (off lsl 2)
+let key_at b off = (b.key land regime_mask) lor (off lsr slot_shift)
 
 let block_terminated b =
   let len = Array.length b.insns in
@@ -277,7 +283,7 @@ let successor_for t b ~tgt_off ~collected =
   if tgt_off < 0 || tgt_off >= Arch.page_size || tgt_off land (Arch.instr_bytes - 1) <> 0
   then None
   else
-    match Hashtbl.find_opt t.table (key_at b tgt_off) with
+    match Keytbl.Int.find_opt t.table (key_at b tgt_off) with
     | Some s
       when s.valid && block_terminated s && not (List.exists (fun x -> x == s) collected) ->
         Some s
@@ -343,7 +349,7 @@ let try_promote t ~head ~cost =
 let note_trace_follow t = t.trace_follows <- t.trace_follows + 1
 let note_trace_side_exit t = t.trace_side_exits <- t.trace_side_exits + 1
 
-let entries t = Hashtbl.length t.table
+let entries t = Keytbl.Int.length t.table
 let hits t = t.hits
 let misses t = t.misses
 let invalidations t = t.invalidations

@@ -81,17 +81,15 @@ val insert : t -> key:key -> ppn:int64 -> insns:Instr.t array -> start_off:int -
 (** Caches a freshly decoded block, evicting the LRU entry when at
     capacity.  Returns the interned block. *)
 
-val invalidate_range : t -> ppn:int64 -> lo:int -> hi:int -> unit
+val invalidate_range : t -> ppn:int64 -> lo:int -> hi:int -> bool
 (** Drop (and mark dead) every block of frame [ppn] whose decoded span
     overlaps the byte range [\[lo, hi)] — called when exactly those
     bytes changed.  Blocks in disjoint parts of the frame survive, so
     data/stack writes into a page that also holds code do not throw the
-    code's blocks away. *)
-
-val has_frame : t -> ppn:int64 -> bool
-(** Some cached block was decoded from frame [ppn] — what a write
-    listener answers to keep watching the frame (see
-    {!Phys_mem.add_write_listener}). *)
+    code's blocks away.  Returns whether frame [ppn] still holds a
+    cached block afterwards — what a write listener answers to keep
+    watching the frame (see {!Phys_mem.add_write_listener}); one table
+    lookup serves both. *)
 
 val invalidate_frame : t -> ppn:int64 -> unit
 (** [invalidate_range] over the whole frame — for events where the

@@ -782,6 +782,135 @@ let test_vnet_rx_overflow () =
     (Virtio_net.frames_received v + Virtio_net.rx_overflow v
    + Virtio_net.backlog_length v)
 
+(* The RX walk against the eager one it replaced: read every pending
+   descriptor first, then deliver the backlog in order.  The device now
+   reads each slot only when it reaches it; with buffers and status
+   words apart from the ring, the two must leave guest memory, the used
+   index, the counters and the interrupt identical. *)
+type rx_slot =
+  | Rx_good of int  (* buffer length *)
+  | Rx_malformed of int  (* descriptor word that fails to read *)
+  | Rx_unwritable  (* buffer runs past the end of RAM *)
+
+let eager_rx_walk (gm : Virtio_ring.guest_mem) ring frames =
+  let backlog = Queue.of_seq (List.to_seq frames) in
+  let received = ref 0 and dropped = ref 0 and malformed = ref 0 in
+  let status (d : Virtio_ring.desc) v = ignore (gm.write_u64 d.status_gpa v) in
+  let rec go completed = function
+    | [] -> completed
+    | (idx, None) :: rest ->
+        incr malformed;
+        Virtio_ring.fail_slot ring idx;
+        go (completed + 1) rest
+    | (_, Some (d : Virtio_ring.desc)) :: rest -> (
+        match Queue.take_opt backlog with
+        | None -> completed
+        | Some frame ->
+            let len = String.length frame in
+            if len > d.data_len then begin
+              incr dropped;
+              status d 1L
+            end
+            else if gm.write_bytes d.data_gpa (Bytes.of_string frame) then begin
+              incr received;
+              status d (Int64.of_int (len lsl 8))
+            end
+            else begin
+              incr dropped;
+              status d 1L
+            end;
+            go (completed + 1) rest)
+  in
+  let completed = go 0 (Virtio_ring.pending_slots ring) in
+  if completed > 0 then Virtio_ring.complete ring ~count:completed;
+  (!received, !dropped, !malformed, completed > 0, Queue.length backlog)
+
+let prop_rx_walk_matches_eager =
+  QCheck2.Test.make ~count:300 ~name:"vnet rx walk = eager reference walk"
+    QCheck2.Gen.(
+      oneofl [ 1; 2; 4; 8 ] >>= fun size ->
+      let slot =
+        frequency
+          [
+            (5, map (fun l -> Rx_good l) (int_range 1 96));
+            (2, map (fun w -> Rx_malformed w) (int_range 0 4));
+            (1, return Rx_unwritable);
+          ]
+      in
+      quad (int_range 0 40)
+        (frequency [ (8, int_range 0 size); (1, return (size + 1)) ])
+        (list_repeat size slot)
+        (frequency
+           [
+             (1, return []);
+             (2, list_size (int_range 1 (size + 2)) (string_size ~gen:printable (int_range 16 64)));
+           ])
+      >|= fun c -> (size, c))
+    (fun (size, (used, posted, slots, frames)) ->
+      let frames_n = 16 and rx_base = 0x1000L in
+      let setup () =
+        let mem = Phys_mem.create ~frames:frames_n in
+        let base = Platform.identity_guest_mem mem in
+        let ring = Virtio_ring.create ~mem:base ~base:rx_base ~size in
+        let poisoned = ref [] in
+        (* header: avail_idx, then used_idx *)
+        ignore (base.write_u64 rx_base (Int64.of_int (used + posted)));
+        ignore (base.write_u64 (Int64.add rx_base 8L) (Int64.of_int used));
+        List.iteri
+          (fun i kind ->
+            let a = Virtio_ring.slot_addr ring (Int64.of_int i) in
+            let data_gpa, data_len =
+              match kind with
+              | Rx_good l -> (Int64.of_int (0x4000 + (128 * i)), l)
+              | Rx_malformed _ -> (Int64.of_int (0x4000 + (128 * i)), 96)
+              | Rx_unwritable -> (Int64.of_int ((frames_n * 4096) - 8), 96)
+            in
+            List.iteri
+              (fun k v -> ignore (base.write_u64 (Int64.add a (Int64.of_int (8 * k))) v))
+              [ data_gpa; Int64.of_int data_len; 0L; 0L; Int64.of_int (0x3000 + (8 * i)) ];
+            match kind with
+            | Rx_malformed w -> poisoned := Int64.add a (Int64.of_int (8 * w)) :: !poisoned
+            | _ -> ())
+          slots;
+        let gm =
+          {
+            base with
+            Virtio_ring.read_u64 =
+              (fun a -> if List.mem a !poisoned then None else base.read_u64 a);
+          }
+        in
+        (mem, gm)
+      in
+      let mem_d, gm_d = setup () and mem_m, gm_m = setup () in
+      let link = Link.create ~bytes_per_cycle:8.0 ~latency_cycles:10 () in
+      let v = Virtio_net.create ~link ~endpoint:`A ~mem:gm_d () in
+      Setups.vnet_rings v ~tx_base:0x2000L ~tx_size:4L ~rx_base ~rx_size:(Int64.of_int size);
+      List.iter (fun f -> ignore (Link.send link ~from:`B ~now:0L ~payload:f)) frames;
+      Virtio_net.tick v 1_000_000L;
+      let irq = (Virtio_net.device v).Bus.read Virtio_net.reg_isr Instr.W64 = 1L in
+      let received, dropped, malformed, m_irq, left =
+        eager_rx_walk gm_m (Virtio_ring.create ~mem:gm_m ~base:rx_base ~size) frames
+      in
+      let ring_d = Virtio_ring.create ~mem:gm_d ~base:rx_base ~size in
+      let ring_m = Virtio_ring.create ~mem:gm_m ~base:rx_base ~size in
+      let same_ram =
+        List.for_all
+          (fun p ->
+            Bytes.equal
+              (Phys_mem.frame_read mem_d ~ppn:(Int64.of_int p))
+              (Phys_mem.frame_read mem_m ~ppn:(Int64.of_int p)))
+          (List.init frames_n Fun.id)
+      in
+      if not same_ram then QCheck2.Test.fail_report "guest RAM differs from the model";
+      if Virtio_ring.used_idx ring_d <> Virtio_ring.used_idx ring_m then
+        QCheck2.Test.fail_reportf "used_idx %Ld, model %Ld" (Virtio_ring.used_idx ring_d)
+          (Virtio_ring.used_idx ring_m);
+      Virtio_net.frames_received v = received
+      && Virtio_net.rx_dropped v = dropped
+      && Virtio_net.rx_malformed v = malformed
+      && irq = m_irq
+      && Virtio_net.backlog_length v = left)
+
 (* Frame conservation through NIC + switch under a random fault plan and
    a random op schedule: everything transmitted is delivered or lands in
    a named counter — nothing disappears silently. *)
@@ -1005,6 +1134,7 @@ let () =
           Alcotest.test_case "vnet malformed tx slot" `Quick
             test_vnet_malformed_tx_slot;
           Alcotest.test_case "vnet rx overflow" `Quick test_vnet_rx_overflow;
+          QCheck_alcotest.to_alcotest prop_rx_walk_matches_eager;
           QCheck_alcotest.to_alcotest prop_fabric_conservation;
         ] );
       ( "platform",

@@ -349,7 +349,7 @@ let test_bt_translation_cache_reuse () =
   (* a handful of sensitive sites serve hundreds of syscalls *)
   checkb (Printf.sprintf "only %d sites translated" translations) true
     (translations < 40);
-  checkb "cache populated" true (Hashtbl.length vm.Vm.bt_cache = translations)
+  checkb "cache populated" true (Velum_util.Keytbl.I64.length vm.Vm.bt_cache = translations)
 
 (* --- console input, timers, networking --- *)
 

@@ -1922,6 +1922,36 @@ let test_register_index_checked () =
         (Invalid_argument "Cpu: register index out of range") (fun () -> Cpu.set_reg s r 1L))
     [ -1; 16; 17 ]
 
+(* The block engine's write listener answers from its one cache lookup
+   ([Trans_cache.invalidate_range]): a store beside a decoded block keeps
+   the block and the frame's watch; a store into the block drops it, and
+   with no block left in the frame the listener answers [false], so the
+   frame's later writes skip it. *)
+let test_engine_listener_watch () =
+  let mem, state, ctx, _, _ = make_cpu () in
+  load_program mem [ li r1 1L; li r2 2L; li r3 3L; halt ];
+  let engine = Engine.block () in
+  ignore (engine.Engine.step_n state ctx ~fuel:1000);
+  let cache = Option.get engine.Engine.cache in
+  let key = Trans_cache.key ~ppn:0L ~off:0 ~user:false ~paging:false in
+  let b =
+    match Trans_cache.find cache key with
+    | Some b -> b
+    | None -> Alcotest.fail "no block decoded at frame 0, offset 0"
+  in
+  let span_hi = b.Trans_cache.start_off + (Arch.instr_bytes * Array.length b.Trans_cache.insns) in
+  checkb "block spans below the data word" true (span_hi <= 0x800);
+  checki "one block in the frame" 1 (Trans_cache.entries cache);
+  Phys_mem.write mem 0x800L Instr.W64 7L;
+  checkb "store beside the block keeps it" true b.Trans_cache.valid;
+  checkb "frame still watched" true (Phys_mem.watched mem ~ppn:0L);
+  Phys_mem.write mem 8L Instr.W64 0L;
+  checkb "store into the block drops it" false b.Trans_cache.valid;
+  checki "no block left" 0 (Trans_cache.entries cache);
+  checkb "frame no longer watched" false (Phys_mem.watched mem ~ppn:0L);
+  checkb "listener answer for an empty frame" false
+    (Trans_cache.invalidate_range cache ~ppn:0L ~lo:0 ~hi:8)
+
 (* ---------------- Trace-tier ALU ---------------- *)
 
 (* The trace tier evaluates ALU ops and branches with its own inline
@@ -2252,6 +2282,8 @@ let () =
           Alcotest.test_case "blit_out overflow" `Quick test_mem_blit_out_overflow;
           Alcotest.test_case "lazy backing" `Quick test_mem_lazy_backing;
           Alcotest.test_case "load slice" `Quick test_mem_load_slice;
+          Alcotest.test_case "engine listener keeps the watch exact" `Quick
+            test_engine_listener_watch;
         ]
         @ qsuite
             [
