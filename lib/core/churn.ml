@@ -32,7 +32,7 @@ let attach mem =
              List.iter (fun c -> if s <= c.base then c.count <- c.count + 1) t.cursors
            end
          end;
-         false));
+         0));
   t
 
 let mark t =

@@ -30,11 +30,6 @@ val reg_tx_cmd : int64
 val reg_rx_len : int64
 val reg_rx_dma : int64
 val reg_rx_cmd : int64
-val reg_frames_sent : int64
-val reg_frames_received : int64
-val reg_tx_dropped : int64
-val reg_rx_dropped : int64
-val reg_rx_overflow : int64
 
 val mmio_base : int64
 (** Conventional base address ([0x4000_1000]). *)

@@ -31,18 +31,11 @@
     - [0x30] SENT, [0x38] RECEIVED, [0x40] TX_DROPPED,
       [0x48] RX_DROPPED, [0x50] RX_OVERFLOW, [0x58] KICKS (all read) *)
 
-val reg_tx_kick : int64
 val reg_isr : int64
 val reg_tx_ring_base : int64
 val reg_tx_ring_size : int64
 val reg_rx_ring_base : int64
 val reg_rx_ring_size : int64
-val reg_sent : int64
-val reg_received : int64
-val reg_tx_dropped : int64
-val reg_rx_dropped : int64
-val reg_rx_overflow : int64
-val reg_kicks : int64
 
 val mmio_base : int64
 (** Conventional base address ([0x4000_4000]). *)

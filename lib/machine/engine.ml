@@ -29,7 +29,8 @@ let interp =
    the memory the hart executes from.  It is registered the first time a
    block is about to be inserted, so a machine that never runs the
    engine carries no listener.  An engine serves one machine, so one
-   registration covers its life. *)
+   registration covers its life.  The listener answers the span of the
+   blocks the frame still holds, so stores beside them stay quiet. *)
 let attach h cache mem =
   if Option.is_none h.attached then
     h.attached <-
@@ -318,8 +319,9 @@ let block_step cache hook states s ctx ~fuel =
                                 Trans_cache.insert cache ~key ~ppn:w.cur_frame ~insns
                                   ~start_off:off
                               in
-                              (* the cache holds code from this frame now:
-                                 its writes must reach the listener again *)
+                              (* the cache holds code from this frame now,
+                                 perhaps beyond the span the listener last
+                                 answered: its writes must reach it again *)
                               Phys_mem.watch ctx.Cpu.mem ~ppn:w.cur_frame;
                               Some b)
                     in

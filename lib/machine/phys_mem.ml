@@ -10,8 +10,14 @@ type t = {
   watched : Bytes.t;
       (* one byte per frame: nonzero while some listener still wants the
          frame's writes *)
-  mutable listeners : (int * (ppn:int64 -> lo:int -> hi:int -> bool)) list;
+  quiet : int array;
+      (* [quiet_slots] entries, direct-mapped by frame number: [(i lsl
+         range_bits) lor r] says no listener wants watched frame [i]'s
+         writes outside the range [r] (packed as [want]); -1 is empty *)
+  mutable listeners : (int * (ppn:int64 -> lo:int -> hi:int -> int)) list;
   mutable next_listener : int;
+  mutable deliveries : int;
+  mutable quiet_skips : int;
 }
 
 let page = Arch.page_size
@@ -26,6 +32,26 @@ let zero_hash = Velum_util.Fnv.hash_bytes zero
    so RAM stays below 2^48 bytes. *)
 let frame_limit = (1 lsl 48) / page
 
+(* A byte range [lo, hi) of a frame packs into [range_bits] bits as
+   [(lo lsl 13) lor hi]; 0 is the empty range.  A frame number (below
+   2^36) above them still fits an [int], and no frame reads as -1's. *)
+let range_bits = 26
+let field = (1 lsl 13) - 1
+let[@inline] lo_of r = (r lsr 13) land field
+let[@inline] hi_of r = r land field
+
+let want ~lo ~hi =
+  let lo = max lo 0 and hi = min hi page in
+  if hi <= lo then 0 else (lo lsl 13) lor hi
+
+let union a b =
+  if a = 0 then b
+  else if b = 0 then a
+  else (min (lo_of a) (lo_of b) lsl 13) lor max (hi_of a) (hi_of b)
+
+let quiet_slots = 16
+let slot i = i land (quiet_slots - 1)
+
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: frames must be positive";
   if frames >= frame_limit then invalid_arg "Phys_mem.create: too many frames";
@@ -34,8 +60,11 @@ let create ~frames =
     frames;
     last_word = (frames * page) - 8;
     watched = Bytes.make frames '\001';
+    quiet = Array.make quiet_slots (-1);
     listeners = [];
     next_listener = 0;
+    deliveries = 0;
+    quiet_skips = 0;
   }
 
 (* The page of frame [i], given its own on first use. *)
@@ -48,11 +77,21 @@ let owned t i =
     p
   end
 
+(* Forget frame [i]'s quiet range, if its slot holds one. *)
+let unquiet t i =
+  let s = slot i in
+  if t.quiet.(s) lsr range_bits = i then t.quiet.(s) <- -1
+
 let watch t ~ppn =
   let i = Int64.to_int ppn in
-  if i >= 0 && i < t.frames then Bytes.unsafe_set t.watched i '\001'
+  if i >= 0 && i < t.frames then begin
+    Bytes.unsafe_set t.watched i '\001';
+    unquiet t i
+  end
 
-let watch_all t = Bytes.fill t.watched 0 t.frames '\001'
+let watch_all t =
+  Bytes.fill t.watched 0 t.frames '\001';
+  Array.fill t.quiet 0 quiet_slots (-1)
 
 let watched t ~ppn =
   let i = Int64.to_int ppn in
@@ -69,22 +108,41 @@ let remove_write_listener t id =
   t.listeners <- List.filter (fun (i, _) -> i <> id) t.listeners
 
 let listener_count t = List.length t.listeners
+let deliveries t = t.deliveries
+let quiet_skips t = t.quiet_skips
+
+(* The union of every listener's answer to one write: all of them run. *)
+let rec ask ppn lo hi acc = function
+  | [] -> acc
+  | (_, f) :: rest -> ask ppn lo hi (union acc (f ~ppn ~lo ~hi)) rest
 
 (* Report the written subrange [lo, hi) of frame [i] to every listener
-   when the frame is watched; when none of them still wants the frame,
-   stop watching it.  Every listener runs: no short cut on [true]. *)
+   when the frame is watched and the write is not quiet: a write that
+   misses the range its slot records for the frame returns after two
+   compares.  The union of the answers becomes the frame's quiet range;
+   when it is empty, stop watching the frame. *)
 let notify_frame_range t i ~lo ~hi =
   if Bytes.unsafe_get t.watched i <> '\000' then begin
-    let ppn = Int64.of_int i in
-    let keep = List.fold_left (fun keep (_, f) -> f ~ppn ~lo ~hi || keep) false t.listeners in
-    if not keep then Bytes.unsafe_set t.watched i '\000'
+    let s = slot i in
+    let e = Array.unsafe_get t.quiet s in
+    if e lsr range_bits = i && (hi <= lo_of e || lo >= hi_of e) then
+      t.quiet_skips <- t.quiet_skips + 1
+    else begin
+      t.deliveries <- t.deliveries + 1;
+      match ask (Int64.of_int i) lo hi 0 t.listeners with
+      | 0 ->
+          Bytes.unsafe_set t.watched i '\000';
+          unquiet t i
+      | r -> Array.unsafe_set t.quiet s ((i lsl range_bits) lor r)
+    end
   end
 
 (* Notify each frame the byte range [pa, pa+bytes) touches, with the
    per-frame byte subrange that was written (so listeners caching
    derived views of code can invalidate precisely).  This sits on the
-   store fast path: with no listeners it is one match, and a write to an
-   unwatched frame costs one byte load. *)
+   store fast path: with no listeners it is one match, a write to an
+   unwatched frame costs one byte load, and a quiet one two compares
+   more. *)
 let notify_range t pa bytes =
   match t.listeners with
   | [] -> ()

@@ -107,29 +107,43 @@ val blit_between : src:t -> src_ppn:int64 -> dst:t -> dst_ppn:int64 -> unit
     COW copies, hypervisor swap-in and restore paths.
 
     {b The write watch.}  Most guest stores hit pure data frames no
-    listener cares about, so each frame carries one watch byte, and a
-    write reaches the listeners only while its frame is watched.  Each
-    listener answers [true] when it is still interested in the frame;
-    when every listener answers [false] the frame stops being watched,
-    and its writes cost one byte load until something calls {!watch} (or
-    {!watch_all}) again.  A listener that returns [false] for a frame
-    must therefore call {!watch} itself before it next needs that
-    frame's writes — the translation cache's engine does so whenever it
-    inserts a block decoded from the frame, and the dirty tracker calls
-    {!watch_all} whenever it opens a new write epoch.  Every frame starts
-    watched, and registering a listener watches them all again.  With
-    no listeners the notification costs one list match. *)
+    listener cares about, and many of the rest hit the data half of a
+    frame whose other half holds code.  So each frame carries one watch
+    byte, and a write reaches the listeners only while its frame is
+    watched and the write is not {e quiet}.  Each listener answers with
+    the byte range of the frame it still wants ({!want}; [0] is
+    nothing).  The union of the answers becomes the frame's quiet range:
+    a small table, 16 slots direct-mapped by frame number, remembers it,
+    and a later write to the frame that misses the range is quiet and
+    reaches nobody, at the cost of two compares.  When every listener
+    answers [0] the frame stops being watched, and its writes cost one
+    byte load.  Either way a listener gets no more of the frame's writes
+    outside its answer until something calls {!watch} (or {!watch_all})
+    again, so it must call {!watch} itself before it next needs them —
+    the translation cache's engine does so whenever it inserts a block
+    decoded from the frame, and the dirty tracker calls {!watch_all}
+    whenever it opens a new write epoch.  {!watch} forgets the frame's
+    quiet range and {!watch_all} forgets all of them.  A frame whose
+    slot another frame has taken simply has its writes delivered again.
+    Every frame starts watched, and registering a listener watches them
+    all again.  With no listeners the notification costs one list
+    match. *)
 
-val add_write_listener : t -> (ppn:int64 -> lo:int -> hi:int -> bool) -> int
+val want : lo:int -> hi:int -> int
+(** [want ~lo ~hi] is a listener's answer for the byte range [\[lo, hi)]
+    of a frame, clamped to the frame, as an immediate [int]:
+    [0] when the range is empty, [page_size] for the whole frame. *)
+
+val add_write_listener : t -> (ppn:int64 -> lo:int -> hi:int -> int) -> int
 (** Returns a handle for {!remove_write_listener}, and watches every
     frame, so the new listener sees the first write to each of them.
-    The listener runs synchronously on each write to a watched frame,
-    once per touched frame, with the written byte subrange [\[lo, hi)] of
-    that frame (whole-frame operations report [0, page_size)).  The
-    range lets callers that cache derived views of code skip
-    invalidation when a write lands in a disjoint part of the frame —
-    e.g. a stack or data area sharing a page with code.  It returns
-    whether it still wants this frame's writes (see above).  The
+    The listener runs synchronously on each delivered write, once per
+    touched frame, with the written byte subrange [\[lo, hi)] of that
+    frame (whole-frame operations report [0, page_size)).  The range
+    lets callers that cache derived views of code skip invalidation when
+    a write lands in a disjoint part of the frame — e.g. a stack or data
+    area sharing a page with code.  It answers the range of the frame
+    whose writes it still wants, built by {!want} (see above).  The
     listener must be cheap and must not write memory itself. *)
 
 val remove_write_listener : t -> int -> unit
@@ -139,10 +153,20 @@ val listener_count : t -> int
 
 val watch : t -> ppn:int64 -> unit
 (** [watch t ~ppn] makes the next write to frame [ppn] reach the
-    listeners again (a frame outside the memory is ignored). *)
+    listeners again, wherever it lands in the frame (a frame outside the
+    memory is ignored). *)
 
 val watch_all : t -> unit
 (** {!watch} every frame. *)
 
 val watched : t -> ppn:int64 -> bool
-(** Frame [ppn]'s next write will reach the listeners. *)
+(** Frame [ppn]'s watch byte is set: some listener still wants part of
+    its writes (a write outside its quiet range still reaches none). *)
+
+val deliveries : t -> int
+(** Writes delivered to the listeners so far, counted once per touched
+    frame however many listeners ran. *)
+
+val quiet_skips : t -> int
+(** Writes to a watched frame that missed its quiet range and so reached
+    no listener. *)

@@ -206,11 +206,12 @@ let insert t ~key:k ~ppn ~insns ~start_off =
    range [lo, hi) of the frame.  Precision matters: guest kernels keep
    register-save areas and data words in the same pages as code, and
    whole-frame invalidation would re-decode the trap handler on every
-   context save.  The answer — does the frame still hold blocks — is
-   what the engine's write listener returns, from the same lookup. *)
+   context save.  The answer — the span of the blocks the frame still
+   holds, or 0 — is what the engine's write listener returns, from the
+   same lookup. *)
 let invalidate_range t ~ppn ~lo ~hi =
   match Keytbl.Int.find_opt t.by_frame (Int64.to_int ppn) with
-  | None -> false
+  | None -> 0
   | Some info ->
       if hi > info.span_lo && lo < info.span_hi then begin
         let keys =
@@ -229,10 +230,11 @@ let invalidate_range t ~ppn ~lo ~hi =
             t.invalidations <- t.invalidations + 1)
           keys
       end;
-      Keytbl.Int.length info.blocks > 0
+      if Keytbl.Int.length info.blocks > 0 then Phys_mem.want ~lo:info.span_lo ~hi:info.span_hi
+      else 0
 
 let invalidate_frame t ~ppn =
-  ignore (invalidate_range t ~ppn ~lo:0 ~hi:Arch.page_size : bool)
+  ignore (invalidate_range t ~ppn ~lo:0 ~hi:Arch.page_size : int)
 
 let flush t =
   Keytbl.Int.iter

@@ -81,15 +81,19 @@ val insert : t -> key:key -> ppn:int64 -> insns:Instr.t array -> start_off:int -
 (** Caches a freshly decoded block, evicting the LRU entry when at
     capacity.  Returns the interned block. *)
 
-val invalidate_range : t -> ppn:int64 -> lo:int -> hi:int -> bool
+val invalidate_range : t -> ppn:int64 -> lo:int -> hi:int -> int
 (** Drop (and mark dead) every block of frame [ppn] whose decoded span
     overlaps the byte range [\[lo, hi)] — called when exactly those
     bytes changed.  Blocks in disjoint parts of the frame survive, so
     data/stack writes into a page that also holds code do not throw the
-    code's blocks away.  Returns whether frame [ppn] still holds a
-    cached block afterwards — what a write listener answers to keep
-    watching the frame (see {!Phys_mem.add_write_listener}); one table
-    lookup serves both. *)
+    code's blocks away.  Returns the byte span of the blocks frame [ppn]
+    still holds afterwards, as {!Phys_mem.want} packs it ([0] when none
+    is left): what a write listener answers, so that later writes to the
+    frame outside the span are quiet (see {!Phys_mem.add_write_listener});
+    one table lookup serves both.  The span is the union of every block
+    inserted since the frame last held none, so it may cover dropped
+    blocks too, and an insert widens it: the engine calls
+    {!Phys_mem.watch} after each insert. *)
 
 val invalidate_frame : t -> ppn:int64 -> unit
 (** [invalidate_range] over the whole frame — for events where the

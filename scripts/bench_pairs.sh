@@ -10,7 +10,11 @@
 # one line per run as it finishes, then per end-to-end metric each
 # side's median and quartiles, the change of the median in %, and how
 # many pairs the change won (ties count for neither side).  The metric
-# directions come from CHANGE_DIR/BENCHMARK.json.  Needs jq.
+# directions come from CHANGE_DIR/BENCHMARK.json.  A median can hide a
+# moved simulated number, so it then lists every metric that reads the
+# same in all runs of each side as parent -> change, and exits 1 when
+# sim_cycles, vmm_share or availability differ between the runs (within
+# or across the sides) or any run failed an operation.  Needs jq.
 set -euo pipefail
 
 usage() {
@@ -82,3 +86,26 @@ for m in $(jq -r '.metrics | keys_unsorted[]' "$out/parent.1"); do
   printf '%-14s %-34s %-34s %9s %6s\n' "$m" "$pm [$pq1, $pq3]" "$cm [$cq1, $cq3]" "$pct" \
     "$won/$pairs"
 done
+
+status=0
+printf '\nsame in every run of a side (parent -> change):\n'
+for m in $(jq -r '.metrics | keys_unsorted[]' "$out/parent.1"); do
+  pv=$(values parent "$m" | sort -u)
+  cv=$(values change "$m" | sort -u)
+  if [ "$(wc -l <<<"$pv")" -eq 1 ] && [ "$(wc -l <<<"$cv")" -eq 1 ]; then
+    printf '  %-14s %s -> %s%s\n' "$m" "$pv" "$cv" "$([ "$pv" = "$cv" ] && echo ' (same)')"
+  fi
+done
+for m in sim_cycles vmm_share availability; do
+  seen=$( (values parent "$m"; values change "$m") | sort -u)
+  if [ "$(wc -l <<<"$seen")" -ne 1 ]; then
+    echo "FAIL: $m differs between runs:" $seen
+    status=1
+  fi
+done
+failed=$(cat "$out"/parent.* "$out"/change.* | jq -s 'map(.failed) | add')
+if [ "$failed" -gt 0 ]; then
+  echo "FAIL: $failed failed operations over all runs"
+  status=1
+fi
+exit $status

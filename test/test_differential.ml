@@ -773,12 +773,11 @@ let minor_words_per_insn engine =
    without the scheduler.  Counts are deterministic, so this pins the
    miss path (shadow walks, fills, PT-write emulation and TLB flushes;
    nested 2-D walks) the way the case above pins the hit path. *)
-let run_words_per_insn ?heap_pages ~paging user =
+let run_whole ?heap_pages ~paging user measure =
   let setup = Images.plan ?heap_pages ~user () in
   let _, vm = Images.boot ~name:"alloc" ~paging setup in
   let state = vm.Vm.vcpus.(0).Vcpu.state in
   let ctx = Vm.cpu_ctx vm ~vcpu_idx:0 ~now:(fun () -> 0L) in
-  let i0 = state.Cpu.instret and w0 = Gc.minor_words () in
   let rec go () =
     match vm.Vm.engine.Engine.step_n state ctx ~fuel:100_000 with
     | _, Cpu.Budget -> go ()
@@ -790,9 +789,44 @@ let run_words_per_insn ?heap_pages ~paging user =
         | Emulate.Became_blocked -> Alcotest.fail "guest blocked")
     | _, Cpu.Waiting -> Alcotest.fail "guest waited"
   in
-  go ();
-  let words = Gc.minor_words () -. w0 in
-  words /. Int64.to_float (Int64.sub state.Cpu.instret i0)
+  measure state ctx go
+
+let run_words_per_insn ?heap_pages ~paging user =
+  run_whole ?heap_pages ~paging user (fun state _ go ->
+      let i0 = state.Cpu.instret and w0 = Gc.minor_words () in
+      go ();
+      let words = Gc.minor_words () -. w0 in
+      words /. Int64.to_float (Int64.sub state.Cpu.instret i0))
+
+(* Host work of the write watch over the same whole runs: writes that
+   reached the listeners, and writes to watched frames that missed every
+   listener's range (quiet).  Counts are deterministic, so a listener
+   that stops narrowing its answer shows here without a wall clock. *)
+let run_deliveries ~paging user =
+  run_whole ~paging user (fun _ ctx go ->
+      let mem = ctx.Cpu.mem in
+      let d0 = Phys_mem.deliveries mem and q0 = Phys_mem.quiet_skips mem in
+      go ();
+      (Phys_mem.deliveries mem - d0, Phys_mem.quiet_skips mem - q0))
+
+let watch_budget () =
+  let churn, churn_quiet =
+    run_deliveries ~paging:Vm.Shadow_paging (Workloads.pt_churn ~batch:16 ~count:200 ())
+  and syscalls, syscalls_quiet =
+    run_deliveries ~paging:Vm.Shadow_paging (Workloads.syscall_loop ~count:2000L)
+  in
+  Printf.printf
+    "write-watch deliveries (quiet skips): shadow pt_churn %d (%d), shadow syscall_loop %d \
+     (%d)\n"
+    churn churn_quiet syscalls syscalls_quiet;
+  Alcotest.(check bool) "stores beside code happen" true (churn_quiet > 0 && syscalls_quiet > 0);
+  (* 6034 and 30030 deliveries while every write to a frame holding
+     code reached the listeners, 23 and 17 since a write beside the
+     frame's blocks is quiet *)
+  Alcotest.(check bool) (Printf.sprintf "shadow pt_churn delivers %d <= 60" churn) true
+    (churn <= 60);
+  Alcotest.(check bool) (Printf.sprintf "shadow syscall_loop delivers %d <= 60" syscalls) true
+    (syscalls <= 60)
 
 let alloc_budget () =
   let block = minor_words_per_insn Engine.Block
@@ -1332,6 +1366,7 @@ let () =
           Alcotest.test_case "native self-modifying code" `Quick native_smc;
           Alcotest.test_case "SMC re-watches a data-only frame" `Quick native_smc_watch;
           Alcotest.test_case "allocation per instruction" `Quick alloc_budget;
+          Alcotest.test_case "write-watch deliveries" `Quick watch_budget;
           Alcotest.test_case "native cache hit path" `Quick native_cache_hits;
           Alcotest.test_case "SMC into a hot two-block loop" `Quick native_hot_loop_smc;
           Alcotest.test_case "promotion follows the hotter branch direction" `Quick

@@ -1131,7 +1131,8 @@ let churn_prop =
       let mem = Phys_mem.create ~frames in
       let code = Array.make frames false in
       ignore
-        (Phys_mem.add_write_listener mem (fun ~ppn ~lo:_ ~hi:_ -> code.(Int64.to_int ppn)));
+        (Phys_mem.add_write_listener mem (fun ~ppn ~lo:_ ~hi:_ ->
+             if code.(Int64.to_int ppn) then Arch.page_size else 0));
       let t = Churn.attach mem in
       let c = Churn.cursor t in
       (* model: frames written since the cursor's base, and per mark *)

@@ -256,7 +256,7 @@ let prop_mem_sparse_matches_dense =
           ignore
             (Phys_mem.add_write_listener mem (fun ~ppn ~lo ~hi ->
                  seen := (m, ppn, lo, hi) :: !seen;
-                 true)))
+                 page)))
         mems;
       let ppn_ok m p = p >= 0L && p < Int64.of_int frames.(m) in
       let pa_ok m pa n = pa >= 0L && pa <= Int64.of_int ((frames.(m) * page) - n) in
@@ -424,10 +424,11 @@ let prop_mem_int_addressed =
            [ 0L; 1L ])
 
 (* The write watch, against a model: two listeners, each with its own
-   per-frame interest that the ops flip.  A write to a watched frame
-   calls {e both} listeners (no short cut); the frame stops being
-   watched exactly when both answer [false], and a listener that did so
-   is not called for that frame again until [watch]/[watch_all]. *)
+   per-frame interest that the ops flip, answered as the whole frame or
+   nothing.  A write to a watched frame calls {e both} listeners (no
+   short cut); the frame stops being watched exactly when both answer
+   [0], and a listener that did so is not called for that frame again
+   until [watch]/[watch_all]. *)
 type watch_op =
   | W_write of int * int  (* frame, offset *)
   | W_fill of int
@@ -458,7 +459,7 @@ let prop_write_watch =
           ignore
             (Phys_mem.add_write_listener mem (fun ~ppn ~lo ~hi ->
                  calls.(l) <- (Int64.to_int ppn, lo, hi) :: calls.(l);
-                 wants.(Int64.to_int ppn))))
+                 if wants.(Int64.to_int ppn) then page else 0)))
         interest;
       (* model *)
       let watched = Array.make frames true in
@@ -491,6 +492,150 @@ let prop_write_watch =
           && List.for_all
                (fun f -> Phys_mem.watched mem ~ppn:(Int64.of_int f) = watched.(f))
                (List.init frames Fun.id))
+        ops)
+
+(* The quiet ranges, against a model of what each listener is owed:
+   listeners answer random byte ranges (some empty), and the property is
+   safety — every write that overlaps the range a listener last answered
+   for the frame, and every write since [watch]/[watch_all] (or the
+   registration of a listener) touched the frame, reaches that listener,
+   and a delivered write reaches every registered listener.  Frames 0/16
+   and 1/17/33 share a slot of the 16-slot table. *)
+type quiet_op =
+  | Q_write of int * int * Instr.width  (* frame, offset *)
+  | Q_load of int * int  (* address, length: may cross a frame boundary *)
+  | Q_fill of int
+  | Q_answer of int * int * int * int  (* listener, frame, lo, hi *)
+  | Q_watch of int
+  | Q_watch_all
+  | Q_add of int
+  | Q_remove of int
+
+let prop_quiet_ranges =
+  let frames = 34 and listeners = 3 in
+  QCheck2.Test.make ~count:400 ~name:"write watch: quiet ranges never hide a wanted write"
+    QCheck2.Gen.(
+      let frame = oneofl [ 0; 1; 2; 16; 17; 33 ] in
+      let listener = int_range 0 (listeners - 1) in
+      let range =
+        frequency
+          [
+            (1, return (0, 0));
+            (1, return (0, page));
+            (4, map2 (fun lo len -> (lo, lo + len)) (int_range 0 (page - 1)) (int_range 1 1024));
+          ]
+      in
+      let write =
+        oneofl Instr.[ W8; W16; W32; W64 ] >>= fun w ->
+        map2 (fun f o -> Q_write (f, o, w)) frame (int_range 0 (page - Instr.width_bytes w))
+      in
+      list_size (int_range 1 80)
+        (frequency
+           [
+             (8, write);
+             (1, map2 (fun f o -> Q_load ((f * page) + o, 64)) frame (int_range (page - 96) (page - 1)));
+             (1, map (fun f -> Q_fill f) frame);
+             (6, map3 (fun l f (lo, hi) -> Q_answer (l, f, lo, hi)) listener frame range);
+             (1, map (fun f -> Q_watch f) frame);
+             (1, return Q_watch_all);
+             (1, map (fun l -> Q_add l) listener);
+             (1, map (fun l -> Q_remove l) listener);
+           ]))
+    (fun ops ->
+      let mem = Phys_mem.create ~frames in
+      (* what each listener answers, and the calls it got during one op *)
+      let answer = Array.init listeners (fun _ -> Array.make frames (0, 0)) in
+      let calls = Array.make listeners [] in
+      let handle = Array.make listeners None in
+      (* model: [None] — owed every write of the frame; [Some (lo, hi)] —
+         owed the writes overlapping its last answer *)
+      let owed = Array.init listeners (fun _ -> Array.make frames None) in
+      let owe_all () = Array.iter (fun o -> Array.fill o 0 frames None) owed in
+      let add l =
+        if handle.(l) = None then begin
+          handle.(l) <-
+            Some
+              (Phys_mem.add_write_listener mem (fun ~ppn ~lo ~hi ->
+                   let f = Int64.to_int ppn in
+                   calls.(l) <- (f, lo, hi) :: calls.(l);
+                   let lo, hi = answer.(l).(f) in
+                   Phys_mem.want ~lo ~hi));
+          owe_all ()
+        end
+      in
+      add 0;
+      add 1;
+      let registered l = handle.(l) <> None and all = List.init listeners Fun.id in
+      let overlaps (lo, hi) (a, b) = hi > a && lo < b in
+      (* one op's touched frames, each with the written range *)
+      let segments pa len =
+        List.init
+          (((pa + len - 1) / page) - (pa / page) + 1)
+          (fun k ->
+            let f = (pa / page) + k in
+            (f, max 0 (pa - (f * page)), min page (pa + len - (f * page))))
+      in
+      let check segs =
+        List.for_all
+          (fun (f, lo, hi) ->
+            let got l = List.filter (fun (g, _, _) -> g = f) calls.(l) in
+            let delivered = List.exists (fun l -> registered l && got l <> []) all in
+            let must =
+              List.exists
+                (fun l ->
+                  registered l
+                  &&
+                  match owed.(l).(f) with
+                  | None -> true
+                  | Some r -> overlaps (lo, hi) r)
+                all
+            in
+            let ok =
+              (delivered || not must)
+              && List.for_all
+                   (fun l ->
+                     (not (registered l)) || got l = if delivered then [ (f, lo, hi) ] else [])
+                   all
+            in
+            if delivered then
+              for l = 0 to listeners - 1 do
+                owed.(l).(f) <- Some answer.(l).(f)
+              done;
+            ok)
+          segs
+      in
+      List.for_all
+        (fun op ->
+          Array.fill calls 0 listeners [];
+          match op with
+          | Q_write (f, o, w) ->
+              Phys_mem.write mem (Int64.of_int ((f * page) + o)) w 0x5AL;
+              check (segments ((f * page) + o) (Instr.width_bytes w))
+          | Q_load (pa, len) ->
+              let len = min len ((frames * page) - pa) in
+              Phys_mem.load_bytes mem ~pa:(Int64.of_int pa) (Bytes.make len 'q');
+              check (segments pa len)
+          | Q_fill f ->
+              Phys_mem.frame_fill mem ~ppn:(Int64.of_int f) 'x';
+              check [ (f, 0, page) ]
+          | Q_answer (l, f, lo, hi) ->
+              answer.(l).(f) <- (lo, hi);
+              true
+          | Q_watch f ->
+              Phys_mem.watch mem ~ppn:(Int64.of_int f);
+              Array.iter (fun o -> o.(f) <- None) owed;
+              true
+          | Q_watch_all ->
+              Phys_mem.watch_all mem;
+              owe_all ();
+              true
+          | Q_add l ->
+              add l;
+              true
+          | Q_remove l ->
+              Option.iter (Phys_mem.remove_write_listener mem) handle.(l);
+              handle.(l) <- None;
+              true)
         ops)
 
 (* ---------------- Page_table ---------------- *)
@@ -1925,7 +2070,7 @@ let test_register_index_checked () =
 (* The block engine's write listener answers from its one cache lookup
    ([Trans_cache.invalidate_range]): a store beside a decoded block keeps
    the block and the frame's watch; a store into the block drops it, and
-   with no block left in the frame the listener answers [false], so the
+   with no block left in the frame the listener answers [0], so the
    frame's later writes skip it. *)
 let test_engine_listener_watch () =
   let mem, state, ctx, _, _ = make_cpu () in
@@ -1949,8 +2094,41 @@ let test_engine_listener_watch () =
   checkb "store into the block drops it" false b.Trans_cache.valid;
   checki "no block left" 0 (Trans_cache.entries cache);
   checkb "frame no longer watched" false (Phys_mem.watched mem ~ppn:0L);
-  checkb "listener answer for an empty frame" false
+  checki "listener answer for an empty frame" 0
     (Trans_cache.invalidate_range cache ~ppn:0L ~lo:0 ~hi:8)
+
+(* The quiet range follows the blocks: with block A decoded at offset 0,
+   stores at 0x800 reach the listener once and are quiet after that;
+   decoding block B at 0x900 widens the frame's span, so a store into B
+   must reach the listener and drop B even though the quiet range it
+   last answered ended below 0x800. *)
+let test_quiet_range_follows_blocks () =
+  let mem, state, ctx, _, _ = make_cpu () in
+  load_program mem [ li r1 1L; li r2 2L; halt ];
+  let engine = Engine.block () in
+  ignore (engine.Engine.step_n state ctx ~fuel:1000);
+  let cache = Option.get engine.Engine.cache in
+  let block off =
+    match Trans_cache.find cache (Trans_cache.key ~ppn:0L ~off ~user:false ~paging:false) with
+    | Some b -> b
+    | None -> Alcotest.failf "no block decoded at offset 0x%x" off
+  in
+  let a = block 0 in
+  Phys_mem.write mem 0x800L Instr.W64 7L;
+  let d = Phys_mem.deliveries mem and q = Phys_mem.quiet_skips mem in
+  Phys_mem.write mem 0x800L Instr.W64 8L;
+  Phys_mem.write mem 0x808L Instr.W32 9L;
+  checki "stores at 0x800 deliver nothing" d (Phys_mem.deliveries mem);
+  checki "stores at 0x800 are quiet" (q + 2) (Phys_mem.quiet_skips mem);
+  checkb "block A survives" true a.Trans_cache.valid;
+  Phys_mem.load_bytes mem ~pa:0x900L (Asm.assemble [ li r3 3L; li r4 4L; halt ]).Asm.code;
+  state.Cpu.halted <- false;
+  Cpu.set_pc state 0x900L;
+  ignore (engine.Engine.step_n state ctx ~fuel:1000);
+  let b = block 0x900 in
+  Phys_mem.write mem 0x908L Instr.W64 0L;
+  checkb "store into block B drops it" false b.Trans_cache.valid;
+  checkb "block A survives the store into B" true a.Trans_cache.valid
 
 (* ---------------- Trace-tier ALU ---------------- *)
 
@@ -2284,11 +2462,13 @@ let () =
           Alcotest.test_case "load slice" `Quick test_mem_load_slice;
           Alcotest.test_case "engine listener keeps the watch exact" `Quick
             test_engine_listener_watch;
+          Alcotest.test_case "quiet range follows the blocks" `Quick
+            test_quiet_range_follows_blocks;
         ]
         @ qsuite
             [
               prop_mem_roundtrip; prop_mem_sparse_matches_dense; prop_mem_int_addressed;
-              prop_write_watch;
+              prop_write_watch; prop_quiet_ranges;
             ] );
       ( "page_table",
         [
