@@ -96,49 +96,103 @@ let record_at l pos =
   done;
   !lo
 
-(* Copy image bytes [pos, pos+len) into [dst] at [off]. *)
-let blit l ~pos dst ~off ~len =
+(* A position in the layout's records: [seek] moves it to the record
+   holding a page-region offset, a record at a time forward (chunks are
+   read in order, so that is a step or two) and by a fresh search when
+   the offset lies behind it. *)
+type cursor = { l : layout; mutable k : int }
+
+let cursor l = { l; k = 0 }
+
+let seek c pos =
+  let starts = c.l.starts in
+  if pos < starts.(c.k) then c.k <- record_at c.l pos
+  else
+    while pos >= starts.(c.k + 1) do
+      c.k <- c.k + 1
+    done
+
+external put_i64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* A reader of the image: a cursor, and one scratch buffer that holds the
+   synthesized header of the record it is in. *)
+type reader = { at : cursor; rh : Bytes.t }
+
+let reader l = { at = cursor l; rh = Bytes.create record_header }
+
+(* [walk r ~pos b ~off ~len op zeros] hands image bytes [\[pos, pos+len)]
+   to [op src spos b boff n] piece by piece, in order: [n] bytes at
+   [spos] of [src], a read-only view that holds them (the header, the
+   scratch record header, a frame's page, the state), which line up with
+   [b]'s bytes from [boff].  A piece of a frame with no page of its own
+   is all zeros and goes to [zeros b boff n] instead.  It stops at the
+   first piece refused. *)
+let walk r ~pos b ~off ~len op zeros =
+  let l = r.at.l in
   let mem = l.vm.Vm.host.Host.mem in
+  let tstart = l.starts.(Array.length l.frames) in
   let stop = pos + len in
-  let p = ref pos and o = ref off in
-  let copy_from src spos k =
-    Bytes.blit src spos dst !o k;
-    p := !p + k;
-    o := !o + k
-  in
-  let hlen = Bytes.length l.head in
-  if !p < hlen then copy_from l.head !p (min stop hlen - !p);
-  let n = Array.length l.frames in
-  let tstart = l.starts.(n) in
-  if !p < stop && !p < tstart then begin
-    let rh = Bytes.create record_header in
-    let k = ref (record_at l !p) in
-    while !p < stop && !p < tstart do
-      let rs = l.starts.(!k) in
-      let rel = !p - rs in
-      let f = l.frames.(!k) in
-      if rel < record_header then begin
-        Bytes.set_int64_le rh 0 (Int64.of_int !k);
-        Bytes.set_int64_le rh 8 (Int64.of_int (kind_of_frame f));
-        copy_from rh rel (min (record_header - rel) (stop - !p))
+  let p = ref pos and ok = ref true in
+  while !ok && !p < stop do
+    let q = !p in
+    let boff = off + (q - pos) in
+    let n =
+      if q < header_bytes then begin
+        let n = min stop header_bytes - q in
+        ok := op l.head q b boff n;
+        n
+      end
+      else if q < tstart then begin
+        seek r.at q;
+        let k = r.at.k in
+        let rel = q - l.starts.(k) in
+        let f = l.frames.(k) in
+        if rel < record_header then begin
+          put_i64 r.rh 0 (Int64.of_int k);
+          put_i64 r.rh 8 (Int64.of_int (kind_of_frame f));
+          let n = min (record_header - rel) (stop - q) in
+          ok := op r.rh rel b boff n;
+          n
+        end
+        else begin
+          let drel = rel - record_header in
+          let n = min (Arch.page_size - drel) (stop - q) in
+          ok :=
+            if Phys_mem.frame_backed mem ~ppn:f then op (Phys_mem.frame_view mem ~ppn:f) drel b boff n
+            else zeros b boff n;
+          n
+        end
       end
       else begin
-        let drel = rel - record_header in
-        let cnt = min (Arch.page_size - drel) (stop - !p) in
-        Phys_mem.blit_out mem ~ppn:(Int64.of_int f) ~off:drel dst ~pos:!o ~len:cnt;
-        p := !p + cnt;
-        o := !o + cnt
-      end;
-      if !p >= l.starts.(!k + 1) then incr k
-    done
-  end;
-  if !p < stop then copy_from l.tail (!p - tstart) (stop - !p)
+        let n = stop - q in
+        ok := op l.tail (q - tstart) b boff n;
+        n
+      end
+    in
+    p := q + n
+  done;
+  !ok
+
+let copy_piece src spos dst doff n =
+  Bytes.blit src spos dst doff n;
+  true
+
+let zero_piece dst doff n =
+  Bytes.fill dst doff n '\000';
+  true
+
+(* Copy image bytes [pos, pos+len) into [dst] at [off]. *)
+let blit r ~pos dst ~off ~len = ignore (walk r ~pos dst ~off ~len copy_piece zero_piece)
+
+(* Image bytes [pos, pos+len) equal [b]'s from [off]. *)
+let equal r ~pos b ~off ~len =
+  walk r ~pos b ~off ~len Velum_util.Fnv.equal_range Velum_util.Fnv.zero_range
 
 let capture vm =
   match lay_out vm with
   | Ok l ->
       let b = Bytes.create l.length in
-      blit l ~pos:0 b ~off:0 ~len:l.length;
+      blit (reader l) ~pos:0 b ~off:0 ~len:l.length;
       b
   | Error gfn ->
       failwith
@@ -159,7 +213,9 @@ type source = { layout : layout; mark : int; chunks : Store.source }
    lies wholly in the page records, no record up to its end changed
    kind (a change shifts every later offset), and each data page in it
    kept its frame, unwritten since the hint's mark.  The header and the
-   VM state are always re-hashed. *)
+   VM state are always re-hashed.  [bad.(k)] counts the records before
+   [k] that fail the test, so a chunk's test is one subtraction once a
+   cursor has found its first and last records. *)
 let clean_since l churn h =
   let n = Array.length l.frames in
   let first_change =
@@ -176,15 +232,21 @@ let clean_since l churn h =
     f < 0
     || (f = h.h_frames.(k) && not (Churn.written_since churn ~mark:h.h_mark (Int64.of_int f)))
   in
+  let bad = Array.make (n + 1) 0 in
+  for k = 0 to n - 1 do
+    bad.(k + 1) <- (if record_clean k then bad.(k) else bad.(k) + 1)
+  done;
+  let c = cursor l in
   fun i ->
     let lo = i * Store.chunk_bytes in
     let hi = min l.length (lo + Store.chunk_bytes) in
     lo >= l.starts.(0)
     && hi <= l.starts.(n)
     &&
-    let last = record_at l (hi - 1) in
-    let rec all k = k > last || (record_clean k && all (k + 1)) in
-    all (record_at l lo)
+    (seek c lo;
+     let first = c.k in
+     seek c (hi - 1);
+     bad.(c.k + 1) = bad.(first))
 
 let source ?since vm =
   match lay_out vm with
@@ -197,7 +259,14 @@ let source ?since vm =
         | Some h when h.h_vm == vm -> Some (h.h_gen, clean_since l churn h)
         | _ -> None
       in
-      Ok { layout = l; mark; chunks = { Store.length = l.length; blit = blit l; clean } }
+      let r = reader l in
+      Ok
+        {
+          layout = l;
+          mark;
+          chunks =
+            { Store.length = l.length; blit = blit r; equal = equal r; clean };
+        }
 
 let chunks s = s.chunks
 

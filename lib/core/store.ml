@@ -32,6 +32,9 @@ type manifest = {
          content hash, absolute off and len *)
   m_image_len : int;
   m_root : int64; (* FNV fold of the entries' payload hashes, in order *)
+  m_rows : Bytes.t;
+      (* the references the manifest holds, as refcount rows: each
+         distinct hash of its entries with its number of entries *)
   m_off : int; (* absolute device offset of this manifest record *)
   m_len : int;
 }
@@ -57,6 +60,7 @@ type t = {
   mutable torn_gc : int;
   mutable ref_rebuilds : int;
   mutable hint_misses : int;
+  mutable scratch : Bytes.t; (* refcount merges build their rows here *)
 }
 
 let device t = t.blk
@@ -75,6 +79,7 @@ let chunk_bytes = chunk_payload
 type source = {
   length : int;
   blit : pos:int -> Bytes.t -> off:int -> len:int -> unit;
+  equal : pos:int -> Bytes.t -> off:int -> len:int -> bool;
   clean : (int * (int -> bool)) option;
 }
 
@@ -82,6 +87,7 @@ let of_bytes b =
   {
     length = Bytes.length b;
     blit = (fun ~pos dst ~off ~len -> Bytes.blit b pos dst off len);
+    equal = (fun ~pos other ~off ~len -> Fnv.equal_range b pos other off len);
     clean = None;
   }
 
@@ -92,6 +98,12 @@ let of_bytes b =
    little-endian order on the little-endian hosts [Fnv] requires. *)
 external put_i64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 external get_i64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
+(* Unchecked, for the sort and merge loops below: each bounds its
+   indices by the buffers' lengths, and a check per access would double
+   their cost. *)
+external put_i64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external get_i64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
 (* Manifest entries, as a manifest record stores them. *)
 let entry_bytes = 24
@@ -121,6 +133,15 @@ let merkle_root e =
   !h
 
 let chunks_live t = row_count t.refs
+
+let refcount t h =
+  let lo = ref 0 and hi = ref (row_count t.refs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if row_hash t.refs mid < h then lo := mid + 1 else hi := mid
+  done;
+  if !lo < row_count t.refs && Int64.equal (row_hash t.refs !lo) h then row_value t.refs !lo
+  else 0
 
 let stream_generation ?(id = "") t =
   match Hashtbl.find_opt t.streams id with Some m -> m.m_gen | None -> 0
@@ -163,13 +184,18 @@ let superblock ~seq ~space ~head ~cat_off ~cat_len ~ref_off ~ref_len =
   put_i64 b 64 (Fnv.hash_bytes ~pos:0 ~len:64 b);
   b
 
-let chunk_record ~hash payload_src ~pos ~len =
-  let b = Bytes.create (chunk_header + len) in
-  put_i64 b 0 chunk_magic;
-  put_i64 b 8 hash;
-  put_i64 b 16 (Int64.of_int len);
-  Bytes.blit payload_src pos b chunk_header len;
-  b
+(* One record of a write stream: bytes built in memory, or a chunk
+   record — a header made from its hash and length, then a payload read
+   when the stream is written: copied on the device from the record at
+   [from] (GC), or read from the image [src] being committed at [pos]. *)
+type piece =
+  | Raw of Bytes.t
+  | Moved of { hash : int64; from : int; len : int }
+  | Fresh of { hash : int64; src : source; pos : int; len : int }
+
+let piece_len = function
+  | Raw b -> Bytes.length b
+  | Moved { len; _ } | Fresh { len; _ } -> chunk_header + len
 
 let manifest_len m = 48 + String.length m.m_stream + Bytes.length m.m_entries + 8
 
@@ -223,81 +249,131 @@ let reftable_bytes rows =
   put_i64 b (total - 8) (Fnv.hash_bytes ~pos:0 ~len:(total - 8) b);
   b
 
-(* [d] more references on every entry of [e], tallied per hash. *)
-let tally refs e d =
-  for i = 0 to ent_count e - 1 do
-    let h = ent_hash e i in
-    Keytbl.I64.replace refs h (d + Option.value ~default:0 (Keytbl.I64.find_opt refs h))
-  done
+(* [keys] (8-byte content hashes) in signed order: a bottom-up merge
+   sort into a second buffer and back, so no hash is boxed. *)
+let sort_keys keys =
+  let n = Bytes.length keys / 8 in
+  let a = ref keys and b = ref (Bytes.create (8 * n)) in
+  let w = ref 1 in
+  while !w < n do
+    let src = !a and dst = !b in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !w) and hi = min n (!lo + (2 * !w)) in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !j >= hi || (!i < mid && get_i64u src (8 * !i) <= get_i64u src (8 * !j)) then begin
+          put_i64u dst (8 * k) (get_i64u src (8 * !i));
+          incr i
+        end
+        else begin
+          put_i64u dst (8 * k) (get_i64u src (8 * !j));
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    a := dst;
+    b := src;
+    w := 2 * !w
+  done;
+  !a
 
-(* The [(h, v)] of [refs] whose [v] passes [keep], as rows in hash order.
-   The keys array starts from a constant, not a fresh block, so building
-   it forces no minor collection. *)
-let rows_of ?(keep = fun n -> n > 0) refs =
-  let keys = Array.make (Keytbl.I64.length refs) 0L in
-  let n = Keytbl.I64.fold (fun h v n -> if keep v then (keys.(n) <- h; n + 1) else n) refs 0 in
-  let keys = Array.sub keys 0 n in
-  Array.sort Int64.compare keys;
-  let rows = Bytes.create (row_bytes * n) in
-  Array.iteri
-    (fun i h ->
-      put_i64 rows (row_bytes * i) h;
-      put_i64 rows ((row_bytes * i) + 8) (Int64.of_int (Keytbl.I64.find refs h)))
-    keys;
+(* The refcount rows of entries [e]: each distinct hash with the number
+   of entries that hold it. *)
+let rows_of_entries e =
+  let keys = Bytes.create (8 * ent_count e) in
+  for i = 0 to ent_count e - 1 do
+    put_i64 keys (8 * i) (ent_hash e i)
+  done;
+  let keys = sort_keys keys in
+  let n = Bytes.length keys / 8 in
+  let distinct = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || not (Int64.equal (get_i64u keys (8 * i)) (get_i64u keys (8 * (i - 1)))) then
+      incr distinct
+  done;
+  let rows = Bytes.create (row_bytes * !distinct) in
+  let k = ref (-1) and c = ref 0 in
+  for i = 0 to n - 1 do
+    let h = get_i64u keys (8 * i) in
+    if !k >= 0 && Int64.equal h (get_i64u rows (row_bytes * !k)) then incr c
+    else begin
+      if !k >= 0 then put_i64u rows ((row_bytes * !k) + 8) (Int64.of_int !c);
+      incr k;
+      put_i64u rows (row_bytes * !k) h;
+      c := 1
+    end
+  done;
+  if !k >= 0 then put_i64u rows ((row_bytes * !k) + 8) (Int64.of_int !c);
   rows
 
-(* [rows] with the value of each hash-ordered row of [changes] added; rows
-   that reach 0 drop out.  One pass into a buffer sized for the worst
-   case, then trimmed. *)
-let merge_rows rows changes =
+(* Row [k] of [out] is [(h, n)] if [n] is kept: above 0, or below it
+   too when [signed].  The next free row. *)
+let[@inline] emit out k ~signed h n =
+  if n > 0 || (signed && n < 0) then begin
+    put_i64u out (row_bytes * k) h;
+    put_i64u out ((row_bytes * k) + 8) (Int64.of_int n);
+    k + 1
+  end
+  else k
+
+(* [rows] with [sign] times the value of each hash-ordered row of
+   [changes] added; a row that ends at 0 drops out, and so does one
+   below 0 unless [signed].  One pass into [out], which holds a row per
+   row of both, then a trimmed copy. *)
+let merge_in out ~sign ~signed rows changes =
   let nr = row_count rows and nc = row_count changes in
-  let out = Bytes.create (row_bytes * (nr + nc)) in
-  let k = ref 0 in
-  let emit src r n =
-    if n > 0 then begin
-      put_i64 out (row_bytes * !k) (row_hash src r);
-      put_i64 out ((row_bytes * !k) + 8) (Int64.of_int n);
-      incr k
-    end
-  in
-  let i = ref 0 and j = ref 0 in
+  let[@inline] hash r i = get_i64u r (row_bytes * i) in
+  let[@inline] value r i = Int64.to_int (get_i64u r ((row_bytes * i) + 8)) in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
   while !i < nr || !j < nc do
-    if !j >= nc || (!i < nr && row_hash rows !i < row_hash changes !j) then begin
-      emit rows !i (row_value rows !i);
+    if !j >= nc || (!i < nr && hash rows !i < hash changes !j) then begin
+      k := emit out !k ~signed (hash rows !i) (value rows !i);
       incr i
     end
-    else if !i >= nr || row_hash rows !i > row_hash changes !j then begin
-      emit changes !j (row_value changes !j);
+    else if !i >= nr || hash rows !i > hash changes !j then begin
+      k := emit out !k ~signed (hash changes !j) (sign * value changes !j);
       incr j
     end
     else begin
-      emit rows !i (row_value rows !i + row_value changes !j);
+      k := emit out !k ~signed (hash rows !i) (value rows !i + (sign * value changes !j));
       incr i;
       incr j
     end
   done;
   Bytes.sub out 0 (row_bytes * !k)
 
+let merge_rows rows changes =
+  let out = Bytes.create (row_bytes * (row_count rows + row_count changes)) in
+  merge_in out ~sign:1 ~signed:false rows changes
+
+(* [merge_in] through the store's scratch buffer, grown on demand: a
+   commit's merges allocate only their trimmed results. *)
+let merge t ~sign ~signed rows changes =
+  let need = row_bytes * (row_count rows + row_count changes) in
+  if Bytes.length t.scratch < need then t.scratch <- Bytes.create (2 * need);
+  merge_in t.scratch ~sign ~signed rows changes
+
 (* References held on each content hash by the distinct manifests of the
-   (at most two) recoverable catalogs.  Identity is the manifest's device
-   offset; counts are per entry occurrence. *)
-let refs_of_catalogs catalogs =
-  let refs = Keytbl.I64.create 1024 in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (List.iter (fun m ->
-         if not (Hashtbl.mem seen m.m_off) then begin
-           Hashtbl.replace seen m.m_off ();
-           tally refs m.m_entries 1
+   (at most two) recoverable catalogs, as rows.  Identity is the
+   manifest's device offset; counts are per entry occurrence. *)
+let refs_of_catalogs t catalogs =
+  let seen = ref [] in
+  List.fold_left
+    (List.fold_left (fun rows m ->
+         if List.mem m.m_off !seen then rows
+         else begin
+           seen := m.m_off :: !seen;
+           merge t ~sign:1 ~signed:false rows m.m_rows
          end))
-    catalogs;
-  refs
+    Bytes.empty catalogs
 
 (* --- commit planning --- *)
 
 type plan = {
   p_gen : int;
-  p_new : (int * Bytes.t) list; (* absolute off, chunk record *)
+  p_new : (int * piece) list; (* absolute off, [Fresh] chunk record *)
   p_shared : int;
   p_misses : int; (* hinted chunks the verify refused *)
   p_rotted : int; (* refused verifies whose stored payload rotted *)
@@ -324,19 +400,18 @@ let hint_for t ~id src =
 (* Refcount change of a commit whose catalog adds manifest [m], as
    hash-ordered nonzero [(hash, delta)] rows: the window of recoverable
    catalogs becomes the newest one plus [m], so [m]'s entries gain a
-   reference and the manifests only the older catalog held lose theirs. *)
+   reference and the manifests only the older catalog held lose theirs.
+   A merge of the manifests' own rows, each sorted once when its
+   manifest was made. *)
 let refs_delta t m =
-  let delta = Keytbl.I64.create (2 * ent_count m.m_entries) in
-  tally delta m.m_entries 1;
-  (match t.catalogs with
+  match t.catalogs with
   | [ newest; older ] ->
-      let kept = Hashtbl.create 16 in
-      List.iter (fun m -> Hashtbl.replace kept m.m_off ()) newest;
-      List.iter
-        (fun m -> if not (Hashtbl.mem kept m.m_off) then tally delta m.m_entries (-1))
-        older
-  | _ -> ());
-  rows_of ~keep:(fun d -> d <> 0) delta
+      List.fold_left
+        (fun delta o ->
+          if List.exists (fun n -> n.m_off = o.m_off) newest then delta
+          else merge t ~sign:(-1) ~signed:true delta o.m_rows)
+        m.m_rows older
+  | _ -> m.m_rows
 
 let plan_commit t ~id src =
   let len = src.length in
@@ -344,27 +419,39 @@ let plan_commit t ~id src =
   let base = space_off t t.space in
   let cursor = ref t.head in
   let pending = Keytbl.I64.create 16 in
-  (* hash -> record and absolute off of the first new chunk with that content *)
+  (* hash -> image offset, length and absolute off of the first new chunk
+     with that content *)
   let news = ref [] and shared = ref 0 and misses = ref 0 and rotted = ref 0 in
   let prev, clean = hint_for t ~id src in
   let buf = Bytes.create chunk_payload in
-  (* The absolute off of a copy of [buf]'s first [plen] bytes already in
+  (* The absolute off of a copy of the chunk's [plen] bytes already in
      this commit or the store, or -1 — after a byte-compare verify:
      content-hash equality is not content equality, and a rotted stored
-     copy must not be re-referenced.  A refused stored copy whose payload
-     no longer hashes to its record's hash is rot; a collision or a lying
-     hint leaves it intact. *)
-  let lookup h plen =
+     copy must not be re-referenced.  The chunk is [buf]'s first [plen]
+     bytes, or with [in_place] the source's bytes from [pos], compared
+     where they lie.  A refused stored copy whose payload no longer
+     hashes to its record's hash is rot; a collision or a lying hint
+     leaves it intact. *)
+  let lookup ~in_place ~pos h plen =
     match Keytbl.I64.find_opt pending h with
-    | Some (rec_b, off)
-      when Bytes.length rec_b >= chunk_header + plen
-           && Fnv.equal_range rec_b chunk_header buf 0 plen ->
+    | Some (ppos, plen', off)
+      when plen' >= plen
+           &&
+           (* a pending copy is the source's own bytes: rare for a clean
+              chunk, which then takes the buffer after all *)
+           (if in_place then src.blit ~pos buf ~off:0 ~len:plen;
+            src.equal ~pos:ppos buf ~off:0 ~len:plen) ->
         off
     | _ -> (
         match Keytbl.I64.find_opt t.index h with
         | Some c when c.c_len = plen ->
             let at = c.c_off + chunk_header in
-            if Blockdev.pequal t.blk ~off:at buf ~pos:0 ~len:plen then c.c_off
+            if
+              if in_place then
+                Blockdev.pequal_by t.blk ~off:at ~len:plen (fun e eoff p n ->
+                    src.equal ~pos:(pos + p) e ~off:eoff ~len:n)
+              else Blockdev.pequal t.blk ~off:at buf ~pos:0 ~len:plen
+            then c.c_off
             else begin
               if Fnv.hash_bytes (Blockdev.pread t.blk ~off:at ~len:plen) <> h then incr rotted;
               -1
@@ -375,31 +462,33 @@ let plan_commit t ~id src =
   for i = 0 to nchunks - 1 do
     let pos = i * chunk_payload in
     let plen = min chunk_payload (len - pos) in
-    src.blit ~pos buf ~off:0 ~len:plen;
     let h = ref 0L and off = ref (-1) in
-    if i < ent_count prev && clean i && ent_len prev i = plen then begin
-      (* A clean chunk skips only the hash: the lookup and its verify
-         run as for any other chunk. *)
+    if i < ent_count prev && ent_len prev i = plen && clean i then begin
+      (* A clean chunk skips only the hash: the lookup and its verify run
+         as for any other chunk, in place, so [buf] is filled only when
+         the verify refuses. *)
       h := ent_hash prev i;
-      off := lookup !h plen;
+      off := lookup ~in_place:true ~pos !h plen;
       if !off < 0 then begin
         incr misses;
+        src.blit ~pos buf ~off:0 ~len:plen;
         let h' = Fnv.hash_bytes ~pos:0 ~len:plen buf in
-        if not (Int64.equal h' !h) then off := lookup h' plen;
+        if not (Int64.equal h' !h) then off := lookup ~in_place:false ~pos h' plen;
         h := h'
       end
     end
     else begin
+      src.blit ~pos buf ~off:0 ~len:plen;
       h := Fnv.hash_bytes ~pos:0 ~len:plen buf;
-      off := lookup !h plen
+      off := lookup ~in_place:false ~pos !h plen
     end;
     if !off >= 0 then incr shared
     else begin
       off := base + !cursor;
-      let rec_b = chunk_record ~hash:!h buf ~pos:0 ~len:plen in
-      news := (!off, rec_b) :: !news;
-      if not (Keytbl.I64.mem pending !h) then Keytbl.I64.replace pending !h (rec_b, !off);
-      cursor := !cursor + Bytes.length rec_b
+      let piece = Fresh { hash = !h; src; pos; len = plen } in
+      news := (!off, piece) :: !news;
+      if not (Keytbl.I64.mem pending !h) then Keytbl.I64.replace pending !h (pos, plen, !off);
+      cursor := !cursor + piece_len piece
     end;
     set_entry entries i !h ~off:!off ~len:plen
   done;
@@ -412,6 +501,7 @@ let plan_commit t ~id src =
       m_entries = entries;
       m_image_len = len;
       m_root = merkle_root entries;
+      m_rows = rows_of_entries entries;
       m_off;
       m_len = 0;
     }
@@ -427,7 +517,7 @@ let plan_commit t ~id src =
   let p_cat_off = base + !cursor in
   let p_cat_b = catalog_bytes catalog in
   cursor := !cursor + Bytes.length p_cat_b;
-  let p_refs = merge_rows t.refs (refs_delta t m) in
+  let p_refs = merge t ~sign:1 ~signed:false t.refs (refs_delta t m) in
   let p_ref_off = base + !cursor in
   let p_ref_b = reftable_bytes p_refs in
   cursor := !cursor + Bytes.length p_ref_b;
@@ -455,19 +545,37 @@ let commit_bytes ?(id = "") t src = (plan_commit t ~id src).p_total
 (* --- the write stream, cut at an arbitrary byte offset on a crash --- *)
 
 let stream_writes t writes ~cut =
+  let rec_b = Bytes.create (chunk_header + chunk_payload) in
+  let header hash len =
+    put_i64 rec_b 0 chunk_magic;
+    put_i64 rec_b 8 hash;
+    put_i64 rec_b 16 (Int64.of_int len)
+  in
+  (* the first [n] bytes of [piece], at [off] *)
+  let write off piece n =
+    match piece with
+    | Raw b -> Blockdev.pwrite t.blk ~off b ~pos:0 ~len:n
+    | Moved { hash; from; len } ->
+        header hash len;
+        Blockdev.pwrite t.blk ~off rec_b ~pos:0 ~len:(min n chunk_header);
+        if n > chunk_header then
+          Blockdev.pcopy t.blk ~src:(from + chunk_header) ~dst:(off + chunk_header)
+            ~len:(n - chunk_header)
+    | Fresh { hash; src; pos; len } ->
+        header hash len;
+        src.blit ~pos rec_b ~off:chunk_header ~len;
+        Blockdev.pwrite t.blk ~off rec_b ~pos:0 ~len:n
+  in
   match cut with
-  | None ->
-      List.iter
-        (fun (off, b) -> Blockdev.pwrite t.blk ~off b ~pos:0 ~len:(Bytes.length b))
-        writes
+  | None -> List.iter (fun (off, piece) -> write off piece (piece_len piece)) writes
   | Some cut ->
       (* Power fails after [cut] bytes: the prefix lands, the rest never
          reaches the device. *)
       let budget = ref cut in
       List.iter
-        (fun (off, b) ->
-          let n = min !budget (Bytes.length b) in
-          if n > 0 then Blockdev.pwrite t.blk ~off b ~pos:0 ~len:n;
+        (fun (off, piece) ->
+          let n = min !budget (piece_len piece) in
+          if n > 0 then write off piece n;
           budget := !budget - n)
         writes
 
@@ -490,7 +598,7 @@ type gc_outcome =
 (* --- GC compaction: copy live chunks into the other space, flip --- *)
 
 type gc_plan = {
-  g_writes : (int * Bytes.t) list;
+  g_writes : (int * piece) list;
   g_manifests : (string * manifest) list;
   g_refs : Bytes.t;
   g_head : int;
@@ -505,7 +613,7 @@ let plan_gc t =
     Hashtbl.fold (fun name m acc -> (name, m) :: acc) t.streams []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  let reloc = Hashtbl.create 64 in
+  let reloc = Keytbl.Int.create 64 in
   (* old absolute off -> new absolute off *)
   let cursor = ref 0 in
   let writes = ref [] in
@@ -514,51 +622,51 @@ let plan_gc t =
       let e = m.m_entries in
       for i = 0 to ent_count e - 1 do
         let off = ent_off e i in
-        if not (Hashtbl.mem reloc off) then begin
-          let len = ent_len e i in
-          let payload = Blockdev.pread t.blk ~off:(off + chunk_header) ~len in
-          (* Copy raw: a rotted payload keeps its original hash in the
-             record so recovery still detects the rot after compaction. *)
-          let rec_b = chunk_record ~hash:(ent_hash e i) payload ~pos:0 ~len in
-          Hashtbl.replace reloc off (base + !cursor);
-          writes := (base + !cursor, rec_b) :: !writes;
-          cursor := !cursor + Bytes.length rec_b
+        if not (Keytbl.Int.mem reloc off) then begin
+          (* Copy the payload raw: a rotted payload keeps its original
+             hash in the record so recovery still detects the rot after
+             compaction.  The header comes from the entry, so a rotted
+             header comes out whole. *)
+          let piece = Moved { hash = ent_hash e i; from = off; len = ent_len e i } in
+          Keytbl.Int.replace reloc off (base + !cursor);
+          writes := (base + !cursor, piece) :: !writes;
+          cursor := !cursor + piece_len piece
         end
       done)
     streams;
-  let live = Hashtbl.length reloc in
+  let live = Keytbl.Int.length reloc in
   let manifests =
     List.map
       (fun (name, m) ->
         let entries = Bytes.copy m.m_entries in
         for i = 0 to ent_count entries - 1 do
           set_entry entries i (ent_hash entries i)
-            ~off:(Hashtbl.find reloc (ent_off entries i))
+            ~off:(Keytbl.Int.find reloc (ent_off entries i))
             ~len:(ent_len entries i)
         done;
         let m' = { m with m_entries = entries; m_off = base + !cursor } in
         let b = manifest_bytes m' in
         let m' = { m' with m_len = Bytes.length b } in
-        writes := (m'.m_off, b) :: !writes;
+        writes := (m'.m_off, Raw b) :: !writes;
         cursor := !cursor + Bytes.length b;
         (name, m'))
       streams
   in
   let cat_b = catalog_bytes (List.map snd manifests) in
   let cat_off = base + !cursor in
-  writes := (cat_off, cat_b) :: !writes;
+  writes := (cat_off, Raw cat_b) :: !writes;
   cursor := !cursor + Bytes.length cat_b;
-  let refs = rows_of (refs_of_catalogs [ List.map snd manifests ]) in
+  let refs = refs_of_catalogs t [ List.map snd manifests ] in
   let ref_b = reftable_bytes refs in
   let ref_off = base + !cursor in
-  writes := (ref_off, ref_b) :: !writes;
+  writes := (ref_off, Raw ref_b) :: !writes;
   cursor := !cursor + Bytes.length ref_b;
   let seq = t.seq + 1 in
   let sb =
     superblock ~seq ~space:target ~head:!cursor ~cat_off ~cat_len:(Bytes.length cat_b)
       ~ref_off ~ref_len:(Bytes.length ref_b)
   in
-  writes := (sb_off (seq mod 2), sb) :: !writes;
+  writes := (sb_off (seq mod 2), Raw sb) :: !writes;
   {
     g_writes = List.rev !writes;
     g_manifests = manifests;
@@ -621,10 +729,10 @@ let do_commit ?crash_at t ~id ~plan:p =
   let writes =
     p.p_new
     @ [
-        (p.p_manifest.m_off, manifest_bytes p.p_manifest);
-        (p.p_cat_off, p.p_cat_b);
-        (p.p_ref_off, p.p_ref_b);
-        (sb_off (seq mod 2), sb);
+        (p.p_manifest.m_off, Raw (manifest_bytes p.p_manifest));
+        (p.p_cat_off, Raw p.p_cat_b);
+        (p.p_ref_off, Raw p.p_ref_b);
+        (sb_off (seq mod 2), Raw sb);
       ]
   in
   let cut =
@@ -671,9 +779,9 @@ let do_commit ?crash_at t ~id ~plan:p =
       t.seq <- seq;
       t.head <- t.head + p.p_data_len;
       List.iter
-        (fun (off, rec_b) ->
-          Keytbl.I64.replace t.index (get_i64 rec_b 8)
-            { c_off = off; c_len = Bytes.length rec_b - chunk_header })
+        (function
+          | off, Fresh { hash; len; _ } -> Keytbl.I64.replace t.index hash { c_off = off; c_len = len }
+          | _ -> ())
         p.p_new;
       t.refs <- p.p_refs;
       Hashtbl.replace t.streams id p.p_manifest;
@@ -754,6 +862,7 @@ let parse_manifest t ~stream ~gen ~off ~len =
     m_entries = entries;
     m_image_len = image_len;
     m_root = get_i64 b 32;
+    m_rows = rows_of_entries entries;
     m_off = off;
     m_len = len;
   }
@@ -898,6 +1007,7 @@ let of_blk ?(faults = Fault.none ()) blk =
     torn_gc = 0;
     ref_rebuilds = 0;
     hint_misses = 0;
+    scratch = Bytes.empty;
   }
 
 let host_dma =
@@ -964,7 +1074,7 @@ let mount ?faults blk =
                  Keytbl.I64.replace t.index h { c_off = ent_off e i; c_len = ent_len e i }
              done))
         cats;
-      t.refs <- rows_of (refs_of_catalogs cats);
+      t.refs <- refs_of_catalogs t cats;
       if not (reftable_covers t ~off:newest.k_ref_off ~len:newest.k_ref_len t.refs)
       then begin
         Fault.observe t.faults Fault.Store_ref;

@@ -109,6 +109,11 @@ type source = {
   blit : pos:int -> Bytes.t -> off:int -> len:int -> unit;
       (** [blit ~pos dst ~off ~len] copies image bytes
           [\[pos, pos + len)] into [dst] at [off] *)
+  equal : pos:int -> Bytes.t -> off:int -> len:int -> bool;
+      (** [equal ~pos b ~off ~len]: image bytes [\[pos, pos + len)]
+          equal [b]'s from [off], compared where they lie.  The verify
+          of a clean chunk reads the stored copy through this, span by
+          span, straight from the device's extents. *)
   clean : (int * (int -> bool)) option;
       (** [Some (gen, f)]: chunk [i] with [f i] is byte-identical to
           chunk [i] of the image this stream committed as generation
@@ -226,6 +231,11 @@ val logical_bytes : t -> int
 
 val chunks_live : t -> int
 (** Distinct chunks currently referenced by the live manifests. *)
+
+val refcount : t -> int64 -> int
+(** [refcount t h]: the references the manifests of the recoverable
+    catalogs hold on content hash [h] — entries carrying it, each
+    distinct manifest counted once; 0 for a hash nothing references. *)
 
 val gc_runs : t -> int
 (** Completed GC compactions through this handle. *)

@@ -54,36 +54,44 @@ let sub t ~off ~len =
 
 let sub_string t ~off ~len = Bytes.unsafe_to_string (sub t ~off ~len)
 
-(* Unchecked and unboxed: [equal_range] has bounded the buffer range. *)
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+(* Read by every unwritten extent's view; nothing writes it. *)
+let zero_extent = lazy (Bytes.make extent_bytes '\000')
+
+let view t i =
+  let e = t.extents.(i) in
+  if Bytes.length e = 0 then Lazy.force zero_extent else e
+
+(* One or two spans for a range of at most [extent_bytes], so a loop
+   rather than [walk]: no closure per call. *)
+let equal_by t ~off ~len eq =
+  check t ~off ~len "Backing.equal_by: out of range";
+  let p = ref 0 and ok = ref true in
+  while !ok && !p < len do
+    let o = off + !p in
+    let eoff = o mod extent_bytes in
+    let n = min (len - !p) (extent_bytes - eoff) in
+    ok := eq (view t (o / extent_bytes)) eoff !p n;
+    p := !p + n
+  done;
+  !ok
 
 let equal_range t ~off b ~pos ~len =
-  check t ~off ~len "Backing.equal_range: out of range";
   check_buf (Bytes.length b) ~pos ~len "Backing.equal_range: buffer out of range";
-  (* [b]'s bytes [q, stop) are all zero, a word at a time *)
-  let zeros q stop =
-    let q = ref q in
-    while !q + 8 <= stop && get64u b !q = 0L do
-      q := !q + 8
-    done;
-    while !q < stop && Bytes.unsafe_get b !q = '\000' do
-      incr q
-    done;
-    !q >= stop
-  in
-  let ok = ref true in
-  walk ~off ~len (fun i eoff p n ->
-      if !ok then
-        let e = t.extents.(i) in
-        ok :=
-          if Bytes.length e = 0 then zeros (pos + p) (pos + p + n)
-          else Velum_util.Fnv.equal_range e eoff b (pos + p) n);
-  !ok
+  equal_by t ~off ~len (fun e eoff p n -> Velum_util.Fnv.equal_range e eoff b (pos + p) n)
 
 let blit_from t ~off src ~pos ~len =
   check t ~off ~len "Backing.blit_from: out of range";
   check_buf (Bytes.length src) ~pos ~len "Backing.blit_from: buffer out of range";
   walk ~off ~len (fun i eoff p n -> Bytes.blit src (pos + p) (writable t i) eoff n)
+
+let copy_within t ~src ~dst ~len =
+  check t ~off:src ~len "Backing.copy_within: source out of range";
+  check t ~off:dst ~len "Backing.copy_within: destination out of range";
+  if len > 0 && src < dst + len && dst < src + len then
+    invalid_arg "Backing.copy_within: overlapping ranges";
+  walk ~off:src ~len (fun i eoff p n ->
+      let e = view t i in
+      walk ~off:(dst + p) ~len:n (fun j doff q m -> Bytes.blit e (eoff + q) (writable t j) doff m))
 
 let blit_from_string t ~off s =
   let len = String.length s in

@@ -40,6 +40,16 @@ val sub : t -> off:int -> len:int -> Bytes.t
 
 val sub_string : t -> off:int -> len:int -> string
 
+val equal_by : t -> off:int -> len:int -> (Bytes.t -> int -> int -> int -> bool) -> bool
+(** [equal_by t ~off ~len eq] — [eq e eoff p n] holds for each span of
+    the [len] stored bytes from [off], taken in order: [n] bytes at
+    [eoff] in [e], which are bytes [p .. p+n-1] of the range.  [e] is a
+    read-only view of the extent that holds them (an unwritten extent is
+    viewed as zeros); the walk stops at the first span [eq] refuses.  A
+    range of at most {!extent_bytes} bytes has one or two spans.  It
+    compares stored bytes with bytes that are not in one buffer — a
+    live VM's frames — without copying either side. *)
+
 val equal_range : t -> off:int -> Bytes.t -> pos:int -> len:int -> bool
 (** [equal_range t ~off b ~pos ~len] — the [len] stored bytes from [off]
     equal [b]'s from [pos]; compared in place, without a copy (an
@@ -48,5 +58,13 @@ val equal_range : t -> off:int -> Bytes.t -> pos:int -> len:int -> bool
 val blit_from : t -> off:int -> Bytes.t -> pos:int -> len:int -> unit
 (** [blit_from t ~off src ~pos ~len] copies [len] bytes of [src] from
     [pos] into the store at [off], allocating the extents it touches. *)
+
+val copy_within : t -> src:int -> dst:int -> len:int -> unit
+(** [copy_within t ~src ~dst ~len] copies the [len] stored bytes from
+    [src] to [dst] extent to extent, through no intermediate buffer,
+    allocating the extents the destination touches.
+
+    @raise Invalid_argument if either range is out of bounds or the two
+    overlap. *)
 
 val blit_from_string : t -> off:int -> string -> unit

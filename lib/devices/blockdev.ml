@@ -96,6 +96,15 @@ let pequal t ~off b ~pos ~len =
   then invalid_arg "Blockdev.pequal: out of range";
   Backing.equal_range t.store ~off b ~pos ~len
 
+let pequal_by t ~off ~len eq =
+  if not (Backing.in_range t.store ~off ~len) then invalid_arg "Blockdev.pequal_by: out of range";
+  Backing.equal_by t.store ~off ~len eq
+
+let pcopy t ~src ~dst ~len =
+  if not (Backing.in_range t.store ~off:src ~len && Backing.in_range t.store ~off:dst ~len)
+  then invalid_arg "Blockdev.pcopy: out of range";
+  Backing.copy_within t.store ~src ~dst ~len
+
 let pread t ~off ~len =
   if not (Backing.in_range t.store ~off ~len) then
     invalid_arg "Blockdev.pread: out of range";

@@ -82,6 +82,21 @@ val pequal : t -> off:int -> Bytes.t -> pos:int -> len:int -> bool
 
     @raise Invalid_argument if out of range. *)
 
+val pequal_by : t -> off:int -> len:int -> (Bytes.t -> int -> int -> int -> bool) -> bool
+(** [pequal_by t ~off ~len eq] — the [len] stored bytes at byte offset
+    [off] pass [eq] span by span ({!Backing.equal_by}): each call sees a
+    read-only view of the extent holding the span.  Host side; neither
+    side is copied.
+
+    @raise Invalid_argument if out of range. *)
+
+val pcopy : t -> src:int -> dst:int -> len:int -> unit
+(** [pcopy t ~src ~dst ~len] copies [len] stored bytes from byte offset
+    [src] to [dst] on the device, through no intermediate buffer.  Host
+    side, no latency.
+
+    @raise Invalid_argument if out of range or the ranges overlap. *)
+
 val capacity_bytes : t -> int
 (** Backing-store size in bytes ([sectors * sector_bytes]); asking does
     not allocate the store. *)

@@ -287,6 +287,13 @@ let frame_fill t ~ppn c =
 
 let frame_read t ~ppn = Bytes.copy t.pages.(frame_index t ppn)
 
+let frame_view t ~ppn =
+  if ppn < 0 || ppn >= t.frames then
+    invalid_arg (Printf.sprintf "Phys_mem: frame %d out of range" ppn);
+  Array.unsafe_get t.pages ppn
+
+let frame_backed t ~ppn = frame_view t ~ppn != zero
+
 let blit_out t ~ppn ~off dst ~pos ~len =
   if off < 0 || len < 0 || off > page - len then
     invalid_arg "Phys_mem.blit_out: range outside the frame";
@@ -301,12 +308,9 @@ let frame_hash t ~ppn =
   let p = t.pages.(frame_index t ppn) in
   if p == zero then zero_hash else Velum_util.Fnv.hash_bytes p
 
-let rec zero_from p i =
-  i >= page || (Int64.equal (Bytes.get_int64_le p i) 0L && zero_from p (i + 8))
-
 let frame_is_zero t ~ppn =
   let p = t.pages.(frame_index t ppn) in
-  p == zero || zero_from p 0
+  p == zero || Velum_util.Fnv.zero_range p 0 page
 
 let frame_equal t a b =
   let pa = t.pages.(frame_index t a) and pb = t.pages.(frame_index t b) in

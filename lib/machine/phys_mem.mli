@@ -77,6 +77,23 @@ val blit_out : t -> ppn:int64 -> off:int -> Bytes.t -> pos:int -> len:int -> uni
 
     @raise Invalid_argument if the range leaves the frame or [dst]. *)
 
+val frame_view : t -> ppn:int -> Bytes.t
+(** [frame_view t ~ppn] is frame [ppn]'s 4096 bytes in place, read-only:
+    the frame's own page, or the page every unbacked frame shares.  The
+    caller must not write it, and should read it at once: the frame's
+    next write may give it a page of its own.  Compares a frame against
+    other bytes without copying it out; [ppn] is an [int], so asking
+    boxes nothing.
+
+    @raise Invalid_argument if [ppn] is not a frame. *)
+
+val frame_backed : t -> ppn:int -> bool
+(** [frame_backed t ~ppn]: the frame has a page of its own.  An unbacked
+    frame reads as zeros, so a reader can take its bytes as zeros
+    without reading them.
+
+    @raise Invalid_argument if [ppn] is not a frame. *)
+
 val frame_write : t -> ppn:int64 -> Bytes.t -> unit
 (** [frame_write t ~ppn b] overwrites the frame with [b] (must be exactly
     4096 bytes). *)

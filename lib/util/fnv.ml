@@ -68,6 +68,36 @@ let combine h v =
 (* The xor of the words at [apos + i] and [bpos + i]: zero iff equal. *)
 let[@inline] differ a apos b bpos i = Int64.logxor (get64u a (apos + i)) (get64u b (bpos + i))
 
+(* Eight words per step (one test of their or), then single words, then
+   bytes: a verify compares most stored chunks against never-written,
+   all-zero memory, and this reads only the stored side. *)
+let zero_range b pos len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Fnv.zero_range: range out of bounds";
+  let i = ref pos and stop = pos + len in
+  while
+    !i + 64 <= stop
+    &&
+    let x = !i in
+    Int64.logor
+      (Int64.logor
+         (Int64.logor (get64u b x) (get64u b (x + 8)))
+         (Int64.logor (get64u b (x + 16)) (get64u b (x + 24))))
+      (Int64.logor
+         (Int64.logor (get64u b (x + 32)) (get64u b (x + 40)))
+         (Int64.logor (get64u b (x + 48)) (get64u b (x + 56))))
+    = 0L
+  do
+    i := !i + 64
+  done;
+  while !i + 8 <= stop && get64u b !i = 0L do
+    i := !i + 8
+  done;
+  while !i < stop && Bytes.unsafe_get b !i = '\000' do
+    incr i
+  done;
+  !i >= stop
+
 (* Four words per step (one test of their or-ed differences), then
    single words, then bytes: a checkpoint verifies every shared 4 KiB
    chunk this way. *)

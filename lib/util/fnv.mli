@@ -18,6 +18,12 @@ val hash_string : string -> int64
 val combine : int64 -> int64 -> int64
 (** [combine h v] folds the 8 bytes of [v] into running digest [h]. *)
 
+val zero_range : Bytes.t -> int -> int -> bool
+(** [zero_range b pos len] is true iff the [len] bytes of [b] from [pos]
+    are all zero: {!equal_range} against zeros, reading one side.
+
+    @raise Invalid_argument if the range is out of bounds. *)
+
 val equal_range : Bytes.t -> int -> Bytes.t -> int -> int -> bool
 (** [equal_range a apos b bpos len] is true iff the [len] bytes of [a]
     from [apos] equal those of [b] from [bpos] — the exact comparison

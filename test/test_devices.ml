@@ -305,6 +305,7 @@ type backing_op =
   | B_sub_string of int * int
   | B_equal of int * int * int * int (* off, pos, len, flipped byte in 1/1000s of len, or -1 *)
   | B_in_range of int * int
+  | B_copy of int * int * int (* src, dst, len *)
 
 let prop_backing_model =
   let e = Backing.extent_bytes in
@@ -336,7 +337,8 @@ let prop_backing_model =
         map2 (fun off len -> B_sub_string (off, len)) pt length;
         map3 (fun (off, pos) len flip -> B_equal (off, pos, len, flip))
           (pair pt small) length (int_range (-1) 999);
-        map2 (fun off len -> B_in_range (off, len)) pt length ]
+        map2 (fun off len -> B_in_range (off, len)) pt length;
+        map3 (fun src dst len -> B_copy (src, dst, len)) pt pt length ]
   in
   let print_op = function
     | B_blit (o, p, l) -> Printf.sprintf "blit(%d,%d,%d)" o p l
@@ -345,6 +347,7 @@ let prop_backing_model =
     | B_sub_string (o, l) -> Printf.sprintf "sub_string(%d,%d)" o l
     | B_equal (o, p, l, f) -> Printf.sprintf "equal(%d,%d,%d,%d)" o p l f
     | B_in_range (o, l) -> Printf.sprintf "in_range(%d,%d)" o l
+    | B_copy (s, d, l) -> Printf.sprintf "copy(%d,%d,%d)" s d l
   in
   QCheck2.Test.make ~count:150 ~name:"backing matches a dense model"
     ~print:(fun (size, ops) ->
@@ -403,7 +406,17 @@ let prop_backing_model =
           | B_in_range (off, len) ->
               agree "in_range"
                 (Ok (Result.is_ok (outcome (fun () -> Bytes.sub model off len))))
-                (Ok (Backing.in_range t ~off ~len)));
+                (Ok (Backing.in_range t ~off ~len))
+          | B_copy (src, dst, len) ->
+              let m =
+                outcome (fun () ->
+                    ignore (Bytes.sub model src len);
+                    ignore (Bytes.sub model dst len);
+                    if len > 0 && src < dst + len && dst < src + len then invalid_arg "overlap";
+                    Bytes.blit model src model dst len)
+              in
+              agree "copy_within" m (outcome (fun () -> Backing.copy_within t ~src ~dst ~len));
+              if m = Ok () then touch dst len);
           let expect = ref 0 in
           Array.iteri (fun i hit -> if hit then expect := !expect + min e (size - (i * e))) touched;
           if Backing.resident_bytes t <> !expect then

@@ -323,6 +323,10 @@ type hint_event =
   | Balloon_out of int  (** a kind change shifts every later record *)
   | Evict of int  (** hypervisor swap-out; the next capture swaps back in *)
   | Restore  (** the VM is rebuilt from its image: a new object, unhinted *)
+  | Pad of int
+      (** an image of this many bytes committed to another stream: later
+          chunk records land at other offsets, so stored copies straddle
+          the device's extents at other points *)
   | Commit
   | Torn of int  (** a commit cut at this offset seed *)
 
@@ -339,6 +343,7 @@ let hint_event_gen =
         (1, map (fun g -> Balloon_out g) (int_range 1 15));
         (1, map (fun n -> Evict n) (int_range 1 4));
         (1, pure Restore);
+        (1, map (fun n -> Pad n) (int_range 1 8192));
         (4, pure Commit);
         (1, map (fun n -> Torn n) nat);
       ])
@@ -351,6 +356,7 @@ let show_hint_event = function
   | Balloon_out g -> Printf.sprintf "balloon-out %d" g
   | Evict n -> Printf.sprintf "evict %d" n
   | Restore -> "restore"
+  | Pad n -> Printf.sprintf "pad %d" n
   | Commit -> "commit"
   | Torn n -> Printf.sprintf "torn %d" n
 
@@ -417,6 +423,9 @@ let hinted_commit_prop =
               let vm' = Snapshot.restore hyp (Snapshot.capture !vm) in
               Hypervisor.remove_vm hyp !vm;
               vm := vm'
+          | Pad n ->
+              let img = Bytes.make n (Char.chr (n land 0xff)) in
+              List.iter (fun s -> ignore (Store.commit ~id:"pad" s (Store.of_bytes img))) [ a; b ]
           | Commit -> commit None
           | Torn n -> commit (Some n))
         (events @ [ Commit ]);
@@ -498,6 +507,281 @@ let test_refused_verify_observes_rot () =
   match Store.recover store with
   | Some (got, 2) -> checkb "the new generation recovers intact" true (Bytes.equal got img)
   | _ -> Alcotest.fail "generation 2 must recover"
+
+(* The device offset of every stored copy of [img]'s full chunks, found
+   by their record magic and payload: chunk [k] -> payload offset. *)
+let stored_chunks dev img =
+  let raw = Blockdev.pread dev ~off:0 ~len:(Blockdev.capacity_bytes dev) in
+  let magic = 0x56454C43484E4B32L (* "VELCHNK2" *) in
+  let found = Hashtbl.create 64 in
+  for off = 0 to Bytes.length raw - 24 - Store.chunk_bytes do
+    if Bytes.get_int64_le raw off = magic && Bytes.get_int64_le raw (off + 16) = 4096L then
+      for k = 0 to (Bytes.length img / Store.chunk_bytes) - 1 do
+        if Bytes.sub raw (off + 24) 4096 = Bytes.sub img (k * 4096) 4096 then
+          Hashtbl.replace found k (off + 24)
+      done
+  done;
+  found
+
+(* A clean chunk is verified where it lies: the VM's frames against the
+   stored copy's extents, one span at a time.  A padding commit on
+   another stream moves the records until a stored copy straddles a
+   64 KiB extent boundary at a point inside one of the image's record
+   headers, so the header is compared in two pieces.  Rot on either side
+   of the split, or in the never-written page the copy ends in, is
+   refused as a buffered compare refuses it; an intact copy is shared
+   with no hint miss. *)
+let test_in_place_verify_straddles () =
+  let hyp = make_hyp ~frames:256 () in
+  let vm = unikernel hyp "edge" [ label "idle"; jmp "idle" ] in
+  let img = Snapshot.capture vm in
+  let image_bytes = Bytes.length img + 8192 in
+  let ext = Backing.extent_bytes in
+  let pages = 16 in
+  (* the extent boundary [b] that chunk [k]'s stored copy at [d] straddles
+     and the record [r] whose header the image offset at [b] splits
+     (every record is a data page's: a 16-byte header, then the page) *)
+  let header_split k d =
+    let b = ((d / ext) + 1) * ext in
+    let p = (k * 4096) + (b - d) in
+    let r = (p - 16) / 4112 and rel = (p - 16) mod 4112 in
+    if b < d + 4096 && p > 16 && r < pages && rel > 0 && rel < 16 then Some (b, r) else None
+  in
+  let prepared pad =
+    let s = store_for ~image_bytes () in
+    ignore (Store.commit ~id:"pad" s (Store.of_bytes (Bytes.make pad 'p')));
+    s
+  in
+  let stored pad =
+    let s = prepared pad in
+    ignore (Store.commit s (Store.of_bytes img));
+    stored_chunks (Store.device s) img
+  in
+  (* a pad below a chunk adds its length to every later offset *)
+  let at_one = stored 1 in
+  let rec search pad =
+    if pad > Store.chunk_bytes then Alcotest.fail "no padding splits a header at an extent boundary"
+    else
+      let found =
+        Hashtbl.fold
+          (fun k d acc ->
+            let d = d + pad - 1 in
+            match acc with
+            | Some _ -> acc
+            | None -> Option.map (fun (b, r) -> (k, d, b, r)) (header_split k d))
+          at_one None
+      in
+      match found with Some f -> (pad, f) | None -> search (pad + 1)
+  in
+  let pad, (k, d, split, r) = search 1 in
+  checki "the copy lies where the pad put it" d (Hashtbl.find (stored pad) k);
+  check64 "the split header is record r's" (Int64.of_int r)
+    (Bytes.get_int64_le img (16 + (4112 * r)));
+  check64 "of a data page" 0L (Bytes.get_int64_le img (24 + (4112 * r)));
+  let run rot =
+    let f = Fault.create ~seed:1L () in
+    let a = prepared pad and b = prepared pad in
+    Store.set_faults a f;
+    let src1 = match Snapshot.source vm with Ok s -> s | Error _ -> Alcotest.fail "source" in
+    let hint =
+      match Store.commit a (Snapshot.chunks src1) with
+      | Store.Committed { gen; _ } -> Snapshot.committed src1 ~gen
+      | Store.Torn _ -> Alcotest.fail "commit torn"
+    in
+    ignore (Store.commit b (Store.of_bytes img));
+    Option.iter
+      (fun at ->
+        List.iter
+          (fun s ->
+            let dev = Store.device s in
+            let c = Blockdev.pread dev ~off:at ~len:1 in
+            Bytes.set c 0 (Char.chr (Char.code (Bytes.get c 0) lxor 0x10));
+            Blockdev.pwrite dev ~off:at c ~pos:0 ~len:1)
+          [ a; b ])
+      rot;
+    let src2 =
+      match Snapshot.source ~since:hint vm with Ok s -> s | Error _ -> Alcotest.fail "source"
+    in
+    let oa = Store.commit a (Snapshot.chunks src2) and ob = Store.commit b (Store.of_bytes img) in
+    let dev s = Blockdev.pread (Store.device s) ~off:0 ~len:(Blockdev.capacity_bytes (Store.device s)) in
+    checkb "same outcome" true (oa = ob);
+    checkb "same device bytes" true (Bytes.equal (dev a) (dev b));
+    checkb "same recovery" true (Store.recover a = Store.recover b);
+    (Store.hint_misses a, Fault.observed f Fault.Store_csum, oa)
+  in
+  (match run None with
+  | 0, 0, Store.Committed { chunks_new = 0; _ } -> ()
+  | misses, _, _ -> Alcotest.failf "an intact store: %d hint misses, or chunks written" misses);
+  List.iter
+    (fun at ->
+      let misses, rotted, _ = run (Some at) in
+      checki "the rotted straddling copy is refused" 1 misses;
+      checki "and observed as rot" 1 rotted)
+    [ split - 1; split; d + 4095 ]
+
+(* A clean chunk whose content an earlier chunk of the same commit has
+   just written again (its stored copy rotted) is verified in place
+   against that pending record and shares it: no hint miss. *)
+let test_clean_chunk_shares_pending () =
+  let img = Bytes.make 8192 'A' in
+  let f = Fault.create ~seed:1L () in
+  let a = store_for ~faults:f ~image_bytes:8192 () and b = store_for ~image_bytes:8192 () in
+  List.iter (fun s -> ignore (Store.commit s (Store.of_bytes img))) [ a; b ];
+  let at =
+    match Hashtbl.find_opt (stored_chunks (Store.device a) img) 0 with
+    | Some d -> d + 100
+    | None -> Alcotest.fail "the chunk is stored"
+  in
+  List.iter (fun s -> Blockdev.pwrite (Store.device s) ~off:at (Bytes.make 1 'R') ~pos:0 ~len:1) [ a; b ];
+  let hinted = { (Store.of_bytes img) with Store.clean = Some (1, fun i -> i = 1) } in
+  let oa = Store.commit a hinted and ob = Store.commit b (Store.of_bytes img) in
+  checkb "same outcome" true (oa = ob);
+  (match oa with
+  | Store.Committed { chunks_new = 1; chunks_shared = 1; _ } -> ()
+  | _ -> Alcotest.fail "one chunk written again, the clean one shares it");
+  checki "the clean chunk matched the pending copy" 0 (Store.hint_misses a);
+  checki "the dirty chunk's refused verify observed the rot" 1 (Fault.observed f Fault.Store_csum);
+  checkb "same recovery" true (Store.recover a = Store.recover b)
+
+(* GC rebuilds each chunk record's header from its manifest entry and
+   moves only the payload: a rotted header comes out whole, so the
+   generation it broke recovers again after the compaction. *)
+let test_gc_rebuilds_rotted_header () =
+  let img = Bytes.init 12_288 (fun i -> Char.chr (((i * 7) + (i / 4096)) land 0xff)) in
+  let store = store_for ~image_bytes:12_288 () in
+  ignore (Store.commit store (Store.of_bytes img));
+  let d =
+    match Hashtbl.find_opt (stored_chunks (Store.device store) img) 1 with
+    | Some d -> d
+    | None -> Alcotest.fail "the chunk is stored"
+  in
+  (* a bit of the record's hash field *)
+  Blockdev.pwrite (Store.device store) ~off:(d - 16) (Bytes.make 1 '\xff') ~pos:0 ~len:1;
+  checkb "the rotted header breaks the generation" true (Store.recover store = None);
+  (match Store.gc store with
+  | Store.Gc_committed { live_chunks = 3; _ } -> ()
+  | _ -> Alcotest.fail "the compaction moves three chunks");
+  match Store.recover store with
+  | Some (got, 1) -> checkb "the compacted generation recovers" true (Bytes.equal got img)
+  | _ -> Alcotest.fail "generation 1 must recover after GC"
+
+(* A source reads the image its capture serializes, in any order of
+   reads: its cursor steps forward a record at a time and searches again
+   for a read that starts behind it.  Reads start anywhere, many near a
+   record boundary; some pages are written and the rest read as zeros
+   without a page of their own, and ballooned pages make 16-byte
+   records. *)
+let source_reads_as_capture_prop =
+  let rec_at r d = 16 + (4112 * r) + d in
+  QCheck2.Test.make ~count:60 ~name:"a source reads as its capture"
+    ~print:(fun ((written, balloons), reads) ->
+      Printf.sprintf "written [%s], balloon [%s], reads [%s]"
+        (String.concat ";" (List.map string_of_int written))
+        (String.concat ";" (List.map string_of_int balloons))
+        (String.concat ";" (List.map (fun (p, l) -> Printf.sprintf "%d+%d" p l) reads)))
+    QCheck2.Gen.(
+      pair
+        (pair (list_size (int_range 0 8) (int_range 1 15)) (list_size (int_range 0 3) (int_range 1 15)))
+        (list_size (int_range 1 40)
+           (pair
+              (oneof
+                 [ int_bound 80_000;
+                   map2 rec_at (int_bound 16) (int_range (-20) 20) ])
+              (oneof [ int_bound 40; int_bound 9000 ]))))
+    (fun ((written, balloons), reads) ->
+      let hyp = make_hyp ~frames:256 () in
+      let vm = unikernel hyp "reader" [ label "idle"; jmp "idle" ] in
+      List.iter
+        (fun g -> ignore (Vm.write_gpa_u64 vm (Int64.of_int ((g * 4096) + (g * 8))) (Int64.of_int (g + 1))))
+        written;
+      List.iter (fun g -> ignore (Vm.balloon_out vm (Int64.of_int g))) balloons;
+      let img = Snapshot.capture vm in
+      let src =
+        match Snapshot.source vm with Ok s -> Snapshot.chunks s | Error _ -> assert false
+      in
+      let n = Bytes.length img in
+      List.for_all
+        (fun (p, l) ->
+          let pos = max 0 (min p (n - 1)) in
+          let len = min l (n - pos) in
+          let b = Bytes.make (len + 3) '?' in
+          src.Store.blit ~pos b ~off:3 ~len;
+          let flipped = Bytes.copy img in
+          if len > 0 then begin
+            let q = pos + (len / 2) in
+            Bytes.set flipped q (Char.chr (Char.code (Bytes.get flipped q) lxor 1))
+          end;
+          Bytes.sub b 3 len = Bytes.sub img pos len
+          && src.Store.equal ~pos img ~off:pos ~len
+          && (len = 0 || not (src.Store.equal ~pos flipped ~off:pos ~len)))
+        reads)
+
+(* A commit keeps refcounts up to date by merges: the catalog window's
+   change from the rows of the manifests entering and leaving it.  They
+   must equal a model: the entries of the streams' last two catalogs,
+   each (stream, generation) counted once.  Images repeat chunks (counts
+   above 1) and change length, and the small device runs GC; a remount
+   rebuilds the same counts from the manifests. *)
+let store_refcounts_prop =
+  QCheck2.Test.make ~count:60 ~name:"refcounts equal the catalog window's entries"
+    ~print:(fun steps ->
+      String.concat "; "
+        (List.map
+           (fun (s, cs, tail) ->
+             Printf.sprintf "%d:[%s]+%d" s (String.concat "," (List.map string_of_int cs)) tail)
+           steps))
+    QCheck2.Gen.(
+      list_size (int_range 1 20)
+        (triple (int_range 0 2) (list_size (int_range 1 6) (int_range 0 5)) (int_range 1 4096)))
+    (fun steps ->
+      (* 50 KiB spaces: about one case in two compacts *)
+      let store = Store.create ~sectors:202 () in
+      (* the hashes of each committed (stream, generation), and the
+         catalogs as the (stream, generation) pairs they name *)
+      let hashes = Hashtbl.create 16 in
+      let newest = ref [] and older = ref [] in
+      let counts () =
+        let tbl = Hashtbl.create 16 in
+        List.iter
+          (fun key ->
+            List.iter
+              (fun h -> Hashtbl.replace tbl h (1 + Option.value ~default:0 (Hashtbl.find_opt tbl h)))
+              (Hashtbl.find hashes key))
+          (List.sort_uniq compare (!newest @ !older));
+        tbl
+      in
+      let agree s =
+        let tbl = counts () in
+        Store.chunks_live s = Hashtbl.length tbl
+        && Hashtbl.fold (fun h n ok -> ok && Store.refcount s h = n) tbl true
+      in
+      List.for_all
+        (fun (s, chunks, tail) ->
+          let img =
+            Bytes.concat Bytes.empty (List.map (fun c -> Bytes.make 4096 (Char.chr (65 + c))) chunks)
+          in
+          let img = Bytes.sub img 0 (Bytes.length img - 4096 + tail) in
+          let id = string_of_int s in
+          (match Store.commit ~id store (Store.of_bytes img) with
+          | Store.Committed { gen; _ } ->
+              Hashtbl.replace hashes (id, gen)
+                (List.init
+                   ((Bytes.length img + 4095) / 4096)
+                   (fun i ->
+                     Velum_util.Fnv.hash_bytes ~pos:(i * 4096)
+                       ~len:(min 4096 (Bytes.length img - (i * 4096)))
+                       img));
+              older := !newest;
+              newest := (id, gen) :: List.filter (fun (s', _) -> s' <> id) !newest
+          | Store.Torn _ -> ()
+          | exception Invalid_argument _ ->
+              (* the GC that ran first left one catalog *)
+              older := []);
+          agree store)
+        steps
+      &&
+      let remounted = Store.mount (Store.device store) in
+      Store.ref_rebuilds remounted = 0 && agree remounted)
 
 (* The tuple merge the packed [Store.merge_rows] replaced: rows and
    changes as hash-ordered [(hash, n)] arrays. *)
@@ -1187,6 +1471,12 @@ let () =
              test_lying_hint_is_verified
         :: Alcotest.test_case "a refused verify observes rot" `Quick
              test_refused_verify_observes_rot
+        :: Alcotest.test_case "an in-place verify reads both spans" `Quick
+             test_in_place_verify_straddles
+        :: Alcotest.test_case "a clean chunk shares a pending copy" `Quick
+             test_clean_chunk_shares_pending
+        :: Alcotest.test_case "GC rebuilds a rotted chunk header" `Quick
+             test_gc_rebuilds_rotted_header
         :: Alcotest.test_case "hinted commits force no minor collection" `Quick
              test_commit_forces_no_minor_gc
         :: Alcotest.test_case "a clone copies written extents only" `Quick
@@ -1195,6 +1485,7 @@ let () =
              [
                store_crash_sweep_prop; store_gc_live_prop;
                store_delta_oracle_prop; hinted_commit_prop; merge_rows_prop;
+               source_reads_as_capture_prop; store_refcounts_prop;
              ] );
       ("churn", qsuite [ churn_prop ]);
       ( "snapshot",

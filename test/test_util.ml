@@ -455,10 +455,33 @@ let fnv_prop_equal_range =
       done;
       same && !differs)
 
+(* Zeros at every alignment and length, past the 64-byte step: a
+   nonzero byte anywhere in the range is found, and one just outside it
+   is not. *)
+let fnv_prop_zero_range =
+  QCheck2.Test.make ~count:1000 ~name:"zero_range finds any nonzero byte"
+    QCheck2.Gen.(triple (int_range 0 15) (int_range 0 200) (int_range 0 15))
+    (fun (pos, len, tail) ->
+      let b = Bytes.make (pos + len + tail) '\000' in
+      let flipped i f =
+        Bytes.set b i '\001';
+        let r = f () in
+        Bytes.set b i '\000';
+        r
+      in
+      let zero () = Fnv.zero_range b pos len in
+      zero ()
+      && List.for_all (fun i -> not (flipped i zero)) (List.init len (fun i -> pos + i))
+      && List.for_all
+           (fun i -> flipped i zero)
+           (List.filter (fun i -> i >= 0 && i < Bytes.length b) [ pos - 1; pos + len ]))
+
 let test_fnv_equal_range_bounds () =
   let b = Bytes.make 16 'a' in
   Alcotest.check_raises "oob" (Invalid_argument "Fnv.equal_range: range out of bounds")
-    (fun () -> ignore (Fnv.equal_range b 10 b 0 8))
+    (fun () -> ignore (Fnv.equal_range b 10 b 0 8));
+  Alcotest.check_raises "zero oob" (Invalid_argument "Fnv.zero_range: range out of bounds")
+    (fun () -> ignore (Fnv.zero_range b 10 8))
 
 (* ---------------- Tablefmt ---------------- *)
 
@@ -544,6 +567,7 @@ let () =
               fnv_prop_wordwise_matches_reference;
               fnv_prop_zero_words_match_reference;
               fnv_prop_equal_range;
+              fnv_prop_zero_range;
             ] );
       ( "tablefmt",
         [
