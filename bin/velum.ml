@@ -873,6 +873,7 @@ let cluster_cmd =
     let blk = Store.device (C.store res.C.control) in
     Printf.eprintf "host: store resident_bytes=%d capacity_bytes=%d\n"
       (Blockdev.resident_bytes blk) (Blockdev.capacity_bytes blk);
+    Printf.eprintf "host: store digest=%016Lx\n" (Blockdev.resident_digest blk);
     let mems =
       Array.map
         (fun n -> (Hypervisor.host n.Velum_cluster.Parallel.hyp).Host.mem)

@@ -157,6 +157,9 @@ type t = {
   mutable fenced_alive : int; (* false-positive declarations fenced *)
   mutable cold_moves : int;
   mutable mig_bytes : int; (* wire bytes of drain live migrations *)
+  twins : (string, unit) Hashtbl.t;
+      (* VMs seen this round with two running incarnations on live hosts *)
+  mutable split_brain : int; (* (round, VM) pairs with a twin *)
 }
 
 (* Stream ids 0-3 belong to the fleet runner (2 retired) and 4-5 to the
@@ -233,6 +236,8 @@ let create cfg =
     fenced_alive = 0;
     cold_moves = 0;
     mig_bytes = 0;
+    twins = Hashtbl.create 8;
+    split_brain = 0;
   }
 
 (* ---- checkpointing (shared-storage) ----
@@ -248,25 +253,60 @@ let create cfg =
    rounds per multi-megabyte image and starve every guest on it; the
    streamed bytes are still accounted by the store itself. *)
 
-let commit_checkpoint t e ~host =
+(* The first half of a checkpoint, on the domain that steps [host]'s
+   stripe: the image source, its chunk plan against the store as the
+   round's checkpoints found it, and the guest pause.  Touches only
+   [host] and reads the store. *)
+let prepare_checkpoint t e ~host =
   match e.vm with
   | Some vm when not (Vm.halted vm) -> (
       match Snapshot.source ?since:e.hint vm with
       | Error _ ->
           (* a page could not be brought in: skipped, not torn — nothing
              streamed and the previous generation still rules *)
-          ()
+          None
       | Ok src ->
-          (match Store.commit ~id:e.desc.name t.store (Snapshot.chunks src) with
-          | Store.Committed { gen; _ } ->
-              e.checkpoints <- e.checkpoints + 1;
-              e.hint <- Some (Snapshot.committed src ~gen)
-          | Store.Torn _ -> () (* previous generation still rules; retried *));
+          let q = Store.prepare ~id:e.desc.name t.store (Snapshot.chunks src) in
           let hyp = t.fleet.Parallel.nodes.(host).Parallel.hyp in
           Hypervisor.advance_idle hyp
-            ~to_:
-              (Int64.add (Hypervisor.now hyp) (Store.commit_cycles ~bytes:0)))
-  | _ -> ()
+            ~to_:(Int64.add (Hypervisor.now hyp) (Store.commit_cycles ~bytes:0));
+          Some (src, q))
+  | _ -> None
+
+(* The second half, on the coordinator in entry order: the commit. *)
+let finish_checkpoint t e (src, q) =
+  match Store.commit_prepared t.store q with
+  | Store.Committed { gen; _ } ->
+      e.checkpoints <- e.checkpoints + 1;
+      e.hint <- Some (Snapshot.committed src ~gen)
+  | Store.Torn _ -> () (* previous generation still rules; retried *)
+
+let commit_checkpoint t e ~host = Option.iter (finish_checkpoint t e) (prepare_checkpoint t e ~host)
+
+(* ---- split-brain watch ----
+
+   Fencing must turn a declared host into a dead one before any twin of
+   its VMs starts.  Every restore or move, and the end of every round,
+   counts the running (non-halted) incarnations of a VM over the live
+   hosts; a second one is a split brain, counted once per round and VM. *)
+
+let incarnations t name =
+  Array.fold_left
+    (fun acc node ->
+      if node.Parallel.alive then
+        List.fold_left
+          (fun acc vm -> if vm.Vm.name = name && not (Vm.halted vm) then acc + 1 else acc)
+          acc node.Parallel.hyp.Hypervisor.vms
+      else acc)
+    0 t.fleet.Parallel.nodes
+
+let watch_twins t name =
+  if incarnations t name > 1 then Hashtbl.replace t.twins name ()
+
+let close_round_twins t =
+  Array.iter (fun e -> watch_twins t e.desc.name) t.entries;
+  t.split_brain <- t.split_brain + Hashtbl.length t.twins;
+  Hashtbl.reset t.twins
 
 (* ---- placement ---- *)
 
@@ -277,6 +317,7 @@ let place_fresh t e ~host =
   e.vm <- Some vm;
   e.state <- Placed host;
   Parallel.clear_halted node;
+  watch_twins t e.desc.name;
   commit_checkpoint t e ~host
 
 let shed t e =
@@ -409,6 +450,7 @@ let evacuate_one t idx ~round =
                     e.evacuations <- e.evacuations + 1;
                     e.mttr_rounds <- e.mttr_rounds + (round - died_at + 1);
                     Parallel.clear_halted node;
+                    watch_twins t e.desc.name;
                     false
                 | exception Failure _ -> fail ())))
   | _ -> false
@@ -478,7 +520,8 @@ let drain_migrate_one t d ~round () =
             Pool.commit t.pool target ~units:e.units ~group:e.desc.group;
             e.vm <- Some vm';
             e.state <- Placed target;
-            Parallel.clear_halted dst
+            Parallel.clear_halted dst;
+            watch_twins t e.desc.name
           in
           let cold_move () =
             (* freeze on the source, restore the image on the target —
@@ -540,7 +583,7 @@ let step_drains t ~round =
       end)
     (List.rev t.drain_ops)
 
-let step t ~round =
+let step t ~across ~round =
   let cfg = t.cfg in
   (* 1. scheduled host kills (ground truth; the detector finds out) *)
   List.iter
@@ -604,15 +647,23 @@ let step t ~round =
       if node.Parallel.alive then
         Hypervisor.advance_idle node.Parallel.hyp ~to_:target)
     t.fleet.Parallel.nodes;
-  (* 8. periodic durable checkpoints (commit pause charged as idle) *)
-  if (round + 1) mod cfg.checkpoint_every = 0 then
-    Array.iter
-      (fun e ->
-        match e.state with
-        | Placed h when t.fleet.Parallel.nodes.(h).Parallel.alive ->
-            commit_checkpoint t e ~host:h
-        | _ -> ())
-      t.entries;
+  (* 8. periodic durable checkpoints (commit pause charged as idle):
+     every due VM's source and chunk plan on its host's stripe, against
+     the store as it stands now, then the commits in entry order *)
+  if (round + 1) mod cfg.checkpoint_every = 0 then begin
+    let due = Array.make cfg.hosts [] in
+    for idx = Array.length t.entries - 1 downto 0 do
+      match t.entries.(idx).state with
+      | Placed h when t.fleet.Parallel.nodes.(h).Parallel.alive -> due.(h) <- idx :: due.(h)
+      | _ -> ()
+    done;
+    let prepared = Array.make (Array.length t.entries) None in
+    across (fun h ->
+        List.iter
+          (fun idx -> prepared.(idx) <- prepare_checkpoint t t.entries.(idx) ~host:h)
+          due.(h));
+    Array.iteri (fun idx p -> Option.iter (finish_checkpoint t t.entries.(idx)) p) prepared
+  end;
   (* 9. availability / SLO accounting *)
   Array.iter
     (fun e ->
@@ -625,7 +676,9 @@ let step t ~round =
       | Pending when e.desc.arrives <= round ->
           e.down_rounds <- e.down_rounds + 1
       | _ -> ())
-    t.entries
+    t.entries;
+  (* 10. no VM may have run twice this round *)
+  close_round_twins t
 
 (* ---- metrics and canonical report ---- *)
 
@@ -675,10 +728,7 @@ let metrics t =
     degraded = !degraded;
     evacuated = !evacs;
     fenced_alive = t.fenced_alive;
-    (* zero by construction: a declared-dead host is fenced before any
-       replacement instance is restored, so two incarnations never run
-       in the same round *)
-    split_brain = 0;
+    split_brain = t.split_brain;
     cold_moves = t.cold_moves;
   }
 
@@ -772,8 +822,8 @@ let run ?(domains = 1) cfg =
       initial
   in
   List.iter (fun e -> admit t e ~round:0) ordered;
-  Parallel.run_fleet ~domains
-    ~on_round:(fun _fleet ~round -> step t ~round)
+  Parallel.run_fleet_across ~domains
+    ~on_round:(fun _fleet ~across ~round -> step t ~across ~round)
     t.fleet;
   { control = t; report = report t }
 

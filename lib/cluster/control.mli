@@ -4,7 +4,10 @@
     hook): every decision — admission, failure detection, evacuation,
     maintenance, overload shedding — executes strictly sequentially
     while the worker domains are parked, so the whole control plane is
-    byte-deterministic at any domain count.  Responsibilities:
+    byte-deterministic at any domain count.  Only the first half of the
+    periodic checkpoints (image source and chunk plan, per host) runs
+    back on the stripes; their commits stay sequential.
+    Responsibilities:
 
     - {b Admission control}: first-fit-decreasing placement over a
       {!Velum_vmm.Placement.Pool} with anti-affinity groups and
@@ -13,8 +16,8 @@
       protocol ({!Velum_vmm.Ha.Failover.hb_knobs}-tuned, fault-
       injectable via [cluster.hb] and spoke link sites).
     - {b Evacuation}: a declared-dead host is fenced {e first} (so a
-      false positive becomes a true positive and split-brain is
-      structurally impossible), then its VMs are restored from their
+      false positive becomes a true positive, never a VM running twice;
+      [split_brain] counts any that does), then its VMs are restored from their
       last durable checkpoint (one shared content-addressed
       {!Velum_vmm.Store} holding a named stream per VM, so sibling VMs
       dedup into the same chunks)
@@ -137,7 +140,10 @@ type metrics = {
   degraded : int;
   evacuated : int;  (** successful checkpoint restores *)
   fenced_alive : int;  (** false-positive declarations, fenced anyway *)
-  split_brain : int;  (** always 0 — fencing precedes every restore *)
+  split_brain : int;
+      (** (round, VM) pairs in which the VM had two running incarnations
+          on live hosts, counted at every restore or move and at the end
+          of every round; 0 as long as fencing precedes every restore *)
   cold_moves : int;  (** drain fallbacks via checkpoint *)
 }
 
@@ -145,9 +151,11 @@ type result = { control : t; report : string }
 
 val run : ?domains:int -> config -> result
 (** Initialise the fleet, admit the initial workload (FFD, priority
-    first), and drive {!Parallel.run_fleet} with the control loop as
-    the [on_round] hook.  The report is byte-identical across domain
-    counts. *)
+    first), and drive {!Parallel.run_fleet_across} with the control loop
+    as the [on_round] hook.  The loop's periodic checkpoints are prepared
+    on every stripe ({!Store.prepare}, each VM on its host's domain) and
+    committed by the coordinator in entry order.  The report and the
+    store's bytes are identical across domain counts. *)
 
 val report : t -> string
 val metrics : t -> metrics

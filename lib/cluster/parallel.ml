@@ -212,43 +212,41 @@ let check_worker_errors fleet =
 
 (* The one round loop: a scheduled failure takes effect, the worker
    phase [workers round] runs every live host up to the round boundary,
-   then the coordinator alone migrates and calls [on_round]. *)
-let run_rounds fleet ~on_round ~workers =
+   then the coordinator alone migrates and calls [on_round], which may
+   hand per-host work back to the stripes through [across]. *)
+let run_rounds fleet ~on_round ~workers ~across =
   let round = ref 0 in
   let continue = ref true in
   while !continue && !round < fleet.cfg.rounds do
     apply_failure fleet ~round:!round;
     workers !round;
     migrate_storm fleet ~round:!round;
-    on_round fleet ~round:!round;
+    on_round fleet ~across ~round:!round;
     if all_done fleet then continue := false;
     incr round
   done
 
 (* Split the hosts into [m = min domains hosts] fixed stripes (host [i]
-   is in stripe [i mod m]) and hand [body] the worker phase: the calling
-   domain steps stripe 0 itself while [m - 1] spawned domains step the
-   others.  With [m = 1] that is the plain sequential loop.  Every
-   stripe's exceptions are recorded per host and re-raised, in host
-   order, once the phase is over.  Domains are joined however [body]
-   ends. *)
+   is in stripe [i mod m]) and hand [body] two phases: [workers r] steps
+   every host to round [r]'s boundary, [across f] runs [f i] for every
+   host [i].  In both the calling domain takes stripe 0 itself while
+   [m - 1] spawned domains take the others, each its hosts in increasing
+   order; with [m = 1] that is the plain sequential loop.  Every stripe's
+   exceptions are recorded per host and re-raised, in host order, once
+   the phase is over.  Domains are joined however [body] ends. *)
 let with_domains fleet ~domains body =
   let m = min domains fleet.cfg.hosts in
-  (* the m stripes meet at both edges of every worker phase *)
+  (* the m stripes meet at both edges of every phase *)
   let start_b = Barrier.create ~parties:m in
   let done_b = Barrier.create ~parties:m in
-  let round = ref 0 in
+  let job = ref (fun (_ : int) -> ()) in
   let stop = ref false in
-  (* [round] and [stop] are written by the coordinator strictly before
-     it enters [start_b] and read by workers strictly after they leave
-     it; the barrier mutex orders those accesses, so plain refs are
+  (* [job] and [stop] are written by the coordinator strictly before it
+     enters [start_b] and read by workers strictly after they leave it;
+     the barrier mutex orders those accesses, so plain refs are
      race-free here. *)
-  let step_stripe w r =
-    Array.iteri
-      (fun i n ->
-        if i mod m = w then
-          try step_node fleet n ~round:r with e -> n.error <- Some e)
-      fleet.nodes
+  let stripe f w =
+    Array.iteri (fun i n -> if i mod m = w then try f i with e -> n.error <- Some e) fleet.nodes
   in
   let worker w =
     let live = ref true in
@@ -256,7 +254,7 @@ let with_domains fleet ~domains body =
       Barrier.await start_b;
       if !stop then live := false
       else begin
-        step_stripe w !round;
+        !job w;
         Barrier.await done_b
       end
     done
@@ -267,14 +265,15 @@ let with_domains fleet ~domains body =
     Barrier.await start_b;
     Array.iter Domain.join doms
   in
-  let phase r =
-    round := r;
+  let run_phase f =
+    job := stripe f;
     Barrier.await start_b;
-    step_stripe 0 r;
+    !job 0;
     Barrier.await done_b;
     check_worker_errors fleet
   in
-  (try body phase
+  let workers r = run_phase (fun i -> step_node fleet fleet.nodes.(i) ~round:r) in
+  (try body ~workers ~across:run_phase
    with e ->
      shutdown ();
      raise e);
@@ -358,10 +357,13 @@ type result = { fleet : fleet; report : string }
 let set_alive node v = node.alive <- v
 let clear_halted node = node.halted <- false
 
-let run_fleet ?(domains = 1) ?(on_round = fun _ ~round:_ -> ()) fleet =
+let run_fleet_across ?(domains = 1) ~on_round fleet =
   if domains <= 0 then
     invalid_arg "Parallel.run_fleet: domains must be positive";
-  with_domains fleet ~domains (fun workers -> run_rounds fleet ~on_round ~workers)
+  with_domains fleet ~domains (run_rounds fleet ~on_round)
+
+let run_fleet ?domains ?(on_round = fun _ ~round:_ -> ()) fleet =
+  run_fleet_across ?domains ~on_round:(fun fleet ~across:_ ~round -> on_round fleet ~round) fleet
 
 let run ?(domains = 1) ?on_round cfg =
   if domains <= 0 then invalid_arg "Parallel.run: domains must be positive";

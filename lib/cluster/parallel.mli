@@ -142,6 +142,23 @@ val run_fleet :
 
     @raise Invalid_argument if [domains <= 0]. *)
 
+val run_fleet_across :
+  ?domains:int ->
+  on_round:(fleet -> across:((int -> unit) -> unit) -> round:int -> unit) ->
+  fleet ->
+  unit
+(** {!run_fleet} whose [on_round] may hand per-host work back to the
+    stripes: [across f] runs [f i] for every host [i], each on the domain
+    that steps host [i]'s stripe in the worker phase (the caller's for
+    stripe 0), the hosts of one stripe in increasing order, and returns
+    once every stripe is done.  [f i] may touch host [i]'s state and
+    read what no other stripe writes; an exception it raises is recorded
+    against host [i] and the first in host order is re-raised when the
+    phase ends.  At [domains = 1] every [f i] runs on the caller, in host
+    order.
+
+    @raise Invalid_argument if [domains <= 0]. *)
+
 val run :
   ?domains:int -> ?on_round:(fleet -> round:int -> unit) -> config -> result
 (** [run ~domains cfg] = {!init} + {!run_fleet} + {!report}.

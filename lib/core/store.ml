@@ -369,14 +369,43 @@ let refs_of_catalogs t catalogs =
          end))
     Bytes.empty catalogs
 
-(* --- commit planning --- *)
+(* --- commit planning ---
+
+   Two stages.  [plan_chunks] reads the store and the image and writes
+   nothing shared, so any number of domains may run it at once while
+   nothing commits: the layout, the clean test, the verifies, the hash of
+   every chunk not known clean, the manifest's rows.  [plan_commit] then
+   decides, on the committing domain, what only commit order can: the
+   generation, the manifest and catalog records, the refcount delta — and,
+   when other commits landed since the chunks were planned, every chunk
+   again against the store as it now stands. *)
+
+(* An image's chunk plan, laid out from log head [q_head]: the first
+   stage of a commit. *)
+type prepared = {
+  q_store : t;
+  q_id : string;
+  q_src : source;
+  q_seq : int; (* the store's [seq] and [gc_runs] when planned *)
+  q_gc : int;
+  q_head : int;
+  q_prev : manifest option; (* the stream's newest manifest then *)
+  q_entries : Bytes.t; (* chunk [i]: hash, absolute off, len *)
+  q_new : (int * piece) list; (* newest first: absolute off, [Fresh] record *)
+  q_shared : int;
+  q_misses : int; (* hinted chunks the verify refused *)
+  q_rotted : int; (* refused verifies whose stored payload rotted *)
+  q_rows : Bytes.t;
+  q_root : int64;
+  q_end : int; (* the head past the chunk records *)
+}
 
 type plan = {
   p_gen : int;
   p_new : (int * piece) list; (* absolute off, [Fresh] chunk record *)
   p_shared : int;
-  p_misses : int; (* hinted chunks the verify refused *)
-  p_rotted : int; (* refused verifies whose stored payload rotted *)
+  p_misses : int;
+  p_rotted : int;
   p_manifest : manifest;
   p_catalog : manifest list;
   p_refs : Bytes.t; (* the refcount table's rows once committed *)
@@ -413,7 +442,14 @@ let refs_delta t m =
         m.m_rows older
   | _ -> m.m_rows
 
-let plan_commit t ~id src =
+(* Plan [src]'s chunks against the store as it stands.  With [memo], a
+   plan of the same image and stream against an earlier state of this
+   store with no GC between, the loop is the same but reuses what [memo]
+   computed: each chunk's hash when it was hashed, and each verify that
+   passed against a stored copy that was already there, whose bytes no
+   later commit rewrites.  So every decision, count and byte equals a
+   plan made from scratch now. *)
+let plan_chunks ?memo t ~id src =
   let len = src.length in
   let nchunks = max 0 ((len + chunk_payload - 1) / chunk_payload) in
   let base = space_off t t.space in
@@ -424,22 +460,31 @@ let plan_commit t ~id src =
   let news = ref [] and shared = ref 0 and misses = ref 0 and rotted = ref 0 in
   let prev, clean = hint_for t ~id src in
   let buf = Bytes.create chunk_payload in
+  (* [memo] shared chunk [i] with the stored copy at [off], so it passed
+     its verify there.  A chunk it shared lies below its head; fresh and
+     pending offsets lie at or above it.  A refused verify is rare, and
+     is simply made again. *)
+  let recalled i off =
+    match memo with
+    | Some q -> off < base + q.q_head && ent_off q.q_entries i = off
+    | None -> false
+  in
   (* The absolute off of a copy of the chunk's [plen] bytes already in
      this commit or the store, or -1 — after a byte-compare verify:
      content-hash equality is not content equality, and a rotted stored
      copy must not be re-referenced.  The chunk is [buf]'s first [plen]
-     bytes, or with [in_place] the source's bytes from [pos], compared
+     bytes when [loaded], else the source's bytes from [pos], compared
      where they lie.  A refused stored copy whose payload no longer
      hashes to its record's hash is rot; a collision or a lying hint
      leaves it intact. *)
-  let lookup ~in_place ~pos h plen =
+  let lookup ~i ~loaded ~pos h plen =
     match Keytbl.I64.find_opt pending h with
     | Some (ppos, plen', off)
       when plen' >= plen
            &&
-           (* a pending copy is the source's own bytes: rare for a clean
-              chunk, which then takes the buffer after all *)
-           (if in_place then src.blit ~pos buf ~off:0 ~len:plen;
+           (* a pending copy is the source's own bytes: rare for a chunk
+              not yet in [buf], which then takes the buffer after all *)
+           (if not loaded then src.blit ~pos buf ~off:0 ~len:plen;
             src.equal ~pos:ppos buf ~off:0 ~len:plen) ->
         off
     | _ -> (
@@ -447,10 +492,12 @@ let plan_commit t ~id src =
         | Some c when c.c_len = plen ->
             let at = c.c_off + chunk_header in
             if
-              if in_place then
+              recalled i c.c_off
+              ||
+              if loaded then Blockdev.pequal t.blk ~off:at buf ~pos:0 ~len:plen
+              else
                 Blockdev.pequal_by t.blk ~off:at ~len:plen (fun e eoff p n ->
                     src.equal ~pos:(pos + p) e ~off:eoff ~len:n)
-              else Blockdev.pequal t.blk ~off:at buf ~pos:0 ~len:plen
             then c.c_off
             else begin
               if Fnv.hash_bytes (Blockdev.pread t.blk ~off:at ~len:plen) <> h then incr rotted;
@@ -459,6 +506,7 @@ let plan_commit t ~id src =
         | _ -> -1)
   in
   let entries = Bytes.create (entry_bytes * nchunks) in
+  let same_hashes = ref true in
   for i = 0 to nchunks - 1 do
     let pos = i * chunk_payload in
     let plen = min chunk_payload (len - pos) in
@@ -468,19 +516,25 @@ let plan_commit t ~id src =
          as for any other chunk, in place, so [buf] is filled only when
          the verify refuses. *)
       h := ent_hash prev i;
-      off := lookup ~in_place:true ~pos !h plen;
+      off := lookup ~i ~loaded:false ~pos !h plen;
       if !off < 0 then begin
         incr misses;
         src.blit ~pos buf ~off:0 ~len:plen;
         let h' = Fnv.hash_bytes ~pos:0 ~len:plen buf in
-        if not (Int64.equal h' !h) then off := lookup ~in_place:false ~pos h' plen;
+        if not (Int64.equal h' !h) then off := lookup ~i ~loaded:true ~pos h' plen;
         h := h'
       end
     end
     else begin
-      src.blit ~pos buf ~off:0 ~len:plen;
-      h := Fnv.hash_bytes ~pos:0 ~len:plen buf;
-      off := lookup ~in_place:false ~pos !h plen
+      match memo with
+      | Some q ->
+          (* [memo] hashed every chunk not known clean *)
+          h := ent_hash q.q_entries i;
+          off := lookup ~i ~loaded:false ~pos !h plen
+      | None ->
+          src.blit ~pos buf ~off:0 ~len:plen;
+          h := Fnv.hash_bytes ~pos:0 ~len:plen buf;
+          off := lookup ~i ~loaded:true ~pos !h plen
     end;
     if !off >= 0 then incr shared
     else begin
@@ -490,19 +544,66 @@ let plan_commit t ~id src =
       if not (Keytbl.I64.mem pending !h) then Keytbl.I64.replace pending !h (pos, plen, !off);
       cursor := !cursor + piece_len piece
     end;
+    (match memo with
+    | Some q when not (Int64.equal !h (ent_hash q.q_entries i)) -> same_hashes := false
+    | _ -> ());
     set_entry entries i !h ~off:!off ~len:plen
   done;
+  let q_rows, q_root =
+    match memo with
+    | Some q when !same_hashes -> (q.q_rows, q.q_root)
+    | _ -> (rows_of_entries entries, merkle_root entries)
+  in
+  {
+    q_store = t;
+    q_id = id;
+    q_src = src;
+    q_seq = t.seq;
+    q_gc = t.gc_runs;
+    q_head = t.head;
+    q_prev = Hashtbl.find_opt t.streams id;
+    q_entries = entries;
+    q_new = !news;
+    q_shared = !shared;
+    q_misses = !misses;
+    q_rotted = !rotted;
+    q_rows;
+    q_root;
+    q_end = !cursor;
+  }
+
+let prepare ?(id = "") t src = plan_chunks t ~id src
+
+(* [q]'s chunks planned against the store as it now stands: [q] itself
+   when nothing committed since; replanned through [q] while no GC ran
+   and the stream's manifest is the one [q] saw; from scratch otherwise. *)
+let current t q =
+  if q.q_store != t then invalid_arg "Store.commit_prepared: prepared on another store";
+  let prev_same =
+    match (q.q_prev, Hashtbl.find_opt t.streams q.q_id) with
+    | None, None -> true
+    | Some a, Some b -> a == b
+    | _ -> false
+  in
+  if q.q_gc <> t.gc_runs || not prev_same then plan_chunks t ~id:q.q_id q.q_src
+  else if q.q_seq = t.seq then q
+  else plan_chunks ~memo:q t ~id:q.q_id q.q_src
+
+(* The second stage, on chunks planned at the current head. *)
+let plan_commit t q =
+  let id = q.q_id in
+  let base = space_off t t.space in
+  let cursor = ref q.q_end in
   let p_gen = stream_generation ~id t + 1 in
-  let m_off = base + !cursor in
   let m0 =
     {
       m_stream = id;
       m_gen = p_gen;
-      m_entries = entries;
-      m_image_len = len;
-      m_root = merkle_root entries;
-      m_rows = rows_of_entries entries;
-      m_off;
+      m_entries = q.q_entries;
+      m_image_len = q.q_src.length;
+      m_root = q.q_root;
+      m_rows = q.q_rows;
+      m_off = base + !cursor;
       m_len = 0;
     }
   in
@@ -524,10 +625,10 @@ let plan_commit t ~id src =
   let p_data_len = !cursor - t.head in
   {
     p_gen;
-    p_new = List.rev !news;
-    p_shared = !shared;
-    p_misses = !misses;
-    p_rotted = !rotted;
+    p_new = List.rev q.q_new;
+    p_shared = q.q_shared;
+    p_misses = q.q_misses;
+    p_rotted = q.q_rotted;
     p_manifest = m;
     p_catalog = catalog;
     p_refs;
@@ -540,7 +641,7 @@ let plan_commit t ~id src =
     p_total = p_data_len + sb_bytes;
   }
 
-let commit_bytes ?(id = "") t src = (plan_commit t ~id src).p_total
+let commit_bytes ?(id = "") t src = (plan_commit t (plan_chunks t ~id src)).p_total
 
 (* --- the write stream, cut at an arbitrary byte offset on a crash --- *)
 
@@ -796,8 +897,9 @@ let do_commit ?crash_at t ~id ~plan:p =
           chunks_shared = p.p_shared;
         }
 
-let commit ?crash_at ?(id = "") t src =
-  let p = plan_commit t ~id src in
+let commit_prepared ?crash_at t q =
+  let id = q.q_id in
+  let p = plan_commit t (current t q) in
   if t.head + p.p_data_len <= t.space_bytes then
     do_commit ?crash_at t ~id ~plan:p
   else
@@ -809,10 +911,12 @@ let commit ?crash_at ?(id = "") t src =
         t.torn <- t.torn + 1;
         Torn cut
     | Gc_committed _ ->
-        let p = plan_commit t ~id src in
+        let p = plan_commit t (plan_chunks t ~id q.q_src) in
         if t.head + p.p_data_len > t.space_bytes then
           invalid_arg "Store.commit: image does not fit a space even after GC";
         do_commit ?crash_at t ~id ~plan:p
+
+let commit ?crash_at ?id t src = commit_prepared ?crash_at t (prepare ?id t src)
 
 (* --- recovery scan --- *)
 

@@ -145,8 +145,42 @@ val commit : ?crash_at:int -> ?id:string -> t -> source -> outcome
     during it (site [store.gc]) reports the commit [Torn] with nothing
     of the new generation on the device.
 
+    A commit runs in two stages, {!prepare} then {!commit_prepared}; this
+    is the two back to back.
+
     @raise Invalid_argument if the image cannot fit a space even after
     GC. *)
+
+type prepared
+(** The first stage of a commit: an image's chunk plan made against the
+    store as it stood — the chunk layout, the clean test, the in-place
+    verify of every chunk against the copy the store then held, the hash
+    of every other chunk and the manifest's refcount rows. *)
+
+val prepare : ?id:string -> t -> source -> prepared
+(** [prepare ~id t src] plans [src]'s chunks as stream [id]'s next
+    generation.  It writes nothing [t] or any other prepared plan shares:
+    no device byte, no table, no counter, no fault draw or observation.
+    So any number of domains may prepare against one store at once, each
+    with its own source, as long as nothing commits, GCs or remounts it
+    meanwhile.  [src] must read the same bytes until the plan is
+    committed. *)
+
+val commit_prepared : ?crash_at:int -> t -> prepared -> outcome
+(** The second stage, serial: what only commit order can decide.  When
+    other commits landed since [prepare], it plans the chunks again
+    against the store as it now stands — reusing every hash, and every
+    verify that passed against a copy that was already there — so a chunk a sibling
+    stream wrote in between is looked up and verified afresh.  Then the
+    offsets, the generation, the catalog and the refcount delta, and the
+    write.  A GC since [prepare] (including one this commit triggers)
+    or another commit of the same stream makes it plan from scratch.
+    The outcome, the device bytes, {!hint_misses} and every fault draw
+    and observation are those of {!commit} run at this point: [commit
+    t src] is [commit_prepared t (prepare t src)].
+
+    @raise Invalid_argument if the plan was prepared on another store
+    handle, or as {!commit}. *)
 
 val commit_bytes : ?id:string -> t -> source -> int
 (** Total bytes [commit] would write for this image right now (new chunk

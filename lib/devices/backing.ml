@@ -11,6 +11,16 @@ let create ~bytes =
 
 let length t = t.len
 let resident_bytes t = Array.fold_left (fun acc e -> acc + Bytes.length e) 0 t.extents
+
+let resident_digest t =
+  let module Fnv = Velum_util.Fnv in
+  let h = ref Fnv.offset_basis in
+  Array.iteri
+    (fun i e ->
+      if Bytes.length e > 0 then h := Fnv.combine (Fnv.combine !h (Int64.of_int i)) (Fnv.hash_bytes e))
+    t.extents;
+  !h
+
 let copy t = { t with extents = Array.map Bytes.copy t.extents }
 
 (* Overflow-free: [off + len] is never formed. *)
@@ -54,12 +64,26 @@ let sub t ~off ~len =
 
 let sub_string t ~off ~len = Bytes.unsafe_to_string (sub t ~off ~len)
 
-(* Read by every unwritten extent's view; nothing writes it. *)
-let zero_extent = lazy (Bytes.make extent_bytes '\000')
+(* Read by every unwritten extent's view; nothing writes it.  Made on
+   first use, as a [lazy] would be, but published through an [Atomic]:
+   domains verifying against one device at once may each make one, and
+   any of them serves, where forcing one [lazy] from two domains raises
+   [CamlinternalLazy.Undefined].  (Made at start-up instead, its 64 KiB
+   move every program's heap, and with it the benchmark's
+   [peak_rss_mb].) *)
+let zero_extent = Atomic.make Bytes.empty
 
 let view t i =
   let e = t.extents.(i) in
-  if Bytes.length e = 0 then Lazy.force zero_extent else e
+  if Bytes.length e > 0 then e
+  else
+    let z = Atomic.get zero_extent in
+    if Bytes.length z > 0 then z
+    else begin
+      let z = Bytes.make extent_bytes '\000' in
+      Atomic.set zero_extent z;
+      z
+    end
 
 (* One or two spans for a range of at most [extent_bytes], so a loop
    rather than [walk]: no closure per call. *)

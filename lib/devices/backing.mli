@@ -28,6 +28,11 @@ val length : t -> int
 val resident_bytes : t -> int
 (** Bytes held in memory: the total size of the extents written so far. *)
 
+val resident_digest : t -> int64
+(** FNV-1a fold of every written extent's index and bytes, in extent
+    order: equal for two stores whose writes left the same bytes in the
+    same extents. *)
+
 val copy : t -> t
 (** An independent store with the same contents; copies only the
     written extents. *)

@@ -67,6 +67,7 @@ let set_faults t f = t.faults <- f
 let error_count t = t.errors
 
 let resident_bytes t = Backing.resident_bytes t.store
+let resident_digest t = Backing.resident_digest t.store
 
 (* Sectors [s .. s+c-1] lie on the disk; [s + c] and [s * sector_bytes]
    are never formed before this holds, so neither can overflow. *)

@@ -105,6 +105,9 @@ val resident_bytes : t -> int
 (** Backing-store bytes held in memory: the extents written so far
     ({!Backing.resident_bytes}). *)
 
+val resident_digest : t -> int64
+(** {!Backing.resident_digest} of the backing store. *)
+
 val copy : t -> t
 (** A fresh, idle device on the same DMA callbacks whose store holds the
     same bytes — copying only the written extents.  Neither the fault

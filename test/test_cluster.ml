@@ -387,6 +387,24 @@ let test_evacuation_exact () =
   checkb "reports byte-identical to a 4-domain run" true
     (String.equal r.Control.report (Control.run ~domains:4 cfg).Control.report)
 
+(* Heavy heartbeat loss declares live hosts dead.  Each is fenced before
+   any of its VMs is restored on a survivor, so the split-brain count —
+   taken at every restore or move and at the end of every round — reads
+   0 while false positives are counted; the report is the same at 2
+   domains. *)
+let test_false_positive_fenced () =
+  let faults =
+    match Fault.parse "seed=7,cluster.hb=0.62" with Ok f -> f | Error e -> failwith e
+  in
+  let cfg = Control.chaos ~hosts:8 ~rounds:16 ~seed:11L ~faults () in
+  let r = Control.run ~domains:1 cfg in
+  let m = Control.metrics r.Control.control in
+  checkb "live hosts were declared dead and fenced" true (m.Control.fenced_alive > 0);
+  checkb "their VMs were restored elsewhere" true (m.Control.evacuated > 0);
+  checki "no VM ran twice" 0 m.Control.split_brain;
+  checkb "reports byte-identical to a 2-domain run" true
+    (String.equal r.Control.report (Control.run ~domains:2 cfg).Control.report)
+
 (* Rolling maintenance: cordon → live-migrate everything off → reboot →
    refill, nothing left behind, migrations accounted. *)
 let test_drain_completeness () =
@@ -759,6 +777,8 @@ let () =
             `Quick test_pool_placement;
           Alcotest.test_case "kill → exact detection → evacuation, no split-brain"
             `Quick test_evacuation_exact;
+          Alcotest.test_case "a false positive is fenced before its twin starts"
+            `Quick test_false_positive_fenced;
           Alcotest.test_case "rolling drain leaves nothing behind" `Quick
             test_drain_completeness;
           Alcotest.test_case "overload sheds by priority class" `Quick

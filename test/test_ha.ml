@@ -783,6 +783,142 @@ let store_refcounts_prop =
       let remounted = Store.mount (Store.device store) in
       Store.ref_rebuilds remounted = 0 && agree remounted)
 
+(* A fleet checkpoint round: every commit of the round is prepared
+   against the store as the round found it, split over two domains,
+   then committed in order — against twin stores fed the same rounds
+   through plain serial commits.  Streams share content, so a stream
+   often needs a chunk a sibling wrote earlier in the same round; a
+   stream may commit twice in a round (its second source's hint is then
+   stale); hints may lie; the fault plan rots committed records and
+   cuts commits; and the small device compacts in the middle of rounds.
+   Every outcome, [hint_misses], fault count and stream generation
+   after each commit, and the device bytes after each round, must
+   agree. *)
+type round_op = {
+  stream : int;
+  edits : (int * int) list; (* chunk, palette entry *)
+  hint : int; (* 0: none, 1: the truth, 2: every chunk called clean *)
+  cut : int option; (* crash_at *)
+}
+
+let round_op_gen =
+  QCheck2.Gen.(
+    map
+      (fun (stream, edits, hint, cut) -> { stream; edits; hint; cut })
+      (quad (int_range 0 3)
+         (list_size (int_range 0 4) (pair (int_range 0 5) (int_range 0 23)))
+         (frequency [ (1, pure 0); (4, pure 1); (1, pure 2) ])
+         (frequency [ (9, pure None); (1, map Option.some (int_range 0 30_000)) ])))
+
+let show_round_op o =
+  Printf.sprintf "%d[%s]h%d%s" o.stream
+    (String.concat "," (List.map (fun (c, p) -> Printf.sprintf "%d=%d" c p) o.edits))
+    o.hint
+    (match o.cut with Some n -> Printf.sprintf "@%d" n | None -> "")
+
+let prepared_round_prop =
+  QCheck2.Test.make ~count:80 ~name:"a round planned on two domains commits what serial planning commits"
+    ~print:(fun (seed, rounds) ->
+      Printf.sprintf "seed=%d %s" seed
+        (String.concat " | " (List.map (fun r -> String.concat "; " (List.map show_round_op r)) rounds)))
+    QCheck2.Gen.(pair nat (list_size (int_range 1 8) (list_size (int_range 1 6) round_op_gen)))
+    (fun (seed, rounds) ->
+      let chunks = 6 in
+      (* stream [s]'s image is [chunks] palette chunks, the last cut short
+         by [100 * s] bytes, so equal content of another length is a
+         miss; a palette entry's bytes depend on their image offset, so
+         streams share the chunks they hold at the same index *)
+      let length s = (chunks * 4096) - (s * 100) in
+      let image pal s =
+        let b = Bytes.create (length s) in
+        Array.iteri
+          (fun i p ->
+            for j = i * 4096 to min (length s) ((i + 1) * 4096) - 1 do
+              Bytes.set b j (Char.chr (((p * 131) + (j * 7) + (p * j)) land 0xff))
+            done)
+          pal;
+        b
+      in
+      let plan () =
+        let f = Fault.create ~seed:(Int64.of_int seed) () in
+        Fault.set_prob f Fault.Store_csum 0.25;
+        Fault.set_prob f Fault.Store_torn 0.1;
+        Fault.set_prob f Fault.Store_gc 0.05;
+        f
+      in
+      (* spaces of about 130 KiB: four streams compact every few rounds *)
+      let sectors = Store.fleet_sectors_for ~streams:1 ~image_bytes:(chunks * 4096) in
+      let serial_faults = plan () and staged_faults = plan () in
+      let serial = Store.create ~sectors ~faults:serial_faults () in
+      let staged = Store.create ~sectors ~faults:staged_faults () in
+      (* per stream: palette indices now, and the image and generation of
+         its last commit *)
+      let pal = Array.init 4 (fun s -> Array.init chunks (fun i -> (s + i) mod 3)) in
+      let last = Array.make 4 None in
+      let ok = ref true in
+      let expect what c = if not c then (Printf.printf "diverged: %s\n" what; ok := false) in
+      let record store faults r =
+        ( r,
+          Store.hint_misses store,
+          List.map (Fault.observed faults) Fault.all_sites,
+          List.init 4 (fun s -> Store.stream_generation ~id:(string_of_int s) store) )
+      in
+      let attempt f = match f () with o -> Ok o | exception Invalid_argument m -> Error m in
+      List.iter
+        (fun ops ->
+          let ops = Array.of_list ops in
+          (* every source is made before the round commits anything, as
+             the control plane's checkpoint phase makes them *)
+          let srcs =
+            Array.map
+              (fun o ->
+                List.iter (fun (c, p) -> pal.(o.stream).(c) <- p) o.edits;
+                let img = image (Array.copy pal.(o.stream)) o.stream in
+                let src = Store.of_bytes img in
+                match (o.hint, last.(o.stream)) with
+                | 1, Some (prev, gen) ->
+                    let clean i =
+                      let pos = i * 4096 in
+                      let len = min 4096 (Bytes.length img - pos) in
+                      Bytes.sub prev pos len = Bytes.sub img pos len
+                    in
+                    (img, { src with Store.clean = Some (gen, clean) })
+                | 2, Some (_, gen) -> (img, { src with Store.clean = Some (gen, fun _ -> true) })
+                | _ -> (img, src))
+              ops
+          in
+          let commit_serial k o =
+            let id = string_of_int o.stream in
+            record serial serial_faults (attempt (fun () -> Store.commit ?crash_at:o.cut ~id serial (snd srcs.(k))))
+          in
+          let expected = Array.mapi commit_serial ops in
+          let prepare k = Store.prepare ~id:(string_of_int ops.(k).stream) staged (snd srcs.(k)) in
+          let prepared = Array.make (Array.length ops) None in
+          let stripe w =
+            Array.iteri (fun k _ -> if k mod 2 = w then prepared.(k) <- Some (prepare k)) ops
+          in
+          let d = Domain.spawn (fun () -> stripe 1) in
+          stripe 0;
+          Domain.join d;
+          Array.iteri
+            (fun k o ->
+              let q = Option.get prepared.(k) in
+              let got =
+                record staged staged_faults (attempt (fun () -> Store.commit_prepared ?crash_at:o.cut staged q))
+              in
+              expect (Printf.sprintf "commit %d of the round" k) (got = expected.(k));
+              match expected.(k) with
+              | Ok (Store.Committed { gen; _ }), _, _, _ -> last.(o.stream) <- Some (fst srcs.(k), gen)
+              | _ -> ())
+            ops;
+          let device s =
+            let blk = Store.device s in
+            Blockdev.read_back blk ~sector:0 ~count:(Blockdev.sectors blk)
+          in
+          expect "device bytes" (String.equal (device serial) (device staged)))
+        rounds;
+      !ok)
+
 (* The tuple merge the packed [Store.merge_rows] replaced: rows and
    changes as hash-ordered [(hash, n)] arrays. *)
 let merge_rows_model rows changes =
@@ -1485,7 +1621,7 @@ let () =
              [
                store_crash_sweep_prop; store_gc_live_prop;
                store_delta_oracle_prop; hinted_commit_prop; merge_rows_prop;
-               source_reads_as_capture_prop; store_refcounts_prop;
+               source_reads_as_capture_prop; store_refcounts_prop; prepared_round_prop;
              ] );
       ("churn", qsuite [ churn_prop ]);
       ( "snapshot",
